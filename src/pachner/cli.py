@@ -66,7 +66,7 @@ def _load_triangulation(path: str) -> Triangulation:
         raise UsageError(f"no such file: {path}")
     try:
         return Triangulation.load(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
@@ -98,6 +98,16 @@ def _group(text: str):
 
 
 def cmd_verify(args):
+    try:
+        out, report = _run_verify(args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    out += report.lines()
+    print("\n".join(out))
+    return _VERDICT_CODES[report.verdict]
+
+
+def _run_verify(args):
     out = []
     if args.relation == "p33":
         if args.solution == "set":
@@ -131,9 +141,7 @@ def cmd_verify(args):
         out += _echo("verify pentagon", {"group": args.group, "backend": args.backend})
         triple = triple_from_table(table, args.group)
         report = verify_pentagon(pentagon_map(triple), backend=args.backend)
-    out += report.lines()
-    print("\n".join(out))
-    return _VERDICT_CODES[report.verdict]
+    return out, report
 
 
 # -- statesum ------------------------------------------------------------------

@@ -135,10 +135,10 @@ class Triangulation:
         return gluing
 
     def _validate_gluing(self):
-        for occ, partner in self.gluing.items():
-            e, i = occ
+        for e, i in self.gluing:
             if not (0 <= e < len(self.simplexes) and 0 <= i <= self.dim):
-                raise ValueError(f"gluing references unknown occurrence {occ}")
+                raise ValueError(f"gluing references unknown occurrence {(e, i)}")
+        for occ, partner in self.gluing.items():
             if self.gluing.get(partner) != occ or partner == occ:
                 raise ValueError(f"gluing is not a fixed-point-free involution at {occ}")
             if self.facet(*occ) != self.facet(*partner):
@@ -278,7 +278,9 @@ class Triangulation:
             if parts[0] == "dim":
                 if dim is not None:
                     raise ValueError(f"line {lineno}: duplicate dim header")
-                dim = int(parts[1])
+                if len(parts) != 2:
+                    raise ValueError(f"line {lineno}: dim takes one integer")
+                (dim,) = _ints(parts[1:], lineno)
             elif parts[0] in ("pent", "simp"):
                 if dim is None:
                     raise ValueError(f"line {lineno}: dim header must come first")
@@ -288,12 +290,12 @@ class Triangulation:
                     raise ValueError(f"line {lineno}: expected {dim + 1} vertices and a sign")
                 if parts[-1] not in ("+", "-"):
                     raise ValueError(f"line {lineno}: sign must be + or -")
-                vertices = tuple(int(v) for v in parts[1:-1])
+                vertices = _ints(parts[1:-1], lineno)
                 simplexes.append((vertices, 1 if parts[-1] == "+" else -1))
             elif parts[0] == "glue":
                 if len(parts) != 5:
                     raise ValueError(f"line {lineno}: glue takes four integers")
-                e1, f1, e2, f2 = (int(v) for v in parts[1:])
+                e1, f1, e2, f2 = _ints(parts[1:], lineno)
                 gluing[(e1, f1)] = (e2, f2)
                 gluing[(e2, f2)] = (e1, f1)
                 saw_glue = True
@@ -307,6 +309,13 @@ class Triangulation:
     def load(path) -> "Triangulation":
         with open(path) as fh:
             return Triangulation.from_lines(fh)
+
+
+def _ints(words, lineno):
+    try:
+        return tuple(int(w) for w in words)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected integers, got {' '.join(words)!r}") from None
 
 
 def simplex_boundary(n: int, labels=None) -> Triangulation:

@@ -13,11 +13,7 @@ Closed complexes contract to a single scalar; complexes with boundary
 leave one slot per boundary tetrahedron, ordered by vertex tuple.
 
 A tetrahedron whose two sides present the same variance is outside the
-certified scope; ``build_assignment`` reports the face.  The
-``flip_clashes`` escape hatch converts such a slot with the symmetry
-kernel before pairing.  It is experimental: the full normalization for
-moves that change tetrahedron counts is not pinned down here, and no
-acceptance-level claim covers it.
+certified scope; ``build_assignment`` reports the face.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from dataclasses import dataclass, field
 from .scalars import Comparison, compare
 from .simplicial import Triangulation, find_move_sites, apply_move
 from .solutions import SolutionSpec
-from .tensors import GroupTensor, UP, DOWN, apply_kernel, contract, self_contract
+from .tensors import GroupTensor, UP, DOWN, contract, self_contract
 from .verify import _resolve_backend
 
 ARITY_GUARD = 22
@@ -49,9 +45,7 @@ class StateSumAssignment:
     boundary: list  # (vertex tuple, entry, facet) per boundary tetrahedron, sorted
 
 
-def build_assignment(
-    t: Triangulation, sol: SolutionSpec, backend: str = "auto", flip_clashes: bool = False
-) -> StateSumAssignment:
+def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "auto") -> StateSumAssignment:
     """Attach tensors to pentachora and pair slots along interior tetrahedra."""
     if t.dim != 4:
         raise ValueError(f"state sums need a 4-dimensional complex, got dim {t.dim}")
@@ -73,22 +67,9 @@ def build_assignment(
         v1 = _slot_variance(s1, f1)
         v2 = _slot_variance(s2, f2)
         if v1 == v2:
-            face = t.facet(e1, f1)
-            if not flip_clashes:
-                raise ValueError(
-                    f"tetrahedron {face} is presented with equal variance by "
-                    f"entries {e1} and {e2}; outside the certified scope"
-                )
-            # Experimental: convert the second slot with the symmetry kernel
-            # and flip its declared variance.
-            if sol.kernels is None:
-                raise ValueError("variance flip needs a solution with kernels")
-            kernel = sol.kernels["T"] if bk == "exact" else sol.kernels["T"].to_float()
-            flipped = apply_kernel(tensors[e2], f2, kernel, side="left")
-            variances = list(flipped.variances)
-            variances[f2] = variances[f2].flip()
-            tensors[e2] = GroupTensor(
-                flipped.domain, tuple(variances), flipped.entries, flipped.exact
+            raise ValueError(
+                f"tetrahedron {t.facet(e1, f1)} is presented with equal variance by "
+                f"entries {e1} and {e2}; outside the certified scope"
             )
         pairings.append(((e1, f1), (e2, f2)))
 
@@ -131,33 +112,21 @@ class _Blob:
         return sum(1 for label in other.labels if label in mine)
 
     def merge(self, other):
+        """Contract every pairing the two blobs share in one join."""
         mine = {label: pos for pos, label in enumerate(self.labels) if label[0] == "pair"}
-        bond = None
-        for pos, label in enumerate(other.labels):
-            if label in mine:
-                bond = (mine[label], pos)
-                break
-        if bond is None:
-            arity = self.tensor.arity + other.tensor.arity
-            if arity > ARITY_GUARD:
-                raise RuntimeError(
-                    f"intermediate tensor would carry {arity} slots (guard {ARITY_GUARD})"
-                )
-            merged = _Blob(self.tensor.outer(other.tensor), self.labels + other.labels)
-        else:
-            i, j = bond
-            arity = self.tensor.arity + other.tensor.arity - 2
-            if arity > ARITY_GUARD:
-                raise RuntimeError(
-                    f"intermediate tensor would carry {arity} slots (guard {ARITY_GUARD})"
-                )
-            tensor = contract(self.tensor, i, other.tensor, j)
-            labels = [l for p, l in enumerate(self.labels) if p != i] + [
-                l for p, l in enumerate(other.labels) if p != j
-            ]
-            merged = _Blob(tensor, labels)
-        merged.contract_internal()
-        return merged
+        bonds = [(mine[label], pos) for pos, label in enumerate(other.labels) if label in mine]
+        arity = self.tensor.arity + other.tensor.arity - 2 * len(bonds)
+        if arity > ARITY_GUARD:
+            raise RuntimeError(
+                f"intermediate tensor would carry {arity} slots (guard {ARITY_GUARD})"
+            )
+        s1 = [i for i, _ in bonds]
+        s2 = [j for _, j in bonds]
+        tensor = contract(self.tensor, s1, other.tensor, s2)
+        labels = [l for p, l in enumerate(self.labels) if p not in s1] + [
+            l for p, l in enumerate(other.labels) if p not in s2
+        ]
+        return _Blob(tensor, labels)
 
 
 def partition(a: StateSumAssignment, order: str = "greedy") -> GroupTensor:

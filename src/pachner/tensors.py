@@ -2,10 +2,14 @@
 
 A tensor assigns a scalar to each tuple of domain elements, one per slot.
 Slots carry a variance: UP for the primal space, DOWN for its dual.
-Contraction binds an UP slot to a DOWN slot and inserts one measure
-weight c = r**-1 per bound pair, matching the self-dual Haar convention
-of the groups module.  Identity wires are delta lines with entry r, so a
-wire composed with anything is weight neutral (c * r = 1).
+Contraction binds UP slots to DOWN slots and inserts one measure weight
+c = r**-1 per bound pair, matching the self-dual Haar convention of the
+groups module.  Identity wires are delta lines with entry r, so a wire
+composed with anything is weight neutral (c * r = 1).
+
+``contract`` is the one join of two tensors: it binds any number of slot
+pairs in a single hash join, and the outer product (no pairs) and
+``LinMap.compose`` (all wires) are calls to it.
 
 Two entry backends share all code paths: exact ring scalars, and plain
 complex numbers for the float cross-check backend.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .scalars import Comparison, approx_equal, compare, get_ring
 
@@ -97,11 +102,11 @@ class GroupTensor:
             f"nnz={len(self.entries)} {'exact' if self.exact else 'float'}>"
         )
 
-    def _weight(self):
-        """One measure weight c = r**-1 in the active backend."""
+    def _weight(self, pairs=1):
+        """The measure weight c**pairs = r**-pairs in the active backend."""
         if self.exact:
-            return self.domain.ring.radical(-1)
-        return complex(self.domain.size ** -0.5)
+            return self.domain.ring.radical(-pairs)
+        return complex(self.domain.size ** (-0.5 * pairs))
 
     def _conj_val(self, v):
         return v.conj() if self.exact else v.conjugate()
@@ -119,24 +124,15 @@ class GroupTensor:
         )
 
     def outer(self, other: "GroupTensor") -> "GroupTensor":
-        _check_same_backend(self, other)
-        entries = {}
-        for k1, v1 in self.entries.items():
-            for k2, v2 in other.entries.items():
-                entries[k1 + k2] = v1 * v2
-        return GroupTensor(
-            self.domain, self.variances + other.variances, entries, self.exact
-        )
+        return contract(self, (), other, ())
 
     def permute(self, perm) -> "GroupTensor":
         """Reorder slots; perm[i] names the old slot placed at position i."""
         if sorted(perm) != list(range(self.arity)):
             raise ValueError(f"{perm} is not a permutation of {self.arity} slots")
-        variances = tuple(self.variances[p] for p in perm)
-        entries = {
-            tuple(key[p] for p in perm): val for key, val in self.entries.items()
-        }
-        return GroupTensor(self.domain, variances, entries, self.exact)
+        pick = _picker(perm)
+        entries = {pick(key): val for key, val in self.entries.items()}
+        return GroupTensor(self.domain, pick(self.variances), entries, self.exact)
 
     def conj(self) -> "GroupTensor":
         """Entrywise conjugate with all slot variances flipped."""
@@ -183,35 +179,58 @@ def _check_same_backend(t1: GroupTensor, t2: GroupTensor):
         raise ValueError("cannot mix exact and float tensors")
 
 
-def contract(t1: GroupTensor, s1: int, t2: GroupTensor, s2: int) -> GroupTensor:
-    """Bind slot s1 of t1 to slot s2 of t2 with one measure weight.
+def _picker(slots):
+    """Tuple -> the tuple of its items at slots, for any slot count.
 
-    Result slots: t1's remaining slots in order, then t2's.
+    A run of consecutive slots (empty and single slots included) is read
+    as a slice, which itemgetter(*slots) cannot express for fewer than two.
+    """
+    slots = tuple(slots)
+    lo = slots[0] if slots else 0
+    if slots == tuple(range(lo, lo + len(slots))):
+        return itemgetter(slice(lo, lo + len(slots)))
+    return itemgetter(*slots)
+
+
+def contract(t1: GroupTensor, s1, t2: GroupTensor, s2) -> GroupTensor:
+    """Bind slots s1 of t1 to slots s2 of t2 pairwise, in one hash join.
+
+    s1 and s2 are equally long slot sequences; a bare int is one slot.
+    Each bound pair needs opposite variances and contributes one measure
+    weight, so k pairs carry r**-k and no pairs give the outer product.
+    Result slots: t1's free slots in order, then t2's.
     """
     _check_same_backend(t1, t2)
-    if t1.variances[s1] == t2.variances[s2]:
-        raise ValueError(
-            f"variance clash: slot {s1} ({t1.variances[s1]}) vs "
-            f"slot {s2} ({t2.variances[s2]})"
-        )
+    s1 = (s1,) if isinstance(s1, int) else tuple(s1)
+    s2 = (s2,) if isinstance(s2, int) else tuple(s2)
+    if len(s1) != len(s2):
+        raise ValueError(f"cannot pair {len(s1)} slots with {len(s2)}")
+    for a, b in zip(s1, s2):
+        if t1.variances[a] == t2.variances[b]:
+            raise ValueError(
+                f"variance clash: slot {a} ({t1.variances[a]}) vs "
+                f"slot {b} ({t2.variances[b]})"
+            )
+    free1 = tuple(p for p in range(t1.arity) if p not in s1)
+    free2 = tuple(p for p in range(t2.arity) if p not in s2)
+    bound1, rest1 = _picker(s1), _picker(free1)
+    bound2, rest2 = _picker(s2), _picker(free2)
     buckets = {}
     for k2, v2 in t2.entries.items():
-        buckets.setdefault(k2[s2], []).append((k2[:s2] + k2[s2 + 1 :], v2))
+        buckets.setdefault(bound2(k2), []).append((rest2(k2), v2))
     out = {}
+    accumulated = out.get
     for k1, v1 in t1.entries.items():
-        rest1 = k1[:s1] + k1[s1 + 1 :]
-        for rest2, v2 in buckets.get(k1[s1], ()):
-            key = rest1 + rest2
-            prod = v1 * v2
-            prev = out.get(key)
-            out[key] = prod if prev is None else prev + prod
-    weight = t1._weight()
-    variances = (
-        t1.variances[:s1] + t1.variances[s1 + 1 :] + t2.variances[:s2] + t2.variances[s2 + 1 :]
-    )
-    return GroupTensor(
-        t1.domain, variances, {k: weight * v for k, v in out.items()}, t1.exact
-    )
+        head = rest1(k1)
+        for tail, v2 in buckets.get(bound1(k1), ()):
+            key = head + tail
+            prev = accumulated(key)
+            out[key] = v1 * v2 if prev is None else prev + v1 * v2
+    if s1:
+        weight = t1._weight(len(s1))
+        out = {k: weight * v for k, v in out.items()}
+    variances = rest1(t1.variances) + rest2(t2.variances)
+    return GroupTensor(t1.domain, variances, out, t1.exact)
 
 
 def self_contract(t: GroupTensor, i: int, j: int) -> GroupTensor:
@@ -405,41 +424,16 @@ class LinMap:
         return LinMap(big.permute(perm), a_out + b_out, a_in + b_in)
 
     def compose(self, other: "LinMap") -> "LinMap":
-        """self after other: bind self's inputs to other's outputs in order.
-
-        All wires are bound in one hash join keyed on the full wire tuple,
-        which never materializes the outer product; the weight is one
-        measure factor c per wire, as in repeated single contractions.
-        """
+        """self after other: bind self's inputs to other's outputs in order."""
         if self.n_in != other.n_out:
             raise ValueError(
                 f"cannot compose: {self.n_in} inputs vs {other.n_out} outputs"
             )
-        wires = self.n_in
-        t1, t2 = self.tensor, other.tensor
-        _check_same_backend(t1, t2)
-        buckets = {}
-        for key, val in t2.entries.items():
-            buckets.setdefault(key[:wires], []).append((key[wires:], val))
-        out = {}
-        for key, val in t1.entries.items():
-            head = key[: self.n_out]
-            for tail, v2 in buckets.get(key[self.n_out :], ()):
-                new = head + tail
-                prod = val * v2
-                prev = out.get(new)
-                out[new] = prod if prev is None else prev + prod
-        if t1.exact:
-            weight = t1.domain.ring.radical(-wires)
-        else:
-            weight = complex(t1.domain.size ** (-0.5 * wires))
-        tensor = GroupTensor(
-            t1.domain,
-            (UP,) * self.n_out + (DOWN,) * other.n_in,
-            {k: weight * v for k, v in out.items()},
-            t1.exact,
+        n_out, n_in = self.n_out, self.n_in
+        tensor = contract(
+            self.tensor, range(n_out, n_out + n_in), other.tensor, range(n_in)
         )
-        return LinMap(tensor, self.n_out, other.n_in)
+        return LinMap(tensor, n_out, other.n_in)
 
     def __matmul__(self, other):
         return self.compose(other)

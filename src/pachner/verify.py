@@ -554,7 +554,11 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
         raise ValueError("dense oracle needs the 5-slot solution tensor")
     target = sol_or_q.descriptor if isinstance(sol_or_q, SolutionSpec) else q.domain.literal
     if workers is None:
-        workers = int(os.environ.get("PACHNER_WORKERS", "1") or 1)
+        text = os.environ.get("PACHNER_WORKERS", "") or "1"
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ValueError(f"PACHNER_WORKERS must be an integer, got {text!r}") from None
     workers = max(1, workers)
     elems = list(q.domain.elements())
     n = len(elems)
@@ -631,6 +635,8 @@ def set_p33_sides(a: Fraction, b: Fraction, c: Fraction):
 
 def verify_set_p33(samples: int = 1000, seed: int = 1) -> VerifyReport:
     """Compare the two composite maps at seeded rational points."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     for k in range(samples):
         coords = []

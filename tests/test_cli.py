@@ -12,6 +12,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(code, err):
+    assert code == 64
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def sphere_file(tmp_path):
     path = tmp_path / "sphere.tri"
@@ -128,6 +134,8 @@ def test_moves_apply_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["moves", "apply", "--tri", str(tmp_path / "missing.tri")])
     assert code == 64
     assert "no such file" in err
+    code, _, err = run(capsys, ["moves", "apply", "--tri", str(tmp_path)])
+    assert_one_error_line(code, err)
 
 
 def test_tri_parse_error_carries_line_number(capsys, tmp_path):
@@ -136,6 +144,26 @@ def test_tri_parse_error_carries_line_number(capsys, tmp_path):
     code, _, err = run(capsys, ["statesum", "--tri", str(path), "--solution", "bichar:Z2"])
     assert code == 64
     assert "line 2" in err
+
+
+def test_set_sampler_rejects_nonpositive_samples(capsys):
+    code, out, err = run(capsys, ["verify", "p33", "--solution", "set", "--samples", "-3"])
+    assert_one_error_line(code, err)
+    assert "samples must be >= 1" in err
+    assert out == ""
+
+
+def test_yb_rejects_set_solution(capsys):
+    code, _, err = run(capsys, ["verify", "yb", "--solution", "set"])
+    assert_one_error_line(code, err)
+    assert "solution tensor" in err
+
+
+def test_dense_oracle_rejects_non_integer_workers(capsys, monkeypatch):
+    monkeypatch.setenv("PACHNER_WORKERS", "abc")
+    code, _, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z2", "--oracle", "dense"])
+    assert_one_error_line(code, err)
+    assert "PACHNER_WORKERS" in err
 
 
 def test_unknown_flag_and_bad_descriptor(capsys):

@@ -368,6 +368,16 @@ def test_file_round_trip_with_explicit_gluing(tmp_path):
     assert loaded.gluing == doubled.gluing
 
 
+@pytest.mark.parametrize(
+    "bad, lineno",
+    [("dim", 1), ("dim x", 1), ("pent 0 1 2 3 a +", 2), ("glue 0 1 x 2", 3)],
+)
+def test_malformed_line_names_its_number(bad, lineno):
+    lines = ["dim 4", "pent 0 1 2 3 4 +"][: lineno - 1] + [bad]
+    with pytest.raises(ValueError, match=f"^line {lineno}: "):
+        Triangulation.from_lines(lines)
+
+
 def test_file_parsing_errors_and_comments():
     t = Triangulation.from_lines(
         ["# a sphere", "dim 2", "simp 0 1 2 +", "simp 0 1 2 - # mirror"]
@@ -381,3 +391,5 @@ def test_file_parsing_errors_and_comments():
         Triangulation.from_lines(["dim 2", "tet 0 1 2 +"])
     with pytest.raises(ValueError, match="sign"):
         Triangulation.from_lines(["dim 2", "simp 0 1 2 1"])
+    with pytest.raises(ValueError, match=r"unknown occurrence \(7, 2\)"):
+        Triangulation.from_lines(["dim 4", "pent 0 1 2 3 4 +", "glue 0 0 7 2"])

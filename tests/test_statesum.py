@@ -5,6 +5,7 @@ import pytest
 from pachner.scalars import Comparison, compare
 from pachner.simplicial import Triangulation, simplex_boundary, pachner_sides
 from pachner.solutions import parse_solution, perturb_q
+from pachner import statesum
 from pachner.statesum import (
     all_sites,
     build_assignment,
@@ -114,21 +115,6 @@ def test_incoherent_gluing_names_the_tetrahedron():
     t = Triangulation(4, [((0, 1, 2, 3, 4), 1), ((0, 1, 2, 3, 5), 1)])
     with pytest.raises(ValueError, match=r"\(0, 1, 2, 3\)"):
         build_assignment(t, sol, "exact")
-
-
-def test_flip_escape_hatch_builds_and_contracts():
-    sol = parse_solution("bichar:Z2")
-    t = Triangulation(4, [((0, 1, 2, 3, 4), 1), ((0, 1, 2, 3, 5), 1)])
-    a = build_assignment(t, sol, "exact", flip_clashes=True)
-    got = partition(a)
-    assert got.arity == 8
-
-
-def test_flip_escape_hatch_needs_kernels():
-    sol = parse_solution("triple:groupalg:Z2")
-    t = Triangulation(4, [((0, 1, 2, 3, 4), 1), ((0, 1, 2, 3, 5), 1)])
-    with pytest.raises(ValueError, match="kernels"):
-        build_assignment(t, sol, "exact", flip_clashes=True)
 
 
 def test_build_assignment_guards():
@@ -258,6 +244,18 @@ def test_arity_guard_trips_on_disjoint_union():
     t = Triangulation(4, pents)
     a = build_assignment(t, parse_solution("bichar:Z2"), "exact")
     with pytest.raises(RuntimeError, match="guard"):
+        partition(a)
+
+
+def test_arity_guard_counts_the_materialised_arity(monkeypatch):
+    # On the sphere, greedy merges a blob of 8 slots with a pentachoron
+    # sharing 2 pairings: 9 slots materialised, 11 if bound one at a time.
+    a = build_assignment(simplex_boundary(5), parse_solution("bichar:Z3"), "exact")
+    expected = partition_value(a)
+    monkeypatch.setattr(statesum, "ARITY_GUARD", 10)
+    assert compare(partition_value(a), expected) is Comparison.EQUAL
+    monkeypatch.setattr(statesum, "ARITY_GUARD", 8)
+    with pytest.raises(RuntimeError, match="9 slots"):
         partition(a)
 
 

@@ -144,6 +144,35 @@ def test_self_contract_matches_contract_via_outer():
     via_contract = contract(a, 1, b, 0)
     via_outer = self_contract(a.outer(b), 1, 2)
     assert tensor_equal(via_contract, via_outer).verdict is Comparison.EQUAL
+    # two pairs in one join equal one pair, then a self-contraction
+    a = random_tensor(Z3, (UP, DOWN, DOWN), seed=12)
+    b = random_tensor(Z3, (UP, UP, DOWN), seed=13)
+    both = contract(a, (1, 2), b, (0, 1))  # slots: a0 b2
+    one_then_self = self_contract(contract(a, 1, b, 0), 1, 2)  # a0 a2 b1 b2 -> a0 b2
+    assert both.variances == (UP, DOWN)
+    assert tensor_equal(both, one_then_self).verdict is Comparison.EQUAL
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_contract_without_pairs_is_the_outer_product(exact):
+    a = random_tensor(Z2, (UP, DOWN), seed=14)
+    b = random_tensor(Z2, (DOWN,), seed=15)
+    if not exact:
+        a, b = a.to_float(), b.to_float()
+    expected = {k1 + k2: v1 * v2 for k1, v1 in a.entries.items() for k2, v2 in b.entries.items()}
+    for got in (contract(a, (), b, ()), a.outer(b)):
+        assert got.variances == (UP, DOWN, DOWN)
+        assert got.entries == expected
+
+
+def test_contract_checks_every_pair():
+    a = random_tensor(Z2, (UP, DOWN, UP), seed=16)
+    b = random_tensor(Z2, (DOWN, UP, UP), seed=17)
+    assert contract(a, (0, 1), b, (0, 1)).arity == 2
+    with pytest.raises(ValueError, match="variance clash: slot 2"):
+        contract(a, (0, 1, 2), b, (0, 1, 2))
+    with pytest.raises(ValueError, match="cannot pair 2 slots with 1"):
+        contract(a, (0, 1), b, (0,))
 
 
 def test_tensor_equal_least_witness():
