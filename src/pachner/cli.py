@@ -155,14 +155,11 @@ def cmd_statesum(args):
         tensor = partition(assignment, order=args.order)
     except (ValueError, RuntimeError) as exc:
         raise UsageError(str(exc)) from exc
-    out = []
     if tensor.arity == 0:
-        value = tensor.entry(())
-        shown = value.render() if tensor.exact else format(value, ".12g")
-        out.append(f"Z = {shown}")
+        shown = tensor.ring.render(tensor.entry(()))
     else:
         shown = f"boundary tensor, {tensor.arity} slots, {len(tensor.entries)} nonzero"
-        out.append(f"Z = {shown}")
+    out = [f"Z = {shown}"]
     out += _echo(
         "statesum",
         {"tri": args.tri, "solution": args.solution, "backend": args.backend, "order": args.order},
@@ -186,6 +183,8 @@ def cmd_statesum(args):
 
 
 def cmd_moves_walk(args):
+    if args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
     t = _load_triangulation(args.tri)
     p, q = _parse_move_type(args.type, t.dim)
     out = _echo(

@@ -100,10 +100,6 @@ class FinAbGroup:
         """Normalized point mass: r at the identity, zero elsewhere."""
         return self.ring.radical() if x == self.zero else self.ring.zero
 
-    def indicator(self, x: GroupElement) -> Scalar:
-        """Unnormalized point mass: 1 at the identity, zero elsewhere."""
-        return self.ring.one if x == self.zero else self.ring.zero
-
     def integrate(self, f) -> Scalar:
         """Haar integral: the weight c = r**-1 times the plain sum."""
         total = self.ring.zero

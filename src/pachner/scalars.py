@@ -1,6 +1,6 @@
-"""Exact scalars: cyclotomic integers of order 2L with a formal radical.
+"""Scalar rings: exact cyclotomic integers with a formal radical, and floats.
 
-Every tensor entry in this package lives in the ring
+Every exact tensor entry in this package lives in the ring
 
     Z[z] / Phi_2L(z),  extended by a formal r with  r**2 = N,
 
@@ -12,12 +12,16 @@ of equal parity, which the canonical form applies eagerly.  Comparisons
 across the two parity classes are reported as indeterminate rather than
 resolved numerically, since sqrt(N) may or may not lie in the cyclotomic
 ring (Gauss sums), and no check in this package needs that resolution.
+
+``ComplexRing`` is the float cross-check backend: complex numbers with
+r = sqrt(N) behind the same interface, compared at a relative tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -86,6 +90,8 @@ class ScalarRing:
     Scalars from rings with different (L, N) parameters refuse to mix.
     For N = 1 the radical is 1 and the grading collapses entirely.
     """
+
+    name = "exact"
 
     def __init__(self, lcm_order: int, group_order: int):
         if lcm_order < 1:
@@ -192,6 +198,16 @@ class ScalarRing:
     def radical(self, exponent: int = 1) -> "Scalar":
         """The formal radical power r**exponent, r**2 = N."""
         return self.scalar({exponent: (1,)})
+
+    def conj(self, v: "Scalar") -> "Scalar":
+        return v.conj()
+
+    def render(self, v: "Scalar") -> str:
+        return v.render()
+
+    def compare(self, a: "Scalar", b: "Scalar", rel: float = 1e-9) -> "Comparison":
+        """Exact three-valued comparison; rel is unused."""
+        return compare(a, b)
 
     def parse(self, text: str) -> "Scalar":
         """Parse the rendering grammar "a0 + a1·z^1 + ... [· r^k]"."""
@@ -401,3 +417,30 @@ def compare(a: Scalar, b: Scalar) -> Comparison:
 def approx_equal(x: complex, y: complex, rel: float = 1e-9) -> bool:
     scale = max(abs(x), abs(y), 1.0)
     return abs(x - y) <= rel * scale
+
+
+@dataclass(frozen=True)
+class ComplexRing:
+    """Complex floats with r = sqrt(N): the float backend's ring.
+
+    It has ScalarRing's interface, so tensors and checkers run one code
+    path on either backend.  Comparison is approx_equal at relative
+    tolerance rel, so it is never INDETERMINATE.
+    """
+
+    group_order: int
+    name = "float"
+    zero = 0j
+    one = 1 + 0j
+
+    def radical(self, exponent: int = 1) -> complex:
+        return complex(self.group_order ** (0.5 * exponent))
+
+    def conj(self, v: complex) -> complex:
+        return v.conjugate()
+
+    def render(self, v: complex) -> str:
+        return format(v, ".12g")
+
+    def compare(self, a: complex, b: complex, rel: float = 1e-9) -> Comparison:
+        return Comparison.EQUAL if approx_equal(a, b, rel) else Comparison.UNEQUAL

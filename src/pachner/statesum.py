@@ -193,19 +193,13 @@ def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "au
     a = build_assignment(t, sol, backend)
     if a.boundary:
         raise ValueError("brute force handles closed complexes only")
-    domain = a.tensors[0].domain
-    exact = a.tensors[0].exact
+    domain, ring = a.tensors[0].domain, a.tensors[0].ring
     state_slot = {}
     for idx, (s1, s2) in enumerate(a.pairings):
         state_slot[s1] = idx
         state_slot[s2] = idx
     npair = len(a.pairings)
-    if exact:
-        total = domain.ring.zero
-        weight = domain.ring.radical(-npair)
-    else:
-        total = 0j
-        weight = complex(domain.size ** (-0.5 * npair))
+    total = ring.zero
     elems = list(domain.elements())
     for state in itertools.product(elems, repeat=npair):
         prod = None
@@ -217,7 +211,7 @@ def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "au
             prod = val if prod is None else prod * val
         if prod is not None:
             total = total + prod
-    return weight * total
+    return ring.radical(-npair) * total
 
 
 def all_sites(t: Triangulation, p: int):
@@ -277,6 +271,8 @@ def invariance_run(
     The certified statement covers p = 3, the (3,3) move; other types are
     runnable for exploration but carry no invariance promise here.
     """
+    if count < 0:
+        raise ValueError(f"move count must be >= 0, got {count}")
     if not t.is_closed():
         raise ValueError("invariance runs need a closed complex")
     n = t.dim + 1
@@ -284,8 +280,9 @@ def invariance_run(
         raise ValueError(f"move type ({p},{n + 1 - p}) needs 1 <= p <= {n}")
     move_type = f"{p},{n + 1 - p}"
     a = build_assignment(t, sol, backend)
+    ring = a.tensors[0].ring
     reference = partition_value(a)
-    shown = reference.render() if a.backend == "exact" else format(reference, ".12g")
+    shown = ring.render(reference)
     rng = random.Random(seed)
     max_rel = 0.0
     applied = 0
@@ -316,7 +313,7 @@ def invariance_run(
                     moves_applied=applied + 1,
                     initial_value=shown,
                     move_type=move_type,
-                    witness=f"step {step}: value {value.render()} vs {shown}",
+                    witness=f"step {step}: value {ring.render(value)} vs {shown}",
                 )
         else:
             err = abs(value - reference) / max(abs(reference), 1e-30)

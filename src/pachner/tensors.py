@@ -11,8 +11,9 @@ composed with anything is weight neutral (c * r = 1).
 pairs in a single hash join, and the outer product (no pairs) and
 ``LinMap.compose`` (all wires) are calls to it.
 
-Two entry backends share all code paths: exact ring scalars, and plain
-complex numbers for the float cross-check backend.
+Entries live in the ring a tensor carries, its domain's exact ScalarRing
+or a ComplexRing for the float cross-check backend, so both backends
+share every code path.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
 used by the bialgebra-style constructions).  A BasisDomain has group
@@ -26,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .scalars import Comparison, approx_equal, compare, get_ring
+from .scalars import Comparison, ComplexRing, get_ring
 
 
 class Variance(enum.Enum):
@@ -76,12 +77,12 @@ def _format_elem(e):
 
 
 class GroupTensor:
-    __slots__ = ("domain", "variances", "entries", "exact")
+    __slots__ = ("domain", "variances", "entries", "ring")
 
-    def __init__(self, domain, variances, entries, exact=True):
+    def __init__(self, domain, variances, entries, ring=None):
         self.domain = domain
         self.variances = tuple(variances)
-        self.exact = exact
+        self.ring = domain.ring if ring is None else ring
         clean = {}
         for key, val in entries.items():
             if len(key) != len(self.variances):
@@ -99,29 +100,11 @@ class GroupTensor:
     def __repr__(self):
         return (
             f"<GroupTensor {self.domain.literal} arity={self.arity} "
-            f"nnz={len(self.entries)} {'exact' if self.exact else 'float'}>"
+            f"nnz={len(self.entries)} {self.ring.name}>"
         )
-
-    def _weight(self, pairs=1):
-        """The measure weight c**pairs = r**-pairs in the active backend."""
-        if self.exact:
-            return self.domain.ring.radical(-pairs)
-        return complex(self.domain.size ** (-0.5 * pairs))
-
-    def _conj_val(self, v):
-        return v.conj() if self.exact else v.conjugate()
 
     def entry(self, key):
-        zero = self.domain.ring.zero if self.exact else 0j
-        return self.entries.get(tuple(key), zero)
-
-    def scale(self, factor) -> "GroupTensor":
-        return GroupTensor(
-            self.domain,
-            self.variances,
-            {k: factor * v for k, v in self.entries.items()},
-            self.exact,
-        )
+        return self.entries.get(tuple(key), self.ring.zero)
 
     def outer(self, other: "GroupTensor") -> "GroupTensor":
         return contract(self, (), other, ())
@@ -132,15 +115,15 @@ class GroupTensor:
             raise ValueError(f"{perm} is not a permutation of {self.arity} slots")
         pick = _picker(perm)
         entries = {pick(key): val for key, val in self.entries.items()}
-        return GroupTensor(self.domain, pick(self.variances), entries, self.exact)
+        return GroupTensor(self.domain, pick(self.variances), entries, self.ring)
 
     def conj(self) -> "GroupTensor":
         """Entrywise conjugate with all slot variances flipped."""
         return GroupTensor(
             self.domain,
             tuple(v.flip() for v in self.variances),
-            {k: self._conj_val(v) for k, v in self.entries.items()},
-            self.exact,
+            {k: self.ring.conj(v) for k, v in self.entries.items()},
+            self.ring,
         )
 
     def pin(self, slot: int, value) -> "GroupTensor":
@@ -150,24 +133,23 @@ class GroupTensor:
             if key[slot] == value:
                 entries[key[:slot] + key[slot + 1 :]] = val
         variances = self.variances[:slot] + self.variances[slot + 1 :]
-        return GroupTensor(self.domain, variances, entries, self.exact)
+        return GroupTensor(self.domain, variances, entries, self.ring)
 
     def to_float(self) -> "GroupTensor":
-        if not self.exact:
+        if isinstance(self.ring, ComplexRing):
             return self
         return GroupTensor(
             self.domain,
             self.variances,
             {k: v.to_complex() for k, v in self.entries.items()},
-            exact=False,
+            ComplexRing(self.ring.group_order),
         )
 
     def dump(self) -> str:
         """One line per entry: "x,u,y,v,z -> scalar", sorted by index."""
         lines = []
         for key in sorted(self.entries):
-            val = self.entries[key]
-            shown = val.render() if self.exact else format(val, ".12g")
+            shown = self.ring.render(self.entries[key])
             lines.append(",".join(_format_elem(e) for e in key) + " -> " + shown)
         return "\n".join(lines)
 
@@ -175,7 +157,7 @@ class GroupTensor:
 def _check_same_backend(t1: GroupTensor, t2: GroupTensor):
     if t1.domain is not t2.domain and t1.domain != t2.domain:
         raise ValueError(f"domain mismatch: {t1.domain!r} vs {t2.domain!r}")
-    if t1.exact != t2.exact:
+    if t1.ring != t2.ring:
         raise ValueError("cannot mix exact and float tensors")
 
 
@@ -227,10 +209,10 @@ def contract(t1: GroupTensor, s1, t2: GroupTensor, s2) -> GroupTensor:
             prev = accumulated(key)
             out[key] = v1 * v2 if prev is None else prev + v1 * v2
     if s1:
-        weight = t1._weight(len(s1))
+        weight = t1.ring.radical(-len(s1))
         out = {k: weight * v for k, v in out.items()}
     variances = rest1(t1.variances) + rest2(t2.variances)
-    return GroupTensor(t1.domain, variances, out, t1.exact)
+    return GroupTensor(t1.domain, variances, out, t1.ring)
 
 
 def self_contract(t: GroupTensor, i: int, j: int) -> GroupTensor:
@@ -246,10 +228,10 @@ def self_contract(t: GroupTensor, i: int, j: int) -> GroupTensor:
             reduced = key[:i] + key[i + 1 : j] + key[j + 1 :]
             prev = out.get(reduced)
             out[reduced] = val if prev is None else prev + val
-    weight = t._weight()
+    weight = t.ring.radical(-1)
     variances = t.variances[:i] + t.variances[i + 1 : j] + t.variances[j + 1 :]
     return GroupTensor(
-        t.domain, variances, {k: weight * v for k, v in out.items()}, t.exact
+        t.domain, variances, {k: weight * v for k, v in out.items()}, t.ring
     )
 
 
@@ -266,78 +248,52 @@ class EqualityReport:
 
 
 def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> EqualityReport:
-    """Entrywise comparison over the union of supports.
+    """Entrywise comparison over the union of supports, in the tensors' ring.
 
     Variances are not compared; callers that care about them check the
     patterns directly.  The reported witness is the lexicographically
     least differing index tuple.  With the exact backend, a difference
-    that straddles both radical parities yields INDETERMINATE.
+    that straddles both radical parities yields INDETERMINATE; the float
+    backend compares at relative tolerance rel.
     """
     if t1.arity != t2.arity:
         raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
-    if t1.domain is not t2.domain and t1.domain != t2.domain:
-        raise ValueError("domain mismatch")
+    _check_same_backend(t1, t2)
+    ring = t1.ring
     keys = sorted(set(t1.entries) | set(t2.entries))
-    use_exact = t1.exact and t2.exact
 
-    def as_shown(t, k):
-        v = t.entry(k)
-        return v.render() if t.exact else format(v, ".12g")
+    def report(verdict, key):
+        shown = ring.render(t1.entry(key)), ring.render(t2.entry(key))
+        return EqualityReport(verdict, key, *shown, len(keys))
 
     indeterminate_at = None
     for key in keys:
-        if use_exact:
-            verdict = compare(t1.entry(key), t2.entry(key))
-            if verdict is Comparison.UNEQUAL:
-                return EqualityReport(
-                    Comparison.UNEQUAL, key, as_shown(t1, key), as_shown(t2, key), len(keys)
-                )
-            if verdict is Comparison.INDETERMINATE and indeterminate_at is None:
-                indeterminate_at = key
-        else:
-            v1 = t1.entry(key)
-            v2 = t2.entry(key)
-            if t1.exact:
-                v1 = v1.to_complex()
-            if t2.exact:
-                v2 = v2.to_complex()
-            if not approx_equal(v1, v2, rel):
-                return EqualityReport(
-                    Comparison.UNEQUAL, key, as_shown(t1, key), as_shown(t2, key), len(keys)
-                )
+        verdict = ring.compare(t1.entry(key), t2.entry(key), rel)
+        if verdict is Comparison.UNEQUAL:
+            return report(verdict, key)
+        if verdict is Comparison.INDETERMINATE and indeterminate_at is None:
+            indeterminate_at = key
     if indeterminate_at is not None:
-        return EqualityReport(
-            Comparison.INDETERMINATE,
-            indeterminate_at,
-            as_shown(t1, indeterminate_at),
-            as_shown(t2, indeterminate_at),
-            len(keys),
-        )
+        return report(Comparison.INDETERMINATE, indeterminate_at)
     return EqualityReport(Comparison.EQUAL, None, None, None, len(keys))
 
 
-def identity_kernel(domain, exact=True) -> GroupTensor:
+def identity_kernel(domain, ring=None) -> GroupTensor:
     """Delta line with entry r: the weight-neutral identity wire."""
-    if exact:
-        r = domain.ring.radical()
-    else:
-        r = complex(domain.size**0.5)
-    return GroupTensor(
-        domain, (UP, DOWN), {(x, x): r for x in domain.elements()}, exact
-    )
+    ring = domain.ring if ring is None else ring
+    r = ring.radical()
+    return GroupTensor(domain, (UP, DOWN), {(x, x): r for x in domain.elements()}, ring)
 
 
-def sigma_map(domain, exact=True) -> GroupTensor:
-    """The swap on two wires: slots (out0, out1, in0, in1)."""
-    if exact:
-        w = domain.ring.radical() * domain.ring.radical()
-    else:
-        w = complex(domain.size)
+def sigma_map(domain, ring=None) -> GroupTensor:
+    """The swap on two wires: slots (out0, out1, in0, in1), entries r**2."""
+    ring = domain.ring if ring is None else ring
+    w = ring.radical(2)
     entries = {}
     for a in domain.elements():
         for b in domain.elements():
             entries[(b, a, a, b)] = w
-    return GroupTensor(domain, (UP, UP, DOWN, DOWN), entries, exact)
+    return GroupTensor(domain, (UP, UP, DOWN, DOWN), entries, ring)
 
 
 def apply_kernel(t: GroupTensor, slot: int, kernel: GroupTensor, side: str = "left") -> GroupTensor:
@@ -365,9 +321,9 @@ def apply_kernel(t: GroupTensor, slot: int, kernel: GroupTensor, side: str = "le
             prod = kv * val
             prev = out.get(new_key)
             out[new_key] = prod if prev is None else prev + prod
-    weight = t._weight()
+    weight = t.ring.radical(-1)
     return GroupTensor(
-        t.domain, t.variances, {k: weight * v for k, v in out.items()}, t.exact
+        t.domain, t.variances, {k: weight * v for k, v in out.items()}, t.ring
     )
 
 
@@ -398,8 +354,8 @@ class LinMap:
         return f"<LinMap {self.n_in}->{self.n_out} over {self.tensor.domain.literal}>"
 
     @staticmethod
-    def identity(domain, k: int, exact=True) -> "LinMap":
-        wire = identity_kernel(domain, exact)
+    def identity(domain, k: int, ring=None) -> "LinMap":
+        wire = identity_kernel(domain, ring)
         t = wire
         for _ in range(k - 1):
             t = t.outer(wire)
@@ -408,8 +364,8 @@ class LinMap:
         return LinMap(t.permute(perm), k, k)
 
     @staticmethod
-    def sigma(domain, exact=True) -> "LinMap":
-        return LinMap(sigma_map(domain, exact), 2, 2)
+    def sigma(domain, ring=None) -> "LinMap":
+        return LinMap(sigma_map(domain, ring), 2, 2)
 
     def tens(self, other: "LinMap") -> "LinMap":
         """Side-by-side tensor product, keeping the (outs, ins) layout."""

@@ -124,12 +124,12 @@ def p33_sides(q: GroupTensor) -> tuple[LinMap, LinMap]:
     rhs = (id^2 (x) sigma (x) id^2)(id^3 (x) Q sigma)(id (x) Q (x) id)
           (id^2 (x) sigma)(Q (x) id)
     """
-    dom, exact = q.domain, q.exact
+    dom, ring = q.domain, q.ring
     qm = q_as_linmap(q)
-    id1 = LinMap.identity(dom, 1, exact)
+    id1 = LinMap.identity(dom, 1, ring)
     id2 = id1.tens(id1)
     id3 = id2.tens(id1)
-    sig = LinMap.sigma(dom, exact)
+    sig = LinMap.sigma(dom, ring)
     qsig = qm.compose(sig)
     lhs = (
         qsig.tens(id3)
@@ -181,11 +181,11 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> VerifyReport
         raise ValueError("pentagon input must be a square map on two wires")
     dom = s.tensor.domain
     bk = _resolve_backend(dom, backend)
-    if bk == "float" and s.tensor.exact:
+    if bk == "float":
         s = LinMap(s.tensor.to_float(), 2, 2)
-    exact = s.tensor.exact
-    id1 = LinMap.identity(dom, 1, exact)
-    sig = LinMap.sigma(dom, exact)
+    ring = s.tensor.ring
+    id1 = LinMap.identity(dom, 1, ring)
+    sig = LinMap.sigma(dom, ring)
     idsig = id1.tens(sig)
     s12 = s.tens(id1)
     s23 = id1.tens(s)
@@ -203,7 +203,7 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> VerifyReport
     )
 
 
-def build_families(sol, backend: str = "exact") -> dict:
+def build_families(sol) -> dict:
     """Pin one output slot of Q each way: X^a (slot 0), Y^a (slot 2), Z^a (slot 4).
 
     Each member is a map on V (x) V; pinning leaves four slots which are
@@ -212,8 +212,6 @@ def build_families(sol, backend: str = "exact") -> dict:
     q = sol.q if isinstance(sol, SolutionSpec) else sol
     if q.arity != 5 or q.variances != (UP, DOWN, UP, DOWN, UP):
         raise ValueError("family construction needs the 5-slot solution tensor")
-    if backend == "float" and q.exact:
-        q = q.to_float()
     fams = {}
     for name, slot, perm in [("X", 0, [1, 3, 0, 2]), ("Y", 2, [0, 3, 1, 2]), ("Z", 4, [0, 2, 1, 3])]:
         fams[name] = {
@@ -222,8 +220,8 @@ def build_families(sol, backend: str = "exact") -> dict:
     return fams
 
 
-def _linmap_sum(domain, exact, n_out, n_in, terms, extra_weight) -> LinMap:
-    """Weighted sum of equally shaped maps, scaled by extra_weight."""
+def _linmap_sum(domain, ring, n_out, n_in, terms, weight) -> LinMap:
+    """Weighted sum of equally shaped maps, scaled by weight."""
     acc = {}
     for coeff, lm in terms:
         if not coeff:
@@ -232,8 +230,8 @@ def _linmap_sum(domain, exact, n_out, n_in, terms, extra_weight) -> LinMap:
             prod = coeff * val
             prev = acc.get(key)
             acc[key] = prod if prev is None else prev + prod
-    entries = {k: extra_weight * v for k, v in acc.items()}
-    tensor = GroupTensor(domain, (UP,) * n_out + (DOWN,) * n_in, entries, exact)
+    entries = {k: weight * v for k, v in acc.items()}
+    tensor = GroupTensor(domain, (UP,) * n_out + (DOWN,) * n_in, entries, ring)
     return LinMap(tensor, n_out, n_in)
 
 
@@ -252,10 +250,10 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
     dom = sol.q.domain
     bk = _resolve_backend(dom, backend)
     q = sol.q if bk == "exact" else sol.q.to_float()
-    exact = q.exact
+    ring = q.ring
     fams = build_families(q)
-    id1 = LinMap.identity(dom, 1, exact)
-    sig = LinMap.sigma(dom, exact)
+    id1 = LinMap.identity(dom, 1, ring)
+    sig = LinMap.sigma(dom, ring)
     idsig = id1.tens(sig)
 
     def e12(m):
@@ -275,10 +273,7 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
     z12 = {a: e12(fams["Z"][a]) for a in elems}
     z23 = {a: e23(fams["Z"][a]) for a in elems}
     z13 = {a: e13(fams["Z"][a]) for a in elems}
-    if exact:
-        c2 = dom.ring.radical(-2)
-    else:
-        c2 = complex(dom.size**-1.0)
+    c2 = ring.radical(-2)
 
     checks = 0
     indeterminate = ""
@@ -288,7 +283,7 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
             i, l, m = a, b, cc
             lhs = _linmap_sum(
                 dom,
-                exact,
+                ring,
                 3,
                 3,
                 [
@@ -304,7 +299,7 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
             lhs = z12[m].compose(z13[n]).compose(z23[k])
             rhs = _linmap_sum(
                 dom,
-                exact,
+                ring,
                 3,
                 3,
                 [
@@ -353,8 +348,8 @@ def _conj_table(kernel: GroupTensor) -> GroupTensor:
     return GroupTensor(
         kernel.domain,
         kernel.variances,
-        {k: kernel._conj_val(v) for k, v in kernel.entries.items()},
-        kernel.exact,
+        {k: kernel.ring.conj(v) for k, v in kernel.entries.items()},
+        kernel.ring,
     )
 
 
@@ -369,7 +364,7 @@ def _validate_kernel(name: str, kernel: GroupTensor, domain) -> str:
         return f"kernel {name} is not symmetric at {_fmt_key(sym.witness)}"
     inv = tensor_equal(
         contract(kernel, 1, _conj_table(kernel), 0),
-        identity_kernel(kernel.domain, kernel.exact),
+        identity_kernel(kernel.domain, kernel.ring),
     )
     if inv.verdict is not Comparison.EQUAL:
         return f"kernel {name} is not inverted by its conjugate (checked at {_fmt_key(inv.witness)})"
@@ -391,7 +386,7 @@ def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor, 
     if q.arity != 5:
         raise ValueError("the symmetry relation needs a 5-slot tensor")
     dom = q.domain
-    backend = "exact" if q.exact else "float"
+    backend = q.ring.name
     for name, kernel in [("L", L), ("M", M), ("R", R)]:
         problem = _validate_kernel(name, kernel, dom)
         if problem:
@@ -493,9 +488,9 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
             out_key = tuple(out_key)
             prev = acc.get(out_key)
             acc[out_key] = term if prev is None else prev + term
-    weight = dt.domain.ring.radical(-3)
+    weight = dt.ring.radical(-3)
     return GroupTensor(
-        dt.domain, dt.variances, {k: weight * v for k, v in acc.items()}, dt.exact
+        dt.domain, dt.variances, {k: weight * v for k, v in acc.items()}, dt.ring
     )
 
 
@@ -539,6 +534,10 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> VerifyReport:
 
 # -- independent dense oracle --------------------------------------------------
 
+# The oracle holds both sides of the relation as dense n**9 complex128 grids
+# (16 bytes per entry each); larger inputs are refused before allocation.
+DENSE_BYTES_LIMIT = 1 << 30
+
 
 def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) -> VerifyReport:
     """Brute-force dense check of the (3,3) relation with numpy.
@@ -562,6 +561,12 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
     workers = max(1, workers)
     elems = list(q.domain.elements())
     n = len(elems)
+    need = 32 * n**9
+    if need > DENSE_BYTES_LIMIT:
+        raise ValueError(
+            f"dense oracle on {q.domain.literal} needs {need / 1e9:.2f} GB for two "
+            f"{n}^9 grids, over the {DENSE_BYTES_LIMIT / 1e9:.2f} GB limit"
+        )
     index = {e: i for i, e in enumerate(elems)}
     arr = np.zeros((n,) * 5, dtype=complex)
     for key, val in q.to_float().entries.items():

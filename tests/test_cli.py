@@ -111,6 +111,14 @@ def test_moves_walk_without_solution_tracks_euler(capsys, tmp_path):
     assert "verdict=pass" in out
 
 
+def test_moves_walk_rejects_negative_count(capsys, sphere_file):
+    for extra in ([], ["--solution", "bichar:Z2"]):
+        code, out, err = run(capsys, ["moves", "walk", "--tri", sphere_file, "--count", "-2", *extra])
+        assert_one_error_line(code, err)
+        assert "count must be >= 0" in err
+        assert out == ""
+
+
 def test_moves_walk_bad_type(capsys, sphere_file):
     code, _, err = run(capsys, ["moves", "walk", "--tri", sphere_file, "--type", "9,9"])
     assert code == 64
@@ -164,6 +172,14 @@ def test_dense_oracle_rejects_non_integer_workers(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z2", "--oracle", "dense"])
     assert_one_error_line(code, err)
     assert "PACHNER_WORKERS" in err
+
+
+def test_dense_oracle_refuses_oversized_grids(capsys, monkeypatch):
+    monkeypatch.setattr("pachner.verify.np.zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    code, out, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z8", "--oracle", "dense"])
+    assert_one_error_line(code, err)
+    assert "GB limit" in err
+    assert out == ""
 
 
 def test_unknown_flag_and_bad_descriptor(capsys):

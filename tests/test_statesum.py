@@ -1,5 +1,7 @@
 """State-sum evaluation and move invariance on 4-dimensional complexes."""
 
+from pathlib import Path
+
 import pytest
 
 from pachner.scalars import Comparison, compare
@@ -16,6 +18,8 @@ from pachner.statesum import (
 )
 from pachner.tensors import DOWN, UP, tensor_equal
 from pachner.verify import p33_sides
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def direct_boundary_sum(a):
@@ -57,11 +61,7 @@ def direct_boundary_sum(a):
                 del states[tag]
 
     rec(0, {}, None)
-    domain = a.tensors[0].domain
-    if a.tensors[0].exact:
-        weight = domain.ring.radical(-len(a.pairings))
-    else:
-        weight = complex(domain.size ** (-0.5 * len(a.pairings)))
+    weight = a.tensors[0].ring.radical(-len(a.pairings))
     return {k: weight * v for k, v in acc.items()}
 
 
@@ -192,6 +192,18 @@ def test_sphere_value_is_ninth_radical_power():
     assert abs(n3 - 3**4.5) < 1e-8
 
 
+def test_float_backend_matches_exact_on_a_basis_domain():
+    # r = 1 on a BasisDomain, in both backends
+    sphere = Triangulation.load(DATA / "boundary_delta5.tri")
+    sol = parse_solution("triple:groupalg:Z2")
+    assert partition_value(build_assignment(sphere, sol, "exact")) == 8
+    for value in (
+        partition_value(build_assignment(sphere, sol, "float")),
+        partition_bruteforce(sphere, sol, "float"),
+    ):
+        assert abs(value - 8) < 1e-9
+
+
 def test_sphere_value_matches_state_enumeration():
     sphere = simplex_boundary(5)
     sol = parse_solution("bichar:Z2")
@@ -308,6 +320,11 @@ def test_invariance_run_without_sites_reports_and_passes():
     assert rep.verdict == "pass"
     assert rep.moves_applied == 0
     assert "no (3,3) site" in rep.extras["note"]
+
+
+def test_invariance_run_rejects_negative_count():
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        invariance_run(simplex_boundary(5), parse_solution("bichar:Z2"), count=-2, seed=0)
 
 
 def test_invariance_run_needs_closed_complex():

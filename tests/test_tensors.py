@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pachner.groups import FinAbGroup
-from pachner.scalars import Comparison, approx_equal
+from pachner.scalars import Comparison, ComplexRing, approx_equal
 from pachner.tensors import (
     DOWN,
     UP,
@@ -30,9 +30,8 @@ def dense(t):
     elems = list(t.domain.elements())
     index = {e: i for i, e in enumerate(elems)}
     arr = np.zeros((len(elems),) * t.arity, dtype=complex)
-    for key, val in t.entries.items():
-        pos = tuple(index[e] for e in key)
-        arr[pos] = val.to_complex() if t.exact else val
+    for key, val in t.to_float().entries.items():
+        arr[tuple(index[e] for e in key)] = val
     return arr
 
 
@@ -208,7 +207,7 @@ def test_float_backend_comparison():
     perturbed = dict(t.to_float().entries)
     key = sorted(perturbed)[0]
     perturbed[key] += 0.5
-    rep2 = tensor_equal(t.to_float(), GroupTensor(Z3, t.variances, perturbed, exact=False))
+    rep2 = tensor_equal(t.to_float(), GroupTensor(Z3, t.variances, perturbed, ComplexRing(3)))
     assert rep2.verdict is Comparison.UNEQUAL
 
 
@@ -289,6 +288,41 @@ def test_basis_domain_weight_is_trivial():
     f = GroupTensor(dom, (UP, DOWN), {(i, i): dom.ring.one for i in range(3)})
     composed = contract(f, 1, f, 0)
     assert tensor_equal(composed, f).verdict is Comparison.EQUAL
+
+
+@st.composite
+def small_tensors(draw, domain, variances):
+    """Sparse exact tensors with entries +-k * z**j * r**e, |e| <= 1."""
+    ring = domain.ring
+    entries = {}
+    for key in itertools.product(domain.elements(), repeat=len(variances)):
+        if draw(st.booleans()):
+            coeff = ring.integer(draw(st.integers(-3, 3)))
+            root = ring.root(draw(st.integers(0, ring.root_order - 1)))
+            entries[key] = coeff * root * ring.radical(draw(st.integers(-1, 1)))
+    return GroupTensor(domain, variances, entries)
+
+
+RING_OPS = {
+    "contract": lambda a, b: contract(a, (0, 1), b, (0, 1)),
+    "self_contract": lambda a, b: self_contract(a, 0, 1),
+    "apply_kernel": lambda a, b: apply_kernel(a, 2, b, side="right"),
+    "conj": lambda a, b: a.conj(),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RING_OPS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_float_backend_agrees_with_exact(op, data):
+    domain = data.draw(st.sampled_from([Z2, Z3, BasisDomain(3)]))
+    a = data.draw(small_tensors(domain, (UP, DOWN, UP)))
+    b = data.draw(small_tensors(domain, (DOWN, UP)))
+    run = RING_OPS[op]
+    via_exact = run(a, b).to_float()
+    via_float = run(a.to_float(), b.to_float())
+    assert via_float.ring == ComplexRing(domain.ring.group_order)
+    assert tensor_equal(via_exact, via_float, rel=1e-9).verdict is Comparison.EQUAL
 
 
 # --- linear map layer ----------------------------------------------------

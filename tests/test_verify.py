@@ -15,6 +15,7 @@ from pachner.solutions import (
     symmetry_kernels,
     triple_from_table,
     cyclic_table,
+    named_group_table,
     s3_table,
 )
 from pachner.tensors import (
@@ -26,6 +27,7 @@ from pachner.tensors import (
     identity_kernel,
     tensor_equal,
 )
+from pachner import verify
 from pachner.verify import (
     _proof_integral,
     _PROOF_CASES,
@@ -157,6 +159,13 @@ def test_pentagon_passes_for_group_algebras():
     for table in [cyclic_table(2), cyclic_table(3), s3_table()]:
         s = pentagon_map(triple_from_table(table))
         assert verify_pentagon(s)
+
+
+@pytest.mark.parametrize("name", ["Z4", "S3"])
+def test_pentagon_float_backend_passes_on_group_tables(name):
+    s = pentagon_map(triple_from_table(named_group_table(name), name))
+    report = verify_pentagon(s, backend="float")
+    assert (report.backend, report.verdict) == ("float", "pass")
 
 
 def test_pentagon_identity_map_passes():
@@ -367,6 +376,14 @@ def test_dense_oracle_worker_split_is_deterministic():
     three = dense_p33_oracle(bad, workers=3)
     assert one.verdict == three.verdict == "fail"
     assert one.witness == three.witness
+
+
+def test_dense_oracle_refuses_large_grids_before_allocating(monkeypatch):
+    assert 32 * 6**9 <= verify.DENSE_BYTES_LIMIT < 32 * 7**9
+    sol = parse_solution("bichar:Z8")
+    monkeypatch.setattr(verify.np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match="needs 4.29 GB"):
+        dense_p33_oracle(sol)
 
 
 def test_dense_oracle_reads_worker_count_from_environment(monkeypatch):
