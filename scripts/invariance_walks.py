@@ -28,12 +28,12 @@ def main() -> int:
         for seed in range(args.seeds):
             t0 = time.perf_counter()
             rep = invariance_run(sphere, sol, count=args.count, seed=seed, backend=args.backend)
-            rows.append((desc, seed, rep.verdict, rep.moves_applied, rep.initial_value, time.perf_counter() - t0))
+            rows.append((desc, seed, rep.verdict, rep.fields["moves"], rep.fields["value"], time.perf_counter() - t0))
 
     corrupted = perturb_q(parse_solution("bichar:Z2"), seed=13)
     t0 = time.perf_counter()
     rep = invariance_run(sphere, corrupted, count=args.count, seed=0)
-    rows.append((corrupted.descriptor, 0, rep.verdict, rep.moves_applied, rep.initial_value, time.perf_counter() - t0))
+    rows.append((corrupted.descriptor, 0, rep.verdict, rep.fields["moves"], rep.fields["value"], time.perf_counter() - t0))
 
     width = max(len(r[0]) for r in rows)
     print(f"{'solution':<{width}}  seed  verdict  moves  value            seconds")

@@ -86,7 +86,7 @@ def _all_pass(reports) -> tuple[bool, str]:
     bad = [r for r in reports if r.verdict != "pass"]
     if bad:
         first = bad[0]
-        return False, f"{first.target}: {first.verdict} ({first.witness})"
+        return False, f"{first.fields['target']}: {first.verdict} ({first.witness})"
     return True, ""
 
 
@@ -238,10 +238,11 @@ def statesum_invariance():
     sphere = simplex_boundary(5)
     for name in ("Z2", "Z3"):
         rep = invariance_run(sphere, parse_solution(f"bichar:{name}"), count=20, seed=7)
-        if rep.verdict != "pass" or rep.moves_applied != 20:
-            return False, f"{name}: {rep.verdict} after {rep.moves_applied} moves ({rep.witness})"
-        if rep.initial_value != SPHERE_VALUE:
-            return False, f"{name}: value {rep.initial_value} != {SPHERE_VALUE}"
+        moves, value = rep.fields["moves"], rep.fields["value"]
+        if rep.verdict != "pass" or moves != 20:
+            return False, f"{name}: {rep.verdict} after {moves} moves ({rep.witness})"
+        if value != SPHERE_VALUE:
+            return False, f"{name}: value {value} != {SPHERE_VALUE}"
     sol = parse_solution("bichar:Z2")
     enumerated = partition_bruteforce(sphere, sol)
     if enumerated.render() != SPHERE_VALUE:

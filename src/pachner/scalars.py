@@ -323,14 +323,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative scalar powers are not defined")
-        out = self.ring.one
-        for _ in range(n):
-            out = out * self
-        return out
-
     def conj(self) -> "Scalar":
         """Complex conjugation: z to z^(2L-1) componentwise, r fixed."""
         out: dict[int, list[int]] = {}
@@ -440,7 +432,15 @@ class ComplexRing:
         return v.conjugate()
 
     def render(self, v: complex) -> str:
-        return format(v, ".12g")
+        """format(v, ".12g"), with a part of at most 1e-12 |v| shown as 0.
+
+        Such a part is rounding noise: it would otherwise change with the
+        summation order and could print as -0.
+        """
+        tiny = 1e-12 * abs(v)
+        real = v.real if abs(v.real) > tiny else 0.0
+        imag = v.imag if abs(v.imag) > tiny else 0.0
+        return format(complex(real, imag), ".12g")
 
     def compare(self, a: complex, b: complex, rel: float = 1e-9) -> Comparison:
         return Comparison.EQUAL if approx_equal(a, b, rel) else Comparison.UNEQUAL

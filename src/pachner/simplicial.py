@@ -218,20 +218,6 @@ class Triangulation:
             total += (-1) ** (size - 1)
         return total
 
-    def relabel(self, mapping) -> "Triangulation":
-        """Rename vertices by an order-preserving injection."""
-        fn = mapping if callable(mapping) else mapping.__getitem__
-        old = self.labels()
-        images = [fn(v) for v in old]
-        if any(a >= b for a, b in zip(images, images[1:])):
-            raise ValueError("relabeling must be strictly increasing")
-        table = dict(zip(old, images))
-        simplexes = [
-            (tuple(table[v] for v in vertices), sign)
-            for vertices, sign in self.simplexes
-        ]
-        return Triangulation(self.dim, simplexes, dict(self.gluing))
-
     def __repr__(self):
         return (
             f"<Triangulation dim={self.dim} top={len(self.simplexes)} "

@@ -391,9 +391,6 @@ class LinMap:
         )
         return LinMap(tensor, n_out, other.n_in)
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def equal(self, other: "LinMap", rel: float = 1e-9) -> EqualityReport:
         if (self.n_out, self.n_in) != (other.n_out, other.n_in):
             raise ValueError("shape mismatch")

@@ -23,6 +23,9 @@ Checkers in here:
 * verify_set_p33: the set-theoretic composite maps compared pointwise
   in exact rational arithmetic.
 
+Each returns a Report; the entrywise checkers fold their comparisons
+into it with _judge.
+
 The exact backend is the default for domains of size at most 4 (and
 all plain basis domains); larger groups fall back to floats at 1e-9
 relative tolerance.
@@ -58,33 +61,41 @@ from .tensors import (
 
 
 @dataclass
-class VerifyReport:
-    """Outcome of one relation check, with a deterministic witness."""
+class Report:
+    """Outcome of one check, printed as flat key=value lines.
+
+    ``fields`` print in order after ``relation=`` and hold the verdict
+    ("pass" | "fail" | "indeterminate"); the witness follows when there
+    is one, then the extras sorted by key.
+    """
 
     name: str
-    target: str
-    backend: str
-    verdict: str  # "pass" | "fail" | "indeterminate"
-    checks: int = 0
+    fields: dict
     witness: str = ""
     extras: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        return self.fields["verdict"]
+
+    @property
+    def checks(self):
+        """Entries compared, for the reports that count them."""
+        return self.fields.get("checks")
 
     def __bool__(self):
         return self.verdict == "pass"
 
     def lines(self):
-        out = [
-            f"relation={self.name}",
-            f"target={self.target}",
-            f"backend={self.backend}",
-            f"verdict={self.verdict}",
-            f"checks={self.checks}",
-        ]
+        out = [f"relation={self.name}"] + [_line(k, v) for k, v in self.fields.items()]
         if self.witness:
             out.append(f"witness={self.witness}")
-        for key in sorted(self.extras):
-            out.append(f"{key}={self.extras[key]}")
-        return out
+        return out + [_line(k, self.extras[k]) for k in sorted(self.extras)]
+
+
+def _line(key, value) -> str:
+    """One key=value line; floats print as `.3e` (e.g. 1.234e-15)."""
+    return f"{key}={value:.3e}" if isinstance(value, float) else f"{key}={value}"
 
 
 _VERDICTS = {
@@ -98,14 +109,49 @@ def _fmt_key(key) -> str:
     return ",".join(_format_elem(e) for e in key)
 
 
-def _resolve_backend(domain, backend: str) -> str:
+def _report(name, target, backend, verdict, checks, witness="", extras=None) -> Report:
+    """A relation report: target, backend, verdict and checks, in that order."""
+    fields = {"target": target, "backend": backend, "verdict": verdict, "checks": checks}
+    return Report(name, fields, witness, extras or {})
+
+
+def _judge(name, target, backend, comparisons, extras=None) -> Report:
+    """Fold labelled (where, EqualityReport) comparisons into one report.
+
+    The comparisons are consumed lazily: the first UNEQUAL stops the fold
+    with fail; otherwise the first INDETERMINATE is the witness.  The
+    witness reads "where at key" (just the key when where is empty) and
+    brings both rendered values as lhs_value and rhs_value.  ``extras``
+    is read after the fold, so a generator of comparisons may fill it.
+    """
+    checks, verdict, witness, values = 0, "pass", "", {}
+    for where, rep in comparisons:
+        checks += rep.compared
+        if rep.verdict is Comparison.EQUAL or (
+            rep.verdict is Comparison.INDETERMINATE and verdict != "pass"
+        ):
+            continue
+        verdict = _VERDICTS[rep.verdict]
+        key = _fmt_key(rep.witness)
+        witness = f"{where} at {key}" if where else key
+        values = {"lhs_value": rep.lhs_value, "rhs_value": rep.rhs_value}
+        if rep.verdict is Comparison.UNEQUAL:
+            break
+    return _report(name, target, backend, verdict, checks, witness, {**(extras or {}), **values})
+
+
+def _in_backend(t: GroupTensor, backend: str) -> GroupTensor:
+    """The tensor in the ring a backend names.
+
+    "auto" keeps plain basis domains and groups of order at most 4 exact
+    and moves larger groups to floats.
+    """
     if backend == "auto":
-        if isinstance(domain, BasisDomain) or domain.size <= 4:
-            return "exact"
-        return "float"
+        small = isinstance(t.domain, BasisDomain) or t.domain.size <= 4
+        backend = "exact" if small else "float"
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
-    return backend
+    return t if backend == "exact" else t.to_float()
 
 
 def q_as_linmap(q: GroupTensor) -> LinMap:
@@ -147,31 +193,18 @@ def p33_sides(q: GroupTensor) -> tuple[LinMap, LinMap]:
     return lhs, rhs
 
 
-def verify_p33(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9) -> VerifyReport:
+def verify_p33(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9) -> Report:
     if sol.q is None:
         raise ValueError(
             "this solution has no tensor; use verify_set_p33 for the set-theoretic map"
         )
-    bk = _resolve_backend(sol.q.domain, backend)
-    q = sol.q if bk == "exact" else sol.q.to_float()
+    q = _in_backend(sol.q, backend)
     lhs, rhs = p33_sides(q)
-    rep = lhs.equal(rhs, rel)
     extras = {"lhs_nnz": len(lhs.tensor.entries), "rhs_nnz": len(rhs.tensor.entries)}
-    if rep.witness is not None:
-        extras["lhs_value"] = rep.lhs_value
-        extras["rhs_value"] = rep.rhs_value
-    return VerifyReport(
-        name="p33",
-        target=sol.descriptor,
-        backend=bk,
-        verdict=_VERDICTS[rep.verdict],
-        checks=rep.compared,
-        witness=_fmt_key(rep.witness) if rep.witness is not None else "",
-        extras=extras,
-    )
+    return _judge("p33", sol.descriptor, q.ring.name, [("", lhs.equal(rhs, rel))], extras)
 
 
-def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> VerifyReport:
+def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> Report:
     """S12 S13 S23 = S23 S12 for a square map S on V (x) V."""
     if isinstance(s, GroupTensor):
         if s.arity != 4 or s.variances != (UP, UP, DOWN, DOWN):
@@ -179,11 +212,8 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> VerifyReport
         s = LinMap(s, 2, 2)
     if (s.n_out, s.n_in) != (2, 2):
         raise ValueError("pentagon input must be a square map on two wires")
-    dom = s.tensor.domain
-    bk = _resolve_backend(dom, backend)
-    if bk == "float":
-        s = LinMap(s.tensor.to_float(), 2, 2)
-    ring = s.tensor.ring
+    s = LinMap(_in_backend(s.tensor, backend), 2, 2)
+    dom, ring = s.tensor.domain, s.tensor.ring
     id1 = LinMap.identity(dom, 1, ring)
     sig = LinMap.sigma(dom, ring)
     idsig = id1.tens(sig)
@@ -192,15 +222,7 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> VerifyReport
     s13 = idsig.compose(s.tens(id1)).compose(idsig)
     lhs = s12.compose(s13).compose(s23)
     rhs = s23.compose(s12)
-    rep = lhs.equal(rhs, rel)
-    return VerifyReport(
-        name="pentagon",
-        target=dom.literal,
-        backend=bk,
-        verdict=_VERDICTS[rep.verdict],
-        checks=rep.compared,
-        witness=_fmt_key(rep.witness) if rep.witness is not None else "",
-    )
+    return _judge("pentagon", dom.literal, ring.name, [("", lhs.equal(rhs, rel))])
 
 
 def build_families(sol) -> dict:
@@ -235,7 +257,7 @@ def _linmap_sum(domain, ring, n_out, n_in, terms, weight) -> LinMap:
     return LinMap(tensor, n_out, n_in)
 
 
-def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9) -> VerifyReport:
+def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9) -> Report:
     """The three family identities, checked for every index triple.
 
     pe1:  sum_{s,t} Q^{i,l,m}_{s,t} X^s_12 X^t_23 = X^m_23 X^l_13 X^i_12
@@ -247,10 +269,8 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
     """
     if sol.q is None:
         raise ValueError("the family reformulation needs a solution tensor")
-    dom = sol.q.domain
-    bk = _resolve_backend(dom, backend)
-    q = sol.q if bk == "exact" else sol.q.to_float()
-    ring = q.ring
+    q = _in_backend(sol.q, backend)
+    dom, ring = q.domain, q.ring
     fams = build_families(q)
     id1 = LinMap.identity(dom, 1, ring)
     sig = LinMap.sigma(dom, ring)
@@ -275,69 +295,48 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
     z13 = {a: e13(fams["Z"][a]) for a in elems}
     c2 = ring.radical(-2)
 
-    checks = 0
-    indeterminate = ""
-    counts = {"pe1": 0, "pe2": 0, "ybe": 0}
-    for rel_name, a, b, cc in itertools.product(["pe1", "pe2", "ybe"], elems, elems, elems):
-        if rel_name == "pe1":
-            i, l, m = a, b, cc
-            lhs = _linmap_sum(
-                dom,
-                ring,
-                3,
-                3,
-                [
-                    (q.entry((i, s, l, t, m)), x12[s].compose(x23[t]))
-                    for s in elems
-                    for t in elems
-                ],
-                c2,
-            )
-            rhs = x23[m].compose(x13[l]).compose(x12[i])
-        elif rel_name == "pe2":
-            m, n, k = a, b, cc
-            lhs = z12[m].compose(z13[n]).compose(z23[k])
-            rhs = _linmap_sum(
-                dom,
-                ring,
-                3,
-                3,
-                [
-                    (q.entry((m, s, n, t, k)), z23[t].compose(z12[s]))
-                    for s in elems
-                    for t in elems
-                ],
-                c2,
-            )
-        else:
-            i, j, k = a, b, cc
-            lhs = x12[i].compose(y13[j]).compose(z23[k])
-            rhs = z23[k].compose(y13[j]).compose(x12[i])
-        rep = lhs.equal(rhs, rel)
-        checks += rep.compared
-        counts[rel_name] += 1
-        where = f"{rel_name}[{_fmt_key((a, b, cc))}]"
-        if rep.verdict is Comparison.UNEQUAL:
-            return VerifyReport(
-                name="yb-family",
-                target=sol.descriptor,
-                backend=bk,
-                verdict="fail",
-                checks=checks,
-                witness=f"{where} at {_fmt_key(rep.witness)}",
-                extras={"lhs_value": rep.lhs_value, "rhs_value": rep.rhs_value},
-            )
-        if rep.verdict is Comparison.INDETERMINATE and not indeterminate:
-            indeterminate = f"{where} at {_fmt_key(rep.witness)}"
-    return VerifyReport(
-        name="yb-family",
-        target=sol.descriptor,
-        backend=bk,
-        verdict="indeterminate" if indeterminate else "pass",
-        checks=checks,
-        witness=indeterminate,
-        extras={f"{k}_triples": v for k, v in counts.items()},
-    )
+    counts = {"pe1_triples": 0, "pe2_triples": 0, "ybe_triples": 0}
+
+    def comparisons():
+        for rel_name, a, b, cc in itertools.product(["pe1", "pe2", "ybe"], elems, elems, elems):
+            if rel_name == "pe1":
+                i, l, m = a, b, cc
+                lhs = _linmap_sum(
+                    dom,
+                    ring,
+                    3,
+                    3,
+                    [
+                        (q.entry((i, s, l, t, m)), x12[s].compose(x23[t]))
+                        for s in elems
+                        for t in elems
+                    ],
+                    c2,
+                )
+                rhs = x23[m].compose(x13[l]).compose(x12[i])
+            elif rel_name == "pe2":
+                m, n, k = a, b, cc
+                lhs = z12[m].compose(z13[n]).compose(z23[k])
+                rhs = _linmap_sum(
+                    dom,
+                    ring,
+                    3,
+                    3,
+                    [
+                        (q.entry((m, s, n, t, k)), z23[t].compose(z12[s]))
+                        for s in elems
+                        for t in elems
+                    ],
+                    c2,
+                )
+            else:
+                i, j, k = a, b, cc
+                lhs = x12[i].compose(y13[j]).compose(z23[k])
+                rhs = z23[k].compose(y13[j]).compose(x12[i])
+            counts[f"{rel_name}_triples"] += 1
+            yield f"{rel_name}[{_fmt_key((a, b, cc))}]", lhs.equal(rhs, rel)
+
+    return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
 
 
 # -- the symmetry relation and the theorem ------------------------------------
@@ -371,7 +370,7 @@ def _validate_kernel(name: str, kernel: GroupTensor, domain) -> str:
     return ""
 
 
-def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor, rel: float = 1e-9) -> VerifyReport:
+def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor, rel: float = 1e-9) -> Report:
     """Pairwise equality of the four kernel-transformed tensors.
 
     expr1 = (sigma (x) L (x) L^-1 (x) L) Q        swap slots 0,1; kernels on 2,3,4
@@ -386,17 +385,10 @@ def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor, 
     if q.arity != 5:
         raise ValueError("the symmetry relation needs a 5-slot tensor")
     dom = q.domain
-    backend = q.ring.name
     for name, kernel in [("L", L), ("M", M), ("R", R)]:
         problem = _validate_kernel(name, kernel, dom)
         if problem:
-            return VerifyReport(
-                name="psym",
-                target=dom.literal,
-                backend=backend,
-                verdict="fail",
-                witness=problem,
-            )
+            return _report("psym", dom.literal, q.ring.name, "fail", 0, problem)
     linv, minv, rinv = _conj_table(L), _conj_table(M), _conj_table(R)
 
     def transform(swap_perm, kernel_at):
@@ -411,32 +403,10 @@ def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor, 
         transform([0, 1, 3, 2, 4], {0: M, 1: minv, 4: R}),
         transform([0, 1, 2, 4, 3], {0: R, 1: rinv, 2: R}),
     ]
-    checks = 0
-    indeterminate = ""
-    for idx in (1, 2, 3):
-        rep = tensor_equal(exprs[0], exprs[idx], rel)
-        checks += rep.compared
-        where = f"expr1 vs expr{idx + 1}"
-        if rep.verdict is Comparison.UNEQUAL:
-            return VerifyReport(
-                name="psym",
-                target=dom.literal,
-                backend=backend,
-                verdict="fail",
-                checks=checks,
-                witness=f"{where} at {_fmt_key(rep.witness)}",
-                extras={"lhs_value": rep.lhs_value, "rhs_value": rep.rhs_value},
-            )
-        if rep.verdict is Comparison.INDETERMINATE and not indeterminate:
-            indeterminate = f"{where} at {_fmt_key(rep.witness)}"
-    return VerifyReport(
-        name="psym",
-        target=dom.literal,
-        backend=backend,
-        verdict="indeterminate" if indeterminate else "pass",
-        checks=checks,
-        witness=indeterminate,
+    comparisons = (
+        (f"expr1 vs expr{idx + 1}", tensor_equal(exprs[0], exprs[idx], rel)) for idx in (1, 2, 3)
     )
+    return _judge("psym", dom.literal, q.ring.name, comparisons)
 
 
 _PROOF_CASES = {
@@ -494,7 +464,7 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
     )
 
 
-def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> VerifyReport:
+def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
     """All four proof-case integrals reproduce the conjugate solution tensor.
 
     Optional chi/gauss overrides swap in alternative pairing data; they
@@ -507,29 +477,16 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> VerifyReport:
     kernels = {"T": kern["T"], "Tbar": kern["Tinv"], "S": kern["S"], "Sbar": kern["Sinv"]}
     dt = sol.q
     target = dt.conj()
-    checks = 0
-    extras = {}
-    witness = ""
-    verdict = "pass"
-    for case in ("case1", "case2", "case3", "case4"):
-        transformed = _proof_integral(dt, _PROOF_CASES[case], kernels)
-        rep = tensor_equal(transformed, target)
-        checks += rep.compared
-        extras[case] = _VERDICTS[rep.verdict]
-        if rep.verdict is not Comparison.EQUAL and verdict == "pass":
-            verdict = _VERDICTS[rep.verdict]
-            witness = f"{case} at {_fmt_key(rep.witness)}"
-            extras["lhs_value"] = rep.lhs_value
-            extras["rhs_value"] = rep.rhs_value
-    return VerifyReport(
-        name="theorem",
-        target=group.literal,
-        backend="exact",
-        verdict=verdict,
-        checks=checks,
-        witness=witness,
-        extras=extras,
-    )
+    # Every case is computed, so a failing control shows which of the four
+    # the data breaks, and its checks count all of them.
+    comparisons = [
+        (case, tensor_equal(_proof_integral(dt, plan, kernels), target))
+        for case, plan in _PROOF_CASES.items()
+    ]
+    cases = {case: _VERDICTS[rep.verdict] for case, rep in comparisons}
+    report = _judge("theorem", group.literal, "exact", comparisons, cases)
+    report.fields["checks"] = sum(rep.compared for _, rep in comparisons)
+    return report
 
 
 # -- independent dense oracle --------------------------------------------------
@@ -539,7 +496,7 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> VerifyReport:
 DENSE_BYTES_LIMIT = 1 << 30
 
 
-def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) -> VerifyReport:
+def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) -> Report:
     """Brute-force dense check of the (3,3) relation with numpy.
 
     The full 9-index boundary grid is enumerated (N^9 comparisons, N^3
@@ -592,27 +549,13 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
     else:
         findings = [f for f in map(scan, chunks) if f is not None]
 
+    witness, extras = "", {"workers": workers}
     if findings:
-        findings.sort(key=lambda f: f[0])
-        idx, (lv, rv) = findings[0]
+        idx, (lv, rv) = min(findings, key=lambda f: f[0])
         witness = _fmt_key(tuple(elems[i] for i in idx))
-        return VerifyReport(
-            name="p33-dense",
-            target=target,
-            backend="dense",
-            verdict="fail",
-            checks=n**9,
-            witness=witness,
-            extras={"lhs_value": format(lv, ".12g"), "rhs_value": format(rv, ".12g"), "workers": workers},
-        )
-    return VerifyReport(
-        name="p33-dense",
-        target=target,
-        backend="dense",
-        verdict="pass",
-        checks=n**9,
-        extras={"workers": workers},
-    )
+        extras.update(lhs_value=format(lv, ".12g"), rhs_value=format(rv, ".12g"))
+    verdict = "fail" if findings else "pass"
+    return _report("p33-dense", target, "dense", verdict, n**9, witness, extras)
 
 
 # -- set-theoretic composite maps ----------------------------------------------
@@ -638,7 +581,7 @@ def set_p33_sides(a: Fraction, b: Fraction, c: Fraction):
     return lhs, rhs
 
 
-def verify_set_p33(samples: int = 1000, seed: int = 1) -> VerifyReport:
+def verify_set_p33(samples: int = 1000, seed: int = 1) -> Report:
     """Compare the two composite maps at seeded rational points."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -650,31 +593,12 @@ def verify_set_p33(samples: int = 1000, seed: int = 1) -> VerifyReport:
             coords.append(Fraction(rng.randrange(1, denom), denom))
         a, b, c = coords
         lhs, rhs = set_p33_sides(a, b, c)
+        inputs = f"inputs ({a},{b},{c})"
         if lhs != rhs:
-            return VerifyReport(
-                name="p33",
-                target="set",
-                backend="rational",
-                verdict="fail",
-                checks=k + 1,
-                witness=f"inputs ({a},{b},{c})",
-                extras={"lhs_value": str(lhs), "rhs_value": str(rhs)},
-            )
-        for out in lhs + rhs:
-            if not (0 < out < 1):
-                return VerifyReport(
-                    name="p33",
-                    target="set",
-                    backend="rational",
-                    verdict="fail",
-                    checks=k + 1,
-                    witness=f"output {out} outside (0,1) at inputs ({a},{b},{c})",
-                )
-    return VerifyReport(
-        name="p33",
-        target="set",
-        backend="rational",
-        verdict="pass",
-        checks=samples,
-        extras={"seed": seed},
-    )
+            values = {"lhs_value": str(lhs), "rhs_value": str(rhs)}
+            return _report("p33", "set", "rational", "fail", k + 1, inputs, values)
+        outside = [out for out in lhs + rhs if not 0 < out < 1]
+        if outside:
+            witness = f"output {outside[0]} outside (0,1) at {inputs}"
+            return _report("p33", "set", "rational", "fail", k + 1, witness)
+    return _report("p33", "set", "rational", "pass", samples, extras={"seed": seed})

@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, report shape, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from pachner.cli import main
 from pachner.simplicial import pachner_sides, simplex_boundary
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -39,9 +44,10 @@ def test_verify_theorem_exits_zero(capsys):
 
 
 def test_verify_theorem_rejects_float_backend(capsys):
-    code, _, err = run(capsys, ["verify", "theorem", "--group", "Z3", "--backend", "float"])
-    assert code == 64
-    assert "exact" in err
+    for backend in ("float", "exact"):
+        code, _, err = run(capsys, ["verify", "theorem", "--group", "Z3", "--backend", backend])
+        assert_one_error_line(code, err)
+        assert "--backend" in err
 
 
 def test_verify_p33_dense_oracle(capsys):
@@ -65,6 +71,140 @@ def test_reports_are_byte_identical(capsys, sphere_file):
         first = run(capsys, argv)
         second = run(capsys, argv)
         assert first == second
+
+
+# Whole reports, captured from the CLI: the echoed options, the field
+# order, the witness line and the sorted extras are all part of the layout.
+REPORTS = [
+    (
+        "verify p33 --solution bichar:Z3",
+        0,
+        """\
+command=verify p33
+opt_backend=auto
+opt_oracle=operator
+opt_solution=bichar:Z3
+relation=p33
+target=bichar:Z3
+backend=exact
+verdict=pass
+checks=729
+lhs_nnz=729
+rhs_nnz=729
+""",
+    ),
+    (
+        "verify yb --solution bichar:Z2",
+        0,
+        """\
+command=verify yb
+opt_backend=auto
+opt_solution=bichar:Z2
+relation=yb-family
+target=bichar:Z2
+backend=exact
+verdict=pass
+checks=192
+pe1_triples=8
+pe2_triples=8
+ybe_triples=8
+""",
+    ),
+    (
+        "verify theorem --group Z2xZ2",
+        0,
+        """\
+command=verify theorem
+opt_backend=exact
+opt_group=Z2xZ2
+relation=theorem
+target=Z2xZ2
+backend=exact
+verdict=pass
+checks=256
+case1=pass
+case2=pass
+case3=pass
+case4=pass
+""",
+    ),
+    (
+        "verify pentagon --group S3",
+        0,
+        """\
+command=verify pentagon
+opt_backend=auto
+opt_group=S3
+relation=pentagon
+target=B6
+backend=exact
+verdict=pass
+checks=216
+""",
+    ),
+    (
+        "moves walk --tri data/boundary_delta5.tri --count 20 --seed 7 --solution bichar:Z2",
+        0,
+        """\
+command=moves walk
+opt_backend=auto
+opt_count=20
+opt_seed=7
+opt_solution=bichar:Z2
+opt_tri=data/boundary_delta5.tri
+opt_type=3,3
+relation=statesum-invariance
+move_type=3,3
+target=bichar:Z2
+backend=exact
+verdict=pass
+moves=20
+value=1 · r^9
+pentachora=6
+""",
+    ),
+    (
+        "moves walk --tri data/boundary_delta5.tri --type 2,4 --count 3 --seed 1 --solution bichar:Z2",
+        2,
+        """\
+command=moves walk
+opt_backend=auto
+opt_count=3
+opt_seed=1
+opt_solution=bichar:Z2
+opt_tri=data/boundary_delta5.tri
+opt_type=2,4
+relation=statesum-invariance
+move_type=2,4
+target=bichar:Z2
+backend=exact
+verdict=indeterminate
+moves=1
+value=1 · r^9
+witness=step 0: value 1 · r^10 vs 1 · r^9
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,expected", REPORTS, ids=[argv for argv, _, _ in REPORTS])
+def test_report_layout(capsys, monkeypatch, argv, code, expected):
+    monkeypatch.chdir(REPO)
+    assert run(capsys, argv.split()) == (code, expected, "")
+
+
+@pytest.mark.parametrize("group", ["Z3", "Z4"])
+def test_float_statesum_prints_the_same_value_in_either_order(capsys, monkeypatch, group):
+    monkeypatch.chdir(REPO)
+    shown = set()
+    for order in ("greedy", "left"):
+        argv = ["statesum", "--tri", "data/boundary_delta5.tri", "--solution", f"bichar:{group}",
+                "--backend", "float", "--order", order]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        shown |= {line for line in out.splitlines() if line.startswith("value=")}
+    assert len(shown) == 1
+    assert shown.pop().endswith("+0j")
 
 
 def test_statesum_closed_sphere(capsys, sphere_file):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pachner.scalars import (
     Comparison,
+    ComplexRing,
     approx_equal,
     compare,
     cyclotomic_polynomial,
@@ -235,3 +236,17 @@ def test_equal_implies_float_equal(sa, sb):
     # a genuinely equal pair can never be reported unequal
     if compare(a, b) is Comparison.UNEQUAL:
         assert not approx_equal(a.to_complex(), b.to_complex(), 1e-9)
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [
+        (140.296115413 + 3.28701834324e-15j, "140.296115413+0j"),
+        (512 - 3.45e-31j, "512+0j"),
+        (-1e-17 + 2j, "0+2j"),
+        (complex(-0.0, -0.0), "0+0j"),
+        (1e-20 + 1e-20j, "1e-20+1e-20j"),
+    ],
+)
+def test_complex_render_drops_rounding_noise(value, shown):
+    assert ComplexRing(3).render(value) == shown

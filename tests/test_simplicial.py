@@ -192,16 +192,6 @@ def test_explicit_gluing_validation():
         Triangulation(2, simp, {(0, 0): (1, 1), (1, 1): (0, 0)})
 
 
-def test_relabel():
-    t = simplex_boundary(3)
-    r = t.relabel(lambda v: 2 * v + 1)
-    assert r.labels() == [1, 3, 5, 7]
-    assert r.gluing == t.gluing
-    assert r.euler_characteristic() == 2
-    with pytest.raises(ValueError, match="increasing"):
-        t.relabel(lambda v: -v)
-
-
 # -- move sites ---------------------------------------------------------------
 
 

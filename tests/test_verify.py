@@ -22,6 +22,7 @@ from pachner.tensors import (
     DOWN,
     UP,
     BasisDomain,
+    EqualityReport,
     GroupTensor,
     LinMap,
     identity_kernel,
@@ -31,6 +32,7 @@ from pachner import verify
 from pachner.verify import (
     _proof_integral,
     _PROOF_CASES,
+    _judge,
     build_families,
     dense_p33_oracle,
     p33_sides,
@@ -105,13 +107,13 @@ def test_p33_sides_match_coordinates_on_group_algebra():
 def test_verify_p33_passes_for_shipped_solutions():
     for descriptor in ["bichar:Z2", "bichar:Z3", "triple:groupalg:Z2", "triple:groupalg:S3"]:
         report = verify_p33(parse_solution(descriptor))
-        assert report.backend == "exact"
+        assert report.fields["backend"] == "exact"
         assert report, (descriptor, report.witness)
 
 
 def test_verify_p33_float_backend_for_larger_groups():
     report = verify_p33(parse_solution("bichar:Z5"))
-    assert report.backend == "float"
+    assert report.fields["backend"] == "float"
     assert report
 
 
@@ -165,7 +167,7 @@ def test_pentagon_passes_for_group_algebras():
 def test_pentagon_float_backend_passes_on_group_tables(name):
     s = pentagon_map(triple_from_table(named_group_table(name), name))
     report = verify_pentagon(s, backend="float")
-    assert (report.backend, report.verdict) == ("float", "pass")
+    assert (report.fields["backend"], report.verdict) == ("float", "pass")
 
 
 def test_pentagon_identity_map_passes():
@@ -182,6 +184,57 @@ def test_pentagon_random_map_fails_with_witness():
     report = verify_pentagon(GroupTensor(dom, (UP, UP, DOWN, DOWN), entries))
     assert report.verdict == "fail"
     assert report.witness
+
+
+def test_pentagon_failure_reports_both_values():
+    s = pentagon_map(triple_from_table(named_group_table("S3"), "S3")).tensor
+    entries = dict(s.entries)
+    key = min(entries)
+    entries[key] = entries[key] + entries[key]
+    report = verify_pentagon(GroupTensor(s.domain, s.variances, entries, s.ring))
+    assert report.verdict == "fail"
+    lhs, rhs = report.extras["lhs_value"], report.extras["rhs_value"]
+    assert lhs != rhs
+    assert f"lhs_value={lhs}" in report.lines() and f"rhs_value={rhs}" in report.lines()
+
+
+def _compared(verdict, key=None):
+    shown = (None, None) if key is None else (f"l{key[0]}", f"r{key[0]}")
+    return EqualityReport(verdict, key, *shown, compared=2)
+
+
+def test_the_fold_stops_at_the_first_unequal_comparison():
+    def comparisons():
+        yield "a", _compared(Comparison.EQUAL)
+        yield "b", _compared(Comparison.INDETERMINATE, (1,))
+        yield "c", _compared(Comparison.UNEQUAL, (2,))
+        pytest.fail("the fold read past the first unequal comparison")
+
+    report = _judge("demo", "T", "exact", comparisons(), {"note": 1})
+    assert report.lines() == [
+        "relation=demo",
+        "target=T",
+        "backend=exact",
+        "verdict=fail",
+        "checks=6",
+        "witness=c at 2",
+        "lhs_value=l2",
+        "note=1",
+        "rhs_value=r2",
+    ]
+
+
+def test_the_fold_witnesses_the_first_indeterminate_comparison():
+    comparisons = [
+        ("", _compared(Comparison.EQUAL)),
+        ("", _compared(Comparison.INDETERMINATE, (1,))),
+        ("", _compared(Comparison.INDETERMINATE, (2,))),
+    ]
+    report = _judge("demo", "T", "exact", comparisons)
+    assert (report.verdict, report.witness, report.fields["checks"]) == ("indeterminate", "1", 6)
+    assert (report.extras["lhs_value"], report.extras["rhs_value"]) == ("l1", "r1")
+    assert not report
+    assert _judge("demo", "T", "exact", comparisons[:1]).lines()[3:] == ["verdict=pass", "checks=2"]
 
 
 def test_pentagon_rejects_wrong_shape():
@@ -329,6 +382,7 @@ def test_verify_theorem_trivial_gauss_fails():
         report = verify_theorem(group, gauss=lambda x: group.ring.one)
         assert report.verdict == "fail", literal
         assert report.witness
+        assert all(report.extras[c] == "fail" for c in ("case1", "case2", "case3", "case4"))
 
 
 def test_verify_theorem_asymmetric_pairing_fails():
@@ -415,4 +469,4 @@ def test_verify_set_p33_passes_and_is_deterministic():
     b = verify_set_p33(samples=200, seed=1)
     assert a and b
     assert a.lines() == b.lines()
-    assert a.checks == 200
+    assert a.fields["checks"] == 200
