@@ -7,7 +7,8 @@ lines, so identical argv and seed produce byte-identical output.
 
 Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage or input error
 (unknown flags, missing files, descriptors that do not parse, complexes
-outside the supported scope).
+outside the supported scope), 70 internal error (an unexpected exception,
+reported as one error line, so it never reads as a genuine fail).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 _VERDICT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "indeterminate": EXIT_INDETERMINATE}
 
@@ -434,6 +436,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

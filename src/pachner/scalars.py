@@ -8,10 +8,11 @@ where L is the lcm of the cyclic orders of the ambient group and N is the
 group order.  Reduction modulo the cyclotomic polynomial makes equality of
 cyclotomic parts decidable without numerics.  The radical stays formal,
 graded by an integer exponent; the relation r**2 = N only merges exponents
-of equal parity, which the canonical form applies eagerly.  Comparisons
-across the two parity classes are reported as indeterminate rather than
-resolved numerically, since sqrt(N) may or may not lie in the cyclotomic
-ring (Gauss sums), and no check in this package needs that resolution.
+of equal parity, which the canonical form applies eagerly.  A difference
+across the two parity classes is unequal when its squared parts differ
+and is otherwise reported as indeterminate rather than resolved
+numerically, since sqrt(N) may or may not lie in the cyclotomic ring
+(Gauss sums), and no check in this package needs that resolution.
 
 ``ComplexRing`` is the float cross-check backend: complex numbers with
 r = sqrt(N) behind the same interface, compared at a relative tolerance.
@@ -395,13 +396,19 @@ def compare(a: Scalar, b: Scalar) -> Comparison:
 
     A difference confined to one radical parity class embeds injectively
     into the complex numbers, so a nonzero such difference is a genuine
-    inequality.  A difference straddling both parities is reported as
-    indeterminate, never as inequality.
+    inequality.  A difference P + Q·r straddling both parities (P even, Q
+    odd) can vanish only if P^2 = N·Q^2, an identity between two even
+    parts that ``==`` decides; when it fails the difference is unequal,
+    and when it holds the comparison is indeterminate, never inequality.
     """
     diff = a - b
     if not diff.terms:
         return Comparison.EQUAL
     if len({e % 2 for e in diff.terms}) == 1:
+        return Comparison.UNEQUAL
+    even = Scalar(diff.ring, {e: v for e, v in diff.terms.items() if e % 2 == 0})
+    odd = diff - even
+    if even * even != odd * odd:
         return Comparison.UNEQUAL
     return Comparison.INDETERMINATE
 

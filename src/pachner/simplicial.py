@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 def face_map(i: int, n: int) -> tuple[int, ...]:
@@ -93,6 +94,10 @@ class Triangulation:
     and is involutive; occurrences absent from it form the boundary.
     Entries may repeat the same vertex tuple, so an occurrence is always
     addressed by entry index, never by vertex set.
+
+    A triangulation is immutable once built (``gluing`` is a read-only
+    mapping), so its labels, face classes and site-search index are each
+    built at most once, on first use, and kept on the instance.
     """
 
     def __init__(self, dim: int, simplexes, gluing=None):
@@ -109,10 +114,11 @@ class Triangulation:
             cleaned.append((vertices, sign))
         self.simplexes = tuple(cleaned)
         if gluing is None:
-            self.gluing = self._derive_gluing()
+            self.gluing = MappingProxyType(self._derive_gluing())
         else:
-            self.gluing = dict(gluing)
+            self.gluing = MappingProxyType(dict(gluing))
             self._validate_gluing()
+        self._labels = self._classes = self._index = None
 
     # -- construction helpers ------------------------------------------
 
@@ -151,11 +157,11 @@ class Triangulation:
     def facet(self, e: int, i: int) -> tuple:
         return boundary_face(self.simplexes[e][0], i)
 
-    def labels(self):
-        out = set()
-        for vertices, _ in self.simplexes:
-            out.update(vertices)
-        return sorted(out)
+    def labels(self) -> tuple:
+        """The vertex labels in increasing order."""
+        if self._labels is None:
+            self._labels = tuple(sorted({v for vertices, _ in self.simplexes for v in vertices}))
+        return self._labels
 
     def boundary_facets(self):
         """Unglued facet occurrences as vertex tuples, with multiplicity."""
@@ -182,14 +188,19 @@ class Triangulation:
                 return ((e, i), (e2, i2))
         return None
 
-    def face_classes(self) -> dict:
+    def face_classes(self) -> MappingProxyType:
         """Faces of all dimensions, identified through the gluing.
 
-        Returns a map from class representative to the set of member
-        occurrences (entry, vertex subset).  Subsets of a glued facet
-        pair are identified pointwise; labels match across a gluing, so
-        pointwise is just equality of subsets.
+        Returns a read-only map from class representative to the frozenset
+        of member occurrences (entry, vertex subset).  Subsets of a glued
+        facet pair are identified pointwise; labels match across a gluing,
+        so pointwise is just equality of subsets.
         """
+        if self._classes is None:
+            self._classes = MappingProxyType(self._build_face_classes())
+        return self._classes
+
+    def _build_face_classes(self) -> dict:
         uf = _UnionFind()
         for e, (vertices, _) in enumerate(self.simplexes):
             for k in range(1, len(vertices) + 1):
@@ -209,7 +220,23 @@ class Triangulation:
         classes: dict = {}
         for key in uf.parent:
             classes.setdefault(uf.find(key), set()).add(key)
-        return classes
+        return {root: frozenset(members) for root, members in classes.items()}
+
+    def _site_index(self) -> tuple:
+        """(rep, class_entries, by_tuple) for find_move_sites: occurrence to
+        class root, class root to the entries carrying it, and vertex tuple
+        to entries."""
+        if self._index is None:
+            classes = self.face_classes()
+            rep = {occ: root for root, members in classes.items() for occ in members}
+            class_entries = {
+                root: frozenset(e for e, _ in members) for root, members in classes.items()
+            }
+            by_tuple: dict[tuple, list[int]] = {}
+            for e, (vertices, _) in enumerate(self.simplexes):
+                by_tuple.setdefault(vertices, []).append(e)
+            self._index = (rep, class_entries, by_tuple)
+        return self._index
 
     def euler_characteristic(self) -> int:
         total = 0
@@ -358,7 +385,7 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     if len(I) == 1:
         if I != (n,):
             return []
-        fresh = (max(t.labels()) + 1) if t.simplexes else 0
+        fresh = (t.labels()[-1] + 1) if t.simplexes else 0
         sites = []
         for e, (vertices, sign) in enumerate(t.simplexes):
             phi = vertices + (fresh,)
@@ -366,17 +393,7 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
             sites.append(MoveSite(n, I, J, phi, (e,), eps))
         return sites
 
-    classes = t.face_classes()
-    rep = {}
-    for root, members in classes.items():
-        for occ in members:
-            rep[occ] = root
-    class_entries = {root: {occ[0] for occ in members} for root, members in classes.items()}
-
-    by_tuple: dict[tuple, list[int]] = {}
-    for e, (vertices, _) in enumerate(t.simplexes):
-        by_tuple.setdefault(vertices, []).append(e)
-
+    rep, class_entries, by_tuple = t._site_index()
     all_labels = t.labels()
     i0 = I[0]
     sites = []

@@ -253,7 +253,7 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Equalit
     Variances are not compared; callers that care about them check the
     patterns directly.  The reported witness is the lexicographically
     least differing index tuple.  With the exact backend, a difference
-    that straddles both radical parities yields INDETERMINATE; the float
+    that straddles both radical parities may yield INDETERMINATE; the float
     backend compares at relative tolerance rel.
     """
     if t1.arity != t2.arity:

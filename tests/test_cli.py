@@ -165,7 +165,7 @@ pentachora=6
     ),
     (
         "moves walk --tri data/boundary_delta5.tri --type 2,4 --count 3 --seed 1 --solution bichar:Z2",
-        2,
+        1,
         """\
 command=moves walk
 opt_backend=auto
@@ -178,7 +178,7 @@ relation=statesum-invariance
 move_type=2,4
 target=bichar:Z2
 backend=exact
-verdict=indeterminate
+verdict=fail
 moves=1
 value=1 · r^9
 witness=step 0: value 1 · r^10 vs 1 · r^9
@@ -320,6 +320,15 @@ def test_dense_oracle_refuses_oversized_grids(capsys, monkeypatch):
     assert_one_error_line(code, err)
     assert "GB limit" in err
     assert out == ""
+
+
+def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("pachner.cli.cmd_verify", crash)
+    code, out, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z2"])
+    assert (code, out, err) == (70, "", "error: internal: RuntimeError: boom\n")
 
 
 def test_unknown_flag_and_bad_descriptor(capsys):

@@ -138,6 +138,15 @@ def test_compare_cross_parity_indeterminate():
     # cannot see it; the comparison must refuse to decide
     ring = get_ring(4, 4)
     assert compare(ring.radical(), ring.integer(2)) is Comparison.INDETERMINATE
+    # likewise z - z^3 = sqrt(2) with z = exp(pi i/4)
+    ring = get_ring(4, 2)
+    assert compare(ring.root(1) - ring.root(3), ring.radical()) is Comparison.INDETERMINATE
+
+
+def test_compare_cross_parity_unequal_when_squares_differ():
+    # r^10 = 32 and r^9 = 16 sqrt(2): P = 32, Q r = -16 r, P^2 != N Q^2
+    ring = get_ring(2, 2)
+    assert compare(ring.radical(10), ring.radical(9)) is Comparison.UNEQUAL
 
 
 def test_weight_one_ring_collapses_radical():

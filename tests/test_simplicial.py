@@ -328,6 +328,44 @@ def test_random_walks_preserve_invariants():
             assert t.euler_characteristic() == chi
 
 
+def test_site_index_matches_a_fresh_build():
+    # each step searches the walked complex (whose index is then cached)
+    # and an uncached copy parsed from its own file text
+    rng = random.Random(5)
+    for dim in (2, 3, 4):
+        t = simplex_boundary(dim + 1)
+        for _ in range(6):
+            found = []
+            for I, J in all_splittings(dim + 1):
+                sites = find_move_sites(t, I, J)
+                assert sites == find_move_sites(Triangulation.from_lines(t.to_lines()), I, J)
+                found.extend(sites)
+            fresh = Triangulation.from_lines(t.to_lines())
+            assert set(t.face_classes().values()) == set(fresh.face_classes().values())
+            t = apply_move(t, rng.choice(found))
+
+
+def test_face_classes_built_once_per_triangulation(monkeypatch):
+    builds = []
+    build = Triangulation._build_face_classes
+    monkeypatch.setattr(Triangulation, "_build_face_classes", lambda t: builds.append(t) or build(t))
+    t = simplex_boundary(5)
+    sites = [s for I, J in all_splittings(5) for s in find_move_sites(t, I, J)]
+    moved = apply_move(t, next(s for s in sites if len(s.I) > 1))
+    assert t.euler_characteristic() == moved.euler_characteristic() == 2
+    assert builds == [t, moved]
+
+
+def test_triangulation_cannot_be_changed_under_its_cache():
+    t = simplex_boundary(5)
+    with pytest.raises(TypeError):
+        t.gluing[(0, 0)] = (1, 0)
+    with pytest.raises(AttributeError):
+        next(iter(t.face_classes().values())).add((0, (0,)))
+    assert t.gluing == dict(t.gluing)
+    assert not any(line.startswith("glue") for line in t.to_lines())
+
+
 # -- files --------------------------------------------------------------------
 
 
