@@ -14,6 +14,15 @@ and is otherwise reported as indeterminate rather than resolved
 numerically, since sqrt(N) may or may not lie in the cyclotomic ring
 (Gauss sums), and no check in this package needs that resolution.
 
+Multiplying by a bare radical power r**e (one term, unit coefficient
+vector) is an exponent shift: every term of the other factor moves from
+r**k to r**(k+e) with its coefficients untouched.  The normal form asks
+only that each parity keep one term whose coefficients are not all
+divisible by N, a condition independent of the exponent, so the shifted
+scalar is already canonical and skips the cyclotomic product.  Measure
+weights r**-k, identity-wire entries r and sigma entries r**2 all take
+this path.
+
 ``ComplexRing`` is the float cross-check backend: complex numbers with
 r = sqrt(N) behind the same interface, compared at a relative tolerance.
 """
@@ -109,6 +118,8 @@ class ScalarRing:
         self._conj = tuple(
             self._powers[(-j) % self.root_order] for j in range(self.degree)
         )
+        # the coefficient vector of a bare radical power r**e
+        self._unit = (1,) + (0,) * (self.degree - 1)
         self.zero = Scalar(self, {})
         self.one = self.integer(1)
 
@@ -267,6 +278,8 @@ class Scalar:
         self.terms = terms
 
     def _coerce(self, other):
+        if other.__class__ is Scalar and other.ring is self.ring:
+            return other
         if isinstance(other, int):
             return self.ring.integer(other)
         if isinstance(other, Scalar):
@@ -313,6 +326,15 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # a bare radical power is an exponent shift (see the module docstring)
+        unit = self.ring._unit
+        for power, body in ((other, self), (self, other)):
+            if len(power.terms) == 1:
+                ((shift, vec),) = power.terms.items()
+                if vec == unit:
+                    return Scalar(
+                        self.ring, {e + shift: v for e, v in body.terms.items()}
+                    )
         out: dict[int, list[int]] = {}
         for e1, v1 in self.terms.items():
             for e2, v2 in other.terms.items():

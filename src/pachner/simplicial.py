@@ -223,9 +223,10 @@ class Triangulation:
         return {root: frozenset(members) for root, members in classes.items()}
 
     def _site_index(self) -> tuple:
-        """(rep, class_entries, by_tuple) for find_move_sites: occurrence to
-        class root, class root to the entries carrying it, and vertex tuple
-        to entries."""
+        """(rep, class_entries, by_tuple, cones) for find_move_sites:
+        occurrence to class root, class root to the entries carrying it,
+        vertex tuple to entries, and per entry e the simplexes e + v, keyed
+        by the position of v, for each v opposite e across a glued facet."""
         if self._index is None:
             classes = self.face_classes()
             rep = {occ: root for root, members in classes.items() for occ in members}
@@ -235,7 +236,13 @@ class Triangulation:
             by_tuple: dict[tuple, list[int]] = {}
             for e, (vertices, _) in enumerate(self.simplexes):
                 by_tuple.setdefault(vertices, []).append(e)
-            self._index = (rep, class_entries, by_tuple)
+            cones: list[dict[int, set[tuple]]] = [{} for _ in self.simplexes]
+            for (e, _), (e2, f2) in self.gluing.items():
+                vertices, v = self.simplexes[e][0], self.simplexes[e2][0][f2]
+                if v not in vertices:
+                    phi = tuple(sorted(vertices + (v,)))
+                    cones[e].setdefault(phi.index(v), set()).add(phi)
+            self._index = (rep, class_entries, by_tuple, cones)
         return self._index
 
     def euler_characteristic(self) -> int:
@@ -393,21 +400,17 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
             sites.append(MoveSite(n, I, J, phi, (e,), eps))
         return sites
 
-    rep, class_entries, by_tuple = t._site_index()
-    all_labels = t.labels()
+    rep, class_entries, by_tuple, cones = t._site_index()
     i0 = I[0]
     sites = []
 
     def glued(e1, f1, e2, f2):
         return t.gluing.get((e1, f1)) == (e2, f2)
 
-    for e0, (verts0, sign0) in enumerate(t.simplexes):
-        for v in all_labels:
-            if v in verts0:
-                continue
-            phi = tuple(sorted(verts0 + (v,)))
-            if phi.index(v) != i0:
-                continue
+    for e0, (_, sign0) in enumerate(t.simplexes):
+        # every other entry of a site is glued to e0 and carries v = phi[i0],
+        # so phi is one of e0's cones: v lies opposite e0 across a glued facet
+        for phi in cones[e0].get(i0, ()):
             eps = sign0 * (-1) ** i0
             # assign entries to the remaining positions of I in order
             def extend(assigned, remaining):

@@ -391,6 +391,42 @@ def test_selftest_weight_mutation_breaks_relation(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "mutation,failures",
+    [
+        (
+            "weight-sign",
+            {
+                "relation-bicharacter": "bichar:Z2: fail (0,0,0,0,0,0,0,0,0)",
+                "duality-theorem": "Z2: fail (case1 at 0,0,0,0,0)",
+                "yang-baxter-family": "Z2: fail (pe1[0,0,0] at 0,0,0,0,0,0)",
+                "statesum-invariance": "Z2: value 1 · r^39 != 1 · r^9",
+            },
+        ),
+        (
+            "conj-noop",
+            {
+                "duality-theorem": "Z2: fail (case1 at 0,0,0,1,1)",
+                "statesum-invariance": "Z3: fail after 1 moves (step 0: value 1 · r^5 vs 1 + -2·z^1 · r^3)",
+            },
+        ),
+    ],
+)
+def test_mutation_hook_reaches_every_criterion(capsys, monkeypatch, mutation, failures):
+    # each hook breaks one seam of scalar arithmetic; every criterion that
+    # multiplies through that seam must fail, and only those
+    monkeypatch.setenv("PACHNER_MUTATE", mutation)
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    failed = {}
+    for line in out.splitlines():
+        if line.startswith("FAIL "):
+            _, name, _, detail = line.split(" ", 3)
+            failed[name] = detail
+    assert failed == failures
+    assert f"failed={len(failures)}" in out
+
+
 def test_selftest_unknown_mutation(capsys, monkeypatch):
     monkeypatch.setenv("PACHNER_MUTATE", "gremlins")
     code, _, err = run(capsys, ["selftest", "--only", "interval-solution"])

@@ -259,3 +259,44 @@ def test_equal_implies_float_equal(sa, sb):
 )
 def test_complex_render_drops_rounding_noise(value, shown):
     assert ComplexRing(3).render(value) == shown
+
+
+# trivial, Z2, Z3, Z4, Z6 and Z2xZ2 parameters (L, N)
+SHIFT_RINGS = [(1, 1), (2, 2), (3, 3), (4, 4), (6, 6), (2, 4)]
+
+raw_scalars = st.dictionaries(
+    st.integers(-4, 4),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHIFT_RINGS), raw_scalars, st.integers(-6, 6))
+def test_radical_power_multiplies_by_exponent_shift(params, raw, k):
+    ring = get_ring(*params)
+    v = ring.scalar({e: tuple(vec) for e, vec in raw.items()})
+    rt = ring.group_order ** 0.5
+    radical = ring.radical(k)
+    # built through the general reduce-and-canonicalise path
+    shifted = ring.scalar({e + k: vec for e, vec in v.terms.items()})
+    for got in (radical * v, v * radical):
+        assert got == shifted
+        assert ring._canonical(got.terms) == got.terms
+        assert approx_equal(got.to_complex(), v.to_complex() * rt**k, 1e-9)
+    # operands that are not a bare radical power (2·r^k is one only for N = 2)
+    # must take the general product
+    z = ring.root(1).to_complex()
+    pinned = [
+        (ring.integer(2) * radical, lambda vec: tuple(2 * c for c in vec), 2 * rt**k),
+        (ring.root(1) * radical, lambda vec: (0,) + vec, z * rt**k),
+    ]
+    for factor, scale, value in pinned:
+        want = ring.scalar({e + k: scale(vec) for e, vec in v.terms.items()})
+        for got in (factor * v, v * factor):
+            assert got == want
+            assert approx_equal(got.to_complex(), v.to_complex() * value, 1e-9)
+    r_plus_one = ring.radical() + ring.one
+    for got in (r_plus_one * v, v * r_plus_one):
+        assert got == ring.scalar({e + 1: vec for e, vec in v.terms.items()}) + v
+        assert approx_equal(got.to_complex(), v.to_complex() * (rt + 1), 1e-9)

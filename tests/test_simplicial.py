@@ -4,7 +4,10 @@ import random
 import pytest
 
 from pachner.simplicial import (
+    MoveSite,
     Triangulation,
+    _pos,
+    _site_interior_ok,
     apply_move,
     boundary_face,
     compose_maps,
@@ -343,6 +346,78 @@ def test_site_index_matches_a_fresh_build():
             fresh = Triangulation.from_lines(t.to_lines())
             assert set(t.face_classes().values()) == set(fresh.face_classes().values())
             t = apply_move(t, rng.choice(found))
+
+
+def exhaustive_move_sites(t, I, J):
+    """find_move_sites for |I| >= 2 as it was written first: every pair of
+    an entry e0 and a vertex label v is tried as phi = sorted(e0 + v)."""
+    n = t.dim + 1
+    rep, class_entries, by_tuple, _ = t._site_index()
+    i0 = I[0]
+    sites = []
+
+    def glued(e1, f1, e2, f2):
+        return t.gluing.get((e1, f1)) == (e2, f2)
+
+    for e0, (verts0, sign0) in enumerate(t.simplexes):
+        for v in t.labels():
+            if v in verts0:
+                continue
+            phi = tuple(sorted(verts0 + (v,)))
+            if phi.index(v) != i0:
+                continue
+            eps = sign0 * (-1) ** i0
+
+            def extend(assigned, remaining):
+                if not remaining:
+                    entries = tuple(assigned[i] for i in I)
+                    if _site_interior_ok(t, I, J, phi, entries, rep, class_entries):
+                        sites.append(MoveSite(n, I, J, phi, entries, eps))
+                    return
+                i = remaining[0]
+                want = phi[:i] + phi[i + 1 :]
+                for cand in by_tuple.get(want, ()):
+                    if cand in assigned.values():
+                        continue
+                    if t.simplexes[cand][1] != eps * (-1) ** i:
+                        continue
+                    if all(
+                        glued(cand, _pos(ip, i), assigned[ip], _pos(i, ip))
+                        for ip in assigned
+                    ):
+                        assigned[i] = cand
+                        extend(assigned, remaining[1:])
+                        del assigned[i]
+
+            extend({i0: e0}, I[1:])
+
+    sites.sort(key=lambda s: (s.phi, s.entries))
+    return sites
+
+
+def test_site_search_matches_the_exhaustive_search():
+    # seeded walks over every move type, plus the balls with boundary
+    # that each move starts from and produces
+    rng = random.Random(3)
+    complexes = []
+    for dim in (2, 3, 4):
+        for I, J in all_splittings(dim + 1):
+            complexes.extend(pachner_sides(dim + 1, I, J))
+        for _ in range(3):
+            t = simplex_boundary(dim + 1)
+            for _ in range(6):
+                complexes.append(t)
+                found = [s for I, J in all_splittings(dim + 1) for s in find_move_sites(t, I, J)]
+                t = apply_move(t, rng.choice(found))
+    searched = matched = 0
+    for t in complexes:
+        for I, J in all_splittings(t.dim + 1):
+            if len(I) >= 2:
+                sites = find_move_sites(t, I, J)
+                assert sites == exhaustive_move_sites(t, I, J)
+                searched += 1
+                matched += bool(sites)
+    assert matched > searched // 10
 
 
 def test_face_classes_built_once_per_triangulation(monkeypatch):
