@@ -12,12 +12,19 @@ on the two sides, is exactly the condition that the variances oppose.
 Closed complexes contract to a single scalar; complexes with boundary
 leave one slot per boundary tetrahedron, ordered by vertex tuple.
 
+``plan`` computes the merge steps from slot labels alone; ``partition``
+checks every step against ``ARITY_GUARD`` before any tensor work, then
+makes one ``contract`` call per step.  No pentachoron is glued to itself
+(the facets of one simplex differ), so every bound pair joins two operands.
+
 A tetrahedron whose two sides present the same variance is outside the
 certified scope; ``build_assignment`` reports the face.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from .scalars import compare
 from .simplicial import Triangulation, find_move_sites, apply_move
 from .solutions import SolutionSpec
-from .tensors import GroupTensor, UP, DOWN, contract, self_contract
+from .tensors import GroupTensor, UP, DOWN, contract
 from .verify import _VERDICTS, Report, _in_backend
 
 ARITY_GUARD = 22
@@ -80,98 +87,70 @@ def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "auto")
     return StateSumAssignment(t, sol, tensors, pairings, boundary)
 
 
-class _Blob:
-    """A partially contracted tensor with a label per remaining slot."""
+Step = collections.namedtuple("Step", "left right s1 s2 arity")
 
-    __slots__ = ("tensor", "labels")
 
-    def __init__(self, tensor, labels):
-        self.tensor = tensor
-        self.labels = list(labels)
+def slot_labels(a: StateSumAssignment) -> list:
+    """One label per slot of each pentachoron; glued slots share theirs."""
+    label = {occ: ("pair", idx) for idx, pair in enumerate(a.pairings) for occ in pair}
+    label.update({(e, f): ("out", pos) for pos, (_, e, f) in enumerate(a.boundary)})
+    return [tuple(label[(e, f)] for f in range(5)) for e in range(len(a.tensors))]
 
-    def contract_internal(self):
-        while True:
-            seen = {}
-            found = None
-            for pos, label in enumerate(self.labels):
-                if label[0] == "pair" and label in seen:
-                    found = (seen[label], pos)
-                    break
-                seen[label] = pos
-            if found is None:
-                return
-            i, j = found
-            self.tensor = self_contract(self.tensor, i, j)
-            del self.labels[j]
-            del self.labels[i]
 
-    def shared_pairs(self, other):
-        mine = {label for label in self.labels if label[0] == "pair"}
-        return sum(1 for label in other.labels if label in mine)
+def plan(labels, order: str = "greedy"):
+    """The merge steps for operands with these slot labels, and the labels
+    of the last operand.
 
-    def merge(self, other):
-        """Contract every pairing the two blobs share in one join."""
-        mine = {label: pos for pos, label in enumerate(self.labels) if label[0] == "pair"}
-        bonds = [(mine[label], pos) for pos, label in enumerate(other.labels) if label in mine]
-        arity = self.tensor.arity + other.tensor.arity - 2 * len(bonds)
-        if arity > ARITY_GUARD:
-            raise RuntimeError(
-                f"intermediate tensor would carry {arity} slots (guard {ARITY_GUARD})"
+    Operands 0..n-1 are the inputs.  Step k binds slots s1 of operand
+    ``left`` to slots s2 of operand ``right``, every label the two share,
+    into operand n + k with ``arity`` slots.  "greedy" merges the live pair
+    sharing the most labels, ties to the lowest operand numbers; "left"
+    folds operands 1, 2, ... into the accumulator.
+    """
+    ops = [tuple(l) for l in labels]
+    if not ops:
+        raise ValueError("empty triangulation")
+    steps = []
+
+    def merge(i, j):
+        shared = set(ops[i]).intersection(ops[j])
+        s2 = tuple(p for p, l in enumerate(ops[j]) if l in shared)
+        ops.append(tuple(l for l in ops[i] + ops[j] if l not in shared))
+        steps.append(Step(i, j, tuple(ops[i].index(ops[j][p]) for p in s2), s2, len(ops[-1])))
+        return len(ops) - 1
+
+    if order == "left":
+        functools.reduce(merge, range(1, len(ops)), 0)
+    elif order == "greedy":
+        live = list(range(len(ops)))
+        while len(live) > 1:
+            _, x, y = min(
+                (-len(set(ops[x]).intersection(ops[y])), x, y)
+                for x, y in itertools.combinations(live, 2)
             )
-        s1 = [i for i, _ in bonds]
-        s2 = [j for _, j in bonds]
-        tensor = contract(self.tensor, s1, other.tensor, s2)
-        labels = [l for p, l in enumerate(self.labels) if p not in s1] + [
-            l for p, l in enumerate(other.labels) if p not in s2
-        ]
-        return _Blob(tensor, labels)
+            live = [z for z in live if z not in (x, y)] + [merge(x, y)]
+    else:
+        raise ValueError(f"unknown contraction order {order!r}")
+    return steps, ops[-1]
 
 
 def partition(a: StateSumAssignment, order: str = "greedy") -> GroupTensor:
     """Contract all pairings; boundary slots stay, sorted by vertex tuple.
 
-    ``order`` picks the contraction schedule: "greedy" merges the pair of
-    blobs sharing the most pairings first, "left" folds pentachora in
-    entry order.  Exact results are independent of the schedule.
+    ``order`` names the ``plan`` schedule, "greedy" or "left".  Exact
+    results are independent of it.
     """
-    slot_of = {}
-    for idx, (a1, a2) in enumerate(a.pairings):
-        slot_of[a1] = ("pair", idx)
-        slot_of[a2] = ("pair", idx)
-    for face, e, f in a.boundary:
-        slot_of[(e, f)] = ("out", face, e, f)
-
-    blobs = []
-    for e, tensor in enumerate(a.tensors):
-        blob = _Blob(tensor, [slot_of[(e, f)] for f in range(5)])
-        blob.contract_internal()
-        blobs.append(blob)
-    if not blobs:
-        raise ValueError("empty triangulation")
-
-    if order == "left":
-        acc = blobs[0]
-        for blob in blobs[1:]:
-            acc = acc.merge(blob)
-    elif order == "greedy":
-        while len(blobs) > 1:
-            best = None
-            for i in range(len(blobs)):
-                for j in range(i + 1, len(blobs)):
-                    key = (-blobs[i].shared_pairs(blobs[j]), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-            _, i, j = best
-            merged = blobs[i].merge(blobs[j])
-            blobs = [b for p, b in enumerate(blobs) if p not in (i, j)]
-            blobs.append(merged)
-        acc = blobs[0]
-    else:
-        raise ValueError(f"unknown contraction order {order!r}")
-
-    assert all(label[0] == "out" for label in acc.labels)
-    want = sorted(range(len(acc.labels)), key=lambda p: acc.labels[p][1:])
-    return acc.tensor.permute(want)
+    steps, free = plan(slot_labels(a), order)
+    for step in steps:
+        if step.arity > ARITY_GUARD:
+            raise RuntimeError(
+                f"intermediate tensor would carry {step.arity} slots (guard {ARITY_GUARD})"
+            )
+    ops = dict(enumerate(a.tensors))
+    for k, (left, right, s1, s2, _) in enumerate(steps, len(ops)):
+        ops[k] = contract(ops.pop(left), s1, ops.pop(right), s2)
+    (result,) = ops.values()
+    return result.permute(sorted(range(len(free)), key=free.__getitem__))
 
 
 def partition_value(a: StateSumAssignment, order: str = "greedy"):

@@ -7,9 +7,10 @@ c = r**-1 per bound pair, matching the self-dual Haar convention of the
 groups module.  Identity wires are delta lines with entry r, so a wire
 composed with anything is weight neutral (c * r = 1).
 
-``contract`` is the one join of two tensors: it binds any number of slot
-pairs in a single hash join, and the outer product (no pairs) and
-``LinMap.compose`` (all wires) are calls to it.
+``contract`` is the one join: it binds any number of slot pairs of two
+tensors in a single hash join.  The outer product (no pairs),
+``LinMap.compose`` (all wires), ``apply_kernel`` (one slot against a
+kernel table) and every step of a state sum are calls to it.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -215,26 +216,6 @@ def contract(t1: GroupTensor, s1, t2: GroupTensor, s2) -> GroupTensor:
     return GroupTensor(t1.domain, variances, out, t1.ring)
 
 
-def self_contract(t: GroupTensor, i: int, j: int) -> GroupTensor:
-    """Bind two slots of the same tensor, with one measure weight."""
-    if i == j:
-        raise ValueError("cannot bind a slot to itself")
-    i, j = min(i, j), max(i, j)
-    if t.variances[i] == t.variances[j]:
-        raise ValueError(f"variance clash between slots {i} and {j}")
-    out = {}
-    for key, val in t.entries.items():
-        if key[i] == key[j]:
-            reduced = key[:i] + key[i + 1 : j] + key[j + 1 :]
-            prev = out.get(reduced)
-            out[reduced] = val if prev is None else prev + val
-    weight = t.ring.radical(-1)
-    variances = t.variances[:i] + t.variances[i + 1 : j] + t.variances[j + 1 :]
-    return GroupTensor(
-        t.domain, variances, {k: weight * v for k, v in out.items()}, t.ring
-    )
-
-
 @dataclass
 class EqualityReport:
     verdict: Comparison
@@ -305,26 +286,18 @@ def apply_kernel(t: GroupTensor, slot: int, kernel: GroupTensor, side: str = "le
     The slot keeps its position and variance; the kernel is read as a
     plain two-argument function table.
     """
-    _check_same_backend(t, kernel)
     if kernel.arity != 2:
         raise ValueError("kernel must have exactly two slots")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    bound, free = (1, 0) if side == "left" else (0, 1)
-    buckets = {}
-    for kk, kv in kernel.entries.items():
-        buckets.setdefault(kk[bound], []).append((kk[free], kv))
-    out = {}
-    for key, val in t.entries.items():
-        for new_elem, kv in buckets.get(key[slot], ()):
-            new_key = key[:slot] + (new_elem,) + key[slot + 1 :]
-            prod = kv * val
-            prev = out.get(new_key)
-            out[new_key] = prod if prev is None else prev + prod
-    weight = t.ring.radical(-1)
-    return GroupTensor(
-        t.domain, t.variances, {k: weight * v for k, v in out.items()}, t.ring
-    )
+    # as a table, slot 0 holds the new content and slot 1 binds to t's slot
+    entries = kernel.entries
+    if side == "right":
+        entries = {(y, x): kv for (x, y), kv in entries.items()}
+    v = t.variances[slot]
+    table = GroupTensor(kernel.domain, (v, v.flip()), entries, kernel.ring)
+    last = t.arity - 1
+    return contract(t, slot, table, 1).permute([*range(slot), last, *range(slot, last)])
 
 
 class LinMap:

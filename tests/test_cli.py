@@ -240,6 +240,20 @@ def test_statesum_rejects_incoherent_orientations(capsys, tmp_path):
     assert "(0, 1, 2, 3)" in err
 
 
+def test_statesum_over_the_guard_exits_64_before_contracting(capsys, tmp_path, monkeypatch):
+    from pachner.simplicial import Triangulation
+
+    # five lone pentachora: the last outer product would carry 25 slots
+    t = Triangulation(4, [(tuple(range(10 * k, 10 * k + 5)), 1) for k in range(5)])
+    path = tmp_path / "union.tri"
+    t.save(path)
+    monkeypatch.setattr("pachner.statesum.contract", lambda *args: pytest.fail("contracted"))
+    code, out, err = run(capsys, ["statesum", "--tri", str(path), "--solution", "bichar:Z2"])
+    assert_one_error_line(code, err)
+    assert "(guard 22)" in err
+    assert out == ""
+
+
 def test_moves_walk_without_solution_tracks_euler(capsys, tmp_path):
     path = tmp_path / "s2.tri"
     simplex_boundary(3).save(path)

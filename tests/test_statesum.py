@@ -1,11 +1,12 @@
 """State-sum evaluation and move invariance on 4-dimensional complexes."""
 
+import random
 from pathlib import Path
 
 import pytest
 
 from pachner.scalars import Comparison, compare
-from pachner.simplicial import Triangulation, simplex_boundary, pachner_sides
+from pachner.simplicial import Triangulation, apply_move, simplex_boundary, pachner_sides
 from pachner.solutions import parse_solution, perturb_q
 from pachner import statesum
 from pachner.statesum import (
@@ -15,8 +16,10 @@ from pachner.statesum import (
     partition,
     partition_bruteforce,
     partition_value,
+    plan,
+    slot_labels,
 )
-from pachner.tensors import DOWN, UP, tensor_equal
+from pachner.tensors import DOWN, UP, contract, tensor_equal
 from pachner.verify import p33_sides
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -251,16 +254,23 @@ def test_relabeling_preserves_the_value():
     assert compare(v1, v2) is Comparison.EQUAL
 
 
-def test_arity_guard_trips_on_disjoint_union():
-    pents = [(tuple(range(10 * k, 10 * k + 5)), 1) for k in range(5)]
-    t = Triangulation(4, pents)
-    a = build_assignment(t, parse_solution("bichar:Z2"), "exact")
-    with pytest.raises(RuntimeError, match="guard"):
+def disjoint_union():
+    """Five lone pentachora: every merge is an outer product, 25 slots at the end."""
+    return Triangulation(4, [(tuple(range(10 * k, 10 * k + 5)), 1) for k in range(5)])
+
+
+def test_arity_guard_trips_on_disjoint_union(monkeypatch):
+    a = build_assignment(disjoint_union(), parse_solution("bichar:Z2"), "exact")
+    calls = []
+    monkeypatch.setattr(statesum, "contract", lambda *args: calls.append(args))
+    with pytest.raises(RuntimeError) as err:
         partition(a)
+    assert str(err.value) == "intermediate tensor would carry 25 slots (guard 22)"
+    assert calls == []
 
 
 def test_arity_guard_counts_the_materialised_arity(monkeypatch):
-    # On the sphere, greedy merges a blob of 8 slots with a pentachoron
+    # On the sphere, greedy merges an operand of 8 slots with a pentachoron
     # sharing 2 pairings: 9 slots materialised, 11 if bound one at a time.
     a = build_assignment(simplex_boundary(5), parse_solution("bichar:Z3"), "exact")
     expected = partition_value(a)
@@ -269,6 +279,77 @@ def test_arity_guard_counts_the_materialised_arity(monkeypatch):
     monkeypatch.setattr(statesum, "ARITY_GUARD", 8)
     with pytest.raises(RuntimeError, match="9 slots"):
         partition(a)
+
+
+def grown_sphere(k):
+    """simplex_boundary(5) after k seeded (2,4) moves: 6 + 2k pentachora."""
+    t = simplex_boundary(5)
+    rng = random.Random(1)
+    for _ in range(k):
+        sites = all_sites(t, 2)
+        t = apply_move(t, sites[rng.randrange(len(sites))])
+    return t
+
+
+def plan_of(t, order):
+    a = build_assignment(t, parse_solution("bichar:Z2"), "exact")
+    return plan(slot_labels(a), order)[0]
+
+
+def test_greedy_plan_is_the_recorded_merge_list():
+    # (left, right, s1, s2, arity) per merge, as the merge loop before the
+    # plan/execute split chose them; operand n + k is merge k's result
+    recorded = {
+        0: [
+            (0, 1, (0,), (0,), 8),
+            (2, 6, (0, 1), (0, 4), 9),
+            (3, 7, (2, 0, 1), (0, 3, 6), 8),
+            (4, 8, (3, 2, 0, 1), (0, 2, 4, 6), 5),
+            (5, 9, (4, 3, 2, 0, 1), (0, 1, 2, 3, 4), 0),
+        ],
+        3: [
+            (0, 4, (0, 2), (0, 2), 6),
+            (1, 9, (0, 2), (0, 2), 6),
+            (2, 5, (0, 3), (0, 3), 6),
+            (3, 11, (0, 3), (0, 3), 6),
+            (6, 8, (0, 2), (0, 2), 6),
+            (7, 10, (0, 3), (0, 3), 6),
+            (12, 14, (1, 4), (0, 3), 8),
+            (13, 15, (2, 5), (1, 4), 8),
+            (18, 19, (0, 4, 1, 5), (0, 1, 4, 5), 8),
+            (16, 20, (0, 2, 3, 5), (0, 1, 4, 6), 6),
+            (17, 21, (0, 3, 1, 2, 4, 5), (0, 1, 2, 3, 4, 5), 0),
+        ],
+    }
+    for k, merges in recorded.items():
+        steps = plan_of(grown_sphere(k), "greedy")
+        assert [(s.left, s.right, s.s1, s.s2, s.arity) for s in steps] == merges
+
+
+def test_left_plan_folds_pentachora_in_entry_order():
+    for t in [Triangulation.load(path) for path in sorted(DATA.glob("*.tri"))] + [grown_sphere(3)]:
+        n = len(t.simplexes)
+        steps = plan_of(t, "left")
+        assert len(steps) == n - 1
+        for k, step in enumerate(steps):
+            assert (step.left, step.right) == (0 if k == 0 else n + k - 1, k + 1)
+
+
+@pytest.mark.parametrize("order", ["greedy", "left"])
+def test_plan_arities_are_the_contracted_arities(monkeypatch, order):
+    built = []
+
+    def recording(*args):
+        out = contract(*args)
+        built.append(out.arity)
+        return out
+
+    monkeypatch.setattr(statesum, "contract", recording)
+    for path in sorted(DATA.glob("*.tri")):
+        a = build_assignment(Triangulation.load(path), parse_solution("bichar:Z2"), "exact")
+        built.clear()
+        partition(a, order)
+        assert built == [step.arity for step in plan(slot_labels(a), order)[0]], path.name
 
 
 def test_sphere_has_twenty_move_sites():

@@ -16,7 +16,6 @@ from pachner.tensors import (
     apply_kernel,
     contract,
     identity_kernel,
-    self_contract,
     sigma_map,
     tensor_equal,
 )
@@ -137,19 +136,25 @@ def test_independent_contractions_commute():
     assert tensor_equal(ab_then_c, ac_then_b).verdict is Comparison.EQUAL
 
 
-def test_self_contract_matches_contract_via_outer():
-    a = random_tensor(Z3, (UP, DOWN), seed=10)
-    b = random_tensor(Z3, (UP, DOWN), seed=11)
-    via_contract = contract(a, 1, b, 0)
-    via_outer = self_contract(a.outer(b), 1, 2)
-    assert tensor_equal(via_contract, via_outer).verdict is Comparison.EQUAL
-    # two pairs in one join equal one pair, then a self-contraction
+def test_contract_matches_a_nested_loop_sum():
+    # one and two bound pairs against a sum over both entry dicts, times r**-k
     a = random_tensor(Z3, (UP, DOWN, DOWN), seed=12)
     b = random_tensor(Z3, (UP, UP, DOWN), seed=13)
-    both = contract(a, (1, 2), b, (0, 1))  # slots: a0 b2
-    one_then_self = self_contract(contract(a, 1, b, 0), 1, 2)  # a0 a2 b1 b2 -> a0 b2
-    assert both.variances == (UP, DOWN)
-    assert tensor_equal(both, one_then_self).verdict is Comparison.EQUAL
+    ring = Z3.ring
+    cases = [((1,), (0,), (UP, DOWN, UP, DOWN)), ((1, 2), (0, 1), (UP, DOWN))]
+    for s1, s2, variances in cases:
+        expected = {}
+        for k1, v1 in a.entries.items():
+            for k2, v2 in b.entries.items():
+                if all(k1[i] == k2[j] for i, j in zip(s1, s2)):
+                    key = tuple(x for p, x in enumerate(k1) if p not in s1)
+                    key += tuple(x for p, x in enumerate(k2) if p not in s2)
+                    expected[key] = expected.get(key, ring.zero) + v1 * v2
+        weight = ring.radical(-len(s1))
+        oracle = GroupTensor(Z3, variances, {k: weight * v for k, v in expected.items()})
+        got = contract(a, s1, b, s2)
+        assert got.variances == variances
+        assert tensor_equal(got, oracle).verdict is Comparison.EQUAL
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -305,7 +310,6 @@ def small_tensors(draw, domain, variances):
 
 RING_OPS = {
     "contract": lambda a, b: contract(a, (0, 1), b, (0, 1)),
-    "self_contract": lambda a, b: self_contract(a, 0, 1),
     "apply_kernel": lambda a, b: apply_kernel(a, 2, b, side="right"),
     "conj": lambda a, b: a.conj(),
 }
