@@ -20,8 +20,9 @@ r**k to r**(k+e) with its coefficients untouched.  The normal form asks
 only that each parity keep one term whose coefficients are not all
 divisible by N, a condition independent of the exponent, so the shifted
 scalar is already canonical and skips the cyclotomic product.  Measure
-weights r**-k, identity-wire entries r and sigma entries r**2 all take
-this path.
+weights r**-k (which ``ScalarRing.join`` applies once per entry of the
+smaller operand of a contraction), identity-wire entries r and sigma
+entries r**2 all take this path.
 
 ``ComplexRing`` is the float cross-check backend: complex numbers with
 r = sqrt(N) behind the same interface, compared at a relative tolerance.
@@ -33,6 +34,7 @@ import cmath
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 
 def _poly_mul(a, b):
@@ -42,6 +44,14 @@ def _poly_mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return tuple(out)
+
+
+def _buckets(entries, bound, rest):
+    """The hash side of a join: bound part of each key -> [(rest, value)]."""
+    buckets = {}
+    for key, val in entries.items():
+        buckets.setdefault(bound(key), []).append((rest(key), val))
+    return buckets
 
 
 def _poly_divmod(num, den):
@@ -214,6 +224,50 @@ class ScalarRing:
     def conj(self, v: "Scalar") -> "Scalar":
         return v.conj()
 
+    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k):
+        """Sum v1 * v2 * r**-k per key rest1(k1) + rest2(k2) over all entry
+        pairs with bound1(k1) == bound2(k2); zero sums are dropped.
+
+        The weight is one exponent shift, applied once to each entry of the
+        operand with fewer entries (r**-k is a single term with the unit
+        vector; for N = 1 its exponent is 0).  A key met by one product
+        keeps that product; the products colliding on a key are summed as
+        raw coefficient vectors and canonicalised once.  Both are ring
+        identities and the normal form is unique, so every value equals
+        the entry-by-entry sum.
+        """
+        (shift,) = self.radical(-k).terms
+        if shift and len(entries1) <= len(entries2):
+            entries1 = {key: v._shift(shift) for key, v in entries1.items()}
+        elif shift:
+            entries2 = {key: v._shift(shift) for key, v in entries2.items()}
+        buckets = _buckets(entries2, bound2, rest2)
+        out = {}
+        accumulated = out.get
+        for k1, v1 in entries1.items():
+            head = rest1(k1)
+            for tail, v2 in buckets.get(bound1(k1), ()):
+                key = head + tail
+                prev = accumulated(key)
+                if prev is None:
+                    out[key] = v1 * v2
+                elif prev.__class__ is list:
+                    prev.append(v1 * v2)
+                else:
+                    out[key] = [prev, v1 * v2]
+        joined = {}
+        for key, val in out.items():
+            if val.__class__ is list:
+                merged = {}
+                for part in val:
+                    for e, vec in part.terms.items():
+                        acc = merged.get(e)
+                        merged[e] = vec if acc is None else tuple(map(add, acc, vec))
+                val = Scalar(self, self._canonical(merged))
+            if val.terms:
+                joined[key] = val
+        return joined
+
     def render(self, v: "Scalar") -> str:
         return v.render()
 
@@ -332,9 +386,7 @@ class Scalar:
             if len(power.terms) == 1:
                 ((shift, vec),) = power.terms.items()
                 if vec == unit:
-                    return Scalar(
-                        self.ring, {e + shift: v for e, v in body.terms.items()}
-                    )
+                    return body._shift(shift)
         out: dict[int, list[int]] = {}
         for e1, v1 in self.terms.items():
             for e2, v2 in other.terms.items():
@@ -345,6 +397,10 @@ class Scalar:
         return Scalar(self.ring, self.ring._canonical(out))
 
     __rmul__ = __mul__
+
+    def _shift(self, e: int) -> "Scalar":
+        """self * r**e: every exponent moves by e, already canonical."""
+        return Scalar(self.ring, {x + e: v for x, v in self.terms.items()})
 
     def conj(self) -> "Scalar":
         """Complex conjugation: z to z^(2L-1) componentwise, r fixed."""
@@ -459,6 +515,23 @@ class ComplexRing:
 
     def conj(self, v: complex) -> complex:
         return v.conjugate()
+
+    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k):
+        """ScalarRing.join in floats: products summed in entry order, then
+        one weight r**-k per result entry, and zero sums dropped."""
+        buckets = _buckets(entries2, bound2, rest2)
+        out = {}
+        accumulated = out.get
+        for k1, v1 in entries1.items():
+            head = rest1(k1)
+            for tail, v2 in buckets.get(bound1(k1), ()):
+                key = head + tail
+                prev = accumulated(key)
+                out[key] = v1 * v2 if prev is None else prev + v1 * v2
+        if k:
+            weight = self.radical(-k)
+            out = {key: weight * v for key, v in out.items()}
+        return {key: v for key, v in out.items() if v}
 
     def render(self, v: complex) -> str:
         """format(v, ".12g"), with a part of at most 1e-12 |v| shown as 0.

@@ -104,7 +104,8 @@ def plan(labels, order: str = "greedy"):
     Operands 0..n-1 are the inputs.  Step k binds slots s1 of operand
     ``left`` to slots s2 of operand ``right``, every label the two share,
     into operand n + k with ``arity`` slots.  "greedy" merges the live pair
-    sharing the most labels, ties to the lowest operand numbers; "left"
+    whose result has the fewest slots, a + b - 2 * shared, ties to the pair
+    sharing the most labels, then to the lowest operand numbers; "left"
     folds operands 1, 2, ... into the accumulator.
     """
     ops = [tuple(l) for l in labels]
@@ -122,12 +123,14 @@ def plan(labels, order: str = "greedy"):
     if order == "left":
         functools.reduce(merge, range(1, len(ops)), 0)
     elif order == "greedy":
+        def cost(pair):
+            x, y = pair
+            shared = len(set(ops[x]).intersection(ops[y]))
+            return len(ops[x]) + len(ops[y]) - 2 * shared, -shared, x, y
+
         live = list(range(len(ops)))
         while len(live) > 1:
-            _, x, y = min(
-                (-len(set(ops[x]).intersection(ops[y])), x, y)
-                for x, y in itertools.combinations(live, 2)
-            )
+            x, y = min(itertools.combinations(live, 2), key=cost)
             live = [z for z in live if z not in (x, y)] + [merge(x, y)]
     else:
         raise ValueError(f"unknown contraction order {order!r}")

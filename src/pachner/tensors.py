@@ -14,7 +14,13 @@ kernel table) and every step of a state sum are calls to it.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
-share every code path.
+share every code path.  ``contract`` checks slots and variances and picks
+the key parts; the ring's ``join`` runs the hash join itself, so the
+exact ring can fold the weight into one operand and canonicalise each
+result entry once, while the float ring keeps its summation order.
+Results of ``contract``, ``permute``, ``conj`` and ``pin`` are built
+without the constructor's per-entry checks, which they pass by
+construction.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
 used by the bialgebra-style constructions).  A BasisDomain has group
@@ -116,11 +122,11 @@ class GroupTensor:
             raise ValueError(f"{perm} is not a permutation of {self.arity} slots")
         pick = _picker(perm)
         entries = {pick(key): val for key, val in self.entries.items()}
-        return GroupTensor(self.domain, pick(self.variances), entries, self.ring)
+        return _built(self.domain, pick(self.variances), entries, self.ring)
 
     def conj(self) -> "GroupTensor":
         """Entrywise conjugate with all slot variances flipped."""
-        return GroupTensor(
+        return _built(
             self.domain,
             tuple(v.flip() for v in self.variances),
             {k: self.ring.conj(v) for k, v in self.entries.items()},
@@ -134,7 +140,7 @@ class GroupTensor:
             if key[slot] == value:
                 entries[key[:slot] + key[slot + 1 :]] = val
         variances = self.variances[:slot] + self.variances[slot + 1 :]
-        return GroupTensor(self.domain, variances, entries, self.ring)
+        return _built(self.domain, variances, entries, self.ring)
 
     def to_float(self) -> "GroupTensor":
         if isinstance(self.ring, ComplexRing):
@@ -153,6 +159,15 @@ class GroupTensor:
             shown = self.ring.render(self.entries[key])
             lines.append(",".join(_format_elem(e) for e in key) + " -> " + shown)
         return "\n".join(lines)
+
+
+def _built(domain, variances, entries, ring) -> GroupTensor:
+    """A tensor from entries that already fit: keys of len(variances)
+    slots and no zero values.  Results of contract, permute, conj and pin
+    are right by construction, so they skip the constructor's checks."""
+    t = GroupTensor.__new__(GroupTensor)
+    t.domain, t.variances, t.entries, t.ring = domain, variances, entries, ring
+    return t
 
 
 def _check_same_backend(t1: GroupTensor, t2: GroupTensor):
@@ -181,7 +196,9 @@ def contract(t1: GroupTensor, s1, t2: GroupTensor, s2) -> GroupTensor:
     s1 and s2 are equally long slot sequences; a bare int is one slot.
     Each bound pair needs opposite variances and contributes one measure
     weight, so k pairs carry r**-k and no pairs give the outer product.
-    Result slots: t1's free slots in order, then t2's.
+    Result slots: t1's free slots in order, then t2's.  The join runs in
+    the tensors' ring (``ScalarRing.join`` or ``ComplexRing.join``) and
+    drops entries that sum to zero.
     """
     _check_same_backend(t1, t2)
     s1 = (s1,) if isinstance(s1, int) else tuple(s1)
@@ -196,24 +213,12 @@ def contract(t1: GroupTensor, s1, t2: GroupTensor, s2) -> GroupTensor:
             )
     free1 = tuple(p for p in range(t1.arity) if p not in s1)
     free2 = tuple(p for p in range(t2.arity) if p not in s2)
-    bound1, rest1 = _picker(s1), _picker(free1)
-    bound2, rest2 = _picker(s2), _picker(free2)
-    buckets = {}
-    for k2, v2 in t2.entries.items():
-        buckets.setdefault(bound2(k2), []).append((rest2(k2), v2))
-    out = {}
-    accumulated = out.get
-    for k1, v1 in t1.entries.items():
-        head = rest1(k1)
-        for tail, v2 in buckets.get(bound1(k1), ()):
-            key = head + tail
-            prev = accumulated(key)
-            out[key] = v1 * v2 if prev is None else prev + v1 * v2
-    if s1:
-        weight = t1.ring.radical(-len(s1))
-        out = {k: weight * v for k, v in out.items()}
+    rest1, rest2 = _picker(free1), _picker(free2)
+    entries = t1.ring.join(
+        t1.entries, _picker(s1), rest1, t2.entries, _picker(s2), rest2, len(s1)
+    )
     variances = rest1(t1.variances) + rest2(t2.variances)
-    return GroupTensor(t1.domain, variances, out, t1.ring)
+    return _built(t1.domain, variances, entries, t1.ring)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """State-sum evaluation and move invariance on 4-dimensional complexes."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from pachner.tensors import DOWN, UP, contract, tensor_equal
 from pachner.verify import p33_sides
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+PERFBENCH_DATA = DATA.parent / "perfbench" / "data"
 
 
 def direct_boundary_sum(a):
@@ -270,14 +272,14 @@ def test_arity_guard_trips_on_disjoint_union(monkeypatch):
 
 
 def test_arity_guard_counts_the_materialised_arity(monkeypatch):
-    # On the sphere, greedy merges an operand of 8 slots with a pentachoron
-    # sharing 2 pairings: 9 slots materialised, 11 if bound one at a time.
+    # On the sphere, greedy merges two operands of 8 slots sharing 4
+    # pairings: 8 slots materialised, 14 if bound one at a time.
     a = build_assignment(simplex_boundary(5), parse_solution("bichar:Z3"), "exact")
     expected = partition_value(a)
-    monkeypatch.setattr(statesum, "ARITY_GUARD", 10)
-    assert compare(partition_value(a), expected) is Comparison.EQUAL
     monkeypatch.setattr(statesum, "ARITY_GUARD", 8)
-    with pytest.raises(RuntimeError, match="9 slots"):
+    assert compare(partition_value(a), expected) is Comparison.EQUAL
+    monkeypatch.setattr(statesum, "ARITY_GUARD", 7)
+    with pytest.raises(RuntimeError, match="8 slots"):
         partition(a)
 
 
@@ -297,15 +299,15 @@ def plan_of(t, order):
 
 
 def test_greedy_plan_is_the_recorded_merge_list():
-    # (left, right, s1, s2, arity) per merge, as the merge loop before the
-    # plan/execute split chose them; operand n + k is merge k's result
+    # (left, right, s1, s2, arity) per merge, as the smallest-result key
+    # chooses them; operand n + k is merge k's result
     recorded = {
         0: [
             (0, 1, (0,), (0,), 8),
-            (2, 6, (0, 1), (0, 4), 9),
-            (3, 7, (2, 0, 1), (0, 3, 6), 8),
-            (4, 8, (3, 2, 0, 1), (0, 2, 4, 6), 5),
-            (5, 9, (4, 3, 2, 0, 1), (0, 1, 2, 3, 4), 0),
+            (2, 3, (2,), (2,), 8),
+            (6, 7, (0, 4, 1, 5), (0, 1, 4, 5), 8),
+            (4, 8, (0, 1, 2, 3), (0, 2, 4, 6), 5),
+            (5, 9, (4, 0, 1, 2, 3), (0, 1, 2, 3, 4), 0),
         ],
         3: [
             (0, 4, (0, 2), (0, 2), 6),
@@ -324,6 +326,40 @@ def test_greedy_plan_is_the_recorded_merge_list():
     for k, merges in recorded.items():
         steps = plan_of(grown_sphere(k), "greedy")
         assert [(s.left, s.right, s.s1, s.s2, s.arity) for s in steps] == merges
+
+
+def most_shared_peak(labels):
+    """Peak arity when greedy merges the live pair sharing the most labels,
+    ties to the lowest operand numbers: the reference the smallest-result
+    key must never exceed."""
+    ops = [tuple(l) for l in labels]
+    live, peak = list(range(len(ops))), 0
+    while len(live) > 1:
+        _, x, y = min(
+            (-len(set(ops[x]).intersection(ops[y])), x, y)
+            for x, y in itertools.combinations(live, 2)
+        )
+        shared = set(ops[x]).intersection(ops[y])
+        ops.append(tuple(l for l in ops[x] + ops[y] if l not in shared))
+        peak = max(peak, len(ops[-1]))
+        live = [z for z in live if z not in (x, y)] + [len(ops) - 1]
+    return peak
+
+
+def test_greedy_peak_is_never_above_the_most_shared_key():
+    paths = sorted(DATA.glob("*.tri")) + sorted(PERFBENCH_DATA.glob("*.tri"))
+    peaks = {}
+    for path in paths:
+        labels = slot_labels(
+            build_assignment(Triangulation.load(path), parse_solution("bichar:Z2"), "exact")
+        )
+        new = max((step.arity for step in plan(labels)[0]), default=0)
+        peaks[path.stem] = (most_shared_peak(labels), new)
+        assert new <= peaks[path.stem][0], path.name
+    assert len(peaks) == 16
+    assert peaks["boundary_delta5"] == (9, 8)
+    assert peaks["grown_sphere_k06"] == (11, 9)
+    assert peaks["grown_sphere_k12"] == (13, 12)
 
 
 def test_left_plan_folds_pentachora_in_entry_order():

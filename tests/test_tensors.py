@@ -22,6 +22,7 @@ from pachner.tensors import (
 
 Z2 = FinAbGroup([2])
 Z3 = FinAbGroup([3])
+Z4 = FinAbGroup([4])
 
 
 def dense(t):
@@ -140,21 +141,127 @@ def test_contract_matches_a_nested_loop_sum():
     # one and two bound pairs against a sum over both entry dicts, times r**-k
     a = random_tensor(Z3, (UP, DOWN, DOWN), seed=12)
     b = random_tensor(Z3, (UP, UP, DOWN), seed=13)
-    ring = Z3.ring
     cases = [((1,), (0,), (UP, DOWN, UP, DOWN)), ((1, 2), (0, 1), (UP, DOWN))]
     for s1, s2, variances in cases:
-        expected = {}
-        for k1, v1 in a.entries.items():
-            for k2, v2 in b.entries.items():
-                if all(k1[i] == k2[j] for i, j in zip(s1, s2)):
-                    key = tuple(x for p, x in enumerate(k1) if p not in s1)
-                    key += tuple(x for p, x in enumerate(k2) if p not in s2)
-                    expected[key] = expected.get(key, ring.zero) + v1 * v2
-        weight = ring.radical(-len(s1))
-        oracle = GroupTensor(Z3, variances, {k: weight * v for k, v in expected.items()})
         got = contract(a, s1, b, s2)
         assert got.variances == variances
-        assert tensor_equal(got, oracle).verdict is Comparison.EQUAL
+        assert got.entries == nested_loop_contract(a, s1, b, s2)
+
+
+def nested_loop_contract(a, s1, b, s2):
+    """Entries of contract(a, s1, b, s2): a sum over both entry dicts, one
+    ring add per product, times r**-k, with zero sums dropped."""
+    ring = a.ring
+    expected = {}
+    for k1, v1 in a.entries.items():
+        for k2, v2 in b.entries.items():
+            if all(k1[i] == k2[j] for i, j in zip(s1, s2)):
+                key = tuple(x for p, x in enumerate(k1) if p not in s1)
+                key += tuple(x for p, x in enumerate(k2) if p not in s2)
+                expected[key] = expected.get(key, ring.zero) + v1 * v2
+    weight = ring.radical(-len(s1))
+    return {k: weight * v for k, v in expected.items() if v}
+
+
+def hash_join_loop(a, s1, b, s2):
+    """The float-order reference: a hash join over b's bound keys,
+    products summed in a's entry order, then one weight per result entry
+    and zero sums dropped.  A float contract must give these bytes."""
+    free1 = [p for p in range(a.arity) if p not in s1]
+    free2 = [p for p in range(b.arity) if p not in s2]
+    buckets = {}
+    for k2, v2 in b.entries.items():
+        buckets.setdefault(tuple(k2[p] for p in s2), []).append(
+            (tuple(k2[p] for p in free2), v2)
+        )
+    out = {}
+    for k1, v1 in a.entries.items():
+        head = tuple(k1[p] for p in free1)
+        for tail, v2 in buckets.get(tuple(k1[p] for p in s1), ()):
+            key = head + tail
+            prev = out.get(key)
+            out[key] = v1 * v2 if prev is None else prev + v1 * v2
+    if s1:
+        weight = a.ring.radical(-len(s1))
+        out = {k: weight * v for k, v in out.items()}
+    return {k: v for k, v in out.items() if v}
+
+
+@st.composite
+def joinable_pairs(draw):
+    """Two sparse exact tensors and 0-3 slot pairs binding them.
+
+    Keys draw their elements from two domain elements, so bound keys
+    collide often.  Every entry is +-1 times one of two base values;
+    a base value is +-1 or +-2 times a root of unity times r**-1, r**0 or
+    r**1, plus, half the time, a part of the other radical parity.  So
+    products meet both parities and colliding sums often cancel to zero.
+    """
+    domain = draw(st.sampled_from(JOIN_DOMAINS))
+    ring = domain.ring
+    elems = st.sampled_from(list(domain.elements()))
+    support = draw(st.lists(elems, min_size=2, max_size=2, unique=True))
+    k = draw(st.integers(0, 3))
+    arity1, arity2 = k + draw(st.integers(0, 2)), k + draw(st.integers(0, 2))
+    s1 = tuple(draw(st.permutations(range(arity1)))[:k])
+    s2 = tuple(draw(st.permutations(range(arity2)))[:k])
+    var1 = [draw(st.sampled_from([UP, DOWN])) for _ in range(arity1)]
+    var2 = [draw(st.sampled_from([UP, DOWN])) for _ in range(arity2)]
+    for i, j in zip(s1, s2):
+        var2[j] = var1[i].flip()
+
+    def base():
+        v = ring.integer(draw(st.sampled_from([-2, -1, 1, 2])))
+        v = v * ring.root(draw(st.integers(0, ring.root_order - 1)))
+        e = draw(st.integers(-1, 1))
+        v = v * ring.radical(e)
+        if draw(st.booleans()):
+            v = v + ring.integer(draw(st.sampled_from([-1, 1]))) * ring.radical(e + 1)
+        return v
+
+    bases = [base(), base()]
+
+    def tensor(arity, variances):
+        key = st.tuples(*[st.sampled_from(support)] * arity)
+        keys = draw(st.lists(key, min_size=1, max_size=10, unique=True))
+        sign, base_value = st.sampled_from([ring.one, -ring.one]), st.sampled_from(bases)
+        return GroupTensor(
+            domain, variances, {key: draw(sign) * draw(base_value) for key in keys}
+        )
+
+    return tensor(arity1, var1), s1, tensor(arity2, var2), s2
+
+
+JOIN_DOMAINS = [Z2, Z3, Z4, FinAbGroup([6]), FinAbGroup([2, 2]), BasisDomain(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=joinable_pairs())
+def test_contract_matches_both_reference_loops(pair):
+    a, s1, b, s2 = pair
+    exact = contract(a, s1, b, s2)
+    assert exact.entries == nested_loop_contract(a, s1, b, s2)
+    fa, fb = a.to_float(), b.to_float()
+    floats = contract(fa, s1, fb, s2)
+    assert floats.entries == hash_join_loop(fa, s1, fb, s2)
+    assert floats.variances == exact.variances
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_contract_drops_sums_that_cancel(exact):
+    # over Z4, where r = 2 is exact in floats too: at (0, 0) the products 1
+    # and -1 cancel, at (1, 1) the products r * r and -4 cancel across the
+    # radical parities, and (0, 1), (1, 0) keep sums of both parities
+    ring = Z4.ring
+    one, r, four = ring.one, ring.radical(), ring.integer(4)
+    x0, x1 = (0,), (1,)
+    a = GroupTensor(Z4, (UP, DOWN), {(x0, x0): one, (x0, x1): -one, (x1, x0): r, (x1, x1): -four})
+    b = GroupTensor(Z4, (UP, UP), {(x0, x0): one, (x1, x0): one, (x0, x1): r, (x1, x1): one})
+    c = ring.radical(-1)
+    want = GroupTensor(Z4, (UP, UP), {(x0, x1): c * (r - one), (x1, x0): c * (r - four)})
+    if not exact:
+        a, b, want = a.to_float(), b.to_float(), want.to_float()
+    assert contract(a, 1, b, 0).entries == want.entries
 
 
 @pytest.mark.parametrize("exact", [True, False])
