@@ -20,9 +20,14 @@ r**k to r**(k+e) with its coefficients untouched.  The normal form asks
 only that each parity keep one term whose coefficients are not all
 divisible by N, a condition independent of the exponent, so the shifted
 scalar is already canonical and skips the cyclotomic product.  Measure
-weights r**-k (which ``ScalarRing.join`` applies once per entry of the
-smaller operand of a contraction), identity-wire entries r and sigma
-entries r**2 all take this path.
+weights r**-k (which ``ScalarRing.join`` applies once per distinct value
+of the smaller operand of a contraction), identity-wire entries r and
+sigma entries r**2 all take this path.
+
+A tensor of the finite abelian model holds many entries but few distinct
+values (character values times powers of r), so ``ScalarRing.join``
+computes each product once per distinct pair of operand values, and each
+sum of colliding products once per distinct multiset of such pairs.
 
 ``ComplexRing`` is the float cross-check backend: complex numbers with
 r = sqrt(N) behind the same interface, compared at a relative tolerance.
@@ -52,6 +57,28 @@ def _buckets(entries, bound, rest):
     for key, val in entries.items():
         buckets.setdefault(bound(key), []).append((rest(key), val))
     return buckets
+
+
+def _classes(entries):
+    """Class ids of an operand's entries, one per distinct value, and one
+    representative per class.
+
+    An entry dict keeps its values alive, so ``id`` finds a repeated object
+    at once; other values key on their terms in item order, so the values
+    of one class are equal down to that order.
+    """
+    by_id, by_terms, reps, classes = {}, {}, [], {}
+    for key, v in entries.items():
+        c = by_id.get(id(v))
+        if c is None:
+            terms = tuple(v.terms.items())
+            c = by_terms.get(terms)
+            if c is None:
+                c = by_terms[terms] = len(reps)
+                reps.append(v)
+            by_id[id(v)] = c
+        classes[key] = c
+    return classes, reps
 
 
 def _poly_divmod(num, den):
@@ -228,42 +255,64 @@ class ScalarRing:
         """Sum v1 * v2 * r**-k per key rest1(k1) + rest2(k2) over all entry
         pairs with bound1(k1) == bound2(k2); zero sums are dropped.
 
-        The weight is one exponent shift, applied once to each entry of the
-        operand with fewer entries (r**-k is a single term with the unit
-        vector; for N = 1 its exponent is 0).  A key met by one product
-        keeps that product; the products colliding on a key are summed as
-        raw coefficient vectors and canonicalised once.  Both are ring
-        identities and the normal form is unique, so every value equals
-        the entry-by-entry sum.
+        Each operand's entries fall into value classes, one per distinct
+        value (see ``_classes``).  The weight is one exponent shift (r**-k
+        is a single term with the unit vector; for N = 1 its exponent is
+        0), applied to each distinct value of the operand with fewer
+        entries.  The hash join collects class pairs per key; each distinct
+        pair is multiplied once, a key met by one pair keeps that product,
+        and the products colliding on a key are summed as raw coefficient
+        vectors and canonicalised once per distinct multiset of pairs.
+        Integer sums are order-free, the normal form is unique and
+        ``_canonical`` orders its output by parity, so every value, down to
+        the order of its terms, equals the entry-by-entry sum.  Equal
+        entries may share one Scalar.
         """
+        classes1, reps1 = _classes(entries1)
+        classes2, reps2 = _classes(entries2)
         (shift,) = self.radical(-k).terms
         if shift and len(entries1) <= len(entries2):
-            entries1 = {key: v._shift(shift) for key, v in entries1.items()}
+            reps1 = [v._shift(shift) for v in reps1]
         elif shift:
-            entries2 = {key: v._shift(shift) for key, v in entries2.items()}
-        buckets = _buckets(entries2, bound2, rest2)
+            reps2 = [v._shift(shift) for v in reps2]
+        # a class pair (c1, c2) is the slot c1 * n2 + c2
+        n2 = len(reps2)
+        buckets = _buckets(classes2, bound2, rest2)
         out = {}
         accumulated = out.get
-        for k1, v1 in entries1.items():
+        for k1, c1 in classes1.items():
             head = rest1(k1)
-            for tail, v2 in buckets.get(bound1(k1), ()):
+            base = c1 * n2
+            for tail, c2 in buckets.get(bound1(k1), ()):
                 key = head + tail
                 prev = accumulated(key)
                 if prev is None:
-                    out[key] = v1 * v2
+                    out[key] = base + c2
                 elif prev.__class__ is list:
-                    prev.append(v1 * v2)
+                    prev.append(base + c2)
                 else:
-                    out[key] = [prev, v1 * v2]
-        joined = {}
-        for key, val in out.items():
-            if val.__class__ is list:
-                merged = {}
-                for part in val:
-                    for e, vec in part.terms.items():
-                        acc = merged.get(e)
-                        merged[e] = vec if acc is None else tuple(map(add, acc, vec))
-                val = Scalar(self, self._canonical(merged))
+                    out[key] = [prev, base + c2]
+        products, sums, joined = {}, {}, {}
+
+        def product(pair):
+            val = products.get(pair)
+            if val is None:
+                val = products[pair] = reps1[pair // n2] * reps2[pair % n2]
+            return val
+
+        for key, slot in out.items():
+            if slot.__class__ is list:
+                multiset = tuple(sorted(slot))
+                val = sums.get(multiset)
+                if val is None:
+                    merged = {}
+                    for part in map(product, multiset):
+                        for e, vec in part.terms.items():
+                            acc = merged.get(e)
+                            merged[e] = vec if acc is None else tuple(map(add, acc, vec))
+                    val = sums[multiset] = Scalar(self, self._canonical(merged))
+            else:
+                val = product(slot)
             if val.terms:
                 joined[key] = val
         return joined

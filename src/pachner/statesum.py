@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -123,15 +124,26 @@ def plan(labels, order: str = "greedy"):
     if order == "left":
         functools.reduce(merge, range(1, len(ops)), 0)
     elif order == "greedy":
-        def cost(pair):
-            x, y = pair
-            shared = len(set(ops[x]).intersection(ops[y]))
+        # a pair's key never changes while both operands live, so the keys
+        # wait in a heap and each merge adds only the pairs with its result
+        label_sets = [set(l) for l in ops]
+
+        def cost(x, y):
+            shared = len(label_sets[x].intersection(label_sets[y]))
             return len(ops[x]) + len(ops[y]) - 2 * shared, -shared, x, y
 
-        live = list(range(len(ops)))
+        heap = [cost(x, y) for x, y in itertools.combinations(range(len(ops)), 2)]
+        heapq.heapify(heap)
+        live = set(range(len(ops)))
         while len(live) > 1:
-            x, y = min(itertools.combinations(live, 2), key=cost)
-            live = [z for z in live if z not in (x, y)] + [merge(x, y)]
+            *_, x, y = heapq.heappop(heap)
+            if x in live and y in live:
+                live -= {x, y}
+                z = merge(x, y)
+                label_sets.append(set(ops[z]))
+                for w in live:
+                    heapq.heappush(heap, cost(w, z))
+                live.add(z)
     else:
         raise ValueError(f"unknown contraction order {order!r}")
     return steps, ops[-1]

@@ -16,8 +16,9 @@ Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
 share every code path.  ``contract`` checks slots and variances and picks
 the key parts; the ring's ``join`` runs the hash join itself, so the
-exact ring can fold the weight into one operand and canonicalise each
-result entry once, while the float ring keeps its summation order.
+exact ring can fold the weight into the distinct values of one operand
+and compute each product once per distinct pair of values, while the
+float ring keeps its summation order.
 Results of ``contract``, ``permute``, ``conj`` and ``pin`` are built
 without the constructor's per-entry checks, which they pass by
 construction.

@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pachner.cli import main
 from pachner.simplicial import pachner_sides, simplex_boundary
@@ -446,3 +448,86 @@ def test_selftest_unknown_mutation(capsys, monkeypatch):
     code, _, err = run(capsys, ["selftest", "--only", "interval-solution"])
     assert code == 64
     assert "unknown mutation" in err
+
+
+SEED_TRIS = [
+    (REPO / "data" / name).read_text()
+    for name in ("boundary_delta5.tri", "ball_before.tri", "double_pentachoron.tri")
+] + [
+    "dim 4\npent 0 1 2 3 4 +\npent 0 1 2 3 4 -\n"
+    + "".join(f"glue 0 {i} 1 {i}\n" for i in range(5)),
+    "\n".join(simplex_boundary(3).to_lines()) + "\n",
+]
+FUZZ_WORDS = ["0", "1", "2", "-1", "4", "5", "9", "10**6", "1000000", "+", "-", "x", "dim", "pent", "glue", "#"]
+FUZZ_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "triple:groupalg:Z2"] * 2 + ["set", "bichar:Z0", "nope"]
+FUZZ_TYPES = ["3,3", "2,4", "4,2", "1,5", "5,1"] * 2 + ["2,2", "1,3", "0,6", "3", "a,b"]
+
+
+@st.composite
+def tri_texts(draw):
+    """A shipped-style .tri text with up to three random edits: a line
+    dropped, duplicated or swapped, a word replaced, or a junk line."""
+    lines = draw(st.sampled_from(SEED_TRIS)).splitlines()
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        edit = draw(st.sampled_from(["drop", "dup", "swap", "word", "junk"]))
+        i, j = (draw(st.integers(0, max(len(lines) - 1, 0))) for _ in range(2))
+        if edit == "junk" or not lines:
+            lines.insert(i, draw(st.text(alphabet="dimpentglus 0123-+#\t", max_size=16)))
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "dup":
+            lines.insert(j, lines[i])
+        elif edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            words = lines[i].split() or [""]
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(FUZZ_WORDS))
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzz_argv(draw, tri, out):
+    """argv for statesum, moves walk or moves apply on a small file, with
+    option values both valid and not."""
+    if draw(st.integers(0, 9)) == 0:
+        tri = draw(st.sampled_from([tri + ".missing", str(Path(tri).parent)]))
+    verb = draw(st.sampled_from(["statesum", "walk", "apply"]))
+    if verb == "statesum":
+        argv = ["statesum", "--tri", tri, "--solution", draw(st.sampled_from(FUZZ_SOLUTIONS))]
+        argv += draw(st.sampled_from([[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"]]))
+        argv += draw(st.sampled_from([[], [], ["--order", "left"], ["--order", "up"], ["--dump"]]))
+    elif verb == "walk":
+        argv = ["moves", "walk", "--tri", tri, "--type", draw(st.sampled_from(FUZZ_TYPES))]
+        argv += ["--count", str(draw(st.integers(-1, 3))), "--seed", str(draw(st.integers(0, 9)))]
+        if draw(st.booleans()):
+            argv += ["--solution", draw(st.sampled_from(FUZZ_SOLUTIONS))]
+    else:
+        argv = ["moves", "apply", "--tri", tri, "--type", draw(st.sampled_from(FUZZ_TYPES))]
+        argv += ["--site", str(draw(st.integers(-2, 40)))]
+        if draw(st.booleans()):
+            argv += ["--out", out]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "--tri", "-h"])))
+    return argv
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_cli_fuzz_ends_in_a_known_exit_with_at_most_one_error_line(capsys, tmp_path, data):
+    tri = tmp_path / "fuzz.tri"
+    tri.write_text(data.draw(tri_texts(), label="tri"))
+    argv = data.draw(fuzz_argv(str(tri), str(tmp_path / "out.tri")), label="argv")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's -h prints help and exits 0
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 64, 70)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (1 if code in (64, 70) else 0)
+    assert "Traceback" not in out + err

@@ -1,4 +1,5 @@
 import itertools
+from operator import add
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pachner.groups import FinAbGroup
-from pachner.scalars import Comparison, ComplexRing, approx_equal
+from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, approx_equal, compare
 from pachner.tensors import (
     DOWN,
     UP,
@@ -245,6 +246,193 @@ def test_contract_matches_both_reference_loops(pair):
     floats = contract(fa, s1, fb, s2)
     assert floats.entries == hash_join_loop(fa, s1, fb, s2)
     assert floats.variances == exact.variances
+
+
+def per_entry_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, k):
+    """The exact join before value classes: the weight shifted onto every
+    entry of the smaller operand, one product per matched entry pair, a
+    lone product kept as it is, and the products colliding on a key summed
+    as raw vectors and canonicalised once per key."""
+    (shift,) = ring.radical(-k).terms
+    if shift and len(entries1) <= len(entries2):
+        entries1 = {key: v._shift(shift) for key, v in entries1.items()}
+    elif shift:
+        entries2 = {key: v._shift(shift) for key, v in entries2.items()}
+    buckets = {}
+    for key, v2 in entries2.items():
+        buckets.setdefault(bound2(key), []).append((rest2(key), v2))
+    out = {}
+    for k1, v1 in entries1.items():
+        for tail, v2 in buckets.get(bound1(k1), ()):
+            out.setdefault(rest1(k1) + tail, []).append(v1 * v2)
+    joined = {}
+    for key, parts in out.items():
+        val = parts[0]
+        if len(parts) > 1:
+            merged = {}
+            for part in parts:
+                for e, vec in part.terms.items():
+                    acc = merged.get(e)
+                    merged[e] = vec if acc is None else tuple(map(add, acc, vec))
+            val = Scalar(ring, ring._canonical(merged))
+        if val.terms:
+            joined[key] = val
+    return joined
+
+
+def picker(slots):
+    return lambda key: tuple(key[p] for p in slots)
+
+
+@st.composite
+def repeating_operands(draw):
+    """Two exact entry dicts, bound and rest pickers and k = 0-3 pairs.
+
+    Entries are +-1 times one of two base values: a bare radical power
+    (whose products are exponent shifts that keep the other factor's term
+    order), or a value as in joinable_pairs.  So each operand repeats a
+    few values, in one of three ways: the same object, an equal object
+    built anew, or an equal value whose terms dict lists its exponents in
+    reverse order.
+    """
+    domain = draw(st.sampled_from(JOIN_DOMAINS))
+    ring = domain.ring
+    elems = st.sampled_from(list(domain.elements()))
+    support = draw(st.lists(elems, min_size=2, max_size=2, unique=True))
+    k = draw(st.integers(0, 3))
+    arity1, arity2 = k + draw(st.integers(0, 2)), k + draw(st.integers(0, 2))
+    s1 = draw(st.permutations(range(arity1)))[:k]
+    s2 = draw(st.permutations(range(arity2)))[:k]
+
+    def base():
+        e = draw(st.integers(-1, 1))
+        if draw(st.integers(0, 2)) == 0:
+            return ring.radical(e)
+        v = ring.integer(draw(st.sampled_from([-2, -1, 1, 2])))
+        v = v * ring.root(draw(st.integers(0, ring.root_order - 1))) * ring.radical(e)
+        if draw(st.booleans()):
+            v = v + ring.integer(draw(st.sampled_from([-1, 1]))) * ring.radical(e + 1)
+        return v
+
+    bases = [base(), base()]
+    signs = [ring.one, -ring.one]
+    shared = {}
+
+    def value():
+        i, sign = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        how = draw(st.sampled_from(["shared", "rebuilt", "reordered"]))
+        if how == "shared":
+            return shared.setdefault((i, sign), signs[sign] * bases[i])
+        v = signs[sign] * bases[i]
+        if how == "reordered":
+            v = Scalar(ring, dict(reversed(v.terms.items())))
+        return v
+
+    def entries(arity):
+        key = st.tuples(*[st.sampled_from(support)] * arity)
+        return {key: value() for key in draw(st.lists(key, min_size=1, max_size=10, unique=True))}
+
+    free1 = [p for p in range(arity1) if p not in s1]
+    free2 = [p for p in range(arity2) if p not in s2]
+    return ring, (
+        entries(arity1), picker(s1), picker(free1),
+        entries(arity2), picker(s2), picker(free2), k,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=repeating_operands())
+def test_exact_join_equals_the_per_entry_join(case):
+    ring, args = case
+    got = ring.join(*args)
+    want = per_entry_join(ring, *args)
+    assert list(got) == list(want)
+    assert [list(v.terms.items()) for v in got.values()] == [
+        list(v.terms.items()) for v in want.values()
+    ]
+
+
+def test_exact_join_keeps_each_entrys_term_order():
+    # one value in both term orders, times a bare radical power: each
+    # product is an exponent shift, which keeps that entry's own order
+    ring = Z2.ring
+    v = ring.one + ring.radical(1)
+    flipped = Scalar(ring, dict(reversed(v.terms.items())))
+    args = ({(0,): v, (1,): flipped}, picker(()), picker((0,)),
+            {(0,): ring.radical(1)}, picker(()), picker((0,)), 0)
+    got = [list(w.terms.items()) for w in ring.join(*args).values()]
+    assert got == [[(1, v.terms[0]), (2, v.terms[1])], [(2, v.terms[1]), (1, v.terms[0])]]
+    assert got == [list(w.terms.items()) for w in per_entry_join(ring, *args).values()]
+
+
+def test_exact_join_multiplies_each_value_pair_once(monkeypatch):
+    # over Z3, a and b (9 entries each) bind one slot: each of the 9 keys
+    # sums 3 products, 27 matched pairs in all, but a holds 3 distinct
+    # values (in 6 objects) and b holds 2, so 6 distinct value pairs, and
+    # the 9 sums are 4 distinct multisets of them
+    ring = Z3.ring
+    x, y = ring.root(1) + ring.radical(1), ring.integer(2) * ring.root(2)
+    values1 = [x, y, x + y, x, ring.root(1) + ring.radical(1), y]
+    values2 = [ring.radical(-1) * y, x]
+    keys = list(itertools.product(Z3.elements(), repeat=2))
+    entries1 = {key: values1[i % 6] for i, key in enumerate(keys)}
+    entries2 = {key: values2[i % 2] for i, key in enumerate(keys)}
+    classes1 = {key: values1.index(v) for key, v in entries1.items()}
+    classes2 = {key: values2.index(v) for key, v in entries2.items()}
+    d1, d2 = len(set(classes1.values())), len(set(classes2.values()))
+    bound1, rest1, bound2, rest2 = picker((1,)), picker((0,)), picker((0,)), picker((1,))
+    pairs = {}
+    for k1, k2 in itertools.product(keys, keys):
+        if bound1(k1) == bound2(k2):
+            pairs.setdefault(rest1(k1) + rest2(k2), []).append((classes1[k1], classes2[k2]))
+    multisets = {tuple(sorted(p)) for p in pairs.values() if len(p) > 1}
+    assert (d1, d2, sum(map(len, pairs.values())), len(multisets)) == (3, 2, 27, 4)
+
+    calls = {"mul": 0, "canonical": 0}
+    inside_mul = []
+    mul, canonical = Scalar.__mul__, ScalarRing._canonical
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        inside_mul.append(True)
+        try:
+            return mul(self, other)
+        finally:
+            inside_mul.pop()
+
+    def counted_canonical(self, terms):
+        calls["canonical"] += not inside_mul
+        return canonical(self, terms)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted_mul)
+    monkeypatch.setattr(ScalarRing, "_canonical", counted_canonical)
+    ring.radical(-1)
+    weight_calls = calls["canonical"]
+    calls["canonical"] = 0
+    joined = ring.join(entries1, bound1, rest1, entries2, bound2, rest2, 1)
+    assert calls["mul"] <= d1 * d2
+    assert calls["canonical"] - weight_calls <= len(multisets)
+    monkeypatch.undo()
+    assert joined == per_entry_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, 1)
+
+
+def test_shared_entries_survive_scalar_ops():
+    # an outer product of a tensor with one entry: every result entry with
+    # the same left factor is one shared Scalar object
+    ring = Z3.ring
+    v = ring.root(1) + ring.radical(1)
+    a = GroupTensor(Z3, (UP,), {(e,): v for e in Z3.elements()})
+    b = GroupTensor(Z3, (DOWN,), {((0,),): ring.one + ring.radical(1)})
+    joined = contract(a, (), b, ())
+    values = list(joined.entries.values())
+    assert len(values) == 3 and all(w is values[0] for w in values)
+    before = {key: list(w.terms.items()) for key, w in joined.entries.items()}
+    w = values[0]
+    results = [w + w, w * w, w * ring.root(2), w.conj(), w._shift(2), w - v]
+    assert compare(w, results[0]) is Comparison.UNEQUAL
+    assert compare(w, w._shift(2)._shift(-2)) is Comparison.EQUAL
+    assert {key: list(w.terms.items()) for key, w in joined.entries.items()} == before
+    assert all(r is not w and r.terms is not w.terms for r in results)
 
 
 @pytest.mark.parametrize("exact", [True, False])
