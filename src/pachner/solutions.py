@@ -200,29 +200,29 @@ def check_compatibility(t: TripleSpec) -> CompatReport:
     """
     dom = t.domain
     id1 = LinMap.identity(dom, 1)
-    mid = id1.tens(LinMap.sigma(dom)).tens(id1)
+    sig = LinMap.sigma(dom)
     mu, lam, rho = t.mu, t.lam, t.rho
     results = {}
     results["associativity"] = (
         mu.compose(mu.tens(id1)).equal(mu.compose(id1.tens(mu)))
     )
     results["coassociativity_lam"] = (
-        id1.tens(lam).compose(lam).equal(lam.tens(id1).compose(lam))
+        lam.compose(lam, at=1).equal(lam.compose(lam, at=0))
     )
     results["coassociativity_rho"] = (
-        id1.tens(rho).compose(rho).equal(rho.tens(id1).compose(rho))
+        rho.compose(rho, at=1).equal(rho.compose(rho, at=0))
     )
     results["mu_morphism_of_lam"] = (
-        lam.compose(mu).equal(mu.tens(mu).compose(mid).compose(lam.tens(lam)))
+        lam.compose(mu).equal(mu.tens(mu).compose(sig.compose(lam.tens(lam), at=1)))
     )
     results["mu_morphism_of_rho"] = (
-        rho.compose(mu).equal(mu.tens(mu).compose(mid).compose(rho.tens(rho)))
+        rho.compose(mu).equal(mu.tens(mu).compose(sig.compose(rho.tens(rho), at=1)))
     )
     results["lam_morphism_of_rho"] = (
-        rho.tens(rho).compose(lam).equal(mid.compose(lam.tens(lam)).compose(rho))
+        rho.tens(rho).compose(lam).equal(sig.compose(lam.tens(lam).compose(rho), at=1))
     )
     results["rho_morphism_of_lam"] = (
-        lam.tens(lam).compose(rho).equal(mid.compose(rho.tens(rho)).compose(lam))
+        lam.tens(lam).compose(rho).equal(sig.compose(rho.tens(rho).compose(lam), at=1))
     )
     return CompatReport(results)
 
@@ -233,8 +233,7 @@ def q_from_triple(t: TripleSpec, descriptor: str | None = None) -> SolutionSpec:
     if not report.passed:
         raise ValueError(f"incompatible triple: {', '.join(report.failures())} failed")
     dom = t.domain
-    id1 = LinMap.identity(dom, 1)
-    qmap = id1.tens(t.mu).tens(id1).compose(t.lam.tens(t.rho))
+    qmap = t.mu.compose(t.lam.tens(t.rho), at=1)
     q = qmap.tensor.permute([0, 3, 1, 4, 2])
     return SolutionSpec(
         kind="triple",
@@ -247,9 +246,8 @@ def q_from_triple(t: TripleSpec, descriptor: str | None = None) -> SolutionSpec:
 
 def pentagon_map(t: TripleSpec) -> LinMap:
     """The d=3 map S = (id @ mu)(lam @ id) on V @ V."""
-    dom = t.domain
-    id1 = LinMap.identity(dom, 1)
-    return id1.tens(t.mu).compose(t.lam.tens(id1))
+    id1 = LinMap.identity(t.domain, 1)
+    return t.mu.compose(t.lam.tens(id1), at=1)
 
 
 # -- set-theoretic solution ---------------------------------------------------

@@ -13,9 +13,11 @@ Closed complexes contract to a single scalar; complexes with boundary
 leave one slot per boundary tetrahedron, ordered by vertex tuple.
 
 ``plan`` computes the merge steps from slot labels alone; ``partition``
-checks every step against ``ARITY_GUARD`` before any tensor work, then
-makes one ``contract`` call per step.  No pentachoron is glued to itself
-(the facets of one simplex differ), so every bound pair joins two operands.
+checks every step against ``ARITY_GUARD`` (slots) and ``ENTRY_GUARD``
+(|V| ** slots, the most entries the step can hold) before any tensor
+work, then makes one ``contract`` call per step.  No pentachoron is glued
+to itself (the facets of one simplex differ), so every bound pair joins
+two operands.
 
 A tetrahedron whose two sides present the same variance is outside the
 certified scope; ``build_assignment`` reports the face.
@@ -37,6 +39,10 @@ from .tensors import GroupTensor, UP, DOWN, contract
 from .verify import _VERDICTS, Report, _in_backend
 
 ARITY_GUARD = 22
+# A step over a domain of size n may hold up to n**arity entries; no step may
+# exceed a Z2 step at the slot guard.  This admits Z3 up to 13 slots and the
+# 6-element basis of triple:groupalg:S3 up to 8.
+ENTRY_GUARD = 2**ARITY_GUARD
 
 
 def _slot_variance(sign: int, facet: int):
@@ -149,6 +155,23 @@ def plan(labels, order: str = "greedy"):
     return steps, ops[-1]
 
 
+def check_plan(steps, size: int) -> None:
+    """Refuse a plan whose steps would exceed ARITY_GUARD slots, or whose
+    steps over ``size`` states per slot could hold more than ENTRY_GUARD
+    entries (size ** arity), with a RuntimeError."""
+    for step in steps:
+        if step.arity > ARITY_GUARD:
+            raise RuntimeError(
+                f"intermediate tensor would carry {step.arity} slots (guard {ARITY_GUARD})"
+            )
+    for step in steps:
+        if size**step.arity > ENTRY_GUARD:
+            raise RuntimeError(
+                f"intermediate tensor of {step.arity} slots over {size} states may hold "
+                f"{size**step.arity} entries (guard {ENTRY_GUARD})"
+            )
+
+
 def partition(a: StateSumAssignment, order: str = "greedy") -> GroupTensor:
     """Contract all pairings; boundary slots stay, sorted by vertex tuple.
 
@@ -156,11 +179,7 @@ def partition(a: StateSumAssignment, order: str = "greedy") -> GroupTensor:
     results are independent of it.
     """
     steps, free = plan(slot_labels(a), order)
-    for step in steps:
-        if step.arity > ARITY_GUARD:
-            raise RuntimeError(
-                f"intermediate tensor would carry {step.arity} slots (guard {ARITY_GUARD})"
-            )
+    check_plan(steps, a.tensors[0].domain.size)
     ops = dict(enumerate(a.tensors))
     for k, (left, right, s1, s2, _) in enumerate(steps, len(ops)):
         ops[k] = contract(ops.pop(left), s1, ops.pop(right), s2)

@@ -9,8 +9,11 @@ composed with anything is weight neutral (c * r = 1).
 
 ``contract`` is the one join: it binds any number of slot pairs of two
 tensors in a single hash join.  The outer product (no pairs),
-``LinMap.compose`` (all wires), ``apply_kernel`` (one slot against a
-kernel table) and every step of a state sum are calls to it.
+``LinMap.compose`` (a window of wires), ``apply_kernel`` (one slot against
+a kernel table) and every step of a state sum are calls to it.  A map
+composed onto a window of another's outputs leaves the wires beside the
+window untouched, so a word of padded factors id^a (x) F (x) id^b never
+builds its identity wires.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -358,17 +361,34 @@ class LinMap:
         )
         return LinMap(big.permute(perm), a_out + b_out, a_in + b_in)
 
-    def compose(self, other: "LinMap") -> "LinMap":
-        """self after other: bind self's inputs to other's outputs in order."""
-        if self.n_in != other.n_out:
+    def compose(self, other: "LinMap", at: int | None = None) -> "LinMap":
+        """self after other: bind self's inputs to other's outputs in order.
+
+        With ``at=a`` self acts on the window of other's outputs a ..
+        a + self.n_in - 1, as (id^a (x) self (x) id^rest) after other,
+        and its outputs take the window's place.  The identity wires stay
+        implicit: each would contribute r * r**-1 = 1, so the one
+        contraction carries r**-self.n_in.  Without ``at``, self's inputs
+        must match other's outputs exactly.
+        """
+        n_out, n_in, m = self.n_out, self.n_in, other.n_out
+        if at is None:
+            if n_in != m:
+                raise ValueError(f"cannot compose: {n_in} inputs vs {m} outputs")
+            at = 0
+        elif not 0 <= at <= m - n_in:
             raise ValueError(
-                f"cannot compose: {self.n_in} inputs vs {other.n_out} outputs"
+                f"cannot compose {n_in} inputs at wire {at} of {m} outputs"
             )
-        n_out, n_in = self.n_out, self.n_in
         tensor = contract(
-            self.tensor, range(n_out, n_out + n_in), other.tensor, range(n_in)
+            self.tensor, range(n_out, n_out + n_in), other.tensor, range(at, at + n_in)
         )
-        return LinMap(tensor, n_out, other.n_in)
+        if at:
+            # slots: self's outputs, other's outputs around the window, other's inputs
+            tensor = tensor.permute(
+                [*range(n_out, n_out + at), *range(n_out), *range(n_out + at, tensor.arity)]
+            )
+        return LinMap(tensor, n_out + m - n_in, other.n_in)
 
     def equal(self, other: "LinMap", rel: float = 1e-9) -> EqualityReport:
         if (self.n_out, self.n_in) != (other.n_out, other.n_in):

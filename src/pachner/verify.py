@@ -4,6 +4,10 @@ Every identity is checked by building both sides as tensors, factor by
 factor in the printed operator order, and comparing entrywise over the
 union of supports.  Nothing is simplified by hand: the checkers are
 transcriptions, so a transcription bug cannot cancel against itself.
+The (3,3) and pentagon sides list their printed factors in printed order,
+each with the wire offset where it acts, and apply them right to left to
+the identity on V^3 (LinMap.compose with ``at``); the identity wires of
+the printed padding id^a (x) F (x) id^b stay implicit.
 
 Checkers in here:
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -163,33 +168,52 @@ def q_as_linmap(q: GroupTensor) -> LinMap:
     return LinMap(q.permute([0, 2, 4, 1, 3]), 3, 2)
 
 
+# A side of the (3,3) relation holds at most this many entries; the bound
+# is checked before any contraction.  Bicharacter solutions over groups of
+# order up to 8 (8**6 entries) pass it; bichar:Z6, the largest any shipped
+# check runs, takes 6**6.
+P33_ENTRIES_LIMIT = 1 << 18
+
+
+def _fan_out(m: LinMap) -> int:
+    """The most entries of m that share one input key."""
+    counts = Counter(key[m.n_out :] for key in m.tensor.entries)
+    return max(counts.values(), default=0)
+
+
+def _apply_word(word, x: LinMap) -> LinMap:
+    """The printed product of (factor, wire offset) pairs, applied right to
+    left to x: each factor acts on the wires from its offset on."""
+    for factor, at in reversed(word):
+        x = factor.compose(x, at=at)
+    return x
+
+
 def p33_sides(q: GroupTensor) -> tuple[LinMap, LinMap]:
     """Both sides of the (3,3) relation as maps V^3 -> V^6.
 
     lhs = (Q sigma (x) id^3)(id (x) Q (x) id)(sigma (x) id^2)(id (x) Q)
     rhs = (id^2 (x) sigma (x) id^2)(id^3 (x) Q sigma)(id (x) Q (x) id)
           (id^2 (x) sigma)(Q (x) id)
+
+    Raises ValueError when a side could hold more than P33_ENTRIES_LIMIT
+    entries: each side has at most |V|^3 entries (the identity on V^3)
+    times the fan-out of each factor, and sigma permutes keys, so both
+    sides are bounded by |V|^3 * fan-out(Q)^3.
     """
     dom, ring = q.domain, q.ring
     qm = q_as_linmap(q)
-    id1 = LinMap.identity(dom, 1, ring)
-    id2 = id1.tens(id1)
-    id3 = id2.tens(id1)
+    bound = dom.size**3 * _fan_out(qm) ** 3
+    if bound > P33_ENTRIES_LIMIT:
+        raise ValueError(
+            f"(3,3) sides over {dom.literal} may hold {bound} entries, over the "
+            f"limit of {P33_ENTRIES_LIMIT}"
+        )
     sig = LinMap.sigma(dom, ring)
     qsig = qm.compose(sig)
-    lhs = (
-        qsig.tens(id3)
-        .compose(id1.tens(qm).tens(id1))
-        .compose(sig.tens(id2))
-        .compose(id1.tens(qm))
-    )
-    rhs = (
-        id2.tens(sig).tens(id2)
-        .compose(id3.tens(qsig))
-        .compose(id1.tens(qm).tens(id1))
-        .compose(id2.tens(sig))
-        .compose(qm.tens(id1))
-    )
+    start = LinMap.identity(dom, 3, ring)
+    lhs = _apply_word([(qsig, 0), (qm, 1), (sig, 0), (qm, 1)], start)
+    rhs = _apply_word([(sig, 2), (qsig, 3), (qm, 1), (sig, 2), (qm, 0)], start)
     return lhs, rhs
 
 
@@ -214,14 +238,11 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> Report:
         raise ValueError("pentagon input must be a square map on two wires")
     s = LinMap(_in_backend(s.tensor, backend), 2, 2)
     dom, ring = s.tensor.domain, s.tensor.ring
-    id1 = LinMap.identity(dom, 1, ring)
     sig = LinMap.sigma(dom, ring)
-    idsig = id1.tens(sig)
-    s12 = s.tens(id1)
-    s23 = id1.tens(s)
-    s13 = idsig.compose(s.tens(id1)).compose(idsig)
-    lhs = s12.compose(s13).compose(s23)
-    rhs = s23.compose(s12)
+    start = LinMap.identity(dom, 3, ring)
+    s13 = [(sig, 1), (s, 0), (sig, 1)]
+    lhs = _apply_word([(s, 0), *s13, (s, 1)], start)
+    rhs = _apply_word([(s, 1), (s, 0)], start)
     return _judge("pentagon", dom.literal, ring.name, [("", lhs.equal(rhs, rel))])
 
 
@@ -430,7 +451,31 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
     dicts, independent of apply_kernel, so the theorem check exercises a
     second code path.  The plan records each position's free slot, so the
     result already carries its slots in free-argument order.
+
+    Kernel rows and solution entries hold few distinct values, so each
+    product is memoised for the call on the value classes of its two
+    factors: an object's id first, then its terms in item order, so the
+    factors of one class are equal down to that order and so are their
+    products.
     """
+    # every value classed here (entries of dt and the kernels, products in
+    # the memo, the sums in acc) stays alive for the call, so an id stays
+    # one object's
+    class_of, by_terms, products = {}, {}, {}
+
+    def value_class(v):
+        c = class_of.get(id(v))
+        if c is None:
+            c = class_of[id(v)] = by_terms.setdefault(tuple(v.terms.items()), len(by_terms))
+        return c
+
+    def times(a, b):
+        pair = value_class(a), value_class(b)
+        val = products.get(pair)
+        if val is None:
+            val = products[pair] = a * b
+        return val
+
     rows = {}
     for kname in ("T", "Tbar", "S", "Sbar"):
         by_col = {}
@@ -454,13 +499,13 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
             for free_slot, elem, kval in combo:
                 out_key[free_slot] = elem
                 if kval is not None:
-                    term = kval * term
+                    term = times(kval, term)
             out_key = tuple(out_key)
             prev = acc.get(out_key)
             acc[out_key] = term if prev is None else prev + term
     weight = dt.ring.radical(-3)
     return GroupTensor(
-        dt.domain, dt.variances, {k: weight * v for k, v in acc.items()}, dt.ring
+        dt.domain, dt.variances, {k: times(weight, v) for k, v in acc.items()}, dt.ring
     )
 
 

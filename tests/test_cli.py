@@ -338,6 +338,15 @@ def test_dense_oracle_refuses_oversized_grids(capsys, monkeypatch):
     assert out == ""
 
 
+def test_verify_p33_over_the_entry_bound_exits_64_before_contracting(capsys, monkeypatch):
+    monkeypatch.setattr("pachner.verify.P33_ENTRIES_LIMIT", 4095)
+    monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("contracted"))
+    code, out, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z4"])
+    assert_one_error_line(code, err)
+    assert "over Z4 may hold 4096 entries, over the limit of 4095" in err
+    assert out == ""
+
+
 def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")

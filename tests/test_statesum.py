@@ -13,6 +13,7 @@ from pachner import statesum
 from pachner.statesum import (
     all_sites,
     build_assignment,
+    check_plan,
     invariance_run,
     partition,
     partition_bruteforce,
@@ -280,6 +281,40 @@ def test_arity_guard_counts_the_materialised_arity(monkeypatch):
     assert compare(partition_value(a), expected) is Comparison.EQUAL
     monkeypatch.setattr(statesum, "ARITY_GUARD", 7)
     with pytest.raises(RuntimeError, match="8 slots"):
+        partition(a)
+
+
+def test_entry_guard_refuses_plans_by_their_states():
+    steps = plan_of(Triangulation.load(PERFBENCH_DATA / "grown_sphere_k09.tri"), "left")
+    assert max(step.arity for step in steps) == 21
+    check_plan(steps, 2)
+    with pytest.raises(RuntimeError) as err:
+        check_plan(steps, 3)
+    first = next(step.arity for step in steps if 3**step.arity > statesum.ENTRY_GUARD)
+    assert first == 15
+    assert str(err.value) == (
+        "intermediate tensor of 15 slots over 3 states may hold 14348907 entries (guard 4194304)"
+    )
+    check_plan(plan_of(Triangulation.load(PERFBENCH_DATA / "grown_sphere_k09.tri"), "greedy"), 3)
+
+
+def test_entry_guard_admits_the_plans_that_run():
+    def step(arity):
+        return statesum.Step(0, 1, (), (), arity)
+
+    # Z2 up to the slot guard, Z3 up to 13 slots (grown 38 peaks at 12),
+    # the six-element basis of triple:groupalg:S3 up to 8 (the sphere's peak)
+    for size, arity, refusal in [(2, 22, "would carry 23 slots"), (3, 13, "may hold"), (6, 8, "may hold")]:
+        check_plan([step(arity)], size)
+        with pytest.raises(RuntimeError, match=refusal):
+            check_plan([step(arity + 1)], size)
+
+
+def test_partition_checks_entries_before_contracting(monkeypatch):
+    a = build_assignment(simplex_boundary(5), parse_solution("bichar:Z3"), "exact")
+    monkeypatch.setattr(statesum, "ENTRY_GUARD", 3**8 - 1)
+    monkeypatch.setattr(statesum, "contract", lambda *args: pytest.fail("contracted"))
+    with pytest.raises(RuntimeError, match="8 slots over 3 states may hold 6561 entries"):
         partition(a)
 
 

@@ -695,3 +695,67 @@ def test_sigma_conjugation_swaps_factors(seed):
     lhs = s.compose(f.tens(g)).compose(s)
     rhs = g.tens(f)
     assert lhs.equal(rhs).verdict is Comparison.EQUAL
+
+
+def padded(f, a, b):
+    """id^a (x) f (x) id^b with every identity wire built as a tensor."""
+    dom, ring = f.tensor.domain, f.tensor.ring
+    out = LinMap.identity(dom, a, ring).tens(f) if a else f
+    return out.tens(LinMap.identity(dom, b, ring)) if b else out
+
+
+def seeded_linmap(domain, n_out, n_in, seed, density):
+    """Entries +-k * z**j * r**e with |e| <= 1, drawn from one seed."""
+    import random
+
+    rng = random.Random(seed)
+    ring = domain.ring
+    entries = {}
+    for key in itertools.product(domain.elements(), repeat=n_out + n_in):
+        if rng.random() < density:
+            coeff = ring.integer(rng.randint(-3, 3))
+            root = ring.root(rng.randrange(ring.root_order))
+            entries[key] = coeff * root * ring.radical(rng.randint(-1, 1))
+    return LinMap(GroupTensor(domain, (UP,) * n_out + (DOWN,) * n_in, entries), n_out, n_in)
+
+
+@st.composite
+def windowed_compositions(draw):
+    """(f, x, a): f acts on x's outputs a .. a + f.n_in - 1."""
+    domain = draw(st.sampled_from([Z2, Z3, Z4, BasisDomain(3)]))
+    f_out, f_in = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    x_out = draw(st.integers(f_in, 3))
+    x_in = draw(st.integers(0, 2))
+    a = draw(st.integers(0, x_out - f_in))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    f = seeded_linmap(domain, f_out, f_in, draw(st.integers(0, 10**6)), density)
+    x = seeded_linmap(domain, x_out, x_in, draw(st.integers(0, 10**6)), density)
+    if draw(st.booleans()):
+        f = LinMap(f.tensor.to_float(), f_out, f_in)
+        x = LinMap(x.tensor.to_float(), x_out, x_in)
+    return f, x, a
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=windowed_compositions())
+def test_compose_at_equals_the_padded_compose(case):
+    f, x, a = case
+    got = f.compose(x, at=a)
+    want = padded(f, a, x.n_out - a - f.n_in).compose(x)
+    assert (got.n_out, got.n_in) == (want.n_out, want.n_in)
+    assert got.tensor.variances == want.tensor.variances
+    if isinstance(got.tensor.ring, ComplexRing):
+        assert tensor_equal(got.tensor, want.tensor, rel=1e-12).verdict is Comparison.EQUAL
+    else:
+        assert got.tensor.entries == want.tensor.entries
+
+
+def test_compose_at_checks_the_window():
+    f = LinMap.sigma(Z2)
+    x = LinMap.identity(Z2, 3)
+    assert f.compose(x, at=1).n_out == 3
+    for at in (-1, 2, 5):
+        with pytest.raises(ValueError, match=f"at wire {at} of 3 outputs"):
+            f.compose(x, at=at)
+    with pytest.raises(ValueError, match="cannot compose: 2 inputs vs 3 outputs"):
+        f.compose(x)

@@ -1,13 +1,15 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from pachner.groups import FinAbGroup, parse_group
-from pachner.scalars import Comparison
+from pachner.scalars import Comparison, Scalar
 from pachner.solutions import (
     SolutionSpec,
+    groups_up_to_order,
     parse_solution,
     pentagon_map,
     perturb_q,
@@ -102,6 +104,93 @@ def test_p33_sides_match_coordinates_on_group_algebra():
     rhs_ref = GroupTensor(sol.domain, (UP,) * 6 + (DOWN,) * 3, rhs_coord)
     assert tensor_equal(lhs_op.tensor, lhs_ref)
     assert tensor_equal(rhs_op.tensor, rhs_ref)
+
+
+def padded_p33_sides(q):
+    """The (3,3) sides with every identity wire built as a tensor and the
+    printed factors folded left to right, as first transcribed."""
+    dom, ring = q.domain, q.ring
+    qm = q_as_linmap(q)
+    id1 = LinMap.identity(dom, 1, ring)
+    id2 = id1.tens(id1)
+    id3 = id2.tens(id1)
+    sig = LinMap.sigma(dom, ring)
+    qsig = qm.compose(sig)
+    lhs = (
+        qsig.tens(id3)
+        .compose(id1.tens(qm).tens(id1))
+        .compose(sig.tens(id2))
+        .compose(id1.tens(qm))
+    )
+    rhs = (
+        id2.tens(sig).tens(id2)
+        .compose(id3.tens(qsig))
+        .compose(id1.tens(qm).tens(id1))
+        .compose(id2.tens(sig))
+        .compose(qm.tens(id1))
+    )
+    return lhs, rhs
+
+
+def padded_pentagon_sides(s):
+    """S12 S13 S23 and S23 S12 with padded identity wires."""
+    dom, ring = s.tensor.domain, s.tensor.ring
+    id1 = LinMap.identity(dom, 1, ring)
+    idsig = id1.tens(LinMap.sigma(dom, ring))
+    s12, s23 = s.tens(id1), id1.tens(s)
+    s13 = idsig.compose(s.tens(id1)).compose(idsig)
+    return s12.compose(s13).compose(s23), s23.compose(s12)
+
+
+P33_REFERENCE_CASES = [f"bichar:{g}" for g in ("Z2", "Z3", "Z4", "Z2xZ2")] + [
+    f"triple:groupalg:{name}" for name, table in groups_up_to_order(6) if len(table) >= 2
+]
+
+
+@pytest.mark.parametrize("descriptor", P33_REFERENCE_CASES)
+def test_p33_sides_equal_the_padded_transcription(descriptor):
+    q = parse_solution(descriptor).q
+    for got, want in zip(p33_sides(q), padded_p33_sides(q)):
+        assert (got.n_out, got.n_in) == (want.n_out, want.n_in) == (6, 3)
+        assert got.tensor.entries == want.tensor.entries
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3"])
+def test_pentagon_sides_equal_the_padded_transcription(name, monkeypatch):
+    s = pentagon_map(triple_from_table(named_group_table(name), name))
+    compared, equal = [], LinMap.equal
+
+    def recording_equal(a, b, rel=1e-9):
+        compared.append((a, b))
+        return equal(a, b, rel)
+
+    monkeypatch.setattr(LinMap, "equal", recording_equal)
+    assert verify_pentagon(s)
+    ((lhs, rhs),) = compared
+    want_lhs, want_rhs = padded_pentagon_sides(s)
+    assert lhs.tensor.entries == want_lhs.tensor.entries
+    assert rhs.tensor.entries == want_rhs.tensor.entries
+
+
+def test_p33_refuses_large_sides_before_contracting(monkeypatch):
+    # bichar:Z3 has fan-out 3 (x + y = u, y + z = v leave y free), so each
+    # side may hold 3**3 * 3**3 = 729 entries
+    sol = parse_solution("bichar:Z3")
+    assert verify_p33(sol)
+    monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("contracted"))
+    monkeypatch.setattr(verify, "P33_ENTRIES_LIMIT", 728)
+    with pytest.raises(ValueError, match="over Z3 may hold 729 entries, over the limit of 728"):
+        verify_p33(sol)
+    monkeypatch.setattr(verify, "P33_ENTRIES_LIMIT", 729)
+    with pytest.raises(pytest.fail.Exception, match="contracted"):
+        verify_p33(sol)
+
+
+def test_p33_entry_bound_admits_every_shipped_check():
+    assert 6**6 <= verify.P33_ENTRIES_LIMIT < 9**6
+    # a triple's Q has fan-out 1: |V|**3 entries per side
+    assert verify._fan_out(q_as_linmap(parse_solution("triple:groupalg:S3").q)) == 1
+    assert verify._fan_out(q_as_linmap(parse_solution("bichar:Z6").q)) == 6
 
 
 def test_verify_p33_passes_for_shipped_solutions():
@@ -367,6 +456,29 @@ def test_case1_integral_matches_its_closed_form():
             closed[(x, u, y, v, z)] = phase * base
     ref = GroupTensor(group, sol.q.variances, closed)
     assert tensor_equal(got, ref)
+
+
+@pytest.mark.parametrize("literal", ["Z3", "Z2xZ2"])
+def test_proof_integral_multiplies_each_value_pair_once(literal, monkeypatch):
+    group = parse_group(literal)
+    sol = q_from_bicharacter(group)
+    kern = symmetry_kernels(group)
+    kernels = {"T": kern["T"], "Tbar": kern["Tinv"], "S": kern["S"], "Sbar": kern["Sinv"]}
+    mul = Scalar.__mul__
+    for plan in _PROOF_CASES.values():
+        pairs = Counter()
+
+        def counting_mul(a, b):
+            pairs[tuple(a.terms.items()), tuple(b.terms.items())] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+        got = _proof_integral(sol.q, plan, kernels)
+        monkeypatch.setattr(Scalar, "__mul__", mul)
+        assert pairs and max(pairs.values()) == 1
+        # an unmemoised sum makes at least three products per entry
+        assert sum(pairs.values()) < len(sol.q.entries)
+        assert tensor_equal(got, sol.q.conj())
 
 
 def test_verify_theorem_passes_on_small_groups():
