@@ -527,7 +527,11 @@ def compare(a: Scalar, b: Scalar) -> Comparison:
     odd) can vanish only if P^2 = N·Q^2, an identity between two even
     parts that ``==`` decides; when it fails the difference is unequal,
     and when it holds the comparison is indeterminate, never inequality.
+    Canonical forms are unique, so operands of one ring with equal terms
+    are EQUAL without the subtraction.
     """
+    if (a.ring is b.ring or a.ring == b.ring) and a.terms == b.terms:
+        return Comparison.EQUAL
     diff = a - b
     if not diff.terms:
         return Comparison.EQUAL

@@ -13,7 +13,11 @@ tensors in a single hash join.  The outer product (no pairs),
 a kernel table) and every step of a state sum are calls to it.  A map
 composed onto a window of another's outputs leaves the wires beside the
 window untouched, so a word of padded factors id^a (x) F (x) id^b never
-builds its identity wires.
+builds its identity wires.  The identity and sigma are wire permutations
+with one entry r**k on k wires, and record their permutation: composed
+onto a window they reorder its slots in one ``permute`` and scale by
+r**k * r**-k, taken from the ring (and skipped when that is its one),
+so they never run a join.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -35,6 +39,7 @@ measure bookkeeping to ordinary matrix algebra.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -242,48 +247,48 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Equalit
 
     Variances are not compared; callers that care about them check the
     patterns directly.  The reported witness is the lexicographically
-    least differing index tuple.  With the exact backend, a difference
-    that straddles both radical parities may yield INDETERMINATE; the float
-    backend compares at relative tolerance rel.
+    least UNEQUAL index tuple, or failing that the least INDETERMINATE
+    one; the union is walked once, unsorted.  With the exact backend, a
+    difference that straddles both radical parities may yield
+    INDETERMINATE; the float backend compares at relative tolerance rel.
     """
     if t1.arity != t2.arity:
         raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
     _check_same_backend(t1, t2)
     ring = t1.ring
-    keys = sorted(set(t1.entries) | set(t2.entries))
+    compare, zero = ring.compare, ring.zero
+    e1, e2 = t1.entries, t2.entries
+    least = {Comparison.UNEQUAL: None, Comparison.INDETERMINATE: None}
 
-    def report(verdict, key):
-        shown = ring.render(t1.entry(key)), ring.render(t2.entry(key))
-        return EqualityReport(verdict, key, *shown, len(keys))
+    def note(verdict, key):
+        if verdict is not Comparison.EQUAL:
+            prev = least[verdict]
+            if prev is None or key < prev:
+                least[verdict] = key
 
-    indeterminate_at = None
-    for key in keys:
-        verdict = ring.compare(t1.entry(key), t2.entry(key), rel)
-        if verdict is Comparison.UNEQUAL:
-            return report(verdict, key)
-        if verdict is Comparison.INDETERMINATE and indeterminate_at is None:
-            indeterminate_at = key
-    if indeterminate_at is not None:
-        return report(Comparison.INDETERMINATE, indeterminate_at)
-    return EqualityReport(Comparison.EQUAL, None, None, None, len(keys))
+    compared = len(e1)
+    for key, v1 in e1.items():
+        note(compare(v1, e2.get(key, zero), rel), key)
+    for key, v2 in e2.items():
+        if key not in e1:
+            compared += 1
+            note(compare(zero, v2, rel), key)
+    for verdict in (Comparison.UNEQUAL, Comparison.INDETERMINATE):
+        key = least[verdict]
+        if key is not None:
+            shown = ring.render(t1.entry(key)), ring.render(t2.entry(key))
+            return EqualityReport(verdict, key, *shown, compared)
+    return EqualityReport(Comparison.EQUAL, None, None, None, compared)
 
 
 def identity_kernel(domain, ring=None) -> GroupTensor:
     """Delta line with entry r: the weight-neutral identity wire."""
-    ring = domain.ring if ring is None else ring
-    r = ring.radical()
-    return GroupTensor(domain, (UP, DOWN), {(x, x): r for x in domain.elements()}, ring)
+    return LinMap.identity(domain, 1, ring).tensor
 
 
 def sigma_map(domain, ring=None) -> GroupTensor:
     """The swap on two wires: slots (out0, out1, in0, in1), entries r**2."""
-    ring = domain.ring if ring is None else ring
-    w = ring.radical(2)
-    entries = {}
-    for a in domain.elements():
-        for b in domain.elements():
-            entries[(b, a, a, b)] = w
-    return GroupTensor(domain, (UP, UP, DOWN, DOWN), entries, ring)
+    return LinMap.sigma(domain, ring).tensor
 
 
 def apply_kernel(t: GroupTensor, slot: int, kernel: GroupTensor, side: str = "left") -> GroupTensor:
@@ -318,7 +323,7 @@ class LinMap:
     makes inserting an identity a no-op.
     """
 
-    __slots__ = ("tensor", "n_out", "n_in")
+    __slots__ = ("tensor", "n_out", "n_in", "wires")
 
     def __init__(self, tensor: GroupTensor, n_out: int, n_in: int):
         if tensor.arity != n_out + n_in:
@@ -331,23 +336,37 @@ class LinMap:
         self.tensor = tensor
         self.n_out = n_out
         self.n_in = n_in
+        # output j carries input wires[j] when the map is a wire permutation
+        # built by _permutation; None for any other map
+        self.wires = None
 
     def __repr__(self):
         return f"<LinMap {self.n_in}->{self.n_out} over {self.tensor.domain.literal}>"
 
     @staticmethod
+    def _permutation(domain, wires, ring=None) -> "LinMap":
+        """The map on k = len(wires) wires whose output j is input wires[j],
+        every entry r**k, so each wire is weight neutral under composition."""
+        ring = domain.ring if ring is None else ring
+        wires = tuple(wires)
+        k = len(wires)
+        w = ring.radical(k)
+        entries = {
+            tuple(ins[j] for j in wires) + ins: w
+            for ins in itertools.product(domain.elements(), repeat=k)
+        }
+        m = LinMap(GroupTensor(domain, (UP,) * k + (DOWN,) * k, entries, ring), k, k)
+        m.wires = wires
+        return m
+
+    @staticmethod
     def identity(domain, k: int, ring=None) -> "LinMap":
-        wire = identity_kernel(domain, ring)
-        t = wire
-        for _ in range(k - 1):
-            t = t.outer(wire)
-        # interleaved (out, in) pairs; sort into (outs, ins)
-        perm = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
-        return LinMap(t.permute(perm), k, k)
+        """id on k wires; for k = 0 the unit of ``tens``, one entry () -> 1."""
+        return LinMap._permutation(domain, range(k), ring)
 
     @staticmethod
     def sigma(domain, ring=None) -> "LinMap":
-        return LinMap(sigma_map(domain, ring), 2, 2)
+        return LinMap._permutation(domain, (1, 0), ring)
 
     def tens(self, other: "LinMap") -> "LinMap":
         """Side-by-side tensor product, keeping the (outs, ins) layout."""
@@ -369,7 +388,8 @@ class LinMap:
         and its outputs take the window's place.  The identity wires stay
         implicit: each would contribute r * r**-1 = 1, so the one
         contraction carries r**-self.n_in.  Without ``at``, self's inputs
-        must match other's outputs exactly.
+        must match other's outputs exactly.  A wire permutation (sigma, an
+        identity) reorders the window's slots instead of joining.
         """
         n_out, n_in, m = self.n_out, self.n_in, other.n_out
         if at is None:
@@ -380,6 +400,8 @@ class LinMap:
             raise ValueError(
                 f"cannot compose {n_in} inputs at wire {at} of {m} outputs"
             )
+        if self.wires is not None:
+            return LinMap(self._permute_window(other.tensor, at), m, other.n_in)
         tensor = contract(
             self.tensor, range(n_out, n_out + n_in), other.tensor, range(at, at + n_in)
         )
@@ -389,6 +411,19 @@ class LinMap:
                 [*range(n_out, n_out + at), *range(n_out), *range(n_out + at, tensor.arity)]
             )
         return LinMap(tensor, n_out + m - n_in, other.n_in)
+
+    def _permute_window(self, x: GroupTensor, at: int) -> GroupTensor:
+        """A wire permutation composed onto x's outputs at .. at + k - 1: the
+        window's slots permuted, and every entry times w * r**-k, the
+        permutation's entry w meeting k measure weights (one in its ring)."""
+        _check_same_backend(self.tensor, x)
+        k, ring = self.n_in, self.tensor.ring
+        t = x.permute([*range(at), *(at + j for j in self.wires), *range(at + k, x.arity)])
+        w = next(iter(self.tensor.entries.values()))
+        scale = w * ring.radical(-k)
+        if scale != ring.one:
+            t.entries = {key: v * scale for key, v in t.entries.items()}
+        return t
 
     def equal(self, other: "LinMap", rel: float = 1e-9) -> EqualityReport:
         if (self.n_out, self.n_in) != (other.n_out, other.n_in):

@@ -16,14 +16,17 @@ Checkers in here:
 * verify_pentagon: S12 S13 S23 = S23 S12 on V^3;
 * verify_yb_family: the family reformulation (pinned-slot operators
   X^i, Y^j, Z^k) - two pentagon-shaped family identities and a
-  Yang-Baxter identity per index triple;
+  Yang-Baxter identity per index triple, refused before any family is
+  built when it could compare more than YB_ENTRIES_LIMIT entries;
 * verify_psym: the four kernel-transformed tensors agree pairwise;
 * verify_theorem: for the bicharacter solution over a finite abelian
   group, the four proof-case integrals all reproduce the conjugate
   tensor; kernel transforms are expanded as explicit weighted sums,
   independently of apply_kernel;
 * dense_p33_oracle: a dense numpy cross-check of verify_p33 that
-  enumerates the full index grid with einsum;
+  enumerates the full index grid with einsum, contracting each side along
+  a fixed pairwise path (n**11 multiply-adds); DENSE_BYTES_LIMIT bounds
+  its two n**9 grids plus the path's n**8 intermediate before allocation;
 * verify_set_p33: the set-theoretic composite maps compared pointwise
   in exact rational arithmetic.
 
@@ -37,6 +40,7 @@ relative tolerance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -278,6 +282,13 @@ def _linmap_sum(domain, ring, n_out, n_in, terms, weight) -> LinMap:
     return LinMap(tensor, n_out, n_in)
 
 
+# verify yb compares 3 * |V|**3 pairs of maps on V^3, each with at most
+# |V|**6 entries; checks whose entries to compare could pass this limit are
+# refused before any family is built.  bichar:Z6, the largest check any
+# shipped script runs (scripts/relation_survey.py), compares up to 3 * 6**9.
+YB_ENTRIES_LIMIT = 1 << 25
+
+
 def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9) -> Report:
     """The three family identities, checked for every index triple.
 
@@ -286,10 +297,22 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
     ybe:  X^i_12 Y^j_13 Z^k_23 = Z^k_23 Y^j_13 X^i_12
 
     Family sums carry one measure weight c per summed index, which keeps
-    both sides of each identity at the same overall weight.
+    both sides of each identity at the same overall weight.  The pair
+    products X^s_12 X^t_23, Z^t_23 Z^s_12, X^m_23 X^l_13 and Z^m_12 Z^n_13
+    are composed on first use and kept for the call, so a fold that stops
+    at its first failure composes no pair it did not reach.
+
+    Raises ValueError, before building anything, when 3 * |V|**9 (the
+    entries the check may compare) exceeds YB_ENTRIES_LIMIT.
     """
     if sol.q is None:
         raise ValueError("the family reformulation needs a solution tensor")
+    size = sol.q.domain.size
+    if 3 * size**9 > YB_ENTRIES_LIMIT:
+        raise ValueError(
+            f"yb family over {sol.q.domain.literal} may compare {3 * size**9} entries, "
+            f"over the limit of {YB_ENTRIES_LIMIT}"
+        )
     q = _in_backend(sol.q, backend)
     dom, ring = q.domain, q.ring
     fams = build_families(q)
@@ -316,6 +339,13 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
     z13 = {a: e13(fams["Z"][a]) for a in elems}
     c2 = ring.radical(-2)
 
+    def pairs(left, right):
+        """left[a] after right[b], composed on first use."""
+        return functools.cache(lambda a, b: left[a].compose(right[b]))
+
+    x12_x23, z23_z12 = pairs(x12, x23), pairs(z23, z12)
+    x23_x13, z12_z13 = pairs(x23, x13), pairs(z12, z13)
+
     counts = {"pe1_triples": 0, "pe2_triples": 0, "ybe_triples": 0}
 
     def comparisons():
@@ -327,27 +357,19 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
                     ring,
                     3,
                     3,
-                    [
-                        (q.entry((i, s, l, t, m)), x12[s].compose(x23[t]))
-                        for s in elems
-                        for t in elems
-                    ],
+                    [(q.entry((i, s, l, t, m)), x12_x23(s, t)) for s in elems for t in elems],
                     c2,
                 )
-                rhs = x23[m].compose(x13[l]).compose(x12[i])
+                rhs = x23_x13(m, l).compose(x12[i])
             elif rel_name == "pe2":
                 m, n, k = a, b, cc
-                lhs = z12[m].compose(z13[n]).compose(z23[k])
+                lhs = z12_z13(m, n).compose(z23[k])
                 rhs = _linmap_sum(
                     dom,
                     ring,
                     3,
                     3,
-                    [
-                        (q.entry((m, s, n, t, k)), z23[t].compose(z12[s]))
-                        for s in elems
-                        for t in elems
-                    ],
+                    [(q.entry((m, s, n, t, k)), z23_z12(t, s)) for s in elems for t in elems],
                     c2,
                 )
             else:
@@ -537,8 +559,17 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
 # -- independent dense oracle --------------------------------------------------
 
 # The oracle holds both sides of the relation as dense n**9 complex128 grids
-# (16 bytes per entry each); larger inputs are refused before allocation.
+# (16 bytes per entry each) and the n**8 intermediate of the contraction
+# path below (over all chunks of a side); larger inputs are refused before
+# allocation.
 DENSE_BYTES_LIMIT = 1 << 30
+
+# Each side contracts pairwise: first the chunked factor with the one it
+# shares a single summed index with (the n**8 intermediate, n**9
+# multiply-adds), then the rest (two summed indices, n**11 multiply-adds),
+# where the three-factor einsum without a path costs n**12.
+_LHS_PATH = ["einsum_path", (0, 1), (0, 1)]
+_RHS_PATH = ["einsum_path", (0, 2), (0, 1)]
 
 
 def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) -> Report:
@@ -546,9 +577,11 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
 
     The full 9-index boundary grid is enumerated (N^9 comparisons, N^3
     summed states each) via einsum on a dense complex array, sidestepping
-    the sparse machinery entirely.  The grid is split along the first
-    output axis into chunks processed by PACHNER_WORKERS threads; chunk
-    findings merge deterministically (least index wins).
+    the sparse machinery entirely.  Each side contracts along a fixed
+    pairwise path (_LHS_PATH, _RHS_PATH), and DENSE_BYTES_LIMIT is checked
+    before allocation.  The grid is split along the first output
+    axis into chunks processed by PACHNER_WORKERS threads; chunk findings
+    merge deterministically (least index wins).
     """
     q = sol_or_q.q if isinstance(sol_or_q, SolutionSpec) else sol_or_q
     if q is None or q.arity != 5:
@@ -563,11 +596,12 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
     workers = max(1, workers)
     elems = list(q.domain.elements())
     n = len(elems)
-    need = 32 * n**9
-    if need > DENSE_BYTES_LIMIT:
+    grids, intermediate = 32 * n**9, 16 * n**8
+    if grids + intermediate > DENSE_BYTES_LIMIT:
         raise ValueError(
-            f"dense oracle on {q.domain.literal} needs {need / 1e9:.2f} GB for two "
-            f"{n}^9 grids, over the {DENSE_BYTES_LIMIT / 1e9:.2f} GB limit"
+            f"dense oracle on {q.domain.literal} needs {grids / 1e9:.2f} GB for two "
+            f"{n}^9 grids and {intermediate / 1e9:.2f} GB for an {n}^8 intermediate, "
+            f"over the {DENSE_BYTES_LIMIT / 1e9:.2f} GB limit"
         )
     index = {e: i for i, e in enumerate(elems)}
     arr = np.zeros((n,) * 5, dtype=complex)
@@ -579,8 +613,8 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
 
     def scan(chunk):
         lo, hi = chunk
-        lhs = np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr[lo:hi], arr, arr, optimize=False)
-        rhs = np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr[lo:hi], optimize=False)
+        lhs = np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr[lo:hi], arr, arr, optimize=_LHS_PATH)
+        rhs = np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr[lo:hi], optimize=_RHS_PATH)
         bad = np.argwhere(~np.isclose(lhs, rhs, rtol=tol, atol=tol))
         if len(bad) == 0:
             return None

@@ -347,6 +347,14 @@ def test_verify_p33_over_the_entry_bound_exits_64_before_contracting(capsys, mon
     assert out == ""
 
 
+def test_verify_yb_over_the_entry_bound_exits_64_before_contracting(capsys, monkeypatch):
+    monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("contracted"))
+    code, out, err = run(capsys, ["verify", "yb", "--solution", "bichar:Z7"])
+    assert_one_error_line(code, err)
+    assert f"over Z7 may compare {3 * 7**9} entries, over the limit of {1 << 25}" in err
+    assert out == ""
+
+
 def test_internal_error_exits_70_with_one_line(capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")
@@ -469,6 +477,11 @@ SEED_TRIS = [
 ]
 FUZZ_WORDS = ["0", "1", "2", "-1", "4", "5", "9", "10**6", "1000000", "+", "-", "x", "dim", "pent", "glue", "#"]
 FUZZ_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "triple:groupalg:Z2"] * 2 + ["set", "bichar:Z0", "nope"]
+# small groups only: the dense oracle on |V| = 6 holds two 6**9 grids
+FUZZ_VERIFY_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "bichar:Z4", "bichar:Z2xZ2", "triple:groupalg:Z2",
+                         "set", "bichar:Z0", "nope"]
+FUZZ_PENTAGON_GROUPS = ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "Z0", "Q8", "nope"]
+FUZZ_WORKERS = [None, None, "1", "2", "3", "0", "-1", "abc", ""]
 FUZZ_TYPES = ["3,3", "2,4", "4,2", "1,5", "5,1"] * 2 + ["2,2", "1,3", "0,6", "3", "a,b"]
 
 
@@ -497,12 +510,25 @@ def tri_texts(draw):
 
 @st.composite
 def fuzz_argv(draw, tri, out):
-    """argv for statesum, moves walk or moves apply on a small file, with
-    option values both valid and not."""
+    """argv for statesum, moves walk or moves apply on a small file, or for
+    verify p33, pentagon or yb on small groups, with option values both
+    valid and not."""
     if draw(st.integers(0, 9)) == 0:
         tri = draw(st.sampled_from([tri + ".missing", str(Path(tri).parent)]))
-    verb = draw(st.sampled_from(["statesum", "walk", "apply"]))
-    if verb == "statesum":
+    verb = draw(st.sampled_from(["statesum", "walk", "apply", "p33", "pentagon", "yb"]))
+    backends = [[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"]]
+    if verb == "p33":
+        argv = ["verify", "p33", "--solution", draw(st.sampled_from(FUZZ_VERIFY_SOLUTIONS))]
+        argv += draw(st.sampled_from(backends))
+        argv += draw(st.sampled_from([[], ["--oracle", "dense"], ["--oracle", "dense"], ["--oracle", "x"]]))
+        argv += draw(st.sampled_from([[], ["--samples", str(draw(st.integers(-1, 5)))], ["--seed", "x"]]))
+    elif verb == "pentagon":
+        argv = ["verify", "pentagon", "--group", draw(st.sampled_from(FUZZ_PENTAGON_GROUPS))]
+        argv += draw(st.sampled_from(backends))
+    elif verb == "yb":
+        argv = ["verify", "yb", "--solution", draw(st.sampled_from(FUZZ_VERIFY_SOLUTIONS + ["bichar:Z7"]))]
+        argv += draw(st.sampled_from(backends))
+    elif verb == "statesum":
         argv = ["statesum", "--tri", tri, "--solution", draw(st.sampled_from(FUZZ_SOLUTIONS))]
         argv += draw(st.sampled_from([[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"]]))
         argv += draw(st.sampled_from([[], [], ["--order", "left"], ["--order", "up"], ["--dump"]]))
@@ -527,10 +553,15 @@ def fuzz_argv(draw, tri, out):
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 @given(data=st.data())
-def test_cli_fuzz_ends_in_a_known_exit_with_at_most_one_error_line(capsys, tmp_path, data):
+def test_cli_fuzz_ends_in_a_known_exit_with_at_most_one_error_line(capsys, monkeypatch, tmp_path, data):
     tri = tmp_path / "fuzz.tri"
     tri.write_text(data.draw(tri_texts(), label="tri"))
     argv = data.draw(fuzz_argv(str(tri), str(tmp_path / "out.tri")), label="argv")
+    workers = data.draw(st.sampled_from(FUZZ_WORKERS), label="PACHNER_WORKERS")
+    if workers is None:
+        monkeypatch.delenv("PACHNER_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("PACHNER_WORKERS", workers)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's -h prints help and exits 0

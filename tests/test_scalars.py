@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pachner.scalars import (
     Comparison,
     ComplexRing,
+    Scalar,
     approx_equal,
     compare,
     cyclotomic_polynomial,
@@ -300,3 +301,45 @@ def test_radical_power_multiplies_by_exponent_shift(params, raw, k):
     for got in (r_plus_one * v, v * r_plus_one):
         assert got == ring.scalar({e + 1: vec for e, vec in v.terms.items()}) + v
         assert approx_equal(got.to_complex(), v.to_complex() * (rt + 1), 1e-9)
+
+
+def subtracting_compare(a, b):
+    """compare as the subtraction alone decides it, with no terms shortcut."""
+    diff = a - b
+    if not diff.terms:
+        return Comparison.EQUAL
+    if len({e % 2 for e in diff.terms}) == 1:
+        return Comparison.UNEQUAL
+    even = Scalar(diff.ring, {e: v for e, v in diff.terms.items() if e % 2 == 0})
+    odd = diff - even
+    return Comparison.UNEQUAL if even * even != odd * odd else Comparison.INDETERMINATE
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHIFT_RINGS), raw_scalars, raw_scalars, st.sampled_from(["copy", "other", "cross"]))
+def test_compare_terms_shortcut_matches_the_subtraction(params, raw_a, raw_b, how):
+    ring = get_ring(*params)
+    a = ring.scalar({e: tuple(vec) for e, vec in raw_a.items()})
+    if how == "copy":
+        # equal terms in another object, items in reverse order
+        b = Scalar(ring, dict(reversed(list(a.terms.items()))))
+    elif how == "other":
+        b = ring.scalar({e: tuple(vec) for e, vec in raw_b.items()})
+    else:
+        # a cross-parity partner: r against N**0.5 where that is an integer
+        b = a + ring.radical() - ring.integer(round(ring.group_order**0.5))
+    assert compare(a, b) is subtracting_compare(a, b)
+    assert compare(b, a) is subtracting_compare(b, a)
+
+
+def test_compare_of_equal_terms_does_not_subtract(monkeypatch):
+    ring = get_ring(4, 4)
+    a = ring.root(1) * ring.radical(3) + ring.one
+    b = Scalar(ring, dict(a.terms))
+    # equal terms in rings of other parameters still refuse to mix
+    with pytest.raises(ValueError, match="cannot mix scalars"):
+        compare(get_ring(2, 2).one, get_ring(2, 4).one)
+    monkeypatch.setattr(Scalar, "__sub__", lambda self, other: pytest.fail("subtracted"))
+    assert compare(a, b) is Comparison.EQUAL
+    with pytest.raises(pytest.fail.Exception, match="subtracted"):
+        compare(a, ring.one)

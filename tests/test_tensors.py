@@ -12,6 +12,7 @@ from pachner.tensors import (
     DOWN,
     UP,
     BasisDomain,
+    EqualityReport,
     GroupTensor,
     LinMap,
     apply_kernel,
@@ -24,6 +25,7 @@ from pachner.tensors import (
 Z2 = FinAbGroup([2])
 Z3 = FinAbGroup([3])
 Z4 = FinAbGroup([4])
+Z2xZ2 = FinAbGroup([2, 2])
 
 
 def dense(t):
@@ -700,8 +702,7 @@ def test_sigma_conjugation_swaps_factors(seed):
 def padded(f, a, b):
     """id^a (x) f (x) id^b with every identity wire built as a tensor."""
     dom, ring = f.tensor.domain, f.tensor.ring
-    out = LinMap.identity(dom, a, ring).tens(f) if a else f
-    return out.tens(LinMap.identity(dom, b, ring)) if b else out
+    return LinMap.identity(dom, a, ring).tens(f).tens(LinMap.identity(dom, b, ring))
 
 
 def seeded_linmap(domain, n_out, n_in, seed, density):
@@ -759,3 +760,161 @@ def test_compose_at_checks_the_window():
             f.compose(x, at=at)
     with pytest.raises(ValueError, match="cannot compose: 2 inputs vs 3 outputs"):
         f.compose(x)
+
+
+@pytest.mark.parametrize("domain", [Z2, Z3, BasisDomain(2)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_identity_on_no_wires_is_the_unit_of_tens(domain, exact):
+    ring = domain.ring if exact else ComplexRing(domain.ring.group_order)
+    unit = LinMap.identity(domain, 0, ring)
+    assert (unit.n_out, unit.n_in) == (0, 0)
+    assert unit.tensor.entries == {(): ring.one}
+    f = seeded_linmap(domain, 2, 1, seed=5, density=0.7)
+    if not exact:
+        f = LinMap(f.tensor.to_float(), 2, 1)
+    for got in (unit.tens(f), f.tens(unit)):
+        assert (got.n_out, got.n_in) == (f.n_out, f.n_in)
+        assert got.tensor.variances == f.tensor.variances
+        assert got.tensor.entries == f.tensor.entries
+
+
+def joined_compose(f, x, at):
+    """f after x on the window at .., through contract (the join every
+    map that is not a wire permutation takes)."""
+    n_out, n_in = f.n_out, f.n_in
+    t = contract(f.tensor, range(n_out, n_out + n_in), x.tensor, range(at, at + n_in))
+    t = t.permute([*range(n_out, n_out + at), *range(n_out), *range(n_out + at, t.arity)])
+    return LinMap(t, n_out + x.n_out - n_in, x.n_in)
+
+
+@st.composite
+def wire_permutations_on_windows(draw):
+    """(p, x, a): sigma or an identity on 0-3 wires, acting on x's outputs a .."""
+    domain = draw(st.sampled_from([Z2, Z3, Z4, Z2xZ2, BasisDomain(3)]))
+    exact = draw(st.booleans())
+    ring = domain.ring if exact else ComplexRing(domain.ring.group_order)
+    p = draw(st.sampled_from([LinMap.sigma(domain, ring)] + [LinMap.identity(domain, k, ring) for k in range(3)]))
+    x_out = draw(st.integers(p.n_in, 3))
+    x = seeded_linmap(domain, x_out, draw(st.integers(0, 2)), draw(st.integers(0, 10**6)),
+                      draw(st.sampled_from([0.3, 0.7, 1.0])))
+    if not exact:
+        x = LinMap(x.tensor.to_float(), x.n_out, x.n_in)
+    return p, x, draw(st.integers(0, x_out - p.n_in))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wire_permutations_on_windows())
+def test_wire_permutation_compose_equals_the_joined_compose(case):
+    p, x, a = case
+    assert p.wires is not None
+    got, want = p.compose(x, at=a), joined_compose(p, x, a)
+    assert (got.n_out, got.n_in) == (want.n_out, want.n_in)
+    assert got.tensor.variances == want.tensor.variances
+    assert got.tensor.entries.keys() == want.tensor.entries.keys()
+    if isinstance(got.tensor.ring, ComplexRing):
+        for key, v in want.tensor.entries.items():
+            assert abs(got.tensor.entries[key] - v) <= 1e-12 * max(abs(v), 1.0)
+    else:
+        for key, v in want.tensor.entries.items():
+            assert got.tensor.entries[key] == v
+            assert list(got.tensor.entries[key].terms.items()) == list(v.terms.items())
+
+
+def test_wire_permutation_compose_takes_its_weight_from_the_ring(monkeypatch):
+    # a ring whose measure weight r**-k were r**k would make sigma scale by
+    # r**4; the permute path must see it as the join does
+    x = seeded_linmap(Z3, 3, 1, seed=2, density=1.0)
+    sig = LinMap.sigma(Z3)
+    original = ScalarRing.radical
+    monkeypatch.setattr(ScalarRing, "radical", lambda self, e=1: original(self, abs(e)))
+    got, want = sig.compose(x, at=1), joined_compose(sig, x, 1)
+    assert got.tensor.entries == want.tensor.entries
+    r4 = Z3.ring.radical(4)
+    assert all(got.tensor.entries[(k[0], k[2], k[1], k[3])] == v * r4
+               for k, v in x.tensor.entries.items())
+
+
+def test_wire_permutation_compose_checks_backend_and_window():
+    sig = LinMap.sigma(Z2)
+    x = seeded_linmap(Z2, 3, 0, seed=1, density=1.0)
+    with pytest.raises(ValueError, match="cannot mix exact and float"):
+        sig.compose(LinMap(x.tensor.to_float(), 3, 0), at=0)
+    with pytest.raises(ValueError, match="domain mismatch"):
+        sig.compose(seeded_linmap(Z3, 2, 0, seed=1, density=1.0))
+    with pytest.raises(ValueError, match="at wire 2 of 3 outputs"):
+        sig.compose(x, at=2)
+
+
+def sorted_tensor_equal(t1, t2, rel=1e-9):
+    """tensor_equal as a walk of the sorted key union that stops at the
+    first UNEQUAL key (the reference for the one-pass walk)."""
+    ring = t1.ring
+    keys = sorted(set(t1.entries) | set(t2.entries))
+
+    def report(verdict, key):
+        shown = ring.render(t1.entry(key)), ring.render(t2.entry(key))
+        return EqualityReport(verdict, key, *shown, len(keys))
+
+    indeterminate_at = None
+    for key in keys:
+        verdict = ring.compare(t1.entry(key), t2.entry(key), rel)
+        if verdict is Comparison.UNEQUAL:
+            return report(verdict, key)
+        if verdict is Comparison.INDETERMINATE and indeterminate_at is None:
+            indeterminate_at = key
+    if indeterminate_at is not None:
+        return report(Comparison.INDETERMINATE, indeterminate_at)
+    return EqualityReport(Comparison.EQUAL, None, None, None, len(keys))
+
+
+@st.composite
+def tensor_pairs(draw):
+    """Two tensors on one slot layout whose entries mostly agree; on the
+    order-4 groups r against 2 differs across both radical parities."""
+    domain = draw(st.sampled_from([Z2, Z3, Z4, Z2xZ2]))
+    ring = domain.ring
+    pool = [ring.zero, ring.one, ring.radical(), ring.integer(2), ring.root(1), -ring.radical(2)]
+    variances = (UP, DOWN, UP)[: draw(st.integers(0, 3))]
+    e1, e2 = {}, {}
+    for key in itertools.product(domain.elements(), repeat=len(variances)):
+        v1 = draw(st.sampled_from(pool))
+        e1[key] = v1
+        e2[key] = v1 if draw(st.integers(0, 3)) else draw(st.sampled_from(pool))
+    t1, t2 = GroupTensor(domain, variances, e1), GroupTensor(domain, variances, e2)
+    if draw(st.booleans()):
+        t1, t2 = t1.to_float(), t2.to_float()
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(t2.entries) or [None]))
+            if key is not None:
+                t2.entries[key] *= 1 + draw(st.sampled_from([1e-10, 1e-8]))
+    return t1, t2
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=tensor_pairs())
+def test_tensor_equal_reports_as_the_sorted_walk(pair):
+    t1, t2 = pair
+    assert tensor_equal(t1, t2) == sorted_tensor_equal(t1, t2)
+    assert tensor_equal(t2, t1) == sorted_tensor_equal(t2, t1)
+
+
+def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
+    ring = Z4.ring
+    keys = [((i,),) for i in range(4)]
+    t1 = GroupTensor(Z4, (UP,), {keys[0]: ring.radical(), keys[1]: ring.one, keys[3]: ring.radical()})
+    t2 = GroupTensor(Z4, (UP,), {keys[0]: ring.integer(2), keys[2]: ring.one, keys[3]: ring.integer(2)})
+    got = tensor_equal(t1, t2)
+    assert got == sorted_tensor_equal(t1, t2)
+    assert (got.verdict, got.witness, got.compared) == (Comparison.UNEQUAL, keys[1], 4)
+    del t1.entries[keys[1]], t2.entries[keys[2]]
+    got = tensor_equal(t1, t2)
+    assert (got.verdict, got.witness, got.compared) == (Comparison.INDETERMINATE, keys[0], 2)
+
+
+def test_wire_permutations_compose_without_a_join(monkeypatch):
+    x = seeded_linmap(Z3, 3, 1, seed=4, density=0.7)
+    maps = [LinMap.sigma(Z3), LinMap.identity(Z3, 2), LinMap.identity(Z3, 0)]
+    want = [joined_compose(m, x, 1) for m in maps]
+    monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("joined"))
+    for m, w in zip(maps, want):
+        assert m.compose(x, at=1).tensor.entries == w.tensor.entries

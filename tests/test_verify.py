@@ -582,3 +582,95 @@ def test_verify_set_p33_passes_and_is_deterministic():
     assert a and b
     assert a.lines() == b.lines()
     assert a.fields["checks"] == 200
+
+
+def naive_dense_grids(q):
+    """Both (3,3) sides as full n**9 grids by the three-factor einsum with
+    no contraction path (n**12 multiply-adds), the oracle's first form."""
+    import numpy as np
+
+    elems = list(q.domain.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    arr = np.zeros((len(elems),) * 5, dtype=complex)
+    for key, val in q.to_float().entries.items():
+        arr[tuple(index[e] for e in key)] = val
+    lhs = np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr, arr, arr, optimize=False)
+    rhs = np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr, optimize=False)
+    pathed = (
+        np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr, arr, arr, optimize=verify._LHS_PATH),
+        np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr, optimize=verify._RHS_PATH),
+    )
+    return elems, (lhs, rhs), pathed
+
+
+@pytest.mark.parametrize("group", ["Z2", "Z3"])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+def test_dense_path_matches_the_pathless_einsum(group, seed):
+    import numpy as np
+
+    sol = parse_solution(f"bichar:{group}")
+    if seed is not None:
+        sol = perturb_q(sol, seed)
+    elems, (lhs, rhs), pathed = naive_dense_grids(sol.q)
+    for naive, fast in zip((lhs, rhs), pathed):
+        assert np.max(np.abs(naive - fast)) <= 1e-12 * max(1.0, np.max(np.abs(naive)))
+    bad = np.argwhere(~np.isclose(lhs, rhs, rtol=1e-9, atol=1e-9))
+    for workers in (1, 2):
+        report = dense_p33_oracle(sol, workers=workers)
+        assert report.checks == len(elems) ** 9
+        if len(bad) == 0:
+            assert report.verdict == "pass" and not report.witness
+            continue
+        first = tuple(int(v) for v in bad[0])
+        assert report.verdict == "fail"
+        assert report.witness == verify._fmt_key(tuple(elems[i] for i in first))
+        assert abs(complex(report.extras["lhs_value"]) - lhs[first]) <= 1e-9 * max(1.0, abs(lhs[first]))
+        assert abs(complex(report.extras["rhs_value"]) - rhs[first]) <= 1e-9 * max(1.0, abs(rhs[first]))
+
+
+def test_dense_bound_counts_the_intermediate(monkeypatch):
+    sol = parse_solution("bichar:Z3")
+    monkeypatch.setattr(verify.np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", 32 * 3**9 + 16 * 3**8 - 1)
+    with pytest.raises(ValueError, match=r"two 3\^9 grids and 0.00 GB for an 3\^8 intermediate"):
+        dense_p33_oracle(sol)
+    monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", 32 * 3**9 + 16 * 3**8)
+    with pytest.raises(pytest.fail.Exception, match="allocated"):
+        dense_p33_oracle(sol)
+
+
+def test_yb_refuses_large_checks_before_building_families(monkeypatch):
+    sol = parse_solution("bichar:Z3")
+    monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("contracted"))
+    monkeypatch.setattr(verify, "build_families", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(verify, "YB_ENTRIES_LIMIT", 3 * 3**9 - 1)
+    with pytest.raises(ValueError, match="over Z3 may compare 59049 entries, over the limit of 59048"):
+        verify_yb_family(sol)
+    monkeypatch.setattr(verify, "YB_ENTRIES_LIMIT", 3 * 3**9)
+    with pytest.raises(pytest.fail.Exception, match="built"):
+        verify_yb_family(sol)
+
+
+def test_yb_entry_bound_admits_every_shipped_check():
+    # scripts/relation_survey.py runs verify yb on every catalogue solution,
+    # the largest of which (bichar:Z6, triple:groupalg:S3 and Z6) have |V| = 6
+    assert 3 * 6**9 <= verify.YB_ENTRIES_LIMIT < 3 * 7**9
+    with pytest.raises(ValueError, match="over Z7 may compare"):
+        verify_yb_family(parse_solution("bichar:Z7"))
+
+
+@pytest.mark.parametrize("group", ["Z2", "Z3"])
+def test_yb_composes_each_pair_product_once(monkeypatch, group):
+    calls = Counter()
+    original = LinMap.compose
+
+    def counted(self, other, at=None):
+        calls[id(self), id(other)] += 1
+        return original(self, other, at)
+
+    monkeypatch.setattr(LinMap, "compose", counted)
+    assert verify_yb_family(parse_solution(f"bichar:{group}"))
+    n = parse_group(group).size
+    # the e13 paddings, the four memoised pair families, then per index
+    # triple one compose in pe1, one in pe2 and four in ybe
+    assert sum(calls.values()) == 6 * n + 4 * n**2 + 6 * n**3
