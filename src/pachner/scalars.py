@@ -571,7 +571,8 @@ class ComplexRing:
 
     def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k):
         """ScalarRing.join in floats: products summed in entry order, then
-        one weight r**-k per result entry, and zero sums dropped."""
+        one weight r**-k per result entry (none when k is 0), and entries
+        whose weighted sum is zero dropped, in one pass."""
         buckets = _buckets(entries2, bound2, rest2)
         out = {}
         accumulated = out.get
@@ -581,10 +582,10 @@ class ComplexRing:
                 key = head + tail
                 prev = accumulated(key)
                 out[key] = v1 * v2 if prev is None else prev + v1 * v2
-        if k:
-            weight = self.radical(-k)
-            out = {key: weight * v for key, v in out.items()}
-        return {key: v for key, v in out.items() if v}
+        if not k:
+            return {key: v for key, v in out.items() if v}
+        weight = self.radical(-k)
+        return {key: w for key, v in out.items() if (w := weight * v)}
 
     def render(self, v: complex) -> str:
         """format(v, ".12g"), with a part of at most 1e-12 |v| shown as 0.

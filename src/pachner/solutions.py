@@ -19,8 +19,9 @@ matching the facet indices of a positively oriented pentachoron.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import FinAbGroup, parse_group
@@ -28,7 +29,6 @@ from .tensors import (
     DOWN,
     UP,
     BasisDomain,
-    EqualityReport,
     GroupTensor,
     LinMap,
 )
@@ -71,6 +71,12 @@ def validate_bicharacter(group: FinAbGroup, chi) -> None:
                 )
 
 
+# A bicharacter solution holds |G|**3 entries, and validating chi takes
+# 2 |G|**3 ring products; larger groups are refused before either.  Order
+# 16 passes (bichar:Z8 is the largest any test, script or benchmark builds).
+BICHAR_ENTRIES_LIMIT = 1 << 12
+
+
 def q_from_bicharacter(
     group: FinAbGroup, chi=None, normalized: bool = True, descriptor: str | None = None
 ) -> SolutionSpec:
@@ -80,7 +86,15 @@ def q_from_bicharacter(
     the entry at (x, x+y, y, y+z, z) is chi(x,z) * r**2.  The plain
     convention drops the r factors; the relation holds either way since
     both sides carry three tensors and three contractions.
+
+    Raises ValueError, before validating chi or building any entry, when
+    |G|**3 exceeds BICHAR_ENTRIES_LIMIT.
     """
+    if group.size**3 > BICHAR_ENTRIES_LIMIT:
+        raise ValueError(
+            f"a bicharacter solution over {group.literal} holds {group.size**3} entries, "
+            f"over the limit of {BICHAR_ENTRIES_LIMIT}"
+        )
     chi = group.chi if chi is None else chi
     validate_bicharacter(group, chi)
     ring = group.ring
@@ -131,16 +145,33 @@ def s3_table():
     return table
 
 
+# The largest group table a name may ask for.  A group algebra's
+# compatibility check builds maps with order**4 entries, so order 16 (65536)
+# passes and the shipped ones (order at most 6) are far below it.
+GROUP_TABLE_ORDER_LIMIT = 16
+
+
 def named_group_table(name: str):
-    """Multiplication table for names like Z4, Z2xZ2, S3."""
+    """Multiplication table for names like Z4, Z2xZ2, S3.
+
+    Raises ValueError, before building any table, for an unknown name or
+    an order above GROUP_TABLE_ORDER_LIMIT.
+    """
     if name == "S3":
         return s3_table()
-    parts = name.split("x")
-    table = None
-    for part in parts:
+    orders = []
+    for part in name.split("x"):
         if not part.startswith("Z") or not part[1:].isdigit() or int(part[1:]) < 1:
             raise ValueError(f"unknown group name {name!r}")
-        t = cyclic_table(int(part[1:]))
+        orders.append(int(part[1:]))
+    order = math.prod(orders)
+    if order > GROUP_TABLE_ORDER_LIMIT:
+        raise ValueError(
+            f"group {name} has order {order}, over the limit of {GROUP_TABLE_ORDER_LIMIT}"
+        )
+    table = None
+    for n in orders:
+        t = cyclic_table(n)
         table = t if table is None else product_table(table, t)
     return table
 
@@ -178,60 +209,42 @@ def triple_from_table(table, name: str = "") -> TripleSpec:
     return TripleSpec(domain, mu, lam, rho, name=name)
 
 
-@dataclass
-class CompatReport:
-    """Outcome of the seven pairwise compatibility axioms."""
+def check_compatibility(t: TripleSpec) -> list[str]:
+    """The failing axioms' names, in the order below; empty when compatible.
 
-    results: dict[str, EqualityReport] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(bool(rep) for rep in self.results.values())
-
-    def failures(self):
-        return [name for name, rep in self.results.items() if not rep]
-
-
-def check_compatibility(t: TripleSpec) -> CompatReport:
-    """The two (co)associativity laws and the five morphism identities.
-
-    The coproduct compatibility is checked in both orientations, which
-    are equivalent under the swap; they are still reported separately.
+    The two (co)associativity laws and the five morphism identities.  The
+    coproduct compatibility is checked in both orientations, which are
+    equivalent under the swap; they are still reported separately.
     """
     dom = t.domain
     id1 = LinMap.identity(dom, 1)
     sig = LinMap.sigma(dom)
     mu, lam, rho = t.mu, t.lam, t.rho
-    results = {}
-    results["associativity"] = (
-        mu.compose(mu.tens(id1)).equal(mu.compose(id1.tens(mu)))
-    )
-    results["coassociativity_lam"] = (
-        lam.compose(lam, at=1).equal(lam.compose(lam, at=0))
-    )
-    results["coassociativity_rho"] = (
-        rho.compose(rho, at=1).equal(rho.compose(rho, at=0))
-    )
-    results["mu_morphism_of_lam"] = (
-        lam.compose(mu).equal(mu.tens(mu).compose(sig.compose(lam.tens(lam), at=1)))
-    )
-    results["mu_morphism_of_rho"] = (
-        rho.compose(mu).equal(mu.tens(mu).compose(sig.compose(rho.tens(rho), at=1)))
-    )
-    results["lam_morphism_of_rho"] = (
-        rho.tens(rho).compose(lam).equal(sig.compose(lam.tens(lam).compose(rho), at=1))
-    )
-    results["rho_morphism_of_lam"] = (
-        lam.tens(lam).compose(rho).equal(sig.compose(rho.tens(rho).compose(lam), at=1))
-    )
-    return CompatReport(results)
+    axioms = {
+        "associativity": (mu.compose(mu.tens(id1)), mu.compose(id1.tens(mu))),
+        "coassociativity_lam": (lam.compose(lam, at=1), lam.compose(lam, at=0)),
+        "coassociativity_rho": (rho.compose(rho, at=1), rho.compose(rho, at=0)),
+        "mu_morphism_of_lam": (
+            lam.compose(mu), mu.tens(mu).compose(sig.compose(lam.tens(lam), at=1))
+        ),
+        "mu_morphism_of_rho": (
+            rho.compose(mu), mu.tens(mu).compose(sig.compose(rho.tens(rho), at=1))
+        ),
+        "lam_morphism_of_rho": (
+            rho.tens(rho).compose(lam), sig.compose(lam.tens(lam).compose(rho), at=1)
+        ),
+        "rho_morphism_of_lam": (
+            lam.tens(lam).compose(rho), sig.compose(rho.tens(rho).compose(lam), at=1)
+        ),
+    }
+    return [name for name, (lhs, rhs) in axioms.items() if not lhs.equal(rhs)]
 
 
 def q_from_triple(t: TripleSpec, descriptor: str | None = None) -> SolutionSpec:
     """Q = (id @ mu @ id)(lam @ rho), reslotted to (x, u, y, v, z)."""
-    report = check_compatibility(t)
-    if not report.passed:
-        raise ValueError(f"incompatible triple: {', '.join(report.failures())} failed")
+    failed = check_compatibility(t)
+    if failed:
+        raise ValueError(f"incompatible triple: {', '.join(failed)} failed")
     dom = t.domain
     qmap = t.mu.compose(t.lam.tens(t.rho), at=1)
     q = qmap.tensor.permute([0, 3, 1, 4, 2])

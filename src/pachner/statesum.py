@@ -21,6 +21,12 @@ two operands.
 
 A tetrahedron whose two sides present the same variance is outside the
 certified scope; ``build_assignment`` reports the face.
+
+(3,3)-invariance is certified for the bicharacter solutions only.  Wiring
+Q by facet index relies on slot symmetries that only they are shown to
+have; a group-algebra triple's state sum changes under some (3,3) moves
+(on the 4-sphere, triple:groupalg:Z2 goes from 8 to 16 at the first move
+of the seed-5 walk).
 """
 
 from __future__ import annotations
@@ -245,7 +251,9 @@ def invariance_run(
 ) -> Report:
     """Apply seeded moves of one type and recompute the value each time.
 
-    The certified statement covers p = 3, the (3,3) move; other types are
+    The certified statement covers p = 3, the (3,3) move, for the
+    bicharacter solutions; other types, and the group-algebra triples
+    (whose facet-index wiring lacks the slot symmetries it relies on), are
     runnable for exploration but carry no invariance promise here.  The
     exact backend compares values as ring elements; the float backend
     fails a relative error above 1e-9 and reports the largest it saw.

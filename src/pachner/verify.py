@@ -4,10 +4,13 @@ Every identity is checked by building both sides as tensors, factor by
 factor in the printed operator order, and comparing entrywise over the
 union of supports.  Nothing is simplified by hand: the checkers are
 transcriptions, so a transcription bug cannot cancel against itself.
-The (3,3) and pentagon sides list their printed factors in printed order,
-each with the wire offset where it acts, and apply them right to left to
-the identity on V^3 (LinMap.compose with ``at``); the identity wires of
-the printed padding id^a (x) F (x) id^b stay implicit.
+The (3,3), pentagon and Yang-Baxter family sides list their printed
+factors in printed order, each with the wire offset where it acts, and
+apply them right to left to the identity on V^3 (LinMap.compose with
+``at``); the identity wires of the printed padding id^a (x) F (x) id^b
+stay implicit.  A family member X^a (Q with one output pinned to a) is Q
+itself with that output on a label wire, so a family side carries its
+index triple on three label wires and is compared triple by triple.
 
 Checkers in here:
 
@@ -16,8 +19,9 @@ Checkers in here:
 * verify_pentagon: S12 S13 S23 = S23 S12 on V^3;
 * verify_yb_family: the family reformulation (pinned-slot operators
   X^i, Y^j, Z^k) - two pentagon-shaped family identities and a
-  Yang-Baxter identity per index triple, refused before any family is
-  built when it could compare more than YB_ENTRIES_LIMIT entries;
+  Yang-Baxter identity per index triple, each side one word in Q with
+  label wires, refused before any contraction when it could compare more
+  than YB_ENTRIES_LIMIT entries;
 * verify_psym: the four kernel-transformed tensors agree pairwise;
 * verify_theorem: for the bicharacter solution over a finite abelian
   group, the four proof-case integrals all reproduce the conjugate
@@ -26,7 +30,8 @@ Checkers in here:
 * dense_p33_oracle: a dense numpy cross-check of verify_p33 that
   enumerates the full index grid with einsum, contracting each side along
   a fixed pairwise path (n**11 multiply-adds); DENSE_BYTES_LIMIT bounds
-  its two n**9 grids plus the path's n**8 intermediate before allocation;
+  its two n**9 grids, the path's n**8 intermediate and the comparison's
+  n**9 temporaries before allocation;
 * verify_set_p33: the set-theoretic composite maps compared pointwise
   in exact rational arithmetic.
 
@@ -40,7 +45,6 @@ relative tolerance.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import random
@@ -48,6 +52,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -65,6 +70,7 @@ from .tensors import (
     contract,
     identity_kernel,
     tensor_equal,
+    _built,
     _format_elem,
 )
 
@@ -250,42 +256,11 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> Report:
     return _judge("pentagon", dom.literal, ring.name, [("", lhs.equal(rhs, rel))])
 
 
-def build_families(sol) -> dict:
-    """Pin one output slot of Q each way: X^a (slot 0), Y^a (slot 2), Z^a (slot 4).
-
-    Each member is a map on V (x) V; pinning leaves four slots which are
-    reordered into the (outs, ins) layout.
-    """
-    q = sol.q if isinstance(sol, SolutionSpec) else sol
-    if q.arity != 5 or q.variances != (UP, DOWN, UP, DOWN, UP):
-        raise ValueError("family construction needs the 5-slot solution tensor")
-    fams = {}
-    for name, slot, perm in [("X", 0, [1, 3, 0, 2]), ("Y", 2, [0, 3, 1, 2]), ("Z", 4, [0, 2, 1, 3])]:
-        fams[name] = {
-            a: LinMap(q.pin(slot, a).permute(perm), 2, 2) for a in q.domain.elements()
-        }
-    return fams
-
-
-def _linmap_sum(domain, ring, n_out, n_in, terms, weight) -> LinMap:
-    """Weighted sum of equally shaped maps, scaled by weight."""
-    acc = {}
-    for coeff, lm in terms:
-        if not coeff:
-            continue
-        for key, val in lm.tensor.entries.items():
-            prod = coeff * val
-            prev = acc.get(key)
-            acc[key] = prod if prev is None else prev + prod
-    entries = {k: weight * v for k, v in acc.items()}
-    tensor = GroupTensor(domain, (UP,) * n_out + (DOWN,) * n_in, entries, ring)
-    return LinMap(tensor, n_out, n_in)
-
-
-# verify yb compares 3 * |V|**3 pairs of maps on V^3, each with at most
-# |V|**6 entries; checks whose entries to compare could pass this limit are
-# refused before any family is built.  bichar:Z6, the largest check any
-# shipped script runs (scripts/relation_survey.py), compares up to 3 * 6**9.
+# Each side of a yb family identity is a map V^3 -> V^6 of at most |V|**9
+# entries, and a check compares three pairs of sides; checks whose entries
+# to compare could pass this limit are refused before any contraction.
+# bichar:Z6, the largest check any shipped script runs
+# (scripts/relation_survey.py), compares up to 3 * 6**9.
 YB_ENTRIES_LIMIT = 1 << 25
 
 
@@ -296,13 +271,19 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
     pe2:  Z^m_12 Z^n_13 Z^k_23 = sum_{s,t} Q^{m,n,k}_{s,t} Z^t_23 Z^s_12
     ybe:  X^i_12 Y^j_13 Z^k_23 = Z^k_23 Y^j_13 X^i_12
 
-    Family sums carry one measure weight c per summed index, which keeps
-    both sides of each identity at the same overall weight.  The pair
-    products X^s_12 X^t_23, Z^t_23 Z^s_12, X^m_23 X^l_13 and Z^m_12 Z^n_13
-    are composed on first use and kept for the call, so a fold that stops
-    at its first failure composes no pair it did not reach.
+    X^a, Y^a and Z^a are Q with output slot 0, 2 or 4 pinned to a.  Here
+    X, Y and Z are Q read as maps V^2 -> V^3 whose first output is that
+    slot, so a factor applied at a window leaves its index on a label wire
+    instead of pinning it, and a sum over s, t is Q composed onto the two
+    label wires, which brings the measure weight c per summed index.  Each
+    side is then one word of (factor, wire offset) pairs applied to the
+    identity on V^3: a map V^3 -> V^6 whose first three outputs carry the
+    index triple (in reverse on the lhs of pe2 and ybe).  The two sides of
+    an identity are built when the fold reaches it, so a fold that stops
+    at its first failure builds no later identity, and are compared index
+    triple by index triple.
 
-    Raises ValueError, before building anything, when 3 * |V|**9 (the
+    Raises ValueError, before any contraction, when 3 * |V|**9 (the
     entries the check may compare) exceeds YB_ENTRIES_LIMIT.
     """
     if sol.q is None:
@@ -315,69 +296,40 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
         )
     q = _in_backend(sol.q, backend)
     dom, ring = q.domain, q.ring
-    fams = build_families(q)
-    id1 = LinMap.identity(dom, 1, ring)
-    sig = LinMap.sigma(dom, ring)
-    idsig = id1.tens(sig)
+    x = q_as_linmap(q)
+    y = LinMap(q.permute([2, 0, 4, 1, 3]), 3, 2)
+    z = LinMap(q.permute([4, 0, 2, 1, 3]), 3, 2)
+    s = LinMap.sigma(dom, ring)
+    start = LinMap.identity(dom, 3, ring)
+    forward, reverse = itemgetter(0, 1, 2), itemgetter(2, 1, 0)
+    # per identity: the lhs word and where its labels sit, then the rhs word
+    identities = {
+        "pe1": ([(x, 0), (s, 0), (x, 1), (s, 0), (x, 1)], forward,
+                [(s, 2), (x, 3), (s, 3), (x, 1), (s, 2), (x, 0)]),
+        "pe2": ([(z, 2), (s, 3), (z, 1), (s, 0), (s, 2), (z, 1)], reverse,
+                [(x, 0), (s, 1), (z, 2), (z, 0)]),
+        "ybe": ([(x, 2), (s, 3), (y, 1), (s, 0), (s, 2), (z, 1)], reverse,
+                [(s, 2), (z, 3), (s, 3), (y, 1), (s, 2), (x, 0)]),
+    }
+    variances = (UP,) * 3 + (DOWN,) * 3
 
-    def e12(m):
-        return m.tens(id1)
+    def by_label(word, label):
+        """The side's entries split by index triple, as maps on V^3."""
+        split = {}
+        for key, val in _apply_word(word, start).tensor.entries.items():
+            split.setdefault(label(key), {})[key[3:]] = val
+        return {k: _built(dom, variances, e, ring) for k, e in split.items()}
 
-    def e23(m):
-        return id1.tens(m)
-
-    def e13(m):
-        return idsig.compose(m.tens(id1)).compose(idsig)
-
-    elems = list(dom.elements())
-    x12 = {a: e12(fams["X"][a]) for a in elems}
-    x23 = {a: e23(fams["X"][a]) for a in elems}
-    x13 = {a: e13(fams["X"][a]) for a in elems}
-    y13 = {a: e13(fams["Y"][a]) for a in elems}
-    z12 = {a: e12(fams["Z"][a]) for a in elems}
-    z23 = {a: e23(fams["Z"][a]) for a in elems}
-    z13 = {a: e13(fams["Z"][a]) for a in elems}
-    c2 = ring.radical(-2)
-
-    def pairs(left, right):
-        """left[a] after right[b], composed on first use."""
-        return functools.cache(lambda a, b: left[a].compose(right[b]))
-
-    x12_x23, z23_z12 = pairs(x12, x23), pairs(z23, z12)
-    x23_x13, z12_z13 = pairs(x23, x13), pairs(z12, z13)
-
+    empty = _built(dom, variances, {}, ring)
     counts = {"pe1_triples": 0, "pe2_triples": 0, "ybe_triples": 0}
 
     def comparisons():
-        for rel_name, a, b, cc in itertools.product(["pe1", "pe2", "ybe"], elems, elems, elems):
-            if rel_name == "pe1":
-                i, l, m = a, b, cc
-                lhs = _linmap_sum(
-                    dom,
-                    ring,
-                    3,
-                    3,
-                    [(q.entry((i, s, l, t, m)), x12_x23(s, t)) for s in elems for t in elems],
-                    c2,
-                )
-                rhs = x23_x13(m, l).compose(x12[i])
-            elif rel_name == "pe2":
-                m, n, k = a, b, cc
-                lhs = z12_z13(m, n).compose(z23[k])
-                rhs = _linmap_sum(
-                    dom,
-                    ring,
-                    3,
-                    3,
-                    [(q.entry((m, s, n, t, k)), z23_z12(t, s)) for s in elems for t in elems],
-                    c2,
-                )
-            else:
-                i, j, k = a, b, cc
-                lhs = x12[i].compose(y13[j]).compose(z23[k])
-                rhs = z23[k].compose(y13[j]).compose(x12[i])
-            counts[f"{rel_name}_triples"] += 1
-            yield f"{rel_name}[{_fmt_key((a, b, cc))}]", lhs.equal(rhs, rel)
+        for name, (lhs_word, lhs_label, rhs_word) in identities.items():
+            lhs, rhs = by_label(lhs_word, lhs_label), by_label(rhs_word, forward)
+            for triple in itertools.product(dom.elements(), repeat=3):
+                counts[f"{name}_triples"] += 1
+                rep = tensor_equal(lhs.get(triple, empty), rhs.get(triple, empty), rel)
+                yield f"{name}[{_fmt_key(triple)}]", rep
 
     return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
 
@@ -559,8 +511,12 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
 # -- independent dense oracle --------------------------------------------------
 
 # The oracle holds both sides of the relation as dense n**9 complex128 grids
-# (16 bytes per entry each) and the n**8 intermediate of the contraction
-# path below (over all chunks of a side); larger inputs are refused before
+# (16 bytes per entry each), the n**8 intermediate of the contraction path
+# below, and the n**9 temporaries of its comparison: np.isclose holds the
+# complex difference (16 bytes per entry) and its float magnitude (8 bytes)
+# at once, and later float and boolean temporaries never exceed those 24
+# bytes per entry.  Every chunk's share of the three is counted, so the sum
+# bounds the threads' joint peak; larger inputs are refused before
 # allocation.
 DENSE_BYTES_LIMIT = 1 << 30
 
@@ -596,11 +552,12 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
     workers = max(1, workers)
     elems = list(q.domain.elements())
     n = len(elems)
-    grids, intermediate = 32 * n**9, 16 * n**8
-    if grids + intermediate > DENSE_BYTES_LIMIT:
+    grids, intermediate, comparison = 32 * n**9, 16 * n**8, 24 * n**9
+    if grids + intermediate + comparison > DENSE_BYTES_LIMIT:
         raise ValueError(
             f"dense oracle on {q.domain.literal} needs {grids / 1e9:.2f} GB for two "
             f"{n}^9 grids and {intermediate / 1e9:.2f} GB for an {n}^8 intermediate, "
+            f"plus {comparison / 1e9:.2f} GB for the comparison's {n}^9 temporaries, "
             f"over the {DENSE_BYTES_LIMIT / 1e9:.2f} GB limit"
         )
     index = {e: i for i, e in enumerate(elems)}
@@ -615,10 +572,12 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
         lo, hi = chunk
         lhs = np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr[lo:hi], arr, arr, optimize=_LHS_PATH)
         rhs = np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr[lo:hi], optimize=_RHS_PATH)
-        bad = np.argwhere(~np.isclose(lhs, rhs, rtol=tol, atol=tol))
-        if len(bad) == 0:
+        bad = ~np.isclose(lhs, rhs, rtol=tol, atol=tol)
+        # the least index in C order, found without listing every mismatch
+        flat = int(np.argmax(bad))
+        if not bad.flat[flat]:
             return None
-        first = tuple(int(v) for v in bad[0])
+        first = tuple(int(v) for v in np.unravel_index(flat, bad.shape))
         shown = (first[0] + lo,) + first[1:]
         return shown, (lhs[first], rhs[first])
 

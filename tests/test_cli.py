@@ -267,6 +267,17 @@ def test_moves_walk_without_solution_tracks_euler(capsys, tmp_path):
     assert "verdict=pass" in out
 
 
+def test_triple_walk_changes_value_outside_the_certified_scope(capsys):
+    # the state sum wires Q by facet index, which relies on slot symmetries
+    # only the bichar solutions are shown to have: a group-algebra triple's
+    # value changes at the first (3,3) move of this walk
+    argv = ["moves", "walk", "--tri", str(REPO / "data" / "boundary_delta5.tri"), "--type", "3,3",
+            "--count", "12", "--seed", "5", "--solution", "triple:groupalg:Z2"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    assert "witness=step 0: value 16 vs 8" in out.splitlines()
+
+
 def test_moves_walk_rejects_negative_count(capsys, sphere_file):
     for extra in ([], ["--solution", "bichar:Z2"]):
         code, out, err = run(capsys, ["moves", "walk", "--tri", sphere_file, "--count", "-2", *extra])
@@ -467,6 +478,24 @@ def test_selftest_unknown_mutation(capsys, monkeypatch):
     assert "unknown mutation" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "pentagon", "--group", "Z300"],
+        ["solutions", "--describe", "triple:groupalg:Z300"],
+        ["verify", "p33", "--solution", "bichar:Z60"],
+        ["verify", "theorem", "--group", "Z60"],
+        ["statesum", "--tri", str(REPO / "data" / "boundary_delta5.tri"), "--solution", "bichar:Z60"],
+        ["solutions", "--describe", "bichar:Z40"],
+    ],
+)
+def test_oversized_descriptors_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 64
+    assert err.count("error:") == 1 and "over the limit of" in err
+    assert "Traceback" not in out + err
+
+
 SEED_TRIS = [
     (REPO / "data" / name).read_text()
     for name in ("boundary_delta5.tri", "ball_before.tri", "double_pentachoron.tri")
@@ -476,11 +505,15 @@ SEED_TRIS = [
     "\n".join(simplex_boundary(3).to_lines()) + "\n",
 ]
 FUZZ_WORDS = ["0", "1", "2", "-1", "4", "5", "9", "10**6", "1000000", "+", "-", "x", "dim", "pent", "glue", "#"]
-FUZZ_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "triple:groupalg:Z2"] * 2 + ["set", "bichar:Z0", "nope"]
+# descriptors too large to build are refused before construction
+OVERSIZED_SOLUTIONS = ["bichar:Z60", "bichar:Z40", "triple:groupalg:Z300"]
+FUZZ_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "triple:groupalg:Z2"] * 2 + ["set", "bichar:Z0", "nope",
+                                                                         *OVERSIZED_SOLUTIONS]
 # small groups only: the dense oracle on |V| = 6 holds two 6**9 grids
 FUZZ_VERIFY_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "bichar:Z4", "bichar:Z2xZ2", "triple:groupalg:Z2",
-                         "set", "bichar:Z0", "nope"]
-FUZZ_PENTAGON_GROUPS = ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "Z0", "Q8", "nope"]
+                         "set", "bichar:Z0", "nope", *OVERSIZED_SOLUTIONS]
+FUZZ_PENTAGON_GROUPS = ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "Z0", "Q8", "nope", "Z300"]
+FUZZ_THEOREM_GROUPS = ["Z2", "Z3", "Z2xZ2", "Z1", "Z0", "S3", "nope", "Z60", "Z300"]
 FUZZ_WORKERS = [None, None, "1", "2", "3", "0", "-1", "abc", ""]
 FUZZ_TYPES = ["3,3", "2,4", "4,2", "1,5", "5,1"] * 2 + ["2,2", "1,3", "0,6", "3", "a,b"]
 
@@ -510,12 +543,13 @@ def tri_texts(draw):
 
 @st.composite
 def fuzz_argv(draw, tri, out):
-    """argv for statesum, moves walk or moves apply on a small file, or for
-    verify p33, pentagon or yb on small groups, with option values both
-    valid and not."""
+    """argv for statesum, moves walk or moves apply on a small file, for
+    verify p33, pentagon, yb or theorem on small groups, or for solutions
+    --describe, with option values both valid and not."""
     if draw(st.integers(0, 9)) == 0:
         tri = draw(st.sampled_from([tri + ".missing", str(Path(tri).parent)]))
-    verb = draw(st.sampled_from(["statesum", "walk", "apply", "p33", "pentagon", "yb"]))
+    verbs = ["statesum", "walk", "apply", "p33", "pentagon", "yb", "theorem", "describe"]
+    verb = draw(st.sampled_from(verbs))
     backends = [[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"]]
     if verb == "p33":
         argv = ["verify", "p33", "--solution", draw(st.sampled_from(FUZZ_VERIFY_SOLUTIONS))]
@@ -528,6 +562,11 @@ def fuzz_argv(draw, tri, out):
     elif verb == "yb":
         argv = ["verify", "yb", "--solution", draw(st.sampled_from(FUZZ_VERIFY_SOLUTIONS + ["bichar:Z7"]))]
         argv += draw(st.sampled_from(backends))
+    elif verb == "theorem":
+        argv = ["verify", "theorem", "--group", draw(st.sampled_from(FUZZ_THEOREM_GROUPS))]
+    elif verb == "describe":
+        argv = ["solutions", "--describe", draw(st.sampled_from(FUZZ_SOLUTIONS))]
+        argv += draw(st.sampled_from([[], ["--dump"]]))
     elif verb == "statesum":
         argv = ["statesum", "--tri", tri, "--solution", draw(st.sampled_from(FUZZ_SOLUTIONS))]
         argv += draw(st.sampled_from([[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"]]))

@@ -343,3 +343,54 @@ def test_compare_of_equal_terms_does_not_subtract(monkeypatch):
     assert compare(a, b) is Comparison.EQUAL
     with pytest.raises(pytest.fail.Exception, match="subtracted"):
         compare(a, ring.one)
+
+
+def two_pass_complex_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, k):
+    """ComplexRing.join as first written: the weighted dict, then a second
+    dict without the zero entries."""
+    buckets = {}
+    for key, val in entries2.items():
+        buckets.setdefault(bound2(key), []).append((rest2(key), val))
+    out = {}
+    for k1, v1 in entries1.items():
+        for tail, v2 in buckets.get(bound1(k1), ()):
+            key = rest1(k1) + tail
+            prev = out.get(key)
+            out[key] = v1 * v2 if prev is None else prev + v1 * v2
+    if k:
+        weight = ring.radical(-k)
+        out = {key: weight * v for key, v in out.items()}
+    return {key: v for key, v in out.items() if v}
+
+
+# values whose sums cancel exactly, and the least subnormal, which a weight
+# below one rounds to zero: the entry then drops only after weighting
+COMPLEX_VALUES = [1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0.25j, 5e-324 + 0j, -5e-324 + 0j, 3e-300j]
+
+
+@st.composite
+def complex_join_args(draw):
+    arity1, arity2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k = draw(st.integers(0, min(arity1, arity2)))
+    s1 = draw(st.permutations(range(arity1)))[:k]
+    s2 = draw(st.permutations(range(arity2)))[:k]
+
+    def entries(arity):
+        keys = draw(st.lists(st.tuples(*[st.integers(0, 1)] * arity), max_size=8, unique=True))
+        return {key: draw(st.sampled_from(COMPLEX_VALUES)) for key in keys}
+
+    def pick(slots):
+        return lambda key: tuple(key[p] for p in slots)
+
+    rest1 = [p for p in range(arity1) if p not in s1]
+    rest2 = [p for p in range(arity2) if p not in s2]
+    return entries(arity1), pick(s1), pick(rest1), entries(arity2), pick(s2), pick(rest2), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 6]), complex_join_args())
+def test_complex_join_matches_the_two_pass_join(order, args):
+    ring = ComplexRing(order)
+    got, want = ring.join(*args), two_pass_complex_join(ring, *args)
+    assert list(got) == list(want)
+    assert all(got[key] == want[key] for key in want)

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from pachner import solutions
 from pachner.groups import FinAbGroup, parse_group
 from pachner.solutions import (
-    CompatReport,
     check_compatibility,
     cyclic_table,
     groups_up_to_order,
@@ -134,14 +134,44 @@ def test_named_group_table_rejects_unknown():
         named_group_table("Q8")
 
 
+def test_oversized_group_table_is_refused_before_building(monkeypatch):
+    monkeypatch.setattr(solutions, "cyclic_table", lambda n: pytest.fail("built"))
+    with pytest.raises(ValueError, match="group Z4xZ5 has order 20, over the limit of 16"):
+        named_group_table("Z4xZ5")
+    with pytest.raises(ValueError, match="group Z300 has order 300"):
+        named_group_table("Z300")
+    with pytest.raises(pytest.fail.Exception, match="built"):
+        named_group_table("Z4xZ4")
+
+
+def test_oversized_bicharacter_is_refused_before_construction(monkeypatch):
+    group = parse_group("Z3")
+    monkeypatch.setattr(solutions, "validate_bicharacter", lambda *args: pytest.fail("validated"))
+    monkeypatch.setattr(FinAbGroup, "chi", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(solutions, "BICHAR_ENTRIES_LIMIT", 26)
+    with pytest.raises(ValueError, match="over Z3 holds 27 entries, over the limit of 26"):
+        q_from_bicharacter(group)
+    monkeypatch.setattr(solutions, "BICHAR_ENTRIES_LIMIT", 27)
+    with pytest.raises(pytest.fail.Exception, match="validated"):
+        q_from_bicharacter(group)
+
+
+def test_size_limits_admit_every_shipped_descriptor():
+    # bichar:Z8 (tests) and order-6 group algebras (the catalogue) are the
+    # largest built anywhere; bichar:Z40 takes seconds to build
+    assert 8**3 <= solutions.BICHAR_ENTRIES_LIMIT < 40**3
+    assert 6 <= solutions.GROUP_TABLE_ORDER_LIMIT < 300
+    assert len(named_group_table("Z2xZ2xZ2xZ2")) == 16
+    with pytest.raises(ValueError, match="over Z17 holds 4913 entries"):
+        q_from_bicharacter(parse_group("Z17"))
+
+
 # -- triples ------------------------------------------------------------------
 
 
 def test_group_algebra_triples_pass_all_axioms():
     for name, table in groups_up_to_order(6):
-        report = check_compatibility(triple_from_table(table, name=name))
-        assert list(report.results) == AXIOM_NAMES
-        assert report.passed, f"{name}: {report.failures()}"
+        assert check_compatibility(triple_from_table(table, name=name)) == [], name
 
 
 def test_broken_product_fails_a_morphism_axiom():
@@ -155,11 +185,31 @@ def test_broken_product_fails_a_morphism_axiom():
         triple.lam,
         triple.rho,
     )
-    report = check_compatibility(broken)
-    assert not report.passed
-    assert "mu_morphism_of_lam" in report.failures()
-    with pytest.raises(ValueError, match="incompatible"):
+    failed = check_compatibility(broken)
+    assert "mu_morphism_of_lam" in failed
+    # the names come in axiom order, each once
+    assert failed == [name for name in AXIOM_NAMES if name in failed]
+    with pytest.raises(ValueError, match=f"incompatible triple: {', '.join(failed)} failed"):
         q_from_triple(broken)
+
+
+def test_failing_axioms_are_named_in_axiom_order():
+    # over Z2, the coproducts g -> g (x) 1 and g -> 0 (x) 0 break three
+    # axioms whose names are not in alphabetical order
+    triple = triple_from_table(cyclic_table(2))
+    one = triple.domain.ring.one
+
+    def coproduct(entries):
+        return LinMap(GroupTensor(triple.domain, (UP, UP, DOWN), entries), 2, 1)
+
+    lam = coproduct({(g, 1, g): one for g in range(2)})
+    rho = coproduct({(0, 0, g): one for g in range(2)})
+    broken = triple.__class__(triple.domain, triple.mu, lam, rho)
+    assert check_compatibility(broken) == [
+        "mu_morphism_of_lam",
+        "lam_morphism_of_rho",
+        "rho_morphism_of_lam",
+    ]
 
 
 def test_group_algebra_q_support():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -30,12 +31,14 @@ from pachner.tensors import (
     identity_kernel,
     tensor_equal,
 )
-from pachner import verify
+from pachner import tensors, verify
+from pachner.cli import catalog
 from pachner.verify import (
     _proof_integral,
     _PROOF_CASES,
+    _fmt_key,
+    _in_backend,
     _judge,
-    build_families,
     dense_p33_oracle,
     p33_sides,
     q_as_linmap,
@@ -335,6 +338,96 @@ def test_pentagon_rejects_wrong_shape():
 # -- families ------------------------------------------------------------------
 
 
+def build_families(sol) -> dict:
+    """Pin one output slot of Q each way: X^a (slot 0), Y^a (slot 2), Z^a (slot 4).
+
+    Each member is a map on V (x) V; pinning leaves four slots which are
+    reordered into the (outs, ins) layout.
+    """
+    q = sol.q if isinstance(sol, SolutionSpec) else sol
+    if q.arity != 5 or q.variances != (UP, DOWN, UP, DOWN, UP):
+        raise ValueError("family construction needs the 5-slot solution tensor")
+    fams = {}
+    for name, slot, perm in [("X", 0, [1, 3, 0, 2]), ("Y", 2, [0, 3, 1, 2]), ("Z", 4, [0, 2, 1, 3])]:
+        fams[name] = {
+            a: LinMap(q.pin(slot, a).permute(perm), 2, 2) for a in q.domain.elements()
+        }
+    return fams
+
+
+def linmap_sum(domain, ring, terms, weight) -> LinMap:
+    """Weighted sum of maps on V^3, scaled by weight."""
+    acc = {}
+    for coeff, lm in terms:
+        if not coeff:
+            continue
+        for key, val in lm.tensor.entries.items():
+            prod = coeff * val
+            prev = acc.get(key)
+            acc[key] = prod if prev is None else prev + prod
+    entries = {k: weight * v for k, v in acc.items()}
+    return LinMap(GroupTensor(domain, (UP,) * 3 + (DOWN,) * 3, entries, ring), 3, 3)
+
+
+def padded_yb_family(sol, backend="auto", rel=1e-9):
+    """verify_yb_family as first transcribed: the pinned family members
+    padded to maps on V^3 (the 13-slot ones between sigma sandwiches), pair
+    products memoised, and the sums over s, t written out as weighted sums
+    of pair products."""
+    q = _in_backend(sol.q, backend)
+    dom, ring = q.domain, q.ring
+    fams = build_families(q)
+    id1 = LinMap.identity(dom, 1, ring)
+    idsig = id1.tens(LinMap.sigma(dom, ring))
+
+    def e12(m):
+        return m.tens(id1)
+
+    def e23(m):
+        return id1.tens(m)
+
+    def e13(m):
+        return idsig.compose(m.tens(id1)).compose(idsig)
+
+    elems = list(dom.elements())
+    x12 = {a: e12(fams["X"][a]) for a in elems}
+    x23 = {a: e23(fams["X"][a]) for a in elems}
+    x13 = {a: e13(fams["X"][a]) for a in elems}
+    y13 = {a: e13(fams["Y"][a]) for a in elems}
+    z12 = {a: e12(fams["Z"][a]) for a in elems}
+    z23 = {a: e23(fams["Z"][a]) for a in elems}
+    z13 = {a: e13(fams["Z"][a]) for a in elems}
+    c2 = ring.radical(-2)
+
+    def pairs(left, right):
+        return functools.cache(lambda a, b: left[a].compose(right[b]))
+
+    x12_x23, z23_z12 = pairs(x12, x23), pairs(z23, z12)
+    x23_x13, z12_z13 = pairs(x23, x13), pairs(z12, z13)
+    counts = {"pe1_triples": 0, "pe2_triples": 0, "ybe_triples": 0}
+
+    def comparisons():
+        for rel_name, a, b, cc in itertools.product(["pe1", "pe2", "ybe"], elems, elems, elems):
+            if rel_name == "pe1":
+                i, l, m = a, b, cc
+                terms = [(q.entry((i, s, l, t, m)), x12_x23(s, t)) for s in elems for t in elems]
+                lhs = linmap_sum(dom, ring, terms, c2)
+                rhs = x23_x13(m, l).compose(x12[i])
+            elif rel_name == "pe2":
+                m, n, k = a, b, cc
+                lhs = z12_z13(m, n).compose(z23[k])
+                terms = [(q.entry((m, s, n, t, k)), z23_z12(t, s)) for s in elems for t in elems]
+                rhs = linmap_sum(dom, ring, terms, c2)
+            else:
+                i, j, k = a, b, cc
+                lhs = x12[i].compose(y13[j]).compose(z23[k])
+                rhs = z23[k].compose(y13[j]).compose(x12[i])
+            counts[f"{rel_name}_triples"] += 1
+            yield f"{rel_name}[{_fmt_key((a, b, cc))}]", lhs.equal(rhs, rel)
+
+    return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
+
+
 def test_family_members_pin_slots_of_q():
     group = FinAbGroup([2])
     sol = q_from_bicharacter(group)
@@ -391,6 +484,89 @@ def test_yb_family_verdict_tracks_p33_verdict_on_perturbations():
     for seed in range(6):
         sol = perturb_q(base, seed)
         assert verify_p33(sol).verdict == verify_yb_family(sol).verdict, seed
+
+
+def yb_reference_cases():
+    """Every catalogue solution with a tensor and triple:groupalg:Z1, clean
+    and perturbed (seeds 0-19 for bichar Z2 and Z3, 0-2 for the others),
+    exact and float for |V| <= 4 and auto above."""
+    for descriptor in [d for d in catalog() if d != "set"] + ["triple:groupalg:Z1"]:
+        seeds = range(20) if descriptor in ("bichar:Z2", "bichar:Z3") else range(3)
+        small = parse_solution(descriptor).domain.size <= 4
+        for backend in ("exact", "float") if small else ("auto",):
+            yield pytest.param(descriptor, backend, [None, *seeds], id=f"{descriptor}-{backend}")
+
+
+@pytest.mark.parametrize("descriptor,backend,seeds", yb_reference_cases())
+def test_yb_report_lines_equal_the_padded_family_reference(descriptor, backend, seeds):
+    base = parse_solution(descriptor)
+    for seed in seeds:
+        sol = base if seed is None else perturb_q(base, seed)
+        assert verify_yb_family(sol, backend).lines() == padded_yb_family(sol, backend).lines(), seed
+
+
+def recorded_sides(check, sol, monkeypatch):
+    """Every side pair a yb check compares, each as its entry dict, with
+    every comparison reported equal so the fold reaches all of them."""
+    sides = []
+
+    def record(a, b, rel=1e-9):
+        if isinstance(a, LinMap):
+            a, b = a.tensor, b.tensor
+        sides.append((a.entries, b.entries))
+        return EqualityReport(Comparison.EQUAL, None, None, None, 0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "tensor_equal", record)
+        patch.setattr(LinMap, "equal", record)
+        assert check(sol, "exact")
+    return sides
+
+
+@pytest.mark.parametrize("descriptor", ["bichar:Z2", "bichar:Z3", "triple:groupalg:S3"])
+def test_yb_sides_equal_the_padded_families_in_every_identity(descriptor, monkeypatch):
+    base = parse_solution(descriptor)
+    for sol in [base] + [perturb_q(base, seed) for seed in range(3)]:
+        got = recorded_sides(verify_yb_family, sol, monkeypatch)
+        want = recorded_sides(padded_yb_family, sol, monkeypatch)
+        assert len(got) == len(want) == 3 * sol.domain.size**3
+        assert got == want
+
+
+def counted_composes_and_joins(sol, monkeypatch):
+    calls = Counter()
+    compose, contract = LinMap.compose, tensors.contract
+
+    def counted_compose(self, other, at=None):
+        calls["compose"] += 1
+        return compose(self, other, at)
+
+    def counted_contract(*args):
+        calls["join"] += 1
+        return contract(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LinMap, "compose", counted_compose)
+        patch.setattr(tensors, "contract", counted_contract)
+        report = verify_yb_family(sol)
+    return report, calls
+
+
+@pytest.mark.parametrize("descriptor", ["bichar:Z2", "bichar:Z3", "bichar:Z4", "triple:groupalg:S3"])
+def test_yb_makes_33_composes_and_18_joins_for_every_domain(descriptor, monkeypatch):
+    report, calls = counted_composes_and_joins(parse_solution(descriptor), monkeypatch)
+    assert report
+    # 11 + 10 + 12 factors across the three identities' two sides, of which
+    # 6 + 6 + 6 are copies of Q; sigma reorders slots without a join
+    assert calls == {"compose": 33, "join": 18}
+
+
+def test_yb_fold_failing_in_pe1_builds_no_later_side(monkeypatch):
+    sol = perturb_q(parse_solution("bichar:Z3"), 1)
+    report, calls = counted_composes_and_joins(sol, monkeypatch)
+    assert report.verdict == "fail" and report.witness.startswith("pe1[")
+    assert (report.extras["pe2_triples"], report.extras["ybe_triples"]) == (0, 0)
+    assert calls == {"compose": 11, "join": 6}
 
 
 # -- symmetry relation ---------------------------------------------------------
@@ -545,10 +721,11 @@ def test_dense_oracle_worker_split_is_deterministic():
 
 
 def test_dense_oracle_refuses_large_grids_before_allocating(monkeypatch):
-    assert 32 * 6**9 <= verify.DENSE_BYTES_LIMIT < 32 * 7**9
+    # Z6 passes the bound with its comparison temporaries counted, Z7 does not
+    assert 56 * 6**9 + 16 * 6**8 <= verify.DENSE_BYTES_LIMIT < 56 * 7**9
     sol = parse_solution("bichar:Z8")
     monkeypatch.setattr(verify.np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
-    with pytest.raises(ValueError, match="needs 4.29 GB"):
+    with pytest.raises(ValueError, match=r"needs 4.29 GB .* plus 3.22 GB for the comparison's 8\^9"):
         dense_p33_oracle(sol)
 
 
@@ -631,18 +808,50 @@ def test_dense_path_matches_the_pathless_einsum(group, seed):
 def test_dense_bound_counts_the_intermediate(monkeypatch):
     sol = parse_solution("bichar:Z3")
     monkeypatch.setattr(verify.np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
-    monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", 32 * 3**9 + 16 * 3**8 - 1)
-    with pytest.raises(ValueError, match=r"two 3\^9 grids and 0.00 GB for an 3\^8 intermediate"):
+    counted = 32 * 3**9 + 16 * 3**8 + 24 * 3**9
+    monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", counted - 1)
+    with pytest.raises(
+        ValueError,
+        match=r"two 3\^9 grids and 0.00 GB for an 3\^8 intermediate, "
+        r"plus 0.00 GB for the comparison's 3\^9 temporaries",
+    ):
         dense_p33_oracle(sol)
-    monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", 32 * 3**9 + 16 * 3**8)
+    monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", counted)
     with pytest.raises(pytest.fail.Exception, match="allocated"):
         dense_p33_oracle(sol)
+
+
+@pytest.mark.parametrize("group", ["Z3", "Z4"])
+@pytest.mark.parametrize("seed", [None, 2])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_dense_traced_peak_stays_within_the_counted_bytes(group, seed, workers, monkeypatch):
+    import tracemalloc
+
+    sol = parse_solution(f"bichar:{group}")
+    if seed is not None:
+        sol = perturb_q(sol, seed)
+    n = sol.q.domain.size
+    dense_p33_oracle(sol, workers=workers)
+    tracemalloc.start()
+    try:
+        report = dense_p33_oracle(sol, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == ("pass" if seed is None else "fail")
+    # the trace sees the grids: at least one side's full grid at once
+    assert 16 * n**9 <= peak
+    # the bytes the oracle counts are at least the peak: a limit one byte
+    # below the peak refuses the run
+    monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", peak - 1)
+    with pytest.raises(ValueError, match="GB limit"):
+        dense_p33_oracle(sol, workers=workers)
 
 
 def test_yb_refuses_large_checks_before_building_families(monkeypatch):
     sol = parse_solution("bichar:Z3")
     monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("contracted"))
-    monkeypatch.setattr(verify, "build_families", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(verify, "q_as_linmap", lambda *args: pytest.fail("built"))
     monkeypatch.setattr(verify, "YB_ENTRIES_LIMIT", 3 * 3**9 - 1)
     with pytest.raises(ValueError, match="over Z3 may compare 59049 entries, over the limit of 59048"):
         verify_yb_family(sol)
@@ -657,20 +866,3 @@ def test_yb_entry_bound_admits_every_shipped_check():
     assert 3 * 6**9 <= verify.YB_ENTRIES_LIMIT < 3 * 7**9
     with pytest.raises(ValueError, match="over Z7 may compare"):
         verify_yb_family(parse_solution("bichar:Z7"))
-
-
-@pytest.mark.parametrize("group", ["Z2", "Z3"])
-def test_yb_composes_each_pair_product_once(monkeypatch, group):
-    calls = Counter()
-    original = LinMap.compose
-
-    def counted(self, other, at=None):
-        calls[id(self), id(other)] += 1
-        return original(self, other, at)
-
-    monkeypatch.setattr(LinMap, "compose", counted)
-    assert verify_yb_family(parse_solution(f"bichar:{group}"))
-    n = parse_group(group).size
-    # the e13 paddings, the four memoised pair families, then per index
-    # triple one compose in pe1, one in pe2 and four in ybe
-    assert sum(calls.values()) == 6 * n + 4 * n**2 + 6 * n**3
