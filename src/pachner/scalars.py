@@ -130,6 +130,13 @@ class Comparison(enum.Enum):
     UNEQUAL = "unequal"
     INDETERMINATE = "indeterminate"
 
+    @property
+    def verdict(self) -> str:
+        """The report verdict: "pass", "fail" or "indeterminate"."""
+        if self is Comparison.EQUAL:
+            return "pass"
+        return "fail" if self is Comparison.UNEQUAL else "indeterminate"
+
 
 class ScalarRing:
     """Arithmetic context for a fixed lcm order L and group order N.

@@ -31,6 +31,7 @@ from .tensors import (
     BasisDomain,
     GroupTensor,
     LinMap,
+    tensor_equal,
 )
 
 
@@ -237,7 +238,7 @@ def check_compatibility(t: TripleSpec) -> list[str]:
             lam.tens(lam).compose(rho), sig.compose(rho.tens(rho).compose(lam), at=1)
         ),
     }
-    return [name for name, (lhs, rhs) in axioms.items() if not lhs.equal(rhs)]
+    return [name for name, (lhs, rhs) in axioms.items() if not tensor_equal(lhs.tensor, rhs.tensor)]
 
 
 def q_from_triple(t: TripleSpec, descriptor: str | None = None) -> SolutionSpec:

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from .scalars import compare
 from .simplicial import Triangulation, find_move_sites, apply_move
 from .solutions import SolutionSpec
-from .tensors import GroupTensor, UP, DOWN, contract
-from .verify import _VERDICTS, Report, _in_backend
+from .tensors import GroupTensor, UP, DOWN, Report, contract, in_backend
 
 ARITY_GUARD = 22
 # A step over a domain of size n may hold up to n**arity entries; no step may
@@ -70,7 +69,7 @@ def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "auto")
         raise ValueError(f"state sums need a 4-dimensional complex, got dim {t.dim}")
     if sol.q is None:
         raise ValueError("state sums need a solution tensor")
-    q = _in_backend(sol.q, backend)
+    q = in_backend(sol.q, backend)
     qbar = q.conj()
     tensors = []
     for vertices, sign in t.simplexes:
@@ -281,7 +280,7 @@ def invariance_run(
         value = partition_value(build_assignment(t, sol, backend))
         applied += 1
         if ring.name == "exact":
-            verdict = _VERDICTS[compare(value, reference)]
+            verdict = compare(value, reference).verdict
             detail = f"value {ring.render(value)} vs {shown}"
         else:
             err = abs(value - reference) / max(abs(reference), 1e-30)

@@ -34,13 +34,20 @@ Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
 used by the bialgebra-style constructions).  A BasisDomain has group
 order 1 in its scalar ring, which makes r = 1 and collapses all the
 measure bookkeeping to ordinary matrix algebra.
+
+``Report`` is the one result shape of every check: ``tensor_equal``
+returns one (verdict, entries compared, the least failing key and both
+values there), the relation checkers fold such reports into theirs, and
+state-sum invariance runs return one.  ``in_backend`` moves a tensor into
+the ring a backend name selects, the one policy checkers and state sums
+share.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .scalars import Comparison, ComplexRing, get_ring
@@ -90,6 +97,10 @@ def _format_elem(e):
     if isinstance(e, tuple):
         return ".".join(str(c) for c in e)
     return str(e)
+
+
+def _fmt_key(key) -> str:
+    return ",".join(_format_elem(e) for e in key)
 
 
 class GroupTensor:
@@ -170,6 +181,20 @@ class GroupTensor:
         return "\n".join(lines)
 
 
+def in_backend(t: GroupTensor, backend: str) -> GroupTensor:
+    """The tensor in the ring a backend names.
+
+    "auto" keeps plain basis domains and groups of order at most 4 exact
+    and moves larger groups to floats.
+    """
+    if backend == "auto":
+        small = isinstance(t.domain, BasisDomain) or t.domain.size <= 4
+        backend = "exact" if small else "float"
+    if backend not in ("exact", "float"):
+        raise ValueError(f"unknown backend {backend!r}")
+    return t if backend == "exact" else t.to_float()
+
+
 def _built(domain, variances, entries, ring) -> GroupTensor:
     """A tensor from entries that already fit: keys of len(variances)
     slots and no zero values.  Results of contract, permute, conj and pin
@@ -231,26 +256,54 @@ def contract(t1: GroupTensor, s1, t2: GroupTensor, s2) -> GroupTensor:
 
 
 @dataclass
-class EqualityReport:
-    verdict: Comparison
-    witness: tuple | None
-    lhs_value: str | None
-    rhs_value: str | None
-    compared: int
+class Report:
+    """Outcome of one check, printed as flat key=value lines.
+
+    ``fields`` print in order after ``relation=`` and hold the verdict
+    ("pass" | "fail" | "indeterminate"); the witness follows when there
+    is one, then the extras sorted by key.
+    """
+
+    name: str
+    fields: dict
+    witness: str = ""
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        return self.fields["verdict"]
+
+    @property
+    def checks(self):
+        """Entries compared, for the reports that count them."""
+        return self.fields.get("checks")
 
     def __bool__(self):
-        return self.verdict is Comparison.EQUAL
+        return self.verdict == "pass"
+
+    def lines(self):
+        out = [f"relation={self.name}"] + [_line(k, v) for k, v in self.fields.items()]
+        if self.witness:
+            out.append(f"witness={self.witness}")
+        return out + [_line(k, self.extras[k]) for k in sorted(self.extras)]
 
 
-def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> EqualityReport:
+def _line(key, value) -> str:
+    """One key=value line; floats print as `.3e` (e.g. 1.234e-15)."""
+    return f"{key}={value:.3e}" if isinstance(value, float) else f"{key}={value}"
+
+
+def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Report:
     """Entrywise comparison over the union of supports, in the tensors' ring.
 
     Variances are not compared; callers that care about them check the
-    patterns directly.  The reported witness is the lexicographically
-    least UNEQUAL index tuple, or failing that the least INDETERMINATE
-    one; the union is walked once, unsorted.  With the exact backend, a
-    difference that straddles both radical parities may yield
-    INDETERMINATE; the float backend compares at relative tolerance rel.
+    patterns directly.  The report counts the keys compared as checks;
+    its witness is the lexicographically least UNEQUAL index tuple, or
+    failing that the least INDETERMINATE one, formatted, with both
+    rendered values as lhs_value and rhs_value.  The union is walked once,
+    unsorted.  With the exact backend, a difference that straddles both
+    radical parities may yield INDETERMINATE; the float backend compares
+    at relative tolerance rel.
     """
     if t1.arity != t2.arity:
         raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
@@ -273,22 +326,12 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Equalit
         if key not in e1:
             compared += 1
             note(compare(zero, v2, rel), key)
-    for verdict in (Comparison.UNEQUAL, Comparison.INDETERMINATE):
-        key = least[verdict]
+    for verdict, key in least.items():
         if key is not None:
-            shown = ring.render(t1.entry(key)), ring.render(t2.entry(key))
-            return EqualityReport(verdict, key, *shown, compared)
-    return EqualityReport(Comparison.EQUAL, None, None, None, compared)
-
-
-def identity_kernel(domain, ring=None) -> GroupTensor:
-    """Delta line with entry r: the weight-neutral identity wire."""
-    return LinMap.identity(domain, 1, ring).tensor
-
-
-def sigma_map(domain, ring=None) -> GroupTensor:
-    """The swap on two wires: slots (out0, out1, in0, in1), entries r**2."""
-    return LinMap.sigma(domain, ring).tensor
+            values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
+            fields = {"verdict": verdict.verdict, "checks": compared}
+            return Report("tensor-equal", fields, _fmt_key(key), values)
+    return Report("tensor-equal", {"verdict": "pass", "checks": compared})
 
 
 def apply_kernel(t: GroupTensor, slot: int, kernel: GroupTensor, side: str = "left") -> GroupTensor:
@@ -424,8 +467,3 @@ class LinMap:
         if scale != ring.one:
             t.entries = {key: v * scale for key, v in t.entries.items()}
         return t
-
-    def equal(self, other: "LinMap", rel: float = 1e-9) -> EqualityReport:
-        if (self.n_out, self.n_in) != (other.n_out, other.n_in):
-            raise ValueError("shape mismatch")
-        return tensor_equal(self.tensor, other.tensor, rel)

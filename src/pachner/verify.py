@@ -26,7 +26,8 @@ Checkers in here:
 * verify_theorem: for the bicharacter solution over a finite abelian
   group, the four proof-case integrals all reproduce the conjugate
   tensor; kernel transforms are expanded as explicit weighted sums,
-  independently of apply_kernel;
+  independently of apply_kernel, refused before anything is built when
+  they would expand more than THEOREM_TERMS_LIMIT terms;
 * dense_p33_oracle: a dense numpy cross-check of verify_p33 that
   enumerates the full index grid with einsum, contracting each side along
   a fixed pairwise path (n**11 multiply-adds); DENSE_BYTES_LIMIT bounds
@@ -35,12 +36,12 @@ Checkers in here:
 * verify_set_p33: the set-theoretic composite maps compared pointwise
   in exact rational arithmetic.
 
-Each returns a Report; the entrywise checkers fold their comparisons
-into it with _judge.
+Each returns a tensors.Report; the entrywise checkers fold the Reports
+of their tensor_equal comparisons into it with _judge.
 
-The exact backend is the default for domains of size at most 4 (and
-all plain basis domains); larger groups fall back to floats at 1e-9
-relative tolerance.
+The backend follows tensors.in_backend: exact by default for domains of
+size at most 4 (and all plain basis domains); larger groups fall back to
+floats at 1e-9 relative tolerance.
 """
 
 from __future__ import annotations
@@ -50,78 +51,26 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
 
 from .groups import FinAbGroup
-from .scalars import Comparison
 from .solutions import SolutionSpec, q_from_bicharacter, set_q, symmetry_kernels
 from .tensors import (
     DOWN,
     UP,
-    BasisDomain,
-    EqualityReport,
     GroupTensor,
     LinMap,
+    Report,
     apply_kernel,
     contract,
-    identity_kernel,
+    in_backend,
     tensor_equal,
     _built,
-    _format_elem,
+    _fmt_key,
 )
-
-
-@dataclass
-class Report:
-    """Outcome of one check, printed as flat key=value lines.
-
-    ``fields`` print in order after ``relation=`` and hold the verdict
-    ("pass" | "fail" | "indeterminate"); the witness follows when there
-    is one, then the extras sorted by key.
-    """
-
-    name: str
-    fields: dict
-    witness: str = ""
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self) -> str:
-        return self.fields["verdict"]
-
-    @property
-    def checks(self):
-        """Entries compared, for the reports that count them."""
-        return self.fields.get("checks")
-
-    def __bool__(self):
-        return self.verdict == "pass"
-
-    def lines(self):
-        out = [f"relation={self.name}"] + [_line(k, v) for k, v in self.fields.items()]
-        if self.witness:
-            out.append(f"witness={self.witness}")
-        return out + [_line(k, self.extras[k]) for k in sorted(self.extras)]
-
-
-def _line(key, value) -> str:
-    """One key=value line; floats print as `.3e` (e.g. 1.234e-15)."""
-    return f"{key}={value:.3e}" if isinstance(value, float) else f"{key}={value}"
-
-
-_VERDICTS = {
-    Comparison.EQUAL: "pass",
-    Comparison.UNEQUAL: "fail",
-    Comparison.INDETERMINATE: "indeterminate",
-}
-
-
-def _fmt_key(key) -> str:
-    return ",".join(_format_elem(e) for e in key)
 
 
 def _report(name, target, backend, verdict, checks, witness="", extras=None) -> Report:
@@ -131,42 +80,26 @@ def _report(name, target, backend, verdict, checks, witness="", extras=None) -> 
 
 
 def _judge(name, target, backend, comparisons, extras=None) -> Report:
-    """Fold labelled (where, EqualityReport) comparisons into one report.
+    """Fold labelled (where, Report) comparisons into one report.
 
-    The comparisons are consumed lazily: the first UNEQUAL stops the fold
-    with fail; otherwise the first INDETERMINATE is the witness.  The
+    The comparisons are consumed lazily: the first failing one stops the
+    fold; otherwise the first indeterminate one is the witness.  The
     witness reads "where at key" (just the key when where is empty) and
-    brings both rendered values as lhs_value and rhs_value.  ``extras``
-    is read after the fold, so a generator of comparisons may fill it.
+    brings the comparison's extras, both rendered values.  ``extras`` is
+    read after the fold, so a generator of comparisons may fill it.
     """
     checks, verdict, witness, values = 0, "pass", "", {}
     for where, rep in comparisons:
-        checks += rep.compared
-        if rep.verdict is Comparison.EQUAL or (
-            rep.verdict is Comparison.INDETERMINATE and verdict != "pass"
-        ):
+        checks += rep.checks
+        # skip a pass, and an indeterminate one after the first
+        if rep or rep.verdict == verdict:
             continue
-        verdict = _VERDICTS[rep.verdict]
-        key = _fmt_key(rep.witness)
-        witness = f"{where} at {key}" if where else key
-        values = {"lhs_value": rep.lhs_value, "rhs_value": rep.rhs_value}
-        if rep.verdict is Comparison.UNEQUAL:
+        verdict = rep.verdict
+        witness = f"{where} at {rep.witness}" if where else rep.witness
+        values = rep.extras
+        if verdict == "fail":
             break
     return _report(name, target, backend, verdict, checks, witness, {**(extras or {}), **values})
-
-
-def _in_backend(t: GroupTensor, backend: str) -> GroupTensor:
-    """The tensor in the ring a backend names.
-
-    "auto" keeps plain basis domains and groups of order at most 4 exact
-    and moves larger groups to floats.
-    """
-    if backend == "auto":
-        small = isinstance(t.domain, BasisDomain) or t.domain.size <= 4
-        backend = "exact" if small else "float"
-    if backend not in ("exact", "float"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return t if backend == "exact" else t.to_float()
 
 
 def q_as_linmap(q: GroupTensor) -> LinMap:
@@ -232,10 +165,10 @@ def verify_p33(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9) -> R
         raise ValueError(
             "this solution has no tensor; use verify_set_p33 for the set-theoretic map"
         )
-    q = _in_backend(sol.q, backend)
+    q = in_backend(sol.q, backend)
     lhs, rhs = p33_sides(q)
     extras = {"lhs_nnz": len(lhs.tensor.entries), "rhs_nnz": len(rhs.tensor.entries)}
-    return _judge("p33", sol.descriptor, q.ring.name, [("", lhs.equal(rhs, rel))], extras)
+    return _judge("p33", sol.descriptor, q.ring.name, [("", tensor_equal(lhs.tensor, rhs.tensor, rel))], extras)
 
 
 def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> Report:
@@ -246,14 +179,14 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> Report:
         s = LinMap(s, 2, 2)
     if (s.n_out, s.n_in) != (2, 2):
         raise ValueError("pentagon input must be a square map on two wires")
-    s = LinMap(_in_backend(s.tensor, backend), 2, 2)
+    s = LinMap(in_backend(s.tensor, backend), 2, 2)
     dom, ring = s.tensor.domain, s.tensor.ring
     sig = LinMap.sigma(dom, ring)
     start = LinMap.identity(dom, 3, ring)
     s13 = [(sig, 1), (s, 0), (sig, 1)]
     lhs = _apply_word([(s, 0), *s13, (s, 1)], start)
     rhs = _apply_word([(s, 1), (s, 0)], start)
-    return _judge("pentagon", dom.literal, ring.name, [("", lhs.equal(rhs, rel))])
+    return _judge("pentagon", dom.literal, ring.name, [("", tensor_equal(lhs.tensor, rhs.tensor, rel))])
 
 
 # Each side of a yb family identity is a map V^3 -> V^6 of at most |V|**9
@@ -294,7 +227,7 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
             f"yb family over {sol.q.domain.literal} may compare {3 * size**9} entries, "
             f"over the limit of {YB_ENTRIES_LIMIT}"
         )
-    q = _in_backend(sol.q, backend)
+    q = in_backend(sol.q, backend)
     dom, ring = q.domain, q.ring
     x = q_as_linmap(q)
     y = LinMap(q.permute([2, 0, 4, 1, 3]), 3, 2)
@@ -354,14 +287,14 @@ def _validate_kernel(name: str, kernel: GroupTensor, domain) -> str:
     if kernel.domain != domain:
         raise ValueError(f"kernel {name} lives on {kernel.domain!r}, not {domain!r}")
     sym = tensor_equal(kernel, kernel.permute([1, 0]))
-    if sym.verdict is not Comparison.EQUAL:
-        return f"kernel {name} is not symmetric at {_fmt_key(sym.witness)}"
+    if not sym:
+        return f"kernel {name} is not symmetric at {sym.witness}"
     inv = tensor_equal(
         contract(kernel, 1, _conj_table(kernel), 0),
-        identity_kernel(kernel.domain, kernel.ring),
+        LinMap.identity(kernel.domain, 1, kernel.ring).tensor,
     )
-    if inv.verdict is not Comparison.EQUAL:
-        return f"kernel {name} is not inverted by its conjugate (checked at {_fmt_key(inv.witness)})"
+    if not inv:
+        return f"kernel {name} is not inverted by its conjugate (checked at {inv.witness})"
     return ""
 
 
@@ -483,6 +416,13 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
     )
 
 
+# The four proof-case integrals expand one term per (entry, kernel-row)
+# combination: the bicharacter solution has |G|**3 entries, an S row is
+# dense (|G| entries) and a T row a delta, so two cases expand |G|**5 terms
+# and two |G|**3.  Groups of order up to 9 pass; Z10 expands 202,000.
+THEOREM_TERMS_LIMIT = 1 << 17
+
+
 def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
     """All four proof-case integrals reproduce the conjugate solution tensor.
 
@@ -490,7 +430,17 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
     exist so negative controls (a trivial gauss function, an asymmetric
     pairing) can demonstrate that the identities genuinely constrain the
     data rather than holding formally.
+
+    Raises ValueError, before the solution or its kernels are built, when
+    the four integrals would expand more than THEOREM_TERMS_LIMIT terms.
     """
+    n = group.size
+    terms = 2 * n**5 + 2 * n**3
+    if terms > THEOREM_TERMS_LIMIT:
+        raise ValueError(
+            f"theorem over {group.literal} expands {terms} terms, over the limit "
+            f"of {THEOREM_TERMS_LIMIT}"
+        )
     sol = q_from_bicharacter(group, chi=chi)
     kern = symmetry_kernels(group, gauss=gauss)
     kernels = {"T": kern["T"], "Tbar": kern["Tinv"], "S": kern["S"], "Sbar": kern["Sinv"]}
@@ -502,9 +452,9 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
         (case, tensor_equal(_proof_integral(dt, plan, kernels), target))
         for case, plan in _PROOF_CASES.items()
     ]
-    cases = {case: _VERDICTS[rep.verdict] for case, rep in comparisons}
+    cases = {case: rep.verdict for case, rep in comparisons}
     report = _judge("theorem", group.literal, "exact", comparisons, cases)
-    report.fields["checks"] = sum(rep.compared for _, rep in comparisons)
+    report.fields["checks"] = sum(rep.checks for _, rep in comparisons)
     return report
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pachner import scalars
 from pachner.cli import main
 from pachner.simplicial import pachner_sides, simplex_boundary
 
@@ -485,6 +486,7 @@ def test_selftest_unknown_mutation(capsys, monkeypatch):
         ["solutions", "--describe", "triple:groupalg:Z300"],
         ["verify", "p33", "--solution", "bichar:Z60"],
         ["verify", "theorem", "--group", "Z60"],
+        ["verify", "theorem", "--group", "Z12"],
         ["statesum", "--tri", str(REPO / "data" / "boundary_delta5.tri"), "--solution", "bichar:Z60"],
         ["solutions", "--describe", "bichar:Z40"],
     ],
@@ -513,8 +515,11 @@ FUZZ_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "triple:groupalg:Z2"] * 2 + ["set", 
 FUZZ_VERIFY_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "bichar:Z4", "bichar:Z2xZ2", "triple:groupalg:Z2",
                          "set", "bichar:Z0", "nope", *OVERSIZED_SOLUTIONS]
 FUZZ_PENTAGON_GROUPS = ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "Z0", "Q8", "nope", "Z300"]
-FUZZ_THEOREM_GROUPS = ["Z2", "Z3", "Z2xZ2", "Z1", "Z0", "S3", "nope", "Z60", "Z300"]
+FUZZ_THEOREM_GROUPS = ["Z2", "Z3", "Z2xZ2", "Z1", "Z0", "S3", "nope", "Z12", "Z16", "Z60", "Z300"]
 FUZZ_WORKERS = [None, None, "1", "2", "3", "0", "-1", "abc", ""]
+# selftest runs only the quick criteria, or none
+FUZZ_SELFTEST = [["--list"], ["--only", "interval-solution"], ["--only", "pentagon-equation"], ["--only", "nope"]]
+FUZZ_MUTATE = [None, "", "conj-noop", "weight-sign", "bogus"]
 FUZZ_TYPES = ["3,3", "2,4", "4,2", "1,5", "5,1"] * 2 + ["2,2", "1,3", "0,6", "3", "a,b"]
 
 
@@ -544,11 +549,11 @@ def tri_texts(draw):
 @st.composite
 def fuzz_argv(draw, tri, out):
     """argv for statesum, moves walk or moves apply on a small file, for
-    verify p33, pentagon, yb or theorem on small groups, or for solutions
-    --describe, with option values both valid and not."""
+    verify p33, pentagon, yb or theorem on small groups, for solutions
+    --describe, or for selftest, with option values both valid and not."""
     if draw(st.integers(0, 9)) == 0:
         tri = draw(st.sampled_from([tri + ".missing", str(Path(tri).parent)]))
-    verbs = ["statesum", "walk", "apply", "p33", "pentagon", "yb", "theorem", "describe"]
+    verbs = ["statesum", "walk", "apply", "p33", "pentagon", "yb", "theorem", "describe", "selftest"]
     verb = draw(st.sampled_from(verbs))
     backends = [[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"]]
     if verb == "p33":
@@ -564,6 +569,8 @@ def fuzz_argv(draw, tri, out):
         argv += draw(st.sampled_from(backends))
     elif verb == "theorem":
         argv = ["verify", "theorem", "--group", draw(st.sampled_from(FUZZ_THEOREM_GROUPS))]
+    elif verb == "selftest":
+        argv = ["selftest", *draw(st.sampled_from(FUZZ_SELFTEST))]
     elif verb == "describe":
         argv = ["solutions", "--describe", draw(st.sampled_from(FUZZ_SOLUTIONS))]
         argv += draw(st.sampled_from([[], ["--dump"]]))
@@ -601,12 +608,19 @@ def test_cli_fuzz_ends_in_a_known_exit_with_at_most_one_error_line(capsys, monke
         monkeypatch.delenv("PACHNER_WORKERS", raising=False)
     else:
         monkeypatch.setenv("PACHNER_WORKERS", workers)
+    mutation = data.draw(st.sampled_from(FUZZ_MUTATE), label="PACHNER_MUTATE")
+    if mutation is None:
+        monkeypatch.delenv("PACHNER_MUTATE", raising=False)
+    else:
+        monkeypatch.setenv("PACHNER_MUTATE", mutation)
+    conj, radical = scalars.Scalar.conj, scalars.ScalarRing.radical
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's -h prints help and exits 0
         code = exc.code
     out, err = capsys.readouterr()
-    assert code in (0, 1, 2, 64, 70)
+    assert (scalars.Scalar.conj, scalars.ScalarRing.radical) == (conj, radical)
+    assert code in ((0, 1, 64) if "selftest" in argv else (0, 1, 2, 64, 70))
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == (1 if code in (64, 70) else 0)
     assert "Traceback" not in out + err

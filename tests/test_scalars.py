@@ -144,6 +144,14 @@ def test_compare_cross_parity_indeterminate():
     assert compare(ring.root(1) - ring.root(3), ring.radical()) is Comparison.INDETERMINATE
 
 
+def test_comparison_verdicts_name_the_report_outcomes():
+    assert {c: c.verdict for c in Comparison} == {
+        Comparison.EQUAL: "pass",
+        Comparison.UNEQUAL: "fail",
+        Comparison.INDETERMINATE: "indeterminate",
+    }
+
+
 def test_compare_cross_parity_unequal_when_squares_differ():
     # r^10 = 32 and r^9 = 16 sqrt(2): P = 32, Q r = -16 r, P^2 != N Q^2
     ring = get_ring(2, 2)

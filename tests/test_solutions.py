@@ -23,7 +23,7 @@ from pachner.solutions import (
     triple_from_table,
     validate_bicharacter,
 )
-from pachner.tensors import DOWN, UP, GroupTensor, LinMap, contract, identity_kernel, tensor_equal
+from pachner.tensors import DOWN, UP, GroupTensor, LinMap, contract, tensor_equal
 
 AXIOM_NAMES = [
     "associativity",
@@ -311,7 +311,7 @@ def test_kernel_inverses_are_conjugates_and_unitary():
     for literal in ["Z2", "Z3", "Z4", "Z2xZ2"]:
         group = parse_group(literal)
         kernels = symmetry_kernels(group)
-        wire = identity_kernel(group)
+        wire = LinMap.identity(group, 1).tensor
         for name in ["T", "S"]:
             fwd, inv = kernels[name], kernels[name + "inv"]
             assert tensor_equal(inv, fwd.conj()), (literal, name)

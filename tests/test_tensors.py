@@ -12,14 +12,13 @@ from pachner.tensors import (
     DOWN,
     UP,
     BasisDomain,
-    EqualityReport,
     GroupTensor,
     LinMap,
+    Report,
     apply_kernel,
     contract,
-    identity_kernel,
-    sigma_map,
     tensor_equal,
+    _fmt_key,
 )
 
 Z2 = FinAbGroup([2])
@@ -60,16 +59,16 @@ def random_tensor(domain, variances, seed, density=0.5):
 
 
 def test_identity_wire_is_neutral():
-    wire = identity_kernel(Z3)
+    wire = LinMap.identity(Z3, 1).tensor
     f = random_tensor(Z3, (UP,), seed=1, density=0.9)
     out = contract(wire, 1, f, 0)
-    assert tensor_equal(out, f).verdict is Comparison.EQUAL
+    assert tensor_equal(out, f)
 
 
 def test_delta_lines_chain():
-    wire = identity_kernel(Z3)
+    wire = LinMap.identity(Z3, 1).tensor
     chained = contract(wire, 1, wire, 0)
-    assert tensor_equal(chained, wire).verdict is Comparison.EQUAL
+    assert tensor_equal(chained, wire)
 
 
 def test_contract_requires_opposite_variance():
@@ -95,7 +94,7 @@ def test_permute_involution_and_rekey():
         x, u, y, v, z = key
         assert swapped.entries[(u, x, y, v, z)] == val
     back = swapped.permute([1, 0, 2, 3, 4])
-    assert tensor_equal(back, q).verdict is Comparison.EQUAL
+    assert tensor_equal(back, q)
     assert swapped.variances == (DOWN, UP, UP, DOWN, UP)
 
 
@@ -109,13 +108,13 @@ def test_symmetric_kernel_fixed_by_swap():
     }
     s = GroupTensor(z5, (UP, DOWN), entries)
     swapped = s.permute([1, 0])
-    assert tensor_equal(swapped, s).verdict is Comparison.EQUAL
+    assert tensor_equal(swapped, s)
 
 
 def test_conj_involution():
     t = random_tensor(Z3, (UP, DOWN), seed=4)
     back = t.conj().conj()
-    assert tensor_equal(back, t).verdict is Comparison.EQUAL
+    assert tensor_equal(back, t)
     assert t.conj().variances == (DOWN, UP)
     assert set(t.conj().entries) == set(t.entries)
 
@@ -125,7 +124,7 @@ def test_conj_commutes_with_contraction():
     b = random_tensor(Z3, (DOWN, UP), seed=6)
     lhs = contract(a, 2, b, 0).conj()
     rhs = contract(a.conj(), 2, b.conj(), 0)
-    assert tensor_equal(lhs, rhs).verdict is Comparison.EQUAL
+    assert tensor_equal(lhs, rhs)
 
 
 def test_independent_contractions_commute():
@@ -137,7 +136,7 @@ def test_independent_contractions_commute():
     ab_then_c = contract(ab, 1, c, 0)  # slots: a0 b1
     ac = contract(a, 1, c, 0)  # slots: a0 a2
     ac_then_b = contract(ac, 1, b, 0)  # slots: a0 b1
-    assert tensor_equal(ab_then_c, ac_then_b).verdict is Comparison.EQUAL
+    assert tensor_equal(ab_then_c, ac_then_b)
 
 
 def test_contract_matches_a_nested_loop_sum():
@@ -481,15 +480,33 @@ def test_tensor_equal_least_witness():
     a = GroupTensor(Z2, (UP, UP), {((0,), (0,)): ring.one, ((1,), (1,)): ring.one})
     b = GroupTensor(Z2, (UP, UP), {((0,), (0,)): ring.one})
     rep = tensor_equal(a, b)
-    assert rep.verdict is Comparison.UNEQUAL
-    assert rep.witness == ((1,), (1,))
+    assert rep.verdict == "fail"
+    assert rep.witness == _fmt_key(((1,), (1,)))
     c = GroupTensor(
         Z2,
         (UP, UP),
         {((0,), (1,)): ring.integer(5), ((1,), (1,)): ring.integer(7)},
     )
     rep2 = tensor_equal(a, c)
-    assert rep2.witness == ((0,), (0,))
+    assert rep2.witness == _fmt_key(((0,), (0,)))
+
+
+def test_tensor_equal_report_formats_the_least_failing_key_and_renders_both_values():
+    ring = Z2xZ2.ring
+    keys = [((1, 0), (0, 1)), ((0, 1), (1, 1)), ((0, 1), (0, 0))]
+    a = GroupTensor(Z2xZ2, (UP, DOWN), {keys[0]: ring.one, keys[1]: ring.radical(), keys[2]: ring.one})
+    b = GroupTensor(Z2xZ2, (UP, DOWN), {keys[0]: ring.integer(3), keys[1]: ring.radical(3)})
+    rep = tensor_equal(a, b)
+    assert rep.lines() == [
+        "relation=tensor-equal",
+        "verdict=fail",
+        "checks=3",
+        "witness=0.1,0.0",
+        f"lhs_value={ring.render(ring.one)}",
+        f"rhs_value={ring.render(ring.zero)}",
+    ]
+    assert rep.witness == _fmt_key(min(keys))
+    assert not rep and rep.checks == 3
 
 
 def test_tensor_equal_indeterminate_on_grading_mismatch():
@@ -498,19 +515,19 @@ def test_tensor_equal_indeterminate_on_grading_mismatch():
     a = GroupTensor(z4, (UP,), {(0,): ring.radical()})
     b = GroupTensor(z4, (UP,), {(0,): ring.integer(2)})
     rep = tensor_equal(a, b)
-    assert rep.verdict is Comparison.INDETERMINATE
-    assert rep.witness == (0,)
+    assert rep.verdict == "indeterminate"
+    assert rep.witness == _fmt_key((0,))
 
 
 def test_float_backend_comparison():
     t = random_tensor(Z3, (UP, DOWN), seed=12)
     rep = tensor_equal(t.to_float(), t.to_float())
-    assert rep.verdict is Comparison.EQUAL
+    assert rep.verdict == "pass"
     perturbed = dict(t.to_float().entries)
     key = sorted(perturbed)[0]
     perturbed[key] += 0.5
     rep2 = tensor_equal(t.to_float(), GroupTensor(Z3, t.variances, perturbed, ComplexRing(3)))
-    assert rep2.verdict is Comparison.UNEQUAL
+    assert rep2.verdict == "fail"
 
 
 def test_character_kernel_unitary():
@@ -528,14 +545,14 @@ def test_character_kernel_unitary():
         )
         f_dag = f.conj().permute([1, 0])
         composed = contract(f, 1, f_dag, 0)
-        assert tensor_equal(composed, identity_kernel(group)).verdict is Comparison.EQUAL
+        assert tensor_equal(composed, LinMap.identity(group, 1).tensor)
 
 
 def test_apply_kernel_identity_is_noop():
     t = random_tensor(Z3, (UP, DOWN, UP), seed=13)
     for slot in range(3):
-        out = apply_kernel(t, slot, identity_kernel(Z3))
-        assert tensor_equal(out, t).verdict is Comparison.EQUAL
+        out = apply_kernel(t, slot, LinMap.identity(Z3, 1).tensor)
+        assert tensor_equal(out, t)
 
 
 def test_apply_kernel_delta_flip():
@@ -589,7 +606,7 @@ def test_basis_domain_weight_is_trivial():
     dom = BasisDomain(3)
     f = GroupTensor(dom, (UP, DOWN), {(i, i): dom.ring.one for i in range(3)})
     composed = contract(f, 1, f, 0)
-    assert tensor_equal(composed, f).verdict is Comparison.EQUAL
+    assert tensor_equal(composed, f)
 
 
 @st.composite
@@ -623,7 +640,7 @@ def test_float_backend_agrees_with_exact(op, data):
     via_exact = run(a, b).to_float()
     via_float = run(a.to_float(), b.to_float())
     assert via_float.ring == ComplexRing(domain.ring.group_order)
-    assert tensor_equal(via_exact, via_float, rel=1e-9).verdict is Comparison.EQUAL
+    assert tensor_equal(via_exact, via_float, rel=1e-9)
 
 
 # --- linear map layer ----------------------------------------------------
@@ -639,14 +656,14 @@ def test_linmap_identity_neutral():
         f = random_linmap(dom, 2, 2, seed=17)
         left = LinMap.identity(dom, 2).compose(f)
         right = f.compose(LinMap.identity(dom, 2))
-        assert left.equal(f).verdict is Comparison.EQUAL
-        assert right.equal(f).verdict is Comparison.EQUAL
+        assert tensor_equal(left.tensor, f.tensor)
+        assert tensor_equal(right.tensor, f.tensor)
 
 
 def test_sigma_squares_to_identity():
     for dom in (BasisDomain(2), Z3):
         s = LinMap.sigma(dom)
-        assert s.compose(s).equal(LinMap.identity(dom, 2)).verdict is Comparison.EQUAL
+        assert tensor_equal(s.compose(s).tensor, LinMap.identity(dom, 2).tensor)
 
 
 def test_linmap_compose_matches_matrix_product():
@@ -684,7 +701,7 @@ def test_linmap_interchange_law():
     g2 = random_linmap(dom, 1, 1, seed=27)
     lhs = f1.tens(g1).compose(f2.tens(g2))
     rhs = f1.compose(f2).tens(g1.compose(g2))
-    assert lhs.equal(rhs).verdict is Comparison.EQUAL
+    assert tensor_equal(lhs.tensor, rhs.tensor)
 
 
 @settings(max_examples=30, deadline=None)
@@ -696,7 +713,7 @@ def test_sigma_conjugation_swaps_factors(seed):
     s = LinMap.sigma(dom)
     lhs = s.compose(f.tens(g)).compose(s)
     rhs = g.tens(f)
-    assert lhs.equal(rhs).verdict is Comparison.EQUAL
+    assert tensor_equal(lhs.tensor, rhs.tensor)
 
 
 def padded(f, a, b):
@@ -746,7 +763,7 @@ def test_compose_at_equals_the_padded_compose(case):
     assert (got.n_out, got.n_in) == (want.n_out, want.n_in)
     assert got.tensor.variances == want.tensor.variances
     if isinstance(got.tensor.ring, ComplexRing):
-        assert tensor_equal(got.tensor, want.tensor, rel=1e-12).verdict is Comparison.EQUAL
+        assert tensor_equal(got.tensor, want.tensor, rel=1e-12)
     else:
         assert got.tensor.entries == want.tensor.entries
 
@@ -852,19 +869,19 @@ def sorted_tensor_equal(t1, t2, rel=1e-9):
     keys = sorted(set(t1.entries) | set(t2.entries))
 
     def report(verdict, key):
-        shown = ring.render(t1.entry(key)), ring.render(t2.entry(key))
-        return EqualityReport(verdict, key, *shown, len(keys))
+        shown = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
+        return Report("tensor-equal", {"verdict": verdict, "checks": len(keys)}, _fmt_key(key), shown)
 
     indeterminate_at = None
     for key in keys:
         verdict = ring.compare(t1.entry(key), t2.entry(key), rel)
         if verdict is Comparison.UNEQUAL:
-            return report(verdict, key)
+            return report("fail", key)
         if verdict is Comparison.INDETERMINATE and indeterminate_at is None:
             indeterminate_at = key
     if indeterminate_at is not None:
-        return report(Comparison.INDETERMINATE, indeterminate_at)
-    return EqualityReport(Comparison.EQUAL, None, None, None, len(keys))
+        return report("indeterminate", indeterminate_at)
+    return Report("tensor-equal", {"verdict": "pass", "checks": len(keys)})
 
 
 @st.composite
@@ -905,10 +922,10 @@ def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
     t2 = GroupTensor(Z4, (UP,), {keys[0]: ring.integer(2), keys[2]: ring.one, keys[3]: ring.integer(2)})
     got = tensor_equal(t1, t2)
     assert got == sorted_tensor_equal(t1, t2)
-    assert (got.verdict, got.witness, got.compared) == (Comparison.UNEQUAL, keys[1], 4)
+    assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(keys[1]), 4)
     del t1.entries[keys[1]], t2.entries[keys[2]]
     got = tensor_equal(t1, t2)
-    assert (got.verdict, got.witness, got.compared) == (Comparison.INDETERMINATE, keys[0], 2)
+    assert (got.verdict, got.witness, got.checks) == ("indeterminate", _fmt_key(keys[0]), 2)
 
 
 def test_wire_permutations_compose_without_a_join(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pachner.groups import FinAbGroup, parse_group
-from pachner.scalars import Comparison, Scalar
+from pachner.scalars import Scalar
 from pachner.solutions import (
     SolutionSpec,
     groups_up_to_order,
@@ -25,19 +25,18 @@ from pachner.tensors import (
     DOWN,
     UP,
     BasisDomain,
-    EqualityReport,
     GroupTensor,
     LinMap,
-    identity_kernel,
+    Report,
+    in_backend,
     tensor_equal,
+    _fmt_key,
 )
 from pachner import tensors, verify
 from pachner.cli import catalog
 from pachner.verify import (
     _proof_integral,
     _PROOF_CASES,
-    _fmt_key,
-    _in_backend,
     _judge,
     dense_p33_oracle,
     p33_sides,
@@ -161,18 +160,18 @@ def test_p33_sides_equal_the_padded_transcription(descriptor):
 @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3"])
 def test_pentagon_sides_equal_the_padded_transcription(name, monkeypatch):
     s = pentagon_map(triple_from_table(named_group_table(name), name))
-    compared, equal = [], LinMap.equal
+    compared, equal = [], verify.tensor_equal
 
     def recording_equal(a, b, rel=1e-9):
         compared.append((a, b))
         return equal(a, b, rel)
 
-    monkeypatch.setattr(LinMap, "equal", recording_equal)
+    monkeypatch.setattr(verify, "tensor_equal", recording_equal)
     assert verify_pentagon(s)
     ((lhs, rhs),) = compared
     want_lhs, want_rhs = padded_pentagon_sides(s)
-    assert lhs.tensor.entries == want_lhs.tensor.entries
-    assert rhs.tensor.entries == want_rhs.tensor.entries
+    assert lhs.entries == want_lhs.tensor.entries
+    assert rhs.entries == want_rhs.tensor.entries
 
 
 def test_p33_refuses_large_sides_before_contracting(monkeypatch):
@@ -291,15 +290,16 @@ def test_pentagon_failure_reports_both_values():
 
 
 def _compared(verdict, key=None):
-    shown = (None, None) if key is None else (f"l{key[0]}", f"r{key[0]}")
-    return EqualityReport(verdict, key, *shown, compared=2)
+    shown = {} if key is None else {"lhs_value": f"l{key[0]}", "rhs_value": f"r{key[0]}"}
+    witness = "" if key is None else _fmt_key(key)
+    return Report("tensor-equal", {"verdict": verdict, "checks": 2}, witness, shown)
 
 
 def test_the_fold_stops_at_the_first_unequal_comparison():
     def comparisons():
-        yield "a", _compared(Comparison.EQUAL)
-        yield "b", _compared(Comparison.INDETERMINATE, (1,))
-        yield "c", _compared(Comparison.UNEQUAL, (2,))
+        yield "a", _compared("pass")
+        yield "b", _compared("indeterminate", (1,))
+        yield "c", _compared("fail", (2,))
         pytest.fail("the fold read past the first unequal comparison")
 
     report = _judge("demo", "T", "exact", comparisons(), {"note": 1})
@@ -318,9 +318,9 @@ def test_the_fold_stops_at_the_first_unequal_comparison():
 
 def test_the_fold_witnesses_the_first_indeterminate_comparison():
     comparisons = [
-        ("", _compared(Comparison.EQUAL)),
-        ("", _compared(Comparison.INDETERMINATE, (1,))),
-        ("", _compared(Comparison.INDETERMINATE, (2,))),
+        ("", _compared("pass")),
+        ("", _compared("indeterminate", (1,))),
+        ("", _compared("indeterminate", (2,))),
     ]
     report = _judge("demo", "T", "exact", comparisons)
     assert (report.verdict, report.witness, report.fields["checks"]) == ("indeterminate", "1", 6)
@@ -374,7 +374,7 @@ def padded_yb_family(sol, backend="auto", rel=1e-9):
     padded to maps on V^3 (the 13-slot ones between sigma sandwiches), pair
     products memoised, and the sums over s, t written out as weighted sums
     of pair products."""
-    q = _in_backend(sol.q, backend)
+    q = in_backend(sol.q, backend)
     dom, ring = q.domain, q.ring
     fams = build_families(q)
     id1 = LinMap.identity(dom, 1, ring)
@@ -423,7 +423,7 @@ def padded_yb_family(sol, backend="auto", rel=1e-9):
                 lhs = x12[i].compose(y13[j]).compose(z23[k])
                 rhs = z23[k].compose(y13[j]).compose(x12[i])
             counts[f"{rel_name}_triples"] += 1
-            yield f"{rel_name}[{_fmt_key((a, b, cc))}]", lhs.equal(rhs, rel)
+            yield f"{rel_name}[{_fmt_key((a, b, cc))}]", tensor_equal(lhs.tensor, rhs.tensor, rel)
 
     return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
 
@@ -511,14 +511,12 @@ def recorded_sides(check, sol, monkeypatch):
     sides = []
 
     def record(a, b, rel=1e-9):
-        if isinstance(a, LinMap):
-            a, b = a.tensor, b.tensor
         sides.append((a.entries, b.entries))
-        return EqualityReport(Comparison.EQUAL, None, None, None, 0)
+        return Report("tensor-equal", {"verdict": "pass", "checks": 0})
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "tensor_equal", record)
-        patch.setattr(LinMap, "equal", record)
+        patch.setitem(globals(), "tensor_equal", record)
         assert check(sol, "exact")
     return sides
 
@@ -582,7 +580,7 @@ def test_verify_psym_passes_for_bicharacter_with_shipped_kernels():
 
 def test_verify_psym_identity_kernels_reduce_to_swaps():
     group = FinAbGroup([2])
-    wire = identity_kernel(group)
+    wire = LinMap.identity(group, 1).tensor
     ones = GroupTensor(
         group,
         (UP, DOWN, UP, DOWN, UP),
@@ -687,6 +685,46 @@ def test_theorem_and_psym_routes_agree():
         thm = verify_theorem(group)
         psym = verify_psym(sol.q, sol.kernels["T"], sol.kernels["S"], sol.kernels["T"])
         assert thm.verdict == psym.verdict == "pass"
+
+
+@pytest.mark.parametrize("literal", ["Z2", "Z3", "Z4", "Z2xZ2"])
+def test_theorem_terms_count_the_expanded_kernel_rows(literal):
+    group = parse_group(literal)
+    sol = q_from_bicharacter(group)
+    kern = symmetry_kernels(group)
+    names = {"T": "T", "Tbar": "Tinv", "S": "S", "Sbar": "Sinv"}
+    row_sizes = {k: Counter(col for _, col in kern[v].entries) for k, v in names.items()}
+    terms = 0
+    for plan in _PROOF_CASES.values():
+        for key in sol.q.entries:
+            combos = 1
+            for pos, item in enumerate(plan):
+                if item[0] == "ker":
+                    combos *= row_sizes[item[2]][key[pos]]
+            terms += combos
+    assert terms == 2 * group.size**5 + 2 * group.size**3
+
+
+def test_theorem_refuses_large_groups_before_building_anything(monkeypatch):
+    group, limit = parse_group("Z3"), verify.THEOREM_TERMS_LIMIT
+    assert verify_theorem(group)
+    built = lambda *args, **kwargs: pytest.fail("built")
+    monkeypatch.setattr(verify, "q_from_bicharacter", built)
+    monkeypatch.setattr(verify, "symmetry_kernels", built)
+    # 2 * 3**5 + 2 * 3**3 = 540 terms
+    monkeypatch.setattr(verify, "THEOREM_TERMS_LIMIT", 539)
+    with pytest.raises(ValueError, match="theorem over Z3 expands 540 terms, over the limit of 539"):
+        verify_theorem(group)
+    monkeypatch.setattr(verify, "THEOREM_TERMS_LIMIT", 540)
+    with pytest.raises(pytest.fail.Exception, match="built"):
+        verify_theorem(group)
+    # at the shipped limit order 9 is built and orders 10, 12 and 16 are refused
+    monkeypatch.setattr(verify, "THEOREM_TERMS_LIMIT", limit)
+    with pytest.raises(pytest.fail.Exception, match="built"):
+        verify_theorem(parse_group("Z9"))
+    for literal, terms in [("Z10", 202000), ("Z12", 501120), ("Z16", 2105344)]:
+        with pytest.raises(ValueError, match=f"over {literal} expands {terms} terms"):
+            verify_theorem(parse_group(literal))
 
 
 # -- dense oracle --------------------------------------------------------------
@@ -800,7 +838,7 @@ def test_dense_path_matches_the_pathless_einsum(group, seed):
             continue
         first = tuple(int(v) for v in bad[0])
         assert report.verdict == "fail"
-        assert report.witness == verify._fmt_key(tuple(elems[i] for i in first))
+        assert report.witness == _fmt_key(tuple(elems[i] for i in first))
         assert abs(complex(report.extras["lhs_value"]) - lhs[first]) <= 1e-9 * max(1.0, abs(lhs[first]))
         assert abs(complex(report.extras["rhs_value"]) - rhs[first]) <= 1e-9 * max(1.0, abs(rhs[first]))
 
