@@ -208,18 +208,21 @@ def cmd_moves_walk(args):
         print("\n".join(out))
         return _VERDICT_CODES[report.verdict]
     rng = random.Random(args.seed)
-    chi = t.euler_characteristic()
-    applied = 0
-    for _ in range(args.count):
-        sites = all_sites(t, p)
-        if not sites:
-            break
-        t = apply_move(t, sites[rng.randrange(len(sites))])
-        applied += 1
-        if t.euler_characteristic() != chi:
-            out += [f"moves={applied}", "verdict=fail", "witness=euler characteristic changed"]
-            print("\n".join(out))
-            return EXIT_FAIL
+    try:
+        chi = t.euler_characteristic()
+        applied = 0
+        for _ in range(args.count):
+            sites = all_sites(t, p)
+            if not sites:
+                break
+            t = apply_move(t, sites[rng.randrange(len(sites))])
+            applied += 1
+            if t.euler_characteristic() != chi:
+                out += [f"moves={applied}", "verdict=fail", "witness=euler characteristic changed"]
+                print("\n".join(out))
+                return EXIT_FAIL
+    except ValueError as exc:  # face classes past simplicial.FACE_NODES_LIMIT
+        raise UsageError(str(exc)) from exc
     out += [
         f"moves={applied}",
         f"tops={len(t.simplexes)}",
@@ -233,7 +236,10 @@ def cmd_moves_walk(args):
 def cmd_moves_apply(args):
     t = _load_triangulation(args.tri)
     p, q = _parse_move_type(args.type, t.dim)
-    sites = all_sites(t, p)
+    try:
+        sites = all_sites(t, p)
+    except ValueError as exc:  # face classes past simplicial.FACE_NODES_LIMIT
+        raise UsageError(str(exc)) from exc
     if not sites:
         raise UsageError(f"no ({p},{q}) site in {args.tri}")
     if not 0 <= args.site < len(sites):
@@ -253,7 +259,10 @@ def cmd_moves_apply(args):
         "verdict=pass",
     ]
     if args.out:
-        moved.save(args.out)
+        try:
+            moved.save(args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         out.append(f"written={args.out}")
     else:
         out.append("triangulation:")

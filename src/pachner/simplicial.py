@@ -56,6 +56,15 @@ def _pos(j: int, i: int) -> int:
     return j - 1 if j > i else j
 
 
+# The face classes take one union-find node per (entry, nonempty vertex
+# subset), 2**(dim+1) - 1 per simplex, so each extra dimension doubles
+# them; a complex needing more than this many is refused before any node
+# is made.  8,456 pentachora or a single 17-simplex pass; every shipped
+# file has at most 30 pentachora, and the walks any test or benchmark runs
+# stay within 138 (4,278 nodes).
+FACE_NODES_LIMIT = 1 << 18
+
+
 class _UnionFind:
     def __init__(self):
         self.parent = {}
@@ -195,12 +204,21 @@ class Triangulation:
         of member occurrences (entry, vertex subset).  Subsets of a glued
         facet pair are identified pointwise; labels match across a gluing,
         so pointwise is just equality of subsets.
+
+        Raises ValueError, before building anything, when the complex needs
+        more than FACE_NODES_LIMIT union-find nodes.
         """
         if self._classes is None:
             self._classes = MappingProxyType(self._build_face_classes())
         return self._classes
 
     def _build_face_classes(self) -> dict:
+        nodes = len(self.simplexes) * (2 ** (self.dim + 1) - 1)
+        if nodes > FACE_NODES_LIMIT:
+            raise ValueError(
+                f"face classes of {len(self.simplexes)} top simplexes of dimension {self.dim} "
+                f"need {nodes} nodes, over the limit of {FACE_NODES_LIMIT}"
+            )
         uf = _UnionFind()
         for e, (vertices, _) in enumerate(self.simplexes):
             for k in range(1, len(vertices) + 1):

@@ -78,15 +78,11 @@ def validate_bicharacter(group: FinAbGroup, chi) -> None:
 BICHAR_ENTRIES_LIMIT = 1 << 12
 
 
-def q_from_bicharacter(
-    group: FinAbGroup, chi=None, normalized: bool = True, descriptor: str | None = None
-) -> SolutionSpec:
+def q_from_bicharacter(group: FinAbGroup, chi=None) -> SolutionSpec:
     """The delta-structured solution with phase chi(x, z).
 
-    With the normalized convention each delta contributes a factor r, so
-    the entry at (x, x+y, y, y+z, z) is chi(x,z) * r**2.  The plain
-    convention drops the r factors; the relation holds either way since
-    both sides carry three tensors and three contractions.
+    Each delta contributes a factor r, so the entry at (x, x+y, y, y+z, z)
+    is chi(x,z) * r**2.
 
     Raises ValueError, before validating chi or building any entry, when
     |G|**3 exceeds BICHAR_ENTRIES_LIMIT.
@@ -99,7 +95,7 @@ def q_from_bicharacter(
     chi = group.chi if chi is None else chi
     validate_bicharacter(group, chi)
     ring = group.ring
-    weight = ring.radical() * ring.radical() if normalized else ring.one
+    weight = ring.radical() * ring.radical()
     entries = {}
     for x in group.elements():
         for y in group.elements():
@@ -110,7 +106,7 @@ def q_from_bicharacter(
     q = GroupTensor(group, (UP, DOWN, UP, DOWN, UP), entries)
     return SolutionSpec(
         kind="bicharacter",
-        descriptor=descriptor or f"bichar:{group.literal}",
+        descriptor=f"bichar:{group.literal}",
         domain=group,
         q=q,
         kernels=symmetry_kernels(group),
@@ -241,7 +237,7 @@ def check_compatibility(t: TripleSpec) -> list[str]:
     return [name for name, (lhs, rhs) in axioms.items() if not tensor_equal(lhs.tensor, rhs.tensor)]
 
 
-def q_from_triple(t: TripleSpec, descriptor: str | None = None) -> SolutionSpec:
+def q_from_triple(t: TripleSpec) -> SolutionSpec:
     """Q = (id @ mu @ id)(lam @ rho), reslotted to (x, u, y, v, z)."""
     failed = check_compatibility(t)
     if failed:
@@ -251,7 +247,7 @@ def q_from_triple(t: TripleSpec, descriptor: str | None = None) -> SolutionSpec:
     q = qmap.tensor.permute([0, 3, 1, 4, 2])
     return SolutionSpec(
         kind="triple",
-        descriptor=descriptor or f"triple:groupalg:{t.name or dom.literal}",
+        descriptor=f"triple:groupalg:{t.name or dom.literal}",
         domain=dom,
         q=q,
         triple=t,

@@ -334,25 +334,18 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Report:
     return Report("tensor-equal", {"verdict": "pass", "checks": compared})
 
 
-def apply_kernel(t: GroupTensor, slot: int, kernel: GroupTensor, side: str = "left") -> GroupTensor:
-    """Replace slot content by the measure-weighted kernel action.
-
-    side="left":  new[.., x, ..] = c * sum_y K[x, y] * t[.., y, ..]
-    side="right": new[.., y, ..] = c * sum_x t[.., x, ..] * K[x, y]
+def apply_kernel(t: GroupTensor, slot: int, kernel: GroupTensor) -> GroupTensor:
+    """Replace slot content by the measure-weighted kernel action,
+    new[.., x, ..] = c * sum_y K[x, y] * t[.., y, ..].
 
     The slot keeps its position and variance; the kernel is read as a
     plain two-argument function table.
     """
     if kernel.arity != 2:
         raise ValueError("kernel must have exactly two slots")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     # as a table, slot 0 holds the new content and slot 1 binds to t's slot
-    entries = kernel.entries
-    if side == "right":
-        entries = {(y, x): kv for (x, y), kv in entries.items()}
     v = t.variances[slot]
-    table = GroupTensor(kernel.domain, (v, v.flip()), entries, kernel.ring)
+    table = GroupTensor(kernel.domain, (v, v.flip()), kernel.entries, kernel.ring)
     last = t.arity - 1
     return contract(t, slot, table, 1).permute([*range(slot), last, *range(slot, last)])
 

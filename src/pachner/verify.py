@@ -47,10 +47,8 @@ floats at 1e-9 relative tolerance.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import itemgetter
 
@@ -171,12 +169,8 @@ def verify_p33(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9) -> R
     return _judge("p33", sol.descriptor, q.ring.name, [("", tensor_equal(lhs.tensor, rhs.tensor, rel))], extras)
 
 
-def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> Report:
+def verify_pentagon(s: LinMap, backend: str = "auto") -> Report:
     """S12 S13 S23 = S23 S12 for a square map S on V (x) V."""
-    if isinstance(s, GroupTensor):
-        if s.arity != 4 or s.variances != (UP, UP, DOWN, DOWN):
-            raise ValueError("pentagon input must be a 2-in/2-out tensor")
-        s = LinMap(s, 2, 2)
     if (s.n_out, s.n_in) != (2, 2):
         raise ValueError("pentagon input must be a square map on two wires")
     s = LinMap(in_backend(s.tensor, backend), 2, 2)
@@ -186,7 +180,7 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> Report:
     s13 = [(sig, 1), (s, 0), (sig, 1)]
     lhs = _apply_word([(s, 0), *s13, (s, 1)], start)
     rhs = _apply_word([(s, 1), (s, 0)], start)
-    return _judge("pentagon", dom.literal, ring.name, [("", tensor_equal(lhs.tensor, rhs.tensor, rel))])
+    return _judge("pentagon", dom.literal, ring.name, [("", tensor_equal(lhs.tensor, rhs.tensor))])
 
 
 # Each side of a yb family identity is a map V^3 -> V^6 of at most |V|**9
@@ -197,7 +191,7 @@ def verify_pentagon(s, backend: str = "auto", rel: float = 1e-9) -> Report:
 YB_ENTRIES_LIMIT = 1 << 25
 
 
-def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9) -> Report:
+def verify_yb_family(sol: SolutionSpec, backend: str = "auto") -> Report:
     """The three family identities, checked for every index triple.
 
     pe1:  sum_{s,t} Q^{i,l,m}_{s,t} X^s_12 X^t_23 = X^m_23 X^l_13 X^i_12
@@ -261,7 +255,7 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto", rel: float = 1e-9
             lhs, rhs = by_label(lhs_word, lhs_label), by_label(rhs_word, forward)
             for triple in itertools.product(dom.elements(), repeat=3):
                 counts[f"{name}_triples"] += 1
-                rep = tensor_equal(lhs.get(triple, empty), rhs.get(triple, empty), rel)
+                rep = tensor_equal(lhs.get(triple, empty), rhs.get(triple, empty))
                 yield f"{name}[{_fmt_key(triple)}]", rep
 
     return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
@@ -298,7 +292,7 @@ def _validate_kernel(name: str, kernel: GroupTensor, domain) -> str:
     return ""
 
 
-def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor, rel: float = 1e-9) -> Report:
+def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor) -> Report:
     """Pairwise equality of the four kernel-transformed tensors.
 
     expr1 = (sigma (x) L (x) L^-1 (x) L) Q        swap slots 0,1; kernels on 2,3,4
@@ -322,7 +316,7 @@ def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor, 
     def transform(swap_perm, kernel_at):
         t = q
         for slot, kernel in kernel_at.items():
-            t = apply_kernel(t, slot, kernel, side="left")
+            t = apply_kernel(t, slot, kernel)
         return t.permute(swap_perm)
 
     exprs = [
@@ -332,7 +326,7 @@ def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor, 
         transform([0, 1, 2, 4, 3], {0: R, 1: rinv, 2: R}),
     ]
     comparisons = (
-        (f"expr1 vs expr{idx + 1}", tensor_equal(exprs[0], exprs[idx], rel)) for idx in (1, 2, 3)
+        (f"expr1 vs expr{idx + 1}", tensor_equal(exprs[0], exprs[idx])) for idx in (1, 2, 3)
     )
     return _judge("psym", dom.literal, q.ring.name, comparisons)
 
@@ -465,41 +459,31 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
 # below, and the n**9 temporaries of its comparison: np.isclose holds the
 # complex difference (16 bytes per entry) and its float magnitude (8 bytes)
 # at once, and later float and boolean temporaries never exceed those 24
-# bytes per entry.  Every chunk's share of the three is counted, so the sum
-# bounds the threads' joint peak; larger inputs are refused before
-# allocation.
+# bytes per entry.  Larger inputs are refused before allocation.
 DENSE_BYTES_LIMIT = 1 << 30
 
-# Each side contracts pairwise: first the chunked factor with the one it
-# shares a single summed index with (the n**8 intermediate, n**9
-# multiply-adds), then the rest (two summed indices, n**11 multiply-adds),
-# where the three-factor einsum without a path costs n**12.
+# Each side contracts pairwise: first the factor holding the first output
+# index with the one it shares a single summed index with (the n**8
+# intermediate, n**9 multiply-adds), then the rest (two summed indices,
+# n**11 multiply-adds), where the three-factor einsum without a path costs
+# n**12.
 _LHS_PATH = ["einsum_path", (0, 1), (0, 1)]
 _RHS_PATH = ["einsum_path", (0, 2), (0, 1)]
 
 
-def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) -> Report:
+def dense_p33_oracle(sol: SolutionSpec) -> Report:
     """Brute-force dense check of the (3,3) relation with numpy.
 
     The full 9-index boundary grid is enumerated (N^9 comparisons, N^3
     summed states each) via einsum on a dense complex array, sidestepping
     the sparse machinery entirely.  Each side contracts along a fixed
-    pairwise path (_LHS_PATH, _RHS_PATH), and DENSE_BYTES_LIMIT is checked
-    before allocation.  The grid is split along the first output
-    axis into chunks processed by PACHNER_WORKERS threads; chunk findings
-    merge deterministically (least index wins).
+    pairwise path (_LHS_PATH, _RHS_PATH), DENSE_BYTES_LIMIT is checked
+    before allocation, and entries agree within 1e-9 relative and absolute
+    tolerance.  The witness is the least mismatching index in C order.
     """
-    q = sol_or_q.q if isinstance(sol_or_q, SolutionSpec) else sol_or_q
+    q = sol.q
     if q is None or q.arity != 5:
         raise ValueError("dense oracle needs the 5-slot solution tensor")
-    target = sol_or_q.descriptor if isinstance(sol_or_q, SolutionSpec) else q.domain.literal
-    if workers is None:
-        text = os.environ.get("PACHNER_WORKERS", "") or "1"
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ValueError(f"PACHNER_WORKERS must be an integer, got {text!r}") from None
-    workers = max(1, workers)
     elems = list(q.domain.elements())
     n = len(elems)
     grids, intermediate, comparison = 32 * n**9, 16 * n**8, 24 * n**9
@@ -515,35 +499,16 @@ def dense_p33_oracle(sol_or_q, tol: float = 1e-9, workers: int | None = None) ->
     for key, val in q.to_float().entries.items():
         arr[tuple(index[e] for e in key)] = val
 
-    bounds = sorted({round(k * n / min(workers, n)) for k in range(min(workers, n) + 1)})
-    chunks = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1) if bounds[i] < bounds[i + 1]]
-
-    def scan(chunk):
-        lo, hi = chunk
-        lhs = np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr[lo:hi], arr, arr, optimize=_LHS_PATH)
-        rhs = np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr[lo:hi], optimize=_RHS_PATH)
-        bad = ~np.isclose(lhs, rhs, rtol=tol, atol=tol)
-        # the least index in C order, found without listing every mismatch
-        flat = int(np.argmax(bad))
-        if not bad.flat[flat]:
-            return None
-        first = tuple(int(v) for v in np.unravel_index(flat, bad.shape))
-        shown = (first[0] + lo,) + first[1:]
-        return shown, (lhs[first], rhs[first])
-
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            findings = [f for f in pool.map(scan, chunks) if f is not None]
-    else:
-        findings = [f for f in map(scan, chunks) if f is not None]
-
-    witness, extras = "", {"workers": workers}
-    if findings:
-        idx, (lv, rv) = min(findings, key=lambda f: f[0])
-        witness = _fmt_key(tuple(elems[i] for i in idx))
-        extras.update(lhs_value=format(lv, ".12g"), rhs_value=format(rv, ".12g"))
-    verdict = "fail" if findings else "pass"
-    return _report("p33-dense", target, "dense", verdict, n**9, witness, extras)
+    lhs = np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr, arr, arr, optimize=_LHS_PATH)
+    rhs = np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr, optimize=_RHS_PATH)
+    bad = ~np.isclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+    # the least index in C order, found without listing every mismatch
+    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    if not bad[first]:
+        return _report("p33-dense", sol.descriptor, "dense", "pass", n**9)
+    witness = _fmt_key(tuple(elems[int(i)] for i in first))
+    values = {"lhs_value": format(lhs[first], ".12g"), "rhs_value": format(rhs[first], ".12g")}
+    return _report("p33-dense", sol.descriptor, "dense", "fail", n**9, witness, values)
 
 
 # -- set-theoretic composite maps ----------------------------------------------

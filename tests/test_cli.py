@@ -314,6 +314,27 @@ def test_moves_apply_missing_file(capsys, tmp_path):
     assert_one_error_line(code, err)
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_moves_apply_unwritable_out_is_a_usage_error(capsys, tmp_path, sphere_file, where):
+    target = tmp_path / "missing" / "moved.tri" if where == "missing directory" else tmp_path
+    argv = ["moves", "apply", "--tri", sphere_file, "--type", "3,3", "--out", str(target)]
+    code, out, err = run(capsys, argv)
+    assert_one_error_line(code, err)
+    assert f"cannot write {target}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("verb", [["walk", "--count", "0"], ["apply"]])
+def test_moves_refuse_complexes_past_the_face_node_limit(capsys, monkeypatch, tmp_path, verb):
+    path = tmp_path / "dim18.tri"
+    path.write_text("dim 18\nsimp " + " ".join(map(str, range(19))) + " +\n")
+    monkeypatch.setattr("pachner.simplicial._UnionFind", lambda: pytest.fail("built face classes"))
+    code, out, err = run(capsys, ["moves", *verb, "--tri", str(path), "--type", "10,10"])
+    assert_one_error_line(code, err)
+    assert "need 524287 nodes, over the limit of 262144" in err
+    assert out == ""
+
+
 def test_tri_parse_error_carries_line_number(capsys, tmp_path):
     path = tmp_path / "broken.tri"
     path.write_text("dim 4\npent 0 1 2 3 4 %\n")
@@ -333,13 +354,6 @@ def test_yb_rejects_set_solution(capsys):
     code, _, err = run(capsys, ["verify", "yb", "--solution", "set"])
     assert_one_error_line(code, err)
     assert "solution tensor" in err
-
-
-def test_dense_oracle_rejects_non_integer_workers(capsys, monkeypatch):
-    monkeypatch.setenv("PACHNER_WORKERS", "abc")
-    code, _, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z2", "--oracle", "dense"])
-    assert_one_error_line(code, err)
-    assert "PACHNER_WORKERS" in err
 
 
 def test_dense_oracle_refuses_oversized_grids(capsys, monkeypatch):
@@ -516,7 +530,6 @@ FUZZ_VERIFY_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "bichar:Z4", "bichar:Z2xZ2", 
                          "set", "bichar:Z0", "nope", *OVERSIZED_SOLUTIONS]
 FUZZ_PENTAGON_GROUPS = ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "Z0", "Q8", "nope", "Z300"]
 FUZZ_THEOREM_GROUPS = ["Z2", "Z3", "Z2xZ2", "Z1", "Z0", "S3", "nope", "Z12", "Z16", "Z60", "Z300"]
-FUZZ_WORKERS = [None, None, "1", "2", "3", "0", "-1", "abc", ""]
 # selftest runs only the quick criteria, or none
 FUZZ_SELFTEST = [["--list"], ["--only", "interval-solution"], ["--only", "pentagon-equation"], ["--only", "nope"]]
 FUZZ_MUTATE = [None, "", "conj-noop", "weight-sign", "bogus"]
@@ -587,7 +600,8 @@ def fuzz_argv(draw, tri, out):
         argv = ["moves", "apply", "--tri", tri, "--type", draw(st.sampled_from(FUZZ_TYPES))]
         argv += ["--site", str(draw(st.integers(-2, 40)))]
         if draw(st.booleans()):
-            argv += ["--out", out]
+            # a writable file, a directory, or a path under a missing directory
+            argv += ["--out", draw(st.sampled_from([out, out, str(Path(out).parent), out + ".d/x.tri"]))]
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "--tri", "-h"])))
     return argv
@@ -603,11 +617,6 @@ def test_cli_fuzz_ends_in_a_known_exit_with_at_most_one_error_line(capsys, monke
     tri = tmp_path / "fuzz.tri"
     tri.write_text(data.draw(tri_texts(), label="tri"))
     argv = data.draw(fuzz_argv(str(tri), str(tmp_path / "out.tri")), label="argv")
-    workers = data.draw(st.sampled_from(FUZZ_WORKERS), label="PACHNER_WORKERS")
-    if workers is None:
-        monkeypatch.delenv("PACHNER_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("PACHNER_WORKERS", workers)
     mutation = data.draw(st.sampled_from(FUZZ_MUTATE), label="PACHNER_MUTATE")
     if mutation is None:
         monkeypatch.delenv("PACHNER_MUTATE", raising=False)

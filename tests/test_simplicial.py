@@ -1,9 +1,12 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from pachner import simplicial
 from pachner.simplicial import (
+    FACE_NODES_LIMIT,
     MoveSite,
     Triangulation,
     _pos,
@@ -431,6 +434,38 @@ def test_face_classes_built_once_per_triangulation(monkeypatch):
     moved = apply_move(t, next(s for s in sites if len(s.I) > 1))
     assert t.euler_characteristic() == moved.euler_characteristic() == 2
     assert builds == [t, moved]
+
+
+def test_face_classes_refuse_a_complex_past_the_node_limit(monkeypatch):
+    # one 18-simplex has 2**19 - 1 vertex subsets; none becomes a node
+    monkeypatch.setattr(simplicial, "_UnionFind", lambda: pytest.fail("made a node"))
+    single = Triangulation(18, [(tuple(range(19)), 1)])
+    with pytest.raises(ValueError, match="need 524287 nodes, over the limit of 262144"):
+        single.face_classes()
+    # a single 17-simplex and 8,456 pentachora fit; one more pentachoron does not
+    assert 2**18 - 1 <= FACE_NODES_LIMIT and 8456 * 31 <= FACE_NODES_LIMIT < 8457 * 31
+
+
+def test_face_node_limit_is_inclusive(monkeypatch):
+    # the boundary of the 5-simplex: 6 pentachora, 31 nodes each
+    monkeypatch.setattr(simplicial, "FACE_NODES_LIMIT", 6 * 31 - 1)
+    with pytest.raises(ValueError, match="need 186 nodes, over the limit of 185"):
+        simplex_boundary(5).face_classes()
+    monkeypatch.setattr(simplicial, "FACE_NODES_LIMIT", 6 * 31)
+    assert simplex_boundary(5).euler_characteristic() == 2
+
+
+def test_every_shipped_test_and_benchmark_complex_is_admitted():
+    repo = Path(__file__).resolve().parent.parent
+    paths = sorted((repo / "data").glob("*.tri")) + sorted((repo / "perfbench" / "data").glob("*.tri"))
+    assert len(paths) >= 16
+    complexes = [Triangulation.load(path) for path in paths] + [simplex_boundary(n) for n in range(2, 7)]
+    for t in complexes:
+        assert t.face_classes()
+    # a move adds at most dim top simplexes; the longest walk any test or
+    # benchmark runs, the simplicial-engine criterion's 33 moves on the
+    # boundary of the 5-simplex, stays within 6 + 33 * 4 pentachora
+    assert (6 + 33 * 4) * 31 <= FACE_NODES_LIMIT
 
 
 def test_triangulation_cannot_be_changed_under_its_cache():

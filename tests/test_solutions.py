@@ -73,12 +73,6 @@ def test_bicharacter_solution_matches_numeric_formula():
         assert abs(q.entry(key) - expected) < 1e-12
 
 
-def test_bicharacter_solution_plain_convention_drops_weights():
-    group = FinAbGroup([2])
-    sol = q_from_bicharacter(group, normalized=False)
-    assert sol.q.entry(((0,), (0,), (0,), (0,), (0,))) == group.ring.one
-
-
 def test_bicharacter_nonzero_count_is_cube_of_order():
     for literal in ["Z2", "Z4", "Z2xZ2"]:
         group = parse_group(literal)

@@ -564,7 +564,7 @@ def test_apply_kernel_delta_flip():
         {(x, Z3.neg(x)): ring.radical() * Z3.gauss_g(x) for x in Z3.elements()},
     )
     f = random_tensor(Z3, (UP,), seed=14, density=1.0)
-    out = apply_kernel(f, 0, k, side="left")
+    out = apply_kernel(f, 0, k)
     for x in Z3.elements():
         expect = Z3.gauss_g(x) * f.entry((Z3.neg(x),))
         assert out.entry((x,)) == expect
@@ -624,7 +624,7 @@ def small_tensors(draw, domain, variances):
 
 RING_OPS = {
     "contract": lambda a, b: contract(a, (0, 1), b, (0, 1)),
-    "apply_kernel": lambda a, b: apply_kernel(a, 2, b, side="right"),
+    "apply_kernel": lambda a, b: apply_kernel(a, 2, b),
     "conj": lambda a, b: a.conj(),
 }
 

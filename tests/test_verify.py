@@ -272,7 +272,7 @@ def test_pentagon_random_map_fails_with_witness():
     entries = {}
     for key in itertools.product(range(3), repeat=4):
         entries[key] = dom.ring.integer(rng.randrange(-3, 4))
-    report = verify_pentagon(GroupTensor(dom, (UP, UP, DOWN, DOWN), entries))
+    report = verify_pentagon(LinMap(GroupTensor(dom, (UP, UP, DOWN, DOWN), entries), 2, 2))
     assert report.verdict == "fail"
     assert report.witness
 
@@ -282,7 +282,7 @@ def test_pentagon_failure_reports_both_values():
     entries = dict(s.entries)
     key = min(entries)
     entries[key] = entries[key] + entries[key]
-    report = verify_pentagon(GroupTensor(s.domain, s.variances, entries, s.ring))
+    report = verify_pentagon(LinMap(GroupTensor(s.domain, s.variances, entries, s.ring), 2, 2))
     assert report.verdict == "fail"
     lhs, rhs = report.extras["lhs_value"], report.extras["rhs_value"]
     assert lhs != rhs
@@ -331,8 +331,8 @@ def test_the_fold_witnesses_the_first_indeterminate_comparison():
 
 def test_pentagon_rejects_wrong_shape():
     dom = BasisDomain(2)
-    with pytest.raises(ValueError, match="2-in/2-out"):
-        verify_pentagon(GroupTensor(dom, (UP, DOWN), {}))
+    with pytest.raises(ValueError, match="square map on two wires"):
+        verify_pentagon(LinMap(GroupTensor(dom, (UP, DOWN), {}), 1, 1))
 
 
 # -- families ------------------------------------------------------------------
@@ -750,14 +750,6 @@ def test_dense_oracle_and_sparse_agree_on_random_tensors():
         assert dense_p33_oracle(sol).verdict == verify_p33(sol).verdict, trial
 
 
-def test_dense_oracle_worker_split_is_deterministic():
-    bad = perturb_q(parse_solution("bichar:Z3"), 2)
-    one = dense_p33_oracle(bad, workers=1)
-    three = dense_p33_oracle(bad, workers=3)
-    assert one.verdict == three.verdict == "fail"
-    assert one.witness == three.witness
-
-
 def test_dense_oracle_refuses_large_grids_before_allocating(monkeypatch):
     # Z6 passes the bound with its comparison temporaries counted, Z7 does not
     assert 56 * 6**9 + 16 * 6**8 <= verify.DENSE_BYTES_LIMIT < 56 * 7**9
@@ -765,13 +757,6 @@ def test_dense_oracle_refuses_large_grids_before_allocating(monkeypatch):
     monkeypatch.setattr(verify.np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
     with pytest.raises(ValueError, match=r"needs 4.29 GB .* plus 3.22 GB for the comparison's 8\^9"):
         dense_p33_oracle(sol)
-
-
-def test_dense_oracle_reads_worker_count_from_environment(monkeypatch):
-    monkeypatch.setenv("PACHNER_WORKERS", "2")
-    report = dense_p33_oracle(parse_solution("bichar:Z2"))
-    assert report.extras["workers"] == 2
-    assert report
 
 
 # -- set-theoretic route -------------------------------------------------------
@@ -830,17 +815,16 @@ def test_dense_path_matches_the_pathless_einsum(group, seed):
     for naive, fast in zip((lhs, rhs), pathed):
         assert np.max(np.abs(naive - fast)) <= 1e-12 * max(1.0, np.max(np.abs(naive)))
     bad = np.argwhere(~np.isclose(lhs, rhs, rtol=1e-9, atol=1e-9))
-    for workers in (1, 2):
-        report = dense_p33_oracle(sol, workers=workers)
-        assert report.checks == len(elems) ** 9
-        if len(bad) == 0:
-            assert report.verdict == "pass" and not report.witness
-            continue
-        first = tuple(int(v) for v in bad[0])
-        assert report.verdict == "fail"
-        assert report.witness == _fmt_key(tuple(elems[i] for i in first))
-        assert abs(complex(report.extras["lhs_value"]) - lhs[first]) <= 1e-9 * max(1.0, abs(lhs[first]))
-        assert abs(complex(report.extras["rhs_value"]) - rhs[first]) <= 1e-9 * max(1.0, abs(rhs[first]))
+    report = dense_p33_oracle(sol)
+    assert report.checks == len(elems) ** 9
+    if len(bad) == 0:
+        assert report.verdict == "pass" and not report.witness
+        return
+    first = tuple(int(v) for v in bad[0])
+    assert report.verdict == "fail"
+    assert report.witness == _fmt_key(tuple(elems[i] for i in first))
+    assert abs(complex(report.extras["lhs_value"]) - lhs[first]) <= 1e-9 * max(1.0, abs(lhs[first]))
+    assert abs(complex(report.extras["rhs_value"]) - rhs[first]) <= 1e-9 * max(1.0, abs(rhs[first]))
 
 
 def test_dense_bound_counts_the_intermediate(monkeypatch):
@@ -861,18 +845,17 @@ def test_dense_bound_counts_the_intermediate(monkeypatch):
 
 @pytest.mark.parametrize("group", ["Z3", "Z4"])
 @pytest.mark.parametrize("seed", [None, 2])
-@pytest.mark.parametrize("workers", [1, 3])
-def test_dense_traced_peak_stays_within_the_counted_bytes(group, seed, workers, monkeypatch):
+def test_dense_traced_peak_stays_within_the_counted_bytes(group, seed, monkeypatch):
     import tracemalloc
 
     sol = parse_solution(f"bichar:{group}")
     if seed is not None:
         sol = perturb_q(sol, seed)
     n = sol.q.domain.size
-    dense_p33_oracle(sol, workers=workers)
+    dense_p33_oracle(sol)
     tracemalloc.start()
     try:
-        report = dense_p33_oracle(sol, workers=workers)
+        report = dense_p33_oracle(sol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -883,7 +866,7 @@ def test_dense_traced_peak_stays_within_the_counted_bytes(group, seed, workers, 
     # below the peak refuses the run
     monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", peak - 1)
     with pytest.raises(ValueError, match="GB limit"):
-        dense_p33_oracle(sol, workers=workers)
+        dense_p33_oracle(sol)
 
 
 def test_yb_refuses_large_checks_before_building_families(monkeypatch):
