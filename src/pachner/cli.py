@@ -153,7 +153,7 @@ def cmd_statesum(args):
     try:
         assignment = build_assignment(t, sol, backend=args.backend)
         tensor = partition(assignment, order=args.order)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if tensor.arity == 0:
         shown = tensor.ring.render(tensor.entry(()))
@@ -202,7 +202,7 @@ def cmd_moves_walk(args):
         sol = _solution(args.solution)
         try:
             report = invariance_run(t, sol, count=args.count, seed=args.seed, backend=args.backend, p=p)
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             raise UsageError(str(exc)) from exc
         out += report.lines()
         print("\n".join(out))

@@ -356,9 +356,9 @@ def _ints(words, lineno):
         raise ValueError(f"line {lineno}: expected integers, got {' '.join(words)!r}") from None
 
 
-def simplex_boundary(n: int, labels=None) -> Triangulation:
+def simplex_boundary(n: int) -> Triangulation:
     """The boundary sphere of an n-simplex with facet signs (-1)^i."""
-    labels = tuple(range(n + 1)) if labels is None else tuple(labels)
+    labels = tuple(range(n + 1))
     entries = [
         (labels[:i] + labels[i + 1 :], (-1) ** i) for i in range(n + 1)
     ]
@@ -372,7 +372,7 @@ def _check_splitting(n, I, J):
     return I, J
 
 
-def pachner_sides(n: int, I, J, labels=None):
+def pachner_sides(n: int, I, J):
     """The before and after balls of the (|I|, |J|) move on an n-simplex.
 
     Before: facets indexed by I with signs (-1)^i; after: facets indexed
@@ -381,9 +381,7 @@ def pachner_sides(n: int, I, J, labels=None):
     before ball inside any complex.
     """
     I, J = _check_splitting(n, I, J)
-    labels = tuple(range(n + 1)) if labels is None else tuple(labels)
-    if len(labels) != n + 1 or any(a >= b for a, b in zip(labels, labels[1:])):
-        raise ValueError("labels must be n+1 strictly increasing integers")
+    labels = tuple(range(n + 1))
     before = Triangulation(
         n - 1,
         [(labels[:i] + labels[i + 1 :], (-1) ** i) for i in I],

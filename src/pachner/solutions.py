@@ -53,7 +53,6 @@ class SolutionSpec:
     domain: object
     q: GroupTensor | None
     kernels: dict | None = None
-    triple: TripleSpec | None = None
 
 
 def validate_bicharacter(group: FinAbGroup, chi) -> None:
@@ -250,7 +249,6 @@ def q_from_triple(t: TripleSpec) -> SolutionSpec:
         descriptor=f"triple:groupalg:{t.name or dom.literal}",
         domain=dom,
         q=q,
-        triple=t,
     )
 
 
@@ -333,7 +331,6 @@ def perturb_q(sol: SolutionSpec, seed: int) -> SolutionSpec:
         domain=sol.domain,
         q=GroupTensor(q.domain, q.variances, entries),
         kernels=sol.kernels,
-        triple=sol.triple,
     )
 
 

@@ -56,8 +56,6 @@ def _slot_variance(sign: int, facet: int):
 
 @dataclass
 class StateSumAssignment:
-    triangulation: Triangulation
-    solution: SolutionSpec
     tensors: list  # one GroupTensor per pentachoron, Q or conj(Q)
     pairings: list  # ((entry, facet), (entry, facet)) per interior tetrahedron
     boundary: list  # (vertex tuple, entry, facet) per boundary tetrahedron, sorted
@@ -96,7 +94,7 @@ def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "auto")
         for f in range(5)
         if (e, f) not in t.gluing
     )
-    return StateSumAssignment(t, sol, tensors, pairings, boundary)
+    return StateSumAssignment(tensors, pairings, boundary)
 
 
 Step = collections.namedtuple("Step", "left right s1 s2 arity")
@@ -163,15 +161,15 @@ def plan(labels, order: str = "greedy"):
 def check_plan(steps, size: int) -> None:
     """Refuse a plan whose steps would exceed ARITY_GUARD slots, or whose
     steps over ``size`` states per slot could hold more than ENTRY_GUARD
-    entries (size ** arity), with a RuntimeError."""
+    entries (size ** arity), with a ValueError."""
     for step in steps:
         if step.arity > ARITY_GUARD:
-            raise RuntimeError(
+            raise ValueError(
                 f"intermediate tensor would carry {step.arity} slots (guard {ARITY_GUARD})"
             )
     for step in steps:
         if size**step.arity > ENTRY_GUARD:
-            raise RuntimeError(
+            raise ValueError(
                 f"intermediate tensor of {step.arity} slots over {size} states may hold "
                 f"{size**step.arity} entries (guard {ENTRY_GUARD})"
             )

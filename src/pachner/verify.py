@@ -10,7 +10,8 @@ apply them right to left to the identity on V^3 (LinMap.compose with
 ``at``); the identity wires of the printed padding id^a (x) F (x) id^b
 stay implicit.  A family member X^a (Q with one output pinned to a) is Q
 itself with that output on a label wire, so a family side carries its
-index triple on three label wires and is compared triple by triple.
+index triple on three label wires; the two sides of an identity are
+compared whole, and the witness is read per triple.
 
 Checkers in here:
 
@@ -20,8 +21,8 @@ Checkers in here:
 * verify_yb_family: the family reformulation (pinned-slot operators
   X^i, Y^j, Z^k) - two pentagon-shaped family identities and a
   Yang-Baxter identity per index triple, each side one word in Q with
-  label wires, refused before any contraction when it could compare more
-  than YB_ENTRIES_LIMIT entries;
+  label wires and each identity one comparison, refused before any
+  contraction when it could compare more than YB_ENTRIES_LIMIT entries;
 * verify_psym: the four kernel-transformed tensors agree pairwise;
 * verify_theorem: for the bicharacter solution over a finite abelian
   group, the four proof-case integrals all reproduce the conjugate
@@ -50,7 +51,6 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from .tensors import (
     contract,
     in_backend,
     tensor_equal,
-    _built,
     _fmt_key,
 )
 
@@ -205,10 +204,13 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto") -> Report:
     label wires, which brings the measure weight c per summed index.  Each
     side is then one word of (factor, wire offset) pairs applied to the
     identity on V^3: a map V^3 -> V^6 whose first three outputs carry the
-    index triple (in reverse on the lhs of pe2 and ybe).  The two sides of
-    an identity are built when the fold reaches it, so a fold that stops
-    at its first failure builds no later identity, and are compared index
-    triple by index triple.
+    index triple (in reverse on the lhs of pe2 and ybe, which is permuted
+    to read forward).  The two sides of an identity are built when the
+    fold reaches it, so a fold that stops at its first failure builds no
+    later identity, and are compared whole, in one tensor_equal.  Its
+    least failing key lies in the least failing triple, so the witness
+    reads "pe1[a,b,c] at <rest of the key>"; checks and the *_triples
+    extras count every entry and triple of each identity compared.
 
     Raises ValueError, before any contraction, when 3 * |V|**9 (the
     entries the check may compare) exceeds YB_ENTRIES_LIMIT.
@@ -228,8 +230,9 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto") -> Report:
     z = LinMap(q.permute([4, 0, 2, 1, 3]), 3, 2)
     s = LinMap.sigma(dom, ring)
     start = LinMap.identity(dom, 3, ring)
-    forward, reverse = itemgetter(0, 1, 2), itemgetter(2, 1, 0)
-    # per identity: the lhs word and where its labels sit, then the rhs word
+    # per identity: the lhs word, the slot order that makes its labels read
+    # forward, then the rhs word
+    forward, reverse = range(9), [2, 1, 0, *range(3, 9)]
     identities = {
         "pe1": ([(x, 0), (s, 0), (x, 1), (s, 0), (x, 1)], forward,
                 [(s, 2), (x, 3), (s, 3), (x, 1), (s, 2), (x, 0)]),
@@ -238,25 +241,18 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto") -> Report:
         "ybe": ([(x, 2), (s, 3), (y, 1), (s, 0), (s, 2), (z, 1)], reverse,
                 [(s, 2), (z, 3), (s, 3), (y, 1), (s, 2), (x, 0)]),
     }
-    variances = (UP,) * 3 + (DOWN,) * 3
-
-    def by_label(word, label):
-        """The side's entries split by index triple, as maps on V^3."""
-        split = {}
-        for key, val in _apply_word(word, start).tensor.entries.items():
-            split.setdefault(label(key), {})[key[3:]] = val
-        return {k: _built(dom, variances, e, ring) for k, e in split.items()}
-
-    empty = _built(dom, variances, {}, ring)
     counts = {"pe1_triples": 0, "pe2_triples": 0, "ybe_triples": 0}
 
     def comparisons():
-        for name, (lhs_word, lhs_label, rhs_word) in identities.items():
-            lhs, rhs = by_label(lhs_word, lhs_label), by_label(rhs_word, forward)
-            for triple in itertools.product(dom.elements(), repeat=3):
-                counts[f"{name}_triples"] += 1
-                rep = tensor_equal(lhs.get(triple, empty), rhs.get(triple, empty))
-                yield f"{name}[{_fmt_key(triple)}]", rep
+        for name, (lhs_word, lhs_order, rhs_word) in identities.items():
+            lhs = _apply_word(lhs_word, start).tensor.permute(lhs_order)
+            rep = tensor_equal(lhs, _apply_word(rhs_word, start).tensor)
+            counts[f"{name}_triples"] = size**3
+            # a key's first three slots are its triple, and no formatted
+            # element holds a ",", so the witness splits after the third
+            triple = rep.witness.split(",", 3)
+            rep.witness = triple.pop()
+            yield f"{name}[{','.join(triple)}]", rep
 
     return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
 
@@ -337,10 +333,10 @@ _PROOF_CASES = {
     # the position is integrated against that kernel row indexed by the
     # free slot, ("free", free_slot) means the position carries that free
     # argument directly.
-    "case1": [("free", 1), ("free", 0), ("ker", 2, "T"), ("ker", 3, "Tbar"), ("ker", 4, "T")],
-    "case2": [("ker", 0, "T"), ("free", 2), ("free", 1), ("ker", 3, "Sbar"), ("ker", 4, "S")],
-    "case3": [("ker", 0, "S"), ("ker", 1, "Sbar"), ("free", 3), ("free", 2), ("ker", 4, "T")],
-    "case4": [("ker", 0, "T"), ("ker", 1, "Tbar"), ("ker", 2, "T"), ("free", 4), ("free", 3)],
+    "case1": [("free", 1), ("free", 0), ("ker", 2, "T"), ("ker", 3, "Tinv"), ("ker", 4, "T")],
+    "case2": [("ker", 0, "T"), ("free", 2), ("free", 1), ("ker", 3, "Sinv"), ("ker", 4, "S")],
+    "case3": [("ker", 0, "S"), ("ker", 1, "Sinv"), ("free", 3), ("free", 2), ("ker", 4, "T")],
+    "case4": [("ker", 0, "T"), ("ker", 1, "Tinv"), ("ker", 2, "T"), ("free", 4), ("free", 3)],
 }
 
 
@@ -378,9 +374,9 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
         return val
 
     rows = {}
-    for kname in ("T", "Tbar", "S", "Sbar"):
+    for kname, kernel in kernels.items():
         by_col = {}
-        for (row, col), val in kernels[kname].entries.items():
+        for (row, col), val in kernel.entries.items():
             by_col.setdefault(col, []).append((row, val))
         rows[kname] = by_col
     acc = {}
@@ -436,8 +432,7 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
             f"of {THEOREM_TERMS_LIMIT}"
         )
     sol = q_from_bicharacter(group, chi=chi)
-    kern = symmetry_kernels(group, gauss=gauss)
-    kernels = {"T": kern["T"], "Tbar": kern["Tinv"], "S": kern["S"], "Sbar": kern["Sinv"]}
+    kernels = symmetry_kernels(group, gauss=gauss)
     dt = sol.q
     target = dt.conj()
     # Every case is computed, so a failing control shows which of the four

@@ -12,6 +12,7 @@ from pachner.simplicial import pachner_sides, simplex_boundary
 
 
 REPO = Path(__file__).resolve().parent.parent
+DELTA5 = str(REPO / "data" / "boundary_delta5.tri")
 
 
 def run(capsys, argv):
@@ -255,6 +256,23 @@ def test_statesum_over_the_guard_exits_64_before_contracting(capsys, tmp_path, m
     assert_one_error_line(code, err)
     assert "(guard 22)" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("partition", ["statesum", "--tri", DELTA5, "--solution", "bichar:Z2"]),
+        ("invariance_run", ["moves", "walk", "--tri", DELTA5, "--type", "3,3",
+                            "--count", "1", "--solution", "bichar:Z2"]),
+    ],
+)
+def test_state_sum_errors_other_than_refusals_are_internal(capsys, monkeypatch, target, argv):
+    def crash(*args, **kwargs):
+        raise RecursionError("deep")
+
+    monkeypatch.setattr(f"pachner.cli.{target}", crash)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (70, "", "error: internal: RecursionError: deep\n")
 
 
 def test_moves_walk_without_solution_tracks_euler(capsys, tmp_path):

@@ -60,6 +60,11 @@ def test_verify_and_statesum_import_no_private_name_of_each_other():
             assert not private, (module, source, private)
 
 
+def test_verify_imports_no_private_name_of_tensors_but_the_key_format():
+    private = {n for n in sibling_imports()["verify"]["tensors"] if n.startswith("_")}
+    assert private == {"_fmt_key"}
+
+
 def environment_reads(tree) -> set:
     """The names read through os.environ or os.getenv; a read whose name
     is not a string literal shows as None."""

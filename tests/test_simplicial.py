@@ -140,13 +140,6 @@ def test_pachner_sides_share_boundary_all_splittings():
             assert induced_boundary(before) == induced_boundary(after), (n, I, J)
 
 
-def test_pachner_sides_custom_labels():
-    before, _ = pachner_sides(2, (0, 1), (2,), labels=(3, 7, 9))
-    assert [s for s, _ in before.simplexes] == [(7, 9), (3, 9)]
-    with pytest.raises(ValueError):
-        pachner_sides(2, (0, 1), (2,), labels=(3, 3, 9))
-
-
 # -- triangulation structure -------------------------------------------------
 
 

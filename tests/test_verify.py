@@ -369,11 +369,12 @@ def linmap_sum(domain, ring, terms, weight) -> LinMap:
     return LinMap(GroupTensor(domain, (UP,) * 3 + (DOWN,) * 3, entries, ring), 3, 3)
 
 
-def padded_yb_family(sol, backend="auto", rel=1e-9):
+def padded_yb_identities(sol, backend="auto", rel=1e-9):
     """verify_yb_family as first transcribed: the pinned family members
     padded to maps on V^3 (the 13-slot ones between sigma sandwiches), pair
     products memoised, and the sums over s, t written out as weighted sums
-    of pair products."""
+    of pair products.  Yields, one identity at a time and only when asked,
+    its name and its (index triple, Report) comparisons over every triple."""
     q = in_backend(sol.q, backend)
     dom, ring = q.domain, q.ring
     fams = build_families(q)
@@ -404,28 +405,44 @@ def padded_yb_family(sol, backend="auto", rel=1e-9):
 
     x12_x23, z23_z12 = pairs(x12, x23), pairs(z23, z12)
     x23_x13, z12_z13 = pairs(x23, x13), pairs(z12, z13)
+
+    def sides(rel_name, a, b, cc):
+        if rel_name == "pe1":
+            i, l, m = a, b, cc
+            terms = [(q.entry((i, s, l, t, m)), x12_x23(s, t)) for s in elems for t in elems]
+            return linmap_sum(dom, ring, terms, c2), x23_x13(m, l).compose(x12[i])
+        if rel_name == "pe2":
+            m, n, k = a, b, cc
+            terms = [(q.entry((m, s, n, t, k)), z23_z12(t, s)) for s in elems for t in elems]
+            return z12_z13(m, n).compose(z23[k]), linmap_sum(dom, ring, terms, c2)
+        i, j, k = a, b, cc
+        return x12[i].compose(y13[j]).compose(z23[k]), z23[k].compose(y13[j]).compose(x12[i])
+
+    for rel_name in ("pe1", "pe2", "ybe"):
+        comparisons = []
+        for triple in itertools.product(elems, repeat=3):
+            lhs, rhs = sides(rel_name, *triple)
+            comparisons.append((triple, tensor_equal(lhs.tensor, rhs.tensor, rel)))
+        yield rel_name, comparisons
+
+
+def fold_padded_identities(sol, backend, identities):
+    """The padded reference's report: its comparisons folded triple by
+    triple, counting the triples compared up to the first failing one."""
     counts = {"pe1_triples": 0, "pe2_triples": 0, "ybe_triples": 0}
 
     def comparisons():
-        for rel_name, a, b, cc in itertools.product(["pe1", "pe2", "ybe"], elems, elems, elems):
-            if rel_name == "pe1":
-                i, l, m = a, b, cc
-                terms = [(q.entry((i, s, l, t, m)), x12_x23(s, t)) for s in elems for t in elems]
-                lhs = linmap_sum(dom, ring, terms, c2)
-                rhs = x23_x13(m, l).compose(x12[i])
-            elif rel_name == "pe2":
-                m, n, k = a, b, cc
-                lhs = z12_z13(m, n).compose(z23[k])
-                terms = [(q.entry((m, s, n, t, k)), z23_z12(t, s)) for s in elems for t in elems]
-                rhs = linmap_sum(dom, ring, terms, c2)
-            else:
-                i, j, k = a, b, cc
-                lhs = x12[i].compose(y13[j]).compose(z23[k])
-                rhs = z23[k].compose(y13[j]).compose(x12[i])
-            counts[f"{rel_name}_triples"] += 1
-            yield f"{rel_name}[{_fmt_key((a, b, cc))}]", tensor_equal(lhs.tensor, rhs.tensor, rel)
+        for rel_name, triples in identities:
+            for triple, rep in triples:
+                counts[f"{rel_name}_triples"] += 1
+                yield f"{rel_name}[{_fmt_key(triple)}]", rep
 
+    ring = in_backend(sol.q, backend).ring
     return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
+
+
+def padded_yb_family(sol, backend="auto", rel=1e-9):
+    return fold_padded_identities(sol, backend, padded_yb_identities(sol, backend, rel))
 
 
 def test_family_members_pin_slots_of_q():
@@ -497,12 +514,29 @@ def yb_reference_cases():
             yield pytest.param(descriptor, backend, [None, *seeds], id=f"{descriptor}-{backend}")
 
 
+def without_counts(lines):
+    return [line for line in lines if not line.startswith("checks=") and "_triples=" not in line]
+
+
 @pytest.mark.parametrize("descriptor,backend,seeds", yb_reference_cases())
 def test_yb_report_lines_equal_the_padded_family_reference(descriptor, backend, seeds):
     base = parse_solution(descriptor)
+    names = ("pe1", "pe2", "ybe")
     for seed in seeds:
         sol = base if seed is None else perturb_q(base, seed)
-        assert verify_yb_family(sol, backend).lines() == padded_yb_family(sol, backend).lines(), seed
+        got = verify_yb_family(sol, backend)
+        # every identity the reference's fold reaches, with all its triples
+        reached = {}
+        identities = padded_yb_identities(sol, backend)
+        want = fold_padded_identities(
+            sol, backend, ((name, reached.setdefault(name, triples)) for name, triples in identities)
+        )
+        assert without_counts(got.lines()) == without_counts(want.lines()), seed
+        # a whole identity is compared at once, so checks and triples count
+        # every triple of each identity reached, past a failing one too
+        assert got.checks == sum(rep.checks for triples in reached.values() for _, rep in triples), seed
+        triples = {name: sol.domain.size**3 if name in reached else 0 for name in names}
+        assert {name: got.extras[f"{name}_triples"] for name in names} == triples, seed
 
 
 def recorded_sides(check, sol, monkeypatch):
@@ -521,14 +555,50 @@ def recorded_sides(check, sol, monkeypatch):
     return sides
 
 
+def split_by_triple(entries, elems):
+    """A whole side's entries as one dict per index triple (its first
+    three slots), over every triple in order."""
+    split = {triple: {} for triple in itertools.product(elems, repeat=3)}
+    for key, val in entries.items():
+        split[key[:3]][key[3:]] = val
+    return list(split.values())
+
+
 @pytest.mark.parametrize("descriptor", ["bichar:Z2", "bichar:Z3", "triple:groupalg:S3"])
 def test_yb_sides_equal_the_padded_families_in_every_identity(descriptor, monkeypatch):
     base = parse_solution(descriptor)
+    elems = list(base.domain.elements())
     for sol in [base] + [perturb_q(base, seed) for seed in range(3)]:
         got = recorded_sides(verify_yb_family, sol, monkeypatch)
         want = recorded_sides(padded_yb_family, sol, monkeypatch)
-        assert len(got) == len(want) == 3 * sol.domain.size**3
-        assert got == want
+        assert len(got) == 3 and len(want) == 3 * len(elems) ** 3
+        split = [
+            pair
+            for lhs, rhs in got
+            for pair in zip(split_by_triple(lhs, elems), split_by_triple(rhs, elems))
+        ]
+        assert split == want
+
+
+def counted_comparisons(sol, monkeypatch):
+    """The report of a yb check and the slot counts of each pair it compares."""
+    arities = []
+
+    def counted(a, b, rel=1e-9):
+        arities.append((a.arity, b.arity))
+        return tensor_equal(a, b, rel)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "tensor_equal", counted)
+        return verify_yb_family(sol), arities
+
+
+def test_yb_compares_each_identity_once_whole(monkeypatch):
+    for descriptor in ["bichar:Z2", "bichar:Z3", "triple:groupalg:S3"]:
+        report, arities = counted_comparisons(parse_solution(descriptor), monkeypatch)
+        assert report and arities == [(9, 9)] * 3, descriptor
+    report, arities = counted_comparisons(perturb_q(parse_solution("bichar:Z3"), 1), monkeypatch)
+    assert report.witness.startswith("pe1[") and arities == [(9, 9)]
 
 
 def counted_composes_and_joins(sol, monkeypatch):
@@ -619,8 +689,7 @@ def test_verify_psym_rejects_bad_kernels_via_verdict():
 def test_case1_integral_matches_its_closed_form():
     group = FinAbGroup([3])
     sol = q_from_bicharacter(group)
-    kern = symmetry_kernels(group)
-    kernels = {"T": kern["T"], "Tbar": kern["Tinv"], "S": kern["S"], "Sbar": kern["Sinv"]}
+    kernels = symmetry_kernels(group)
     got = _proof_integral(sol.q, _PROOF_CASES["case1"], kernels)
     closed = {}
     for x, u, y, v, z in itertools.product(group.elements(), repeat=5):
@@ -636,8 +705,7 @@ def test_case1_integral_matches_its_closed_form():
 def test_proof_integral_multiplies_each_value_pair_once(literal, monkeypatch):
     group = parse_group(literal)
     sol = q_from_bicharacter(group)
-    kern = symmetry_kernels(group)
-    kernels = {"T": kern["T"], "Tbar": kern["Tinv"], "S": kern["S"], "Sbar": kern["Sinv"]}
+    kernels = symmetry_kernels(group)
     mul = Scalar.__mul__
     for plan in _PROOF_CASES.values():
         pairs = Counter()
@@ -691,9 +759,8 @@ def test_theorem_and_psym_routes_agree():
 def test_theorem_terms_count_the_expanded_kernel_rows(literal):
     group = parse_group(literal)
     sol = q_from_bicharacter(group)
-    kern = symmetry_kernels(group)
-    names = {"T": "T", "Tbar": "Tinv", "S": "S", "Sbar": "Sinv"}
-    row_sizes = {k: Counter(col for _, col in kern[v].entries) for k, v in names.items()}
+    kernels = symmetry_kernels(group)
+    row_sizes = {k: Counter(col for _, col in kern.entries) for k, kern in kernels.items()}
     terms = 0
     for plan in _PROOF_CASES.values():
         for key in sol.q.entries:
