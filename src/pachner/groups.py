@@ -100,13 +100,6 @@ class FinAbGroup:
         """Normalized point mass: r at the identity, zero elsewhere."""
         return self.ring.radical() if x == self.zero else self.ring.zero
 
-    def integrate(self, f) -> Scalar:
-        """Haar integral: the weight c = r**-1 times the plain sum."""
-        total = self.ring.zero
-        for x in self.elements():
-            total = total + f(x)
-        return self.ring.radical(-1) * total
-
 
 def parse_group(text: str) -> FinAbGroup:
     """Parse literals like "Z2", "Z2xZ2", "Z4xZ3"."""

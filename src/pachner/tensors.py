@@ -26,7 +26,7 @@ the key parts; the ring's ``join`` runs the hash join itself, so the
 exact ring can fold the weight into the distinct values of one operand
 and compute each product once per distinct pair of values, while the
 float ring keeps its summation order.
-Results of ``contract``, ``permute``, ``conj`` and ``pin`` are built
+Results of ``contract``, ``permute`` and ``conj`` are built
 without the constructor's per-entry checks, which they pass by
 construction.
 
@@ -153,15 +153,6 @@ class GroupTensor:
             self.ring,
         )
 
-    def pin(self, slot: int, value) -> "GroupTensor":
-        """Fix one slot to a value and drop it."""
-        entries = {}
-        for key, val in self.entries.items():
-            if key[slot] == value:
-                entries[key[:slot] + key[slot + 1 :]] = val
-        variances = self.variances[:slot] + self.variances[slot + 1 :]
-        return _built(self.domain, variances, entries, self.ring)
-
     def to_float(self) -> "GroupTensor":
         if isinstance(self.ring, ComplexRing):
             return self
@@ -197,7 +188,7 @@ def in_backend(t: GroupTensor, backend: str) -> GroupTensor:
 
 def _built(domain, variances, entries, ring) -> GroupTensor:
     """A tensor from entries that already fit: keys of len(variances)
-    slots and no zero values.  Results of contract, permute, conj and pin
+    slots and no zero values.  Results of contract, permute and conj
     are right by construction, so they skip the constructor's checks."""
     t = GroupTensor.__new__(GroupTensor)
     t.domain, t.variances, t.entries, t.ring = domain, variances, entries, ring

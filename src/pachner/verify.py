@@ -51,6 +51,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -345,39 +346,50 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
 
     Three argument positions are integrated against kernel rows, with one
     measure weight per integration; this is written directly on the entry
-    dicts, independent of apply_kernel, so the theorem check exercises a
-    second code path.  The plan records each position's free slot, so the
-    result already carries its slots in free-argument order.
+    dicts, independent of contract, ring.join and apply_kernel, so the
+    theorem check exercises a second code path.  The plan records each
+    position's free slot, so the result already carries its slots in
+    free-argument order.
 
-    Kernel rows and solution entries hold few distinct values, so each
-    product is memoised for the call on the value classes of its two
-    factors: an object's id first, then its terms in item order, so the
-    factors of one class are equal down to that order and so are their
-    products.
+    Kernel rows and solution entries hold few distinct values, so the
+    expansion runs on value classes: integer ids, one per distinct value,
+    keyed on its terms in item order, so the values of one class are equal
+    down to that order.  Every entry and kernel value is classed once, when
+    the rows are built; the loop over expanded terms then only looks up the
+    class of each product, memoised per class pair, so each distinct pair
+    is multiplied once, and lists each term's class under its key.  A key
+    met by one term keeps that product.  The terms of any other key are
+    summed once per distinct multiset of classes, as raw coefficient
+    vectors per radical exponent put in canonical form once, and the weight
+    r**-3 is applied once per distinct sum.  The normal form is unique and
+    ``_canonical`` orders its output by parity, so every entry, down to the
+    order of its terms, equals the term-by-term sum.  Products and sums
+    made here are classed by their terms, never by ``id``: a duplicate is
+    freed, and a later object may reuse its id.
     """
-    # every value classed here (entries of dt and the kernels, products in
-    # the memo, the sums in acc) stays alive for the call, so an id stays
-    # one object's
-    class_of, by_terms, products = {}, {}, {}
+    by_terms, reps = {}, []
 
     def value_class(v):
-        c = class_of.get(id(v))
+        terms = tuple(v.terms.items())
+        c = by_terms.get(terms)
         if c is None:
-            c = class_of[id(v)] = by_terms.setdefault(tuple(v.terms.items()), len(by_terms))
+            c = by_terms[terms] = len(reps)
+            reps.append(v)
         return c
 
+    products = {}
+
     def times(a, b):
-        pair = value_class(a), value_class(b)
-        val = products.get(pair)
-        if val is None:
-            val = products[pair] = a * b
-        return val
+        c = products.get((a, b))
+        if c is None:
+            c = products[a, b] = value_class(reps[a] * reps[b])
+        return c
 
     rows = {}
     for kname, kernel in kernels.items():
         by_col = {}
         for (row, col), val in kernel.entries.items():
-            by_col.setdefault(col, []).append((row, val))
+            by_col.setdefault(col, []).append((row, value_class(val)))
         rows[kname] = by_col
     acc = {}
     for key, val in dt.entries.items():
@@ -388,22 +400,35 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
             else:
                 _, free_slot, kname = item
                 options.append(
-                    [(free_slot, row, kval) for row, kval in rows[kname].get(key[pos], [])]
+                    [(free_slot, row, kc) for row, kc in rows[kname].get(key[pos], [])]
                 )
+        entry = value_class(val)
         for combo in itertools.product(*options):
             out_key = [None] * 5
-            term = val
-            for free_slot, elem, kval in combo:
+            term = entry
+            for free_slot, elem, kc in combo:
                 out_key[free_slot] = elem
-                if kval is not None:
-                    term = times(kval, term)
-            out_key = tuple(out_key)
-            prev = acc.get(out_key)
-            acc[out_key] = term if prev is None else prev + term
-    weight = dt.ring.radical(-3)
-    return GroupTensor(
-        dt.domain, dt.variances, {k: times(weight, v) for k, v in acc.items()}, dt.ring
-    )
+                if kc is not None:
+                    term = times(kc, term)
+            acc.setdefault(tuple(out_key), []).append(term)
+    ring = dt.ring
+    weight = value_class(ring.radical(-3))
+    sums, entries = {}, {}
+    for key, classes in acc.items():
+        if len(classes) == 1:
+            (c,) = classes
+        else:
+            multiset = tuple(sorted(classes))
+            c = sums.get(multiset)
+            if c is None:
+                merged = {}
+                for part in multiset:
+                    for e, vec in reps[part].terms.items():
+                        prev = merged.get(e)
+                        merged[e] = vec if prev is None else tuple(map(add, prev, vec))
+                c = sums[multiset] = value_class(ring.scalar(merged))
+        entries[key] = reps[times(weight, c)]
+    return GroupTensor(dt.domain, dt.variances, entries, ring)
 
 
 # The four proof-case integrals expand one term per (entry, kernel-row)
@@ -432,7 +457,7 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
             f"of {THEOREM_TERMS_LIMIT}"
         )
     sol = q_from_bicharacter(group, chi=chi)
-    kernels = symmetry_kernels(group, gauss=gauss)
+    kernels = sol.kernels if gauss is None else symmetry_kernels(group, gauss=gauss)
     dt = sol.q
     target = dt.conj()
     # Every case is computed, so a failing control shows which of the four

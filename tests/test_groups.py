@@ -107,13 +107,21 @@ def test_chi_nondegenerate():
                 assert x == group.zero
 
 
+def integrate(group, f):
+    """Haar integral over group: the weight c = r**-1 times the plain sum."""
+    total = group.ring.zero
+    for x in group.elements():
+        total = total + f(x)
+    return group.ring.radical(-1) * total
+
+
 def test_delta_normalization():
     z2 = FinAbGroup([2])
     assert z2.delta((0,)) == z2.ring.radical()
     assert z2.delta((1,)).is_zero()
     # integrating delta gives 1
     for group in small_groups(8):
-        assert group.integrate(group.delta) == group.ring.one
+        assert integrate(group, group.delta) == group.ring.one
 
 
 def test_character_sum_vanishes():
@@ -121,20 +129,20 @@ def test_character_sum_vanishes():
     # numeric oracle: 1 + omega^4 + omega^8 over the cube roots sums to 0
     numeric = sum(chi_numeric(z3, (1,), (y,)) for y in range(3))
     assert abs(numeric) < 1e-12
-    val = z3.integrate(lambda y: z3.chi((1,), y))
+    val = integrate(z3, lambda y: z3.chi((1,), y))
     assert val.is_zero()
 
 
 def test_fourier_normalization():
     for group in small_groups(12):
         for x in group.elements():
-            val = group.integrate(lambda y: group.chi(x, y))
+            val = integrate(group, lambda y: group.chi(x, y))
             assert val == group.delta(x)
 
 
 def test_integrate_constant():
     z4 = FinAbGroup([4])
-    val = z4.integrate(lambda x: z4.ring.one)
+    val = integrate(z4, lambda x: z4.ring.one)
     assert val == z4.ring.radical()
 
 

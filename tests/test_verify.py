@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pachner.groups import FinAbGroup, parse_group
-from pachner.scalars import Scalar
+from pachner.scalars import Scalar, ScalarRing
 from pachner.solutions import (
     SolutionSpec,
     groups_up_to_order,
@@ -338,6 +338,16 @@ def test_pentagon_rejects_wrong_shape():
 # -- families ------------------------------------------------------------------
 
 
+def pin(t, slot, value):
+    """Fix one slot of t to a value and drop it."""
+    entries = {}
+    for key, val in t.entries.items():
+        if key[slot] == value:
+            entries[key[:slot] + key[slot + 1 :]] = val
+    variances = t.variances[:slot] + t.variances[slot + 1 :]
+    return GroupTensor(t.domain, variances, entries, t.ring)
+
+
 def build_families(sol) -> dict:
     """Pin one output slot of Q each way: X^a (slot 0), Y^a (slot 2), Z^a (slot 4).
 
@@ -350,7 +360,7 @@ def build_families(sol) -> dict:
     fams = {}
     for name, slot, perm in [("X", 0, [1, 3, 0, 2]), ("Y", 2, [0, 3, 1, 2]), ("Z", 4, [0, 2, 1, 3])]:
         fams[name] = {
-            a: LinMap(q.pin(slot, a).permute(perm), 2, 2) for a in q.domain.elements()
+            a: LinMap(pin(q, slot, a).permute(perm), 2, 2) for a in q.domain.elements()
         }
     return fams
 
@@ -480,7 +490,7 @@ def test_pinning_sums_back_to_partial_trace():
     q = q_from_bicharacter(group).q
     total = {}
     for a in group.elements():
-        for key, val in q.pin(0, a).entries.items():
+        for key, val in pin(q, 0, a).entries.items():
             total[key] = total.get(key, group.ring.zero) + val
     direct = {}
     for key, val in q.entries.items():
@@ -721,6 +731,117 @@ def test_proof_integral_multiplies_each_value_pair_once(literal, monkeypatch):
         # an unmemoised sum makes at least three products per entry
         assert sum(pairs.values()) < len(sol.q.entries)
         assert tensor_equal(got, sol.q.conj())
+
+
+def expanded_proof_integral(dt, plan, kernels):
+    """The proof-case integral summed term by term with Scalar.__add__.
+
+    The reference for _proof_integral's class-id accumulation: every
+    expanded term is multiplied out and added into its key in expansion
+    order, with one canonical form per addition.
+    """
+    rows = {}
+    for kname, kernel in kernels.items():
+        by_col = {}
+        for (row, col), val in kernel.entries.items():
+            by_col.setdefault(col, []).append((row, val))
+        rows[kname] = by_col
+    acc = {}
+    for key, val in dt.entries.items():
+        options = []
+        for pos, item in enumerate(plan):
+            if item[0] == "free":
+                options.append([(item[1], key[pos], None)])
+            else:
+                _, free_slot, kname = item
+                options.append(
+                    [(free_slot, row, kval) for row, kval in rows[kname].get(key[pos], [])]
+                )
+        for combo in itertools.product(*options):
+            out_key = [None] * 5
+            term = val
+            for free_slot, elem, kval in combo:
+                out_key[free_slot] = elem
+                if kval is not None:
+                    term = kval * term
+            out_key = tuple(out_key)
+            prev = acc.get(out_key)
+            acc[out_key] = term if prev is None else prev + term
+    weight = dt.ring.radical(-3)
+    return GroupTensor(dt.domain, dt.variances, {k: weight * v for k, v in acc.items()}, dt.ring)
+
+
+def _theorem_data():
+    """(id, solution, kernels): every theorem input the class-id sums must
+    reproduce, passing and failing."""
+    for literal in ["Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2"]:
+        group = parse_group(literal)
+        sol = q_from_bicharacter(group)
+        yield literal, sol.q, sol.kernels
+        trivial = symmetry_kernels(group, gauss=lambda x, group=group: group.ring.one)
+        yield f"{literal}-trivial-unit", sol.q, trivial
+    z4 = parse_group("Z4")
+    for a in (0, 2):
+        # chi_a(x, y) = omega**(a x y), omega = z**2 in the ring of 8th roots
+        chi = lambda x, y, a=a: z4.ring.root(2 * a * x[0] * y[0])
+        yield f"Z4-chi{a}", q_from_bicharacter(z4, chi=chi).q, symmetry_kernels(z4)
+    z2z2 = FinAbGroup([2, 2])
+    skew = lambda x, y: z2z2.ring.root(2 * (x[0] * y[1]) % 4)
+    yield "Z2xZ2-skew", q_from_bicharacter(z2z2, chi=skew).q, symmetry_kernels(z2z2)
+
+
+@pytest.mark.parametrize("dt,kernels", [pytest.param(*d[1:], id=d[0]) for d in _theorem_data()])
+def test_proof_integral_equals_the_term_by_term_sum(dt, kernels):
+    for plan in _PROOF_CASES.values():
+        got = _proof_integral(dt, plan, kernels)
+        ref = expanded_proof_integral(dt, plan, kernels)
+        # same keys in the same order, and each value's terms in the same order
+        assert [(k, tuple(v.terms.items())) for k, v in got.entries.items()] == [
+            (k, tuple(v.terms.items())) for k, v in ref.entries.items()
+        ]
+
+
+def test_proof_integral_adds_no_scalars_and_joins_nothing(monkeypatch):
+    group = parse_group("Z2xZ2")
+    sol = q_from_bicharacter(group)
+    expected = [expanded_proof_integral(sol.q, plan, sol.kernels) for plan in _PROOF_CASES.values()]
+    refuse = lambda name: lambda *args, **kwargs: pytest.fail(f"called {name}")
+    monkeypatch.setattr(Scalar, "__add__", refuse("Scalar.__add__"))
+    monkeypatch.setattr(ScalarRing, "join", refuse("ScalarRing.join"))
+    for module in (tensors, verify):
+        monkeypatch.setattr(module, "contract", refuse("contract"))
+        monkeypatch.setattr(module, "apply_kernel", refuse("apply_kernel"))
+    for plan, ref in zip(_PROOF_CASES.values(), expected):
+        assert _proof_integral(sol.q, plan, sol.kernels).entries == ref.entries
+
+
+def test_proof_integral_canonicalises_once_per_distinct_sum(monkeypatch):
+    group = parse_group("Z5")
+    sol = q_from_bicharacter(group)
+    canonical = ScalarRing._canonical
+    calls = Counter()
+
+    def counting(self, terms):
+        calls[case] += 1
+        return canonical(self, terms)
+
+    monkeypatch.setattr(ScalarRing, "_canonical", counting)
+    for case in ("case2", "case3"):
+        _proof_integral(sol.q, _PROOF_CASES[case], sol.kernels)
+    # the term-by-term sum canonicalises 2,517 times in each
+    assert 0 < calls["case2"] < 100 and 0 < calls["case3"] < 100
+
+
+def test_theorem_builds_kernels_only_for_a_gauss_override(monkeypatch):
+    group = parse_group("Z3")
+    built = []
+    build = verify.symmetry_kernels
+    monkeypatch.setattr(verify, "symmetry_kernels", lambda *a, **kw: built.append(kw) or build(*a, **kw))
+    assert verify_theorem(group)
+    assert built == []
+    unit = lambda x: group.ring.one
+    assert verify_theorem(group, gauss=unit).verdict == "fail"
+    assert built == [{"gauss": unit}]
 
 
 def test_verify_theorem_passes_on_small_groups():
