@@ -221,7 +221,7 @@ def cmd_moves_walk(args):
                 out += [f"moves={applied}", "verdict=fail", "witness=euler characteristic changed"]
                 print("\n".join(out))
                 return EXIT_FAIL
-    except ValueError as exc:  # face classes past simplicial.FACE_NODES_LIMIT
+    except ValueError as exc:  # chi's face classes past simplicial.FACE_NODES_LIMIT
         raise UsageError(str(exc)) from exc
     out += [
         f"moves={applied}",
@@ -236,10 +236,7 @@ def cmd_moves_walk(args):
 def cmd_moves_apply(args):
     t = _load_triangulation(args.tri)
     p, q = _parse_move_type(args.type, t.dim)
-    try:
-        sites = all_sites(t, p)
-    except ValueError as exc:  # face classes past simplicial.FACE_NODES_LIMIT
-        raise UsageError(str(exc)) from exc
+    sites = all_sites(t, p)
     if not sites:
         raise UsageError(f"no ({p},{q}) site in {args.tri}")
     if not 0 <= args.site < len(sites):
@@ -294,7 +291,7 @@ def cmd_solutions(args):
     if sol.q is not None:
         out.append(f"domain={sol.domain.literal}")
         out.append(f"nonzeros={len(sol.q.entries)}")
-        out.append(f"kernels={'yes' if sol.kernels else 'no'}")
+        out.append(f"kernels={'yes' if sol.kind == 'bicharacter' else 'no'}")
         if args.dump:
             out.append("entries:")
             out.append(sol.q.dump())

@@ -44,13 +44,6 @@ def boundary_face(s: tuple, i: int) -> tuple:
     return s[:i] + s[i + 1 :]
 
 
-def distinguished_splitting(n: int):
-    """The even/odd splitting of [n]; type (3,3) when n = 5."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return tuple(range(0, n + 1, 2)), tuple(range(1, n + 1, 2))
-
-
 def _pos(j: int, i: int) -> int:
     """Facet index of position j inside the simplex missing position i."""
     return j - 1 if j > i else j
@@ -241,16 +234,10 @@ class Triangulation:
         return {root: frozenset(members) for root, members in classes.items()}
 
     def _site_index(self) -> tuple:
-        """(rep, class_entries, by_tuple, cones) for find_move_sites:
-        occurrence to class root, class root to the entries carrying it,
-        vertex tuple to entries, and per entry e the simplexes e + v, keyed
-        by the position of v, for each v opposite e across a glued facet."""
+        """(by_tuple, cones) for find_move_sites: vertex tuple to entries,
+        and per entry e the simplexes e + v, keyed by the position of v,
+        for each v opposite e across a glued facet."""
         if self._index is None:
-            classes = self.face_classes()
-            rep = {occ: root for root, members in classes.items() for occ in members}
-            class_entries = {
-                root: frozenset(e for e, _ in members) for root, members in classes.items()
-            }
             by_tuple: dict[tuple, list[int]] = {}
             for e, (vertices, _) in enumerate(self.simplexes):
                 by_tuple.setdefault(vertices, []).append(e)
@@ -260,7 +247,7 @@ class Triangulation:
                 if v not in vertices:
                     phi = tuple(sorted(vertices + (v,)))
                     cones[e].setdefault(phi.index(v), set()).add(phi)
-            self._index = (rep, class_entries, by_tuple, cones)
+            self._index = (by_tuple, cones)
         return self._index
 
     def euler_characteristic(self) -> int:
@@ -397,9 +384,8 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     """All matched sites for the (|I|, |J|) move, lexicographically ordered.
 
     A site needs: entries realizing the I-indexed facets of an n-simplex
-    under an order-preserving vertex assignment phi, signs eps*(-1)^i,
-    mutual gluings along the internal faces, and no face interior to the
-    site shared with entries outside it.  For |I| = 1 only I = {n} is
+    under an order-preserving vertex assignment phi, signs eps*(-1)^i, and
+    mutual gluings along the internal faces.  For |I| = 1 only I = {n} is
     supported; the fresh vertex is max(labels)+1, which is order
     consistent exactly in the last position.
     """
@@ -416,7 +402,14 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
             sites.append(MoveSite(n, I, J, phi, (e,), eps))
         return sites
 
-    rep, class_entries, by_tuple, cones = t._site_index()
+    # No face interior to a site touches an entry outside it, so that move
+    # condition needs no check of its own.  Such a face is phi minus a set D
+    # of positions of I; for |D| = 1 it is a site entry itself, and for
+    # |D| >= 2 it lies in the entries at the positions in D, and each of
+    # their facets containing it is one of the pairwise gluings required
+    # below.  A facet is glued at most once, so no identification of the
+    # face leaves those entries.
+    by_tuple, cones = t._site_index()
     i0 = I[0]
     sites = []
 
@@ -432,8 +425,7 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
             def extend(assigned, remaining):
                 if not remaining:
                     entries = tuple(assigned[i] for i in I)
-                    if _site_interior_ok(t, I, J, phi, entries, rep, class_entries):
-                        sites.append(MoveSite(n, I, J, phi, entries, eps))
+                    sites.append(MoveSite(n, I, J, phi, entries, eps))
                     return
                 i = remaining[0]
                 want = phi[:i] + phi[i + 1 :]
@@ -454,26 +446,6 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
 
     sites.sort(key=lambda s: (s.phi, s.entries))
     return sites
-
-
-def _site_interior_ok(t, I, J, phi, entries, rep, class_entries):
-    """No face interior to the site may touch an entry outside it.
-
-    Interior faces are phi(W) for J subseteq W, proper, with complement
-    inside I; each is carried by the entry realizing any position of I
-    outside W.
-    """
-    n = len(phi) - 1
-    entry_set = set(entries)
-    for drop_size in range(1, len(I) + 1):
-        for dropped in itertools.combinations(I, drop_size):
-            w = [k for k in range(n + 1) if k not in dropped]
-            face = tuple(phi[k] for k in w)
-            carrier = entries[I.index(dropped[0])]
-            root = rep[(carrier, face)]
-            if not class_entries[root] <= entry_set:
-                return False
-    return True
 
 
 def apply_move(t: Triangulation, site: MoveSite) -> Triangulation:

@@ -52,7 +52,6 @@ class SolutionSpec:
     descriptor: str
     domain: object
     q: GroupTensor | None
-    kernels: dict | None = None
 
 
 def validate_bicharacter(group: FinAbGroup, chi) -> None:
@@ -108,7 +107,6 @@ def q_from_bicharacter(group: FinAbGroup, chi=None) -> SolutionSpec:
         descriptor=f"bichar:{group.literal}",
         domain=group,
         q=q,
-        kernels=symmetry_kernels(group),
     )
 
 
@@ -330,7 +328,6 @@ def perturb_q(sol: SolutionSpec, seed: int) -> SolutionSpec:
         descriptor=f"{sol.descriptor}:perturbed:{seed}",
         domain=sol.domain,
         q=GroupTensor(q.domain, q.variances, entries),
-        kernels=sol.kernels,
     )
 
 

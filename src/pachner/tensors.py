@@ -9,15 +9,14 @@ composed with anything is weight neutral (c * r = 1).
 
 ``contract`` is the one join: it binds any number of slot pairs of two
 tensors in a single hash join.  The outer product (no pairs),
-``LinMap.compose`` (a window of wires), ``apply_kernel`` (one slot against
-a kernel table) and every step of a state sum are calls to it.  A map
-composed onto a window of another's outputs leaves the wires beside the
-window untouched, so a word of padded factors id^a (x) F (x) id^b never
-builds its identity wires.  The identity and sigma are wire permutations
-with one entry r**k on k wires, and record their permutation: composed
-onto a window they reorder its slots in one ``permute`` and scale by
-r**k * r**-k, taken from the ring (and skipped when that is its one),
-so they never run a join.
+``LinMap.compose`` (a window of wires) and every step of a state sum are
+calls to it.  A map composed onto a window of another's outputs leaves the
+wires beside the window untouched, so a word of padded factors
+id^a (x) F (x) id^b never builds its identity wires.  The identity and
+sigma are wire permutations with one entry r**k on k wires, and record
+their permutation: composed onto a window they reorder its slots in one
+``permute`` and scale by r**k * r**-k, taken from the ring (and skipped
+when that is its one), so they never run a join.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -323,22 +322,6 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Report:
             fields = {"verdict": verdict.verdict, "checks": compared}
             return Report("tensor-equal", fields, _fmt_key(key), values)
     return Report("tensor-equal", {"verdict": "pass", "checks": compared})
-
-
-def apply_kernel(t: GroupTensor, slot: int, kernel: GroupTensor) -> GroupTensor:
-    """Replace slot content by the measure-weighted kernel action,
-    new[.., x, ..] = c * sum_y K[x, y] * t[.., y, ..].
-
-    The slot keeps its position and variance; the kernel is read as a
-    plain two-argument function table.
-    """
-    if kernel.arity != 2:
-        raise ValueError("kernel must have exactly two slots")
-    # as a table, slot 0 holds the new content and slot 1 binds to t's slot
-    v = t.variances[slot]
-    table = GroupTensor(kernel.domain, (v, v.flip()), kernel.entries, kernel.ring)
-    last = t.arity - 1
-    return contract(t, slot, table, 1).permute([*range(slot), last, *range(slot, last)])
 
 
 class LinMap:

@@ -23,11 +23,10 @@ Checkers in here:
   Yang-Baxter identity per index triple, each side one word in Q with
   label wires and each identity one comparison, refused before any
   contraction when it could compare more than YB_ENTRIES_LIMIT entries;
-* verify_psym: the four kernel-transformed tensors agree pairwise;
 * verify_theorem: for the bicharacter solution over a finite abelian
   group, the four proof-case integrals all reproduce the conjugate
   tensor; kernel transforms are expanded as explicit weighted sums,
-  independently of apply_kernel, refused before anything is built when
+  independently of contract, refused before anything is built when
   they would expand more than THEOREM_TERMS_LIMIT terms;
 * dense_p33_oracle: a dense numpy cross-check of verify_p33 that
   enumerates the full index grid with einsum, contracting each side along
@@ -63,8 +62,6 @@ from .tensors import (
     GroupTensor,
     LinMap,
     Report,
-    apply_kernel,
-    contract,
     in_backend,
     tensor_equal,
     _fmt_key,
@@ -258,74 +255,7 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "auto") -> Report:
     return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
 
 
-# -- the symmetry relation and the theorem ------------------------------------
-
-
-def _conj_table(kernel: GroupTensor) -> GroupTensor:
-    """Entrywise conjugate, keeping the slot layout (a table, not a dual)."""
-    return GroupTensor(
-        kernel.domain,
-        kernel.variances,
-        {k: kernel.ring.conj(v) for k, v in kernel.entries.items()},
-        kernel.ring,
-    )
-
-
-def _validate_kernel(name: str, kernel: GroupTensor, domain) -> str:
-    """Empty string when usable; otherwise a failure description."""
-    if kernel.arity != 2:
-        raise ValueError(f"kernel {name} must have exactly two slots")
-    if kernel.domain != domain:
-        raise ValueError(f"kernel {name} lives on {kernel.domain!r}, not {domain!r}")
-    sym = tensor_equal(kernel, kernel.permute([1, 0]))
-    if not sym:
-        return f"kernel {name} is not symmetric at {sym.witness}"
-    inv = tensor_equal(
-        contract(kernel, 1, _conj_table(kernel), 0),
-        LinMap.identity(kernel.domain, 1, kernel.ring).tensor,
-    )
-    if not inv:
-        return f"kernel {name} is not inverted by its conjugate (checked at {inv.witness})"
-    return ""
-
-
-def verify_psym(q: GroupTensor, L: GroupTensor, M: GroupTensor, R: GroupTensor) -> Report:
-    """Pairwise equality of the four kernel-transformed tensors.
-
-    expr1 = (sigma (x) L (x) L^-1 (x) L) Q        swap slots 0,1; kernels on 2,3,4
-    expr2 = (L (x) sigma (x) M^-1 (x) M) Q        swap slots 1,2; kernels on 0,3,4
-    expr3 = (M (x) M^-1 (x) sigma (x) R) Q        swap slots 2,3; kernels on 0,1,4
-    expr4 = (R (x) R^-1 (x) R (x) sigma) Q        swap slots 3,4; kernels on 0,1,2
-
-    Inverse kernels are taken to be the conjugate tables; each kernel is
-    required to be symmetric and inverted by its conjugate, and a kernel
-    failing that requirement yields a fail verdict rather than an error.
-    """
-    if q.arity != 5:
-        raise ValueError("the symmetry relation needs a 5-slot tensor")
-    dom = q.domain
-    for name, kernel in [("L", L), ("M", M), ("R", R)]:
-        problem = _validate_kernel(name, kernel, dom)
-        if problem:
-            return _report("psym", dom.literal, q.ring.name, "fail", 0, problem)
-    linv, minv, rinv = _conj_table(L), _conj_table(M), _conj_table(R)
-
-    def transform(swap_perm, kernel_at):
-        t = q
-        for slot, kernel in kernel_at.items():
-            t = apply_kernel(t, slot, kernel)
-        return t.permute(swap_perm)
-
-    exprs = [
-        transform([1, 0, 2, 3, 4], {2: L, 3: linv, 4: L}),
-        transform([0, 2, 1, 3, 4], {0: L, 3: minv, 4: M}),
-        transform([0, 1, 3, 2, 4], {0: M, 1: minv, 4: R}),
-        transform([0, 1, 2, 4, 3], {0: R, 1: rinv, 2: R}),
-    ]
-    comparisons = (
-        (f"expr1 vs expr{idx + 1}", tensor_equal(exprs[0], exprs[idx])) for idx in (1, 2, 3)
-    )
-    return _judge("psym", dom.literal, q.ring.name, comparisons)
+# -- the duality theorem ------------------------------------------------------
 
 
 _PROOF_CASES = {
@@ -346,8 +276,8 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
 
     Three argument positions are integrated against kernel rows, with one
     measure weight per integration; this is written directly on the entry
-    dicts, independent of contract, ring.join and apply_kernel, so the
-    theorem check exercises a second code path.  The plan records each
+    dicts, independent of contract and ring.join, so the theorem check
+    exercises a second code path.  The plan records each
     position's free slot, so the result already carries its slots in
     free-argument order.
 
@@ -457,7 +387,7 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
             f"of {THEOREM_TERMS_LIMIT}"
         )
     sol = q_from_bicharacter(group, chi=chi)
-    kernels = sol.kernels if gauss is None else symmetry_kernels(group, gauss=gauss)
+    kernels = symmetry_kernels(group, gauss=gauss)
     dt = sol.q
     target = dt.conj()
     # Every case is computed, so a failing control shows which of the four

@@ -10,16 +10,17 @@ from pachner.simplicial import (
     MoveSite,
     Triangulation,
     _pos,
-    _site_interior_ok,
     apply_move,
     boundary_face,
     compose_maps,
-    distinguished_splitting,
     face_map,
     find_move_sites,
     pachner_sides,
     simplex_boundary,
 )
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def induced_boundary(t):
@@ -90,23 +91,6 @@ def test_boundary_relation_exhaustive():
                 lhs = boundary_face(boundary_face(s, i), j)
                 rhs = boundary_face(boundary_face(s, j + 1), i)
                 assert lhs == rhs, (k, i, j)
-
-
-def test_distinguished_splitting_table():
-    expected = {
-        1: (1, 1),
-        2: (2, 1),
-        3: (2, 2),
-        4: (3, 2),
-        5: (3, 3),
-        6: (4, 3),
-        7: (4, 4),
-    }
-    for n, (p, q) in expected.items():
-        I, J = distinguished_splitting(n)
-        assert (len(I), len(J)) == (p, q)
-        assert sorted(I + J) == list(range(n + 1))
-    assert distinguished_splitting(5) == ((0, 2, 4), (1, 3, 5))
 
 
 # -- pachner sides -----------------------------------------------------------
@@ -197,7 +181,7 @@ def test_explicit_gluing_validation():
 
 
 def test_defining_configuration_has_one_site():
-    I0, J0 = distinguished_splitting(5)
+    I0, J0 = (0, 2, 4), (1, 3, 5)
     ball, _ = pachner_sides(5, I0, J0)
     sites = find_move_sites(ball, I0, J0)
     assert len(sites) == 1
@@ -208,7 +192,7 @@ def test_defining_configuration_has_one_site():
 
 
 def test_sphere_has_even_half_site():
-    I0, J0 = distinguished_splitting(5)
+    I0, J0 = (0, 2, 4), (1, 3, 5)
     t = simplex_boundary(5)
     sites = find_move_sites(t, I0, J0)
     assert len(sites) >= 1
@@ -220,7 +204,7 @@ def test_sphere_has_even_half_site():
 
 def test_single_pentachoron_has_no_33_site():
     t = Triangulation(4, [((0, 1, 2, 3, 4), 1)])
-    I0, J0 = distinguished_splitting(5)
+    I0, J0 = (0, 2, 4), (1, 3, 5)
     assert find_move_sites(t, I0, J0) == []
 
 
@@ -236,7 +220,7 @@ def test_fresh_vertex_site_only_at_last_position():
 
 
 def test_apply_33_to_defining_ball():
-    I0, J0 = distinguished_splitting(5)
+    I0, J0 = (0, 2, 4), (1, 3, 5)
     before, after = pachner_sides(5, I0, J0)
     site = find_move_sites(before, I0, J0)[0]
     moved = apply_move(before, site)
@@ -245,7 +229,7 @@ def test_apply_33_to_defining_ball():
 
 
 def test_apply_is_stale_after_change():
-    I0, J0 = distinguished_splitting(5)
+    I0, J0 = (0, 2, 4), (1, 3, 5)
     before, _ = pachner_sides(5, I0, J0)
     site = find_move_sites(before, I0, J0)[0]
     moved = apply_move(before, site)
@@ -254,7 +238,7 @@ def test_apply_is_stale_after_change():
 
 
 def test_move_involution_on_sphere():
-    I0, J0 = distinguished_splitting(5)
+    I0, J0 = (0, 2, 4), (1, 3, 5)
     t = simplex_boundary(5)
     site = next(
         s for s in find_move_sites(t, I0, J0) if s.phi == (0, 1, 2, 3, 4, 5)
@@ -346,11 +330,35 @@ def test_site_index_matches_a_fresh_build():
             t = apply_move(t, rng.choice(found))
 
 
+def _site_interior_ok(t, I, J, phi, entries, rep, class_entries):
+    """No face interior to the site may touch an entry outside it.
+
+    Interior faces are phi(W) for J subseteq W, proper, with complement
+    inside I; each is carried by the entry realizing any position of I
+    outside W.
+    """
+    n = len(phi) - 1
+    entry_set = set(entries)
+    for drop_size in range(1, len(I) + 1):
+        for dropped in itertools.combinations(I, drop_size):
+            w = [k for k in range(n + 1) if k not in dropped]
+            face = tuple(phi[k] for k in w)
+            carrier = entries[I.index(dropped[0])]
+            root = rep[(carrier, face)]
+            if not class_entries[root] <= entry_set:
+                return False
+    return True
+
+
 def exhaustive_move_sites(t, I, J):
     """find_move_sites for |I| >= 2 as it was written first: every pair of
-    an entry e0 and a vertex label v is tried as phi = sorted(e0 + v)."""
+    an entry e0 and a vertex label v is tried as phi = sorted(e0 + v), and
+    every match must pass the interior check on face classes."""
     n = t.dim + 1
-    rep, class_entries, by_tuple, _ = t._site_index()
+    classes = t.face_classes()
+    rep = {occ: root for root, members in classes.items() for occ in members}
+    class_entries = {root: frozenset(e for e, _ in members) for root, members in classes.items()}
+    by_tuple, _ = t._site_index()
     i0 = I[0]
     sites = []
 
@@ -394,10 +402,14 @@ def exhaustive_move_sites(t, I, J):
 
 
 def test_site_search_matches_the_exhaustive_search():
-    # seeded walks over every move type, plus the balls with boundary
-    # that each move starts from and produces
+    # seeded walks over every move type, the balls with boundary that each
+    # move starts from and produces, and the shipped complexes, one of
+    # which holds two entries with the same vertex tuple
     rng = random.Random(3)
-    complexes = []
+    complexes = [Triangulation.load(path) for path in sorted(DATA.glob("*.tri"))]
+    assert any(
+        len({v for v, _ in t.simplexes}) < len(t.simplexes) for t in complexes
+    )
     for dim in (2, 3, 4):
         for I, J in all_splittings(dim + 1):
             complexes.extend(pachner_sides(dim + 1, I, J))
@@ -416,6 +428,18 @@ def test_site_search_matches_the_exhaustive_search():
                 searched += 1
                 matched += bool(sites)
     assert matched > searched // 10
+
+
+def test_site_search_and_moves_build_no_face_classes(monkeypatch):
+    t = simplex_boundary(5)
+    rng = random.Random(11)
+    for _ in range(8):
+        found = [s for I, J in all_splittings(5) for s in find_move_sites(t, I, J)]
+        t = apply_move(t, rng.choice(found))
+    monkeypatch.setattr(Triangulation, "_build_face_classes", lambda t: pytest.fail("built"))
+    for I, J in all_splittings(5):
+        for site in find_move_sites(t, I, J):
+            apply_move(t, site)
 
 
 def test_face_classes_built_once_per_triangulation(monkeypatch):
@@ -449,8 +473,7 @@ def test_face_node_limit_is_inclusive(monkeypatch):
 
 
 def test_every_shipped_test_and_benchmark_complex_is_admitted():
-    repo = Path(__file__).resolve().parent.parent
-    paths = sorted((repo / "data").glob("*.tri")) + sorted((repo / "perfbench" / "data").glob("*.tri"))
+    paths = sorted(DATA.glob("*.tri")) + sorted((DATA.parent / "perfbench" / "data").glob("*.tri"))
     assert len(paths) >= 16
     complexes = [Triangulation.load(path) for path in paths] + [simplex_boundary(n) for n in range(2, 7)]
     for t in complexes:
@@ -487,7 +510,7 @@ def test_file_round_trip(tmp_path):
 
 
 def test_file_round_trip_with_explicit_gluing(tmp_path):
-    I0, J0 = distinguished_splitting(5)
+    I0, J0 = (0, 2, 4), (1, 3, 5)
     t = simplex_boundary(5)
     site = next(
         s for s in find_move_sites(t, I0, J0) if s.phi == (0, 1, 2, 3, 4, 5)

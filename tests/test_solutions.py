@@ -321,7 +321,6 @@ def test_parse_solution_descriptors():
     assert sol.kind == "bicharacter"
     assert sol.domain == FinAbGroup([3])
     assert len(sol.q.entries) == 27
-    assert set(sol.kernels) == {"T", "Tinv", "S", "Sinv"}
 
     sol = parse_solution("triple:groupalg:S3")
     assert sol.kind == "triple"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pachner.groups import FinAbGroup
-from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, approx_equal, compare
+from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, compare
 from pachner.tensors import (
     DOWN,
     UP,
@@ -15,7 +15,6 @@ from pachner.tensors import (
     GroupTensor,
     LinMap,
     Report,
-    apply_kernel,
     contract,
     tensor_equal,
     _fmt_key,
@@ -548,43 +547,6 @@ def test_character_kernel_unitary():
         assert tensor_equal(composed, LinMap.identity(group, 1).tensor)
 
 
-def test_apply_kernel_identity_is_noop():
-    t = random_tensor(Z3, (UP, DOWN, UP), seed=13)
-    for slot in range(3):
-        out = apply_kernel(t, slot, LinMap.identity(Z3, 1).tensor)
-        assert tensor_equal(out, t)
-
-
-def test_apply_kernel_delta_flip():
-    # K(x,y) = delta(x+y) g(x) sends f to x -> g(x) f(-x)
-    ring = Z3.ring
-    k = GroupTensor(
-        Z3,
-        (UP, DOWN),
-        {(x, Z3.neg(x)): ring.radical() * Z3.gauss_g(x) for x in Z3.elements()},
-    )
-    f = random_tensor(Z3, (UP,), seed=14, density=1.0)
-    out = apply_kernel(f, 0, k)
-    for x in Z3.elements():
-        expect = Z3.gauss_g(x) * f.entry((Z3.neg(x),))
-        assert out.entry((x,)) == expect
-
-
-def test_apply_kernel_norm_preserved_float():
-    # a unitary kernel preserves the weighted 2-norm sum c^arity |entry|^2
-    f = GroupTensor(
-        Z3,
-        (UP, DOWN),
-        {(x, y): Z3.chi(x, y) for x in Z3.elements() for y in Z3.elements()},
-    ).to_float()
-    t = random_tensor(Z3, (UP, DOWN), seed=15).to_float()
-    out = apply_kernel(t, 0, f)
-    c = Z3.size**-0.5
-    norm_before = sum(abs(v) ** 2 for v in t.entries.values()) * c**t.arity
-    norm_after = sum(abs(v) ** 2 for v in out.entries.values()) * c**out.arity
-    assert approx_equal(norm_before, norm_after, 1e-9)
-
-
 def pin(t, slot, value):
     """Fix one slot of t to a value and drop it."""
     entries = {}
@@ -634,7 +596,6 @@ def small_tensors(draw, domain, variances):
 
 RING_OPS = {
     "contract": lambda a, b: contract(a, (0, 1), b, (0, 1)),
-    "apply_kernel": lambda a, b: apply_kernel(a, 2, b),
     "conj": lambda a, b: a.conj(),
 }
 

@@ -32,7 +32,7 @@ from pachner.tensors import (
     tensor_equal,
     _fmt_key,
 )
-from pachner import tensors, verify
+from pachner import solutions, tensors, verify
 from pachner.cli import catalog
 from pachner.verify import (
     _proof_integral,
@@ -44,7 +44,6 @@ from pachner.verify import (
     set_p33_sides,
     verify_p33,
     verify_pentagon,
-    verify_psym,
     verify_set_p33,
     verify_theorem,
     verify_yb_family,
@@ -647,52 +646,6 @@ def test_yb_fold_failing_in_pe1_builds_no_later_side(monkeypatch):
     assert calls == {"compose": 11, "join": 6}
 
 
-# -- symmetry relation ---------------------------------------------------------
-
-
-def test_verify_psym_passes_for_bicharacter_with_shipped_kernels():
-    for literal in ["Z2", "Z3"]:
-        group = parse_group(literal)
-        sol = q_from_bicharacter(group)
-        report = verify_psym(sol.q, sol.kernels["T"], sol.kernels["S"], sol.kernels["T"])
-        assert report, (literal, report.witness)
-
-
-def test_verify_psym_identity_kernels_reduce_to_swaps():
-    group = FinAbGroup([2])
-    wire = LinMap.identity(group, 1).tensor
-    ones = GroupTensor(
-        group,
-        (UP, DOWN, UP, DOWN, UP),
-        {key: group.ring.one for key in itertools.product(group.elements(), repeat=5)},
-    )
-    assert verify_psym(ones, wire, wire, wire)
-    lopsided = GroupTensor(
-        group, (UP, DOWN, UP, DOWN, UP), {((1,), (0,), (0,), (0,), (0,)): group.ring.one}
-    )
-    report = verify_psym(lopsided, wire, wire, wire)
-    assert report.verdict == "fail"
-
-
-def test_verify_psym_rejects_bad_kernels_via_verdict():
-    group = FinAbGroup([2])
-    sol = q_from_bicharacter(group)
-    skew = GroupTensor(
-        group, (UP, DOWN),
-        {((0,), (0,)): group.ring.one, ((0,), (1,)): group.ring.root(1), ((1,), (0,)): group.ring.one, ((1,), (1,)): group.ring.one},
-    )
-    report = verify_psym(sol.q, skew, sol.kernels["S"], sol.kernels["T"])
-    assert report.verdict == "fail"
-    assert "not symmetric" in report.witness
-    flat = GroupTensor(
-        group, (UP, DOWN),
-        {key: group.ring.one for key in itertools.product(group.elements(), repeat=2)},
-    )
-    report = verify_psym(sol.q, sol.kernels["T"], flat, sol.kernels["T"])
-    assert report.verdict == "fail"
-    assert "not inverted" in report.witness
-
-
 # -- the theorem ---------------------------------------------------------------
 
 
@@ -776,10 +729,10 @@ def _theorem_data():
     reproduce, passing and failing."""
     for literal in ["Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2"]:
         group = parse_group(literal)
-        sol = q_from_bicharacter(group)
-        yield literal, sol.q, sol.kernels
+        q = q_from_bicharacter(group).q
+        yield literal, q, symmetry_kernels(group)
         trivial = symmetry_kernels(group, gauss=lambda x, group=group: group.ring.one)
-        yield f"{literal}-trivial-unit", sol.q, trivial
+        yield f"{literal}-trivial-unit", q, trivial
     z4 = parse_group("Z4")
     for a in (0, 2):
         # chi_a(x, y) = omega**(a x y), omega = z**2 in the ring of 8th roots
@@ -803,21 +756,19 @@ def test_proof_integral_equals_the_term_by_term_sum(dt, kernels):
 
 def test_proof_integral_adds_no_scalars_and_joins_nothing(monkeypatch):
     group = parse_group("Z2xZ2")
-    sol = q_from_bicharacter(group)
-    expected = [expanded_proof_integral(sol.q, plan, sol.kernels) for plan in _PROOF_CASES.values()]
+    q, kernels = q_from_bicharacter(group).q, symmetry_kernels(group)
+    expected = [expanded_proof_integral(q, plan, kernels) for plan in _PROOF_CASES.values()]
     refuse = lambda name: lambda *args, **kwargs: pytest.fail(f"called {name}")
     monkeypatch.setattr(Scalar, "__add__", refuse("Scalar.__add__"))
     monkeypatch.setattr(ScalarRing, "join", refuse("ScalarRing.join"))
-    for module in (tensors, verify):
-        monkeypatch.setattr(module, "contract", refuse("contract"))
-        monkeypatch.setattr(module, "apply_kernel", refuse("apply_kernel"))
+    monkeypatch.setattr(tensors, "contract", refuse("contract"))
     for plan, ref in zip(_PROOF_CASES.values(), expected):
-        assert _proof_integral(sol.q, plan, sol.kernels).entries == ref.entries
+        assert _proof_integral(q, plan, kernels).entries == ref.entries
 
 
 def test_proof_integral_canonicalises_once_per_distinct_sum(monkeypatch):
     group = parse_group("Z5")
-    sol = q_from_bicharacter(group)
+    q, kernels = q_from_bicharacter(group).q, symmetry_kernels(group)
     canonical = ScalarRing._canonical
     calls = Counter()
 
@@ -827,21 +778,23 @@ def test_proof_integral_canonicalises_once_per_distinct_sum(monkeypatch):
 
     monkeypatch.setattr(ScalarRing, "_canonical", counting)
     for case in ("case2", "case3"):
-        _proof_integral(sol.q, _PROOF_CASES[case], sol.kernels)
+        _proof_integral(q, _PROOF_CASES[case], kernels)
     # the term-by-term sum canonicalises 2,517 times in each
     assert 0 < calls["case2"] < 100 and 0 < calls["case3"] < 100
 
 
-def test_theorem_builds_kernels_only_for_a_gauss_override(monkeypatch):
+def test_theorem_builds_kernels_once_and_passes_the_gauss_override(monkeypatch):
     group = parse_group("Z3")
     built = []
-    build = verify.symmetry_kernels
-    monkeypatch.setattr(verify, "symmetry_kernels", lambda *a, **kw: built.append(kw) or build(*a, **kw))
+    build = solutions.symmetry_kernels
+    counting = lambda *a, **kw: built.append(kw) or build(*a, **kw)
+    for module in (solutions, verify):
+        monkeypatch.setattr(module, "symmetry_kernels", counting)
     assert verify_theorem(group)
-    assert built == []
+    assert built == [{"gauss": None}]
     unit = lambda x: group.ring.one
     assert verify_theorem(group, gauss=unit).verdict == "fail"
-    assert built == [{"gauss": unit}]
+    assert built == [{"gauss": None}, {"gauss": unit}]
 
 
 def test_verify_theorem_passes_on_small_groups():
@@ -865,15 +818,6 @@ def test_verify_theorem_asymmetric_pairing_fails():
     skew = lambda x, y: group.ring.root(2 * (x[0] * y[1]) % 4)
     report = verify_theorem(group, chi=skew)
     assert report.verdict == "fail"
-
-
-def test_theorem_and_psym_routes_agree():
-    for literal in ["Z2", "Z3"]:
-        group = parse_group(literal)
-        sol = q_from_bicharacter(group)
-        thm = verify_theorem(group)
-        psym = verify_psym(sol.q, sol.kernels["T"], sol.kernels["S"], sol.kernels["T"])
-        assert thm.verdict == psym.verdict == "pass"
 
 
 @pytest.mark.parametrize("literal", ["Z2", "Z3", "Z4", "Z2xZ2"])
