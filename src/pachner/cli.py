@@ -221,7 +221,7 @@ def cmd_moves_walk(args):
                 out += [f"moves={applied}", "verdict=fail", "witness=euler characteristic changed"]
                 print("\n".join(out))
                 return EXIT_FAIL
-    except ValueError as exc:  # chi's face classes past simplicial.FACE_NODES_LIMIT
+    except ValueError as exc:  # past simplicial.FACE_NODES_LIMIT or statesum.SPLITTINGS_LIMIT
         raise UsageError(str(exc)) from exc
     out += [
         f"moves={applied}",
@@ -236,7 +236,10 @@ def cmd_moves_walk(args):
 def cmd_moves_apply(args):
     t = _load_triangulation(args.tri)
     p, q = _parse_move_type(args.type, t.dim)
-    sites = all_sites(t, p)
+    try:
+        sites = all_sites(t, p)
+    except ValueError as exc:  # past statesum.SPLITTINGS_LIMIT
+        raise UsageError(str(exc)) from exc
     if not sites:
         raise UsageError(f"no ({p},{q}) site in {args.tri}")
     if not 0 <= args.site < len(sites):

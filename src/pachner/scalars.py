@@ -27,7 +27,9 @@ sigma entries r**2 all take this path.
 A tensor of the finite abelian model holds many entries but few distinct
 values (character values times powers of r), so ``ScalarRing.join``
 computes each product once per distinct pair of operand values, and each
-sum of colliding products once per distinct multiset of such pairs.
+sum of colliding products once per distinct multiset of such pairs;
+``ScalarRing.compare_entries`` likewise compares two tensors' entries
+once per distinct pair of value objects.
 
 ``ComplexRing`` is the float cross-check backend: complex numbers with
 r = sqrt(N) behind the same interface, compared at a relative tolerance.
@@ -39,7 +41,10 @@ import cmath
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import add
+
+import numpy as np
 
 
 def _poly_mul(a, b):
@@ -51,12 +56,36 @@ def _poly_mul(a, b):
     return tuple(out)
 
 
-def _buckets(entries, bound, rest):
-    """The hash side of a join: bound part of each key -> [(rest, value)]."""
+def _buckets(entries, bound, rest, at):
+    """The hash side of a join: bound part of each key -> [(pre, post,
+    value)], where pre and post are the rest of the key split at ``at``."""
     buckets = {}
     for key, val in entries.items():
-        buckets.setdefault(bound(key), []).append((rest(key), val))
+        tail = rest(key)
+        buckets.setdefault(bound(key), []).append((tail[:at], tail[at:], val))
     return buckets
+
+
+def _aligned(entries1, entries2, zero):
+    """The union of two entry dicts' keys (entries1's in order, then those
+    only entries2 holds) and each dict's values over it, zero where it
+    has no entry.
+
+    Each key of entries1 is looked up in entries2 once; the keys only
+    entries2 holds are searched for only when the lookups found fewer
+    than all of its entries.  No entry holds None.
+    """
+    keys, values1 = list(entries1), list(entries1.values())
+    values2 = list(map(entries2.get, keys, repeat(None)))
+    missing = values2.count(None)
+    if missing:
+        values2 = [zero if v is None else v for v in values2]
+    if len(keys) - missing < len(entries2):
+        extra = [key for key in entries2 if key not in entries1]
+        keys += extra
+        values1 += repeat(zero, len(extra))
+        values2 += map(entries2.__getitem__, extra)
+    return keys, values1, values2
 
 
 def _classes(entries):
@@ -258,9 +287,11 @@ class ScalarRing:
     def conj(self, v: "Scalar") -> "Scalar":
         return v.conj()
 
-    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k):
-        """Sum v1 * v2 * r**-k per key rest1(k1) + rest2(k2) over all entry
-        pairs with bound1(k1) == bound2(k2); zero sums are dropped.
+    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, at=0):
+        """Sum v1 * v2 * r**-k per key pre + rest1(k1) + post over all entry
+        pairs with bound1(k1) == bound2(k2), where pre and post are
+        rest2(k2) split at ``at`` (by default pre is empty); zero sums are
+        dropped.
 
         Each operand's entries fall into value classes, one per distinct
         value (see ``_classes``).  The weight is one exponent shift (r**-k
@@ -284,14 +315,14 @@ class ScalarRing:
             reps2 = [v._shift(shift) for v in reps2]
         # a class pair (c1, c2) is the slot c1 * n2 + c2
         n2 = len(reps2)
-        buckets = _buckets(classes2, bound2, rest2)
+        buckets = _buckets(classes2, bound2, rest2, at)
         out = {}
         accumulated = out.get
         for k1, c1 in classes1.items():
             head = rest1(k1)
             base = c1 * n2
-            for tail, c2 in buckets.get(bound1(k1), ()):
-                key = head + tail
+            for pre, post, c2 in buckets.get(bound1(k1), ()):
+                key = pre + head + post
                 prev = accumulated(key)
                 if prev is None:
                     out[key] = base + c2
@@ -327,9 +358,32 @@ class ScalarRing:
     def render(self, v: "Scalar") -> str:
         return v.render()
 
-    def compare(self, a: "Scalar", b: "Scalar", rel: float = 1e-9) -> "Comparison":
-        """Exact three-valued comparison; rel is unused."""
-        return compare(a, b)
+    def compare_entries(self, entries1, entries2, rel=1e-9):
+        """Both entry dicts compared over the union of their keys, a missing
+        entry read as zero, with :func:`compare`; rel is unused.
+
+        Returns (keys compared, least UNEQUAL key, least INDETERMINATE key),
+        None where no key has that verdict.  ``compare`` runs once per
+        distinct pair of value objects: the entry dicts keep their values
+        alive, so an id names one value for the whole walk, and join
+        results share one Scalar per value class.
+        """
+        keys, values1, values2 = _aligned(entries1, entries2, self.zero)
+        verdicts = {}
+        failing = {Comparison.UNEQUAL: [], Comparison.INDETERMINATE: []}
+        equal = Comparison.EQUAL
+        for key, v1, v2 in zip(keys, values1, values2):
+            pair = (id(v1), id(v2))
+            verdict = verdicts.get(pair)
+            if verdict is None:
+                verdict = verdicts[pair] = compare(v1, v2)
+            if verdict is not equal:
+                failing[verdict].append(key)
+        return (
+            len(keys),
+            min(failing[Comparison.UNEQUAL], default=None),
+            min(failing[Comparison.INDETERMINATE], default=None),
+        )
 
     def parse(self, text: str) -> "Scalar":
         """Parse the rendering grammar "a0 + a1·z^1 + ... [· r^k]"."""
@@ -576,17 +630,17 @@ class ComplexRing:
     def conj(self, v: complex) -> complex:
         return v.conjugate()
 
-    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k):
+    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, at=0):
         """ScalarRing.join in floats: products summed in entry order, then
         one weight r**-k per result entry (none when k is 0), and entries
         whose weighted sum is zero dropped, in one pass."""
-        buckets = _buckets(entries2, bound2, rest2)
+        buckets = _buckets(entries2, bound2, rest2, at)
         out = {}
         accumulated = out.get
         for k1, v1 in entries1.items():
             head = rest1(k1)
-            for tail, v2 in buckets.get(bound1(k1), ()):
-                key = head + tail
+            for pre, post, v2 in buckets.get(bound1(k1), ()):
+                key = pre + head + post
                 prev = accumulated(key)
                 out[key] = v1 * v2 if prev is None else prev + v1 * v2
         if not k:
@@ -605,5 +659,22 @@ class ComplexRing:
         imag = v.imag if abs(v.imag) > tiny else 0.0
         return format(complex(real, imag), ".12g")
 
-    def compare(self, a: complex, b: complex, rel: float = 1e-9) -> Comparison:
-        return Comparison.EQUAL if approx_equal(a, b, rel) else Comparison.UNEQUAL
+    def compare_entries(self, entries1, entries2, rel=1e-9):
+        """ScalarRing.compare_entries at relative tolerance rel: approx_equal
+        on every key at once, so nothing is INDETERMINATE.
+
+        Each side's values over the key union are read into one array.
+        The test is approx_equal's, elementwise in the same float
+        operations, and its max keeps the first of equal or unordered
+        operands as Python's max does, so a nan or infinite value gets
+        the verdict approx_equal gives it.
+        """
+        keys, values1, values2 = _aligned(entries1, entries2, self.zero)
+        n = len(keys)
+        a, b = np.fromiter(values1, complex, n), np.fromiter(values2, complex, n)
+        with np.errstate(all="ignore"):  # inf - inf is nan, as in Python
+            abs_a, abs_b = np.abs(a), np.abs(b)
+            scale = np.where(abs_b > abs_a, abs_b, abs_a)
+            scale = np.where(1.0 > scale, 1.0, scale)
+            unequal = np.flatnonzero(~(np.abs(a - b) <= rel * scale))
+        return n, min((keys[i] for i in unequal), default=None), None

@@ -54,20 +54,26 @@ class SolutionSpec:
     q: GroupTensor | None
 
 
-def validate_bicharacter(group: FinAbGroup, chi) -> None:
-    """Exhaustively check multiplicativity of chi in each argument."""
+def validate_bicharacter(group: FinAbGroup, chi) -> dict:
+    """Exhaustively check multiplicativity of chi in each argument.
+
+    chi is evaluated once per pair of elements; returns the table
+    (x, y) -> chi(x, y).
+    """
     elems = list(group.elements())
+    table = {(x, y): chi(x, y) for x in elems for y in elems}
     for x, xp in itertools.product(elems, repeat=2):
         s = group.add(x, xp)
         for y in elems:
-            if chi(s, y) != chi(x, y) * chi(xp, y):
+            if table[s, y] != table[x, y] * table[xp, y]:
                 raise ValueError(
                     f"chi is not multiplicative in the first argument at {(x, xp, y)}"
                 )
-            if chi(y, s) != chi(y, x) * chi(y, xp):
+            if table[y, s] != table[y, x] * table[y, xp]:
                 raise ValueError(
                     f"chi is not multiplicative in the second argument at {(y, x, xp)}"
                 )
+    return table
 
 
 # A bicharacter solution holds |G|**3 entries, and validating chi takes
@@ -90,17 +96,17 @@ def q_from_bicharacter(group: FinAbGroup, chi=None) -> SolutionSpec:
             f"a bicharacter solution over {group.literal} holds {group.size**3} entries, "
             f"over the limit of {BICHAR_ENTRIES_LIMIT}"
         )
-    chi = group.chi if chi is None else chi
-    validate_bicharacter(group, chi)
+    table = validate_bicharacter(group, group.chi if chi is None else chi)
     ring = group.ring
     weight = ring.radical() * ring.radical()
+    weighted = {pair: value * weight for pair, value in table.items()}
     entries = {}
     for x in group.elements():
         for y in group.elements():
             u = group.add(x, y)
             for z in group.elements():
                 v = group.add(y, z)
-                entries[(x, u, y, v, z)] = chi(x, z) * weight
+                entries[(x, u, y, v, z)] = weighted[x, z]
     q = GroupTensor(group, (UP, DOWN, UP, DOWN, UP), entries)
     return SolutionSpec(
         kind="bicharacter",

@@ -8,15 +8,18 @@ groups module.  Identity wires are delta lines with entry r, so a wire
 composed with anything is weight neutral (c * r = 1).
 
 ``contract`` is the one join: it binds any number of slot pairs of two
-tensors in a single hash join.  The outer product (no pairs),
+tensors in a single hash join, and places the first tensor's free slots
+at any position among the second's.  The outer product (no pairs),
 ``LinMap.compose`` (a window of wires) and every step of a state sum are
 calls to it.  A map composed onto a window of another's outputs leaves the
 wires beside the window untouched, so a word of padded factors
-id^a (x) F (x) id^b never builds its identity wires.  The identity and
-sigma are wire permutations with one entry r**k on k wires, and record
-their permutation: composed onto a window they reorder its slots in one
-``permute`` and scale by r**k * r**-k, taken from the ring (and skipped
-when that is its one), so they never run a join.
+id^a (x) F (x) id^b never builds its identity wires, and the join builds
+each key with the map's outputs already in the window's place, so the
+result is never permuted.  The identity and sigma are wire permutations
+with one entry r**k on k wires, and record their permutation: composed
+onto a window they reorder its slots in one ``permute`` and scale by
+r**k * r**-k, taken from the ring (and skipped when that is its one), so
+they never run a join.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -24,7 +27,10 @@ share every code path.  ``contract`` checks slots and variances and picks
 the key parts; the ring's ``join`` runs the hash join itself, so the
 exact ring can fold the weight into the distinct values of one operand
 and compute each product once per distinct pair of values, while the
-float ring keeps its summation order.
+float ring keeps its summation order.  Likewise ``tensor_equal`` checks
+arity and backend and hands both entry dicts to the ring's
+``compare_entries``: the exact ring compares each distinct pair of values
+once, and the float ring compares all keys at once in numpy.
 Results of ``contract``, ``permute`` and ``conj`` are built
 without the constructor's per-entry checks, which they pass by
 construction.
@@ -214,15 +220,17 @@ def _picker(slots):
     return itemgetter(*slots)
 
 
-def contract(t1: GroupTensor, s1, t2: GroupTensor, s2) -> GroupTensor:
+def contract(t1: GroupTensor, s1, t2: GroupTensor, s2, at: int = 0) -> GroupTensor:
     """Bind slots s1 of t1 to slots s2 of t2 pairwise, in one hash join.
 
     s1 and s2 are equally long slot sequences; a bare int is one slot.
     Each bound pair needs opposite variances and contributes one measure
     weight, so k pairs carry r**-k and no pairs give the outer product.
-    Result slots: t1's free slots in order, then t2's.  The join runs in
-    the tensors' ring (``ScalarRing.join`` or ``ComplexRing.join``) and
-    drops entries that sum to zero.
+    Result slots: t2's first ``at`` free slots, t1's free slots, then the
+    rest of t2's, all in order; the default at=0 puts t1's first.  The
+    join runs in the tensors' ring (``ScalarRing.join`` or
+    ``ComplexRing.join``), builds each key in that order and drops
+    entries that sum to zero.
     """
     _check_same_backend(t1, t2)
     s1 = (s1,) if isinstance(s1, int) else tuple(s1)
@@ -237,11 +245,14 @@ def contract(t1: GroupTensor, s1, t2: GroupTensor, s2) -> GroupTensor:
             )
     free1 = tuple(p for p in range(t1.arity) if p not in s1)
     free2 = tuple(p for p in range(t2.arity) if p not in s2)
+    if not 0 <= at <= len(free2):
+        raise ValueError(f"cannot place {len(free1)} slots at {at} of {len(free2)}")
     rest1, rest2 = _picker(free1), _picker(free2)
     entries = t1.ring.join(
-        t1.entries, _picker(s1), rest1, t2.entries, _picker(s2), rest2, len(s1)
+        t1.entries, _picker(s1), rest1, t2.entries, _picker(s2), rest2, len(s1), at
     )
-    variances = rest1(t1.variances) + rest2(t2.variances)
+    around = rest2(t2.variances)
+    variances = around[:at] + rest1(t1.variances) + around[at:]
     return _built(t1.domain, variances, entries, t1.ring)
 
 
@@ -287,36 +298,21 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Report:
     """Entrywise comparison over the union of supports, in the tensors' ring.
 
     Variances are not compared; callers that care about them check the
-    patterns directly.  The report counts the keys compared as checks;
-    its witness is the lexicographically least UNEQUAL index tuple, or
-    failing that the least INDETERMINATE one, formatted, with both
-    rendered values as lhs_value and rhs_value.  The union is walked once,
-    unsorted.  With the exact backend, a difference that straddles both
-    radical parities may yield INDETERMINATE; the float backend compares
-    at relative tolerance rel.
+    patterns directly.  The ring compares the two entry dicts whole
+    (``ScalarRing.compare_entries`` or ``ComplexRing.compare_entries``).
+    The report counts the keys compared as checks; its witness is the
+    lexicographically least UNEQUAL index tuple, or failing that the
+    least INDETERMINATE one, formatted, with both rendered values as
+    lhs_value and rhs_value.  With the exact backend, a difference that
+    straddles both radical parities may yield INDETERMINATE; the float
+    backend compares at relative tolerance rel.
     """
     if t1.arity != t2.arity:
         raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
     _check_same_backend(t1, t2)
     ring = t1.ring
-    compare, zero = ring.compare, ring.zero
-    e1, e2 = t1.entries, t2.entries
-    least = {Comparison.UNEQUAL: None, Comparison.INDETERMINATE: None}
-
-    def note(verdict, key):
-        if verdict is not Comparison.EQUAL:
-            prev = least[verdict]
-            if prev is None or key < prev:
-                least[verdict] = key
-
-    compared = len(e1)
-    for key, v1 in e1.items():
-        note(compare(v1, e2.get(key, zero), rel), key)
-    for key, v2 in e2.items():
-        if key not in e1:
-            compared += 1
-            note(compare(zero, v2, rel), key)
-    for verdict, key in least.items():
+    compared, unequal, indeterminate = ring.compare_entries(t1.entries, t2.entries, rel)
+    for verdict, key in ((Comparison.UNEQUAL, unequal), (Comparison.INDETERMINATE, indeterminate)):
         if key is not None:
             values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
             fields = {"verdict": verdict.verdict, "checks": compared}
@@ -397,9 +393,11 @@ class LinMap:
         a + self.n_in - 1, as (id^a (x) self (x) id^rest) after other,
         and its outputs take the window's place.  The identity wires stay
         implicit: each would contribute r * r**-1 = 1, so the one
-        contraction carries r**-self.n_in.  Without ``at``, self's inputs
-        must match other's outputs exactly.  A wire permutation (sigma, an
-        identity) reorders the window's slots instead of joining.
+        contraction carries r**-self.n_in, and it places self's outputs at
+        the window (``contract``'s layout argument), so nothing is
+        permuted after it.  Without ``at``, self's inputs must match
+        other's outputs exactly.  A wire permutation (sigma, an identity)
+        reorders the window's slots instead of joining.
         """
         n_out, n_in, m = self.n_out, self.n_in, other.n_out
         if at is None:
@@ -413,13 +411,8 @@ class LinMap:
         if self.wires is not None:
             return LinMap(self._permute_window(other.tensor, at), m, other.n_in)
         tensor = contract(
-            self.tensor, range(n_out, n_out + n_in), other.tensor, range(at, at + n_in)
+            self.tensor, range(n_out, n_out + n_in), other.tensor, range(at, at + n_in), at
         )
-        if at:
-            # slots: self's outputs, other's outputs around the window, other's inputs
-            tensor = tensor.permute(
-                [*range(n_out, n_out + at), *range(n_out), *range(n_out + at, tensor.arity)]
-            )
         return LinMap(tensor, n_out + m - n_in, other.n_in)
 
     def _permute_window(self, x: GroupTensor, at: int) -> GroupTensor:

@@ -357,6 +357,16 @@ def test_moves_refuse_complexes_past_the_face_node_limit(capsys, monkeypatch, tm
     assert out == ""
 
 
+def test_moves_apply_refuses_a_move_past_the_splitting_limit(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "dim20.tri"
+    path.write_text("dim 20\nsimp " + " ".join(map(str, range(21))) + " +\n")
+    monkeypatch.setattr("pachner.statesum.find_move_sites", lambda *args: pytest.fail("searched"))
+    code, out, err = run(capsys, ["moves", "apply", "--tri", str(path), "--type", "11,11"])
+    assert_one_error_line(code, err)
+    assert "(11,11) moves in dimension 20 have 705432 splittings, over the limit of 262144" in err
+    assert out == ""
+
+
 def test_tri_parse_error_carries_line_number(capsys, tmp_path):
     path = tmp_path / "broken.tri"
     path.write_text("dim 4\npent 0 1 2 3 4 %\n")

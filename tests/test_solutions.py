@@ -86,6 +86,39 @@ def test_validate_bicharacter_rejects_gauss_product():
         validate_bicharacter(group, bad)
 
 
+@pytest.mark.parametrize(
+    "bad, where",
+    [
+        (((1, 0), (0, 1)), "first argument at ((0, 1), (1, 0), (0, 1))"),
+        (((0, 1), (1, 1)), "second argument at ((0, 1), (0, 1), (1, 0))"),
+        (((0, 0), (1, 1)), "first argument at ((0, 0), (0, 0), (1, 1))"),
+    ],
+)
+def test_non_multiplicative_chi_names_its_first_failing_triple(bad, where):
+    # chi on Z2xZ2 with one value negated, evaluated once per pair
+    group = FinAbGroup([2, 2])
+    calls = []
+
+    def chi(x, y):
+        calls.append((x, y))
+        return -group.chi(x, y) if (x, y) == bad else group.chi(x, y)
+
+    with pytest.raises(ValueError) as err:
+        validate_bicharacter(group, chi)
+    assert str(err.value) == f"chi is not multiplicative in the {where}"
+    assert sorted(calls) == sorted(itertools.product(group.elements(), repeat=2))
+
+
+def test_bicharacter_entries_are_chi_times_r_squared():
+    for literal in ("Z4", "Z2xZ2"):
+        group = parse_group(literal)
+        weight = group.ring.radical() * group.ring.radical()
+        q = q_from_bicharacter(group).q
+        for (x, _, _, _, z), value in q.entries.items():
+            want = group.chi(x, z) * weight
+            assert list(value.terms.items()) == list(want.terms.items())
+
+
 def test_validate_bicharacter_accepts_asymmetric_pairing():
     group = FinAbGroup([2, 2])
     skew = lambda x, y: group.ring.root(2 * (x[0] * y[1]) % 4)

@@ -1,6 +1,7 @@
 """State-sum evaluation and move invariance on 4-dimensional complexes."""
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -427,6 +428,19 @@ def test_sphere_has_twenty_move_sites():
     sites = all_sites(simplex_boundary(5), 3)
     assert len(sites) == 20
     assert len({site.I for site in sites}) == 20
+
+
+def test_all_sites_refuses_moves_past_the_splitting_limit(monkeypatch):
+    # a single simplex of dimension d has C(d + 2, p) splittings of its
+    # (p, d + 2 - p) move; the limit admits the 18-simplex's (10,10) move
+    assert math.comb(20, 10) <= statesum.SPLITTINGS_LIMIT < math.comb(22, 11)
+    monkeypatch.setattr(statesum, "find_move_sites", lambda *args: pytest.fail("searched"))
+    simplex20 = Triangulation(20, [(tuple(range(21)), 1)])
+    with pytest.raises(ValueError, match="have 705432 splittings, over the limit of 262144"):
+        all_sites(simplex20, 11)
+    monkeypatch.setattr(statesum, "SPLITTINGS_LIMIT", math.comb(22, 11))
+    with pytest.raises(pytest.fail.Exception, match="searched"):
+        all_sites(simplex20, 11)
 
 
 def test_invariance_run_exact():

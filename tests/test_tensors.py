@@ -1,4 +1,6 @@
 import itertools
+import math
+import struct
 from operator import add
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pachner.groups import FinAbGroup
-from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, compare
+from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, approx_equal, compare
 from pachner.tensors import (
     DOWN,
     UP,
@@ -766,9 +768,10 @@ def test_identity_on_no_wires_is_the_unit_of_tens(domain, exact):
         assert got.tensor.entries == f.tensor.entries
 
 
-def joined_compose(f, x, at):
-    """f after x on the window at .., through contract (the join every
-    map that is not a wire permutation takes)."""
+def compose_then_permute(f, x, at):
+    """f after x on the window at .., through contract in its default
+    layout and then one permute that moves f's outputs to the window: the
+    reference for a compose whose join places the window itself."""
     n_out, n_in = f.n_out, f.n_in
     t = contract(f.tensor, range(n_out, n_out + n_in), x.tensor, range(at, at + n_in))
     t = t.permute([*range(n_out, n_out + at), *range(n_out), *range(n_out + at, t.arity)])
@@ -795,7 +798,7 @@ def wire_permutations_on_windows(draw):
 def test_wire_permutation_compose_equals_the_joined_compose(case):
     p, x, a = case
     assert p.wires is not None
-    got, want = p.compose(x, at=a), joined_compose(p, x, a)
+    got, want = p.compose(x, at=a), compose_then_permute(p, x, a)
     assert (got.n_out, got.n_in) == (want.n_out, want.n_in)
     assert got.tensor.variances == want.tensor.variances
     assert got.tensor.entries.keys() == want.tensor.entries.keys()
@@ -815,7 +818,7 @@ def test_wire_permutation_compose_takes_its_weight_from_the_ring(monkeypatch):
     sig = LinMap.sigma(Z3)
     original = ScalarRing.radical
     monkeypatch.setattr(ScalarRing, "radical", lambda self, e=1: original(self, abs(e)))
-    got, want = sig.compose(x, at=1), joined_compose(sig, x, 1)
+    got, want = sig.compose(x, at=1), compose_then_permute(sig, x, 1)
     assert got.tensor.entries == want.tensor.entries
     r4 = Z3.ring.radical(4)
     assert all(got.tensor.entries[(k[0], k[2], k[1], k[3])] == v * r4
@@ -833,6 +836,14 @@ def test_wire_permutation_compose_checks_backend_and_window():
         sig.compose(x, at=2)
 
 
+def per_value_compare(ring, a, b, rel):
+    """One entry pair compared as the rings did per value: compare in the
+    exact ring, approx_equal at rel in floats."""
+    if isinstance(ring, ComplexRing):
+        return Comparison.EQUAL if approx_equal(a, b, rel) else Comparison.UNEQUAL
+    return compare(a, b)
+
+
 def sorted_tensor_equal(t1, t2, rel=1e-9):
     """tensor_equal as a walk of the sorted key union that stops at the
     first UNEQUAL key (the reference for the one-pass walk)."""
@@ -845,7 +856,7 @@ def sorted_tensor_equal(t1, t2, rel=1e-9):
 
     indeterminate_at = None
     for key in keys:
-        verdict = ring.compare(t1.entry(key), t2.entry(key), rel)
+        verdict = per_value_compare(ring, t1.entry(key), t2.entry(key), rel)
         if verdict is Comparison.UNEQUAL:
             return report("fail", key)
         if verdict is Comparison.INDETERMINATE and indeterminate_at is None:
@@ -902,7 +913,192 @@ def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
 def test_wire_permutations_compose_without_a_join(monkeypatch):
     x = seeded_linmap(Z3, 3, 1, seed=4, density=0.7)
     maps = [LinMap.sigma(Z3), LinMap.identity(Z3, 2), LinMap.identity(Z3, 0)]
-    want = [joined_compose(m, x, 1) for m in maps]
+    want = [compose_then_permute(m, x, 1) for m in maps]
     monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("joined"))
     for m, w in zip(maps, want):
         assert m.compose(x, at=1).tensor.entries == w.tensor.entries
+
+
+def assert_identical_entries(got, want):
+    """Same keys in the same order, and bitwise the same values: the same
+    float bits, or exact values with the same terms in the same order."""
+    assert list(got.entries) == list(want.entries)
+    if isinstance(got.ring, ComplexRing):
+        bits = lambda v: struct.pack("<dd", v.real, v.imag)
+    else:
+        bits = lambda v: list(v.terms.items())
+    assert [bits(v) for v in got.entries.values()] == [bits(v) for v in want.entries.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=windowed_compositions())
+def test_compose_at_builds_the_keys_of_compose_then_permute(case):
+    f, x, a = case
+    got, want = f.compose(x, at=a), compose_then_permute(f, x, a)
+    assert (got.n_out, got.n_in) == (want.n_out, want.n_in)
+    assert got.tensor.variances == want.tensor.variances
+    assert_identical_entries(got.tensor, want.tensor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=joinable_pairs(), data=st.data())
+def test_contract_layout_equals_the_default_layout_permuted(pair, data):
+    a, s1, b, s2 = pair
+    n1, n2 = a.arity - len(s1), b.arity - len(s2)
+    at = data.draw(st.integers(0, n2))
+    perm = [*range(n1, n1 + at), *range(n1), *range(n1 + at, n1 + n2)]
+    for t1, t2 in ((a, b), (a.to_float(), b.to_float())):
+        got, want = contract(t1, s1, t2, s2, at), contract(t1, s1, t2, s2).permute(perm)
+        assert got.variances == want.variances
+        assert_identical_entries(got, want)
+    with pytest.raises(ValueError, match=f"cannot place {n1} slots at {n2 + 1} of {n2}"):
+        contract(a, s1, b, s2, n2 + 1)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_compose_at_a_window_never_permutes(monkeypatch, exact):
+    x = seeded_linmap(Z3, 3, 1, seed=4, density=0.7)
+    f = seeded_linmap(Z3, 2, 2, seed=5, density=0.7)
+    if not exact:
+        x, f = LinMap(x.tensor.to_float(), 3, 1), LinMap(f.tensor.to_float(), 2, 2)
+    want = [compose_then_permute(f, x, a) for a in (0, 1)]
+    permutes = []
+    permute = GroupTensor.permute
+    monkeypatch.setattr(GroupTensor, "permute", lambda t, perm: permutes.append(perm) or permute(t, perm))
+    for a, w in zip((0, 1), want):
+        assert_identical_entries(f.compose(x, at=a).tensor, w.tensor)
+    assert permutes == []
+
+
+def per_key_tensor_equal(t1, t2, rel=1e-9):
+    """tensor_equal as one comparison call per key, over t1's keys in
+    order and then the keys only t2 holds, each failing verdict noted
+    against the least key so far (the reference for the ring's
+    whole-tensor comparison)."""
+    ring = t1.ring
+    e1, e2 = t1.entries, t2.entries
+    least = {Comparison.UNEQUAL: None, Comparison.INDETERMINATE: None}
+
+    def note(verdict, key):
+        if verdict is not Comparison.EQUAL:
+            prev = least[verdict]
+            if prev is None or key < prev:
+                least[verdict] = key
+
+    compared = len(e1)
+    for key, v1 in e1.items():
+        note(per_value_compare(ring, v1, e2.get(key, ring.zero), rel), key)
+    for key, v2 in e2.items():
+        if key not in e1:
+            compared += 1
+            note(per_value_compare(ring, ring.zero, v2, rel), key)
+    for verdict, key in least.items():
+        if key is not None:
+            values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
+            fields = {"verdict": verdict.verdict, "checks": compared}
+            return Report("tensor-equal", fields, _fmt_key(key), values)
+    return Report("tensor-equal", {"verdict": "pass", "checks": compared})
+
+
+def _near(x, *steps):
+    return [x * (1 + s) for s in steps] + [math.nextafter(x * (1 + 1e-9), math.inf)]
+
+
+# values on both sides of the relative tolerance 1e-9, subnormals, and
+# infinite and nan parts
+FLOAT_EDGE_VALUES = [
+    *_near(1.0, 0, 1e-9, -1e-9, 2e-9),
+    *_near(3.0, 0, 1e-9, -1e-9),
+    *_near(1e6, 0, 1e-9, 1.5e-9),
+    1e-9, 2e-9, 5e-324, -5e-324, 5e-324j, 1e-310 + 1e-310j, 0.5j, -0.5j,
+    math.inf, -math.inf, complex(0, math.inf), complex(math.inf, math.inf),
+    math.nan, complex(math.nan, 1), complex(math.nan, math.inf), complex(math.inf, math.nan),
+]
+
+
+@st.composite
+def float_edge_pairs(draw):
+    """Two float tensors over Z3 with keys on one side only and values
+    drawn from FLOAT_EDGE_VALUES, often equal on a shared key."""
+    arity = draw(st.integers(0, 2))
+    keys = list(itertools.product(Z3.elements(), repeat=arity))
+    values = st.sampled_from(FLOAT_EDGE_VALUES).map(complex)
+    e1 = {key: draw(values) for key in keys if draw(st.integers(0, 3))}
+    e2 = {}
+    for key in keys:
+        if draw(st.integers(0, 3)):
+            e2[key] = e1[key] if key in e1 and draw(st.booleans()) else draw(values)
+    ring = ComplexRing(3)
+    return GroupTensor(Z3, (UP,) * arity, e1, ring), GroupTensor(Z3, (UP,) * arity, e2, ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(float_edge_pairs(), tensor_pairs()), rel=st.sampled_from([1e-9, 1e-3]))
+def test_tensor_equal_reports_as_the_per_key_loop(pair, rel):
+    t1, t2 = pair
+    assert tensor_equal(t1, t2, rel) == per_key_tensor_equal(t1, t2, rel)
+    assert tensor_equal(t2, t1, rel) == per_key_tensor_equal(t2, t1, rel)
+
+
+def test_float_comparison_at_the_tolerance_and_past_the_finite_values():
+    ring = ComplexRing(3)
+    cases = [
+        (1.0, math.nextafter(1 + 1e-9, 0), "pass"),
+        (1.0, 1 + 1e-9, "fail"),
+        (5e-324, -5e-324, "pass"),
+        (math.nan, math.nan, "fail"),
+        # inf - inf is nan; an infinite difference passes on an infinite scale
+        (math.inf, math.inf, "fail"),
+        (math.inf, -math.inf, "pass"),
+        # the scale is max(|x|, |y|, 1), which keeps the first of unordered
+        # operands: inf beside nan, or nan beside inf
+        (complex(0, math.inf), math.nan, "pass"),
+        (math.nan, complex(0, math.inf), "fail"),
+    ]
+    for v1, v2, verdict in cases:
+        t1 = GroupTensor(Z3, (UP,), {((0,),): complex(v1)}, ring)
+        t2 = GroupTensor(Z3, (UP,), {((0,),): complex(v2)}, ring)
+        got = tensor_equal(t1, t2)
+        assert got == per_key_tensor_equal(t1, t2)
+        assert got.verdict == verdict, (v1, v2)
+
+
+def test_exact_comparison_takes_the_least_unequal_key_past_repeated_indeterminate_pairs():
+    # r against 2 straddles both radical parities (indeterminate); one
+    # shared pair of objects fills every key below and beside the two
+    # unequal keys, the later of which only t2 holds
+    ring = Z4.ring
+    keys = [((i,), (j,)) for i in range(4) for j in range(4)]
+    r, two = ring.radical(), ring.integer(2)
+    t1 = GroupTensor(Z4, (UP, UP), {key: r for key in keys[:-1]})
+    t2 = GroupTensor(Z4, (UP, UP), {key: two for key in keys})
+    t2.entries[keys[9]] = ring.integer(3)
+    got = tensor_equal(t1, t2)
+    assert got == per_key_tensor_equal(t1, t2)
+    assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(keys[9]), 16)
+    t2.entries[keys[9]] = two
+    got = tensor_equal(t1, t2)
+    assert (got.verdict, got.witness) == ("fail", _fmt_key(keys[-1]))
+    del t2.entries[keys[-1]]
+    got = tensor_equal(t1, t2)
+    assert (got.verdict, got.witness, got.checks) == ("indeterminate", _fmt_key(keys[0]), 15)
+
+
+def test_exact_comparison_compares_each_value_pair_once(monkeypatch):
+    from pachner import scalars
+    from pachner.solutions import parse_solution, perturb_q
+    from pachner.verify import p33_sides
+
+    clean = parse_solution("bichar:Z4")
+    for sol in (clean, perturb_q(clean, seed=1)):
+        lhs, rhs = (side.tensor for side in p33_sides(sol.q))
+        e1, e2, zero = lhs.entries, rhs.entries, lhs.ring.zero
+        pairs = {(id(e1.get(k, zero)), id(e2.get(k, zero))) for k in {*e1, *e2}}
+        calls = []
+        original = scalars.compare
+        monkeypatch.setattr(scalars, "compare", lambda a, b: calls.append((id(a), id(b))) or original(a, b))
+        got = tensor_equal(lhs, rhs)
+        monkeypatch.undo()
+        assert got == per_key_tensor_equal(lhs, rhs)
+        assert len(calls) == len(set(calls)) and set(calls) <= pairs
+        assert len(pairs) < got.checks
