@@ -31,6 +31,15 @@ sum of colliding products once per distinct multiset of such pairs;
 ``ScalarRing.compare_entries`` likewise compares two tensors' entries
 once per distinct pair of value objects.
 
+Both rings' joins write a result entry once, already weighted, when one
+pair of entries meets its key.  A key of the first operand splits into
+its bound part and its head (its free slots); a head that occurs under
+one bound meets one bucket of the second operand, so every key built
+from it has one term.  The abelian solution's Q is such an operand: its
+outputs (x, y, z) fix its inputs (x + y, y + z), so the relation checks
+compose Q onto a side without summing.  Only the keys under a head that
+occurs under several bounds, the usual case in a state sum, accumulate.
+
 ``ComplexRing`` is the float cross-check backend: complex numbers with
 r = sqrt(N) behind the same interface, compared at a relative tolerance.
 """
@@ -66,6 +75,23 @@ def _buckets(entries, bound, rest, at):
     return buckets
 
 
+def _ambiguous(heads):
+    """The heads that occur more than once in a join's first operand.
+
+    Its entry keys split into (bound, head), so a head that occurs once
+    comes with one bound, hence one bucket of the other operand, whose
+    keys differ in pre and post: every result key pre + head + post is
+    met by exactly one pair of entries.
+    """
+    seen, repeated = set(), set()
+    for head in heads:
+        if head in seen:
+            repeated.add(head)
+        else:
+            seen.add(head)
+    return repeated
+
+
 def _aligned(entries1, entries2, zero):
     """The union of two entry dicts' keys (entries1's in order, then those
     only entries2 holds) and each dict's values over it, zero where it
@@ -73,11 +99,12 @@ def _aligned(entries1, entries2, zero):
 
     Each key of entries1 is looked up in entries2 once; the keys only
     entries2 holds are searched for only when the lookups found fewer
-    than all of its entries.  No entry holds None.
+    than all of its entries.  No entry holds None, and the misses are
+    counted by identity, so no value's ``__eq__`` runs.
     """
     keys, values1 = list(entries1), list(entries1.values())
     values2 = list(map(entries2.get, keys, repeat(None)))
-    missing = values2.count(None)
+    missing = sum(1 for v in values2 if v is None)
     if missing:
         values2 = [zero if v is None else v for v in values2]
     if len(keys) - missing < len(entries2):
@@ -297,14 +324,20 @@ class ScalarRing:
         value (see ``_classes``).  The weight is one exponent shift (r**-k
         is a single term with the unit vector; for N = 1 its exponent is
         0), applied to each distinct value of the operand with fewer
-        entries.  The hash join collects class pairs per key; each distinct
-        pair is multiplied once, a key met by one pair keeps that product,
-        and the products colliding on a key are summed as raw coefficient
-        vectors and canonicalised once per distinct multiset of pairs.
-        Integer sums are order-free, the normal form is unique and
-        ``_canonical`` orders its output by parity, so every value, down to
-        the order of its terms, equals the entry-by-entry sum.  Equal
-        entries may share one Scalar.
+        entries.  Each distinct class pair is multiplied once.
+
+        A key whose head rest1(k1) is unambiguous (see ``_ambiguous``) is
+        met by one pair, so it is written once, with that pair's product.
+        The keys under an ambiguous head collect their class pairs in a
+        list; a key met by one pair keeps that product, and the products
+        colliding on a key are summed as raw coefficient vectors and
+        canonicalised once per distinct multiset of pairs.  These keys are
+        resolved in place, so every key keeps the position of its first
+        pair, as in the entry-by-entry join.  Integer sums
+        are order-free, the normal form is unique and ``_canonical`` orders
+        its output by parity, so every value, down to the order of its
+        terms, equals the entry-by-entry sum.  Equal entries may share one
+        Scalar.
         """
         classes1, reps1 = _classes(entries1)
         classes2, reps2 = _classes(entries2)
@@ -315,22 +348,7 @@ class ScalarRing:
             reps2 = [v._shift(shift) for v in reps2]
         # a class pair (c1, c2) is the slot c1 * n2 + c2
         n2 = len(reps2)
-        buckets = _buckets(classes2, bound2, rest2, at)
-        out = {}
-        accumulated = out.get
-        for k1, c1 in classes1.items():
-            head = rest1(k1)
-            base = c1 * n2
-            for pre, post, c2 in buckets.get(bound1(k1), ()):
-                key = pre + head + post
-                prev = accumulated(key)
-                if prev is None:
-                    out[key] = base + c2
-                elif prev.__class__ is list:
-                    prev.append(base + c2)
-                else:
-                    out[key] = [prev, base + c2]
-        products, sums, joined = {}, {}, {}
+        products = {}
 
         def product(pair):
             val = products.get(pair)
@@ -338,9 +356,33 @@ class ScalarRing:
                 val = products[pair] = reps1[pair // n2] * reps2[pair % n2]
             return val
 
-        for key, slot in out.items():
-            if slot.__class__ is list:
-                multiset = tuple(sorted(slot))
+        buckets = _buckets(classes2, bound2, rest2, at)
+        heads = list(map(rest1, classes1))
+        ambiguous = _ambiguous(heads)
+        out, pending = {}, []
+        accumulated = out.get
+        for (k1, c1), head in zip(classes1.items(), heads):
+            base = c1 * n2
+            bucket = buckets.get(bound1(k1), ())
+            if head in ambiguous:
+                for pre, post, c2 in bucket:
+                    key = pre + head + post
+                    pairs = accumulated(key)
+                    if pairs is None:
+                        out[key] = pairs = []
+                        pending.append((key, pairs))
+                    pairs.append(base + c2)
+            else:
+                for pre, post, c2 in bucket:
+                    val = products.get(base + c2)
+                    if val is None:
+                        val = product(base + c2)
+                    if val.terms:
+                        out[pre + head + post] = val
+        sums = {}
+        for key, pairs in pending:
+            if len(pairs) > 1:
+                multiset = tuple(sorted(pairs))
                 val = sums.get(multiset)
                 if val is None:
                     merged = {}
@@ -350,10 +392,12 @@ class ScalarRing:
                             merged[e] = vec if acc is None else tuple(map(add, acc, vec))
                     val = sums[multiset] = Scalar(self, self._canonical(merged))
             else:
-                val = product(slot)
+                val = product(pairs[0])
             if val.terms:
-                joined[key] = val
-        return joined
+                out[key] = val
+            else:
+                del out[key]
+        return out
 
     def render(self, v: "Scalar") -> str:
         return v.render()
@@ -631,22 +675,51 @@ class ComplexRing:
         return v.conjugate()
 
     def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, at=0):
-        """ScalarRing.join in floats: products summed in entry order, then
-        one weight r**-k per result entry (none when k is 0), and entries
-        whose weighted sum is zero dropped, in one pass."""
+        """ScalarRing.join in floats, with the bits of the two-pass join:
+        products summed in entry order, then one weight r**-k per result
+        entry (none when k is 0), and entries whose weighted sum is zero
+        dropped.
+
+        A key under an unambiguous head (see ``_ambiguous``) is met by one
+        pair, so its entry is written once as weight * (v1 * v2), or
+        v1 * v2 when k is 0: the very float operations the two-pass join
+        does on a one-term sum, hence its bits.  The keys under an
+        ambiguous head accumulate their products in the first operand's
+        entry order and are weighted in place, so every key keeps the
+        position of its first pair.
+        """
         buckets = _buckets(entries2, bound2, rest2, at)
-        out = {}
-        accumulated = out.get
-        for k1, v1 in entries1.items():
-            head = rest1(k1)
-            for pre, post, v2 in buckets.get(bound1(k1), ()):
-                key = pre + head + post
-                prev = accumulated(key)
-                out[key] = v1 * v2 if prev is None else prev + v1 * v2
-        if not k:
-            return {key: v for key, v in out.items() if v}
+        heads = list(map(rest1, entries1))
+        ambiguous = _ambiguous(heads)
         weight = self.radical(-k)
-        return {key: w for key, v in out.items() if (w := weight * v)}
+        out, pending = {}, []
+        accumulated = out.get
+        for (k1, v1), head in zip(entries1.items(), heads):
+            bucket = buckets.get(bound1(k1), ())
+            if head in ambiguous:
+                for pre, post, v2 in bucket:
+                    key = pre + head + post
+                    prev = accumulated(key)
+                    if prev is None:
+                        out[key] = v1 * v2
+                        pending.append(key)
+                    else:
+                        out[key] = prev + v1 * v2
+            elif k:
+                for pre, post, v2 in bucket:
+                    if w := weight * (v1 * v2):
+                        out[pre + head + post] = w
+            else:
+                for pre, post, v2 in bucket:
+                    if w := v1 * v2:
+                        out[pre + head + post] = w
+        for key in pending:
+            w = weight * out[key] if k else out[key]
+            if w:
+                out[key] = w
+            else:
+                del out[key]
+        return out
 
     def render(self, v: complex) -> str:
         """format(v, ".12g"), with a part of at most 1e-12 |v| shown as 0.

@@ -18,8 +18,9 @@ each key with the map's outputs already in the window's place, so the
 result is never permuted.  The identity and sigma are wire permutations
 with one entry r**k on k wires, and record their permutation: composed
 onto a window they reorder its slots in one ``permute`` and scale by
-r**k * r**-k, taken from the ring (and skipped when that is its one), so
-they never run a join.
+r**k * r**-k, taken from the ring (and skipped when the ring compares it
+equal to its one, in floats to within a few ulps), so they never run a
+join.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -27,13 +28,15 @@ share every code path.  ``contract`` checks slots and variances and picks
 the key parts; the ring's ``join`` runs the hash join itself, so the
 exact ring can fold the weight into the distinct values of one operand
 and compute each product once per distinct pair of values, while the
-float ring keeps its summation order.  Likewise ``tensor_equal`` checks
+float ring keeps its summation order; both write a key that one pair of
+entries meets once, already weighted (composing a map whose outputs
+fix its inputs, such as Q, meets every key so).  Likewise ``tensor_equal`` checks
 arity and backend and hands both entry dicts to the ring's
 ``compare_entries``: the exact ring compares each distinct pair of values
 once, and the float ring compares all keys at once in numpy.
-Results of ``contract``, ``permute`` and ``conj`` are built
-without the constructor's per-entry checks, which they pass by
-construction.
+``conj`` conjugates each distinct value object once.  Results of
+``contract``, ``permute`` and ``conj`` are built without the
+constructor's per-entry checks, which they pass by construction.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
 used by the bialgebra-style constructions).  A BasisDomain has group
@@ -52,10 +55,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .scalars import Comparison, ComplexRing, get_ring
+
+# a few ulps of 1.0: the float rounding error of r**k * r**-k
+_NEAR_ONE = 4 * sys.float_info.epsilon
 
 
 class Variance(enum.Enum):
@@ -150,12 +157,21 @@ class GroupTensor:
         return _built(self.domain, pick(self.variances), entries, self.ring)
 
     def conj(self) -> "GroupTensor":
-        """Entrywise conjugate with all slot variances flipped."""
+        """Entrywise conjugate with all slot variances flipped.
+
+        Each distinct value object is conjugated once, and the entries that
+        share it share its conjugate; the entry dict keeps its values
+        alive, so an id names one value for the whole walk.
+        """
+        conj, conjugates = self.ring.conj, {}
+        entries = {}
+        for key, v in self.entries.items():
+            c = conjugates.get(id(v))
+            if c is None:
+                c = conjugates[id(v)] = conj(v)
+            entries[key] = c
         return _built(
-            self.domain,
-            tuple(v.flip() for v in self.variances),
-            {k: self.ring.conj(v) for k, v in self.entries.items()},
-            self.ring,
+            self.domain, tuple(v.flip() for v in self.variances), entries, self.ring
         )
 
     def to_float(self) -> "GroupTensor":
@@ -418,12 +434,19 @@ class LinMap:
     def _permute_window(self, x: GroupTensor, at: int) -> GroupTensor:
         """A wire permutation composed onto x's outputs at .. at + k - 1: the
         window's slots permuted, and every entry times w * r**-k, the
-        permutation's entry w meeting k measure weights (one in its ring)."""
+        permutation's entry w meeting k measure weights.
+
+        The scale is skipped when the ring compares it equal to its one:
+        exactly in the exact ring, and within ``_NEAR_ONE`` in floats, where
+        r * r**-1 rounds to 1 +- 1 ulp for some orders (2, 3, 6, 7, 8), so
+        a wire is weight neutral there too.
+        """
         _check_same_backend(self.tensor, x)
         k, ring = self.n_in, self.tensor.ring
         t = x.permute([*range(at), *(at + j for j in self.wires), *range(at + k, x.arity)])
         w = next(iter(self.tensor.entries.values()))
         scale = w * ring.radical(-k)
-        if scale != ring.one:
+        _, unequal, indeterminate = ring.compare_entries({0: scale}, {0: ring.one}, _NEAR_ONE)
+        if (unequal, indeterminate) != (None, None):
             t.entries = {key: v * scale for key, v in t.entries.items()}
         return t

@@ -21,6 +21,7 @@ from pachner.tensors import (
     tensor_equal,
     _fmt_key,
 )
+from test_scalars import COMPLEX_VALUES, two_pass_complex_join
 
 Z2 = FinAbGroup([2])
 Z3 = FinAbGroup([3])
@@ -1102,3 +1103,170 @@ def test_exact_comparison_compares_each_value_pair_once(monkeypatch):
         assert got == per_key_tensor_equal(lhs, rhs)
         assert len(calls) == len(set(calls)) and set(calls) <= pairs
         assert len(pairs) < got.checks
+
+
+# -- single-term joins ---------------------------------------------------------
+
+HEAD_KINDS = ["functional", "one ambiguous head", "ambiguous"]
+
+
+@st.composite
+def headed_join_args(draw, kind, values):
+    """Join arguments whose first operand has heads (the free part of its
+    keys) of one kind: every head under one bound ("functional"), all but
+    the first ("one ambiguous head"), or every head under 2-3 bounds
+    ("ambiguous").  Values are drawn from ``values``; bound elements from
+    0-2 and every other element from 0-1, so buckets are met often."""
+    k = draw(st.integers(0 if kind == "functional" else 1, 3))
+    f1, f2 = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    s1 = draw(st.permutations(range(k + f1)))[:k]
+    s2 = draw(st.permutations(range(k + f2)))[:k]
+    free1 = [p for p in range(k + f1) if p not in s1]
+    free2 = [p for p in range(k + f2) if p not in s2]
+    bounds = st.tuples(*[st.integers(0, 2)] * k)
+    heads = draw(st.lists(st.tuples(*[st.integers(0, 1)] * f1), min_size=1, unique=True))
+    keys1 = []
+    for i, head in enumerate(heads):
+        many = kind == "ambiguous" or (kind == "one ambiguous head" and i == 0)
+        n = draw(st.integers(2, 3)) if many else 1
+        for bound in draw(st.lists(bounds, min_size=n, max_size=n, unique=True)):
+            key = [None] * (k + f1)
+            for slots, part in ((s1, bound), (free1, head)):
+                for p, x in zip(slots, part):
+                    key[p] = x
+            keys1.append(tuple(key))
+    keys2 = draw(st.lists(
+        st.tuples(*[st.integers(0, 2) if p in s2 else st.integers(0, 1) for p in range(k + f2)]),
+        min_size=1, max_size=12, unique=True,
+    ))
+    entries1 = {key: draw(values) for key in draw(st.permutations(keys1))}
+    entries2 = {key: draw(values) for key in keys2}
+    return entries1, picker(s1), picker(free1), entries2, picker(s2), picker(free2), k
+
+
+def assert_head_kind(kind, entries1, rest1):
+    heads = [rest1(key) for key in entries1]
+    repeated = {h for h in heads if heads.count(h) > 1}
+    want = {"functional": 0, "one ambiguous head": 1, "ambiguous": len(set(heads))}[kind]
+    assert len(repeated) == want
+
+
+@st.composite
+def exact_values(draw, ring):
+    """+-1 times a bare radical power r**e, or times -2, 1 or 2 times a
+    root times r**e plus, half the time, r**(e + 1), with its terms in
+    either order.  So sums can cancel and, where N = 4, products can
+    vanish: (r - 2) * (r + 2) = 0."""
+    e = draw(st.integers(-1, 1))
+    v = ring.radical(e)
+    if draw(st.booleans()):
+        v = ring.integer(draw(st.sampled_from([-2, 1, 2]))) * ring.root(draw(st.integers(0, 1))) * v
+        if draw(st.booleans()):
+            v = v + ring.radical(e + 1)
+    v = v if draw(st.booleans()) else -v
+    if draw(st.booleans()):
+        v = Scalar(ring, dict(reversed(v.terms.items())))
+    return v
+
+
+@pytest.mark.parametrize("kind", HEAD_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_exact_join_paths_equal_the_per_entry_join(kind, data):
+    ring = data.draw(st.sampled_from(JOIN_DOMAINS)).ring
+    shared = data.draw(st.lists(exact_values(ring), min_size=1, max_size=3))
+    values = st.one_of(st.sampled_from(shared), exact_values(ring))
+    args = data.draw(headed_join_args(kind, values))
+    assert_head_kind(kind, args[0], args[2])
+    got, want = ring.join(*args), per_entry_join(ring, *args)
+    assert list(got) == list(want)
+    assert [list(v.terms.items()) for v in got.values()] == [
+        list(v.terms.items()) for v in want.values()
+    ]
+
+
+@pytest.mark.parametrize("kind", HEAD_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), order=st.sampled_from([1, 2, 3, 4, 6]))
+def test_complex_join_paths_give_the_two_pass_bits(kind, data, order):
+    ring = ComplexRing(order)
+    args = data.draw(headed_join_args(kind, st.sampled_from(COMPLEX_VALUES)))
+    assert_head_kind(kind, args[0], args[2])
+    got, want = ring.join(*args), two_pass_complex_join(ring, *args)
+    assert list(got) == list(want)
+    bits = lambda v: struct.pack("<dd", v.real, v.imag)
+    assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_p33_sides_join_every_key_once(monkeypatch, backend):
+    # Q's outputs fix its inputs, so the clean bichar sides meet no
+    # ambiguous head; a perturbed Q adds at most one head under a second
+    # bound, and the 20 Z3 controls do meet one
+    from pachner import scalars
+    from pachner.solutions import parse_solution, perturb_q
+    from pachner.tensors import in_backend
+    from pachner.verify import p33_sides
+
+    found = []
+    original = scalars._ambiguous
+    monkeypatch.setattr(scalars, "_ambiguous", lambda heads: found.append(original(heads)) or found[-1])
+    for group in ("Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2"):
+        p33_sides(in_backend(parse_solution(f"bichar:{group}").q, backend))
+    assert found and not any(found)
+    found.clear()
+    clean = parse_solution("bichar:Z3")
+    for seed in range(20):
+        p33_sides(in_backend(perturb_q(clean, seed).q, backend))
+    assert max(map(len, found)) == 1
+
+
+def test_exact_comparison_of_one_sided_keys_calls_no_scalar_eq(monkeypatch):
+    # keys on both sides, on t1's only and on t2's only, and one unequal
+    # pair; values of one radical parity, whose comparison needs no ==
+    ring = Z3.ring
+    (a, b, c, d) = [(x, y) for x in Z3.elements() for y in Z3.elements()][:4]
+    v, w = ring.root(1) + ring.one, ring.integer(2)
+    t1 = GroupTensor(Z3, (UP, DOWN), {a: v, b: w, c: v})
+    t2 = GroupTensor(Z3, (UP, DOWN), {d: w, c: v, a: w})
+    want = per_key_tensor_equal(t1, t2)
+    calls = []
+    eq = Scalar.__eq__
+    monkeypatch.setattr(Scalar, "__eq__", lambda self, other: calls.append(1) or eq(self, other))
+    got = tensor_equal(t1, t2)
+    monkeypatch.undo()
+    assert not calls
+    assert got == want and (got.verdict, got.checks) == ("fail", 4)
+
+
+def test_conj_conjugates_each_value_object_once(monkeypatch):
+    from pachner.solutions import parse_solution
+
+    q = parse_solution("bichar:Z3").q
+    objects = {id(v) for v in q.entries.values()}
+    assert (len(q.entries), len(objects)) == (27, 9)
+    want = {key: v.conj() for key, v in q.entries.items()}
+    calls = []
+    conj = Scalar.conj
+    monkeypatch.setattr(Scalar, "conj", lambda self: calls.append(id(self)) or conj(self))
+    got = q.conj()
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(objects)
+    assert got.variances == tuple(v.flip() for v in q.variances)
+    assert list(got.entries) == list(want)
+    assert [list(v.terms.items()) for v in got.entries.values()] == [
+        list(v.terms.items()) for v in want.values()
+    ]
+
+
+@pytest.mark.parametrize("order", [2, 3, 6, 7, 8])
+def test_float_identity_wire_keeps_the_bits(order):
+    # r * r**-1 rounds to 1 +- 1 ulp here; the identity must still leave
+    # every value as it is and not rescale
+    domain = FinAbGroup([order])
+    ring = ComplexRing(order)
+    assert ring.radical(1) * ring.radical(-1) != 1
+    x = LinMap(seeded_linmap(domain, 2, 1, seed=order, density=0.6).tensor.to_float(), 2, 1)
+    for at in (0, 1):
+        got = LinMap.identity(domain, 1, ring).compose(x, at=at)
+        assert_identical_entries(got.tensor, x.tensor)
