@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .groups import parse_group
 from .scalars import Comparison, compare
 from .simplicial import (
-    apply_move,
     boundary_face,
     compose_maps,
     face_map,
@@ -39,7 +38,7 @@ from .solutions import (
     q_from_triple,
     triple_from_table,
 )
-from .statesum import all_sites, build_assignment, invariance_run, partition_bruteforce, partition_value
+from .statesum import build_assignment, invariance_run, partition_bruteforce, partition_value, walk
 from .verify import (
     dense_p33_oracle,
     verify_p33,
@@ -96,19 +95,16 @@ def relation_bicharacter():
     The stated budget applies to each sub-run; the slowest one is
     reported and compared against it.
     """
+    exact = lambda sol: verify_p33(sol, backend="exact")
+    floats = lambda sol: verify_p33(sol, backend="float", rel=1e-9)
+    runs = [(name, exact) for name in ("Z2", "Z3", "Z4", "Z2xZ2")]
+    runs += [(name, floats) for name in ("Z5", "Z6")]
+    runs += [(name, dense_p33_oracle) for name in ("Z2", "Z3")]
     slowest = 0.0
     reports = []
-    for name in ("Z2", "Z3", "Z4", "Z2xZ2"):
+    for name, run in runs:
         t0 = time.perf_counter()
-        reports.append(verify_p33(parse_solution(f"bichar:{name}"), backend="exact"))
-        slowest = max(slowest, time.perf_counter() - t0)
-    for name in ("Z5", "Z6"):
-        t0 = time.perf_counter()
-        reports.append(verify_p33(parse_solution(f"bichar:{name}"), backend="float", rel=1e-9))
-        slowest = max(slowest, time.perf_counter() - t0)
-    for name in ("Z2", "Z3"):
-        t0 = time.perf_counter()
-        reports.append(dense_p33_oracle(parse_solution(f"bichar:{name}")))
+        reports.append(run(parse_solution(f"bichar:{name}")))
         slowest = max(slowest, time.perf_counter() - t0)
     passed, why = _all_pass(reports)
     detail = why or f"8 runs, slowest {slowest:.2f}s"
@@ -212,20 +208,10 @@ def simplicial_engine():
                     return False, f"outer boundaries differ for n={n} I={I}"
                 splittings += 1
     rng = random.Random(2026)
-    moves_left = 100
-    for dim in (2, 3, 4):
+    for dim, quota in ((2, 34), (3, 33), (4, 33)):
         t = simplex_boundary(dim + 1)
         chi = t.euler_characteristic()
-        quota = 34 if dim == 2 else 33
-        for _ in range(quota):
-            if moves_left == 0:
-                break
-            sites = []
-            for p in range(1, t.dim + 2):
-                sites.extend(all_sites(t, p))
-            site = sites[rng.randrange(len(sites))]
-            t = apply_move(t, site)
-            moves_left -= 1
+        for site, t in itertools.islice(walk(t, range(1, dim + 2), rng), quota):
             if t.euler_characteristic() != chi:
                 return False, f"chi changed in dim {dim} after move {site.I}->{site.J}"
     return True, f"identities, {splittings} splittings, 100 chi-preserving moves"

@@ -17,6 +17,7 @@ import argparse
 import os
 import random
 import sys
+from itertools import islice
 
 from . import acceptance
 from .groups import parse_group
@@ -28,7 +29,7 @@ from .solutions import (
     pentagon_map,
     triple_from_table,
 )
-from .statesum import all_sites, build_assignment, invariance_run, partition
+from .statesum import all_sites, build_assignment, invariance_run, partition, walk
 from .verify import (
     dense_p33_oracle,
     verify_p33,
@@ -207,15 +208,10 @@ def cmd_moves_walk(args):
         out += report.lines()
         print("\n".join(out))
         return _VERDICT_CODES[report.verdict]
-    rng = random.Random(args.seed)
     try:
         chi = t.euler_characteristic()
         applied = 0
-        for _ in range(args.count):
-            sites = all_sites(t, p)
-            if not sites:
-                break
-            t = apply_move(t, sites[rng.randrange(len(sites))])
+        for _, t in islice(walk(t, (p,), random.Random(args.seed)), args.count):
             applied += 1
             if t.euler_characteristic() != chi:
                 out += [f"moves={applied}", "verdict=fail", "witness=euler characteristic changed"]
@@ -405,13 +401,13 @@ def build_parser() -> _Parser:
 
     moves = sub.add_parser("moves", help="apply bistellar moves")
     msub = moves.add_subparsers(dest="action", required=True)
-    walk = msub.add_parser("walk", help="seeded random moves of one type")
-    walk.add_argument("--tri", required=True)
-    walk.add_argument("--type", default="3,3", help="move type p,q with p+q = dim+2")
-    walk.add_argument("--count", type=int, default=20)
-    walk.add_argument("--seed", type=int, default=7)
-    walk.add_argument("--solution", default="", help="track the state sum along the walk")
-    walk.add_argument("--backend", choices=("auto", "exact", "float"), default="auto")
+    walk_p = msub.add_parser("walk", help="seeded random moves of one type")
+    walk_p.add_argument("--tri", required=True)
+    walk_p.add_argument("--type", default="3,3", help="move type p,q with p+q = dim+2")
+    walk_p.add_argument("--count", type=int, default=20)
+    walk_p.add_argument("--seed", type=int, default=7)
+    walk_p.add_argument("--solution", default="", help="track the state sum along the walk")
+    walk_p.add_argument("--backend", choices=("auto", "exact", "float"), default="auto")
     apply_p = msub.add_parser("apply", help="apply one move and print or save the result")
     apply_p.add_argument("--tri", required=True)
     apply_p.add_argument("--type", default="3,3")

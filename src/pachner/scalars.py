@@ -24,6 +24,9 @@ weights r**-k (which ``ScalarRing.join`` applies once per distinct value
 of the smaller operand of a contraction), identity-wire entries r and
 sigma entries r**2 all take this path.
 
+Every exact sum, ``+`` included, is ``ScalarRing.sum``: coefficient
+vectors added per radical exponent and put in canonical form once.
+
 A tensor of the finite abelian model holds many entries but few distinct
 values (character values times powers of r), so ``ScalarRing.join``
 computes each product once per distinct pair of operand values, and each
@@ -330,14 +333,12 @@ class ScalarRing:
         met by one pair, so it is written once, with that pair's product.
         The keys under an ambiguous head collect their class pairs in a
         list; a key met by one pair keeps that product, and the products
-        colliding on a key are summed as raw coefficient vectors and
-        canonicalised once per distinct multiset of pairs.  These keys are
-        resolved in place, so every key keeps the position of its first
-        pair, as in the entry-by-entry join.  Integer sums
-        are order-free, the normal form is unique and ``_canonical`` orders
-        its output by parity, so every value, down to the order of its
-        terms, equals the entry-by-entry sum.  Equal entries may share one
-        Scalar.
+        colliding on a key are added by ``sum`` once per distinct multiset
+        of pairs.  These keys are resolved in place, so every key keeps the
+        position of its first pair, as in the entry-by-entry join.  The
+        normal form is unique and ``_canonical`` orders its output by
+        parity, so every value, down to the order of its terms, equals the
+        entry-by-entry sum.  Equal entries may share one Scalar.
         """
         classes1, reps1 = _classes(entries1)
         classes2, reps2 = _classes(entries2)
@@ -385,12 +386,7 @@ class ScalarRing:
                 multiset = tuple(sorted(pairs))
                 val = sums.get(multiset)
                 if val is None:
-                    merged = {}
-                    for part in map(product, multiset):
-                        for e, vec in part.terms.items():
-                            acc = merged.get(e)
-                            merged[e] = vec if acc is None else tuple(map(add, acc, vec))
-                    val = sums[multiset] = Scalar(self, self._canonical(merged))
+                    val = sums[multiset] = self.sum(map(product, multiset))
             else:
                 val = product(pairs[0])
             if val.terms:
@@ -398,6 +394,21 @@ class ScalarRing:
             else:
                 del out[key]
         return out
+
+    def sum(self, values) -> "Scalar":
+        """The sum of scalars of this ring: coefficient vectors added per
+        radical exponent, then put in canonical form once.
+
+        Integer sums are order-free and the normal form is unique, so the
+        result, down to the order of its terms, equals any sequence of
+        pairwise additions.
+        """
+        merged = {}
+        for v in values:
+            for e, vec in v.terms.items():
+                acc = merged.get(e)
+                merged[e] = vec if acc is None else tuple(map(add, acc, vec))
+        return Scalar(self, self._canonical(merged))
 
     def render(self, v: "Scalar") -> str:
         return v.render()
@@ -502,13 +513,7 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        merged: dict[int, list[int]] = {}
-        for src in (self.terms, other.terms):
-            for e, vec in src.items():
-                acc = merged.setdefault(e, [0] * self.ring.degree)
-                for i, v in enumerate(vec):
-                    acc[i] += v
-        return Scalar(self.ring, self.ring._canonical(merged))
+        return self.ring.sum((self, other))
 
     __radd__ = __add__
 

@@ -285,28 +285,23 @@ def symmetry_kernels(group: FinAbGroup, gauss=None) -> dict:
     override swaps in an alternative g, mainly for negative controls.
     """
     gauss = group.gauss_g if gauss is None else gauss
-    ring = group.ring
-    t_entries = {}
-    tinv_entries = {}
-    for x in group.elements():
-        g = gauss(x)
-        t_entries[(x, group.neg(x))] = ring.radical() * g
-        tinv_entries[(x, group.neg(x))] = ring.radical() * g.conj()
-    s_entries = {}
-    sinv_entries = {}
-    for x in group.elements():
-        for y in group.elements():
-            g = gauss(group.sub(x, y))
-            s_entries[(x, y)] = g
-            sinv_entries[(x, y)] = g.conj()
+    r = group.ring.radical()
+    t_entries = {(x, group.neg(x)): r * gauss(x) for x in group.elements()}
+    s_entries = {
+        (x, y): gauss(group.sub(x, y)) for x in group.elements() for y in group.elements()
+    }
+
     def make(entries):
         return GroupTensor(group, (UP, DOWN), entries)
 
+    def inverse(entries):  # r is fixed by conjugation
+        return make({key: v.conj() for key, v in entries.items()})
+
     return {
         "T": make(t_entries),
-        "Tinv": make(tinv_entries),
+        "Tinv": inverse(t_entries),
         "S": make(s_entries),
-        "Sinv": make(sinv_entries),
+        "Sinv": inverse(s_entries),
     }
 
 

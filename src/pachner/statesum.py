@@ -257,6 +257,24 @@ def all_sites(t: Triangulation, p: int):
     return sites
 
 
+def walk(t: Triangulation, types, rng):
+    """A seeded walk of Pachner moves: yields (site, moved complex) per step.
+
+    Each step lists ``all_sites(t, p)`` for every p in ``types`` in that
+    order, applies the site ``rng`` picks and walks on from the result.  The
+    walk ends when no site is left.  Sites are searched only when the next
+    step is asked for, so ``islice(walk(...), count)`` searches ``count``
+    times at most.
+    """
+    while True:
+        sites = [site for p in types for site in all_sites(t, p)]
+        if not sites:
+            return
+        site = sites[rng.randrange(len(sites))]
+        t = apply_move(t, site)
+        yield site, t
+
+
 def invariance_run(
     t: Triangulation,
     sol: SolutionSpec,
@@ -272,7 +290,9 @@ def invariance_run(
     (whose facet-index wiring lacks the slot symmetries it relies on), are
     runnable for exploration but carry no invariance promise here.  The
     exact backend compares values as ring elements; the float backend
-    fails a relative error above 1e-9 and reports the largest it saw.
+    fails a relative error above 1e-9 and reports the largest it saw.  The
+    moves are the first ``count`` steps of ``walk`` seeded with ``seed``;
+    a walk that runs out of sites before then ends the run with a note.
     """
     if count < 0:
         raise ValueError(f"move count must be >= 0, got {count}")
@@ -286,14 +306,8 @@ def invariance_run(
     ring = a.tensors[0].ring
     reference = partition_value(a)
     shown = ring.render(reference)
-    rng = random.Random(seed)
     verdict, witness, extras, max_rel, applied = "pass", "", {}, 0.0, 0
-    for step in range(count):
-        sites = all_sites(t, p)
-        if not sites:
-            extras = {"note": f"no ({move_type}) site available after {applied} moves"}
-            break
-        t = apply_move(t, sites[rng.randrange(len(sites))])
+    for step, (_, t) in enumerate(itertools.islice(walk(t, (p,), random.Random(seed)), count)):
         value = partition_value(build_assignment(t, sol, backend))
         applied += 1
         if ring.name == "exact":
@@ -308,7 +322,10 @@ def invariance_run(
             witness = f"step {step}: {detail}"
             break
     else:
-        extras = {"pentachora": len(t.simplexes)}
+        if applied < count:
+            extras = {"note": f"no ({move_type}) site available after {applied} moves"}
+        else:
+            extras = {"pentachora": len(t.simplexes)}
     fields = {
         "move_type": move_type,
         "target": sol.descriptor,

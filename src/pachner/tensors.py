@@ -18,9 +18,9 @@ each key with the map's outputs already in the window's place, so the
 result is never permuted.  The identity and sigma are wire permutations
 with one entry r**k on k wires, and record their permutation: composed
 onto a window they reorder its slots in one ``permute`` and scale by
-r**k * r**-k, taken from the ring (and skipped when the ring compares it
-equal to its one, in floats to within a few ulps), so they never run a
-join.
+r**k * r**-k, taken from the ring (and skipped when the domain's exact
+ring finds it equal to its one, so in floats a wire never rescales), so
+they never run a join.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -55,14 +55,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .scalars import Comparison, ComplexRing, get_ring
-
-# a few ulps of 1.0: the float rounding error of r**k * r**-k
-_NEAR_ONE = 4 * sys.float_info.epsilon
 
 
 class Variance(enum.Enum):
@@ -436,17 +432,17 @@ class LinMap:
         window's slots permuted, and every entry times w * r**-k, the
         permutation's entry w meeting k measure weights.
 
-        The scale is skipped when the ring compares it equal to its one:
-        exactly in the exact ring, and within ``_NEAR_ONE`` in floats, where
-        r * r**-1 rounds to 1 +- 1 ulp for some orders (2, 3, 6, 7, 8), so
-        a wire is weight neutral there too.
+        Whether the wires are weight neutral is decided in the domain's
+        exact ring: the scale applies only when r**k * r**-k is not its one
+        there, and is then taken from the tensor's ring.  So in floats, where
+        r * r**-1 rounds to 1 +- 1 ulp for some orders, a wire never
+        rescales and the window keeps its values' bits.
         """
         _check_same_backend(self.tensor, x)
         k, ring = self.n_in, self.tensor.ring
         t = x.permute([*range(at), *(at + j for j in self.wires), *range(at + k, x.arity)])
-        w = next(iter(self.tensor.entries.values()))
-        scale = w * ring.radical(-k)
-        _, unequal, indeterminate = ring.compare_entries({0: scale}, {0: ring.one}, _NEAR_ONE)
-        if (unequal, indeterminate) != (None, None):
+        exact = self.tensor.domain.ring
+        if exact.radical(k) * exact.radical(-k) != exact.one:
+            scale = next(iter(self.tensor.entries.values())) * ring.radical(-k)
             t.entries = {key: v * scale for key, v in t.entries.items()}
         return t

@@ -50,7 +50,6 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from operator import add
 
 import numpy as np
 
@@ -289,13 +288,12 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
     class of each product, memoised per class pair, so each distinct pair
     is multiplied once, and lists each term's class under its key.  A key
     met by one term keeps that product.  The terms of any other key are
-    summed once per distinct multiset of classes, as raw coefficient
-    vectors per radical exponent put in canonical form once, and the weight
-    r**-3 is applied once per distinct sum.  The normal form is unique and
-    ``_canonical`` orders its output by parity, so every entry, down to the
-    order of its terms, equals the term-by-term sum.  Products and sums
-    made here are classed by their terms, never by ``id``: a duplicate is
-    freed, and a later object may reuse its id.
+    added by ``ScalarRing.sum`` once per distinct multiset of classes, and
+    the weight r**-3 is applied once per distinct sum.  The normal form is
+    unique and ``_canonical`` orders its output by parity, so every entry,
+    down to the order of its terms, equals the term-by-term sum.  Products
+    and sums made here are classed by their terms, never by ``id``: a
+    duplicate is freed, and a later object may reuse its id.
     """
     by_terms, reps = {}, []
 
@@ -351,12 +349,7 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
             multiset = tuple(sorted(classes))
             c = sums.get(multiset)
             if c is None:
-                merged = {}
-                for part in multiset:
-                    for e, vec in reps[part].terms.items():
-                        prev = merged.get(e)
-                        merged[e] = vec if prev is None else tuple(map(add, prev, vec))
-                c = sums[multiset] = value_class(ring.scalar(merged))
+                c = sums[multiset] = value_class(ring.sum(reps[part] for part in multiset))
         entries[key] = reps[times(weight, c)]
     return GroupTensor(dt.domain, dt.variances, entries, ring)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pachner import scalars
+from pachner import groups, scalars
 from pachner.cli import main
 from pachner.simplicial import pachner_sides, simplex_boundary
 
@@ -545,6 +545,20 @@ def test_oversized_descriptors_are_usage_errors(capsys, argv):
     assert code == 64
     assert err.count("error:") == 1 and "over the limit of" in err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theorem", "--group", "Z100000000"],
+        ["verify", "p33", "--solution", "bichar:Z100000000"],
+    ],
+)
+def test_oversized_group_literals_exit_before_building_a_ring(capsys, monkeypatch, argv):
+    monkeypatch.setattr(groups, "get_ring", lambda *args: pytest.fail("built a ring"))
+    code, out, err = run(capsys, argv)
+    assert_one_error_line(code, err)
+    assert "has order 100000000, over the limit of 1024" in err
 
 
 SEED_TRIS = [

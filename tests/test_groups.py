@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from pachner import groups
 from pachner.groups import FinAbGroup, parse_group
 from pachner.scalars import approx_equal
 
@@ -166,3 +167,19 @@ def test_parse_group_literals():
         parse_group("Q8")
     with pytest.raises(ValueError):
         parse_group("Z1")
+
+
+def test_oversized_group_literals_are_refused_before_their_ring(monkeypatch):
+    monkeypatch.setattr(groups, "get_ring", lambda *args: pytest.fail("built a ring"))
+    with pytest.raises(ValueError, match="group Z100000000 has order 100000000, over the limit of 1024"):
+        parse_group("Z100000000")
+    with pytest.raises(ValueError, match="group Z1000xZ999 has order 999000, over the limit of 1024"):
+        parse_group("Z1000xZ999")
+    with pytest.raises(pytest.fail.Exception, match="built a ring"):
+        parse_group(f"Z{groups.GROUP_ORDER_LIMIT}")
+
+
+def test_group_order_limit_admits_every_parsed_literal():
+    # Z300 (the command-line fuzz lists) is the largest literal parsed anywhere
+    assert 300 <= groups.GROUP_ORDER_LIMIT
+    assert parse_group("Z300").size == 300

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import pytest
@@ -402,3 +403,41 @@ def test_complex_join_matches_the_two_pass_join(order, args):
     got, want = ring.join(*args), two_pass_complex_join(ring, *args)
     assert list(got) == list(want)
     assert all(got[key] == want[key] for key in want)
+
+
+def pairwise_add(a, b):
+    """Scalar.__add__ as it merged its two operands before ScalarRing.sum:
+    the reference for the one exact sum."""
+    merged = {}
+    for src in (a.terms, b.terms):
+        for e, vec in src.items():
+            acc = merged.setdefault(e, [0] * a.ring.degree)
+            for i, v in enumerate(vec):
+                acc[i] += v
+    return Scalar(a.ring, a.ring._canonical(merged))
+
+
+# Z2-Z6 and Z2xZ2 parameters (L, N)
+SUM_RINGS = [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 4)]
+
+
+@st.composite
+def summands(draw):
+    """A ring and 0-6 of its scalars in any order, some beside their
+    negatives, so that parts or all of a sum cancel."""
+    ring = get_ring(*draw(st.sampled_from(SUM_RINGS)))
+    values = []
+    for raw, cancel in draw(st.lists(st.tuples(raw_scalars, st.booleans()), max_size=3)):
+        v = ring.scalar({e: tuple(vec) for e, vec in raw.items()})
+        values += [v, -v] if cancel else [v]
+    return ring, draw(st.permutations(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(summands())
+def test_ring_sum_equals_the_pairwise_additions(case):
+    ring, values = case
+    want = list(functools.reduce(pairwise_add, values, ring.zero).terms.items())
+    assert list(ring.sum(values).terms.items()) == want
+    assert list(ring.sum(iter(values)).terms.items()) == want
+    assert list(sum(values, ring.zero).terms.items()) == want

@@ -21,6 +21,7 @@ from pachner.statesum import (
     partition_value,
     plan,
     slot_labels,
+    walk,
 )
 from pachner.tensors import DOWN, UP, contract, tensor_equal
 from pachner.verify import p33_sides
@@ -486,6 +487,73 @@ def test_invariance_run_without_sites_reports_and_passes():
     assert rep.verdict == "pass"
     assert rep.fields["moves"] == 0
     assert "no (3,3) site" in rep.extras["note"]
+
+
+def single_type_loop(t, p, count, seed):
+    """The move loop invariance_run and the moves walk command each wrote
+    out before ``walk``: the reference for a walk of one type."""
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(count):
+        sites = all_sites(t, p)
+        if not sites:
+            break
+        site = sites[rng.randrange(len(sites))]
+        t = apply_move(t, site)
+        steps.append((site, t))
+    return steps
+
+
+def every_type_loop(t, quota, rng):
+    """The simplicial-engine criterion's move loop before ``walk``: the
+    sites of every type, listed in type order."""
+    steps = []
+    for _ in range(quota):
+        sites = []
+        for p in range(1, t.dim + 2):
+            sites.extend(all_sites(t, p))
+        site = sites[rng.randrange(len(sites))]
+        t = apply_move(t, site)
+        steps.append((site, t))
+    return steps
+
+
+def walked(steps):
+    return [(site, t.to_lines()) for site, t in steps]
+
+
+@pytest.mark.parametrize("dim,count", [(2, 12), (3, 10), (4, 8)])
+def test_walk_repeats_the_loops_it_replaced(dim, count):
+    start = simplex_boundary(dim + 1)
+    for seed in range(10):
+        for p in (3, 2):
+            steps = itertools.islice(walk(start, (p,), random.Random(seed)), count)
+            assert walked(steps) == walked(single_type_loop(start, p, count, seed)), (seed, p)
+        steps = itertools.islice(walk(start, range(1, dim + 2), random.Random(seed)), count)
+        assert walked(steps) == walked(every_type_loop(start, count, random.Random(seed))), seed
+
+
+def test_walk_repeats_the_simplicial_engine_schedule():
+    rng, reference_rng = random.Random(2026), random.Random(2026)
+    for dim, quota in ((2, 34), (3, 33), (4, 33)):
+        start = simplex_boundary(dim + 1)
+        steps = itertools.islice(walk(start, range(1, dim + 2), rng), quota)
+        assert walked(steps) == walked(every_type_loop(start, quota, reference_rng)), dim
+
+
+def test_walk_without_a_site_yields_nothing():
+    assert all_sites(doubled_pentachoron(), 3) == []
+    assert list(walk(doubled_pentachoron(), (3,), random.Random(1))) == []
+
+
+def test_walk_searches_only_the_steps_taken(monkeypatch):
+    searched = []
+    search = statesum.all_sites
+    monkeypatch.setattr(statesum, "all_sites", lambda t, p: searched.append(p) or search(t, p))
+    steps = walk(simplex_boundary(5), (3, 2), random.Random(0))
+    assert list(itertools.islice(steps, 0)) == [] and searched == []
+    assert len(list(itertools.islice(steps, 2))) == 2
+    assert searched == [3, 2, 3, 2]
 
 
 def test_invariance_run_rejects_negative_count():

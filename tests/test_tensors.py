@@ -1259,14 +1259,28 @@ def test_conj_conjugates_each_value_object_once(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("order", [2, 3, 6, 7, 8])
-def test_float_identity_wire_keeps_the_bits(order):
-    # r * r**-1 rounds to 1 +- 1 ulp here; the identity must still leave
-    # every value as it is and not rescale
+# the identity on orders 2-16 (ids "2" to "16") and sigma ("2-sigma" ...)
+WIRE_CASES = [
+    pytest.param(order, wires, id=str(order) if wires == "identity" else f"{order}-{wires}")
+    for wires in ("identity", "sigma")
+    for order in range(2, 17)
+]
+
+
+@pytest.mark.parametrize("order,wires", WIRE_CASES)
+def test_float_identity_wire_keeps_the_bits(order, wires):
+    # r**k * r**-k rounds to 1 +- 1 ulp on some orders (for k = 1: 2, 3, 6,
+    # 7 and 8); a wire permutation must still leave every value's bits as
+    # they are, only moved, on every order
     domain = FinAbGroup([order])
     ring = ComplexRing(order)
-    assert ring.radical(1) * ring.radical(-1) != 1
+    if order in (2, 3, 6, 7, 8):
+        assert ring.radical(1) * ring.radical(-1) != 1
     x = LinMap(seeded_linmap(domain, 2, 1, seed=order, density=0.6).tensor.to_float(), 2, 1)
-    for at in (0, 1):
-        got = LinMap.identity(domain, 1, ring).compose(x, at=at)
-        assert_identical_entries(got.tensor, x.tensor)
+    if wires == "identity":
+        for at in (0, 1):
+            got = LinMap.identity(domain, 1, ring).compose(x, at=at)
+            assert_identical_entries(got.tensor, x.tensor)
+    else:
+        got = LinMap.sigma(domain, ring).compose(x)
+        assert_identical_entries(got.tensor, x.tensor.permute([1, 0, 2]))

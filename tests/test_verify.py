@@ -33,6 +33,8 @@ from pachner.tensors import (
     _fmt_key,
 )
 from pachner import solutions, tensors, verify
+from pachner.simplicial import simplex_boundary
+from pachner.statesum import build_assignment, partition_value
 from pachner.cli import catalog
 from pachner.verify import (
     _proof_integral,
@@ -764,6 +766,26 @@ def test_proof_integral_adds_no_scalars_and_joins_nothing(monkeypatch):
     monkeypatch.setattr(tensors, "contract", refuse("contract"))
     for plan, ref in zip(_PROOF_CASES.values(), expected):
         assert _proof_integral(q, plan, kernels).entries == ref.entries
+
+
+def test_exact_sums_add_no_scalar_pairwise(monkeypatch):
+    # a state sum's joins meet collided keys, and the proof integrals' keys
+    # hold many terms; both are added by ScalarRing.sum, never by
+    # Scalar.__add__
+    group = parse_group("Z3")
+    q, kernels = q_from_bicharacter(group).q, symmetry_kernels(group)
+    expected = [expanded_proof_integral(q, plan, kernels) for plan in _PROOF_CASES.values()]
+    sphere = build_assignment(simplex_boundary(5), parse_solution("bichar:Z2"))
+    sums = Counter()
+    ring_sum = ScalarRing.sum
+    monkeypatch.setattr(ScalarRing, "sum", lambda self, values: sums.update([self]) or ring_sum(self, values))
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(Scalar, name, lambda *args, name=name: pytest.fail(f"called Scalar.{name}"))
+    assert partition_value(sphere).render() == "1 · r^9"
+    assert sums[sphere.tensors[0].ring] > 0
+    for plan, ref in zip(_PROOF_CASES.values(), expected):
+        assert _proof_integral(q, plan, kernels).entries == ref.entries
+    assert sums[group.ring] > 0
 
 
 def test_proof_integral_canonicalises_once_per_distinct_sum(monkeypatch):
