@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Random (3,3) walks on the 4-sphere, tracking the partition value.
 
-Usage: python3 scripts/invariance_walks.py [--count N] [--seeds K] [--backend B]
+Usage: python3 scripts/invariance_walks.py [--count N] [--seeds K] [--backend exact|float]
 
 For each shipped tensor solution this applies N seeded (3,3) moves per
 seed and reports whether the state sum stayed fixed, alongside one
@@ -27,7 +27,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=20, help="moves per walk")
     ap.add_argument("--seeds", type=int, default=3, help="independent walks per solution")
-    ap.add_argument("--backend", choices=("auto", "exact", "float"), default="auto")
+    ap.add_argument("--backend", choices=("exact", "float"), default="exact")
     args = ap.parse_args()
 
     sphere = simplex_boundary(5)

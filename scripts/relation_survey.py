@@ -18,8 +18,8 @@ from pachner.cli import catalog
 
 def verdicts(sol):
     t0 = time.perf_counter()
-    a = verify_p33(sol, backend="auto").verdict
-    b = verify_yb_family(sol, backend="auto").verdict
+    a = verify_p33(sol).verdict
+    b = verify_yb_family(sol).verdict
     return a, b, time.perf_counter() - t0
 
 

@@ -379,7 +379,7 @@ def build_parser() -> _Parser:
     vsub = verify.add_subparsers(dest="relation", required=True)
     p33 = vsub.add_parser("p33", help="the six-term three-tensor relation")
     p33.add_argument("--solution", required=True, help="bichar:Z3, triple:groupalg:S3, or set")
-    p33.add_argument("--backend", choices=("auto", "exact", "float"), default="auto")
+    p33.add_argument("--backend", choices=("exact", "float"), default="exact")
     p33.add_argument("--oracle", choices=("operator", "dense"), default="operator")
     p33.add_argument("--samples", type=int, default=1000, help="rational points for set")
     p33.add_argument("--seed", type=int, default=1, help="seed for set sampling")
@@ -387,15 +387,15 @@ def build_parser() -> _Parser:
     theorem.add_argument("--group", required=True, help="finite abelian group literal, e.g. Z5")
     yb = vsub.add_parser("yb", help="the derived Yang-Baxter family")
     yb.add_argument("--solution", required=True)
-    yb.add_argument("--backend", choices=("auto", "exact", "float"), default="auto")
+    yb.add_argument("--backend", choices=("exact", "float"), default="exact")
     pentagon = vsub.add_parser("pentagon", help="the bialgebra pentagon identity")
     pentagon.add_argument("--group", required=True, help="group table name, e.g. Z4 or S3")
-    pentagon.add_argument("--backend", choices=("auto", "exact", "float"), default="auto")
+    pentagon.add_argument("--backend", choices=("exact", "float"), default="exact")
 
     statesum = sub.add_parser("statesum", help="contract a triangulation file")
     statesum.add_argument("--tri", required=True, help="triangulation file")
     statesum.add_argument("--solution", required=True)
-    statesum.add_argument("--backend", choices=("auto", "exact", "float"), default="auto")
+    statesum.add_argument("--backend", choices=("exact", "float"), default="exact")
     statesum.add_argument("--order", choices=("greedy", "left"), default="greedy")
     statesum.add_argument("--dump", action="store_true", help="print boundary tensor entries")
 
@@ -407,7 +407,7 @@ def build_parser() -> _Parser:
     walk_p.add_argument("--count", type=int, default=20)
     walk_p.add_argument("--seed", type=int, default=7)
     walk_p.add_argument("--solution", default="", help="track the state sum along the walk")
-    walk_p.add_argument("--backend", choices=("auto", "exact", "float"), default="auto")
+    walk_p.add_argument("--backend", choices=("exact", "float"), default="exact")
     apply_p = msub.add_parser("apply", help="apply one move and print or save the result")
     apply_p.add_argument("--tri", required=True)
     apply_p.add_argument("--type", default="3,3")

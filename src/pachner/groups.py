@@ -108,22 +108,23 @@ class FinAbGroup:
 GROUP_ORDER_LIMIT = 1 << 10
 
 
-def parse_group(text: str) -> FinAbGroup:
-    """Parse literals like "Z2", "Z2xZ2", "Z4xZ3".
+def parse_orders(text: str, limit: int) -> tuple[int, ...]:
+    """The cyclic orders of a literal like "Z2", "Z2xZ2" or "Z4xZ3".
 
-    Raises ValueError, before the group or its ring is built, when the
-    group order exceeds GROUP_ORDER_LIMIT.
+    Raises ValueError, before anything is built, for text outside that
+    grammar (a factor Zn needs n >= 1) or a group order above limit.
     """
-    text = text.strip()
-    parts = text.split("x")
     orders = []
-    for part in parts:
-        if not part.startswith("Z") or not part[1:].isdigit():
+    for part in text.split("x"):
+        if not part.startswith("Z") or not part[1:].isdecimal() or int(part[1:]) < 1:
             raise ValueError(f"bad group literal {text!r}")
         orders.append(int(part[1:]))
     order = math.prod(orders)
-    if order > GROUP_ORDER_LIMIT:
-        raise ValueError(
-            f"group {text} has order {order}, over the limit of {GROUP_ORDER_LIMIT}"
-        )
-    return FinAbGroup(orders)
+    if order > limit:
+        raise ValueError(f"group {text} has order {order}, over the limit of {limit}")
+    return tuple(orders)
+
+
+def parse_group(text: str) -> FinAbGroup:
+    """Parse literals like "Z2", "Z2xZ2", "Z4xZ3", up to GROUP_ORDER_LIMIT."""
+    return FinAbGroup(parse_orders(text.strip(), GROUP_ORDER_LIMIT))

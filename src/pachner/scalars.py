@@ -441,40 +441,28 @@ class ScalarRing:
         )
 
     def parse(self, text: str) -> "Scalar":
-        """Parse the rendering grammar "a0 + a1·z^1 + ... [· r^k]"."""
+        """Parse the rendering grammar "a0 + a1·z^1 + ... [· r^k]".
+
+        A "· r^k" token ends a part; each part, and the unmarked rest, is
+        read as one scalar, and the value is their ScalarRing.sum.
+        """
         text = text.strip()
         if text == "0":
             return self.zero
-        terms: dict[int, list[int]] = {}
-        current: list[int] = [0] * self.degree
-        seen_any = False
+        parts = []
+        current = [0] * self.degree
         for token in text.split(" + "):
-            token = token.strip()
-            rexp = None
-            if "· r^" in token:
-                token, _, tail = token.partition("· r^")
-                rexp = int(tail)
-                token = token.strip()
-            if "·z^" in token:
-                coeff_s, _, power_s = token.partition("·z^")
-                coeff, power = int(coeff_s), int(power_s)
-            else:
-                coeff, power = int(token), 0
+            token, marked, rexp = token.partition("· r^")
+            coeff, pow_mark, power = token.strip().partition("·z^")
+            coeff, power = int(coeff), int(power) if pow_mark else 0
             if not 0 <= power < self.degree:
                 raise ValueError(f"z power {power} out of canonical range")
             current[power] += coeff
-            seen_any = True
-            if rexp is not None:
-                acc = terms.setdefault(rexp, [0] * self.degree)
-                for i, v in enumerate(current):
-                    acc[i] += v
+            if marked:
+                parts.append(self.scalar({int(rexp): current}))
                 current = [0] * self.degree
-                seen_any = False
-        if seen_any or any(current):
-            acc = terms.setdefault(0, [0] * self.degree)
-            for i, v in enumerate(current):
-                acc[i] += v
-        return self.scalar({e: tuple(v) for e, v in terms.items()})
+        parts.append(self.scalar({0: current}))
+        return self.sum(parts)
 
 
 @lru_cache(maxsize=None)

@@ -19,12 +19,11 @@ matching the facet indices of a positively oriented pentachoron.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FinAbGroup, parse_group
+from .groups import FinAbGroup, parse_group, parse_orders
 from .tensors import (
     DOWN,
     UP,
@@ -159,18 +158,8 @@ def named_group_table(name: str):
     """
     if name == "S3":
         return s3_table()
-    orders = []
-    for part in name.split("x"):
-        if not part.startswith("Z") or not part[1:].isdigit() or int(part[1:]) < 1:
-            raise ValueError(f"unknown group name {name!r}")
-        orders.append(int(part[1:]))
-    order = math.prod(orders)
-    if order > GROUP_TABLE_ORDER_LIMIT:
-        raise ValueError(
-            f"group {name} has order {order}, over the limit of {GROUP_TABLE_ORDER_LIMIT}"
-        )
     table = None
-    for n in orders:
+    for n in parse_orders(name, GROUP_TABLE_ORDER_LIMIT):
         t = cyclic_table(n)
         table = t if table is None else product_table(table, t)
     return table

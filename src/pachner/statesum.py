@@ -62,7 +62,7 @@ class StateSumAssignment:
     boundary: list  # (vertex tuple, entry, facet) per boundary tetrahedron, sorted
 
 
-def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "auto") -> StateSumAssignment:
+def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "exact") -> StateSumAssignment:
     """Attach tensors to pentachora and pair slots along interior tetrahedra."""
     if t.dim != 4:
         raise ValueError(f"state sums need a 4-dimensional complex, got dim {t.dim}")
@@ -198,7 +198,7 @@ def partition_value(a: StateSumAssignment, order: str = "greedy"):
     return partition(a, order).entry(())
 
 
-def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "auto"):
+def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "exact"):
     """Sum over all joint tetrahedron states of a closed complex.
 
     Pure enumeration: one state per interior tetrahedron, the product of
@@ -280,7 +280,7 @@ def invariance_run(
     sol: SolutionSpec,
     count: int,
     seed: int,
-    backend: str = "auto",
+    backend: str = "exact",
     p: int = 3,
 ) -> Report:
     """Apply seeded moves of one type and recompute the value each time.

@@ -190,14 +190,9 @@ class GroupTensor:
 
 
 def in_backend(t: GroupTensor, backend: str) -> GroupTensor:
-    """The tensor in the ring a backend names.
-
-    "auto" keeps plain basis domains and groups of order at most 4 exact
-    and moves larger groups to floats.
-    """
-    if backend == "auto":
-        small = isinstance(t.domain, BasisDomain) or t.domain.size <= 4
-        backend = "exact" if small else "float"
+    """The tensor in the ring a backend names: "exact", every default,
+    keeps its ring, and "float", the opt-in cross-check, moves it to
+    complex entries."""
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     return t if backend == "exact" else t.to_float()

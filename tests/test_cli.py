@@ -85,7 +85,7 @@ REPORTS = [
         0,
         """\
 command=verify p33
-opt_backend=auto
+opt_backend=exact
 opt_oracle=operator
 opt_solution=bichar:Z3
 relation=p33
@@ -98,11 +98,46 @@ rhs_nnz=729
 """,
     ),
     (
+        "verify p33 --solution bichar:Z5",
+        0,
+        """\
+command=verify p33
+opt_backend=exact
+opt_oracle=operator
+opt_solution=bichar:Z5
+relation=p33
+target=bichar:Z5
+backend=exact
+verdict=pass
+checks=15625
+lhs_nnz=15625
+rhs_nnz=15625
+""",
+    ),
+    (
+        "statesum --tri data/boundary_delta5.tri --solution bichar:Z5",
+        0,
+        """\
+Z = 1 · r^9
+command=statesum
+opt_backend=exact
+opt_order=greedy
+opt_solution=bichar:Z5
+opt_tri=data/boundary_delta5.tri
+pentachora=6
+pairings=15
+boundary_slots=0
+backend=exact
+value=1 · r^9
+verdict=pass
+""",
+    ),
+    (
         "verify yb --solution bichar:Z2",
         0,
         """\
 command=verify yb
-opt_backend=auto
+opt_backend=exact
 opt_solution=bichar:Z2
 relation=yb-family
 target=bichar:Z2
@@ -137,7 +172,7 @@ case4=pass
         0,
         """\
 command=verify pentagon
-opt_backend=auto
+opt_backend=exact
 opt_group=S3
 relation=pentagon
 target=B6
@@ -151,7 +186,7 @@ checks=216
         0,
         """\
 command=moves walk
-opt_backend=auto
+opt_backend=exact
 opt_count=20
 opt_seed=7
 opt_solution=bichar:Z2
@@ -172,7 +207,7 @@ pentachora=6
         1,
         """\
 command=moves walk
-opt_backend=auto
+opt_backend=exact
 opt_count=3
 opt_seed=1
 opt_solution=bichar:Z2
@@ -209,6 +244,24 @@ def test_float_statesum_prints_the_same_value_in_either_order(capsys, monkeypatc
         shown |= {line for line in out.splitlines() if line.startswith("value=")}
     assert len(shown) == 1
     assert shown.pop().endswith("+0j")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "p33", "--solution", "bichar:Z5"],
+        ["verify", "yb", "--solution", "bichar:Z2"],
+        ["verify", "pentagon", "--group", "S3"],
+        ["statesum", "--tri", DELTA5, "--solution", "bichar:Z5"],
+        ["moves", "walk", "--tri", DELTA5, "--solution", "bichar:Z2"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_backend_auto_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--backend", "auto"])
+    assert_one_error_line(code, err)
+    assert "invalid choice: 'auto' (choose from 'exact', 'float')" in err
+    assert out == ""
 
 
 def test_statesum_closed_sphere(capsys, sphere_file):
@@ -617,7 +670,7 @@ def fuzz_argv(draw, tri, out):
         tri = draw(st.sampled_from([tri + ".missing", str(Path(tri).parent)]))
     verbs = ["statesum", "walk", "apply", "p33", "pentagon", "yb", "theorem", "describe", "selftest"]
     verb = draw(st.sampled_from(verbs))
-    backends = [[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"]]
+    backends = [[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"], ["--backend", "auto"]]
     if verb == "p33":
         argv = ["verify", "p33", "--solution", draw(st.sampled_from(FUZZ_VERIFY_SOLUTIONS))]
         argv += draw(st.sampled_from(backends))
@@ -638,7 +691,7 @@ def fuzz_argv(draw, tri, out):
         argv += draw(st.sampled_from([[], ["--dump"]]))
     elif verb == "statesum":
         argv = ["statesum", "--tri", tri, "--solution", draw(st.sampled_from(FUZZ_SOLUTIONS))]
-        argv += draw(st.sampled_from([[], [], ["--backend", "float"], ["--backend", "exact"], ["--backend", "x"]]))
+        argv += draw(st.sampled_from(backends))
         argv += draw(st.sampled_from([[], [], ["--order", "left"], ["--order", "up"], ["--dump"]]))
     elif verb == "walk":
         argv = ["moves", "walk", "--tri", tri, "--type", draw(st.sampled_from(FUZZ_TYPES))]

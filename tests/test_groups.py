@@ -165,6 +165,9 @@ def test_parse_group_literals():
     assert parse_group("Z4xZ3").literal == "Z4xZ3"
     with pytest.raises(ValueError):
         parse_group("Q8")
+    for text in ("Z0xZ2", "Z²", "Z-3"):  # each factor Zn needs decimal digits, n >= 1
+        with pytest.raises(ValueError, match=f"bad group literal '{text}'"):
+            parse_group(text)
     with pytest.raises(ValueError):
         parse_group("Z1")
 

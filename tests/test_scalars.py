@@ -185,6 +185,12 @@ def test_render_parse_fixtures():
     assert ring.parse("0").is_zero()
     mixed = ring.one + ring.radical()
     assert ring.parse(mixed.render()) == mixed
+    # a "· r^k" token ends its part; parts on one exponent, or on two of
+    # one parity (r^2 = 2), add up, and so does the unmarked rest
+    assert ring.parse("1 + 1·z^1 · r^3 + 2 · r^3 + 1 · r^1 + 1·z^1").terms == {1: (7, 2), 0: (0, 1)}
+    assert ring.parse("1 · r^2 + 1 · r^0 + -3") == ring.zero
+    with pytest.raises(ValueError, match="z power 2 out of canonical range"):
+        ring.parse("1·z^2 · r^1")
 
 
 scalar_terms = st.lists(

@@ -8,16 +8,20 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def test_invariance_walks_script_runs():
+def run_script(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "invariance_walks.py")],
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / name)],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_invariance_walks_script_runs():
+    proc = run_script("invariance_walks.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all certified walks invariant; corrupted control drifted as expected" in proc.stdout
     rows = [line.split() for line in proc.stdout.splitlines()[1:14]]
@@ -27,3 +31,17 @@ def test_invariance_walks_script_runs():
     }
     # the triple walks at seeds 1 and 2 change value, and do not set the exit code
     assert "outside the certified scope: 4 of 6 triple walks changed value" in proc.stdout
+
+
+def test_relation_survey_script_agrees_everywhere():
+    proc = run_script("relation_survey.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "42 runs, verdicts agree everywhere"
+    # every clean solution passes both checks and every perturbed one fails
+    # both, but on Z1, whose one-entry Q any bump keeps a solution
+    verdicts = {row[0]: row[1:3] for row in map(str.split, lines[1:-1])}
+    assert len(verdicts) == 42
+    for desc, pair in verdicts.items():
+        ok = "perturbed" not in desc or desc.startswith("triple:groupalg:Z1")
+        assert pair == (["pass", "pass"] if ok else ["fail", "fail"]), desc

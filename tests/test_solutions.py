@@ -157,8 +157,10 @@ def test_groups_up_to_order_six_catalog():
 
 
 def test_named_group_table_rejects_unknown():
-    with pytest.raises(ValueError):
-        named_group_table("Q8")
+    # the grammar and its wording are groups.parse_group's
+    for name in ("Q8", "Z0", "Z2xS3"):
+        with pytest.raises(ValueError, match=f"bad group literal '{name}'"):
+            named_group_table(name)
 
 
 def test_oversized_group_table_is_refused_before_building(monkeypatch):

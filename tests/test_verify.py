@@ -33,8 +33,8 @@ from pachner.tensors import (
     _fmt_key,
 )
 from pachner import solutions, tensors, verify
-from pachner.simplicial import simplex_boundary
-from pachner.statesum import build_assignment, partition_value
+from pachner.simplicial import Triangulation, simplex_boundary
+from pachner.statesum import build_assignment, invariance_run, partition_bruteforce, partition_value
 from pachner.cli import catalog
 from pachner.verify import (
     _proof_integral,
@@ -203,10 +203,22 @@ def test_verify_p33_passes_for_shipped_solutions():
         assert report, (descriptor, report.witness)
 
 
-def test_verify_p33_float_backend_for_larger_groups():
-    report = verify_p33(parse_solution("bichar:Z5"))
-    assert report.fields["backend"] == "float"
-    assert report
+def test_every_python_default_backend_is_exact_on_bichar_z5():
+    sol = parse_solution("bichar:Z5")
+    sphere = simplex_boundary(5)
+    # two pentachora glued along all five facets: 5**5 states to enumerate
+    pair = Triangulation(4, [((0, 1, 2, 3, 4), 1), ((0, 1, 2, 3, 4), -1)])
+    reports = [
+        verify_p33(sol),
+        verify_yb_family(sol),
+        verify_pentagon(LinMap.identity(sol.domain, 2)),
+        invariance_run(sphere, sol, count=1, seed=0),
+    ]
+    assert [(r.fields["backend"], r.verdict) for r in reports] == [("exact", "pass")] * 4
+    assert build_assignment(sphere, sol).tensors[0].ring.name == "exact"
+    assert isinstance(partition_bruteforce(pair, sol), Scalar)
+    with pytest.raises(ValueError, match="unknown backend 'auto'"):
+        verify_p33(sol, backend="auto")
 
 
 def test_verify_p33_flipped_entry_fails_with_witness():
@@ -380,7 +392,7 @@ def linmap_sum(domain, ring, terms, weight) -> LinMap:
     return LinMap(GroupTensor(domain, (UP,) * 3 + (DOWN,) * 3, entries, ring), 3, 3)
 
 
-def padded_yb_identities(sol, backend="auto", rel=1e-9):
+def padded_yb_identities(sol, backend="exact", rel=1e-9):
     """verify_yb_family as first transcribed: the pinned family members
     padded to maps on V^3 (the 13-slot ones between sigma sandwiches), pair
     products memoised, and the sums over s, t written out as weighted sums
@@ -452,7 +464,7 @@ def fold_padded_identities(sol, backend, identities):
     return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
 
 
-def padded_yb_family(sol, backend="auto", rel=1e-9):
+def padded_yb_family(sol, backend="exact", rel=1e-9):
     return fold_padded_identities(sol, backend, padded_yb_identities(sol, backend, rel))
 
 
@@ -517,11 +529,17 @@ def test_yb_family_verdict_tracks_p33_verdict_on_perturbations():
 def yb_reference_cases():
     """Every catalogue solution with a tensor and triple:groupalg:Z1, clean
     and perturbed (seeds 0-19 for bichar Z2 and Z3, 0-2 for the others),
-    exact and float for |V| <= 4 and auto above."""
+    exact and float for |V| <= 5, float alone for bichar:Z6 (its exact
+    run takes about 1.6 times as long) and exact alone for the order-6 triples."""
     for descriptor in [d for d in catalog() if d != "set"] + ["triple:groupalg:Z1"]:
         seeds = range(20) if descriptor in ("bichar:Z2", "bichar:Z3") else range(3)
-        small = parse_solution(descriptor).domain.size <= 4
-        for backend in ("exact", "float") if small else ("auto",):
+        if descriptor == "bichar:Z6":
+            backends = ("float",)
+        elif parse_solution(descriptor).domain.size <= 5:
+            backends = ("exact", "float")
+        else:
+            backends = ("exact",)
+        for backend in backends:
             yield pytest.param(descriptor, backend, [None, *seeds], id=f"{descriptor}-{backend}")
 
 
