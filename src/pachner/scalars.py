@@ -68,13 +68,12 @@ def _poly_mul(a, b):
     return tuple(out)
 
 
-def _buckets(entries, bound, rest, at):
-    """The hash side of a join: bound part of each key -> [(pre, post,
-    value)], where pre and post are the rest of the key split at ``at``."""
+def _buckets(entries, bound, rest):
+    """The hash side of a join: bound part of each key -> [(tail, value)],
+    where tail is the rest of the key."""
     buckets = {}
     for key, val in entries.items():
-        tail = rest(key)
-        buckets.setdefault(bound(key), []).append((tail[:at], tail[at:], val))
+        buckets.setdefault(bound(key), []).append((rest(key), val))
     return buckets
 
 
@@ -83,8 +82,8 @@ def _ambiguous(heads):
 
     Its entry keys split into (bound, head), so a head that occurs once
     comes with one bound, hence one bucket of the other operand, whose
-    keys differ in pre and post: every result key pre + head + post is
-    met by exactly one pair of entries.
+    keys differ in their tails: every result key head + tail (in any slot
+    order) is met by exactly one pair of entries.
     """
     seen, repeated = set(), set()
     for head in heads:
@@ -317,11 +316,10 @@ class ScalarRing:
     def conj(self, v: "Scalar") -> "Scalar":
         return v.conj()
 
-    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, at=0):
-        """Sum v1 * v2 * r**-k per key pre + rest1(k1) + post over all entry
-        pairs with bound1(k1) == bound2(k2), where pre and post are
-        rest2(k2) split at ``at`` (by default pre is empty); zero sums are
-        dropped.
+    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, pick=None):
+        """Sum v1 * v2 * r**-k per key rest1(k1) + rest2(k2), put in slot
+        order by ``pick`` when one is given, over all entry pairs with
+        bound1(k1) == bound2(k2); zero sums are dropped.
 
         Each operand's entries fall into value classes, one per distinct
         value (see ``_classes``).  The weight is one exponent shift (r**-k
@@ -357,7 +355,7 @@ class ScalarRing:
                 val = products[pair] = reps1[pair // n2] * reps2[pair % n2]
             return val
 
-        buckets = _buckets(classes2, bound2, rest2, at)
+        buckets = _buckets(classes2, bound2, rest2)
         heads = list(map(rest1, classes1))
         ambiguous = _ambiguous(heads)
         out, pending = {}, []
@@ -366,20 +364,20 @@ class ScalarRing:
             base = c1 * n2
             bucket = buckets.get(bound1(k1), ())
             if head in ambiguous:
-                for pre, post, c2 in bucket:
-                    key = pre + head + post
+                for tail, c2 in bucket:
+                    key = pick(head + tail) if pick else head + tail
                     pairs = accumulated(key)
                     if pairs is None:
                         out[key] = pairs = []
                         pending.append((key, pairs))
                     pairs.append(base + c2)
             else:
-                for pre, post, c2 in bucket:
+                for tail, c2 in bucket:
                     val = products.get(base + c2)
                     if val is None:
                         val = product(base + c2)
                     if val.terms:
-                        out[pre + head + post] = val
+                        out[pick(head + tail) if pick else head + tail] = val
         sums = {}
         for key, pairs in pending:
             if len(pairs) > 1:
@@ -667,7 +665,7 @@ class ComplexRing:
     def conj(self, v: complex) -> complex:
         return v.conjugate()
 
-    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, at=0):
+    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, pick=None):
         """ScalarRing.join in floats, with the bits of the two-pass join:
         products summed in entry order, then one weight r**-k per result
         entry (none when k is 0), and entries whose weighted sum is zero
@@ -681,7 +679,7 @@ class ComplexRing:
         entry order and are weighted in place, so every key keeps the
         position of its first pair.
         """
-        buckets = _buckets(entries2, bound2, rest2, at)
+        buckets = _buckets(entries2, bound2, rest2)
         heads = list(map(rest1, entries1))
         ambiguous = _ambiguous(heads)
         weight = self.radical(-k)
@@ -690,8 +688,8 @@ class ComplexRing:
         for (k1, v1), head in zip(entries1.items(), heads):
             bucket = buckets.get(bound1(k1), ())
             if head in ambiguous:
-                for pre, post, v2 in bucket:
-                    key = pre + head + post
+                for tail, v2 in bucket:
+                    key = pick(head + tail) if pick else head + tail
                     prev = accumulated(key)
                     if prev is None:
                         out[key] = v1 * v2
@@ -699,13 +697,13 @@ class ComplexRing:
                     else:
                         out[key] = prev + v1 * v2
             elif k:
-                for pre, post, v2 in bucket:
+                for tail, v2 in bucket:
                     if w := weight * (v1 * v2):
-                        out[pre + head + post] = w
+                        out[pick(head + tail) if pick else head + tail] = w
             else:
-                for pre, post, v2 in bucket:
+                for tail, v2 in bucket:
                     if w := v1 * v2:
-                        out[pre + head + post] = w
+                        out[pick(head + tail) if pick else head + tail] = w
         for key in pending:
             w = weight * out[key] if k else out[key]
             if w:

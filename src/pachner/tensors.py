@@ -8,19 +8,17 @@ groups module.  Identity wires are delta lines with entry r, so a wire
 composed with anything is weight neutral (c * r = 1).
 
 ``contract`` is the one join: it binds any number of slot pairs of two
-tensors in a single hash join, and places the first tensor's free slots
-at any position among the second's.  The outer product (no pairs),
-``LinMap.compose`` (a window of wires) and every step of a state sum are
-calls to it.  A map composed onto a window of another's outputs leaves the
-wires beside the window untouched, so a word of padded factors
-id^a (x) F (x) id^b never builds its identity wires, and the join builds
-each key with the map's outputs already in the window's place, so the
-result is never permuted.  The identity and sigma are wire permutations
-with one entry r**k on k wires, and record their permutation: composed
-onto a window they reorder its slots in one ``permute`` and scale by
-r**k * r**-k, taken from the ring (and skipped when the domain's exact
-ring finds it equal to its one, so in floats a wire never rescales), so
-they never run a join.
+tensors in a single hash join, and builds each result key in any slot
+order.  The outer product (no pairs), ``LinMap.compose`` (a window of
+wires) and every step of a state sum are calls to it.  A map composed
+onto a window of another's outputs leaves the wires beside the window
+untouched, so a word of padded factors id^a (x) F (x) id^b never builds
+its identity wires.  The identity and sigma are wire permutations with
+one entry r**k on k wires, and record their permutation: one composed
+right after a join folds into that join's key order, so the result is
+written once, in its final order, and only a lone one reorders the window
+in one ``permute``.  Either way it never joins, and scales by r**k * r**-k
+from the ring only where the domain's exact ring finds that is not one.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -227,17 +225,18 @@ def _picker(slots):
     return itemgetter(*slots)
 
 
-def contract(t1: GroupTensor, s1, t2: GroupTensor, s2, at: int = 0) -> GroupTensor:
+def contract(t1: GroupTensor, s1, t2: GroupTensor, s2, order=None) -> GroupTensor:
     """Bind slots s1 of t1 to slots s2 of t2 pairwise, in one hash join.
 
     s1 and s2 are equally long slot sequences; a bare int is one slot.
     Each bound pair needs opposite variances and contributes one measure
     weight, so k pairs carry r**-k and no pairs give the outer product.
-    Result slots: t2's first ``at`` free slots, t1's free slots, then the
-    rest of t2's, all in order; the default at=0 puts t1's first.  The
-    join runs in the tensors' ring (``ScalarRing.join`` or
-    ``ComplexRing.join``), builds each key in that order and drops
-    entries that sum to zero.
+    Result slots: t1's free slots, then t2's, all in order; ``order``
+    lists them in any other order (order[i] names the slot placed at i,
+    as in ``permute``).  The join runs in the tensors' ring
+    (``ScalarRing.join`` or ``ComplexRing.join``), builds each key in the
+    result's order, so the result is never permuted, and drops entries
+    that sum to zero.
     """
     _check_same_backend(t1, t2)
     s1 = (s1,) if isinstance(s1, int) else tuple(s1)
@@ -252,15 +251,17 @@ def contract(t1: GroupTensor, s1, t2: GroupTensor, s2, at: int = 0) -> GroupTens
             )
     free1 = tuple(p for p in range(t1.arity) if p not in s1)
     free2 = tuple(p for p in range(t2.arity) if p not in s2)
-    if not 0 <= at <= len(free2):
-        raise ValueError(f"cannot place {len(free1)} slots at {at} of {len(free2)}")
+    n, pick = len(free1) + len(free2), None
+    if order is not None and tuple(order) != tuple(range(n)):
+        if sorted(order) != list(range(n)):
+            raise ValueError(f"{list(order)} is not an order of {n} result slots")
+        pick = _picker(order)
     rest1, rest2 = _picker(free1), _picker(free2)
     entries = t1.ring.join(
-        t1.entries, _picker(s1), rest1, t2.entries, _picker(s2), rest2, len(s1), at
+        t1.entries, _picker(s1), rest1, t2.entries, _picker(s2), rest2, len(s1), pick
     )
-    around = rest2(t2.variances)
-    variances = around[:at] + rest1(t1.variances) + around[at:]
-    return _built(t1.domain, variances, entries, t1.ring)
+    variances = rest1(t1.variances) + rest2(t2.variances)
+    return _built(t1.domain, pick(variances) if pick else variances, entries, t1.ring)
 
 
 @dataclass
@@ -393,18 +394,20 @@ class LinMap:
         )
         return LinMap(big.permute(perm), a_out + b_out, a_in + b_in)
 
-    def compose(self, other: "LinMap", at: int | None = None) -> "LinMap":
+    def compose(self, other: "LinMap", at: int | None = None, then=(), order=None) -> "LinMap":
         """self after other: bind self's inputs to other's outputs in order.
 
         With ``at=a`` self acts on the window of other's outputs a ..
         a + self.n_in - 1, as (id^a (x) self (x) id^rest) after other,
         and its outputs take the window's place.  The identity wires stay
         implicit: each would contribute r * r**-1 = 1, so the one
-        contraction carries r**-self.n_in, and it places self's outputs at
-        the window (``contract``'s layout argument), so nothing is
-        permuted after it.  Without ``at``, self's inputs must match
-        other's outputs exactly.  A wire permutation (sigma, an identity)
-        reorders the window's slots instead of joining.
+        contraction carries r**-self.n_in.  Without ``at``, self's inputs
+        must match other's outputs exactly.  The (wire permutation, offset)
+        pairs in ``then`` apply next, each ``_rescale``d, and ``order``
+        reorders the slots last, as in ``permute`` (outputs stay first):
+        the contraction builds every key in its final slot order.  A wire
+        permutation (sigma, an identity) with nothing to fold reorders the
+        window's slots instead.
         """
         n_out, n_in, m = self.n_out, self.n_in, other.n_out
         if at is None:
@@ -415,29 +418,38 @@ class LinMap:
             raise ValueError(
                 f"cannot compose {n_in} inputs at wire {at} of {m} outputs"
             )
-        if self.wires is not None:
+        if self.wires is not None and not then and order is None:
             return LinMap(self._permute_window(other.tensor, at), m, other.n_in)
+        outs = n_out + m - n_in
+        slots = [*range(n_out, n_out + at), *range(n_out), *range(n_out + at, outs + other.n_in)]
+        for p, a in then:
+            if p.wires is None or not 0 <= a <= outs - p.n_in:
+                raise ValueError(f"cannot fold {p!r} at wire {a} of {outs} outputs")
+            slots[a : a + p.n_in] = [slots[a + j] for j in p.wires]
+        if order is not None:
+            slots = [slots[j] for j in order]
         tensor = contract(
-            self.tensor, range(n_out, n_out + n_in), other.tensor, range(at, at + n_in), at
+            self.tensor, range(n_out, n_out + n_in), other.tensor, range(at, at + n_in), slots
         )
-        return LinMap(tensor, n_out + m - n_in, other.n_in)
+        for p, _ in then:
+            tensor = p._rescale(tensor)
+        return LinMap(tensor, outs, other.n_in)
 
     def _permute_window(self, x: GroupTensor, at: int) -> GroupTensor:
-        """A wire permutation composed onto x's outputs at .. at + k - 1: the
-        window's slots permuted, and every entry times w * r**-k, the
-        permutation's entry w meeting k measure weights.
-
-        Whether the wires are weight neutral is decided in the domain's
-        exact ring: the scale applies only when r**k * r**-k is not its one
-        there, and is then taken from the tensor's ring.  So in floats, where
-        r * r**-1 rounds to 1 +- 1 ulp for some orders, a wire never
-        rescales and the window keeps its values' bits.
-        """
-        _check_same_backend(self.tensor, x)
-        k, ring = self.n_in, self.tensor.ring
+        """A wire permutation composed onto x's outputs at .. at + k - 1, with
+        no join to fold into: the window's slots permuted, then rescaled."""
+        k = self.n_in
         t = x.permute([*range(at), *(at + j for j in self.wires), *range(at + k, x.arity)])
-        exact = self.tensor.domain.ring
+        return self._rescale(t)
+
+    def _rescale(self, t: GroupTensor) -> GroupTensor:
+        """t with every entry times w * r**-k (this wire permutation's entry
+        w meeting k measure weights, in t's ring) where the domain's exact
+        ring finds r**k * r**-k is not its one: in floats, where r * r**-1
+        rounds to 1 +- 1 ulp for some orders, a wire never rescales."""
+        _check_same_backend(self.tensor, t)
+        k, exact = self.n_in, self.tensor.domain.ring
         if exact.radical(k) * exact.radical(-k) != exact.one:
-            scale = next(iter(self.tensor.entries.values())) * ring.radical(-k)
+            scale = next(iter(self.tensor.entries.values())) * t.ring.radical(-k)
             t.entries = {key: v * scale for key, v in t.entries.items()}
         return t

@@ -8,10 +8,12 @@ The (3,3), pentagon and Yang-Baxter family sides list their printed
 factors in printed order, each with the wire offset where it acts, and
 apply them right to left to the identity on V^3 (LinMap.compose with
 ``at``); the identity wires of the printed padding id^a (x) F (x) id^b
-stay implicit.  A family member X^a (Q with one output pinned to a) is Q
-itself with that output on a label wire, so a family side carries its
-index triple on three label wires; the two sides of an identity are
-compared whole, and the witness is read per triple.
+stay implicit, and a sigma right after a join folds into its key order,
+so every side is written once, in its final slot order.  A family member
+X^a (Q with one output pinned to a) is Q itself with that output on a
+label wire, so a family side carries its index triple on three label
+wires; the two sides of an identity are compared whole, and the witness
+is read per triple.
 
 Checkers in here:
 
@@ -118,11 +120,18 @@ def _fan_out(m: LinMap) -> int:
     return max(counts.values(), default=0)
 
 
-def _apply_word(word, x: LinMap) -> LinMap:
+def _apply_word(word, x: LinMap, order=None) -> LinMap:
     """The printed product of (factor, wire offset) pairs, applied right to
-    left to x: each factor acts on the wires from its offset on."""
-    for factor, at in reversed(word):
-        x = factor.compose(x, at=at)
+    left to x: each factor acts on the wires from its offset on, and the
+    slots take ``order`` last.  Wire permutations right after a join, and
+    ``order``, fold into that join's key order (``LinMap.compose``)."""
+    factors = list(word)
+    while factors:
+        factor, at = factors.pop()
+        then = []
+        while factor.wires is None and factors and factors[-1][0].wires is not None:
+            then.append(factors.pop())
+        x = factor.compose(x, at, then, None if factors else order)
     return x
 
 
@@ -201,10 +210,10 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "exact") -> Report:
     label wires, which brings the measure weight c per summed index.  Each
     side is then one word of (factor, wire offset) pairs applied to the
     identity on V^3: a map V^3 -> V^6 whose first three outputs carry the
-    index triple (in reverse on the lhs of pe2 and ybe, which is permuted
-    to read forward).  The two sides of an identity are built when the
-    fold reaches it, so a fold that stops at its first failure builds no
-    later identity, and are compared whole, in one tensor_equal.  Its
+    index triple (in reverse on the lhs of pe2 and ybe, which the word's
+    last join writes forward).  The two sides of an identity are built
+    when the fold reaches it, so a fold that stops at its first failure
+    builds no later identity, and are compared whole, in one tensor_equal.  Its
     least failing key lies in the least failing triple, so the witness
     reads "pe1[a,b,c] at <rest of the key>"; checks and the *_triples
     extras count every entry and triple of each identity compared.
@@ -242,8 +251,8 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "exact") -> Report:
 
     def comparisons():
         for name, (lhs_word, lhs_order, rhs_word) in identities.items():
-            lhs = _apply_word(lhs_word, start).tensor.permute(lhs_order)
-            rep = tensor_equal(lhs, _apply_word(rhs_word, start).tensor)
+            lhs = _apply_word(lhs_word, start, lhs_order)
+            rep = tensor_equal(lhs.tensor, _apply_word(rhs_word, start).tensor)
             counts[f"{name}_triples"] = size**3
             # a key's first three slots are its triple, and no formatted
             # element holds a ",", so the witness splits after the third

@@ -753,6 +753,19 @@ def test_compose_at_checks_the_window():
         f.compose(x)
 
 
+def test_compose_folds_wire_permutations_in_order_and_checks_them():
+    f = seeded_linmap(Z2, 3, 2, seed=1, density=1.0)
+    x, sig = LinMap.identity(Z2, 2), LinMap.sigma(Z2)
+    # overlapping sigmas do not commute: they fold in application order
+    want = f.compose(x).tensor
+    for b in (0, 1):
+        want = sig._permute_window(want, b)
+    assert_identical_entries(f.compose(x, then=[(sig, 0), (sig, 1)]).tensor, want)
+    for then in ([(sig, 2)], [(sig, -1)], [(f, 0)]):
+        with pytest.raises(ValueError, match="cannot fold"):
+            f.compose(x, then=then)
+
+
 @pytest.mark.parametrize("domain", [Z2, Z3, BasisDomain(2)])
 @pytest.mark.parametrize("exact", [True, False])
 def test_identity_on_no_wires_is_the_unit_of_tens(domain, exact):
@@ -942,18 +955,48 @@ def test_compose_at_builds_the_keys_of_compose_then_permute(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(case=windowed_compositions(), data=st.data(), weight_sign=st.booleans())
+def test_folded_wire_permutations_equal_their_one_at_a_time_composes(case, data, weight_sign):
+    # with radical patched as PACHNER_MUTATE=weight-sign patches it, r**k *
+    # r**-k is not one on groups, and every wire permutation rescales
+    f, x, a = case
+    dom, ring = f.tensor.domain, f.tensor.ring
+    outs, arity = f.n_out + x.n_out - f.n_in, f.n_out + x.n_out - f.n_in + x.n_in
+    original = ScalarRing.radical
+    with pytest.MonkeyPatch.context() as patch:
+        if weight_sign:
+            patch.setattr(ScalarRing, "radical", lambda self, e=1: original(self, abs(e)))
+        sig = LinMap.sigma(dom, ring)
+        # sigma thrice: two overlapping sigmas do not commute
+        maps = [sig, sig, sig, *(LinMap.identity(dom, k, ring) for k in range(3))]
+        placed = st.sampled_from([p for p in maps if p.n_in <= outs]).flatmap(
+            lambda p: st.tuples(st.just(p), st.integers(0, outs - p.n_in)))
+        then = data.draw(st.lists(placed, max_size=3))
+        outputs = st.permutations(range(outs)).map(lambda o: [*o, *range(outs, arity)])
+        order = data.draw(st.none() | outputs)
+        want = f.compose(x, at=a)
+        for p, b in then:
+            want = LinMap(p._permute_window(want.tensor, b), outs, x.n_in)
+        want = want.tensor if order is None else want.tensor.permute(order)
+        assert_identical_entries(f.compose(x, a, then, order).tensor, want)
+
+
+@settings(max_examples=200, deadline=None)
 @given(pair=joinable_pairs(), data=st.data())
 def test_contract_layout_equals_the_default_layout_permuted(pair, data):
     a, s1, b, s2 = pair
-    n1, n2 = a.arity - len(s1), b.arity - len(s2)
-    at = data.draw(st.integers(0, n2))
-    perm = [*range(n1, n1 + at), *range(n1), *range(n1 + at, n1 + n2)]
+    n = a.arity + b.arity - 2 * len(s1)
+    order = data.draw(st.permutations(range(n)))
     for t1, t2 in ((a, b), (a.to_float(), b.to_float())):
-        got, want = contract(t1, s1, t2, s2, at), contract(t1, s1, t2, s2).permute(perm)
+        got, want = contract(t1, s1, t2, s2, order), contract(t1, s1, t2, s2).permute(order)
         assert got.variances == want.variances
         assert_identical_entries(got, want)
-    with pytest.raises(ValueError, match=f"cannot place {n1} slots at {n2 + 1} of {n2}"):
-        contract(a, s1, b, s2, n2 + 1)
+    # too long; a slot out of range; a repeated slot
+    bad = data.draw(st.sampled_from([[*order, n], [*order[:-1], n], [0] * n if n > 1 else [n, n]]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScalarRing, "join", lambda *args: pytest.fail("joined"))
+        with pytest.raises(ValueError, match="is not an order of"):
+            contract(a, s1, b, s2, bad)
 
 
 @pytest.mark.parametrize("exact", [True, False])

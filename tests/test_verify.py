@@ -50,6 +50,7 @@ from pachner.verify import (
     verify_theorem,
     verify_yb_family,
 )
+from test_tensors import assert_identical_entries
 
 
 def coordinate_sides(q, elems):
@@ -634,9 +635,9 @@ def counted_composes_and_joins(sol, monkeypatch):
     calls = Counter()
     compose, contract = LinMap.compose, tensors.contract
 
-    def counted_compose(self, other, at=None):
+    def counted_compose(self, other, at=None, then=(), order=None):
         calls["compose"] += 1
-        return compose(self, other, at)
+        return compose(self, other, at, then, order)
 
     def counted_contract(*args):
         calls["join"] += 1
@@ -650,12 +651,13 @@ def counted_composes_and_joins(sol, monkeypatch):
 
 
 @pytest.mark.parametrize("descriptor", ["bichar:Z2", "bichar:Z3", "bichar:Z4", "triple:groupalg:S3"])
-def test_yb_makes_33_composes_and_18_joins_for_every_domain(descriptor, monkeypatch):
+def test_yb_makes_18_composes_and_18_joins_for_every_domain(descriptor, monkeypatch):
     report, calls = counted_composes_and_joins(parse_solution(descriptor), monkeypatch)
     assert report
     # 11 + 10 + 12 factors across the three identities' two sides, of which
-    # 6 + 6 + 6 are copies of Q; sigma reorders slots without a join
-    assert calls == {"compose": 33, "join": 18}
+    # 6 + 6 + 6 are copies of Q; every sigma follows a Q and folds into its
+    # join, so each compose is one join
+    assert calls == {"compose": 18, "join": 18}
 
 
 def test_yb_fold_failing_in_pe1_builds_no_later_side(monkeypatch):
@@ -663,7 +665,89 @@ def test_yb_fold_failing_in_pe1_builds_no_later_side(monkeypatch):
     report, calls = counted_composes_and_joins(sol, monkeypatch)
     assert report.verdict == "fail" and report.witness.startswith("pe1[")
     assert (report.extras["pe2_triples"], report.extras["ybe_triples"]) == (0, 0)
-    assert calls == {"compose": 11, "join": 6}
+    assert calls == {"compose": 6, "join": 6}
+
+
+def recorded_words(checks, monkeypatch):
+    """The (word, start, order) of every _apply_word call the checks make,
+    each with its folded result."""
+    calls = []
+    apply_word = verify._apply_word
+
+    def recording(word, x, order=None):
+        got = apply_word(word, x, order)
+        calls.append((word, x, order, got))
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_apply_word", recording)
+        for check, *args in checks:
+            check(*args)
+    return calls
+
+
+def factor_by_factor(word, x, order):
+    """The word applied one factor at a time: one join per map, each wire
+    permutation through _permute_window, and the order through permute."""
+    for factor, at in reversed(word):
+        if factor.wires is None:
+            x = factor.compose(x, at=at)
+        else:
+            x = LinMap(factor._permute_window(x.tensor, at), x.n_out, x.n_in)
+    return x.tensor if order is None else x.tensor.permute(order)
+
+
+def word_checks(backend):
+    """(label, checks, words they build): the p33 and yb sides of every
+    shipped solution and of 20 perturbed bichar:Z3, and the pentagon sides
+    of every triple's group."""
+    sols = [parse_solution(d) for d in catalog() if d != "set"]
+    sols += [perturb_q(parse_solution("bichar:Z3"), seed) for seed in range(20)]
+    for sol in sols:
+        # a perturbed Q fails pe1, so the yb fold builds its two sides only
+        yb_words = 2 if "perturbed" in sol.descriptor else 6
+        yield sol.descriptor, [(verify_p33, sol, backend), (verify_yb_family, sol, backend)], 2 + yb_words
+        if sol.descriptor.startswith("triple:"):
+            name = sol.descriptor.rsplit(":", 1)[1]
+            s = pentagon_map(triple_from_table(named_group_table(name), name))
+            yield f"pentagon {name}", [(verify_pentagon, s, backend)], 2
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_folded_words_equal_factor_by_factor_words(backend, monkeypatch):
+    for label, checks, n_words in word_checks(backend):
+        calls = recorded_words(checks, monkeypatch)
+        assert len(calls) == n_words, label
+        for word, x, order, got in calls:
+            assert got.tensor.ring.name == backend, label
+            assert_identical_entries(got.tensor, factor_by_factor(word, x, order))
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_p33_sides_permute_nothing_larger_than_q(backend, monkeypatch):
+    q = in_backend(parse_solution("bichar:Z6").q, backend)
+    sizes = []
+    permute = GroupTensor.permute
+    monkeypatch.setattr(GroupTensor, "permute", lambda t, perm: sizes.append(len(t.entries)) or permute(t, perm))
+    lhs, rhs = p33_sides(q)
+    assert len(lhs.tensor.entries) == len(rhs.tensor.entries) == 6**6
+    assert sizes and max(sizes) <= len(q.entries)
+
+
+def test_folded_words_keep_the_wire_weight_judgement(monkeypatch):
+    # radical patched as PACHNER_MUTATE=weight-sign patches it: r**-k reads
+    # as r**k, so r**k * r**-k is not one and every folded sigma rescales
+    original = ScalarRing.radical
+    monkeypatch.setattr(ScalarRing, "radical", lambda self, e=1: original(self, abs(e)))
+    sol = parse_solution("bichar:Z3")
+    calls = recorded_words([(verify_p33, sol, "exact"), (verify_yb_family, sol, "exact")], monkeypatch)
+    assert len(calls) == 4  # the fold stops at a failing pe1
+    for word, x, order, got in calls:
+        assert_identical_entries(got.tensor, factor_by_factor(word, x, order))
+    assert verify_p33(sol).verdict == "fail"
+    # the judgement is what fails it: without the rescale the sides agree
+    monkeypatch.setattr(LinMap, "_rescale", lambda self, t: t)
+    assert verify_p33(sol)
 
 
 # -- the theorem ---------------------------------------------------------------
