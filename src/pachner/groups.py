@@ -109,12 +109,13 @@ GROUP_ORDER_LIMIT = 1 << 10
 
 
 def parse_orders(text: str, limit: int) -> tuple[int, ...]:
-    """The cyclic orders of a literal like "Z2", "Z2xZ2" or "Z4xZ3".
+    """The cyclic orders of a literal like "Z2", "Z2xZ2" or "Z4xZ3", read
+    with surrounding whitespace stripped.
 
     Raises ValueError, before anything is built, for text outside that
     grammar (a factor Zn needs n >= 1) or a group order above limit.
     """
-    orders = []
+    text, orders = text.strip(), []
     for part in text.split("x"):
         if not part.startswith("Z") or not part[1:].isdecimal() or int(part[1:]) < 1:
             raise ValueError(f"bad group literal {text!r}")
@@ -127,4 +128,4 @@ def parse_orders(text: str, limit: int) -> tuple[int, ...]:
 
 def parse_group(text: str) -> FinAbGroup:
     """Parse literals like "Z2", "Z2xZ2", "Z4xZ3", up to GROUP_ORDER_LIMIT."""
-    return FinAbGroup(parse_orders(text.strip(), GROUP_ORDER_LIMIT))
+    return FinAbGroup(parse_orders(text, GROUP_ORDER_LIMIT))

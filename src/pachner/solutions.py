@@ -30,6 +30,7 @@ from .tensors import (
     BasisDomain,
     GroupTensor,
     LinMap,
+    apply_word,
     tensor_equal,
 )
 
@@ -151,12 +152,13 @@ GROUP_TABLE_ORDER_LIMIT = 16
 
 
 def named_group_table(name: str):
-    """Multiplication table for names like Z4, Z2xZ2, S3.
+    """Multiplication table for names like Z4, Z2xZ2, S3, read with
+    surrounding whitespace stripped (as ``parse_orders`` reads literals).
 
     Raises ValueError, before building any table, for an unknown name or
     an order above GROUP_TABLE_ORDER_LIMIT.
     """
-    if name == "S3":
+    if name.strip() == "S3":
         return s3_table()
     table = None
     for n in parse_orders(name, GROUP_TABLE_ORDER_LIMIT):
@@ -203,30 +205,36 @@ def check_compatibility(t: TripleSpec) -> list[str]:
 
     The two (co)associativity laws and the five morphism identities.  The
     coproduct compatibility is checked in both orientations, which are
-    equivalent under the swap; they are still reported separately.
+    equivalent under the swap; they are still reported separately.  Each
+    side is a word (``apply_word``) applied to the identity on its n
+    inputs; A (x) B is the word [(A, 0), (B, A.n_in)].
     """
     dom = t.domain
-    id1 = LinMap.identity(dom, 1)
     sig = LinMap.sigma(dom)
     mu, lam, rho = t.mu, t.lam, t.rho
     axioms = {
-        "associativity": (mu.compose(mu.tens(id1)), mu.compose(id1.tens(mu))),
-        "coassociativity_lam": (lam.compose(lam, at=1), lam.compose(lam, at=0)),
-        "coassociativity_rho": (rho.compose(rho, at=1), rho.compose(rho, at=0)),
+        "associativity": (3, [(mu, 0), (mu, 0)], [(mu, 0), (mu, 1)]),
+        "coassociativity_lam": (1, [(lam, 1), (lam, 0)], [(lam, 0), (lam, 0)]),
+        "coassociativity_rho": (1, [(rho, 1), (rho, 0)], [(rho, 0), (rho, 0)]),
         "mu_morphism_of_lam": (
-            lam.compose(mu), mu.tens(mu).compose(sig.compose(lam.tens(lam), at=1))
+            2, [(lam, 0), (mu, 0)], [(mu, 0), (mu, 2), (sig, 1), (lam, 0), (lam, 1)]
         ),
         "mu_morphism_of_rho": (
-            rho.compose(mu), mu.tens(mu).compose(sig.compose(rho.tens(rho), at=1))
+            2, [(rho, 0), (mu, 0)], [(mu, 0), (mu, 2), (sig, 1), (rho, 0), (rho, 1)]
         ),
         "lam_morphism_of_rho": (
-            rho.tens(rho).compose(lam), sig.compose(lam.tens(lam).compose(rho), at=1)
+            1, [(rho, 0), (rho, 1), (lam, 0)], [(sig, 1), (lam, 0), (lam, 1), (rho, 0)]
         ),
         "rho_morphism_of_lam": (
-            lam.tens(lam).compose(rho), sig.compose(rho.tens(rho).compose(lam), at=1)
+            1, [(lam, 0), (lam, 1), (rho, 0)], [(sig, 1), (rho, 0), (rho, 1), (lam, 0)]
         ),
     }
-    return [name for name, (lhs, rhs) in axioms.items() if not tensor_equal(lhs.tensor, rhs.tensor)]
+    failed = []
+    for name, (n, lhs, rhs) in axioms.items():
+        start = LinMap.identity(dom, n)
+        if not tensor_equal(apply_word(lhs, start).tensor, apply_word(rhs, start).tensor):
+            failed.append(name)
+    return failed
 
 
 def q_from_triple(t: TripleSpec) -> SolutionSpec:
@@ -235,7 +243,7 @@ def q_from_triple(t: TripleSpec) -> SolutionSpec:
     if failed:
         raise ValueError(f"incompatible triple: {', '.join(failed)} failed")
     dom = t.domain
-    qmap = t.mu.compose(t.lam.tens(t.rho), at=1)
+    qmap = apply_word([(t.mu, 1), (t.lam, 0), (t.rho, 1)], LinMap.identity(dom, 2))
     q = qmap.tensor.permute([0, 3, 1, 4, 2])
     return SolutionSpec(
         kind="triple",
@@ -247,8 +255,7 @@ def q_from_triple(t: TripleSpec) -> SolutionSpec:
 
 def pentagon_map(t: TripleSpec) -> LinMap:
     """The d=3 map S = (id @ mu)(lam @ id) on V @ V."""
-    id1 = LinMap.identity(t.domain, 1)
-    return t.mu.compose(t.lam.tens(id1), at=1)
+    return apply_word([(t.mu, 1), (t.lam, 0)], LinMap.identity(t.domain, 2))
 
 
 # -- set-theoretic solution ---------------------------------------------------
@@ -330,6 +337,6 @@ def parse_solution(text: str) -> SolutionSpec:
     if parts[0] == "bichar" and len(parts) == 2:
         return q_from_bicharacter(parse_group(parts[1]))
     if parts[0] == "triple" and len(parts) == 3 and parts[1] == "groupalg":
-        table = named_group_table(parts[2])
-        return q_from_triple(triple_from_table(table, name=parts[2]))
+        name = parts[2].strip()
+        return q_from_triple(triple_from_table(named_group_table(name), name=name))
     raise ValueError(f"unknown solution descriptor {text!r}")

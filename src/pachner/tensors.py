@@ -10,15 +10,17 @@ composed with anything is weight neutral (c * r = 1).
 ``contract`` is the one join: it binds any number of slot pairs of two
 tensors in a single hash join, and builds each result key in any slot
 order.  The outer product (no pairs), ``LinMap.compose`` (a window of
-wires) and every step of a state sum are calls to it.  A map composed
-onto a window of another's outputs leaves the wires beside the window
-untouched, so a word of padded factors id^a (x) F (x) id^b never builds
-its identity wires.  The identity and sigma are wire permutations with
-one entry r**k on k wires, and record their permutation: one composed
-right after a join folds into that join's key order, so the result is
-written once, in its final order, and only a lone one reorders the window
-in one ``permute``.  Either way it never joins, and scales by r**k * r**-k
-from the ring only where the domain's exact ring finds that is not one.
+wires) and every step of a state sum are calls to it.  ``apply_word`` is
+the one builder of composites: it applies a printed product of (factor,
+wire offset) pairs right to left, each factor composed onto the window of
+wires from its offset on, so a padded factor id^a (x) F (x) id^b never
+builds its identity wires and F (x) G is the word [(F, 0), (G, F.n_in)].
+The identity and sigma are wire permutations with one entry r**k on k
+wires, and record their permutation: each folds into the key order of the
+join just before it, so a composite is written once per join, in its
+final order, and a word must apply a join first.  A wire never joins, and
+scales by r**k * r**-k from the ring only where the domain's exact ring
+finds that is not one.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -138,9 +140,6 @@ class GroupTensor:
 
     def entry(self, key):
         return self.entries.get(tuple(key), self.ring.zero)
-
-    def outer(self, other: "GroupTensor") -> "GroupTensor":
-        return contract(self, (), other, ())
 
     def permute(self, perm) -> "GroupTensor":
         """Reorder slots; perm[i] names the old slot placed at position i."""
@@ -375,51 +374,29 @@ class LinMap:
 
     @staticmethod
     def identity(domain, k: int, ring=None) -> "LinMap":
-        """id on k wires; for k = 0 the unit of ``tens``, one entry () -> 1."""
+        """id on k wires; for k = 0 one entry () -> 1."""
         return LinMap._permutation(domain, range(k), ring)
 
     @staticmethod
     def sigma(domain, ring=None) -> "LinMap":
         return LinMap._permutation(domain, (1, 0), ring)
 
-    def tens(self, other: "LinMap") -> "LinMap":
-        """Side-by-side tensor product, keeping the (outs, ins) layout."""
-        big = self.tensor.outer(other.tensor)
-        a_out, a_in, b_out, b_in = self.n_out, self.n_in, other.n_out, other.n_in
-        perm = (
-            list(range(a_out))
-            + [a_out + a_in + i for i in range(b_out)]
-            + [a_out + i for i in range(a_in)]
-            + [a_out + a_in + b_out + i for i in range(b_in)]
-        )
-        return LinMap(big.permute(perm), a_out + b_out, a_in + b_in)
-
     def compose(self, other: "LinMap", at: int | None = None, then=(), order=None) -> "LinMap":
-        """self after other: bind self's inputs to other's outputs in order.
+        """self after other, on the window of other's outputs from wire ``at``.
 
-        With ``at=a`` self acts on the window of other's outputs a ..
-        a + self.n_in - 1, as (id^a (x) self (x) id^rest) after other,
-        and its outputs take the window's place.  The identity wires stay
-        implicit: each would contribute r * r**-1 = 1, so the one
-        contraction carries r**-self.n_in.  Without ``at``, self's inputs
-        must match other's outputs exactly.  The (wire permutation, offset)
-        pairs in ``then`` apply next, each ``_rescale``d, and ``order``
-        reorders the slots last, as in ``permute`` (outputs stay first):
-        the contraction builds every key in its final slot order.  A wire
-        permutation (sigma, an identity) with nothing to fold reorders the
-        window's slots instead.
+        self's inputs bind to other's outputs at .. at + self.n_in - 1, as
+        (id^at (x) self (x) id^rest) after other, and its outputs take the
+        window's place.  The identity wires stay implicit: each would
+        contribute r * r**-1 = 1, so the one contraction carries
+        r**-self.n_in.  The (wire permutation, offset) pairs in ``then``
+        apply next, each ``_rescale``d, and ``order`` reorders the slots
+        last, as in ``permute`` (outputs stay first): the contraction
+        builds every key in its final slot order.  Raises ValueError,
+        before the join, when ``at`` is missing or the window does not fit.
         """
         n_out, n_in, m = self.n_out, self.n_in, other.n_out
-        if at is None:
-            if n_in != m:
-                raise ValueError(f"cannot compose: {n_in} inputs vs {m} outputs")
-            at = 0
-        elif not 0 <= at <= m - n_in:
-            raise ValueError(
-                f"cannot compose {n_in} inputs at wire {at} of {m} outputs"
-            )
-        if self.wires is not None and not then and order is None:
-            return LinMap(self._permute_window(other.tensor, at), m, other.n_in)
+        if at is None or not 0 <= at <= m - n_in:
+            raise ValueError(f"cannot compose {n_in} inputs at wire {at} of {m} outputs")
         outs = n_out + m - n_in
         slots = [*range(n_out, n_out + at), *range(n_out), *range(n_out + at, outs + other.n_in)]
         for p, a in then:
@@ -435,13 +412,6 @@ class LinMap:
             tensor = p._rescale(tensor)
         return LinMap(tensor, outs, other.n_in)
 
-    def _permute_window(self, x: GroupTensor, at: int) -> GroupTensor:
-        """A wire permutation composed onto x's outputs at .. at + k - 1, with
-        no join to fold into: the window's slots permuted, then rescaled."""
-        k = self.n_in
-        t = x.permute([*range(at), *(at + j for j in self.wires), *range(at + k, x.arity)])
-        return self._rescale(t)
-
     def _rescale(self, t: GroupTensor) -> GroupTensor:
         """t with every entry times w * r**-k (this wire permutation's entry
         w meeting k measure weights, in t's ring) where the domain's exact
@@ -453,3 +423,24 @@ class LinMap:
             scale = next(iter(self.tensor.entries.values())) * t.ring.radical(-k)
             t.entries = {key: v * scale for key, v in t.entries.items()}
         return t
+
+
+def apply_word(word, x: LinMap, order=None) -> LinMap:
+    """The printed product of (factor, wire offset) pairs, applied right to
+    left to x: each factor acts on x's outputs from its offset on, and the
+    slots take ``order`` last.  Each factor that is not a wire permutation
+    is one join (``LinMap.compose``), and the wire permutations after it,
+    with ``order`` after the last, fold into that join's key order.
+    Raises ValueError, before any join, when the word is empty or the
+    first factor it applies is a wire permutation, which has no join to
+    fold into."""
+    factors = list(word)
+    if not factors or factors[-1][0].wires is not None:
+        raise ValueError("a word must apply a join first, not a wire permutation")
+    while factors:
+        factor, at = factors.pop()
+        then = []
+        while factors and factors[-1][0].wires is not None:
+            then.append(factors.pop())
+        x = factor.compose(x, at, then, None if factors else order)
+    return x

@@ -4,16 +4,17 @@ Every identity is checked by building both sides as tensors, factor by
 factor in the printed operator order, and comparing entrywise over the
 union of supports.  Nothing is simplified by hand: the checkers are
 transcriptions, so a transcription bug cannot cancel against itself.
-The (3,3), pentagon and Yang-Baxter family sides list their printed
-factors in printed order, each with the wire offset where it acts, and
-apply them right to left to the identity on V^3 (LinMap.compose with
-``at``); the identity wires of the printed padding id^a (x) F (x) id^b
+Each side is a word for tensors.apply_word, the one builder of
+composites: its printed factors in printed order, each with the wire
+offset where it acts, applied right to left to the identity on V^3 (the
+(3,3) sides also take Q sigma, itself the word [(Q, 0)] applied to
+sigma).  The identity wires of the printed padding id^a (x) F (x) id^b
 stay implicit, and a sigma right after a join folds into its key order,
-so every side is written once, in its final slot order.  A family member
-X^a (Q with one output pinned to a) is Q itself with that output on a
-label wire, so a family side carries its index triple on three label
-wires; the two sides of an identity are compared whole, and the witness
-is read per triple.
+so every side is written once, in its final slot order.  A family
+member X^a (Q with one output pinned to a) is Q itself with that output
+on a label wire, so a family side carries its index triple on three
+label wires; the two sides of an identity are compared whole, and the
+witness is read per triple.
 
 Checkers in here:
 
@@ -63,6 +64,7 @@ from .tensors import (
     GroupTensor,
     LinMap,
     Report,
+    apply_word,
     in_backend,
     tensor_equal,
     _fmt_key,
@@ -120,21 +122,6 @@ def _fan_out(m: LinMap) -> int:
     return max(counts.values(), default=0)
 
 
-def _apply_word(word, x: LinMap, order=None) -> LinMap:
-    """The printed product of (factor, wire offset) pairs, applied right to
-    left to x: each factor acts on the wires from its offset on, and the
-    slots take ``order`` last.  Wire permutations right after a join, and
-    ``order``, fold into that join's key order (``LinMap.compose``)."""
-    factors = list(word)
-    while factors:
-        factor, at = factors.pop()
-        then = []
-        while factor.wires is None and factors and factors[-1][0].wires is not None:
-            then.append(factors.pop())
-        x = factor.compose(x, at, then, None if factors else order)
-    return x
-
-
 def p33_sides(q: GroupTensor) -> tuple[LinMap, LinMap]:
     """Both sides of the (3,3) relation as maps V^3 -> V^6.
 
@@ -156,10 +143,10 @@ def p33_sides(q: GroupTensor) -> tuple[LinMap, LinMap]:
             f"limit of {P33_ENTRIES_LIMIT}"
         )
     sig = LinMap.sigma(dom, ring)
-    qsig = qm.compose(sig)
+    qsig = apply_word([(qm, 0)], sig)
     start = LinMap.identity(dom, 3, ring)
-    lhs = _apply_word([(qsig, 0), (qm, 1), (sig, 0), (qm, 1)], start)
-    rhs = _apply_word([(sig, 2), (qsig, 3), (qm, 1), (sig, 2), (qm, 0)], start)
+    lhs = apply_word([(qsig, 0), (qm, 1), (sig, 0), (qm, 1)], start)
+    rhs = apply_word([(sig, 2), (qsig, 3), (qm, 1), (sig, 2), (qm, 0)], start)
     return lhs, rhs
 
 
@@ -183,8 +170,8 @@ def verify_pentagon(s: LinMap, backend: str = "exact") -> Report:
     sig = LinMap.sigma(dom, ring)
     start = LinMap.identity(dom, 3, ring)
     s13 = [(sig, 1), (s, 0), (sig, 1)]
-    lhs = _apply_word([(s, 0), *s13, (s, 1)], start)
-    rhs = _apply_word([(s, 1), (s, 0)], start)
+    lhs = apply_word([(s, 0), *s13, (s, 1)], start)
+    rhs = apply_word([(s, 1), (s, 0)], start)
     return _judge("pentagon", dom.literal, ring.name, [("", tensor_equal(lhs.tensor, rhs.tensor))])
 
 
@@ -251,8 +238,8 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "exact") -> Report:
 
     def comparisons():
         for name, (lhs_word, lhs_order, rhs_word) in identities.items():
-            lhs = _apply_word(lhs_word, start, lhs_order)
-            rep = tensor_equal(lhs.tensor, _apply_word(rhs_word, start).tensor)
+            lhs = apply_word(lhs_word, start, lhs_order)
+            rep = tensor_equal(lhs.tensor, apply_word(rhs_word, start).tensor)
             counts[f"{name}_triples"] = size**3
             # a key's first three slots are its triple, and no formatted
             # element holds a ",", so the witness splits after the third

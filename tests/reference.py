@@ -1,0 +1,278 @@
+"""Reference constructions the tests compare the package against.
+
+Each is written from its definition, independently of the code path it
+checks: outer products as loops over entry pairs, window permutations
+as ``GroupTensor.permute`` then ``_rescale``, the relation sides with
+every identity wire built as a tensor and the printed factors folded
+left to right, and joins as first written.  Test modules import from
+here and from no other test module.
+"""
+
+import functools
+import itertools
+import struct
+
+import numpy as np
+
+from pachner.scalars import ComplexRing
+from pachner.solutions import SolutionSpec
+from pachner.tensors import DOWN, UP, GroupTensor, LinMap, _fmt_key, in_backend, tensor_equal
+from pachner.verify import _judge, q_as_linmap
+
+
+# values whose sums cancel exactly, and the least subnormal, which a weight
+# below one rounds to zero: the entry then drops only after weighting
+COMPLEX_VALUES = [1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0.25j, 5e-324 + 0j, -5e-324 + 0j, 3e-300j]
+
+
+def two_pass_complex_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, k):
+    """ComplexRing.join as first written: the weighted dict, then a second
+    dict without the zero entries."""
+    buckets = {}
+    for key, val in entries2.items():
+        buckets.setdefault(bound2(key), []).append((rest2(key), val))
+    out = {}
+    for k1, v1 in entries1.items():
+        for tail, v2 in buckets.get(bound1(k1), ()):
+            key = rest1(k1) + tail
+            prev = out.get(key)
+            out[key] = v1 * v2 if prev is None else prev + v1 * v2
+    if k:
+        weight = ring.radical(-k)
+        out = {key: weight * v for key, v in out.items()}
+    return {key: v for key, v in out.items() if v}
+
+
+def assert_identical_entries(got, want):
+    """Same keys in the same order, and bitwise the same values: the same
+    float bits, or exact values with the same terms in the same order."""
+    assert list(got.entries) == list(want.entries)
+    if isinstance(got.ring, ComplexRing):
+        bits = lambda v: struct.pack("<dd", v.real, v.imag)
+    else:
+        bits = lambda v: list(v.terms.items())
+    assert [bits(v) for v in got.entries.values()] == [bits(v) for v in want.entries.values()]
+
+
+def dense(t):
+    """Dense complex array in domain enumeration order, for oracles."""
+    elems = list(t.domain.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    arr = np.zeros((len(elems),) * t.arity, dtype=complex)
+    for key, val in t.to_float().entries.items():
+        arr[tuple(index[e] for e in key)] = val
+    return arr
+
+
+def lin_matrix(f):
+    """LinMap as a dense matrix, inputs flattened to columns."""
+    n = f.tensor.domain.size
+    arr = dense(f.tensor)
+    return arr.reshape(n**f.n_out, n**f.n_in)
+
+
+# -- composites from their definitions -----------------------------------------
+
+
+def outer(t1, t2):
+    """The outer product: every pair of entries, keys joined, values multiplied."""
+    entries = {k1 + k2: v1 * v2 for k1, v1 in t1.entries.items() for k2, v2 in t2.entries.items()}
+    return GroupTensor(t1.domain, t1.variances + t2.variances, entries, t1.ring)
+
+
+def tens(f, g):
+    """f (x) g side by side, in the (outs, ins) layout."""
+    a_out, a_in, b_out, b_in = f.n_out, f.n_in, g.n_out, g.n_in
+    perm = (
+        list(range(a_out))
+        + [a_out + a_in + i for i in range(b_out)]
+        + [a_out + i for i in range(a_in)]
+        + [a_out + a_in + b_out + i for i in range(b_in)]
+    )
+    return LinMap(outer(f.tensor, g.tensor).permute(perm), a_out + b_out, a_in + b_in)
+
+
+def compose(*maps):
+    """The maps' product, left after right, each binding all of its
+    inputs to all of the next map's outputs."""
+
+    def after(f, g):
+        assert f.n_in == g.n_out, (f, g)
+        return f.compose(g, at=0)
+
+    return functools.reduce(after, maps)
+
+
+def padded(f, a, b):
+    """id^a (x) f (x) id^b with every identity wire built as a tensor."""
+    dom, ring = f.tensor.domain, f.tensor.ring
+    return tens(tens(LinMap.identity(dom, a, ring), f), LinMap.identity(dom, b, ring))
+
+
+def permute_window(p, t, at):
+    """The wire permutation p composed onto t's outputs at .. at + k - 1
+    without a join: the window's slots permuted, then ``_rescale``d."""
+    k = p.n_in
+    return p._rescale(t.permute([*range(at), *(at + j for j in p.wires), *range(at + k, t.arity)]))
+
+
+def factor_by_factor(word, x, order):
+    """The word applied one factor at a time: one join per map, each wire
+    permutation through permute_window, and the order through permute."""
+    for factor, at in reversed(word):
+        if factor.wires is None:
+            x = factor.compose(x, at=at)
+        else:
+            x = LinMap(permute_window(factor, x.tensor, at), x.n_out, x.n_in)
+    return x.tensor if order is None else x.tensor.permute(order)
+
+
+# -- the relation sides as first transcribed ----------------------------------
+
+
+def padded_p33_sides(q):
+    """The (3,3) sides with every identity wire built as a tensor and the
+    printed factors folded left to right, as first transcribed."""
+    dom, ring = q.domain, q.ring
+    qm = q_as_linmap(q)
+    id1 = LinMap.identity(dom, 1, ring)
+    id2 = tens(id1, id1)
+    id3 = tens(id2, id1)
+    sig = LinMap.sigma(dom, ring)
+    qsig = compose(qm, sig)
+    lhs = compose(tens(qsig, id3), tens(tens(id1, qm), id1), tens(sig, id2), tens(id1, qm))
+    rhs = compose(
+        tens(tens(id2, sig), id2),
+        tens(id3, qsig),
+        tens(tens(id1, qm), id1),
+        tens(id2, sig),
+        tens(qm, id1),
+    )
+    return lhs, rhs
+
+
+def padded_pentagon_sides(s):
+    """S12 S13 S23 and S23 S12 with padded identity wires."""
+    dom, ring = s.tensor.domain, s.tensor.ring
+    id1 = LinMap.identity(dom, 1, ring)
+    idsig = tens(id1, LinMap.sigma(dom, ring))
+    s12, s23 = tens(s, id1), tens(id1, s)
+    s13 = compose(idsig, s12, idsig)
+    return compose(s12, s13, s23), compose(s23, s12)
+
+
+def pin(t, slot, value):
+    """Fix one slot of t to a value and drop it."""
+    entries = {}
+    for key, val in t.entries.items():
+        if key[slot] == value:
+            entries[key[:slot] + key[slot + 1 :]] = val
+    variances = t.variances[:slot] + t.variances[slot + 1 :]
+    return GroupTensor(t.domain, variances, entries, t.ring)
+
+
+def build_families(sol) -> dict:
+    """Pin one output slot of Q each way: X^a (slot 0), Y^a (slot 2), Z^a (slot 4).
+
+    Each member is a map on V (x) V; pinning leaves four slots which are
+    reordered into the (outs, ins) layout.
+    """
+    q = sol.q if isinstance(sol, SolutionSpec) else sol
+    if q.arity != 5 or q.variances != (UP, DOWN, UP, DOWN, UP):
+        raise ValueError("family construction needs the 5-slot solution tensor")
+    fams = {}
+    for name, slot, perm in [("X", 0, [1, 3, 0, 2]), ("Y", 2, [0, 3, 1, 2]), ("Z", 4, [0, 2, 1, 3])]:
+        fams[name] = {
+            a: LinMap(pin(q, slot, a).permute(perm), 2, 2) for a in q.domain.elements()
+        }
+    return fams
+
+
+def linmap_sum(domain, ring, terms, weight) -> LinMap:
+    """Weighted sum of maps on V^3, scaled by weight."""
+    acc = {}
+    for coeff, lm in terms:
+        if not coeff:
+            continue
+        for key, val in lm.tensor.entries.items():
+            prod = coeff * val
+            prev = acc.get(key)
+            acc[key] = prod if prev is None else prev + prod
+    entries = {k: weight * v for k, v in acc.items()}
+    return LinMap(GroupTensor(domain, (UP,) * 3 + (DOWN,) * 3, entries, ring), 3, 3)
+
+
+def padded_yb_identities(sol, backend="exact", rel=1e-9):
+    """verify_yb_family as first transcribed: the pinned family members
+    padded to maps on V^3 (the 13-slot ones between sigma sandwiches), pair
+    products memoised, and the sums over s, t written out as weighted sums
+    of pair products.  Yields, one identity at a time and only when asked,
+    its name and its (index triple, Report) comparisons over every triple."""
+    q = in_backend(sol.q, backend)
+    dom, ring = q.domain, q.ring
+    fams = build_families(q)
+    id1 = LinMap.identity(dom, 1, ring)
+    idsig = tens(id1, LinMap.sigma(dom, ring))
+
+    def e12(m):
+        return tens(m, id1)
+
+    def e23(m):
+        return tens(id1, m)
+
+    def e13(m):
+        return compose(idsig, tens(m, id1), idsig)
+
+    elems = list(dom.elements())
+    x12 = {a: e12(fams["X"][a]) for a in elems}
+    x23 = {a: e23(fams["X"][a]) for a in elems}
+    x13 = {a: e13(fams["X"][a]) for a in elems}
+    y13 = {a: e13(fams["Y"][a]) for a in elems}
+    z12 = {a: e12(fams["Z"][a]) for a in elems}
+    z23 = {a: e23(fams["Z"][a]) for a in elems}
+    z13 = {a: e13(fams["Z"][a]) for a in elems}
+    c2 = ring.radical(-2)
+
+    def pairs(left, right):
+        return functools.cache(lambda a, b: compose(left[a], right[b]))
+
+    x12_x23, z23_z12 = pairs(x12, x23), pairs(z23, z12)
+    x23_x13, z12_z13 = pairs(x23, x13), pairs(z12, z13)
+
+    def sides(rel_name, a, b, cc):
+        if rel_name == "pe1":
+            i, l, m = a, b, cc
+            terms = [(q.entry((i, s, l, t, m)), x12_x23(s, t)) for s in elems for t in elems]
+            return linmap_sum(dom, ring, terms, c2), compose(x23_x13(m, l), x12[i])
+        if rel_name == "pe2":
+            m, n, k = a, b, cc
+            terms = [(q.entry((m, s, n, t, k)), z23_z12(t, s)) for s in elems for t in elems]
+            return compose(z12_z13(m, n), z23[k]), linmap_sum(dom, ring, terms, c2)
+        i, j, k = a, b, cc
+        return compose(x12[i], y13[j], z23[k]), compose(z23[k], y13[j], x12[i])
+
+    for rel_name in ("pe1", "pe2", "ybe"):
+        comparisons = []
+        for triple in itertools.product(elems, repeat=3):
+            lhs, rhs = sides(rel_name, *triple)
+            comparisons.append((triple, tensor_equal(lhs.tensor, rhs.tensor, rel)))
+        yield rel_name, comparisons
+
+
+def fold_padded_identities(sol, backend, identities):
+    """The padded reference's report: its comparisons folded triple by
+    triple, counting the triples compared up to the first failing one."""
+    counts = {"pe1_triples": 0, "pe2_triples": 0, "ybe_triples": 0}
+
+    def comparisons():
+        for rel_name, triples in identities:
+            for triple, rep in triples:
+                counts[f"{rel_name}_triples"] += 1
+                yield f"{rel_name}[{_fmt_key(triple)}]", rep
+
+    ring = in_backend(sol.q, backend).ring
+    return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
+
+
+def padded_yb_family(sol, backend="exact", rel=1e-9):
+    return fold_padded_identities(sol, backend, padded_yb_identities(sol, backend, rel))

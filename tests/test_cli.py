@@ -65,6 +65,15 @@ def test_verify_pentagon_and_yb(capsys):
     assert run(capsys, ["verify", "yb", "--solution", "bichar:Z2"])[0] == 0
 
 
+def test_group_literals_read_whitespace_alike(capsys):
+    # theorem reads its group through parse_group, pentagon through
+    # named_group_table: both strip the literal
+    for relation, group in (("theorem", " Z3 "), ("pentagon", " Z3 "), ("pentagon", " S3")):
+        code, out, err = run(capsys, ["verify", relation, "--group", group])
+        assert (code, err) == (0, ""), (relation, group)
+        assert "verdict=pass" in out
+
+
 def test_reports_are_byte_identical(capsys, sphere_file):
     argvs = [
         ["verify", "p33", "--solution", "bichar:Z2"],

@@ -172,6 +172,13 @@ def test_parse_group_literals():
         parse_group("Z1")
 
 
+def test_parse_orders_strips_whitespace_for_every_caller():
+    assert groups.parse_orders(" Z4xZ3\n", 16) == (4, 3)
+    assert parse_group("\tZ2xZ2 ").literal == "Z2xZ2"
+    with pytest.raises(ValueError, match="bad group literal 'Z 3'"):
+        groups.parse_orders(" Z 3 ", 16)
+
+
 def test_oversized_group_literals_are_refused_before_their_ring(monkeypatch):
     monkeypatch.setattr(groups, "get_ring", lambda *args: pytest.fail("built a ring"))
     with pytest.raises(ValueError, match="group Z100000000 has order 100000000, over the limit of 1024"):

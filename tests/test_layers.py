@@ -5,13 +5,15 @@ Each module may import only the siblings listed in LAYERS.  The checkers
 the one Report type and the backend policy, so neither needs the other.
 The same reading pins the package's surface to its environment: one
 environment variable (the selftest's PACHNER_MUTATE) and no threads or
-processes of its own.
+processes of its own, and keeps the test modules apart: each imports
+shared references from tests/reference.py and from no other test module.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pachner"
+TESTS = Path(__file__).resolve().parent
 
 LAYERS = {
     "scalars": set(),
@@ -103,3 +105,18 @@ def test_no_module_starts_threads_or_processes():
             else:
                 continue
             assert not {m.split(".")[0] for m in modules} & banned, (path.name, modules)
+
+
+def test_no_test_module_imports_another_but_the_reference():
+    local = {path.stem for path in TESTS.glob("*.py")}
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top not in local - {"reference"}, (path.name, module)

@@ -15,6 +15,7 @@ from pachner.scalars import (
     cyclotomic_polynomial,
     get_ring,
 )
+from reference import COMPLEX_VALUES, two_pass_complex_join
 
 
 def poly_eval(coeffs, x):
@@ -358,29 +359,6 @@ def test_compare_of_equal_terms_does_not_subtract(monkeypatch):
     assert compare(a, b) is Comparison.EQUAL
     with pytest.raises(pytest.fail.Exception, match="subtracted"):
         compare(a, ring.one)
-
-
-def two_pass_complex_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, k):
-    """ComplexRing.join as first written: the weighted dict, then a second
-    dict without the zero entries."""
-    buckets = {}
-    for key, val in entries2.items():
-        buckets.setdefault(bound2(key), []).append((rest2(key), val))
-    out = {}
-    for k1, v1 in entries1.items():
-        for tail, v2 in buckets.get(bound1(k1), ()):
-            key = rest1(k1) + tail
-            prev = out.get(key)
-            out[key] = v1 * v2 if prev is None else prev + v1 * v2
-    if k:
-        weight = ring.radical(-k)
-        out = {key: weight * v for key, v in out.items()}
-    return {key: v for key, v in out.items() if v}
-
-
-# values whose sums cancel exactly, and the least subnormal, which a weight
-# below one rounds to zero: the entry then drops only after weighting
-COMPLEX_VALUES = [1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0.25j, 5e-324 + 0j, -5e-324 + 0j, 3e-300j]
 
 
 @st.composite

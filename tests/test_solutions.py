@@ -2,6 +2,7 @@ import cmath
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pachner import solutions
@@ -24,6 +25,7 @@ from pachner.solutions import (
     validate_bicharacter,
 )
 from pachner.tensors import DOWN, UP, GroupTensor, LinMap, contract, tensor_equal
+from reference import lin_matrix
 
 AXIOM_NAMES = [
     "associativity",
@@ -163,6 +165,14 @@ def test_named_group_table_rejects_unknown():
             named_group_table(name)
 
 
+def test_named_group_table_strips_whitespace():
+    assert named_group_table(" Z2xZ3\n") == named_group_table("Z2xZ3")
+    assert named_group_table("\tS3 ") == s3_table()
+    # a descriptor names its group as the literal reads without whitespace
+    assert parse_solution("triple:groupalg: Z2").descriptor == "triple:groupalg:Z2"
+    assert parse_solution("bichar: Z2").descriptor == "bichar:Z2"
+
+
 def test_oversized_group_table_is_refused_before_building(monkeypatch):
     monkeypatch.setattr(solutions, "cyclic_table", lambda n: pytest.fail("built"))
     with pytest.raises(ValueError, match="group Z4xZ5 has order 20, over the limit of 16"):
@@ -203,23 +213,85 @@ def test_group_algebra_triples_pass_all_axioms():
         assert check_compatibility(triple_from_table(table, name=name)) == [], name
 
 
-def test_broken_product_fails_a_morphism_axiom():
+def broken_product():
+    """The Z2 group algebra triple with one more product entry: 1 * 0 -> 0."""
     triple = triple_from_table(cyclic_table(2))
     one = triple.domain.ring.one
     entries = dict(triple.mu.tensor.entries)
     entries[(1, 0, 0)] = one
-    broken = triple.__class__(
+    return triple.__class__(
         triple.domain,
         LinMap(GroupTensor(triple.domain, (UP, DOWN, DOWN), entries), 1, 2),
         triple.lam,
         triple.rho,
     )
+
+
+def test_broken_product_fails_a_morphism_axiom():
+    broken = broken_product()
     failed = check_compatibility(broken)
     assert "mu_morphism_of_lam" in failed
     # the names come in axiom order, each once
     assert failed == [name for name in AXIOM_NAMES if name in failed]
     with pytest.raises(ValueError, match=f"incompatible triple: {', '.join(failed)} failed"):
         q_from_triple(broken)
+
+
+def matrix(t):
+    """A tensor with its UP slots first as a dense matrix, outputs by rows."""
+    n_out = t.variances.count(UP)
+    return lin_matrix(LinMap(t, n_out, t.arity - n_out))
+
+
+def printed_products(t):
+    """Each axiom's two sides, Q and S as the dense products of their
+    printed factors: np.kron and @ over the maps' matrices."""
+    n = t.domain.size
+    mu, lam, rho = (lin_matrix(m) for m in (t.mu, t.lam, t.rho))
+    i = np.eye(n)
+    swap = np.zeros((n * n, n * n))
+    for a, b in itertools.product(range(n), repeat=2):
+        swap[b * n + a, a * n + b] = 1
+    isi = np.kron(np.kron(i, swap), i)
+    axioms = {
+        "associativity": (mu @ np.kron(mu, i), mu @ np.kron(i, mu)),
+        "coassociativity_lam": (np.kron(i, lam) @ lam, np.kron(lam, i) @ lam),
+        "coassociativity_rho": (np.kron(i, rho) @ rho, np.kron(rho, i) @ rho),
+        "mu_morphism_of_lam": (lam @ mu, np.kron(mu, mu) @ isi @ np.kron(lam, lam)),
+        "mu_morphism_of_rho": (rho @ mu, np.kron(mu, mu) @ isi @ np.kron(rho, rho)),
+        "lam_morphism_of_rho": (np.kron(rho, rho) @ lam, isi @ np.kron(lam, lam) @ rho),
+        "rho_morphism_of_lam": (np.kron(lam, lam) @ rho, isi @ np.kron(rho, rho) @ lam),
+    }
+    q = np.kron(np.kron(i, mu), i) @ np.kron(lam, rho)
+    s = np.kron(i, mu) @ np.kron(lam, i)
+    return axioms, q, s
+
+
+COMPATIBILITY_CASES = [name for name, _ in groups_up_to_order(6)] + ["broken"]
+
+
+@pytest.mark.parametrize("name", COMPATIBILITY_CASES)
+def test_axiom_sides_q_and_s_are_their_printed_products(name, monkeypatch):
+    t = broken_product() if name == "broken" else triple_from_table(named_group_table(name), name)
+    axioms, q, s = printed_products(t)
+    assert list(axioms) == AXIOM_NAMES
+    sides, equal = [], solutions.tensor_equal
+    monkeypatch.setattr(solutions, "tensor_equal", lambda a, b, rel=1e-9: sides.append((a, b)) or equal(a, b, rel))
+    failed = check_compatibility(t)
+    monkeypatch.undo()
+    assert len(sides) == len(axioms) == len(AXIOM_NAMES)
+    for (axiom, (lhs, rhs)), (got_lhs, got_rhs) in zip(axioms.items(), sides):
+        assert np.array_equal(matrix(got_lhs), lhs), axiom
+        assert np.array_equal(matrix(got_rhs), rhs), axiom
+    assert failed == [axiom for axiom, (lhs, rhs) in axioms.items() if not np.array_equal(lhs, rhs)]
+    if name == "broken":
+        assert failed == ["associativity", "mu_morphism_of_lam", "mu_morphism_of_rho"]
+        return
+    assert failed == []
+    # Q in the map layout (x, y, z) <- (u, v)
+    got_q = q_from_triple(t).q.permute([0, 2, 4, 1, 3])
+    assert np.array_equal(matrix(got_q), q)
+    assert np.array_equal(matrix(pentagon_map(t).tensor), s)
 
 
 def test_failing_axioms_are_named_in_axiom_order():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pachner import tensors
 from pachner.groups import FinAbGroup
 from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, approx_equal, compare
 from pachner.tensors import (
@@ -17,33 +18,25 @@ from pachner.tensors import (
     GroupTensor,
     LinMap,
     Report,
+    apply_word,
     contract,
     tensor_equal,
     _fmt_key,
 )
-from test_scalars import COMPLEX_VALUES, two_pass_complex_join
+from reference import (
+    COMPLEX_VALUES,
+    assert_identical_entries,
+    compose,
+    lin_matrix,
+    padded,
+    permute_window,
+    two_pass_complex_join,
+)
 
 Z2 = FinAbGroup([2])
 Z3 = FinAbGroup([3])
 Z4 = FinAbGroup([4])
 Z2xZ2 = FinAbGroup([2, 2])
-
-
-def dense(t):
-    """Dense complex array in domain enumeration order, for oracles."""
-    elems = list(t.domain.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    arr = np.zeros((len(elems),) * t.arity, dtype=complex)
-    for key, val in t.to_float().entries.items():
-        arr[tuple(index[e] for e in key)] = val
-    return arr
-
-
-def lin_matrix(f):
-    """LinMap as a dense matrix, inputs flattened to columns."""
-    n = f.tensor.domain.size
-    arr = dense(f.tensor)
-    return arr.reshape(n**f.n_out, n**f.n_in)
 
 
 def random_tensor(domain, variances, seed, density=0.5):
@@ -462,9 +455,9 @@ def test_contract_without_pairs_is_the_outer_product(exact):
     if not exact:
         a, b = a.to_float(), b.to_float()
     expected = {k1 + k2: v1 * v2 for k1, v1 in a.entries.items() for k2, v2 in b.entries.items()}
-    for got in (contract(a, (), b, ()), a.outer(b)):
-        assert got.variances == (UP, DOWN, DOWN)
-        assert got.entries == expected
+    got = contract(a, (), b, ())
+    assert got.variances == (UP, DOWN, DOWN)
+    assert got.entries == expected
 
 
 def test_contract_checks_every_pair():
@@ -628,8 +621,8 @@ def random_linmap(domain, n_out, n_in, seed):
 def test_linmap_identity_neutral():
     for dom in (BasisDomain(3), Z3):
         f = random_linmap(dom, 2, 2, seed=17)
-        left = LinMap.identity(dom, 2).compose(f)
-        right = f.compose(LinMap.identity(dom, 2))
+        left = LinMap.identity(dom, 2).compose(f, at=0)
+        right = f.compose(LinMap.identity(dom, 2), at=0)
         assert tensor_equal(left.tensor, f.tensor)
         assert tensor_equal(right.tensor, f.tensor)
 
@@ -637,14 +630,14 @@ def test_linmap_identity_neutral():
 def test_sigma_squares_to_identity():
     for dom in (BasisDomain(2), Z3):
         s = LinMap.sigma(dom)
-        assert tensor_equal(s.compose(s).tensor, LinMap.identity(dom, 2).tensor)
+        assert tensor_equal(s.compose(s, at=0).tensor, LinMap.identity(dom, 2).tensor)
 
 
 def test_linmap_compose_matches_matrix_product():
     dom = BasisDomain(3)
     f = random_linmap(dom, 2, 1, seed=18)
     g = random_linmap(dom, 1, 2, seed=19)
-    composed = f.compose(g)
+    composed = f.compose(g, at=0)
     oracle = lin_matrix(f) @ lin_matrix(g)
     assert np.allclose(lin_matrix(composed), oracle)
 
@@ -653,29 +646,34 @@ def test_linmap_group_compose_matches_weighted_matrix_product():
     # over a group domain each bound wire carries one weight c
     f = random_linmap(Z2, 1, 2, seed=20)
     g = random_linmap(Z2, 2, 1, seed=21)
-    composed = f.compose(g)
+    composed = f.compose(g, at=0)
     c = Z2.size**-0.5
     oracle = lin_matrix(f) @ lin_matrix(g) * c**2
     assert np.allclose(lin_matrix(composed), oracle)
 
 
 def test_linmap_tens_matches_kron():
+    # f (x) g is the word [(f, 0), (g, f.n_in)] applied to the identity
     dom = BasisDomain(2)
     f = random_linmap(dom, 1, 1, seed=22)
     g = random_linmap(dom, 2, 1, seed=23)
-    prod = f.tens(g)
+    prod = apply_word([(f, 0), (g, 1)], LinMap.identity(dom, 2))
     assert np.allclose(lin_matrix(prod), np.kron(lin_matrix(f), lin_matrix(g)))
 
 
 def test_linmap_interchange_law():
+    # (f1 (x) g1)(f2 (x) g2) = (f1 f2) (x) (g1 g2), as two words
     dom = BasisDomain(2)
     f1 = random_linmap(dom, 1, 1, seed=24)
     f2 = random_linmap(dom, 1, 1, seed=25)
     g1 = random_linmap(dom, 1, 1, seed=26)
     g2 = random_linmap(dom, 1, 1, seed=27)
-    lhs = f1.tens(g1).compose(f2.tens(g2))
-    rhs = f1.compose(f2).tens(g1.compose(g2))
+    start = LinMap.identity(dom, 2)
+    lhs = apply_word([(f1, 0), (g1, 1), (f2, 0), (g2, 1)], start)
+    rhs = apply_word([(f1, 0), (f2, 0), (g1, 1), (g2, 1)], start)
     assert tensor_equal(lhs.tensor, rhs.tensor)
+    m = {f: lin_matrix(f) for f in (f1, f2, g1, g2)}
+    assert np.allclose(lin_matrix(lhs), np.kron(m[f1], m[g1]) @ np.kron(m[f2], m[g2]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -685,15 +683,11 @@ def test_sigma_conjugation_swaps_factors(seed):
     f = random_linmap(dom, 1, 1, seed=seed)
     g = random_linmap(dom, 1, 1, seed=seed + 1)
     s = LinMap.sigma(dom)
-    lhs = s.compose(f.tens(g)).compose(s)
-    rhs = g.tens(f)
+    # s (f (x) g) s: the word's first factor joins, so the right-hand s
+    # is the map the word is applied to
+    lhs = apply_word([(s, 0), (f, 0), (g, 1)], s)
+    rhs = apply_word([(g, 0), (f, 1)], LinMap.identity(dom, 2))
     assert tensor_equal(lhs.tensor, rhs.tensor)
-
-
-def padded(f, a, b):
-    """id^a (x) f (x) id^b with every identity wire built as a tensor."""
-    dom, ring = f.tensor.domain, f.tensor.ring
-    return LinMap.identity(dom, a, ring).tens(f).tens(LinMap.identity(dom, b, ring))
 
 
 def seeded_linmap(domain, n_out, n_in, seed, density):
@@ -733,7 +727,7 @@ def windowed_compositions(draw):
 def test_compose_at_equals_the_padded_compose(case):
     f, x, a = case
     got = f.compose(x, at=a)
-    want = padded(f, a, x.n_out - a - f.n_in).compose(x)
+    want = compose(padded(f, a, x.n_out - a - f.n_in), x)
     assert (got.n_out, got.n_in) == (want.n_out, want.n_in)
     assert got.tensor.variances == want.tensor.variances
     if isinstance(got.tensor.ring, ComplexRing):
@@ -749,26 +743,42 @@ def test_compose_at_checks_the_window():
     for at in (-1, 2, 5):
         with pytest.raises(ValueError, match=f"at wire {at} of 3 outputs"):
             f.compose(x, at=at)
-    with pytest.raises(ValueError, match="cannot compose: 2 inputs vs 3 outputs"):
+    with pytest.raises(ValueError, match="at wire None of 3 outputs"):
         f.compose(x)
+
+
+def test_refusals_come_before_any_join(monkeypatch):
+    f = seeded_linmap(Z2, 3, 2, seed=1, density=1.0)
+    x, sig = LinMap.identity(Z2, 2), LinMap.sigma(Z2)
+    monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("joined"))
+    # a word whose first applied factor is a wire permutation, alone or
+    # before a join, and the empty word
+    for word in ([(sig, 0)], [(f, 0), (sig, 0)], [(f, 0), (LinMap.identity(Z2, 0), 1)], []):
+        with pytest.raises(ValueError, match="must apply a join first"):
+            apply_word(word, x)
+    # compose without at, and with at out of range
+    for at in (None, -1, 1):
+        with pytest.raises(ValueError, match=f"cannot compose 2 inputs at wire {at} of 2 outputs"):
+            f.compose(x, at)
 
 
 def test_compose_folds_wire_permutations_in_order_and_checks_them():
     f = seeded_linmap(Z2, 3, 2, seed=1, density=1.0)
     x, sig = LinMap.identity(Z2, 2), LinMap.sigma(Z2)
     # overlapping sigmas do not commute: they fold in application order
-    want = f.compose(x).tensor
+    want = f.compose(x, at=0).tensor
     for b in (0, 1):
-        want = sig._permute_window(want, b)
-    assert_identical_entries(f.compose(x, then=[(sig, 0), (sig, 1)]).tensor, want)
+        want = permute_window(sig, want, b)
+    assert_identical_entries(f.compose(x, 0, then=[(sig, 0), (sig, 1)]).tensor, want)
     for then in ([(sig, 2)], [(sig, -1)], [(f, 0)]):
         with pytest.raises(ValueError, match="cannot fold"):
-            f.compose(x, then=then)
+            f.compose(x, 0, then=then)
 
 
 @pytest.mark.parametrize("domain", [Z2, Z3, BasisDomain(2)])
 @pytest.mark.parametrize("exact", [True, False])
 def test_identity_on_no_wires_is_the_unit_of_tens(domain, exact):
+    # the side-by-side product of two tensors is contract with no pairs
     ring = domain.ring if exact else ComplexRing(domain.ring.group_order)
     unit = LinMap.identity(domain, 0, ring)
     assert (unit.n_out, unit.n_in) == (0, 0)
@@ -776,10 +786,9 @@ def test_identity_on_no_wires_is_the_unit_of_tens(domain, exact):
     f = seeded_linmap(domain, 2, 1, seed=5, density=0.7)
     if not exact:
         f = LinMap(f.tensor.to_float(), 2, 1)
-    for got in (unit.tens(f), f.tens(unit)):
-        assert (got.n_out, got.n_in) == (f.n_out, f.n_in)
-        assert got.tensor.variances == f.tensor.variances
-        assert got.tensor.entries == f.tensor.entries
+    for got in (contract(unit.tensor, (), f.tensor, ()), contract(f.tensor, (), unit.tensor, ())):
+        assert got.variances == f.tensor.variances
+        assert got.entries == f.tensor.entries
 
 
 def compose_then_permute(f, x, at):
@@ -790,6 +799,13 @@ def compose_then_permute(f, x, at):
     t = contract(f.tensor, range(n_out, n_out + n_in), x.tensor, range(at, at + n_in))
     t = t.permute([*range(n_out, n_out + at), *range(n_out), *range(n_out + at, t.arity)])
     return LinMap(t, n_out + x.n_out - n_in, x.n_in)
+
+
+def after_x(p, x, a):
+    """The word p at wire a after x, applied to the identity on x's inputs:
+    p folds into the join of x onto that identity."""
+    start = LinMap.identity(x.tensor.domain, x.n_in, x.tensor.ring)
+    return apply_word([(p, a), (x, 0)], start)
 
 
 @st.composite
@@ -810,9 +826,10 @@ def wire_permutations_on_windows(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=wire_permutations_on_windows())
 def test_wire_permutation_compose_equals_the_joined_compose(case):
+    # a folded wire permutation against its own tensor joined onto x
     p, x, a = case
     assert p.wires is not None
-    got, want = p.compose(x, at=a), compose_then_permute(p, x, a)
+    got, want = after_x(p, x, a), compose_then_permute(p, x, a)
     assert (got.n_out, got.n_in) == (want.n_out, want.n_in)
     assert got.tensor.variances == want.tensor.variances
     assert got.tensor.entries.keys() == want.tensor.entries.keys()
@@ -827,27 +844,30 @@ def test_wire_permutation_compose_equals_the_joined_compose(case):
 
 def test_wire_permutation_compose_takes_its_weight_from_the_ring(monkeypatch):
     # a ring whose measure weight r**-k were r**k would make sigma scale by
-    # r**4; the permute path must see it as the join does
+    # r**4; the fold must see it as the join does
     x = seeded_linmap(Z3, 3, 1, seed=2, density=1.0)
     sig = LinMap.sigma(Z3)
     original = ScalarRing.radical
     monkeypatch.setattr(ScalarRing, "radical", lambda self, e=1: original(self, abs(e)))
-    got, want = sig.compose(x, at=1), compose_then_permute(sig, x, 1)
+    joined = x.compose(LinMap.identity(Z3, 1), at=0)
+    got, want = after_x(sig, x, 1), compose_then_permute(sig, joined, 1)
     assert got.tensor.entries == want.tensor.entries
     r4 = Z3.ring.radical(4)
     assert all(got.tensor.entries[(k[0], k[2], k[1], k[3])] == v * r4
-               for k, v in x.tensor.entries.items())
+               for k, v in joined.tensor.entries.items())
 
 
 def test_wire_permutation_compose_checks_backend_and_window():
     sig = LinMap.sigma(Z2)
-    x = seeded_linmap(Z2, 3, 0, seed=1, density=1.0)
+    x = seeded_linmap(Z2, 3, 1, seed=1, density=1.0)
+    start = LinMap.identity(Z2, 1)
+    floats = [LinMap(m.tensor.to_float(), m.n_out, m.n_in) for m in (x, start)]
     with pytest.raises(ValueError, match="cannot mix exact and float"):
-        sig.compose(LinMap(x.tensor.to_float(), 3, 0), at=0)
+        apply_word([(sig, 0), (floats[0], 0)], floats[1])
     with pytest.raises(ValueError, match="domain mismatch"):
-        sig.compose(seeded_linmap(Z3, 2, 0, seed=1, density=1.0))
+        apply_word([(LinMap.sigma(Z3), 0), (x, 0)], start)
     with pytest.raises(ValueError, match="at wire 2 of 3 outputs"):
-        sig.compose(x, at=2)
+        apply_word([(sig, 2), (x, 0)], start)
 
 
 def per_value_compare(ring, a, b, rel):
@@ -925,23 +945,15 @@ def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
 
 
 def test_wire_permutations_compose_without_a_join(monkeypatch):
+    # in a word each wire permutation folds into the join before it
     x = seeded_linmap(Z3, 3, 1, seed=4, density=0.7)
     maps = [LinMap.sigma(Z3), LinMap.identity(Z3, 2), LinMap.identity(Z3, 0)]
     want = [compose_then_permute(m, x, 1) for m in maps]
-    monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("joined"))
+    joins, join = [], tensors.contract
+    monkeypatch.setattr(tensors, "contract", lambda *args: joins.append(args) or join(*args))
     for m, w in zip(maps, want):
-        assert m.compose(x, at=1).tensor.entries == w.tensor.entries
-
-
-def assert_identical_entries(got, want):
-    """Same keys in the same order, and bitwise the same values: the same
-    float bits, or exact values with the same terms in the same order."""
-    assert list(got.entries) == list(want.entries)
-    if isinstance(got.ring, ComplexRing):
-        bits = lambda v: struct.pack("<dd", v.real, v.imag)
-    else:
-        bits = lambda v: list(v.terms.items())
-    assert [bits(v) for v in got.entries.values()] == [bits(v) for v in want.entries.values()]
+        assert after_x(m, x, 1).tensor.entries == w.tensor.entries
+    assert len(joins) == len(maps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -976,7 +988,7 @@ def test_folded_wire_permutations_equal_their_one_at_a_time_composes(case, data,
         order = data.draw(st.none() | outputs)
         want = f.compose(x, at=a)
         for p, b in then:
-            want = LinMap(p._permute_window(want.tensor, b), outs, x.n_in)
+            want = LinMap(permute_window(p, want.tensor, b), outs, x.n_in)
         want = want.tensor if order is None else want.tensor.permute(order)
         assert_identical_entries(f.compose(x, a, then, order).tensor, want)
 
@@ -1320,10 +1332,13 @@ def test_float_identity_wire_keeps_the_bits(order, wires):
     if order in (2, 3, 6, 7, 8):
         assert ring.radical(1) * ring.radical(-1) != 1
     x = LinMap(seeded_linmap(domain, 2, 1, seed=order, density=0.6).tensor.to_float(), 2, 1)
+    start = LinMap.identity(domain, 1, ring)
+    # each wire folds into the join of x onto the identity
+    joined = apply_word([(x, 0)], start).tensor
     if wires == "identity":
         for at in (0, 1):
-            got = LinMap.identity(domain, 1, ring).compose(x, at=at)
-            assert_identical_entries(got.tensor, x.tensor)
+            got = apply_word([(LinMap.identity(domain, 1, ring), at), (x, 0)], start)
+            assert_identical_entries(got.tensor, joined)
     else:
-        got = LinMap.sigma(domain, ring).compose(x)
-        assert_identical_entries(got.tensor, x.tensor.permute([1, 0, 2]))
+        got = apply_word([(LinMap.sigma(domain, ring), 0), (x, 0)], start)
+        assert_identical_entries(got.tensor, joined.permute([1, 0, 2]))

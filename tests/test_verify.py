@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from collections import Counter
@@ -50,7 +49,18 @@ from pachner.verify import (
     verify_theorem,
     verify_yb_family,
 )
-from test_tensors import assert_identical_entries
+import reference
+from reference import (
+    assert_identical_entries,
+    build_families,
+    factor_by_factor,
+    fold_padded_identities,
+    padded_p33_sides,
+    padded_pentagon_sides,
+    padded_yb_family,
+    padded_yb_identities,
+    pin,
+)
 
 
 def coordinate_sides(q, elems):
@@ -108,42 +118,6 @@ def test_p33_sides_match_coordinates_on_group_algebra():
     rhs_ref = GroupTensor(sol.domain, (UP,) * 6 + (DOWN,) * 3, rhs_coord)
     assert tensor_equal(lhs_op.tensor, lhs_ref)
     assert tensor_equal(rhs_op.tensor, rhs_ref)
-
-
-def padded_p33_sides(q):
-    """The (3,3) sides with every identity wire built as a tensor and the
-    printed factors folded left to right, as first transcribed."""
-    dom, ring = q.domain, q.ring
-    qm = q_as_linmap(q)
-    id1 = LinMap.identity(dom, 1, ring)
-    id2 = id1.tens(id1)
-    id3 = id2.tens(id1)
-    sig = LinMap.sigma(dom, ring)
-    qsig = qm.compose(sig)
-    lhs = (
-        qsig.tens(id3)
-        .compose(id1.tens(qm).tens(id1))
-        .compose(sig.tens(id2))
-        .compose(id1.tens(qm))
-    )
-    rhs = (
-        id2.tens(sig).tens(id2)
-        .compose(id3.tens(qsig))
-        .compose(id1.tens(qm).tens(id1))
-        .compose(id2.tens(sig))
-        .compose(qm.tens(id1))
-    )
-    return lhs, rhs
-
-
-def padded_pentagon_sides(s):
-    """S12 S13 S23 and S23 S12 with padded identity wires."""
-    dom, ring = s.tensor.domain, s.tensor.ring
-    id1 = LinMap.identity(dom, 1, ring)
-    idsig = id1.tens(LinMap.sigma(dom, ring))
-    s12, s23 = s.tens(id1), id1.tens(s)
-    s13 = idsig.compose(s.tens(id1)).compose(idsig)
-    return s12.compose(s13).compose(s23), s23.compose(s12)
 
 
 P33_REFERENCE_CASES = [f"bichar:{g}" for g in ("Z2", "Z3", "Z4", "Z2xZ2")] + [
@@ -352,123 +326,6 @@ def test_pentagon_rejects_wrong_shape():
 # -- families ------------------------------------------------------------------
 
 
-def pin(t, slot, value):
-    """Fix one slot of t to a value and drop it."""
-    entries = {}
-    for key, val in t.entries.items():
-        if key[slot] == value:
-            entries[key[:slot] + key[slot + 1 :]] = val
-    variances = t.variances[:slot] + t.variances[slot + 1 :]
-    return GroupTensor(t.domain, variances, entries, t.ring)
-
-
-def build_families(sol) -> dict:
-    """Pin one output slot of Q each way: X^a (slot 0), Y^a (slot 2), Z^a (slot 4).
-
-    Each member is a map on V (x) V; pinning leaves four slots which are
-    reordered into the (outs, ins) layout.
-    """
-    q = sol.q if isinstance(sol, SolutionSpec) else sol
-    if q.arity != 5 or q.variances != (UP, DOWN, UP, DOWN, UP):
-        raise ValueError("family construction needs the 5-slot solution tensor")
-    fams = {}
-    for name, slot, perm in [("X", 0, [1, 3, 0, 2]), ("Y", 2, [0, 3, 1, 2]), ("Z", 4, [0, 2, 1, 3])]:
-        fams[name] = {
-            a: LinMap(pin(q, slot, a).permute(perm), 2, 2) for a in q.domain.elements()
-        }
-    return fams
-
-
-def linmap_sum(domain, ring, terms, weight) -> LinMap:
-    """Weighted sum of maps on V^3, scaled by weight."""
-    acc = {}
-    for coeff, lm in terms:
-        if not coeff:
-            continue
-        for key, val in lm.tensor.entries.items():
-            prod = coeff * val
-            prev = acc.get(key)
-            acc[key] = prod if prev is None else prev + prod
-    entries = {k: weight * v for k, v in acc.items()}
-    return LinMap(GroupTensor(domain, (UP,) * 3 + (DOWN,) * 3, entries, ring), 3, 3)
-
-
-def padded_yb_identities(sol, backend="exact", rel=1e-9):
-    """verify_yb_family as first transcribed: the pinned family members
-    padded to maps on V^3 (the 13-slot ones between sigma sandwiches), pair
-    products memoised, and the sums over s, t written out as weighted sums
-    of pair products.  Yields, one identity at a time and only when asked,
-    its name and its (index triple, Report) comparisons over every triple."""
-    q = in_backend(sol.q, backend)
-    dom, ring = q.domain, q.ring
-    fams = build_families(q)
-    id1 = LinMap.identity(dom, 1, ring)
-    idsig = id1.tens(LinMap.sigma(dom, ring))
-
-    def e12(m):
-        return m.tens(id1)
-
-    def e23(m):
-        return id1.tens(m)
-
-    def e13(m):
-        return idsig.compose(m.tens(id1)).compose(idsig)
-
-    elems = list(dom.elements())
-    x12 = {a: e12(fams["X"][a]) for a in elems}
-    x23 = {a: e23(fams["X"][a]) for a in elems}
-    x13 = {a: e13(fams["X"][a]) for a in elems}
-    y13 = {a: e13(fams["Y"][a]) for a in elems}
-    z12 = {a: e12(fams["Z"][a]) for a in elems}
-    z23 = {a: e23(fams["Z"][a]) for a in elems}
-    z13 = {a: e13(fams["Z"][a]) for a in elems}
-    c2 = ring.radical(-2)
-
-    def pairs(left, right):
-        return functools.cache(lambda a, b: left[a].compose(right[b]))
-
-    x12_x23, z23_z12 = pairs(x12, x23), pairs(z23, z12)
-    x23_x13, z12_z13 = pairs(x23, x13), pairs(z12, z13)
-
-    def sides(rel_name, a, b, cc):
-        if rel_name == "pe1":
-            i, l, m = a, b, cc
-            terms = [(q.entry((i, s, l, t, m)), x12_x23(s, t)) for s in elems for t in elems]
-            return linmap_sum(dom, ring, terms, c2), x23_x13(m, l).compose(x12[i])
-        if rel_name == "pe2":
-            m, n, k = a, b, cc
-            terms = [(q.entry((m, s, n, t, k)), z23_z12(t, s)) for s in elems for t in elems]
-            return z12_z13(m, n).compose(z23[k]), linmap_sum(dom, ring, terms, c2)
-        i, j, k = a, b, cc
-        return x12[i].compose(y13[j]).compose(z23[k]), z23[k].compose(y13[j]).compose(x12[i])
-
-    for rel_name in ("pe1", "pe2", "ybe"):
-        comparisons = []
-        for triple in itertools.product(elems, repeat=3):
-            lhs, rhs = sides(rel_name, *triple)
-            comparisons.append((triple, tensor_equal(lhs.tensor, rhs.tensor, rel)))
-        yield rel_name, comparisons
-
-
-def fold_padded_identities(sol, backend, identities):
-    """The padded reference's report: its comparisons folded triple by
-    triple, counting the triples compared up to the first failing one."""
-    counts = {"pe1_triples": 0, "pe2_triples": 0, "ybe_triples": 0}
-
-    def comparisons():
-        for rel_name, triples in identities:
-            for triple, rep in triples:
-                counts[f"{rel_name}_triples"] += 1
-                yield f"{rel_name}[{_fmt_key(triple)}]", rep
-
-    ring = in_backend(sol.q, backend).ring
-    return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
-
-
-def padded_yb_family(sol, backend="exact", rel=1e-9):
-    return fold_padded_identities(sol, backend, padded_yb_identities(sol, backend, rel))
-
-
 def test_family_members_pin_slots_of_q():
     group = FinAbGroup([2])
     sol = q_from_bicharacter(group)
@@ -580,7 +437,7 @@ def recorded_sides(check, sol, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(verify, "tensor_equal", record)
-        patch.setitem(globals(), "tensor_equal", record)
+        patch.setattr(reference, "tensor_equal", record)
         assert check(sol, "exact")
     return sides
 
@@ -669,10 +526,10 @@ def test_yb_fold_failing_in_pe1_builds_no_later_side(monkeypatch):
 
 
 def recorded_words(checks, monkeypatch):
-    """The (word, start, order) of every _apply_word call the checks make,
+    """The (word, start, order) of every apply_word call the checks make,
     each with its folded result."""
     calls = []
-    apply_word = verify._apply_word
+    apply_word = verify.apply_word
 
     def recording(word, x, order=None):
         got = apply_word(word, x, order)
@@ -680,21 +537,10 @@ def recorded_words(checks, monkeypatch):
         return got
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "_apply_word", recording)
+        patch.setattr(verify, "apply_word", recording)
         for check, *args in checks:
             check(*args)
     return calls
-
-
-def factor_by_factor(word, x, order):
-    """The word applied one factor at a time: one join per map, each wire
-    permutation through _permute_window, and the order through permute."""
-    for factor, at in reversed(word):
-        if factor.wires is None:
-            x = factor.compose(x, at=at)
-        else:
-            x = LinMap(factor._permute_window(x.tensor, at), x.n_out, x.n_in)
-    return x.tensor if order is None else x.tensor.permute(order)
 
 
 def word_checks(backend):
@@ -704,9 +550,10 @@ def word_checks(backend):
     sols = [parse_solution(d) for d in catalog() if d != "set"]
     sols += [perturb_q(parse_solution("bichar:Z3"), seed) for seed in range(20)]
     for sol in sols:
-        # a perturbed Q fails pe1, so the yb fold builds its two sides only
+        # Q sigma and the two p33 sides; a perturbed Q fails pe1, so the yb
+        # fold builds its two sides only
         yb_words = 2 if "perturbed" in sol.descriptor else 6
-        yield sol.descriptor, [(verify_p33, sol, backend), (verify_yb_family, sol, backend)], 2 + yb_words
+        yield sol.descriptor, [(verify_p33, sol, backend), (verify_yb_family, sol, backend)], 3 + yb_words
         if sol.descriptor.startswith("triple:"):
             name = sol.descriptor.rsplit(":", 1)[1]
             s = pentagon_map(triple_from_table(named_group_table(name), name))
@@ -741,7 +588,7 @@ def test_folded_words_keep_the_wire_weight_judgement(monkeypatch):
     monkeypatch.setattr(ScalarRing, "radical", lambda self, e=1: original(self, abs(e)))
     sol = parse_solution("bichar:Z3")
     calls = recorded_words([(verify_p33, sol, "exact"), (verify_yb_family, sol, "exact")], monkeypatch)
-    assert len(calls) == 4  # the fold stops at a failing pe1
+    assert len(calls) == 5  # Q sigma, both p33 sides; the fold stops at a failing pe1
     for word, x, order, got in calls:
         assert_identical_entries(got.tensor, factor_by_factor(word, x, order))
     assert verify_p33(sol).verdict == "fail"
