@@ -217,7 +217,7 @@ def cmd_moves_walk(args):
                 out += [f"moves={applied}", "verdict=fail", "witness=euler characteristic changed"]
                 print("\n".join(out))
                 return EXIT_FAIL
-    except ValueError as exc:  # past simplicial.FACE_NODES_LIMIT or statesum.SPLITTINGS_LIMIT
+    except ValueError as exc:  # past simplicial.FACE_NODES_LIMIT or SPLITTINGS_LIMIT
         raise UsageError(str(exc)) from exc
     out += [
         f"moves={applied}",
@@ -234,7 +234,7 @@ def cmd_moves_apply(args):
     p, q = _parse_move_type(args.type, t.dim)
     try:
         sites = all_sites(t, p)
-    except ValueError as exc:  # past statesum.SPLITTINGS_LIMIT
+    except ValueError as exc:  # past simplicial.SPLITTINGS_LIMIT
         raise UsageError(str(exc)) from exc
     if not sites:
         raise UsageError(f"no ({p},{q}) site in {args.tri}")

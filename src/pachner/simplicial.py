@@ -19,7 +19,9 @@ the produced site).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -57,24 +59,51 @@ def _pos(j: int, i: int) -> int:
 # stay within 138 (4,278 nodes).
 FACE_NODES_LIMIT = 1 << 18
 
+# A (p, q) move in dimension d has C(d + 2, p) splittings.  all_sites asks
+# find_move_sites for each in turn, and the first of those searches lists
+# the sites of all of them; either refuses a move with more than this many
+# before it starts.  The (10,10) move of a single 18-simplex (C(20, 10) =
+# 184,756 splittings, 1.4 s through all_sites with Python 3.11 on a shared
+# 2-core VM) passes; the (11,11) move of a 20-simplex (C(22, 11) = 705,432)
+# does not.
+SPLITTINGS_LIMIT = 1 << 18
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
 
-    def find(self, x):
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+def _new_forest(size: int) -> list:
+    """A union-find forest over the integers 0 .. size - 1 as a parent
+    list, every node its own root."""
+    return list(range(size))
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+
+# called only past the FACE_NODES_LIMIT check, so for 18 positions at most
+@functools.cache
+def _subset_masks(size: int) -> tuple:
+    """The nonempty position subsets of ``size`` positions as bit masks, in
+    ``itertools.combinations`` order: by size, then lexicographically."""
+    return tuple(
+        sum(1 << p for p in positions)
+        for k in range(1, size + 1)
+        for positions in itertools.combinations(range(size), k)
+    )
+
+
+def _spread_masks(width: int, i: int) -> list:
+    """The nonempty subsets of the facet missing position i of a simplex
+    with ``width`` vertices, as masks over the simplex's positions, in the
+    order of ``_subset_masks(width - 1)``."""
+    low = (1 << i) - 1
+    return [(m & low) | ((m & ~low) << 1) for m in _subset_masks(width - 1)]
+
+
+def check_move_size(dim: int, p: int) -> None:
+    """Raise ValueError when the (p, dim + 2 - p) move has more than
+    SPLITTINGS_LIMIT splittings."""
+    splittings = math.comb(dim + 2, p)
+    if splittings > SPLITTINGS_LIMIT:
+        raise ValueError(
+            f"({p},{dim + 2 - p}) moves in dimension {dim} have {splittings} splittings, "
+            f"over the limit of {SPLITTINGS_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,8 +127,9 @@ class Triangulation:
     addressed by entry index, never by vertex set.
 
     A triangulation is immutable once built (``gluing`` is a read-only
-    mapping), so its labels, face classes and site-search index are each
-    built at most once, on first use, and kept on the instance.
+    mapping), so its labels, face classes, site-search index and the move
+    sites of each size |I| are each built at most once, on first use, and
+    kept on the instance.
     """
 
     def __init__(self, dim: int, simplexes, gluing=None):
@@ -121,6 +151,7 @@ class Triangulation:
             self.gluing = MappingProxyType(dict(gluing))
             self._validate_gluing()
         self._labels = self._classes = self._index = None
+        self._sites = {}
 
     # -- construction helpers ------------------------------------------
 
@@ -206,49 +237,104 @@ class Triangulation:
         return self._classes
 
     def _build_face_classes(self) -> dict:
-        nodes = len(self.simplexes) * (2 ** (self.dim + 1) - 1)
+        width = self.dim + 1
+        nodes = len(self.simplexes) * ((1 << width) - 1)
         if nodes > FACE_NODES_LIMIT:
             raise ValueError(
                 f"face classes of {len(self.simplexes)} top simplexes of dimension {self.dim} "
                 f"need {nodes} nodes, over the limit of {FACE_NODES_LIMIT}"
             )
-        uf = _UnionFind()
-        for e, (vertices, _) in enumerate(self.simplexes):
-            for k in range(1, len(vertices) + 1):
-                for sub in itertools.combinations(vertices, k):
-                    uf.find((e, sub))
-        seen = set()
-        for occ, partner in self.gluing.items():
-            pair = frozenset((occ, partner))
-            if pair in seen:
+        # node e * 2**width + mask stands for (e, the vertices of entry e at
+        # the mask's positions); mask 0 is never used.  Both walks up the
+        # forest halve the path they take.
+        parent = _new_forest(len(self.simplexes) << width)
+        spread = {}
+        done = set()
+        for (e, i), (e2, i2) in self.gluing.items():
+            if (e2, i2) in done:
                 continue
-            seen.add(pair)
-            (e, i), (e2, _) = occ, partner
-            face = self.facet(e, i)
-            for k in range(1, len(face) + 1):
-                for sub in itertools.combinations(face, k):
-                    uf.union((e, sub), (e2, sub))
+            done.add((e, i))
+            for j in (i, i2):
+                if j not in spread:
+                    spread[j] = _spread_masks(width, j)
+            base, base2 = e << width, e2 << width
+            # the same vertex subset of the glued facet, seen from either side
+            for m, m2 in zip(spread[i], spread[i2]):
+                x, y = base + m, base2 + m2
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    parent[y] = x
         classes: dict = {}
-        for key in uf.parent:
-            classes.setdefault(uf.find(key), set()).add(key)
-        return {root: frozenset(members) for root, members in classes.items()}
+        names = {}
+        masks = _subset_masks(width)
+        for e, (vertices, _) in enumerate(self.simplexes):
+            base = e << width
+            subsets = (sub for k in range(1, width + 1) for sub in itertools.combinations(vertices, k))
+            for mask, sub in zip(masks, subsets):
+                node = x = base + mask
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                if x == node:
+                    names[x] = (e, sub)
+                classes.setdefault(x, []).append((e, sub))
+        return {names[root]: frozenset(members) for root, members in classes.items()}
 
-    def _site_index(self) -> tuple:
-        """(by_tuple, cones) for find_move_sites: vertex tuple to entries,
-        and per entry e the simplexes e + v, keyed by the position of v,
-        for each v opposite e across a glued facet."""
+    def _site_index(self) -> dict:
+        """The site-search candidates: each n-simplex phi = e + v, for an
+        entry e and a vertex v opposite e across a glued facet, mapped to
+        {position of v in phi: {e: sign(e) * (-1)**position}}."""
         if self._index is None:
-            by_tuple: dict[tuple, list[int]] = {}
-            for e, (vertices, _) in enumerate(self.simplexes):
-                by_tuple.setdefault(vertices, []).append(e)
-            cones: list[dict[int, set[tuple]]] = [{} for _ in self.simplexes]
+            index: dict[tuple, dict[int, dict[int, int]]] = {}
             for (e, _), (e2, f2) in self.gluing.items():
-                vertices, v = self.simplexes[e][0], self.simplexes[e2][0][f2]
+                vertices, sign = self.simplexes[e]
+                v = self.simplexes[e2][0][f2]
                 if v not in vertices:
                     phi = tuple(sorted(vertices + (v,)))
-                    cones[e].setdefault(phi.index(v), set()).add(phi)
-            self._index = (by_tuple, cones)
+                    k = phi.index(v)
+                    index.setdefault(phi, {}).setdefault(k, {})[e] = sign * (-1) ** k
+            self._index = {
+                phi: {k: dict(sorted(rows[k].items())) for k in sorted(rows)}
+                for phi, rows in sorted(index.items())
+            }
         return self._index
+
+    def _move_sites(self, p: int) -> dict:
+        """The sites of every (p, n + 1 - p) move, p >= 2, keyed by I, each
+        tuple in (phi, entries) order; enumerated on first use of size p."""
+        if p not in self._sites:
+            self._sites[p] = self._enumerate_sites(p)
+        return self._sites[p]
+
+    def _enumerate_sites(self, p: int) -> dict:
+        n = self.dim + 1
+        gluing = self.gluing
+        by_I: dict[tuple, list] = {}
+        for phi, rows in self._site_index().items():
+            for i0, row in rows.items():
+                for e0, eps in row.items():
+                    # every other entry of a site is e0's partner across the
+                    # facet missing that entry's position, so one per position
+                    # (glued facets share their vertices, so a partner in the
+                    # row is glued along its facet missing e0's position)
+                    mates = []
+                    for i in rows:
+                        if i > i0:
+                            partner = gluing.get((e0, _pos(i, i0)))
+                            if partner and rows[i].get(partner[0]) == eps:
+                                mates.append((i, partner[0]))
+                    for chosen in itertools.combinations(mates, p - 1):
+                        if all(
+                            gluing.get((e, _pos(i2, i))) == (e2, _pos(i, i2))
+                            for (i, e), (i2, e2) in itertools.combinations(chosen, 2)
+                        ):
+                            I = (i0, *(i for i, _ in chosen))
+                            J = tuple(k for k in range(n + 1) if k not in I)
+                            entries = (e0, *(e for _, e in chosen))
+                            by_I.setdefault(I, []).append(MoveSite(n, I, J, phi, entries, eps))
+        return {I: tuple(sites) for I, sites in by_I.items()}
 
     def euler_characteristic(self) -> int:
         total = 0
@@ -388,6 +474,22 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     mutual gluings along the internal faces.  For |I| = 1 only I = {n} is
     supported; the fresh vertex is max(labels)+1, which is order
     consistent exactly in the last position.
+
+    For |I| >= 2 every entry of a site is glued to the others, so phi is
+    one of its cones, an entry plus the vertex opposite it across a glued
+    facet; the first search of a size lists the sites of every splitting
+    of that size from the cones at once (``Triangulation._move_sites``) and
+    later searches of that size on ``t`` read them.  Each call returns a
+    new list.  Raises ValueError, before enumerating anything, when the
+    move has more than SPLITTINGS_LIMIT splittings.
+
+    No face interior to a site touches an entry outside it, so that move
+    condition needs no check of its own.  Such a face is phi minus a set D
+    of positions of I; for |D| = 1 it is a site entry itself, and for
+    |D| >= 2 it lies in the entries at the positions in D, and each of
+    their facets containing it is one of the pairwise gluings required
+    above.  A facet is glued at most once, so no identification of the
+    face leaves those entries.
     """
     n = t.dim + 1
     I, J = _check_splitting(n, I, J)
@@ -402,54 +504,17 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
             sites.append(MoveSite(n, I, J, phi, (e,), eps))
         return sites
 
-    # No face interior to a site touches an entry outside it, so that move
-    # condition needs no check of its own.  Such a face is phi minus a set D
-    # of positions of I; for |D| = 1 it is a site entry itself, and for
-    # |D| >= 2 it lies in the entries at the positions in D, and each of
-    # their facets containing it is one of the pairwise gluings required
-    # below.  A facet is glued at most once, so no identification of the
-    # face leaves those entries.
-    by_tuple, cones = t._site_index()
-    i0 = I[0]
-    sites = []
-
-    def glued(e1, f1, e2, f2):
-        return t.gluing.get((e1, f1)) == (e2, f2)
-
-    for e0, (_, sign0) in enumerate(t.simplexes):
-        # every other entry of a site is glued to e0 and carries v = phi[i0],
-        # so phi is one of e0's cones: v lies opposite e0 across a glued facet
-        for phi in cones[e0].get(i0, ()):
-            eps = sign0 * (-1) ** i0
-            # assign entries to the remaining positions of I in order
-            def extend(assigned, remaining):
-                if not remaining:
-                    entries = tuple(assigned[i] for i in I)
-                    sites.append(MoveSite(n, I, J, phi, entries, eps))
-                    return
-                i = remaining[0]
-                want = phi[:i] + phi[i + 1 :]
-                for cand in by_tuple.get(want, ()):
-                    if cand in assigned.values():
-                        continue
-                    if t.simplexes[cand][1] != eps * (-1) ** i:
-                        continue
-                    if all(
-                        glued(cand, _pos(ip, i), assigned[ip], _pos(i, ip))
-                        for ip in assigned
-                    ):
-                        assigned[i] = cand
-                        extend(assigned, remaining[1:])
-                        del assigned[i]
-
-            extend({i0: e0}, I[1:])
-
-    sites.sort(key=lambda s: (s.phi, s.entries))
-    return sites
+    check_move_size(t.dim, len(I))
+    return list(t._move_sites(len(I)).get(I, ()))
 
 
 def apply_move(t: Triangulation, site: MoveSite) -> Triangulation:
-    """Replace the I-side of the site by the J-side, regluing the seam."""
+    """Replace the I-side of the site by the J-side, regluing the seam.
+
+    Raises ValueError for a stale site, one that ``find_move_sites`` does
+    not return on t; once t's sites of that size are listed, that check is
+    a lookup.  The moved complex validates its gluing as it is built.
+    """
     current = find_move_sites(t, site.I, site.J)
     if site not in current:
         raise ValueError("stale site: it does not match the triangulation")

@@ -35,12 +35,11 @@ import collections
 import functools
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
 from .scalars import compare
-from .simplicial import Triangulation, find_move_sites, apply_move
+from .simplicial import Triangulation, apply_move, check_move_size, find_move_sites
 from .solutions import SolutionSpec
 from .tensors import GroupTensor, UP, DOWN, Report, contract, in_backend
 
@@ -229,27 +228,16 @@ def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "ex
     return ring.radical(-npair) * total
 
 
-# all_sites searches each of the C(dim + 2, p) splittings of a (p, q) move
-# in turn; a search over more than this many is refused before the first.
-# The (10,10) move of a single 18-simplex (C(20, 10) = 184,756 splittings,
-# 1.6 s) passes; the (11,11) move of a 20-simplex (C(22, 11) = 705,432)
-# does not.
-SPLITTINGS_LIMIT = 1 << 18
-
-
 def all_sites(t: Triangulation, p: int):
     """Move sites of type (p, n+1-p) over every splitting, in a fixed order.
 
+    The first splitting's search enumerates the sites of every splitting
+    of size p (``find_move_sites``); the others read them from ``t``.
     Raises ValueError, before the first site search, when the move has
-    more than SPLITTINGS_LIMIT splittings.
+    more than simplicial.SPLITTINGS_LIMIT splittings.
     """
     n = t.dim + 1
-    splittings = math.comb(n + 1, p)
-    if splittings > SPLITTINGS_LIMIT:
-        raise ValueError(
-            f"({p},{n + 1 - p}) moves in dimension {t.dim} have {splittings} splittings, "
-            f"over the limit of {SPLITTINGS_LIMIT}"
-        )
+    check_move_size(t.dim, p)
     sites = []
     for I in itertools.combinations(range(n + 1), p):
         J = tuple(sorted(set(range(n + 1)) - set(I)))

@@ -392,7 +392,8 @@ class LinMap:
         apply next, each ``_rescale``d, and ``order`` reorders the slots
         last, as in ``permute`` (outputs stay first): the contraction
         builds every key in its final slot order.  Raises ValueError,
-        before the join, when ``at`` is missing or the window does not fit.
+        before the join, when ``at`` is missing, a window does not fit, or
+        a folded permutation's domain or backend is not self's.
         """
         n_out, n_in, m = self.n_out, self.n_in, other.n_out
         if at is None or not 0 <= at <= m - n_in:
@@ -400,6 +401,7 @@ class LinMap:
         outs = n_out + m - n_in
         slots = [*range(n_out, n_out + at), *range(n_out), *range(n_out + at, outs + other.n_in)]
         for p, a in then:
+            _check_same_backend(p.tensor, self.tensor)
             if p.wires is None or not 0 <= a <= outs - p.n_in:
                 raise ValueError(f"cannot fold {p!r} at wire {a} of {outs} outputs")
             slots[a : a + p.n_in] = [slots[a + j] for j in p.wires]
@@ -417,7 +419,6 @@ class LinMap:
         w meeting k measure weights, in t's ring) where the domain's exact
         ring finds r**k * r**-k is not its one: in floats, where r * r**-1
         rounds to 1 +- 1 ulp for some orders, a wire never rescales."""
-        _check_same_backend(self.tensor, t)
         k, exact = self.n_in, self.tensor.domain.ring
         if exact.radical(k) * exact.radical(-k) != exact.one:
             scale = next(iter(self.tensor.entries.values())) * t.ring.radical(-k)

@@ -4,8 +4,9 @@ Each is written from its definition, independently of the code path it
 checks: outer products as loops over entry pairs, window permutations
 as ``GroupTensor.permute`` then ``_rescale``, the relation sides with
 every identity wire built as a tensor and the printed factors folded
-left to right, and joins as first written.  Test modules import from
-here and from no other test module.
+left to right, joins as first written, face classes as a union-find over
+(entry, vertex subset) tuples, and move sites by trying every vertex
+label.  Test modules import from here and from no other test module.
 """
 
 import functools
@@ -15,6 +16,7 @@ import struct
 import numpy as np
 
 from pachner.scalars import ComplexRing
+from pachner.simplicial import MoveSite
 from pachner.solutions import SolutionSpec
 from pachner.tensors import DOWN, UP, GroupTensor, LinMap, _fmt_key, in_backend, tensor_equal
 from pachner.verify import _judge, q_as_linmap
@@ -276,3 +278,107 @@ def fold_padded_identities(sol, backend, identities):
 
 def padded_yb_family(sol, backend="exact", rel=1e-9):
     return fold_padded_identities(sol, backend, padded_yb_identities(sol, backend, rel))
+
+
+# -- simplicial complexes from their definitions ---------------------------------
+
+
+def face_classes(t):
+    """The faces of every dimension as a set of classes, each the frozenset
+    of its (entry, vertex subset) occurrences: a union-find over those
+    tuples in which every subset of a glued facet is identified with the
+    same subset of its partner."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e, (vertices, _) in enumerate(t.simplexes):
+        for k in range(1, len(vertices) + 1):
+            for sub in itertools.combinations(vertices, k):
+                parent[(e, sub)] = (e, sub)
+    for (e, i), (e2, _) in t.gluing.items():
+        face = t.facet(e, i)
+        for k in range(1, len(face) + 1):
+            for sub in itertools.combinations(face, k):
+                rx, ry = find((e, sub)), find((e2, sub))
+                if rx != ry:
+                    parent[ry] = rx
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), set()).add(x)
+    return {frozenset(members) for members in classes.values()}
+
+
+def _site_interior_ok(I, phi, entries, rep, class_entries):
+    """No face interior to the site may touch an entry outside it.
+
+    Interior faces are phi(W) for J subseteq W, proper, with complement
+    inside I; each is carried by the entry realizing any position of I
+    outside W.
+    """
+    n = len(phi) - 1
+    entry_set = set(entries)
+    for drop_size in range(1, len(I) + 1):
+        for dropped in itertools.combinations(I, drop_size):
+            w = [k for k in range(n + 1) if k not in dropped]
+            face = tuple(phi[k] for k in w)
+            carrier = entries[I.index(dropped[0])]
+            if not class_entries[rep[(carrier, face)]] <= entry_set:
+                return False
+    return True
+
+
+def exhaustive_move_sites(t, I, J, classes):
+    """find_move_sites for |I| >= 2 as it was written first: every pair of
+    an entry e0 and a vertex label v is tried as phi = sorted(e0 + v), and
+    every match must pass the interior check on t's ``face_classes``."""
+    n = t.dim + 1
+    rep = {occ: members for members in classes for occ in members}
+    class_entries = {members: frozenset(e for e, _ in members) for members in classes}
+    by_tuple = {}
+    for e, (vertices, _) in enumerate(t.simplexes):
+        by_tuple.setdefault(vertices, []).append(e)
+    labels = sorted({v for vertices, _ in t.simplexes for v in vertices})
+    i0 = I[0]
+    sites = []
+
+    def pos(j, i):
+        return j - 1 if j > i else j
+
+    def glued(e1, f1, e2, f2):
+        return t.gluing.get((e1, f1)) == (e2, f2)
+
+    for e0, (verts0, sign0) in enumerate(t.simplexes):
+        for v in labels:
+            if v in verts0:
+                continue
+            phi = tuple(sorted(verts0 + (v,)))
+            if phi.index(v) != i0:
+                continue
+            eps = sign0 * (-1) ** i0
+
+            def extend(assigned, remaining):
+                if not remaining:
+                    entries = tuple(assigned[i] for i in I)
+                    if _site_interior_ok(I, phi, entries, rep, class_entries):
+                        sites.append(MoveSite(n, I, J, phi, entries, eps))
+                    return
+                i = remaining[0]
+                want = phi[:i] + phi[i + 1 :]
+                for cand in by_tuple.get(want, ()):
+                    if cand in assigned.values():
+                        continue
+                    if t.simplexes[cand][1] != eps * (-1) ** i:
+                        continue
+                    if all(glued(cand, pos(ip, i), assigned[ip], pos(i, ip)) for ip in assigned):
+                        assigned[i] = cand
+                        extend(assigned, remaining[1:])
+                        del assigned[i]
+
+            extend({i0: e0}, I[1:])
+
+    sites.sort(key=lambda s: (s.phi, s.entries))
+    return sites

@@ -408,7 +408,7 @@ def test_moves_apply_unwritable_out_is_a_usage_error(capsys, tmp_path, sphere_fi
 def test_moves_refuse_complexes_past_the_face_node_limit(capsys, monkeypatch, tmp_path, verb):
     path = tmp_path / "dim18.tri"
     path.write_text("dim 18\nsimp " + " ".join(map(str, range(19))) + " +\n")
-    monkeypatch.setattr("pachner.simplicial._UnionFind", lambda: pytest.fail("built face classes"))
+    monkeypatch.setattr("pachner.simplicial._new_forest", lambda *args: pytest.fail("built face classes"))
     code, out, err = run(capsys, ["moves", *verb, "--tri", str(path), "--type", "10,10"])
     assert_one_error_line(code, err)
     # the walk refuses when it computes chi; a site search builds no face classes

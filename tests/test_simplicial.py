@@ -7,9 +7,7 @@ import pytest
 from pachner import simplicial
 from pachner.simplicial import (
     FACE_NODES_LIMIT,
-    MoveSite,
     Triangulation,
-    _pos,
     apply_move,
     boundary_face,
     compose_maps,
@@ -18,6 +16,7 @@ from pachner.simplicial import (
     pachner_sides,
     simplex_boundary,
 )
+from reference import exhaustive_move_sites, face_classes
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -330,77 +329,6 @@ def test_site_index_matches_a_fresh_build():
             t = apply_move(t, rng.choice(found))
 
 
-def _site_interior_ok(t, I, J, phi, entries, rep, class_entries):
-    """No face interior to the site may touch an entry outside it.
-
-    Interior faces are phi(W) for J subseteq W, proper, with complement
-    inside I; each is carried by the entry realizing any position of I
-    outside W.
-    """
-    n = len(phi) - 1
-    entry_set = set(entries)
-    for drop_size in range(1, len(I) + 1):
-        for dropped in itertools.combinations(I, drop_size):
-            w = [k for k in range(n + 1) if k not in dropped]
-            face = tuple(phi[k] for k in w)
-            carrier = entries[I.index(dropped[0])]
-            root = rep[(carrier, face)]
-            if not class_entries[root] <= entry_set:
-                return False
-    return True
-
-
-def exhaustive_move_sites(t, I, J):
-    """find_move_sites for |I| >= 2 as it was written first: every pair of
-    an entry e0 and a vertex label v is tried as phi = sorted(e0 + v), and
-    every match must pass the interior check on face classes."""
-    n = t.dim + 1
-    classes = t.face_classes()
-    rep = {occ: root for root, members in classes.items() for occ in members}
-    class_entries = {root: frozenset(e for e, _ in members) for root, members in classes.items()}
-    by_tuple, _ = t._site_index()
-    i0 = I[0]
-    sites = []
-
-    def glued(e1, f1, e2, f2):
-        return t.gluing.get((e1, f1)) == (e2, f2)
-
-    for e0, (verts0, sign0) in enumerate(t.simplexes):
-        for v in t.labels():
-            if v in verts0:
-                continue
-            phi = tuple(sorted(verts0 + (v,)))
-            if phi.index(v) != i0:
-                continue
-            eps = sign0 * (-1) ** i0
-
-            def extend(assigned, remaining):
-                if not remaining:
-                    entries = tuple(assigned[i] for i in I)
-                    if _site_interior_ok(t, I, J, phi, entries, rep, class_entries):
-                        sites.append(MoveSite(n, I, J, phi, entries, eps))
-                    return
-                i = remaining[0]
-                want = phi[:i] + phi[i + 1 :]
-                for cand in by_tuple.get(want, ()):
-                    if cand in assigned.values():
-                        continue
-                    if t.simplexes[cand][1] != eps * (-1) ** i:
-                        continue
-                    if all(
-                        glued(cand, _pos(ip, i), assigned[ip], _pos(i, ip))
-                        for ip in assigned
-                    ):
-                        assigned[i] = cand
-                        extend(assigned, remaining[1:])
-                        del assigned[i]
-
-            extend({i0: e0}, I[1:])
-
-    sites.sort(key=lambda s: (s.phi, s.entries))
-    return sites
-
-
 def test_site_search_matches_the_exhaustive_search():
     # seeded walks over every move type, the balls with boundary that each
     # move starts from and produces, and the shipped complexes, one of
@@ -419,15 +347,90 @@ def test_site_search_matches_the_exhaustive_search():
                 complexes.append(t)
                 found = [s for I, J in all_splittings(dim + 1) for s in find_move_sites(t, I, J)]
                 t = apply_move(t, rng.choice(found))
+        # incoherent orientations: one entry of a walked complex reversed
+        for e in range(0, len(t.simplexes), 3):
+            flipped = [(v, -s if k == e else s) for k, (v, s) in enumerate(t.simplexes)]
+            complexes.append(Triangulation(dim, flipped, t.gluing))
     searched = matched = 0
     for t in complexes:
+        classes = face_classes(t)
         for I, J in all_splittings(t.dim + 1):
             if len(I) >= 2:
                 sites = find_move_sites(t, I, J)
-                assert sites == exhaustive_move_sites(t, I, J)
+                assert sites == exhaustive_move_sites(t, I, J, classes)
                 searched += 1
                 matched += bool(sites)
     assert matched > searched // 10
+
+
+def test_face_classes_equal_the_reference():
+    # the shipped and benchmark complexes (one repeats a vertex tuple),
+    # seeded walks of every move type, and the balls each move starts from
+    # and produces
+    paths = sorted(DATA.glob("*.tri")) + sorted((DATA.parent / "perfbench" / "data").glob("*.tri"))
+    complexes = [Triangulation.load(path) for path in paths]
+    assert any(len({v for v, _ in t.simplexes}) < len(t.simplexes) for t in complexes)
+    rng = random.Random(7)
+    applied = set()
+    for dim in (2, 3, 4):
+        for I, J in all_splittings(dim + 1):
+            complexes.extend(pachner_sides(dim + 1, I, J))
+        for _ in range(3):
+            t = simplex_boundary(dim + 1)
+            # step k moves at a site of size k % (dim + 1) + 1 when there is one
+            for step in range(2 * (dim + 1)):
+                found = [s for I, J in all_splittings(dim + 1) for s in find_move_sites(t, I, J)]
+                sized = [s for s in found if len(s.I) == step % (dim + 1) + 1]
+                site = rng.choice(sized or found)
+                applied.add((dim, len(site.I)))
+                t = apply_move(t, site)
+                complexes.append(t)
+    assert applied == {(dim, p) for dim in (2, 3, 4) for p in range(1, dim + 2)}
+    for t in complexes:
+        classes = t.face_classes()
+        assert set(classes.values()) == face_classes(t)
+        assert all(root in members for root, members in classes.items())
+
+
+def test_each_move_size_is_enumerated_once_per_complex(monkeypatch):
+    built = []
+    enumerate_sites = Triangulation._enumerate_sites
+    monkeypatch.setattr(
+        Triangulation, "_enumerate_sites", lambda t, p: built.append((t, p)) or enumerate_sites(t, p)
+    )
+    t = simplex_boundary(5)
+    rng = random.Random(2)
+    for _ in range(4):
+        built.clear()
+        for _ in range(2):
+            found = [s for I, J in all_splittings(5) for s in find_move_sites(t, I, J)]
+        assert built == [(t, p) for p in range(2, 6)]
+        t = apply_move(t, rng.choice(found))
+
+
+def test_returned_site_lists_belong_to_the_caller():
+    t = simplex_boundary(5)
+    sites = find_move_sites(t, (0, 2, 4), (1, 3, 5))
+    kept = list(sites)
+    sites.clear()
+    again = find_move_sites(t, (0, 2, 4), (1, 3, 5))
+    assert again == kept and again is not sites
+    again.append(again[0])
+    assert find_move_sites(t, (0, 2, 4), (1, 3, 5)) == kept
+    apply_move(t, kept[0])
+
+
+def test_site_search_refuses_past_the_splitting_limit_before_enumerating(monkeypatch):
+    monkeypatch.setattr(Triangulation, "_enumerate_sites", lambda t, p: pytest.fail("enumerated"))
+    monkeypatch.setattr(simplicial, "SPLITTINGS_LIMIT", 19)
+    t = simplex_boundary(5)
+    # the (3,3) move of a pentachoron complex has C(6, 3) = 20 splittings
+    with pytest.raises(ValueError, match=r"\(3,3\) moves in dimension 4 have 20 splittings, over the limit of 19"):
+        find_move_sites(t, (0, 2, 4), (1, 3, 5))
+    assert t._index is None
+    # its (2,4) move has 15, so that search goes ahead
+    with pytest.raises(pytest.fail.Exception, match="enumerated"):
+        find_move_sites(t, (0, 1), (2, 3, 4, 5))
 
 
 def test_site_search_and_moves_build_no_face_classes(monkeypatch):
@@ -455,10 +458,14 @@ def test_face_classes_built_once_per_triangulation(monkeypatch):
 
 def test_face_classes_refuse_a_complex_past_the_node_limit(monkeypatch):
     # one 18-simplex has 2**19 - 1 vertex subsets; none becomes a node
-    monkeypatch.setattr(simplicial, "_UnionFind", lambda: pytest.fail("made a node"))
+    monkeypatch.setattr(simplicial, "_new_forest", lambda *args: pytest.fail("made a node"))
     single = Triangulation(18, [(tuple(range(19)), 1)])
     with pytest.raises(ValueError, match="need 524287 nodes, over the limit of 262144"):
         single.face_classes()
+    # the spy stands in for the one allocator of nodes: a complex within
+    # the limit reaches it
+    with pytest.raises(pytest.fail.Exception, match="made a node"):
+        simplex_boundary(5).face_classes()
     # a single 17-simplex and 8,456 pentachora fit; one more pentachoron does not
     assert 2**18 - 1 <= FACE_NODES_LIMIT and 8456 * 31 <= FACE_NODES_LIMIT < 8457 * 31
 

@@ -10,7 +10,7 @@ import pytest
 from pachner.scalars import Comparison, compare
 from pachner.simplicial import Triangulation, apply_move, simplex_boundary, pachner_sides
 from pachner.solutions import parse_solution, perturb_q
-from pachner import statesum
+from pachner import simplicial, statesum
 from pachner.statesum import (
     all_sites,
     build_assignment,
@@ -434,12 +434,12 @@ def test_sphere_has_twenty_move_sites():
 def test_all_sites_refuses_moves_past_the_splitting_limit(monkeypatch):
     # a single simplex of dimension d has C(d + 2, p) splittings of its
     # (p, d + 2 - p) move; the limit admits the 18-simplex's (10,10) move
-    assert math.comb(20, 10) <= statesum.SPLITTINGS_LIMIT < math.comb(22, 11)
+    assert math.comb(20, 10) <= simplicial.SPLITTINGS_LIMIT < math.comb(22, 11)
     monkeypatch.setattr(statesum, "find_move_sites", lambda *args: pytest.fail("searched"))
     simplex20 = Triangulation(20, [(tuple(range(21)), 1)])
     with pytest.raises(ValueError, match="have 705432 splittings, over the limit of 262144"):
         all_sites(simplex20, 11)
-    monkeypatch.setattr(statesum, "SPLITTINGS_LIMIT", math.comb(22, 11))
+    monkeypatch.setattr(simplicial, "SPLITTINGS_LIMIT", math.comb(22, 11))
     with pytest.raises(pytest.fail.Exception, match="searched"):
         all_sites(simplex20, 11)
 
@@ -554,6 +554,35 @@ def test_walk_searches_only_the_steps_taken(monkeypatch):
     assert list(itertools.islice(steps, 0)) == [] and searched == []
     assert len(list(itertools.islice(steps, 2))) == 2
     assert searched == [3, 2, 3, 2]
+
+
+def recorded_enumerations(monkeypatch):
+    built = []
+    enumerate_sites = Triangulation._enumerate_sites
+    monkeypatch.setattr(
+        Triangulation, "_enumerate_sites", lambda t, p: built.append((t, p)) or enumerate_sites(t, p)
+    )
+    return built
+
+
+def test_a_33_walk_enumerates_size_3_once_per_complex(monkeypatch):
+    built = recorded_enumerations(monkeypatch)
+    searched = [simplex_boundary(5)]
+    for _, t in itertools.islice(walk(searched[0], (3,), random.Random(4)), 6):
+        searched.append(t)
+    assert built == [(t, 3) for t in searched[:-1]]
+
+
+def test_apply_move_after_all_sites_enumerates_nothing(monkeypatch):
+    built = recorded_enumerations(monkeypatch)
+    t = simplex_boundary(5)
+    for p in (2, 3):
+        sites = all_sites(t, p)
+        assert built[-1] == (t, p)
+        del built[:]
+        for site in sites:
+            apply_move(t, site)
+        assert built == []
 
 
 def test_invariance_run_rejects_negative_count():

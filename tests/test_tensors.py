@@ -857,17 +857,27 @@ def test_wire_permutation_compose_takes_its_weight_from_the_ring(monkeypatch):
                for k, v in joined.tensor.entries.items())
 
 
-def test_wire_permutation_compose_checks_backend_and_window():
+def test_wire_permutation_compose_checks_backend_and_window(monkeypatch):
     sig = LinMap.sigma(Z2)
     x = seeded_linmap(Z2, 3, 1, seed=1, density=1.0)
     start = LinMap.identity(Z2, 1)
     floats = [LinMap(m.tensor.to_float(), m.n_out, m.n_in) for m in (x, start)]
+    joins = []
+    for ring in (ScalarRing, ComplexRing):
+        join = ring.join
+        monkeypatch.setattr(ring, "join", lambda *args, join=join: joins.append(args) or join(*args))
+    # every refusal comes before the join the permutation would fold into
     with pytest.raises(ValueError, match="cannot mix exact and float"):
         apply_word([(sig, 0), (floats[0], 0)], floats[1])
     with pytest.raises(ValueError, match="domain mismatch"):
         apply_word([(LinMap.sigma(Z3), 0), (x, 0)], start)
     with pytest.raises(ValueError, match="at wire 2 of 3 outputs"):
         apply_word([(sig, 2), (x, 0)], start)
+    assert joins == []
+    # the spies see the joins of words that pass: one per ring
+    apply_word([(sig, 0), (x, 0)], start)
+    apply_word([(floats[0], 0)], floats[1])
+    assert len(joins) == 2
 
 
 def per_value_compare(ring, a, b, rel):
