@@ -56,8 +56,6 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add
 
-import numpy as np
-
 
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -651,7 +649,8 @@ class ComplexRing:
 
     It has ScalarRing's interface, so tensors and checkers run one code
     path on either backend.  Comparison is approx_equal at relative
-    tolerance rel, so it is never INDETERMINATE.
+    tolerance rel, so it is never INDETERMINATE; compare_entries runs it
+    in numpy, which it imports on first use, so exact runs never load it.
     """
 
     group_order: int
@@ -733,6 +732,8 @@ class ComplexRing:
         operands as Python's max does, so a nan or infinite value gets
         the verdict approx_equal gives it.
         """
+        import numpy as np
+
         keys, values1, values2 = _aligned(entries1, entries2, self.zero)
         n = len(keys)
         a, b = np.fromiter(values1, complex, n), np.fromiter(values2, complex, n)

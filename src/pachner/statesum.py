@@ -231,13 +231,19 @@ def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "ex
 def all_sites(t: Triangulation, p: int):
     """Move sites of type (p, n+1-p) over every splitting, in a fixed order.
 
-    The first splitting's search enumerates the sites of every splitting
-    of size p (``find_move_sites``); the others read them from ``t``.
-    Raises ValueError, before the first site search, when the move has
-    more than simplicial.SPLITTINGS_LIMIT splittings.
+    The order is ``find_move_sites`` on each splitting in turn, I in
+    lexicographic order.  For 2 <= p <= n one enumeration lists the sites
+    of every splitting of size p (``Triangulation._move_sites``), keyed by
+    the splittings that have a site, and they are read in that order, so
+    the C(n + 1, p) splittings are not visited one by one.  Raises
+    ValueError, before any site search, when the move has more than
+    simplicial.SPLITTINGS_LIMIT splittings.
     """
     n = t.dim + 1
     check_move_size(t.dim, p)
+    if 2 <= p <= n:
+        by_I = t._move_sites(p)
+        return [site for I in sorted(by_I) for site in by_I[I]]
     sites = []
     for I in itertools.combinations(range(n + 1), p):
         J = tuple(sorted(set(range(n + 1)) - set(I)))

@@ -33,7 +33,8 @@ entries meets once, already weighted (composing a map whose outputs
 fix its inputs, such as Q, meets every key so).  Likewise ``tensor_equal`` checks
 arity and backend and hands both entry dicts to the ring's
 ``compare_entries``: the exact ring compares each distinct pair of values
-once, and the float ring compares all keys at once in numpy.
+once, and the float ring compares all keys at once in numpy, which it
+imports on first use, so an exact run never loads numpy.
 ``conj`` conjugates each distinct value object once.  Results of
 ``contract``, ``permute`` and ``conj`` are built without the
 constructor's per-entry checks, which they pass by construction.

@@ -54,8 +54,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from .groups import FinAbGroup
 from .solutions import SolutionSpec, q_from_bicharacter, set_q, symmetry_kernels
 from .tensors import (
@@ -419,7 +417,10 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
     pairwise path (_LHS_PATH, _RHS_PATH), DENSE_BYTES_LIMIT is checked
     before allocation, and entries agree within 1e-9 relative and absolute
     tolerance.  The witness is the least mismatching index in C order.
+    numpy is imported here, on first use, so exact runs never load it.
     """
+    import numpy as np
+
     q = sol.q
     if q is None or q.arity != 5:
         raise ValueError("dense oracle needs the 5-slot solution tensor")

@@ -5,8 +5,9 @@ checks: outer products as loops over entry pairs, window permutations
 as ``GroupTensor.permute`` then ``_rescale``, the relation sides with
 every identity wire built as a tensor and the printed factors folded
 left to right, joins as first written, face classes as a union-find over
-(entry, vertex subset) tuples, and move sites by trying every vertex
-label.  Test modules import from here and from no other test module.
+(entry, vertex subset) tuples, move sites by trying every vertex label,
+and the splittings of a move in the order the site lists keep.  Test
+modules import from here and from no other test module.
 """
 
 import functools
@@ -281,6 +282,15 @@ def padded_yb_family(sol, backend="exact", rel=1e-9):
 
 
 # -- simplicial complexes from their definitions ---------------------------------
+
+
+def all_splittings(n):
+    """Every splitting (I, J) of [0..n] with I and J nonempty, by the size
+    of I, then lexicographically: the order statesum.all_sites keeps."""
+    for p in range(1, n + 1):
+        for I in itertools.combinations(range(n + 1), p):
+            J = tuple(k for k in range(n + 1) if k not in I)
+            yield I, J
 
 
 def face_classes(t):

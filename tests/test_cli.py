@@ -1,5 +1,9 @@
 """Command-line behavior: exit codes, report shape, determinism."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,6 +245,47 @@ def test_report_layout(capsys, monkeypatch, argv, code, expected):
     assert run(capsys, argv.split()) == (code, expected, "")
 
 
+# Runs each argv (a JSON list of them in argv[1]) in one fresh interpreter
+# after importing the package, printing the exit code and whether numpy is
+# loaded after each.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import pachner
+from pachner.cli import main
+print(0, "numpy" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argvs,loaded",
+    [
+        (
+            [
+                ["verify", "p33", "--solution", "bichar:Z2"],
+                ["statesum", "--tri", DELTA5, "--solution", "bichar:Z3"],
+                ["moves", "walk", "--tri", DELTA5, "--type", "3,3", "--count", "20"],
+                ["verify", "p33", "--solution", "bichar:Z2", "--backend", "float"],
+            ],
+            [False, False, False, False, True],
+        ),
+        ([["verify", "p33", "--solution", "bichar:Z2", "--oracle", "dense"]], [False, True]),
+    ],
+)
+def test_numpy_loads_only_on_the_float_and_dense_paths(argvs, loaded):
+    path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines() == [f"0 {flag}" for flag in loaded]
+
+
 @pytest.mark.parametrize("group", ["Z3", "Z4"])
 def test_float_statesum_prints_the_same_value_in_either_order(capsys, monkeypatch, group):
     monkeypatch.chdir(REPO)
@@ -422,11 +467,17 @@ def test_moves_refuse_complexes_past_the_face_node_limit(capsys, monkeypatch, tm
 def test_moves_apply_refuses_a_move_past_the_splitting_limit(capsys, monkeypatch, tmp_path):
     path = tmp_path / "dim20.tri"
     path.write_text("dim 20\nsimp " + " ".join(map(str, range(21))) + " +\n")
-    monkeypatch.setattr("pachner.statesum.find_move_sites", lambda *args: pytest.fail("searched"))
-    code, out, err = run(capsys, ["moves", "apply", "--tri", str(path), "--type", "11,11"])
+    monkeypatch.setattr(
+        "pachner.simplicial.Triangulation._move_sites", lambda *args: pytest.fail("searched")
+    )
+    argv = ["moves", "apply", "--tri", str(path), "--type", "11,11"]
+    code, out, err = run(capsys, argv)
     assert_one_error_line(code, err)
     assert "(11,11) moves in dimension 20 have 705432 splittings, over the limit of 262144" in err
     assert out == ""
+    monkeypatch.setattr("pachner.simplicial.SPLITTINGS_LIMIT", 705432)
+    with pytest.raises(pytest.fail.Exception, match="searched"):
+        main(argv)
 
 
 def test_tri_parse_error_carries_line_number(capsys, tmp_path):
@@ -451,7 +502,7 @@ def test_yb_rejects_set_solution(capsys):
 
 
 def test_dense_oracle_refuses_oversized_grids(capsys, monkeypatch):
-    monkeypatch.setattr("pachner.verify.np.zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    monkeypatch.setattr("numpy.zeros", lambda *args, **kwargs: pytest.fail("allocated"))
     code, out, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z8", "--oracle", "dense"])
     assert_one_error_line(code, err)
     assert "GB limit" in err

@@ -5,7 +5,8 @@ Each module may import only the siblings listed in LAYERS.  The checkers
 the one Report type and the backend policy, so neither needs the other.
 The same reading pins the package's surface to its environment: one
 environment variable (the selftest's PACHNER_MUTATE) and no threads or
-processes of its own, and keeps the test modules apart: each imports
+processes of its own, numpy imported only inside the two functions that
+use it, and keeps the test modules apart: each imports
 shared references from tests/reference.py and from no other test module.
 """
 
@@ -105,6 +106,36 @@ def test_no_module_starts_threads_or_processes():
             else:
                 continue
             assert not {m.split(".")[0] for m in modules} & banned, (path.name, modules)
+
+
+def numpy_imports(tree, scope=()) -> set:
+    """The dotted names of the classes and functions around each import of
+    numpy in the tree, "" for one at module level."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found |= numpy_imports(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        if "numpy" in {m.split(".")[0] for m in modules}:
+            found.add(".".join(scope))
+        found |= numpy_imports(node, scope)
+    return found
+
+
+def test_numpy_is_imported_only_inside_the_float_comparison_and_the_dense_oracle():
+    # so importing the package and every exact run leave numpy unloaded
+    found = {
+        (path.stem, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where in numpy_imports(ast.parse(path.read_text()))
+    }
+    assert found == {("scalars", "ComplexRing.compare_entries"), ("verify", "dense_p33_oracle")}
 
 
 def test_no_test_module_imports_another_but_the_reference():

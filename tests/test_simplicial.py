@@ -1,4 +1,3 @@
-import itertools
 import random
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from pachner.simplicial import (
     pachner_sides,
     simplex_boundary,
 )
-from reference import exhaustive_move_sites, face_classes
+from reference import all_splittings, exhaustive_move_sites, face_classes
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -32,13 +31,6 @@ def induced_boundary(t):
                 assert face not in out, "boundary facet seen twice"
                 out[face] = t.simplexes[e][1] * (-1) ** i
     return out
-
-
-def all_splittings(n):
-    for p in range(1, n + 1):
-        for I in itertools.combinations(range(n + 1), p):
-            J = tuple(k for k in range(n + 1) if k not in I)
-            yield I, J
 
 
 # -- face and boundary maps -------------------------------------------------

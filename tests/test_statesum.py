@@ -25,6 +25,7 @@ from pachner.statesum import (
 )
 from pachner.tensors import DOWN, UP, contract, tensor_equal
 from pachner.verify import p33_sides
+from reference import all_splittings
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PERFBENCH_DATA = DATA.parent / "perfbench" / "data"
@@ -435,13 +436,47 @@ def test_all_sites_refuses_moves_past_the_splitting_limit(monkeypatch):
     # a single simplex of dimension d has C(d + 2, p) splittings of its
     # (p, d + 2 - p) move; the limit admits the 18-simplex's (10,10) move
     assert math.comb(20, 10) <= simplicial.SPLITTINGS_LIMIT < math.comb(22, 11)
-    monkeypatch.setattr(statesum, "find_move_sites", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(Triangulation, "_move_sites", lambda *args: pytest.fail("searched"))
     simplex20 = Triangulation(20, [(tuple(range(21)), 1)])
     with pytest.raises(ValueError, match="have 705432 splittings, over the limit of 262144"):
         all_sites(simplex20, 11)
     monkeypatch.setattr(simplicial, "SPLITTINGS_LIMIT", math.comb(22, 11))
     with pytest.raises(pytest.fail.Exception, match="searched"):
         all_sites(simplex20, 11)
+
+
+def test_all_sites_equal_the_search_of_each_splitting_in_turn():
+    # walks over every move type in dimensions 2-4, the balls each move
+    # starts from and produces, and a walked complex with one entry's
+    # orientation reversed; all_sites runs first, on a complex with no
+    # site listed yet
+    rng = random.Random(5)
+    complexes = []
+    for dim in (2, 3, 4):
+        splittings = list(all_splittings(dim + 1))
+        complexes.extend(side for I, J in splittings for side in pachner_sides(dim + 1, I, J))
+        t = simplex_boundary(dim + 1)
+        for _ in range(12):
+            complexes.append(t)
+            found = [s for I, J in splittings for s in simplicial.find_move_sites(t, I, J)]
+            t = apply_move(t, rng.choice(found))
+        flipped = [(v, -s if k == 1 else s) for k, (v, s) in enumerate(t.simplexes)]
+        complexes.append(Triangulation(dim, flipped, t.gluing))
+    found = set()
+    for t in complexes:
+        fresh = Triangulation(t.dim, t.simplexes, t.gluing)
+        for p in range(1, t.dim + 2):
+            expected = [
+                site
+                for I, J in all_splittings(t.dim + 1)
+                if len(I) == p
+                for site in simplicial.find_move_sites(t, I, J)
+            ]
+            assert all_sites(fresh, p) == expected, (t, p)
+            found.update((t.dim, site.I) for site in expected)
+    # every splitting of every dimension has a site somewhere, but the
+    # (1, n) moves, which only I = {n} supports
+    assert len(found) == sum(2 ** (d + 2) - 2 - (d + 1) for d in (2, 3, 4))
 
 
 def test_invariance_run_exact():

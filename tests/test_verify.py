@@ -857,7 +857,7 @@ def test_dense_oracle_refuses_large_grids_before_allocating(monkeypatch):
     # Z6 passes the bound with its comparison temporaries counted, Z7 does not
     assert 56 * 6**9 + 16 * 6**8 <= verify.DENSE_BYTES_LIMIT < 56 * 7**9
     sol = parse_solution("bichar:Z8")
-    monkeypatch.setattr(verify.np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    monkeypatch.setattr("numpy.zeros", lambda *args, **kwargs: pytest.fail("allocated"))
     with pytest.raises(ValueError, match=r"needs 4.29 GB .* plus 3.22 GB for the comparison's 8\^9"):
         dense_p33_oracle(sol)
 
@@ -932,7 +932,7 @@ def test_dense_path_matches_the_pathless_einsum(group, seed):
 
 def test_dense_bound_counts_the_intermediate(monkeypatch):
     sol = parse_solution("bichar:Z3")
-    monkeypatch.setattr(verify.np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    monkeypatch.setattr("numpy.zeros", lambda *args, **kwargs: pytest.fail("allocated"))
     counted = 32 * 3**9 + 16 * 3**8 + 24 * 3**9
     monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", counted - 1)
     with pytest.raises(
