@@ -78,7 +78,9 @@ def _parse_move_type(text: str, dim: int):
         p, q = (int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"move type must look like 3,3 - got {text!r}") from exc
-    if p + q != dim + 2 or p < 1 or q < 1:
+    if p < 1 or q < 1:
+        raise UsageError(f"type ({p},{q}) is not a move: need p, q >= 1")
+    if p + q != dim + 2:
         raise UsageError(f"type ({p},{q}) does not fit dimension {dim}: need p+q={dim + 2}")
     return p, q
 

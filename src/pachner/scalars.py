@@ -28,11 +28,26 @@ Every exact sum, ``+`` included, is ``ScalarRing.sum``: coefficient
 vectors added per radical exponent and put in canonical form once.
 
 A tensor of the finite abelian model holds many entries but few distinct
-values (character values times powers of r), so ``ScalarRing.join``
-computes each product once per distinct pair of operand values, and each
-sum of colliding products once per distinct multiset of such pairs;
-``ScalarRing.compare_entries`` likewise compares two tensors' entries
-once per distinct pair of value objects.
+values (character values times powers of r), so each ring hash-conses its
+scalars: every value the package builds is looked up by its terms in item
+order, and a value the ring already holds is returned as that object.
+Equal values of one ring are then one object, down to the order of their
+terms, and the ring memoises its arithmetic on object identity: the
+general product, the canonical sum, the radical shift and ``radical(e)``
+each run once per distinct operands for the life of the ring's tables.
+Each identity-keyed entry holds its operands, so no id is reused while
+its entry lives.  The tables are bounded: an insertion into a table that
+holds ``SCALAR_TABLE_LIMIT`` entries first drops all of them together.
+A value built after a drop may then be a second object equal to a live
+one; identity still implies equality, so every result stays the same,
+down to the order of its terms.
+
+``ScalarRing.join`` classes each operand's entries by object identity,
+multiplies once per distinct pair of classes, and adds the products
+colliding on a key once per distinct multiset of such pairs; the
+arithmetic behind those calls comes from the ring's tables after its
+first run.  ``ScalarRing.compare_entries`` likewise compares two
+tensors' entries once per distinct pair of value objects.
 
 Both rings' joins write a result entry once, already weighted, when one
 pair of entries meets its key.  A key of the first operand splits into
@@ -55,6 +70,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add
+
+# The most entries one of a ring's arithmetic tables holds; an insertion
+# into a full table first drops all of the ring's tables.
+SCALAR_TABLE_LIMIT = 1 << 14
 
 
 def _poly_mul(a, b):
@@ -116,23 +135,19 @@ def _aligned(entries1, entries2, zero):
 
 
 def _classes(entries):
-    """Class ids of an operand's entries, one per distinct value, and one
-    representative per class.
+    """Class ids of an operand's entries, one per distinct value object,
+    and one representative per class.
 
-    An entry dict keeps its values alive, so ``id`` finds a repeated object
-    at once; other values key on their terms in item order, so the values
-    of one class are equal down to that order.
+    An entry dict keeps its values alive, so an ``id`` names one object
+    for the whole join, and hash-consing makes equal values of one ring
+    one object.
     """
-    by_id, by_terms, reps, classes = {}, {}, [], {}
+    by_id, reps, classes = {}, [], {}
     for key, v in entries.items():
         c = by_id.get(id(v))
         if c is None:
-            terms = tuple(v.terms.items())
-            c = by_terms.get(terms)
-            if c is None:
-                c = by_terms[terms] = len(reps)
-                reps.append(v)
-            by_id[id(v)] = c
+            c = by_id[id(v)] = len(reps)
+            reps.append(v)
         classes[key] = c
     return classes, reps
 
@@ -221,7 +236,39 @@ class ScalarRing:
         # the coefficient vector of a bare radical power r**e
         self._unit = (1,) + (0,) * (self.degree - 1)
         self.zero = Scalar(self, {})
-        self.one = self.integer(1)
+        self.one = Scalar(self, {0: self._unit})
+        # the hash-consing table, terms in item order -> Scalar, and the
+        # identity-keyed memo tables, each entry holding its operands
+        self._values = {}
+        self._products = {}  # (id a, id b) -> (a, b, a * b)
+        self._sums = {}  # ids of the summands -> (summands, their sum)
+        self._shifts = {}  # (id v, e) -> (v, v * r**e)
+        self._radicals = {}  # e -> r**e
+        self._drop_tables()
+
+    def _drop_tables(self):
+        """Empty every table at once, keeping zero and one interned."""
+        for table in (self._values, self._products, self._sums, self._shifts, self._radicals):
+            table.clear()
+        self._values[()] = self.zero
+        self._values[((0, self._unit),)] = self.one
+
+    def _room(self, table):
+        """Make room for one insertion into ``table``, before the value to
+        insert is built: at the limit, drop all of the ring's tables
+        together."""
+        if len(table) >= SCALAR_TABLE_LIMIT:
+            self._drop_tables()
+
+    def _intern(self, terms) -> "Scalar":
+        """The ring's one Scalar with these canonical terms, in this item
+        order."""
+        key = tuple(terms.items())
+        v = self._values.get(key)
+        if v is None:
+            self._room(self._values)
+            v = self._values[key] = Scalar(self, terms)
+        return v
 
     def _build_powers(self):
         deg = self.degree
@@ -298,7 +345,7 @@ class ScalarRing:
     def scalar(self, terms) -> "Scalar":
         """Build a scalar from a map of radical exponent to coefficient vector."""
         reduced = {e: self._reduce(v) for e, v in terms.items()}
-        return Scalar(self, self._canonical(reduced))
+        return self._intern(self._canonical(reduced))
 
     def integer(self, value: int) -> "Scalar":
         return self.scalar({0: (value,)})
@@ -308,8 +355,17 @@ class ScalarRing:
         return self.scalar({0: self._powers[k % self.root_order]})
 
     def radical(self, exponent: int = 1) -> "Scalar":
-        """The formal radical power r**exponent, r**2 = N."""
-        return self.scalar({exponent: (1,)})
+        """The formal radical power r**exponent, r**2 = N.
+
+        Its one term, the unit vector, is canonical as it stands (no
+        coefficient divides by N > 1); for N = 1 it is the ring's one.
+        """
+        v = self._radicals.get(exponent)
+        if v is None:
+            self._room(self._radicals)
+            v = self._intern({exponent if self.group_order > 1 else 0: self._unit})
+            self._radicals[exponent] = v
+        return v
 
     def conj(self, v: "Scalar") -> "Scalar":
         return v.conj()
@@ -320,10 +376,10 @@ class ScalarRing:
         bound1(k1) == bound2(k2); zero sums are dropped.
 
         Each operand's entries fall into value classes, one per distinct
-        value (see ``_classes``).  The weight is one exponent shift (r**-k
-        is a single term with the unit vector; for N = 1 its exponent is
-        0), applied to each distinct value of the operand with fewer
-        entries.  Each distinct class pair is multiplied once.
+        value object (see ``_classes``).  The weight is one exponent shift
+        (r**-k is a single term with the unit vector; for N = 1 its
+        exponent is 0), applied to each distinct value of the operand with
+        fewer entries.  Each distinct class pair is multiplied once.
 
         A key whose head rest1(k1) is unambiguous (see ``_ambiguous``) is
         met by one pair, so it is written once, with that pair's product.
@@ -393,18 +449,27 @@ class ScalarRing:
 
     def sum(self, values) -> "Scalar":
         """The sum of scalars of this ring: coefficient vectors added per
-        radical exponent, then put in canonical form once.
+        radical exponent, then put in canonical form once, memoised on
+        the summands' identities.
 
         Integer sums are order-free and the normal form is unique, so the
         result, down to the order of its terms, equals any sequence of
         pairwise additions.
         """
+        values = tuple(values)
+        key = tuple(map(id, values))
+        hit = self._sums.get(key)
+        if hit is not None:
+            return hit[1]
+        self._room(self._sums)
         merged = {}
         for v in values:
             for e, vec in v.terms.items():
                 acc = merged.get(e)
                 merged[e] = vec if acc is None else tuple(map(add, acc, vec))
-        return Scalar(self, self._canonical(merged))
+        val = self._intern(self._canonical(merged))
+        self._sums[key] = (values, val)
+        return val
 
     def render(self, v: "Scalar") -> str:
         return v.render()
@@ -502,9 +567,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(
-            self.ring,
-            {e: tuple(-c for c in vec) for e, vec in self.terms.items()},
+        return self.ring._intern(
+            {e: tuple(-c for c in vec) for e, vec in self.terms.items()}
         )
 
     def __sub__(self, other):
@@ -523,6 +587,20 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        ring = self.ring
+        key = (id(self), id(other))
+        hit = ring._products.get(key)
+        if hit is not None:
+            return hit[2]
+        ring._room(ring._products)
+        val = self._product(other)
+        ring._products[key] = (self, other, val)
+        return val
+
+    __rmul__ = __mul__
+
+    def _product(self, other) -> "Scalar":
+        """self * other, computed without the product table."""
         # a bare radical power is an exponent shift (see the module docstring)
         unit = self.ring._unit
         for power, body in ((other, self), (self, other)):
@@ -537,13 +615,19 @@ class Scalar:
                 acc = out.setdefault(e1 + e2, [0] * self.ring.degree)
                 for i, v in enumerate(prod):
                     acc[i] += v
-        return Scalar(self.ring, self.ring._canonical(out))
-
-    __rmul__ = __mul__
+        return self.ring._intern(self.ring._canonical(out))
 
     def _shift(self, e: int) -> "Scalar":
         """self * r**e: every exponent moves by e, already canonical."""
-        return Scalar(self.ring, {x + e: v for x, v in self.terms.items()})
+        ring = self.ring
+        key = (id(self), e)
+        hit = ring._shifts.get(key)
+        if hit is not None:
+            return hit[1]
+        ring._room(ring._shifts)
+        val = ring._intern({x + e: v for x, v in self.terms.items()})
+        ring._shifts[key] = (self, val)
+        return val
 
     def conj(self) -> "Scalar":
         """Complex conjugation: z to z^(2L-1) componentwise, r fixed."""
@@ -555,10 +639,7 @@ class Scalar:
                     basis = self.ring._conj[j]
                     for i in range(self.ring.degree):
                         acc[i] += c * basis[i]
-        return Scalar(self.ring, self.ring._canonical(out))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self.ring._intern(self.ring._canonical(out))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -631,7 +712,7 @@ def compare(a: Scalar, b: Scalar) -> Comparison:
         return Comparison.EQUAL
     if len({e % 2 for e in diff.terms}) == 1:
         return Comparison.UNEQUAL
-    even = Scalar(diff.ring, {e: v for e, v in diff.terms.items() if e % 2 == 0})
+    even = diff.ring._intern({e: v for e, v in diff.terms.items() if e % 2 == 0})
     odd = diff - even
     if even * even != odd * odd:
         return Comparison.UNEQUAL

@@ -286,8 +286,11 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
     the weight r**-3 is applied once per distinct sum.  The normal form is
     unique and ``_canonical`` orders its output by parity, so every entry,
     down to the order of its terms, equals the term-by-term sum.  Products
-    and sums made here are classed by their terms, never by ``id``: a
-    duplicate is freed, and a later object may reuse its id.
+    and sums made here are classed by their terms, never by ``id``: once
+    the ring drops its tables (see ``scalars.SCALAR_TABLE_LIMIT``) a
+    product may be a duplicate object that is freed, and a later object
+    may reuse its id.  The ring's own identity-keyed tables hold their
+    operands for that reason.
     """
     by_terms, reps = {}, []
 

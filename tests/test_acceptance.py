@@ -25,6 +25,13 @@ def test_registry_lookup():
         acceptance.by_name("nonsense")
 
 
+def test_only_a_criterion_over_budget_prints_its_time():
+    line = lambda passed, seconds: acceptance.CriterionResult("c", passed, seconds, 5.0, "d").line()
+    assert line(True, 0.5) == "PASS c d"
+    assert line(False, 0.5) == "FAIL c d"
+    assert line(True, 6.25) == "FAIL c [6.25s/5s] d"
+
+
 def test_run_all_honors_selection():
     results = acceptance.run_all(["interval-solution"])
     assert len(results) == 1

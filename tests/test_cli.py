@@ -413,9 +413,16 @@ def test_moves_walk_rejects_negative_count(capsys, sphere_file):
 
 
 def test_moves_walk_bad_type(capsys, sphere_file):
-    code, _, err = run(capsys, ["moves", "walk", "--tri", sphere_file, "--type", "9,9"])
-    assert code == 64
-    assert "dimension" in err
+    # each refusal names the condition that failed
+    for move_type, why in (
+        ("9,9", "does not fit dimension 4: need p+q=6"),
+        ("0,6", "is not a move: need p, q >= 1"),
+        ("7,-1", "is not a move: need p, q >= 1"),
+    ):
+        code, out, err = run(capsys, ["moves", "walk", "--tri", sphere_file, "--type", move_type])
+        assert_one_error_line(code, err)
+        assert why in err, move_type
+        assert out == ""
 
 
 def test_moves_apply_roundtrip(capsys, tmp_path, sphere_file):
@@ -573,6 +580,17 @@ def test_selftest_subset_passes(capsys):
     assert "failed=0" in out
 
 
+def test_selftest_prints_the_same_bytes_on_every_run():
+    # a criterion within its budget prints no wall time
+    argv = [sys.executable, "-m", "pachner.cli", "selftest", "--only", "pentagon-equation"]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env.pop("PACHNER_MUTATE", None)
+    outs = [subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120) for _ in range(2)]
+    assert [proc.returncode for proc in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+    assert "PASS pentagon-equation 4 group algebras\n" in outs[0].stdout
+
+
 def test_selftest_unknown_criterion(capsys):
     code, _, err = run(capsys, ["selftest", "--only", "nonsense"])
     assert code == 64
@@ -621,17 +639,23 @@ def test_selftest_weight_mutation_breaks_relation(capsys, monkeypatch):
 )
 def test_mutation_hook_reaches_every_criterion(capsys, monkeypatch, mutation, failures):
     # each hook breaks one seam of scalar arithmetic; every criterion that
-    # multiplies through that seam must fail, and only those
+    # multiplies through that seam must fail, and only those.  A clean run
+    # first warms the rings' memo tables: the hook must bite over them as
+    # over cold ones, and undoing it must restore every pass
+    monkeypatch.delenv("PACHNER_MUTATE", raising=False)
+    assert run(capsys, ["selftest"])[0] == 0
     monkeypatch.setenv("PACHNER_MUTATE", mutation)
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1
     failed = {}
     for line in out.splitlines():
         if line.startswith("FAIL "):
-            _, name, _, detail = line.split(" ", 3)
+            _, name, detail = line.split(" ", 2)
             failed[name] = detail
     assert failed == failures
     assert f"failed={len(failures)}" in out
+    monkeypatch.delenv("PACHNER_MUTATE")
+    assert run(capsys, ["selftest"])[0] == 0
 
 
 def test_selftest_unknown_mutation(capsys, monkeypatch):
