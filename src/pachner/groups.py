@@ -1,7 +1,8 @@
 """Finite abelian groups with self-duality data: chi, g, delta, measure.
 
-A group is a product of cyclic factors Z/N1 x ... x Z/Nk.  Elements are
-plain tuples of residues; all structure lives on the group object.  The
+A group is a product of cyclic factors Z/N1 x ... x Z/Nk.  An element is its
+index 0 .. |A|-1 in lexicographic residue order (on Z/N, its residue), whose
+residues are ``coords[x]``; all structure lives on the group object.  The
 self-duality pairing is instantiated componentwise as
 
     chi(x, y) = prod_i exp(2 pi i (Ni+1) x_i y_i / Ni),
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import reduce
 
 from .scalars import Scalar, ScalarRing, get_ring
 
-GroupElement = tuple[int, ...]
+GroupElement = int
 
 
 class FinAbGroup:
@@ -39,7 +41,8 @@ class FinAbGroup:
         self.lcm_order = reduce(math.lcm, orders)
         self.size = math.prod(orders)
         self.ring: ScalarRing = get_ring(self.lcm_order, self.size)
-        self.zero: GroupElement = (0,) * len(orders)
+        self.zero: GroupElement = 0
+        self.coords = tuple(itertools.product(*(range(n) for n in orders)))
 
     @property
     def literal(self) -> str:
@@ -55,23 +58,32 @@ class FinAbGroup:
         return hash(self.orders)
 
     def elements(self):
-        """All elements in lexicographic order."""
-        return itertools.product(*(range(n) for n in self.orders))
+        """All elements, in index order."""
+        return range(self.size)
+
+    def format(self, x: GroupElement) -> str:
+        """The residues of x joined by dots, e.g. "1.0" in Z2xZ2."""
+        return ".".join(map(str, self.coords[x]))
 
     def check_element(self, x: GroupElement):
-        if len(x) != len(self.orders) or any(
-            not 0 <= xi < n for xi, n in zip(x, self.orders)
-        ):
-            raise ValueError(f"{x} is not an element of {self.literal}")
+        if type(x) is not int or not 0 <= x < self.size:
+            raise ValueError(f"{x!r} is not an element of {self.literal}")
+
+    def _index(self, residues) -> GroupElement:
+        """The element with these residues, each reduced by its order."""
+        x = 0
+        for a, n in zip(residues, self.orders):
+            x = x * n + a % n
+        return x
 
     def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.orders))
+        return self._index(map(operator.add, self.coords[x], self.coords[y]))
 
     def neg(self, x: GroupElement) -> GroupElement:
-        return tuple((-a) % n for a, n in zip(x, self.orders))
+        return self._index(map(operator.neg, self.coords[x]))
 
     def sub(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return tuple((a - b) % n for a, b, n in zip(x, y, self.orders))
+        return self._index(map(operator.sub, self.coords[x], self.coords[y]))
 
     def chi(self, x: GroupElement, y: GroupElement) -> Scalar:
         """The self-dual pairing, a symmetric bicharacter."""
@@ -83,7 +95,7 @@ class FinAbGroup:
         """Exponent of chi(x, y) in units of the primitive 2L-th root."""
         two_l = 2 * self.lcm_order
         e = 0
-        for xi, yi, n in zip(x, y, self.orders):
+        for xi, yi, n in zip(self.coords[x], self.coords[y], self.orders):
             e += (two_l // n) * (n + 1) * xi * yi
         return e % two_l
 
@@ -92,12 +104,13 @@ class FinAbGroup:
         self.check_element(x)
         two_l = 2 * self.lcm_order
         e = 0
-        for xi, n in zip(x, self.orders):
+        for xi, n in zip(self.coords[x], self.orders):
             e -= (self.lcm_order // n) * (n + 1) * xi * xi
         return self.ring.root(e % two_l)
 
     def delta(self, x: GroupElement) -> Scalar:
         """Normalized point mass: r at the identity, zero elsewhere."""
+        self.check_element(x)
         return self.ring.radical() if x == self.zero else self.ring.zero
 
 

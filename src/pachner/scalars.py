@@ -33,11 +33,11 @@ scalars: every value the package builds is looked up by its terms in item
 order, and a value the ring already holds is returned as that object.
 Equal values of one ring are then one object, down to the order of their
 terms, and the ring memoises its arithmetic on object identity: the
-general product, the canonical sum, the radical shift and ``radical(e)``
-each run once per distinct operands for the life of the ring's tables.
-Each identity-keyed entry holds its operands, so no id is reused while
-its entry lives.  The tables are bounded: an insertion into a table that
-holds ``SCALAR_TABLE_LIMIT`` entries first drops all of them together.
+general product, the canonical sum, the radical shift, ``radical(e)`` and
+``root(k)`` each run once per distinct operands for the life of the ring's
+tables.  Each identity-keyed entry holds its operands, so no id is reused
+while its entry lives.  The tables are bounded: an insertion into a table
+that holds ``SCALAR_TABLE_LIMIT`` entries first drops all of them together.
 A value built after a drop may then be a second object equal to a live
 one; identity still implies equality, so every result stays the same,
 down to the order of its terms.
@@ -244,11 +244,12 @@ class ScalarRing:
         self._sums = {}  # ids of the summands -> (summands, their sum)
         self._shifts = {}  # (id v, e) -> (v, v * r**e)
         self._radicals = {}  # e -> r**e
+        self._roots = {}  # k mod 2L -> z**k, at most 2L entries
         self._drop_tables()
 
     def _drop_tables(self):
         """Empty every table at once, keeping zero and one interned."""
-        for table in (self._values, self._products, self._sums, self._shifts, self._radicals):
+        for table in (self._values, self._products, self._sums, self._shifts, self._radicals, self._roots):
             table.clear()
         self._values[()] = self.zero
         self._values[((0, self._unit),)] = self.one
@@ -352,7 +353,11 @@ class ScalarRing:
 
     def root(self, k: int) -> "Scalar":
         """The exact root of unity z**k with z = exp(pi*i/L)."""
-        return self.scalar({0: self._powers[k % self.root_order]})
+        k %= self.root_order
+        v = self._roots.get(k)
+        if v is None:
+            v = self._roots[k] = self.scalar({0: self._powers[k]})
+        return v
 
     def radical(self, exponent: int = 1) -> "Scalar":
         """The formal radical power r**exponent, r**2 = N.

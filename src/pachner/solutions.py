@@ -58,21 +58,21 @@ def validate_bicharacter(group: FinAbGroup, chi) -> dict:
     """Exhaustively check multiplicativity of chi in each argument.
 
     chi is evaluated once per pair of elements; returns the table
-    (x, y) -> chi(x, y).
+    (x, y) -> chi(x, y).  A failure names its triple by residues.
     """
-    elems = list(group.elements())
+    elems = group.elements()
     table = {(x, y): chi(x, y) for x in elems for y in elems}
     for x, xp in itertools.product(elems, repeat=2):
         s = group.add(x, xp)
         for y in elems:
             if table[s, y] != table[x, y] * table[xp, y]:
-                raise ValueError(
-                    f"chi is not multiplicative in the first argument at {(x, xp, y)}"
-                )
-            if table[y, s] != table[y, x] * table[y, xp]:
-                raise ValueError(
-                    f"chi is not multiplicative in the second argument at {(y, x, xp)}"
-                )
+                where, side = (x, xp, y), "first"
+            elif table[y, s] != table[y, x] * table[y, xp]:
+                where, side = (y, x, xp), "second"
+            else:
+                continue
+            at = tuple(group.coords[e] for e in where)
+            raise ValueError(f"chi is not multiplicative in the {side} argument at {at}")
     return table
 
 
@@ -287,18 +287,10 @@ def symmetry_kernels(group: FinAbGroup, gauss=None) -> dict:
         (x, y): gauss(group.sub(x, y)) for x in group.elements() for y in group.elements()
     }
 
-    def make(entries):
-        return GroupTensor(group, (UP, DOWN), entries)
-
-    def inverse(entries):  # r is fixed by conjugation
-        return make({key: v.conj() for key, v in entries.items()})
-
-    return {
-        "T": make(t_entries),
-        "Tinv": inverse(t_entries),
-        "S": make(s_entries),
-        "Sinv": inverse(s_entries),
-    }
+    t, s = (GroupTensor(group, (UP, DOWN), e) for e in (t_entries, s_entries))
+    # r is fixed by conjugation, and conj conjugates each distinct value once
+    tinv, sinv = (GroupTensor(group, (UP, DOWN), k.conj().entries) for k in (t, s))
+    return {"T": t, "Tinv": tinv, "S": s, "Sinv": sinv}
 
 
 # -- perturbations and descriptors --------------------------------------------
@@ -316,8 +308,7 @@ def perturb_q(sol: SolutionSpec, seed: int) -> SolutionSpec:
     if rng.random() < 0.5 and keys:
         key = keys[rng.randrange(len(keys))]
     else:
-        elems = list(q.domain.elements())
-        key = tuple(elems[rng.randrange(len(elems))] for _ in range(q.arity))
+        key = tuple(rng.randrange(q.domain.size) for _ in range(q.arity))
     entries = dict(q.entries)
     entries[key] = entries.get(key, ring.zero) + bump
     return SolutionSpec(

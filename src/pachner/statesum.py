@@ -214,8 +214,7 @@ def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "ex
         state_slot[s2] = idx
     npair = len(a.pairings)
     total = ring.zero
-    elems = list(domain.elements())
-    for state in itertools.product(elems, repeat=npair):
+    for state in itertools.product(domain.elements(), repeat=npair):
         prod = None
         for e, tensor in enumerate(a.tensors):
             val = tensor.entries.get(tuple(state[state_slot[(e, f)]] for f in range(5)))

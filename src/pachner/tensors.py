@@ -35,14 +35,16 @@ arity and backend and hands both entry dicts to the ring's
 ``compare_entries``: the exact ring compares each distinct pair of values
 once, and the float ring compares all keys at once in numpy, which it
 imports on first use, so an exact run never loads numpy.
-``conj`` conjugates each distinct value object once.  Results of
+``conj`` and ``to_float`` map each distinct value object once.  Results of
 ``contract``, ``permute`` and ``conj`` are built without the
 constructor's per-entry checks, which they pass by construction.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
-used by the bialgebra-style constructions).  A BasisDomain has group
-order 1 in its scalar ring, which makes r = 1 and collapses all the
-measure bookkeeping to ordinary matrix algebra.
+used by the bialgebra-style constructions).  Either way an element is an
+int 0 .. size-1, so a key is a flat tuple of ints, which the domain's
+``format`` prints (a group element as dotted residues, "1.0").  A
+BasisDomain has group order 1 in its scalar ring, which makes r = 1 and
+collapses all the measure bookkeeping to ordinary matrix algebra.
 
 ``Report`` is the one result shape of every check: ``tensor_equal``
 returns one (verdict, entries compared, the least failing key and both
@@ -92,6 +94,8 @@ class BasisDomain:
     def elements(self):
         return range(self.size)
 
+    format = staticmethod(str)
+
     def __repr__(self):
         return f"BasisDomain({self.size})"
 
@@ -102,14 +106,8 @@ class BasisDomain:
         return hash(("basis", self.size))
 
 
-def _format_elem(e):
-    if isinstance(e, tuple):
-        return ".".join(str(c) for c in e)
-    return str(e)
-
-
-def _fmt_key(key) -> str:
-    return ",".join(_format_elem(e) for e in key)
+def _fmt_key(domain, key) -> str:
+    return ",".join(map(domain.format, key))
 
 
 class GroupTensor:
@@ -151,39 +149,22 @@ class GroupTensor:
         return _built(self.domain, pick(self.variances), entries, self.ring)
 
     def conj(self) -> "GroupTensor":
-        """Entrywise conjugate with all slot variances flipped.
-
-        Each distinct value object is conjugated once, and the entries that
-        share it share its conjugate; the entry dict keeps its values
-        alive, so an id names one value for the whole walk.
-        """
-        conj, conjugates = self.ring.conj, {}
-        entries = {}
-        for key, v in self.entries.items():
-            c = conjugates.get(id(v))
-            if c is None:
-                c = conjugates[id(v)] = conj(v)
-            entries[key] = c
-        return _built(
-            self.domain, tuple(v.flip() for v in self.variances), entries, self.ring
-        )
+        """Entrywise conjugate with all slot variances flipped."""
+        entries = _per_value(self.entries, self.ring.conj)
+        return _built(self.domain, tuple(v.flip() for v in self.variances), entries, self.ring)
 
     def to_float(self) -> "GroupTensor":
         if isinstance(self.ring, ComplexRing):
             return self
-        return GroupTensor(
-            self.domain,
-            self.variances,
-            {k: v.to_complex() for k, v in self.entries.items()},
-            ComplexRing(self.ring.group_order),
-        )
+        entries = _per_value(self.entries, lambda v: v.to_complex())
+        return GroupTensor(self.domain, self.variances, entries, ComplexRing(self.ring.group_order))
 
     def dump(self) -> str:
         """One line per entry: "x,u,y,v,z -> scalar", sorted by index."""
         lines = []
         for key in sorted(self.entries):
             shown = self.ring.render(self.entries[key])
-            lines.append(",".join(_format_elem(e) for e in key) + " -> " + shown)
+            lines.append(_fmt_key(self.domain, key) + " -> " + shown)
         return "\n".join(lines)
 
 
@@ -194,6 +175,18 @@ def in_backend(t: GroupTensor, backend: str) -> GroupTensor:
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     return t if backend == "exact" else t.to_float()
+
+
+def _per_value(entries, f) -> dict:
+    """The entries with f applied once per distinct value object.  The entry
+    dict keeps its values alive, so an id names one value for the whole walk."""
+    images, out = {}, {}
+    for key, v in entries.items():
+        image = images.get(id(v))
+        if image is None:
+            image = images[id(v)] = f(v)
+        out[key] = image
+    return out
 
 
 def _built(domain, variances, entries, ring) -> GroupTensor:
@@ -324,7 +317,7 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Report:
         if key is not None:
             values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
             fields = {"verdict": verdict.verdict, "checks": compared}
-            return Report("tensor-equal", fields, _fmt_key(key), values)
+            return Report("tensor-equal", fields, _fmt_key(t1.domain, key), values)
     return Report("tensor-equal", {"verdict": "pass", "checks": compared})
 
 

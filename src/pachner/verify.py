@@ -427,8 +427,7 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
     q = sol.q
     if q is None or q.arity != 5:
         raise ValueError("dense oracle needs the 5-slot solution tensor")
-    elems = list(q.domain.elements())
-    n = len(elems)
+    n = q.domain.size
     grids, intermediate, comparison = 32 * n**9, 16 * n**8, 24 * n**9
     if grids + intermediate + comparison > DENSE_BYTES_LIMIT:
         raise ValueError(
@@ -437,10 +436,9 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
             f"plus {comparison / 1e9:.2f} GB for the comparison's {n}^9 temporaries, "
             f"over the {DENSE_BYTES_LIMIT / 1e9:.2f} GB limit"
         )
-    index = {e: i for i, e in enumerate(elems)}
     arr = np.zeros((n,) * 5, dtype=complex)
     for key, val in q.to_float().entries.items():
-        arr[tuple(index[e] for e in key)] = val
+        arr[key] = val
 
     lhs = np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr, arr, arr, optimize=_LHS_PATH)
     rhs = np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr, optimize=_RHS_PATH)
@@ -449,7 +447,7 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
     first = np.unravel_index(int(np.argmax(bad)), bad.shape)
     if not bad[first]:
         return _report("p33-dense", sol.descriptor, "dense", "pass", n**9)
-    witness = _fmt_key(tuple(elems[int(i)] for i in first))
+    witness = _fmt_key(q.domain, map(int, first))
     values = {"lhs_value": format(lhs[first], ".12g"), "rhs_value": format(rhs[first], ".12g")}
     return _report("p33-dense", sol.descriptor, "dense", "fail", n**9, witness, values)
 

@@ -4,7 +4,8 @@ Each is written from its definition, independently of the code path it
 checks: outer products as loops over entry pairs, window permutations
 as ``GroupTensor.permute`` then ``_rescale``, the relation sides with
 every identity wire built as a tensor and the printed factors folded
-left to right, joins as first written, face classes as a union-find over
+left to right, joins as first written, group arithmetic and the pairing
+on residue tuples, face classes as a union-find over
 (entry, vertex subset) tuples, move sites by trying every vertex label,
 and the splittings of a move in the order the site lists keep.  Test
 modules import from here and from no other test module.
@@ -12,6 +13,7 @@ modules import from here and from no other test module.
 
 import functools
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -271,7 +273,7 @@ def fold_padded_identities(sol, backend, identities):
         for rel_name, triples in identities:
             for triple, rep in triples:
                 counts[f"{rel_name}_triples"] += 1
-                yield f"{rel_name}[{_fmt_key(triple)}]", rep
+                yield f"{rel_name}[{_fmt_key(sol.q.domain, triple)}]", rep
 
     ring = in_backend(sol.q, backend).ring
     return _judge("yb-family", sol.descriptor, ring.name, comparisons(), counts)
@@ -279,6 +281,39 @@ def fold_padded_identities(sol, backend, identities):
 
 def padded_yb_family(sol, backend="exact", rel=1e-9):
     return fold_padded_identities(sol, backend, padded_yb_identities(sol, backend, rel))
+
+
+# -- group arithmetic on residue tuples ------------------------------------------
+
+
+def residue_tuples(orders):
+    """Every element of Z/N1 x ... x Z/Nk as its residue tuple, sorted."""
+    return sorted(itertools.product(*(range(n) for n in orders)))
+
+
+def residue_add(orders, a, b):
+    return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+
+def residue_neg(orders, a):
+    return tuple((n - x) % n for x, n in zip(a, orders))
+
+
+def residue_sub(orders, a, b):
+    return residue_add(orders, a, residue_neg(orders, b))
+
+
+def residue_chi_exponent(orders, a, b):
+    """chi(a, b) = prod_i exp(2 pi i (Ni+1) a_i b_i / Ni) as a power of the
+    primitive 2L-th root exp(pi i / L), L = lcm(Ni)."""
+    two_l = 2 * math.lcm(*orders)
+    return sum(two_l // n * (n + 1) * x * y for x, y, n in zip(a, b, orders)) % two_l
+
+
+def residue_gauss_exponent(orders, a):
+    """g(a) = prod_i exp(-pi i (Ni+1) a_i**2 / Ni) as a power of exp(pi i / L)."""
+    two_l = 2 * math.lcm(*orders)
+    return -sum(two_l // (2 * n) * (n + 1) * x * x for x, n in zip(a, orders)) % two_l
 
 
 # -- simplicial complexes from their definitions ---------------------------------

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report shape, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -243,6 +244,39 @@ witness=step 0: value 1 · r^10 vs 1 · r^9
 def test_report_layout(capsys, monkeypatch, argv, code, expected):
     monkeypatch.chdir(REPO)
     assert run(capsys, argv.split()) == (code, expected, "")
+
+
+# Dumps over product groups, whose elements print as dotted residues,
+# recorded byte for byte: (argv, lines, sha256 of the output, the first entry).
+PRODUCT_DUMPS = [
+    (
+        "solutions --describe bichar:Z2xZ2 --dump",
+        72,
+        "a78de64055475b053221dd9065ab50b5d36f899c0585deb277d8d86148243a7e",
+        "0.0,0.0,0.0,0.0,0.0 -> 1 · r^2",
+    ),
+    (
+        "solutions --describe bichar:Z4xZ2 --dump",
+        520,
+        "a6ac2ae66e6f0b63b3a35fc7d75c5dd2da8ac94cadede9950805c3ce63b7bd76",
+        "0.0,0.0,0.0,0.0,0.0 -> 1 · r^2",
+    ),
+    (
+        "statesum --tri data/ball_before.tri --solution bichar:Z2xZ2 --dump",
+        4109,
+        "612bc8a9aa3a7d615211e814e55da21f5f6f2384a6bf362e540e3e11aafac41f",
+        "0.0,0.0,0.0,0.0,0.0,0.0,0.1,0.1,0.1 -> -1 · r^3",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,lines,digest,entry", PRODUCT_DUMPS, ids=[d[0] for d in PRODUCT_DUMPS])
+def test_product_group_dumps_print_the_recorded_bytes(capsys, monkeypatch, argv, lines, digest, entry):
+    monkeypatch.chdir(REPO)
+    code, out, err = run(capsys, argv.split())
+    assert (code, err) == (0, "")
+    assert entry in out.splitlines()
+    assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == (lines, digest)
 
 
 # Runs each argv (a JSON list of them in argv[1]) in one fresh interpreter

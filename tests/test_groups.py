@@ -1,11 +1,20 @@
 import cmath
 import itertools
+import re
 
 import pytest
 
 from pachner import groups
 from pachner.groups import FinAbGroup, parse_group
 from pachner.scalars import approx_equal
+from reference import (
+    residue_add,
+    residue_chi_exponent,
+    residue_gauss_exponent,
+    residue_neg,
+    residue_sub,
+    residue_tuples,
+)
 
 
 def small_groups(max_size=12):
@@ -22,14 +31,14 @@ def small_groups(max_size=12):
 
 def chi_numeric(group, x, y):
     val = 1 + 0j
-    for xi, yi, n in zip(x, y, group.orders):
+    for xi, yi, n in zip(group.coords[x], group.coords[y], group.orders):
         val *= cmath.exp(2j * cmath.pi * (n + 1) * xi * yi / n)
     return val
 
 
 def g_numeric(group, x):
     val = 1 + 0j
-    for xi, n in zip(x, group.orders):
+    for xi, n in zip(group.coords[x], group.orders):
         val *= cmath.exp(-1j * cmath.pi * (n + 1) * xi * xi / n)
     return val
 
@@ -37,12 +46,12 @@ def g_numeric(group, x):
 def test_chi_oracle_values():
     z3 = FinAbGroup([3])
     # numeric first: exp(2 pi i * 4 / 3) is the primitive cube root
-    assert approx_equal(chi_numeric(z3, (1,), (1,)), cmath.exp(2j * cmath.pi / 3), 1e-12)
-    assert z3.chi((1,), (1,)) == z3.ring.root(2)
+    assert approx_equal(chi_numeric(z3, 1, 1), cmath.exp(2j * cmath.pi / 3), 1e-12)
+    assert z3.chi(1, 1) == z3.ring.root(2)
 
     z2 = FinAbGroup([2])
-    assert approx_equal(chi_numeric(z2, (1,), (1,)), -1, 1e-12)
-    assert z2.chi((1,), (1,)) == z2.ring.integer(-1)
+    assert approx_equal(chi_numeric(z2, 1, 1), -1, 1e-12)
+    assert z2.chi(1, 1) == z2.ring.integer(-1)
 
 
 def test_chi_at_identity():
@@ -71,14 +80,14 @@ def test_chi_bicharacter_and_symmetric():
 
 def test_gauss_oracle_values():
     z3 = FinAbGroup([3])
-    assert approx_equal(g_numeric(z3, (1,)), cmath.exp(2j * cmath.pi / 3), 1e-12)
-    assert z3.gauss_g((1,)) == z3.ring.root(2)
+    assert approx_equal(g_numeric(z3, 1), cmath.exp(2j * cmath.pi / 3), 1e-12)
+    assert z3.gauss_g(1) == z3.ring.root(2)
 
     z2 = FinAbGroup([2])
-    assert approx_equal(g_numeric(z2, (1,)), 1j, 1e-12)
-    assert z2.gauss_g((1,)) == z2.ring.root(1)
+    assert approx_equal(g_numeric(z2, 1), 1j, 1e-12)
+    assert z2.gauss_g(1) == z2.ring.root(1)
     # g(1)^2 / g(0) reproduces chi(1,1) = -1
-    assert z2.gauss_g((1,)) * z2.gauss_g((1,)) == z2.chi((1,), (1,))
+    assert z2.gauss_g(1) * z2.gauss_g(1) == z2.chi(1, 1)
 
 
 def test_gauss_at_identity():
@@ -118,8 +127,8 @@ def integrate(group, f):
 
 def test_delta_normalization():
     z2 = FinAbGroup([2])
-    assert z2.delta((0,)) == z2.ring.radical()
-    assert not z2.delta((1,))
+    assert z2.delta(0) == z2.ring.radical()
+    assert not z2.delta(1)
     # integrating delta gives 1
     for group in small_groups(8):
         assert integrate(group, group.delta) == group.ring.one
@@ -128,9 +137,9 @@ def test_delta_normalization():
 def test_character_sum_vanishes():
     z3 = FinAbGroup([3])
     # numeric oracle: 1 + omega^4 + omega^8 over the cube roots sums to 0
-    numeric = sum(chi_numeric(z3, (1,), (y,)) for y in range(3))
+    numeric = sum(chi_numeric(z3, 1, y) for y in range(3))
     assert abs(numeric) < 1e-12
-    val = integrate(z3, lambda y: z3.chi((1,), y))
+    val = integrate(z3, lambda y: z3.chi(1, y))
     assert not val
 
 
@@ -151,11 +160,62 @@ def test_group_arithmetic():
     g = FinAbGroup([2, 3])
     assert g.size == 6
     assert g.lcm_order == 6
-    assert g.add((1, 2), (1, 2)) == (0, 1)
-    assert g.neg((1, 1)) == (1, 2)
-    assert g.sub((0, 0), (1, 1)) == (1, 2)
+    index = {c: x for x, c in enumerate(g.coords)}
+    assert g.add(index[1, 2], index[1, 2]) == index[0, 1]
+    assert g.neg(index[1, 1]) == index[1, 2]
+    assert g.sub(index[0, 0], index[1, 1]) == index[1, 2]
     with pytest.raises(ValueError):
-        g.check_element((2, 0))
+        g.check_element(6)
+
+
+def test_elements_are_indices_in_sorted_residue_order():
+    # every cyclic group and product of order <= 16, Z4xZ2 and Z2xZ2xZ2 among them
+    orders = {group.orders for group in small_groups(16)}
+    assert {(n,) for n in range(2, 17)} | {(2, 2), (4, 2), (2, 3), (2, 2, 2)} <= orders
+    for group in small_groups(16):
+        assert group.elements() == range(group.size)
+        assert group.zero == 0
+        assert list(group.coords) == residue_tuples(group.orders)
+
+
+def test_arithmetic_on_indices_matches_the_residue_reference():
+    for group in small_groups(16):
+        orders, coords, ring = group.orders, group.coords, group.ring
+        index = {c: x for x, c in enumerate(coords)}
+        for x in group.elements():
+            assert group.neg(x) == index[residue_neg(orders, coords[x])]
+            assert group.gauss_g(x) == ring.root(residue_gauss_exponent(orders, coords[x]))
+            for y in group.elements():
+                a, b = coords[x], coords[y]
+                assert group.add(x, y) == index[residue_add(orders, a, b)]
+                assert group.sub(x, y) == index[residue_sub(orders, a, b)]
+                assert group.chi_exponent(x, y) == residue_chi_exponent(orders, a, b)
+
+
+def test_format_prints_dotted_residues():
+    group = parse_group("Z4xZ2")
+    assert [group.format(x) for x in group.elements()] == [
+        "0.0", "0.1", "1.0", "1.1", "2.0", "2.1", "3.0", "3.1"
+    ]
+    assert parse_group("Z5").format(3) == "3"
+
+
+@pytest.mark.parametrize("bad", [True, False, (0,), (1, 0), -1, 4, 1.0, "1", None])
+def test_only_an_int_index_is_an_element(bad):
+    group = parse_group("Z2xZ2")
+    for x in group.elements():
+        group.check_element(x)
+    message = re.escape(f"{bad!r} is not an element of Z2xZ2")
+    calls = [
+        group.check_element,
+        lambda x: group.chi(x, 0),
+        lambda x: group.chi(0, x),
+        group.gauss_g,
+        group.delta,
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call(bad)
 
 
 def test_parse_group_literals():

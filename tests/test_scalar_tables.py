@@ -1,7 +1,7 @@
 """The exact rings' hash-consing and memo tables change no result.
 
-Each ring interns its scalars and memoises products, sums, radical shifts
-and radical powers on object identity (see the scalars module docstring).
+Each ring interns its scalars and memoises products, sums, radical shifts,
+radical powers and roots of unity on object identity (see the scalars module docstring).
 These tests pin the rules that make that safe: a drop at the table limit
 in the middle of a run, a cold ring against a warm one, and freed
 operands after a drop.  test_cli runs the selftest's mutation hooks over
@@ -126,3 +126,21 @@ def test_a_warm_ring_keeps_each_values_term_order():
         ring._drop_tables()
         first()
         assert [list(shifted().terms.items()), list(summed().terms.items())] == cold
+
+
+def test_a_root_is_built_once_per_exponent_and_dropped_with_the_tables(monkeypatch):
+    ring = get_ring(3, 3)
+    ring._drop_tables()
+    built = []
+    scalar = ScalarRing.scalar
+    monkeypatch.setattr(ScalarRing, "scalar", lambda self, t: built.append(t) or scalar(self, t))
+    # z**k depends on k modulo the root order 2L = 6
+    roots = [ring.root(k) for k in range(-6, 12)]
+    assert len(built) == 6
+    assert all(v is roots[k % 6] for k, v in zip(range(-6, 12), roots))
+    assert len(ring._roots) == 6
+    monkeypatch.setattr(scalars, "SCALAR_TABLE_LIMIT", len(ring._values))
+    ring.integer(5)  # a new value: its interning drops every table
+    assert not ring._roots
+    again = ring.root(1)
+    assert len(built) == 8 and list(again.terms.items()) == list(roots[1].terms.items())

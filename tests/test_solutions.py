@@ -7,6 +7,7 @@ import pytest
 
 from pachner import solutions
 from pachner.groups import FinAbGroup, parse_group
+from pachner.scalars import Scalar
 from pachner.solutions import (
     check_compatibility,
     cyclic_table,
@@ -40,7 +41,7 @@ AXIOM_NAMES = [
 
 def chi_numeric(group, x, y):
     out = 1.0 + 0j
-    for xi, yi, n in zip(x, y, group.orders):
+    for xi, yi, n in zip(group.coords[x], group.coords[y], group.orders):
         out *= cmath.exp(2j * cmath.pi * (n + 1) * xi * yi / n)
     return out
 
@@ -54,13 +55,13 @@ def test_bicharacter_solution_entries_on_z2():
     sol = q_from_bicharacter(group)
     q = sol.q
     assert q.variances == (UP, DOWN, UP, DOWN, UP)
-    # chi((1,),(0,)) = 1, two normalized deltas contribute r*r = 2
-    assert q.entry(((1,), (0,), (1,), (1,), (0,))) == ring.integer(2)
-    # chi((1,),(1,)) = -1 on Z/2
-    assert q.entry(((1,), (0,), (1,), (0,), (1,))) == ring.integer(-2)
-    assert q.entry(((0,), (0,), (0,), (0,), (0,))) == ring.integer(2)
+    # chi(1, 0) = 1, two normalized deltas contribute r*r = 2
+    assert q.entry((1, 0, 1, 1, 0)) == ring.integer(2)
+    # chi(1, 1) = -1 on Z/2
+    assert q.entry((1, 0, 1, 0, 1)) == ring.integer(-2)
+    assert q.entry((0, 0, 0, 0, 0)) == ring.integer(2)
     # off the delta support: u != x + y
-    assert not q.entry(((1,), (1,), (1,), (1,), (1,)))
+    assert not q.entry((1, 1, 1, 1, 1))
     assert len(q.entries) == 8
 
 
@@ -97,13 +98,15 @@ def test_validate_bicharacter_rejects_gauss_product():
     ],
 )
 def test_non_multiplicative_chi_names_its_first_failing_triple(bad, where):
-    # chi on Z2xZ2 with one value negated, evaluated once per pair
+    # chi on Z2xZ2 with one value negated, evaluated once per pair; bad
+    # names the pair by residues, as the message does
     group = FinAbGroup([2, 2])
     calls = []
 
     def chi(x, y):
         calls.append((x, y))
-        return -group.chi(x, y) if (x, y) == bad else group.chi(x, y)
+        negated = (group.coords[x], group.coords[y]) == bad
+        return -group.chi(x, y) if negated else group.chi(x, y)
 
     with pytest.raises(ValueError) as err:
         validate_bicharacter(group, chi)
@@ -123,9 +126,10 @@ def test_bicharacter_entries_are_chi_times_r_squared():
 
 def test_validate_bicharacter_accepts_asymmetric_pairing():
     group = FinAbGroup([2, 2])
-    skew = lambda x, y: group.ring.root(2 * (x[0] * y[1]) % 4)
+    skew = lambda x, y: group.ring.root(2 * (group.coords[x][0] * group.coords[y][1]) % 4)
     validate_bicharacter(group, skew)
-    assert skew((1, 0), (0, 1)) != skew((0, 1), (1, 0))
+    # the elements with residues (1, 0) and (0, 1)
+    assert skew(2, 1) != skew(1, 2)
 
 
 # -- group tables -------------------------------------------------------------
@@ -392,14 +396,34 @@ def test_kernel_values_on_z2():
     kernels = symmetry_kernels(group)
     t, s = kernels["T"], kernels["S"]
     # g(1) = i on Z/2, so T(1, 1) = r * i
-    assert t.entry(((1,), (1,))) == ring.radical() * ring.root(1)
-    assert t.entry(((0,), (0,))) == ring.radical()
-    assert not t.entry(((1,), (0,)))
+    assert t.entry((1, 1)) == ring.radical() * ring.root(1)
+    assert t.entry((0, 0)) == ring.radical()
+    assert not t.entry((1, 0))
     assert len(t.entries) == 2
-    assert s.entry(((0,), (0,))) == ring.one
-    assert s.entry(((1,), (1,))) == ring.one
-    assert s.entry(((1,), (0,))) == ring.root(1)
+    assert s.entry((0, 0)) == ring.one
+    assert s.entry((1, 1)) == ring.one
+    assert s.entry((1, 0)) == ring.root(1)
     assert len(s.entries) == 4
+
+
+def test_kernel_inverses_conjugate_each_value_object_once(monkeypatch):
+    group = parse_group("Z4xZ2")
+    want = symmetry_kernels(group)
+    calls = []
+    conj = Scalar.conj
+    monkeypatch.setattr(Scalar, "conj", lambda self: calls.append(id(self)) or conj(self))
+    got = symmetry_kernels(group)
+    monkeypatch.undo()
+    for fwd in ("T", "S"):
+        objects = {id(v) for v in got[fwd].entries.values()}
+        assert len(objects) < len(got[fwd].entries)
+        assert sorted(calls[: len(objects)]) == sorted(objects)
+        del calls[: len(objects)]
+    assert not calls
+    for name, kernel in got.items():
+        assert list(kernel.entries) == list(want[name].entries)
+        assert kernel.variances == want[name].variances
+        assert tensor_equal(kernel, want[name]), name
 
 
 def test_kernels_are_symmetric_bilinear_forms():

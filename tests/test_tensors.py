@@ -418,7 +418,7 @@ def test_shared_entries_survive_scalar_ops():
     ring = Z3.ring
     v = ring.root(1) + ring.radical(1)
     a = GroupTensor(Z3, (UP,), {(e,): v for e in Z3.elements()})
-    b = GroupTensor(Z3, (DOWN,), {((0,),): ring.one + ring.radical(1)})
+    b = GroupTensor(Z3, (DOWN,), {(0,): ring.one + ring.radical(1)})
     joined = contract(a, (), b, ())
     values = list(joined.entries.values())
     assert len(values) == 3 and all(w is values[0] for w in values)
@@ -438,7 +438,7 @@ def test_contract_drops_sums_that_cancel(exact):
     # radical parities, and (0, 1), (1, 0) keep sums of both parities
     ring = Z4.ring
     one, r, four = ring.one, ring.radical(), ring.integer(4)
-    x0, x1 = (0,), (1,)
+    x0, x1 = 0, 1
     a = GroupTensor(Z4, (UP, DOWN), {(x0, x0): one, (x0, x1): -one, (x1, x0): r, (x1, x1): -four})
     b = GroupTensor(Z4, (UP, UP), {(x0, x0): one, (x1, x0): one, (x0, x1): r, (x1, x1): one})
     c = ring.radical(-1)
@@ -472,23 +472,24 @@ def test_contract_checks_every_pair():
 
 def test_tensor_equal_least_witness():
     ring = Z2.ring
-    a = GroupTensor(Z2, (UP, UP), {((0,), (0,)): ring.one, ((1,), (1,)): ring.one})
-    b = GroupTensor(Z2, (UP, UP), {((0,), (0,)): ring.one})
+    a = GroupTensor(Z2, (UP, UP), {(0, 0): ring.one, (1, 1): ring.one})
+    b = GroupTensor(Z2, (UP, UP), {(0, 0): ring.one})
     rep = tensor_equal(a, b)
     assert rep.verdict == "fail"
-    assert rep.witness == _fmt_key(((1,), (1,)))
+    assert rep.witness == _fmt_key(Z2, (1, 1))
     c = GroupTensor(
         Z2,
         (UP, UP),
-        {((0,), (1,)): ring.integer(5), ((1,), (1,)): ring.integer(7)},
+        {(0, 1): ring.integer(5), (1, 1): ring.integer(7)},
     )
     rep2 = tensor_equal(a, c)
-    assert rep2.witness == _fmt_key(((0,), (0,)))
+    assert rep2.witness == _fmt_key(Z2, (0, 0))
 
 
 def test_tensor_equal_report_formats_the_least_failing_key_and_renders_both_values():
     ring = Z2xZ2.ring
-    keys = [((1, 0), (0, 1)), ((0, 1), (1, 1)), ((0, 1), (0, 0))]
+    # the residues ((1, 0), (0, 1)), ((0, 1), (1, 1)) and ((0, 1), (0, 0))
+    keys = [(2, 1), (1, 3), (1, 0)]
     a = GroupTensor(Z2xZ2, (UP, DOWN), {keys[0]: ring.one, keys[1]: ring.radical(), keys[2]: ring.one})
     b = GroupTensor(Z2xZ2, (UP, DOWN), {keys[0]: ring.integer(3), keys[1]: ring.radical(3)})
     rep = tensor_equal(a, b)
@@ -500,7 +501,7 @@ def test_tensor_equal_report_formats_the_least_failing_key_and_renders_both_valu
         f"lhs_value={ring.render(ring.one)}",
         f"rhs_value={ring.render(ring.zero)}",
     ]
-    assert rep.witness == _fmt_key(min(keys))
+    assert rep.witness == _fmt_key(Z2xZ2, min(keys))
     assert not rep and rep.checks == 3
 
 
@@ -511,7 +512,7 @@ def test_tensor_equal_indeterminate_on_grading_mismatch():
     b = GroupTensor(z4, (UP,), {(0,): ring.integer(2)})
     rep = tensor_equal(a, b)
     assert rep.verdict == "indeterminate"
-    assert rep.witness == _fmt_key((0,))
+    assert rep.witness == _fmt_key(z4, (0,))
 
 
 def test_float_backend_comparison():
@@ -555,17 +556,17 @@ def pin(t, slot, value):
 
 def test_pin_extracts_slice():
     q = random_tensor(Z2, (UP, DOWN, UP), seed=16, density=1.0)
-    pinned = pin(q, 1, (1,))
+    pinned = pin(q, 1, 1)
     assert pinned.variances == (UP, UP)
     for (x, z), val in pinned.entries.items():
-        assert q.entries[(x, (1,), z)] == val
-    assert len(pinned.entries) == sum(1 for k in q.entries if k[1] == (1,))
+        assert q.entries[(x, 1, z)] == val
+    assert len(pinned.entries) == sum(1 for k in q.entries if k[1] == 1)
 
 
 def test_dump_format():
     ring = Z2.ring
     # Z/2's ring has root order 4, so z^2 = -1
-    t = GroupTensor(Z2, (UP, DOWN), {((1,), (0,)): ring.root(2), ((0,), (0,)): ring.one})
+    t = GroupTensor(Z2, (UP, DOWN), {(1, 0): ring.root(2), (0, 0): ring.one})
     text = t.dump()
     assert text.splitlines() == ["0,0 -> 1", "1,0 -> -1"]
 
@@ -896,7 +897,7 @@ def sorted_tensor_equal(t1, t2, rel=1e-9):
 
     def report(verdict, key):
         shown = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
-        return Report("tensor-equal", {"verdict": verdict, "checks": len(keys)}, _fmt_key(key), shown)
+        return Report("tensor-equal", {"verdict": verdict, "checks": len(keys)}, _fmt_key(t1.domain, key), shown)
 
     indeterminate_at = None
     for key in keys:
@@ -943,15 +944,15 @@ def test_tensor_equal_reports_as_the_sorted_walk(pair):
 
 def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
     ring = Z4.ring
-    keys = [((i,),) for i in range(4)]
+    keys = [(i,) for i in range(4)]
     t1 = GroupTensor(Z4, (UP,), {keys[0]: ring.radical(), keys[1]: ring.one, keys[3]: ring.radical()})
     t2 = GroupTensor(Z4, (UP,), {keys[0]: ring.integer(2), keys[2]: ring.one, keys[3]: ring.integer(2)})
     got = tensor_equal(t1, t2)
     assert got == sorted_tensor_equal(t1, t2)
-    assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(keys[1]), 4)
+    assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(Z4, keys[1]), 4)
     del t1.entries[keys[1]], t2.entries[keys[2]]
     got = tensor_equal(t1, t2)
-    assert (got.verdict, got.witness, got.checks) == ("indeterminate", _fmt_key(keys[0]), 2)
+    assert (got.verdict, got.witness, got.checks) == ("indeterminate", _fmt_key(Z4, keys[0]), 2)
 
 
 def test_wire_permutations_compose_without_a_join(monkeypatch):
@@ -1062,7 +1063,7 @@ def per_key_tensor_equal(t1, t2, rel=1e-9):
         if key is not None:
             values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
             fields = {"verdict": verdict.verdict, "checks": compared}
-            return Report("tensor-equal", fields, _fmt_key(key), values)
+            return Report("tensor-equal", fields, _fmt_key(t1.domain, key), values)
     return Report("tensor-equal", {"verdict": "pass", "checks": compared})
 
 
@@ -1122,8 +1123,8 @@ def test_float_comparison_at_the_tolerance_and_past_the_finite_values():
         (math.nan, complex(0, math.inf), "fail"),
     ]
     for v1, v2, verdict in cases:
-        t1 = GroupTensor(Z3, (UP,), {((0,),): complex(v1)}, ring)
-        t2 = GroupTensor(Z3, (UP,), {((0,),): complex(v2)}, ring)
+        t1 = GroupTensor(Z3, (UP,), {(0,): complex(v1)}, ring)
+        t2 = GroupTensor(Z3, (UP,), {(0,): complex(v2)}, ring)
         got = tensor_equal(t1, t2)
         assert got == per_key_tensor_equal(t1, t2)
         assert got.verdict == verdict, (v1, v2)
@@ -1134,20 +1135,20 @@ def test_exact_comparison_takes_the_least_unequal_key_past_repeated_indeterminat
     # shared pair of objects fills every key below and beside the two
     # unequal keys, the later of which only t2 holds
     ring = Z4.ring
-    keys = [((i,), (j,)) for i in range(4) for j in range(4)]
+    keys = [(i, j) for i in range(4) for j in range(4)]
     r, two = ring.radical(), ring.integer(2)
     t1 = GroupTensor(Z4, (UP, UP), {key: r for key in keys[:-1]})
     t2 = GroupTensor(Z4, (UP, UP), {key: two for key in keys})
     t2.entries[keys[9]] = ring.integer(3)
     got = tensor_equal(t1, t2)
     assert got == per_key_tensor_equal(t1, t2)
-    assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(keys[9]), 16)
+    assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(Z4, keys[9]), 16)
     t2.entries[keys[9]] = two
     got = tensor_equal(t1, t2)
-    assert (got.verdict, got.witness) == ("fail", _fmt_key(keys[-1]))
+    assert (got.verdict, got.witness) == ("fail", _fmt_key(Z4, keys[-1]))
     del t2.entries[keys[-1]]
     got = tensor_equal(t1, t2)
-    assert (got.verdict, got.witness, got.checks) == ("indeterminate", _fmt_key(keys[0]), 15)
+    assert (got.verdict, got.witness, got.checks) == ("indeterminate", _fmt_key(Z4, keys[0]), 15)
 
 
 def test_exact_comparison_compares_each_value_pair_once(monkeypatch):
@@ -1323,6 +1324,23 @@ def test_conj_conjugates_each_value_object_once(monkeypatch):
     assert [list(v.terms.items()) for v in got.entries.values()] == [
         list(v.terms.items()) for v in want.values()
     ]
+
+
+def test_to_float_converts_each_value_object_once(monkeypatch):
+    from pachner.solutions import parse_solution, perturb_q
+
+    for sol in (parse_solution("bichar:Z2xZ2"), perturb_q(parse_solution("bichar:Z3"), 5)):
+        q = sol.q
+        objects = {id(v) for v in q.entries.values()}
+        want = {key: v.to_complex() for key, v in q.entries.items()}
+        calls = []
+        to_complex = Scalar.to_complex
+        monkeypatch.setattr(Scalar, "to_complex", lambda self: calls.append(id(self)) or to_complex(self))
+        got = q.to_float()
+        monkeypatch.undo()
+        assert len(objects) < len(q.entries)
+        assert sorted(calls) == sorted(objects)
+        assert list(got.entries.items()) == list(want.items())
 
 
 # the identity on orders 2-16 (ids "2" to "16") and sigma ("2-sigma" ...)

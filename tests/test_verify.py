@@ -199,7 +199,7 @@ def test_every_python_default_backend_is_exact_on_bichar_z5():
 def test_verify_p33_flipped_entry_fails_with_witness():
     sol = parse_solution("bichar:Z2")
     entries = dict(sol.q.entries)
-    key = ((1,), (0,), (1,), (0,), (1,))
+    key = (1, 0, 1, 0, 1)
     entries[key] = -entries[key]
     bad = SolutionSpec("bicharacter", "bichar:Z2:flipped", sol.domain,
                        GroupTensor(sol.domain, sol.q.variances, entries))
@@ -207,6 +207,27 @@ def test_verify_p33_flipped_entry_fails_with_witness():
     assert report.verdict == "fail"
     assert report.witness
     assert report.extras["lhs_value"] != report.extras["rhs_value"]
+
+
+def test_perturbed_product_group_reports_print_the_recorded_witness():
+    # seed 0 on bichar:Z2xZ2: every backend and the dense oracle name the
+    # same least failing key, in dotted residues
+    sol = perturb_q(parse_solution("bichar:Z2xZ2"), 0)
+    witness = "witness=0.0,0.0,1.1,0.1,1.0,1.1,0.1,0.1,1.0"
+    head = ["relation=p33", "target=bichar:Z2xZ2:perturbed:0"]
+    assert verify_p33(sol).lines() == head + [
+        "backend=exact", "verdict=fail", "checks=4480", witness,
+        "lhs_nnz=4292", "lhs_value=0", "rhs_nnz=4292", "rhs_value=-1·z^1 · r^1",
+    ]
+    assert verify_p33(sol, backend="float").lines() == head + [
+        "backend=float", "verdict=fail", "checks=4480", witness,
+        "lhs_nnz=4292", "lhs_value=0+0j", "rhs_nnz=4292", "rhs_value=0-2j",
+    ]
+    assert dense_p33_oracle(sol).lines() == [
+        "relation=p33-dense", "target=bichar:Z2xZ2:perturbed:0", "backend=dense",
+        "verdict=fail", "checks=262144", witness,
+        "lhs_value=0+0j", "rhs_value=-9.79717439318e-16-16j",
+    ]
 
 
 def test_verify_p33_zero_solution_passes():
@@ -279,7 +300,7 @@ def test_pentagon_failure_reports_both_values():
 
 def _compared(verdict, key=None):
     shown = {} if key is None else {"lhs_value": f"l{key[0]}", "rhs_value": f"r{key[0]}"}
-    witness = "" if key is None else _fmt_key(key)
+    witness = "" if key is None else _fmt_key(BasisDomain(3), key)
     return Report("tensor-equal", {"verdict": verdict, "checks": 2}, witness, shown)
 
 
@@ -686,11 +707,12 @@ def _theorem_data():
         yield f"{literal}-trivial-unit", q, trivial
     z4 = parse_group("Z4")
     for a in (0, 2):
-        # chi_a(x, y) = omega**(a x y), omega = z**2 in the ring of 8th roots
-        chi = lambda x, y, a=a: z4.ring.root(2 * a * x[0] * y[0])
+        # chi_a(x, y) = omega**(a x y), omega = z**2 in the ring of 8th roots;
+        # on Z4 an element's index is its residue
+        chi = lambda x, y, a=a: z4.ring.root(2 * a * x * y)
         yield f"Z4-chi{a}", q_from_bicharacter(z4, chi=chi).q, symmetry_kernels(z4)
     z2z2 = FinAbGroup([2, 2])
-    skew = lambda x, y: z2z2.ring.root(2 * (x[0] * y[1]) % 4)
+    skew = lambda x, y: z2z2.ring.root(2 * (z2z2.coords[x][0] * z2z2.coords[y][1]) % 4)
     yield "Z2xZ2-skew", q_from_bicharacter(z2z2, chi=skew).q, symmetry_kernels(z2z2)
 
 
@@ -788,7 +810,7 @@ def test_verify_theorem_trivial_gauss_fails():
 
 def test_verify_theorem_asymmetric_pairing_fails():
     group = FinAbGroup([2, 2])
-    skew = lambda x, y: group.ring.root(2 * (x[0] * y[1]) % 4)
+    skew = lambda x, y: group.ring.root(2 * (group.coords[x][0] * group.coords[y][1]) % 4)
     report = verify_theorem(group, chi=skew)
     assert report.verdict == "fail"
 
@@ -927,7 +949,7 @@ def test_dense_path_matches_the_pathless_einsum(group, seed):
         return
     first = tuple(int(v) for v in bad[0])
     assert report.verdict == "fail"
-    assert report.witness == _fmt_key(tuple(elems[i] for i in first))
+    assert report.witness == _fmt_key(sol.q.domain, tuple(elems[i] for i in first))
     assert abs(complex(report.extras["lhs_value"]) - lhs[first]) <= 1e-9 * max(1.0, abs(lhs[first]))
     assert abs(complex(report.extras["rhs_value"]) - rhs[first]) <= 1e-9 * max(1.0, abs(rhs[first]))
 
