@@ -76,35 +76,39 @@ class FinAbGroup:
             x = x * n + a % n
         return x
 
+    def _residues(self, x: GroupElement):
+        """The residues of x, refusing a non-element as check_element does
+        (a negative index would otherwise wrap through ``coords``)."""
+        self.check_element(x)
+        return self.coords[x]
+
     def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return self._index(map(operator.add, self.coords[x], self.coords[y]))
+        return self._index(map(operator.add, self._residues(x), self._residues(y)))
 
     def neg(self, x: GroupElement) -> GroupElement:
-        return self._index(map(operator.neg, self.coords[x]))
+        return self._index(map(operator.neg, self._residues(x)))
 
     def sub(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return self._index(map(operator.sub, self.coords[x], self.coords[y]))
+        return self._index(map(operator.sub, self._residues(x), self._residues(y)))
 
     def chi(self, x: GroupElement, y: GroupElement) -> Scalar:
         """The self-dual pairing, a symmetric bicharacter."""
-        self.check_element(x)
-        self.check_element(y)
         return self.ring.root(self.chi_exponent(x, y))
 
     def chi_exponent(self, x: GroupElement, y: GroupElement) -> int:
         """Exponent of chi(x, y) in units of the primitive 2L-th root."""
+        x, y = self._residues(x), self._residues(y)
         two_l = 2 * self.lcm_order
         e = 0
-        for xi, yi, n in zip(self.coords[x], self.coords[y], self.orders):
+        for xi, yi, n in zip(x, y, self.orders):
             e += (two_l // n) * (n + 1) * xi * yi
         return e % two_l
 
     def gauss_g(self, x: GroupElement) -> Scalar:
         """Unit-modulus even function with g(x)g(y) = chi(x,y) g(x+y)."""
-        self.check_element(x)
         two_l = 2 * self.lcm_order
         e = 0
-        for xi, n in zip(self.coords[x], self.orders):
+        for xi, n in zip(self._residues(x), self.orders):
             e -= (self.lcm_order // n) * (n + 1) * xi * xi
         return self.ring.root(e % two_l)
 

@@ -33,11 +33,12 @@ scalars: every value the package builds is looked up by its terms in item
 order, and a value the ring already holds is returned as that object.
 Equal values of one ring are then one object, down to the order of their
 terms, and the ring memoises its arithmetic on object identity: the
-general product, the canonical sum, the radical shift, ``radical(e)`` and
-``root(k)`` each run once per distinct operands for the life of the ring's
-tables.  Each identity-keyed entry holds its operands, so no id is reused
-while its entry lives.  The tables are bounded: an insertion into a table
-that holds ``SCALAR_TABLE_LIMIT`` entries first drops all of them together.
+general product, the canonical sum, the radical shift, the conjugate,
+``radical(e)`` and ``root(k)`` each run once per distinct operands for
+the life of the ring's tables.  Each identity-keyed entry holds its
+operands, so no id is reused while its entry lives.  The tables are
+bounded: an insertion into a table that holds ``SCALAR_TABLE_LIMIT``
+entries first drops all of them together.
 A value built after a drop may then be a second object equal to a live
 one; identity still implies equality, so every result stays the same,
 down to the order of its terms.
@@ -243,13 +244,17 @@ class ScalarRing:
         self._products = {}  # (id a, id b) -> (a, b, a * b)
         self._sums = {}  # ids of the summands -> (summands, their sum)
         self._shifts = {}  # (id v, e) -> (v, v * r**e)
+        self._conjugates = {}  # id v -> (v, its conjugate)
         self._radicals = {}  # e -> r**e
         self._roots = {}  # k mod 2L -> z**k, at most 2L entries
         self._drop_tables()
 
     def _drop_tables(self):
         """Empty every table at once, keeping zero and one interned."""
-        for table in (self._values, self._products, self._sums, self._shifts, self._radicals, self._roots):
+        for table in (
+            self._values, self._products, self._sums, self._shifts,
+            self._conjugates, self._radicals, self._roots,
+        ):
             table.clear()
         self._values[()] = self.zero
         self._values[((0, self._unit),)] = self.one
@@ -636,15 +641,22 @@ class Scalar:
 
     def conj(self) -> "Scalar":
         """Complex conjugation: z to z^(2L-1) componentwise, r fixed."""
+        ring = self.ring
+        hit = ring._conjugates.get(id(self))
+        if hit is not None:
+            return hit[1]
+        ring._room(ring._conjugates)
         out: dict[int, list[int]] = {}
         for e, vec in self.terms.items():
-            acc = out.setdefault(e, [0] * self.ring.degree)
+            acc = out.setdefault(e, [0] * ring.degree)
             for j, c in enumerate(vec):
                 if c:
-                    basis = self.ring._conj[j]
-                    for i in range(self.ring.degree):
+                    basis = ring._conj[j]
+                    for i in range(ring.degree):
                         acc[i] += c * basis[i]
-        return self.ring._intern(self.ring._canonical(out))
+        val = ring._intern(ring._canonical(out))
+        ring._conjugates[id(self)] = (self, val)
+        return val
 
     def __eq__(self, other):
         if isinstance(other, int):

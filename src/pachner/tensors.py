@@ -30,11 +30,14 @@ exact ring can fold the weight into the distinct values of one operand
 and compute each product once per distinct pair of values, while the
 float ring keeps its summation order; both write a key that one pair of
 entries meets once, already weighted (composing a map whose outputs
-fix its inputs, such as Q, meets every key so).  Likewise ``tensor_equal`` checks
-arity and backend and hands both entry dicts to the ring's
-``compare_entries``: the exact ring compares each distinct pair of values
-once, and the float ring compares all keys at once in numpy, which it
-imports on first use, so an exact run never loads numpy.
+fix its inputs, such as Q, meets every key so).  Likewise
+``tensor_equal`` checks arity and backend and hands both entry dicts to
+the ring's ``compare_entries`` (``slices_equal`` does so per pair of
+matching slices, for tensors too large to hold whole twice, and folds
+the pairs into the report the whole tensors give): the exact ring
+compares each distinct pair of values once, and the float ring compares
+all keys at once in numpy, which it imports on first use, so an exact
+run never loads numpy.
 ``conj`` and ``to_float`` map each distinct value object once.  Results of
 ``contract``, ``permute`` and ``conj`` are built without the
 constructor's per-entry checks, which they pass by construction.
@@ -48,8 +51,9 @@ collapses all the measure bookkeeping to ordinary matrix algebra.
 
 ``Report`` is the one result shape of every check: ``tensor_equal``
 returns one (verdict, entries compared, the least failing key and both
-values there), the relation checkers fold such reports into theirs, and
-state-sum invariance runs return one.  ``in_backend`` moves a tensor into
+values there), built by ``slices_equal`` as its one-pair case, the
+relation checkers fold such reports into theirs, and state-sum
+invariance runs return one.  ``in_backend`` moves a tensor into
 the ring a backend name selects, the one policy checkers and state sums
 share.
 """
@@ -308,17 +312,50 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Report:
     straddles both radical parities may yield INDETERMINATE; the float
     backend compares at relative tolerance rel.
     """
+    return slices_equal([(t1, t2)], rel)
+
+
+def slices_equal(pairs, rel: float = 1e-9) -> Report:
+    """``tensor_equal`` on two tensors given slice by slice.
+
+    ``pairs`` yields (slice of t1, slice of t2) pairs whose key sets are
+    disjoint across pairs and whose union is each whole tensor; a whole
+    pair is one slice.  Each pair is compared as ``tensor_equal`` compares
+    whole tensors and the report is the one the whole tensors give: the
+    checks summed, the witness the least UNEQUAL key over all pairs, else
+    the least INDETERMINATE one, with both values there.  The pairs are
+    taken one at a time and none is held after its comparison, so a
+    generator of pairs keeps one pair alive at once.
+    """
+    checks, least = 0, {}
+    for domain, ring, compared, found in map(_compare_pair, pairs, itertools.repeat(rel)):
+        checks += compared
+        for verdict, hit in found.items():
+            if verdict not in least or hit[0] < least[verdict][0]:
+                least[verdict] = hit
+    for verdict in (Comparison.UNEQUAL, Comparison.INDETERMINATE):
+        if verdict in least:
+            key, v1, v2 = least[verdict]
+            fields = {"verdict": verdict.verdict, "checks": checks}
+            values = {"lhs_value": ring.render(v1), "rhs_value": ring.render(v2)}
+            return Report("tensor-equal", fields, _fmt_key(domain, key), values)
+    return Report("tensor-equal", {"verdict": "pass", "checks": checks})
+
+
+def _compare_pair(pair, rel):
+    """One pair's domain, ring, keys compared and {verdict: (least key,
+    both values there)} for the failing verdicts it holds."""
+    t1, t2 = pair
     if t1.arity != t2.arity:
         raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
     _check_same_backend(t1, t2)
-    ring = t1.ring
-    compared, unequal, indeterminate = ring.compare_entries(t1.entries, t2.entries, rel)
-    for verdict, key in ((Comparison.UNEQUAL, unequal), (Comparison.INDETERMINATE, indeterminate)):
-        if key is not None:
-            values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
-            fields = {"verdict": verdict.verdict, "checks": compared}
-            return Report("tensor-equal", fields, _fmt_key(t1.domain, key), values)
-    return Report("tensor-equal", {"verdict": "pass", "checks": compared})
+    compared, unequal, indeterminate = t1.ring.compare_entries(t1.entries, t2.entries, rel)
+    found = {
+        verdict: (key, t1.entry(key), t2.entry(key))
+        for verdict, key in ((Comparison.UNEQUAL, unequal), (Comparison.INDETERMINATE, indeterminate))
+        if key is not None
+    }
+    return t1.domain, t1.ring, compared, found
 
 
 class LinMap:

@@ -14,12 +14,19 @@ so every side is written once, in its final slot order.  A family
 member X^a (Q with one output pinned to a) is Q itself with that output
 on a label wire, so a family side carries its index triple on three
 label wires; the two sides of an identity are compared whole, and the
-witness is read per triple.
+witness is read per triple.  The (3,3) sides are the exception above
+P33_SLICED_ABOVE possible entries: each side is linear in the identity
+it is applied to, and its input wires pass through every join
+untouched, so the words applied to the identity restricted to one first
+input build exactly that slice of each side, and verify_p33 builds and
+compares them one first input at a time (tensors.slices_equal), into
+the report the whole sides give.
 
 Checkers in here:
 
 * verify_p33: the hexagon-shaped relation with three solution tensors
-  on each side, as maps V^3 -> V^6;
+  on each side, as maps V^3 -> V^6, holding one first-input slice of
+  each side at a time when they are large;
 * verify_pentagon: S12 S13 S23 = S23 S12 on V^3;
 * verify_yb_family: the family reformulation (pinned-slot operators
   X^i, Y^j, Z^k) - two pentagon-shaped family identities and a
@@ -40,7 +47,7 @@ Checkers in here:
   in exact rational arithmetic.
 
 Each returns a tensors.Report; the entrywise checkers fold the Reports
-of their tensor_equal comparisons into it with _judge.
+of their tensor_equal (or slices_equal) comparisons into it with _judge.
 
 The backend follows tensors.in_backend: exact by default, so a pass is
 a ring identity; "float" is the opt-in cross-check at 1e-9 relative
@@ -64,6 +71,7 @@ from .tensors import (
     Report,
     apply_word,
     in_backend,
+    slices_equal,
     tensor_equal,
     _fmt_key,
 )
@@ -110,8 +118,17 @@ def q_as_linmap(q: GroupTensor) -> LinMap:
 # A side of the (3,3) relation holds at most this many entries; the bound
 # is checked before any contraction.  Bicharacter solutions over groups of
 # order up to 8 (8**6 entries) pass it; bichar:Z6, the largest any shipped
-# check runs, takes 6**6.
+# check runs, takes 6**6.  verify_p33 never holds two whole sides above
+# P33_SLICED_ABOVE: it builds and compares them one first input at a time.
 P33_ENTRIES_LIMIT = 1 << 18
+
+# verify_p33 slices the sides by first input when their bound exceeds
+# this.  Slicing runs six joins per element where whole sides run six in
+# all, and at or below 4**6 (bichar:Z4 and Z2xZ2; the perturbed bichar:Z3
+# controls take 3**6) the extra joins cost more time than the smaller
+# sides save: slicing every check moved the relation-float benchmark's
+# median op, a float control, from 3.3-3.4 ms to 4.1 ms.
+P33_SLICED_ABOVE = 1 << 12
 
 
 def _fan_out(m: LinMap) -> int:
@@ -120,43 +137,91 @@ def _fan_out(m: LinMap) -> int:
     return max(counts.values(), default=0)
 
 
-def p33_sides(q: GroupTensor) -> tuple[LinMap, LinMap]:
-    """Both sides of the (3,3) relation as maps V^3 -> V^6.
-
-    lhs = (Q sigma (x) id^3)(id (x) Q (x) id)(sigma (x) id^2)(id (x) Q)
-    rhs = (id^2 (x) sigma (x) id^2)(id^3 (x) Q sigma)(id (x) Q (x) id)
-          (id^2 (x) sigma)(Q (x) id)
-
-    Raises ValueError when a side could hold more than P33_ENTRIES_LIMIT
-    entries: each side has at most |V|^3 entries (the identity on V^3)
-    times the fan-out of each factor, and sigma permutes keys, so both
-    sides are bounded by |V|^3 * fan-out(Q)^3.
-    """
-    dom, ring = q.domain, q.ring
-    qm = q_as_linmap(q)
+def _p33_bound(qm: LinMap) -> int:
+    """The most entries a side of the (3,3) relation on Q can hold: each side
+    has at most |V|^3 entries (the identity on V^3) times the fan-out of
+    each factor, and sigma permutes keys, so both sides are bounded by
+    |V|^3 * fan-out(Q)^3.  Raises ValueError above P33_ENTRIES_LIMIT."""
+    dom = qm.tensor.domain
     bound = dom.size**3 * _fan_out(qm) ** 3
     if bound > P33_ENTRIES_LIMIT:
         raise ValueError(
             f"(3,3) sides over {dom.literal} may hold {bound} entries, over the "
             f"limit of {P33_ENTRIES_LIMIT}"
         )
+    return bound
+
+
+def _p33_slices(qm: LinMap, firsts):
+    """The (lhs, rhs) pairs of p33_sides, one per item of ``firsts``: the
+    whole sides for None, else their slices at that first input, each
+    pair built when the previous one has been taken."""
+    dom, ring = qm.tensor.domain, qm.tensor.ring
     sig = LinMap.sigma(dom, ring)
     qsig = apply_word([(qm, 0)], sig)
-    start = LinMap.identity(dom, 3, ring)
-    lhs = apply_word([(qsig, 0), (qm, 1), (sig, 0), (qm, 1)], start)
-    rhs = apply_word([(sig, 2), (qsig, 3), (qm, 1), (sig, 2), (qm, 0)], start)
-    return lhs, rhs
+    lhs = [(qsig, 0), (qm, 1), (sig, 0), (qm, 1)]
+    rhs = [(sig, 2), (qsig, 3), (qm, 1), (sig, 2), (qm, 0)]
+    identity = LinMap.identity(dom, 3, ring)
+    for x in firsts:
+        start = identity
+        if x is not None:
+            entries = {key: v for key, v in identity.tensor.entries.items() if key[3] == x}
+            start = LinMap(GroupTensor(dom, identity.tensor.variances, entries, ring), 3, 3)
+        yield apply_word(lhs, start), apply_word(rhs, start)
+
+
+def p33_sides(q: GroupTensor, first=None) -> tuple[LinMap, LinMap]:
+    """Both sides of the (3,3) relation as maps V^3 -> V^6.
+
+    lhs = (Q sigma (x) id^3)(id (x) Q (x) id)(sigma (x) id^2)(id (x) Q)
+    rhs = (id^2 (x) sigma (x) id^2)(id^3 (x) Q sigma)(id (x) Q (x) id)
+          (id^2 (x) sigma)(Q (x) id)
+
+    Each side is its word applied to the identity on V^3.  With ``first``
+    an element x, the words apply to that identity restricted to first
+    input x, which gives exactly the entries of the whole sides whose
+    first input (slot 6) is x, with the same values: the input wires pass
+    through every join untouched, and each entry is summed from the same
+    products in the same order.
+
+    Raises ValueError, before any contraction, when a side could hold
+    more than P33_ENTRIES_LIMIT entries (see _p33_bound).
+    """
+    qm = q_as_linmap(q)
+    _p33_bound(qm)
+    if first is not None and first not in q.domain.elements():
+        raise ValueError(f"{first!r} is not an element of {q.domain.literal}")
+    return next(_p33_slices(qm, [first]))
 
 
 def verify_p33(sol: SolutionSpec, backend: str = "exact", rel: float = 1e-9) -> Report:
+    """The (3,3) relation for a solution tensor, as one comparison of its
+    two sides.
+
+    When the sides' bound exceeds P33_SLICED_ABOVE, they are built and
+    compared one first input at a time (p33_sides with ``first``), so
+    the check holds one slice of each side instead of both whole sides;
+    otherwise one pass builds and compares the whole sides.  Either way
+    slices_equal folds the comparison into the report the whole sides
+    give, and lhs_nnz and rhs_nnz count every entry of each side.
+    """
     if sol.q is None:
         raise ValueError(
             "this solution has no tensor; use verify_set_p33 for the set-theoretic map"
         )
     q = in_backend(sol.q, backend)
-    lhs, rhs = p33_sides(q)
-    extras = {"lhs_nnz": len(lhs.tensor.entries), "rhs_nnz": len(rhs.tensor.entries)}
-    return _judge("p33", sol.descriptor, q.ring.name, [("", tensor_equal(lhs.tensor, rhs.tensor, rel))], extras)
+    qm = q_as_linmap(q)
+    firsts = q.domain.elements() if _p33_bound(qm) > P33_SLICED_ABOVE else [None]
+    extras = {"lhs_nnz": 0, "rhs_nnz": 0}
+
+    def counted(pair):
+        lhs, rhs = pair
+        extras["lhs_nnz"] += len(lhs.tensor.entries)
+        extras["rhs_nnz"] += len(rhs.tensor.entries)
+        return lhs.tensor, rhs.tensor
+
+    rep = slices_equal(map(counted, _p33_slices(qm, firsts)), rel)
+    return _judge("p33", sol.descriptor, q.ring.name, [("", rep)], extras)
 
 
 def verify_pentagon(s: LinMap, backend: str = "exact") -> Report:

@@ -4,8 +4,9 @@ Each is written from its definition, independently of the code path it
 checks: outer products as loops over entry pairs, window permutations
 as ``GroupTensor.permute`` then ``_rescale``, the relation sides with
 every identity wire built as a tensor and the printed factors folded
-left to right, joins as first written, group arithmetic and the pairing
-on residue tuples, face classes as a union-find over
+left to right, the (3,3) check on its two whole sides at any size,
+joins as first written, group arithmetic and the pairing on residue
+tuples, face classes as a union-find over
 (entry, vertex subset) tuples, move sites by trying every vertex label,
 and the splittings of a move in the order the site lists keep.  Test
 modules import from here and from no other test module.
@@ -22,7 +23,7 @@ from pachner.scalars import ComplexRing
 from pachner.simplicial import MoveSite
 from pachner.solutions import SolutionSpec
 from pachner.tensors import DOWN, UP, GroupTensor, LinMap, _fmt_key, in_backend, tensor_equal
-from pachner.verify import _judge, q_as_linmap
+from pachner.verify import _judge, p33_sides, q_as_linmap
 
 
 # values whose sums cancel exactly, and the least subnormal, which a weight
@@ -154,6 +155,16 @@ def padded_p33_sides(q):
         tens(qm, id1),
     )
     return lhs, rhs
+
+
+def whole_side_p33(sol, backend="exact", rel=1e-9):
+    """verify_p33 with both sides built whole by p33_sides and compared in
+    one tensor_equal, at any size."""
+    q = in_backend(sol.q, backend)
+    lhs, rhs = p33_sides(q)
+    extras = {"lhs_nnz": len(lhs.tensor.entries), "rhs_nnz": len(rhs.tensor.entries)}
+    report = tensor_equal(lhs.tensor, rhs.tensor, rel)
+    return _judge("p33", sol.descriptor, q.ring.name, [("", report)], extras)
 
 
 def padded_pentagon_sides(s):

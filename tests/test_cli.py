@@ -550,6 +550,23 @@ def test_dense_oracle_refuses_oversized_grids(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "backend,digest",
+    [
+        ("exact", "2f6b7b1c0ae245635985821e300c5b3d4ee84b32ea784997b511b1f5c1c2bf8c"),
+        ("float", "d621c14f48810665de2241f20e6d5e8478d40ebd6dfc4f84e63da235f6fb0bdb"),
+    ],
+)
+def test_verify_p33_on_bichar_z7_prints_the_whole_side_report(capsys, backend, digest):
+    # seven first-input slices per side, folded into the report that the
+    # whole sides (117,649 entries each) gave before the check was sliced
+    code, out, _ = run(capsys, ["verify", "p33", "--solution", "bichar:Z7", "--backend", backend])
+    assert code == 0
+    assert "checks=117649\nlhs_nnz=117649\nrhs_nnz=117649\n" in out
+    assert out.count("\n") == 11
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_p33_over_the_entry_bound_exits_64_before_contracting(capsys, monkeypatch):
     monkeypatch.setattr("pachner.verify.P33_ENTRIES_LIMIT", 4095)
     monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("contracted"))

@@ -212,10 +212,32 @@ def test_only_an_int_index_is_an_element(bad):
         lambda x: group.chi(0, x),
         group.gauss_g,
         group.delta,
+        group.neg,
+        lambda x: group.add(x, 0),
+        lambda x: group.add(0, x),
+        lambda x: group.sub(x, 0),
+        lambda x: group.sub(0, x),
+        lambda x: group.chi_exponent(x, 0),
+        lambda x: group.chi_exponent(0, x),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call(bad)
+
+
+@pytest.mark.parametrize("bad", [-1, -4, 4])
+def test_arithmetic_refuses_an_index_outside_the_group(bad):
+    # a negative index used to wrap through the residue table: on Z4,
+    # add(-1, 0) read 3 and chi_exponent(-1, 1) read 6
+    group = parse_group("Z4")
+    message = re.escape(f"{bad} is not an element of Z4")
+    for call in (group.add, group.sub, group.chi_exponent, group.chi):
+        with pytest.raises(ValueError, match=message):
+            call(bad, 1)
+        with pytest.raises(ValueError, match=message):
+            call(1, bad)
+    with pytest.raises(ValueError, match=message):
+        group.neg(bad)
 
 
 def test_parse_group_literals():

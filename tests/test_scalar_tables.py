@@ -1,12 +1,17 @@
 """The exact rings' hash-consing and memo tables change no result.
 
 Each ring interns its scalars and memoises products, sums, radical shifts,
-radical powers and roots of unity on object identity (see the scalars module docstring).
+conjugates, radical powers and roots of unity on object identity (see the
+scalars module docstring).
 These tests pin the rules that make that safe: a drop at the table limit
 in the middle of a run, a cold ring against a warm one, and freed
 operands after a drop.  test_cli runs the selftest's mutation hooks over
 warm tables.
 """
+
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,12 @@ from pachner.groups import parse_group
 from pachner.scalars import ScalarRing, get_ring
 from pachner.simplicial import simplex_boundary
 from pachner.solutions import parse_solution, perturb_q
+from pachner.tensors import GroupTensor, tensor_equal
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 
 def terms(tensor):
@@ -23,14 +34,28 @@ def terms(tensor):
 
 
 def recorded(monkeypatch, run):
-    """run()'s reports, with every pair of tensors verify compares and every
-    state-sum value, their terms in item order."""
+    """run()'s reports, with every pair of tensors verify compares, every
+    conjugate tensor and every state-sum value, their terms in item order."""
     seen = []
-    equal, value = verify.tensor_equal, statesum.partition_value
+    equal, slices, value = verify.tensor_equal, verify.slices_equal, statesum.partition_value
+    conj = GroupTensor.conj
 
     def spy_equal(t1, t2, rel=1e-9):
         seen.append((terms(t1), terms(t2)))
         return equal(t1, t2, rel)
+
+    def spy_slices(pairs, rel=1e-9):
+        def seen_pairs():
+            for t1, t2 in pairs:
+                seen.append((terms(t1), terms(t2)))
+                yield t1, t2
+
+        return slices(seen_pairs(), rel)
+
+    def spy_conj(t):
+        c = conj(t)
+        seen.append(terms(c))
+        return c
 
     def spy_value(a, order="greedy"):
         v = value(a, order)
@@ -39,6 +64,8 @@ def recorded(monkeypatch, run):
 
     with monkeypatch.context() as m:
         m.setattr(verify, "tensor_equal", spy_equal)
+        m.setattr(verify, "slices_equal", spy_slices)
+        m.setattr(GroupTensor, "conj", spy_conj)
         m.setattr(statesum, "partition_value", spy_value)
         reports = run()
     return [report.lines() for report in reports], seen
@@ -53,11 +80,21 @@ def theorem():
     return [verify.verify_theorem(parse_group("Z3"))]
 
 
+def conjugates():
+    """The (3,3) lhs of perturbed bichar:Z3 tensors conjugated twice, which
+    gives it back: dozens of distinct values each."""
+    sol = parse_solution("bichar:Z3")
+    sides = [verify.p33_sides(perturb_q(sol, seed).q)[0].tensor for seed in range(4)]
+    return [tensor_equal(t.conj().conj(), t) for t in sides]
+
+
 def walk20():
     return [statesum.invariance_run(simplex_boundary(5), parse_solution("bichar:Z3"), count=20, seed=1)]
 
 
-@pytest.mark.parametrize("run", [perturbed_controls, theorem, walk20], ids=["p33-controls", "theorem", "walk"])
+@pytest.mark.parametrize(
+    "run", [perturbed_controls, theorem, conjugates, walk20], ids=["p33-controls", "theorem", "conj", "walk"]
+)
 def test_a_drop_in_the_middle_of_a_run_changes_nothing(monkeypatch, run):
     want = recorded(monkeypatch, run)
     get_ring(3, 3)._drop_tables()  # so the run inserts, and trips the limit
@@ -93,6 +130,7 @@ RUNS = {
     "p33": lambda: [verify.verify_p33(parse_solution("bichar:Z3"))],
     "yb": lambda: [verify.verify_yb_family(parse_solution("bichar:Z3"))],
     "theorem": theorem,
+    "conj": conjugates,
     "statesum": lambda: [
         statesum.invariance_run(simplex_boundary(5), parse_solution("bichar:Z3"), count=6, seed=2)
     ],
@@ -144,3 +182,22 @@ def test_a_root_is_built_once_per_exponent_and_dropped_with_the_tables(monkeypat
     assert not ring._roots
     again = ring.root(1)
     assert len(built) == 8 and list(again.terms.items()) == list(roots[1].terms.items())
+
+
+def test_a_warm_relation_round_canonicalises_nothing(monkeypatch):
+    # the benchmark's relation round at seed 1, run once to warm the rings
+    # and then again: every product, sum, shift and conjugate it needs
+    # comes from the tables (68 conjugates were put in canonical form
+    # again before conjugates were memoised)
+    workload = workloads.WORKLOADS["relation"]
+    round_seed = random.Random(1).getrandbits(64)
+
+    def a_round():
+        return list(workload.round(workload.prepare(PERFBENCH / "data"), random.Random(round_seed)))
+
+    assert [op.check(op.run()) for op in a_round()] == [None] * 47
+    ops = a_round()
+    calls, canonical = [], ScalarRing._canonical
+    monkeypatch.setattr(ScalarRing, "_canonical", lambda self, t: calls.append(t) or canonical(self, t))
+    assert [op.check(op.run()) for op in ops] == [None] * 47
+    assert calls == []

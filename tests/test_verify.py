@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -60,6 +61,7 @@ from reference import (
     padded_yb_family,
     padded_yb_identities,
     pin,
+    whole_side_p33,
 )
 
 
@@ -131,6 +133,78 @@ def test_p33_sides_equal_the_padded_transcription(descriptor):
     for got, want in zip(p33_sides(q), padded_p33_sides(q)):
         assert (got.n_out, got.n_in) == (want.n_out, want.n_in) == (6, 3)
         assert got.tensor.entries == want.tensor.entries
+
+
+# the catalogue solutions whose (3,3) sides verify_p33 builds one first
+# input at a time: bound |V|**3 * fan-out**3 above 4**6
+SLICED_P33 = ("bichar:Z5", "bichar:Z6")
+
+P33_WHOLE_SIDE_CASES = [(d, [None]) for d in catalog() if d != "set"] + [
+    ("bichar:Z3", range(20)),
+    ("bichar:Z5", range(3)),
+    ("bichar:Z6", range(3)),
+]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize(
+    "descriptor,seeds", P33_WHOLE_SIDE_CASES, ids=[f"{d}-{len(s)}" for d, s in P33_WHOLE_SIDE_CASES]
+)
+def test_p33_report_lines_equal_the_whole_side_reference(descriptor, seeds, backend):
+    base = parse_solution(descriptor)
+    verdicts = set()
+    for seed in seeds:
+        sol = base if seed is None else perturb_q(base, seed)
+        report = verify_p33(sol, backend)
+        assert report.lines() == whole_side_p33(sol, backend).lines(), seed
+        verdicts.add(report.verdict)
+    # every perturbed group has failing seeds, so the fold's witness is read
+    assert verdicts == ({"pass"} if seeds == [None] else {"fail"})
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("descriptor,seed", [("bichar:Z5", 1), ("bichar:Z2xZ2", None), ("triple:groupalg:S3", None)])
+def test_p33_slices_partition_the_whole_sides(descriptor, seed, backend):
+    sol = parse_solution(descriptor)
+    q = in_backend((sol if seed is None else perturb_q(sol, seed)).q, backend)
+    whole = p33_sides(q)
+    union = ({}, {})
+    for x in q.domain.elements():
+        for part, acc in zip(p33_sides(q, x), union):
+            assert (part.n_out, part.n_in) == (6, 3)
+            assert all(key[6] == x for key in part.tensor.entries)
+            acc.update(part.tensor.entries)
+    for side, acc in zip(whole, union):
+        assert acc == side.tensor.entries
+    with pytest.raises(ValueError, match="-1 is not an element of"):
+        p33_sides(q, -1)
+
+
+@pytest.mark.parametrize("descriptor,joins", [("bichar:Z4", 7), ("bichar:Z2xZ2", 7), ("bichar:Z5", 1 + 6 * 5)])
+def test_p33_slices_only_sides_above_the_cut_off(descriptor, joins, monkeypatch):
+    # one join builds Q sigma, then six build the two sides, once in all at
+    # a bound of at most 4**6 and once per first input above it
+    counted, contract = [], tensors.contract
+    monkeypatch.setattr(tensors, "contract", lambda *args: counted.append(args) or contract(*args))
+    assert verify_p33(parse_solution(descriptor))
+    assert len(counted) == joins
+    assert verify.P33_SLICED_ABOVE == 4**6
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_sliced_p33_peaks_at_a_third_of_the_whole_sides(backend):
+    sol = parse_solution("bichar:Z6")
+    verify_p33(sol, backend)  # warm the ring's tables and the imports
+    peaks = []
+    for check in (whole_side_p33, verify_p33):
+        tracemalloc.start()
+        try:
+            check(sol, backend)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    whole, sliced = peaks
+    assert 3 * sliced <= whole, peaks
 
 
 @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3"])
@@ -571,10 +645,12 @@ def word_checks(backend):
     sols = [parse_solution(d) for d in catalog() if d != "set"]
     sols += [perturb_q(parse_solution("bichar:Z3"), seed) for seed in range(20)]
     for sol in sols:
-        # Q sigma and the two p33 sides; a perturbed Q fails pe1, so the yb
-        # fold builds its two sides only
+        # Q sigma and the two p33 sides, or the sides' two slices per first
+        # input where verify_p33 slices them; a perturbed Q fails pe1, so
+        # the yb fold builds its two sides only
+        p33_words = 1 + 2 * sol.domain.size if sol.descriptor in SLICED_P33 else 3
         yb_words = 2 if "perturbed" in sol.descriptor else 6
-        yield sol.descriptor, [(verify_p33, sol, backend), (verify_yb_family, sol, backend)], 3 + yb_words
+        yield sol.descriptor, [(verify_p33, sol, backend), (verify_yb_family, sol, backend)], p33_words + yb_words
         if sol.descriptor.startswith("triple:"):
             name = sol.descriptor.rsplit(":", 1)[1]
             s = pentagon_map(triple_from_table(named_group_table(name), name))
