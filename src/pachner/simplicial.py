@@ -127,9 +127,9 @@ class Triangulation:
     addressed by entry index, never by vertex set.
 
     A triangulation is immutable once built (``gluing`` is a read-only
-    mapping), so its labels, face classes, site-search index and the move
-    sites of each size |I| are each built at most once, on first use, and
-    kept on the instance.
+    mapping), so its labels, face classes, site-search index, cone mates
+    (shared by every move size) and the move sites of each size |I| are
+    each built at most once, on first use, and kept on the instance.
     """
 
     def __init__(self, dim: int, simplexes, gluing=None):
@@ -150,7 +150,7 @@ class Triangulation:
         else:
             self.gluing = MappingProxyType(dict(gluing))
             self._validate_gluing()
-        self._labels = self._classes = self._index = None
+        self._labels = self._classes = self._index = self._mates = None
         self._sites = {}
 
     # -- construction helpers ------------------------------------------
@@ -174,12 +174,20 @@ class Triangulation:
         return gluing
 
     def _validate_gluing(self):
-        for e, i in self.gluing:
+        gluing = self.gluing
+        for e, i in gluing:
             if not (0 <= e < len(self.simplexes) and 0 <= i <= self.dim):
                 raise ValueError(f"gluing references unknown occurrence {(e, i)}")
-        for occ, partner in self.gluing.items():
-            if self.gluing.get(partner) != occ or partner == occ:
+        # the involution is checked at every occurrence; a pair's facets are
+        # compared at the first of its two occurrences, whose check the
+        # second one would repeat
+        compared = set()
+        for occ, partner in gluing.items():
+            if gluing.get(partner) != occ or partner == occ:
                 raise ValueError(f"gluing is not a fixed-point-free involution at {occ}")
+            if partner in compared:
+                continue
+            compared.add(occ)
             if self.facet(*occ) != self.facet(*partner):
                 raise ValueError(
                     f"glued occurrences {occ} and {partner} have different vertices"
@@ -248,15 +256,12 @@ class Triangulation:
         # the mask's positions); mask 0 is never used.  Both walks up the
         # forest halve the path they take.
         parent = _new_forest(len(self.simplexes) << width)
-        spread = {}
+        spread = [_spread_masks(width, j) for j in range(width)]
         done = set()
         for (e, i), (e2, i2) in self.gluing.items():
             if (e2, i2) in done:
                 continue
             done.add((e, i))
-            for j in (i, i2):
-                if j not in spread:
-                    spread[j] = _spread_masks(width, j)
             base, base2 = e << width, e2 << width
             # the same vertex subset of the glued facet, seen from either side
             for m, m2 in zip(spread[i], spread[i2]):
@@ -270,16 +275,23 @@ class Triangulation:
         classes: dict = {}
         names = {}
         masks = _subset_masks(width)
+        sizes = range(1, width + 1)
         for e, (vertices, _) in enumerate(self.simplexes):
             base = e << width
-            subsets = (sub for k in range(1, width + 1) for sub in itertools.combinations(vertices, k))
+            subsets = itertools.chain.from_iterable(
+                map(itertools.combinations, itertools.repeat(vertices), sizes)
+            )
             for mask, sub in zip(masks, subsets):
                 node = x = base + mask
                 while parent[x] != x:
                     parent[x] = x = parent[parent[x]]
                 if x == node:
                     names[x] = (e, sub)
-                classes.setdefault(x, []).append((e, sub))
+                members = classes.get(x)
+                if members is None:
+                    classes[x] = [(e, sub)]
+                else:
+                    members.append((e, sub))
         return {names[root]: frozenset(members) for root, members in classes.items()}
 
     def _site_index(self) -> dict:
@@ -308,40 +320,58 @@ class Triangulation:
             self._sites[p] = self._enumerate_sites(p)
         return self._sites[p]
 
-    def _enumerate_sites(self, p: int) -> dict:
-        n = self.dim + 1
+    def _find_cone_mates(self) -> tuple:
+        """Every cone entry with its mates, for all move sizes at once.
+
+        One (phi, i0, e0, eps, mates) row per entry e0 at position i0 of a
+        cone phi, in ``_site_index`` order, for each entry with a mate.
+        Every other entry of a site is e0's partner across the facet
+        missing that entry's position, so ``mates`` lists, by position
+        i > i0, that partner when the index row at i holds it with the
+        same eps (glued facets share their vertices, so a partner in the
+        row is glued along its facet missing e0's position).
+        """
         gluing = self.gluing
-        by_I: dict[tuple, list] = {}
+        cones = []
         for phi, rows in self._site_index().items():
             for i0, row in rows.items():
                 for e0, eps in row.items():
-                    # every other entry of a site is e0's partner across the
-                    # facet missing that entry's position, so one per position
-                    # (glued facets share their vertices, so a partner in the
-                    # row is glued along its facet missing e0's position)
                     mates = []
                     for i in rows:
                         if i > i0:
                             partner = gluing.get((e0, _pos(i, i0)))
                             if partner and rows[i].get(partner[0]) == eps:
                                 mates.append((i, partner[0]))
-                    for chosen in itertools.combinations(mates, p - 1):
-                        if all(
-                            gluing.get((e, _pos(i2, i))) == (e2, _pos(i, i2))
-                            for (i, e), (i2, e2) in itertools.combinations(chosen, 2)
-                        ):
-                            I = (i0, *(i for i, _ in chosen))
-                            J = tuple(k for k in range(n + 1) if k not in I)
-                            entries = (e0, *(e for _, e in chosen))
-                            by_I.setdefault(I, []).append(MoveSite(n, I, J, phi, entries, eps))
+                    if mates:
+                        cones.append((phi, i0, e0, eps, tuple(mates)))
+        return tuple(cones)
+
+    def _enumerate_sites(self, p: int) -> dict:
+        """The sites of size p from the cone mates (found once per complex):
+        p - 1 mates of a cone entry form a site when each two of them are
+        glued along the facet missing the other's position."""
+        if self._mates is None:
+            self._mates = self._find_cone_mates()
+        n = self.dim + 1
+        gluing = self.gluing
+        by_I: dict[tuple, list] = {}
+        for phi, i0, e0, eps, mates in self._mates:
+            for chosen in itertools.combinations(mates, p - 1):
+                if all(
+                    gluing.get((e, _pos(i2, i))) == (e2, _pos(i, i2))
+                    for (i, e), (i2, e2) in itertools.combinations(chosen, 2)
+                ):
+                    I = (i0, *(i for i, _ in chosen))
+                    J = tuple(k for k in range(n + 1) if k not in I)
+                    entries = (e0, *(e for _, e in chosen))
+                    by_I.setdefault(I, []).append(MoveSite(n, I, J, phi, entries, eps))
         return {I: tuple(sites) for I, sites in by_I.items()}
 
     def euler_characteristic(self) -> int:
-        total = 0
-        for members in self.face_classes().values():
-            size = len(next(iter(members))[1])
-            total += (-1) ** (size - 1)
-        return total
+        """The face classes counted by dimension with alternating signs; a
+        class's dimension is read from its representative, whose vertex
+        subset has the size of every member's."""
+        return sum(1 if len(sub) % 2 else -1 for _, sub in self.face_classes())
 
     def __repr__(self):
         return (
@@ -438,11 +468,29 @@ def simplex_boundary(n: int) -> Triangulation:
     return Triangulation(n - 1, entries)
 
 
+# The splittings (n, I, J) that _check_splitting has accepted as they were
+# given, sorted tuples.  A hit returns the caller's own tuples, which is
+# what the full check returns for them, so what the memo holds never
+# changes a result.  There are 2**(n + 1) - 2 splittings of [0..n]; past
+# this many the memo stops growing.
+SPLITTINGS_SEEN_LIMIT = 1 << 12
+_splittings_seen: set = set()
+
+
 def _check_splitting(n, I, J):
-    I, J = tuple(sorted(I)), tuple(sorted(J))
-    if not I or not J or sorted(I + J) != list(range(n + 1)):
-        raise ValueError(f"({I}, {J}) is not a splitting of [0..{n}]")
-    return I, J
+    """(I, J) as sorted tuples; raises ValueError unless they split [0..n]
+    into two nonempty parts.  A pair of sorted tuples is validated once and
+    then found in ``_splittings_seen``; anything else (lists, unsorted
+    tuples, refusals) is checked in full on every call."""
+    key = (n, I, J)
+    if type(I) is tuple and type(J) is tuple and key in _splittings_seen:
+        return I, J
+    sI, sJ = tuple(sorted(I)), tuple(sorted(J))
+    if not sI or not sJ or sorted(sI + sJ) != list(range(n + 1)):
+        raise ValueError(f"({sI}, {sJ}) is not a splitting of [0..{n}]")
+    if sI == I and sJ == J and len(_splittings_seen) < SPLITTINGS_SEEN_LIMIT:
+        _splittings_seen.add(key)
+    return sI, sJ
 
 
 def pachner_sides(n: int, I, J):
@@ -479,9 +527,12 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     one of its cones, an entry plus the vertex opposite it across a glued
     facet; the first search of a size lists the sites of every splitting
     of that size from the cones at once (``Triangulation._move_sites``) and
-    later searches of that size on ``t`` read them.  Each call returns a
-    new list.  Raises ValueError, before enumerating anything, when the
-    move has more than SPLITTINGS_LIMIT splittings.
+    later searches of that size on ``t`` read them.  The entries that can
+    join each cone entry in a site, its mates, are found once per complex
+    and shared by every size, and a splitting given as sorted tuples is
+    validated once per process.  Each call returns a new list.  Raises
+    ValueError, before enumerating anything, when the move has more than
+    SPLITTINGS_LIMIT splittings.
 
     No face interior to a site touches an entry outside it, so that move
     condition needs no check of its own.  Such a face is phi minus a set D

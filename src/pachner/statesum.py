@@ -234,20 +234,23 @@ def all_sites(t: Triangulation, p: int):
     lexicographic order.  For 2 <= p <= n one enumeration lists the sites
     of every splitting of size p (``Triangulation._move_sites``), keyed by
     the splittings that have a site, and they are read in that order, so
-    the C(n + 1, p) splittings are not visited one by one.  Raises
-    ValueError, before any site search, when the move has more than
-    simplicial.SPLITTINGS_LIMIT splittings.
+    the C(n + 1, p) splittings are not visited one by one; for p = 1 only
+    I = (n,) has sites.  Raises ValueError, before any site search, when p
+    is outside 1..n or the move has more than simplicial.SPLITTINGS_LIMIT
+    splittings.
     """
     n = t.dim + 1
+    _check_move_type(n, p)
     check_move_size(t.dim, p)
-    if 2 <= p <= n:
-        by_I = t._move_sites(p)
-        return [site for I in sorted(by_I) for site in by_I[I]]
-    sites = []
-    for I in itertools.combinations(range(n + 1), p):
-        J = tuple(sorted(set(range(n + 1)) - set(I)))
-        sites.extend(find_move_sites(t, I, J))
-    return sites
+    if p == 1:
+        return find_move_sites(t, (n,), tuple(range(n)))
+    by_I = t._move_sites(p)
+    return [site for I in sorted(by_I) for site in by_I[I]]
+
+
+def _check_move_type(n: int, p: int) -> None:
+    if not 1 <= p <= n:
+        raise ValueError(f"move type ({p},{n + 1 - p}) needs 1 <= p <= {n}")
 
 
 def walk(t: Triangulation, types, rng):
@@ -292,8 +295,7 @@ def invariance_run(
     if not t.is_closed():
         raise ValueError("invariance runs need a closed complex")
     n = t.dim + 1
-    if not 1 <= p <= n:
-        raise ValueError(f"move type ({p},{n + 1 - p}) needs 1 <= p <= {n}")
+    _check_move_type(n, p)
     move_type = f"{p},{n + 1 - p}"
     a = build_assignment(t, sol, backend)
     ring = a.tensors[0].ring

@@ -340,10 +340,15 @@ def all_splittings(n):
 
 
 def face_classes(t):
-    """The faces of every dimension as a set of classes, each the frozenset
-    of its (entry, vertex subset) occurrences: a union-find over those
-    tuples in which every subset of a glued facet is identified with the
-    same subset of its partner."""
+    """The faces of every dimension as a map from representative to class,
+    each class the frozenset of its (entry, vertex subset) occurrences: a
+    union-find over those tuples in which every subset of a glued facet is
+    identified with the same subset of its partner.  The gluing is read in
+    its own order, a facet's subsets by size and then lexicographically,
+    and each union hangs the partner's root under the root of this side,
+    so a representative is a root of that forest.  Classes are listed in
+    the order their first members come, entry by entry and each entry's
+    subsets by size and then lexicographically."""
     parent = {}
 
     def find(x):
@@ -351,21 +356,58 @@ def face_classes(t):
             x = parent[x]
         return x
 
-    for e, (vertices, _) in enumerate(t.simplexes):
+    def subsets(vertices):
         for k in range(1, len(vertices) + 1):
-            for sub in itertools.combinations(vertices, k):
-                parent[(e, sub)] = (e, sub)
+            yield from itertools.combinations(vertices, k)
+
+    for e, (vertices, _) in enumerate(t.simplexes):
+        for sub in subsets(vertices):
+            parent[(e, sub)] = (e, sub)
     for (e, i), (e2, _) in t.gluing.items():
-        face = t.facet(e, i)
-        for k in range(1, len(face) + 1):
-            for sub in itertools.combinations(face, k):
-                rx, ry = find((e, sub)), find((e2, sub))
-                if rx != ry:
-                    parent[ry] = rx
+        for sub in subsets(t.facet(e, i)):
+            rx, ry = find((e, sub)), find((e2, sub))
+            if rx != ry:
+                parent[ry] = rx
     classes = {}
     for x in parent:
         classes.setdefault(find(x), set()).add(x)
-    return {frozenset(members) for members in classes.values()}
+    return {root: frozenset(members) for root, members in classes.items()}
+
+
+def euler_characteristic(t):
+    """Face classes counted by dimension with alternating signs, each
+    class's dimension read from every member."""
+    total = 0
+    for members in face_classes(t).values():
+        (size,) = {len(sub) for _, sub in members}
+        total += (-1) ** (size - 1)
+    return total
+
+
+def gluing_error(dim, simplexes, gluing):
+    """The ValueError text a Triangulation built from explicit gluing data
+    raises, or None: every occurrence must exist; then, occurrence by
+    occurrence in the gluing's order, the gluing must be a fixed-point-free
+    involution there and the two glued facets must have equal vertices."""
+    for e, i in gluing:
+        if not (0 <= e < len(simplexes) and 0 <= i <= dim):
+            return f"gluing references unknown occurrence {(e, i)}"
+    for occ, partner in gluing.items():
+        if gluing.get(partner) != occ or partner == occ:
+            return f"gluing is not a fixed-point-free involution at {occ}"
+        facets = [simplexes[e][0][:i] + simplexes[e][0][i + 1 :] for e, i in (occ, partner)]
+        if facets[0] != facets[1]:
+            return f"glued occurrences {occ} and {partner} have different vertices"
+    return None
+
+
+def check_splitting(n, I, J):
+    """(I, J) as sorted tuples, or the ValueError a non-splitting of
+    [0..n] into two nonempty parts raises."""
+    I, J = tuple(sorted(I)), tuple(sorted(J))
+    if not I or not J or sorted(I + J) != list(range(n + 1)):
+        raise ValueError(f"({I}, {J}) is not a splitting of [0..{n}]")
+    return I, J
 
 
 def _site_interior_ok(I, phi, entries, rep, class_entries):

@@ -15,7 +15,14 @@ from pachner.simplicial import (
     pachner_sides,
     simplex_boundary,
 )
-from reference import all_splittings, exhaustive_move_sites, face_classes
+from reference import (
+    all_splittings,
+    check_splitting,
+    euler_characteristic,
+    exhaustive_move_sites,
+    face_classes,
+    gluing_error,
+)
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -345,7 +352,7 @@ def test_site_search_matches_the_exhaustive_search():
             complexes.append(Triangulation(dim, flipped, t.gluing))
     searched = matched = 0
     for t in complexes:
-        classes = face_classes(t)
+        classes = face_classes(t).values()
         for I, J in all_splittings(t.dim + 1):
             if len(I) >= 2:
                 sites = find_move_sites(t, I, J)
@@ -358,7 +365,8 @@ def test_site_search_matches_the_exhaustive_search():
 def test_face_classes_equal_the_reference():
     # the shipped and benchmark complexes (one repeats a vertex tuple),
     # seeded walks of every move type, and the balls each move starts from
-    # and produces
+    # and produces: the same representatives, in the same order, with the
+    # same members, and the same Euler characteristic
     paths = sorted(DATA.glob("*.tri")) + sorted((DATA.parent / "perfbench" / "data").glob("*.tri"))
     complexes = [Triangulation.load(path) for path in paths]
     assert any(len({v for v, _ in t.simplexes}) < len(t.simplexes) for t in complexes)
@@ -380,8 +388,9 @@ def test_face_classes_equal_the_reference():
     assert applied == {(dim, p) for dim in (2, 3, 4) for p in range(1, dim + 2)}
     for t in complexes:
         classes = t.face_classes()
-        assert set(classes.values()) == face_classes(t)
+        assert list(classes.items()) == list(face_classes(t).items())
         assert all(root in members for root, members in classes.items())
+        assert t.euler_characteristic() == euler_characteristic(t)
 
 
 def test_each_move_size_is_enumerated_once_per_complex(monkeypatch):
@@ -398,6 +407,154 @@ def test_each_move_size_is_enumerated_once_per_complex(monkeypatch):
             found = [s for I, J in all_splittings(5) for s in find_move_sites(t, I, J)]
         assert built == [(t, p) for p in range(2, 6)]
         t = apply_move(t, rng.choice(found))
+
+
+def walked_complexes(seed, steps):
+    """Seeded walks over every move type from the boundaries of the 3-, 4-
+    and 5-simplex, every complex met on the way."""
+    rng = random.Random(seed)
+    complexes = []
+    for dim in (2, 3, 4):
+        t = simplex_boundary(dim + 1)
+        for _ in range(steps):
+            complexes.append(t)
+            found = [s for I, J in all_splittings(dim + 1) for s in find_move_sites(t, I, J)]
+            t = apply_move(t, rng.choice(found))
+    return complexes
+
+
+def test_cone_mates_are_found_once_per_complex_for_every_size(monkeypatch):
+    found = []
+    find_cone_mates = Triangulation._find_cone_mates
+    monkeypatch.setattr(
+        Triangulation, "_find_cone_mates", lambda t: found.append(t) or find_cone_mates(t)
+    )
+    rng = random.Random(6)
+    for walked in walked_complexes(6, 5):
+        t = Triangulation(walked.dim, walked.simplexes, walked.gluing)
+        classes = face_classes(t).values()
+        sizes = list(range(2, t.dim + 2))
+        rng.shuffle(sizes)
+        found.clear()
+        for p in sizes:
+            for I, J in all_splittings(t.dim + 1):
+                if len(I) == p:
+                    assert find_move_sites(t, I, J) == exhaustive_move_sites(t, I, J, classes)
+        assert found == [t]
+
+
+def test_a_size_listed_after_others_equals_a_first_listing():
+    rng = random.Random(8)
+    for walked in walked_complexes(8, 5):
+        n = walked.dim + 1
+        for p in range(2, n + 1):
+            first = Triangulation(walked.dim, walked.simplexes, walked.gluing)
+            later = Triangulation(walked.dim, walked.simplexes, walked.gluing)
+            others = [k for k in range(2, n + 1) if k != p]
+            rng.shuffle(others)
+            for k in others:
+                later._move_sites(k)
+            # the same splittings in the same order, each with the same sites
+            assert list(first._move_sites(p).items()) == list(later._move_sites(p).items())
+            for I, J in all_splittings(n):
+                if len(I) == p:
+                    assert find_move_sites(first, I, J) == find_move_sites(later, I, J)
+
+
+@pytest.mark.parametrize(
+    "I, J",
+    [
+        ((0, 2, 4), (1, 3, 5)),
+        ([0, 2, 4], [1, 3, 5]),
+        ([4, 0, 2], (5, 3, 1)),
+        ((4, 0, 2), (5, 3, 1)),
+        ((0, 0, 2), (1, 3, 4, 5)),
+        ((0, 2, 4), (1, 3, 5, 5)),
+        ((0, 2), (1, 3, 5)),
+        ((0, 2, 4), (1, 3, 5, 6)),
+        ((), (0, 1, 2, 3, 4, 5)),
+        ((0, 1, 2, 3, 4, 5), ()),
+        ([], []),
+    ],
+)
+def test_the_splitting_memo_keeps_every_refusal(I, J):
+    t = simplex_boundary(5)
+    try:
+        want = check_splitting(5, I, J)
+    except ValueError as exc:
+        want = str(exc)
+    for _ in range(2):
+        try:
+            got = simplicial._check_splitting(5, I, J)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as refused:
+                find_move_sites(t, I, J)
+            assert str(refused.value) == want
+        else:
+            assert find_move_sites(t, I, J) == find_move_sites(t, *want)
+    # only sorted tuples that split [0..n] are remembered
+    for n, I2, J2 in simplicial._splittings_seen:
+        assert type(I2) is tuple and type(J2) is tuple and check_splitting(n, I2, J2) == (I2, J2)
+
+
+def test_the_splitting_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(simplicial, "_splittings_seen", set())
+    monkeypatch.setattr(simplicial, "SPLITTINGS_SEEN_LIMIT", 10)
+    for _ in range(2):
+        for I, J in all_splittings(5):
+            assert simplicial._check_splitting(5, I, J) == (I, J)
+            with pytest.raises(ValueError, match="is not a splitting"):
+                simplicial._check_splitting(4, I, J)
+    assert len(simplicial._splittings_seen) == 10
+
+
+def test_every_gluing_check_still_runs(monkeypatch):
+    # explicit gluings of walked complexes, each perturbed one way and
+    # given in a shuffled order, are refused with the first failing
+    # check's message; a valid one compares each glued pair's facets once
+    rng = random.Random(9)
+    facets = []
+    facet = Triangulation.facet
+    monkeypatch.setattr(
+        Triangulation, "facet", lambda t, e, i: facets.append((e, i)) or facet(t, e, i)
+    )
+    refused = set()
+    for t in walked_complexes(9, 4):
+        for _ in range(6):
+            items = list(t.gluing.items())
+            occ, partner = rng.choice(items)
+            other = rng.choice(items)[0]
+            kind = rng.randrange(5)
+            if kind == 0:  # a one-way entry
+                items.remove((partner, occ))
+            elif kind == 1:  # glued to itself
+                items = [(a, b) for a, b in items if occ not in (a, b)] + [(occ, occ)]
+            elif kind == 2:  # two pairs swapped, symmetrically
+                mate = t.gluing[other]
+                if other not in (occ, partner):
+                    swap = {occ: other, other: occ, partner: mate, mate: partner}
+                    items = [(a, swap.get(a, b)) for a, b in items]
+            elif kind == 3:  # redirected one way
+                items = [(a, other if a == occ else b) for a, b in items]
+            elif kind == 4:  # an occurrence the complex does not have
+                items.append(((len(t.simplexes), 0), occ))
+            rng.shuffle(items)
+            gluing = dict(items)
+            want = gluing_error(t.dim, t.simplexes, gluing)
+            facets.clear()
+            if want is None:
+                Triangulation(t.dim, t.simplexes, gluing)
+                assert len(facets) == len(gluing)
+                refused.add(None)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    Triangulation(t.dim, t.simplexes, gluing)
+                assert str(exc.value) == want
+                refused.add(next(k for k in ("unknown", "involution", "different") if k in want))
+    assert refused == {None, "unknown", "involution", "different"}
 
 
 def test_returned_site_lists_belong_to_the_caller():

@@ -445,6 +445,22 @@ def test_all_sites_refuses_moves_past_the_splitting_limit(monkeypatch):
         all_sites(simplex20, 11)
 
 
+@pytest.mark.parametrize("p", [-1, 0, 6, 7])
+def test_all_sites_refuses_a_move_type_outside_the_dimension(monkeypatch, p):
+    # one message for every p outside 1..n, before any search, as
+    # invariance_run gives
+    monkeypatch.setattr(Triangulation, "_move_sites", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(statesum, "find_move_sites", lambda *args: pytest.fail("searched"))
+    want = rf"^move type \({p},{6 - p}\) needs 1 <= p <= 5$"
+    t = simplex_boundary(5)
+    with pytest.raises(ValueError, match=want):
+        all_sites(t, p)
+    with pytest.raises(ValueError, match=want):
+        next(walk(t, (p,), random.Random(1)))
+    with pytest.raises(ValueError, match=want):
+        invariance_run(t, parse_solution("bichar:Z2"), count=1, seed=0, p=p)
+
+
 def test_all_sites_equal_the_search_of_each_splitting_in_turn():
     # walks over every move type in dimensions 2-4, the balls each move
     # starts from and produces, and a walked complex with one entry's
