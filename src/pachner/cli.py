@@ -21,6 +21,7 @@ from itertools import islice
 
 from . import acceptance
 from .groups import parse_group
+from .scalars import Scalar, ScalarRing
 from .simplicial import Triangulation, apply_move
 from .solutions import (
     groups_up_to_order,
@@ -304,7 +305,15 @@ def cmd_solutions(args):
 
 # -- selftest ------------------------------------------------------------------
 
-_MUTATIONS = ("conj-noop", "weight-sign")
+# name -> (owner, attribute, the broken version made from the original)
+_MUTATIONS = {
+    "conj-noop": (Scalar, "conj", lambda original: lambda self: self),
+    "weight-sign": (
+        ScalarRing,
+        "radical",
+        lambda original: lambda self, exponent=1: original(self, abs(exponent)),
+    ),
+}
 
 
 def _inject_mutation(name: str):
@@ -313,31 +322,14 @@ def _inject_mutation(name: str):
     A negative control for the selftest itself: with a broken conjugate
     or a broken measure weight, the criteria must notice.
     """
-    from . import scalars
-
-    if name == "conj-noop":
-        original = scalars.Scalar.conj
-        scalars.Scalar.conj = lambda self: self
-
-        def undo():
-            scalars.Scalar.conj = original
-
-    elif name == "weight-sign":
-        original = scalars.ScalarRing.radical
-
-        def bad(self, exponent=1):
-            return original(self, abs(exponent))
-
-        scalars.ScalarRing.radical = bad
-
-        def undo():
-            scalars.ScalarRing.radical = original
-
-    else:
+    if name not in _MUTATIONS:
         raise UsageError(
             f"unknown mutation {name!r}; known: {', '.join(_MUTATIONS)}"
         )
-    return undo
+    owner, attribute, broken = _MUTATIONS[name]
+    original = getattr(owner, attribute)
+    setattr(owner, attribute, broken(original))
+    return lambda: setattr(owner, attribute, original)
 
 
 def cmd_selftest(args):

@@ -32,13 +32,14 @@ values (character values times powers of r), so each ring hash-conses its
 scalars: every value the package builds is looked up by its terms in item
 order, and a value the ring already holds is returned as that object.
 Equal values of one ring are then one object, down to the order of their
-terms, and the ring memoises its arithmetic on object identity: the
-general product, the canonical sum, the radical shift, the conjugate,
-``radical(e)`` and ``root(k)`` each run once per distinct operands for
-the life of the ring's tables.  Each identity-keyed entry holds its
-operands, so no id is reused while its entry lives.  The tables are
-bounded: an insertion into a table that holds ``SCALAR_TABLE_LIMIT``
-entries first drops all of them together.
+terms, and the ring memoises its arithmetic on object identity: a
+product (a radical shift is the product by the interned r**e), the
+canonical sum and the conjugate each run once per distinct operands for
+the life of the ring's tables, and ``root(k)`` once per k modulo 2L;
+``radical(e)`` is a lookup in the intern table.  Each identity-keyed
+entry holds its operands, so no id is reused while its entry lives.
+The tables are bounded: an insertion into a table that holds
+``SCALAR_TABLE_LIMIT`` entries first drops all of them together.
 A value built after a drop may then be a second object equal to a live
 one; identity still implies equality, so every result stays the same,
 down to the order of its terms.
@@ -243,18 +244,13 @@ class ScalarRing:
         self._values = {}
         self._products = {}  # (id a, id b) -> (a, b, a * b)
         self._sums = {}  # ids of the summands -> (summands, their sum)
-        self._shifts = {}  # (id v, e) -> (v, v * r**e)
         self._conjugates = {}  # id v -> (v, its conjugate)
-        self._radicals = {}  # e -> r**e
         self._roots = {}  # k mod 2L -> z**k, at most 2L entries
         self._drop_tables()
 
     def _drop_tables(self):
         """Empty every table at once, keeping zero and one interned."""
-        for table in (
-            self._values, self._products, self._sums, self._shifts,
-            self._conjugates, self._radicals, self._roots,
-        ):
+        for table in (self._values, self._products, self._sums, self._conjugates, self._roots):
             table.clear()
         self._values[()] = self.zero
         self._values[((0, self._unit),)] = self.one
@@ -370,12 +366,7 @@ class ScalarRing:
         Its one term, the unit vector, is canonical as it stands (no
         coefficient divides by N > 1); for N = 1 it is the ring's one.
         """
-        v = self._radicals.get(exponent)
-        if v is None:
-            self._room(self._radicals)
-            v = self._intern({exponent if self.group_order > 1 else 0: self._unit})
-            self._radicals[exponent] = v
-        return v
+        return self._intern({exponent if self.group_order > 1 else 0: self._unit})
 
     def conj(self, v: "Scalar") -> "Scalar":
         return v.conj()
@@ -617,7 +608,7 @@ class Scalar:
             if len(power.terms) == 1:
                 ((shift, vec),) = power.terms.items()
                 if vec == unit:
-                    return body._shift(shift)
+                    return self.ring._intern({e + shift: v for e, v in body.terms.items()})
         out: dict[int, list[int]] = {}
         for e1, v1 in self.terms.items():
             for e2, v2 in other.terms.items():
@@ -628,15 +619,17 @@ class Scalar:
         return self.ring._intern(self.ring._canonical(out))
 
     def _shift(self, e: int) -> "Scalar":
-        """self * r**e: every exponent moves by e, already canonical."""
+        """self * r**e, without ``__mul__``: memoised in the product table
+        as the product by the interned r**e, an exponent shift."""
         ring = self.ring
-        key = (id(self), e)
-        hit = ring._shifts.get(key)
+        power = ring._intern({e: ring._unit})
+        key = (id(self), id(power))
+        hit = ring._products.get(key)
         if hit is not None:
-            return hit[1]
-        ring._room(ring._shifts)
-        val = ring._intern({x + e: v for x, v in self.terms.items()})
-        ring._shifts[key] = (self, val)
+            return hit[2]
+        ring._room(ring._products)
+        val = self._product(power)
+        ring._products[key] = (self, power, val)
         return val
 
     def conj(self) -> "Scalar":

@@ -127,9 +127,9 @@ class Triangulation:
     addressed by entry index, never by vertex set.
 
     A triangulation is immutable once built (``gluing`` is a read-only
-    mapping), so its labels, face classes, site-search index, cone mates
-    (shared by every move size) and the move sites of each size |I| are
-    each built at most once, on first use, and kept on the instance.
+    mapping), so its labels, face classes, cone mates (shared by every
+    move size from 2 on) and the move sites of each size |I|, 1 included,
+    are each built at most once, on first use, and kept on the instance.
     """
 
     def __init__(self, dim: int, simplexes, gluing=None):
@@ -150,7 +150,7 @@ class Triangulation:
         else:
             self.gluing = MappingProxyType(dict(gluing))
             self._validate_gluing()
-        self._labels = self._classes = self._index = self._mates = None
+        self._labels = self._classes = self._mates = None
         self._sites = {}
 
     # -- construction helpers ------------------------------------------
@@ -294,46 +294,40 @@ class Triangulation:
                     members.append((e, sub))
         return {names[root]: frozenset(members) for root, members in classes.items()}
 
-    def _site_index(self) -> dict:
-        """The site-search candidates: each n-simplex phi = e + v, for an
-        entry e and a vertex v opposite e across a glued facet, mapped to
-        {position of v in phi: {e: sign(e) * (-1)**position}}."""
-        if self._index is None:
-            index: dict[tuple, dict[int, dict[int, int]]] = {}
-            for (e, _), (e2, f2) in self.gluing.items():
-                vertices, sign = self.simplexes[e]
-                v = self.simplexes[e2][0][f2]
-                if v not in vertices:
-                    phi = tuple(sorted(vertices + (v,)))
-                    k = phi.index(v)
-                    index.setdefault(phi, {}).setdefault(k, {})[e] = sign * (-1) ** k
-            self._index = {
-                phi: {k: dict(sorted(rows[k].items())) for k in sorted(rows)}
-                for phi, rows in sorted(index.items())
-            }
-        return self._index
-
     def _move_sites(self, p: int) -> dict:
-        """The sites of every (p, n + 1 - p) move, p >= 2, keyed by I, each
-        tuple in (phi, entries) order; enumerated on first use of size p."""
+        """The sites of every (p, n + 1 - p) move, keyed by I, each tuple in
+        (phi, entries) order; enumerated on first use of size p."""
         if p not in self._sites:
             self._sites[p] = self._enumerate_sites(p)
         return self._sites[p]
 
     def _find_cone_mates(self) -> tuple:
-        """Every cone entry with its mates, for all move sizes at once.
+        """Every cone entry with its mates, for all move sizes p >= 2 at once.
 
+        A cone is a site-search candidate: an n-simplex phi = e + v, for an
+        entry e and a vertex v opposite e across a glued facet, whose rows
+        map the position of v in phi to {e: sign(e) * (-1)**position}.
         One (phi, i0, e0, eps, mates) row per entry e0 at position i0 of a
-        cone phi, in ``_site_index`` order, for each entry with a mate.
-        Every other entry of a site is e0's partner across the facet
-        missing that entry's position, so ``mates`` lists, by position
-        i > i0, that partner when the index row at i holds it with the
-        same eps (glued facets share their vertices, so a partner in the
-        row is glued along its facet missing e0's position).
+        cone phi, cones, positions and entries in increasing order, for
+        each entry with a mate.  Every other entry of a site is e0's
+        partner across the facet missing that entry's position, so
+        ``mates`` lists, by position i > i0, that partner when the cone's
+        row at i holds it with the same eps (glued facets share their
+        vertices, so a partner in the row is glued along its facet missing
+        e0's position).
         """
         gluing = self.gluing
+        index: dict[tuple, dict[int, dict[int, int]]] = {}
+        for (e, _), (e2, f2) in gluing.items():
+            vertices, sign = self.simplexes[e]
+            v = self.simplexes[e2][0][f2]
+            if v not in vertices:
+                phi = tuple(sorted(vertices + (v,)))
+                k = phi.index(v)
+                index.setdefault(phi, {}).setdefault(k, {})[e] = sign * (-1) ** k
         cones = []
-        for phi, rows in self._site_index().items():
+        for phi in sorted(index):
+            rows = {k: dict(sorted(row.items())) for k, row in sorted(index[phi].items())}
             for i0, row in rows.items():
                 for e0, eps in row.items():
                     mates = []
@@ -347,12 +341,24 @@ class Triangulation:
         return tuple(cones)
 
     def _enumerate_sites(self, p: int) -> dict:
-        """The sites of size p from the cone mates (found once per complex):
-        p - 1 mates of a cone entry form a site when each two of them are
-        glued along the facet missing the other's position."""
+        """The sites of size p.
+
+        For p = 1 only I = (n,) has sites, one per entry, coned to a fresh
+        vertex max(labels) + 1, which is order consistent exactly in the
+        last position.  For p >= 2 they come from the cone mates (found
+        once per complex): p - 1 mates of a cone entry form a site when
+        each two of them are glued along the facet missing the other's
+        position."""
+        n = self.dim + 1
+        if p == 1:
+            I, J, fresh = (n,), tuple(range(n)), max(self.labels(), default=-1) + 1
+            sites = (
+                MoveSite(n, I, J, vertices + (fresh,), (e,), sign * (-1) ** n)
+                for e, (vertices, sign) in enumerate(self.simplexes)
+            )
+            return {I: tuple(sites)}
         if self._mates is None:
             self._mates = self._find_cone_mates()
-        n = self.dim + 1
         gluing = self.gluing
         by_I: dict[tuple, list] = {}
         for phi, i0, e0, eps, mates in self._mates:
@@ -468,28 +474,22 @@ def simplex_boundary(n: int) -> Triangulation:
     return Triangulation(n - 1, entries)
 
 
-# The splittings (n, I, J) that _check_splitting has accepted as they were
-# given, sorted tuples.  A hit returns the caller's own tuples, which is
-# what the full check returns for them, so what the memo holds never
-# changes a result.  There are 2**(n + 1) - 2 splittings of [0..n]; past
-# this many the memo stops growing.
-SPLITTINGS_SEEN_LIMIT = 1 << 12
-_splittings_seen: set = set()
-
-
 def _check_splitting(n, I, J):
     """(I, J) as sorted tuples; raises ValueError unless they split [0..n]
-    into two nonempty parts.  A pair of sorted tuples is validated once and
-    then found in ``_splittings_seen``; anything else (lists, unsorted
-    tuples, refusals) is checked in full on every call."""
-    key = (n, I, J)
-    if type(I) is tuple and type(J) is tuple and key in _splittings_seen:
-        return I, J
+    into two nonempty parts.  A pair of tuples is checked once while it
+    stays in ``_check_tuples``'s cache; lists are checked on every call."""
+    if type(I) is tuple and type(J) is tuple:
+        return _check_tuples(n, I, J)
+    return _check_tuples.__wrapped__(n, I, J)
+
+
+# There are 2**(n + 1) - 2 splittings of [0..n]; the cache keeps the 4,096
+# last used, and caches no refusal.
+@functools.lru_cache(maxsize=1 << 12)
+def _check_tuples(n, I, J):
     sI, sJ = tuple(sorted(I)), tuple(sorted(J))
     if not sI or not sJ or sorted(sI + sJ) != list(range(n + 1)):
         raise ValueError(f"({sI}, {sJ}) is not a splitting of [0..{n}]")
-    if sI == I and sJ == J and len(_splittings_seen) < SPLITTINGS_SEEN_LIMIT:
-        _splittings_seen.add(key)
     return sI, sJ
 
 
@@ -519,20 +519,19 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
 
     A site needs: entries realizing the I-indexed facets of an n-simplex
     under an order-preserving vertex assignment phi, signs eps*(-1)^i, and
-    mutual gluings along the internal faces.  For |I| = 1 only I = {n} is
-    supported; the fresh vertex is max(labels)+1, which is order
-    consistent exactly in the last position.
-
-    For |I| >= 2 every entry of a site is glued to the others, so phi is
-    one of its cones, an entry plus the vertex opposite it across a glued
-    facet; the first search of a size lists the sites of every splitting
-    of that size from the cones at once (``Triangulation._move_sites``) and
-    later searches of that size on ``t`` read them.  The entries that can
-    join each cone entry in a site, its mates, are found once per complex
-    and shared by every size, and a splitting given as sorted tuples is
-    validated once per process.  Each call returns a new list.  Raises
-    ValueError, before enumerating anything, when the move has more than
-    SPLITTINGS_LIMIT splittings.
+    mutual gluings along the internal faces.  The first search of a size
+    lists the sites of every splitting of that size at once
+    (``Triangulation._move_sites``), and later searches of that size on
+    ``t`` read them.  For |I| = 1 only I = {n} has sites: the fresh
+    vertex is max(labels)+1, which is order consistent exactly in the
+    last position.  For |I| >= 2 every entry of a site is glued to the
+    others, so phi is one of its cones, an entry plus the vertex opposite
+    it across a glued facet; the entries that can join each cone entry in
+    a site, its mates, are found once per complex and shared by every
+    size.  A splitting given as tuples is validated once while it stays
+    in a cache of the 4,096 last used.  Each call returns a new list.
+    Raises ValueError, before enumerating anything, when the move has
+    more than SPLITTINGS_LIMIT splittings.
 
     No face interior to a site touches an entry outside it, so that move
     condition needs no check of its own.  Such a face is phi minus a set D
@@ -544,17 +543,6 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     """
     n = t.dim + 1
     I, J = _check_splitting(n, I, J)
-    if len(I) == 1:
-        if I != (n,):
-            return []
-        fresh = (t.labels()[-1] + 1) if t.simplexes else 0
-        sites = []
-        for e, (vertices, sign) in enumerate(t.simplexes):
-            phi = vertices + (fresh,)
-            eps = sign * (-1) ** n
-            sites.append(MoveSite(n, I, J, phi, (e,), eps))
-        return sites
-
     check_move_size(t.dim, len(I))
     return list(t._move_sites(len(I)).get(I, ()))
 

@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass
 
 from .scalars import compare
-from .simplicial import Triangulation, apply_move, check_move_size, find_move_sites
+from .simplicial import Triangulation, apply_move, check_move_size
 from .solutions import SolutionSpec
 from .tensors import GroupTensor, UP, DOWN, Report, contract, in_backend
 
@@ -231,19 +231,15 @@ def all_sites(t: Triangulation, p: int):
     """Move sites of type (p, n+1-p) over every splitting, in a fixed order.
 
     The order is ``find_move_sites`` on each splitting in turn, I in
-    lexicographic order.  For 2 <= p <= n one enumeration lists the sites
-    of every splitting of size p (``Triangulation._move_sites``), keyed by
-    the splittings that have a site, and they are read in that order, so
-    the C(n + 1, p) splittings are not visited one by one; for p = 1 only
-    I = (n,) has sites.  Raises ValueError, before any site search, when p
-    is outside 1..n or the move has more than simplicial.SPLITTINGS_LIMIT
-    splittings.
+    lexicographic order.  One enumeration lists the sites of every
+    splitting of size p (``Triangulation._move_sites``), keyed by the
+    splittings that have a site (for p = 1 only I = (n,)), and they are
+    read in that order, so the C(n + 1, p) splittings are not visited one
+    by one.  Raises ValueError, before any site search, when p is outside
+    1..n or the move has more than simplicial.SPLITTINGS_LIMIT splittings.
     """
-    n = t.dim + 1
-    _check_move_type(n, p)
+    _check_move_type(t.dim + 1, p)
     check_move_size(t.dim, p)
-    if p == 1:
-        return find_move_sites(t, (n,), tuple(range(n)))
     by_I = t._move_sites(p)
     return [site for I in sorted(by_I) for site in by_I[I]]
 

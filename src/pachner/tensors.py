@@ -38,9 +38,10 @@ the pairs into the report the whole tensors give): the exact ring
 compares each distinct pair of values once, and the float ring compares
 all keys at once in numpy, which it imports on first use, so an exact
 run never loads numpy.
-``conj`` and ``to_float`` map each distinct value object once.  Results of
-``contract``, ``permute`` and ``conj`` are built without the
-constructor's per-entry checks, which they pass by construction.
+``conj`` and ``to_float`` map each distinct value object once, classed
+by ``scalars._classes``.  Results of ``contract``, ``permute`` and
+``conj`` are built without the constructor's per-entry checks, which
+they pass by construction.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
 used by the bialgebra-style constructions).  Either way an element is an
@@ -65,7 +66,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .scalars import Comparison, ComplexRing, get_ring
+from .scalars import Comparison, ComplexRing, _classes, get_ring
 
 
 class Variance(enum.Enum):
@@ -154,13 +155,17 @@ class GroupTensor:
 
     def conj(self) -> "GroupTensor":
         """Entrywise conjugate with all slot variances flipped."""
-        entries = _per_value(self.entries, self.ring.conj)
+        classes, reps = _classes(self.entries)
+        images = list(map(self.ring.conj, reps))
+        entries = {key: images[c] for key, c in classes.items()}
         return _built(self.domain, tuple(v.flip() for v in self.variances), entries, self.ring)
 
     def to_float(self) -> "GroupTensor":
         if isinstance(self.ring, ComplexRing):
             return self
-        entries = _per_value(self.entries, lambda v: v.to_complex())
+        classes, reps = _classes(self.entries)
+        images = [v.to_complex() for v in reps]
+        entries = {key: images[c] for key, c in classes.items()}
         return GroupTensor(self.domain, self.variances, entries, ComplexRing(self.ring.group_order))
 
     def dump(self) -> str:
@@ -179,18 +184,6 @@ def in_backend(t: GroupTensor, backend: str) -> GroupTensor:
     if backend not in ("exact", "float"):
         raise ValueError(f"unknown backend {backend!r}")
     return t if backend == "exact" else t.to_float()
-
-
-def _per_value(entries, f) -> dict:
-    """The entries with f applied once per distinct value object.  The entry
-    dict keeps its values alive, so an id names one value for the whole walk."""
-    images, out = {}, {}
-    for key, v in entries.items():
-        image = images.get(id(v))
-        if image is None:
-            image = images[id(v)] = f(v)
-        out[key] = image
-    return out
 
 
 def _built(domain, variances, entries, ring) -> GroupTensor:

@@ -5,8 +5,9 @@ checks: outer products as loops over entry pairs, window permutations
 as ``GroupTensor.permute`` then ``_rescale``, the relation sides with
 every identity wire built as a tensor and the printed factors folded
 left to right, the (3,3) check on its two whole sides at any size,
-joins as first written, group arithmetic and the pairing on residue
-tuples, face classes as a union-find over
+joins as first written, tensor equality as the least failing key of
+the key union, group arithmetic and the pairing on residue tuples, face
+classes as a union-find over
 (entry, vertex subset) tuples, move sites by trying every vertex label,
 and the splittings of a move in the order the site lists keep.  Test
 modules import from here and from no other test module.
@@ -19,10 +20,10 @@ import struct
 
 import numpy as np
 
-from pachner.scalars import ComplexRing
+from pachner.scalars import Comparison, ComplexRing, approx_equal, compare
 from pachner.simplicial import MoveSite
 from pachner.solutions import SolutionSpec
-from pachner.tensors import DOWN, UP, GroupTensor, LinMap, _fmt_key, in_backend, tensor_equal
+from pachner.tensors import DOWN, UP, GroupTensor, LinMap, Report, _fmt_key, in_backend, tensor_equal
 from pachner.verify import _judge, p33_sides, q_as_linmap
 
 
@@ -47,6 +48,31 @@ def two_pass_complex_join(ring, entries1, bound1, rest1, entries2, bound2, rest2
         weight = ring.radical(-k)
         out = {key: weight * v for key, v in out.items()}
     return {key: v for key, v in out.items() if v}
+
+
+def least_key_tensor_equal(t1, t2, rel=1e-9):
+    """tensor_equal from its definition: every key of either tensor is
+    compared, a missing entry read as zero (``compare`` in the exact ring,
+    approx_equal at rel in floats), and the report names the least
+    UNEQUAL key, else the least INDETERMINATE key, with both values there;
+    its checks are the size of the key union."""
+    ring = t1.ring
+    keys = set(t1.entries) | set(t2.entries)
+
+    def verdict(key):
+        a, b = t1.entry(key), t2.entry(key)
+        if isinstance(ring, ComplexRing):
+            return Comparison.EQUAL if approx_equal(a, b, rel) else Comparison.UNEQUAL
+        return compare(a, b)
+
+    verdicts = {key: verdict(key) for key in keys}
+    for failing in (Comparison.UNEQUAL, Comparison.INDETERMINATE):
+        key = min((k for k, v in verdicts.items() if v is failing), default=None)
+        if key is not None:
+            values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
+            fields = {"verdict": failing.verdict, "checks": len(keys)}
+            return Report("tensor-equal", fields, _fmt_key(t1.domain, key), values)
+    return Report("tensor-equal", {"verdict": "pass", "checks": len(keys)})
 
 
 def assert_identical_entries(got, want):

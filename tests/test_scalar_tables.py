@@ -1,8 +1,8 @@
 """The exact rings' hash-consing and memo tables change no result.
 
-Each ring interns its scalars and memoises products, sums, radical shifts,
-conjugates, radical powers and roots of unity on object identity (see the
-scalars module docstring).
+Each ring interns its scalars and memoises products (radical shifts
+among them), sums, conjugates and roots of unity on object identity (see
+the scalars module docstring).
 These tests pin the rules that make that safe: a drop at the table limit
 in the middle of a run, a cold ring against a warm one, and freed
 operands after a drop.  test_cli runs the selftest's mutation hooks over
@@ -105,6 +105,20 @@ def test_a_drop_in_the_middle_of_a_run_changes_nothing(monkeypatch, run):
     got = recorded(monkeypatch, run)
     assert len(drops) >= 3
     assert got == want
+
+
+def test_a_drop_empties_every_table_but_zero_and_one():
+    # every dict a ring holds is one of its tables, and a drop must empty
+    # it: a table it missed would grow past SCALAR_TABLE_LIMIT
+    ring = ScalarRing(3, 3)
+    a = ring.root(1) + ring.one
+    a * a, a.conj(), a._shift(1), ring.radical(-1)
+    tables = {name: table for name, table in vars(ring).items() if isinstance(table, dict)}
+    assert len(tables) >= 5 and all(tables.values())
+    ring._drop_tables()
+    kept = {name: list(table.items()) for name, table in tables.items()}
+    assert kept.pop("_values") == [((), ring.zero), (((0, ring._unit),), ring.one)]
+    assert kept == {name: [] for name in kept}
 
 
 def test_no_product_outlives_its_operands():

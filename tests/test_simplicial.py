@@ -405,7 +405,7 @@ def test_each_move_size_is_enumerated_once_per_complex(monkeypatch):
         built.clear()
         for _ in range(2):
             found = [s for I, J in all_splittings(5) for s in find_move_sites(t, I, J)]
-        assert built == [(t, p) for p in range(2, 6)]
+        assert built == [(t, p) for p in range(1, 6)]
         t = apply_move(t, rng.choice(found))
 
 
@@ -483,32 +483,40 @@ def test_the_splitting_memo_keeps_every_refusal(I, J):
         want = check_splitting(5, I, J)
     except ValueError as exc:
         want = str(exc)
-    for _ in range(2):
+    tuples = type(I) is tuple and type(J) is tuple
+    for again in range(2):
+        cached = simplicial._check_tuples.cache_info()
         try:
             got = simplicial._check_splitting(5, I, J)
         except ValueError as exc:
             got = str(exc)
         assert got == want
+        # lists never reach the cache and a refusal is never kept in it;
+        # tuples that split [0..n] are found there on the second call
+        info = simplicial._check_tuples.cache_info()
+        if not tuples:
+            assert info == cached
+        elif isinstance(want, str):
+            assert info.currsize == cached.currsize and info.hits == cached.hits
+        elif again:
+            assert info.hits == cached.hits + 1
         if isinstance(want, str):
             with pytest.raises(ValueError) as refused:
                 find_move_sites(t, I, J)
             assert str(refused.value) == want
         else:
             assert find_move_sites(t, I, J) == find_move_sites(t, *want)
-    # only sorted tuples that split [0..n] are remembered
-    for n, I2, J2 in simplicial._splittings_seen:
-        assert type(I2) is tuple and type(J2) is tuple and check_splitting(n, I2, J2) == (I2, J2)
 
 
-def test_the_splitting_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(simplicial, "_splittings_seen", set())
-    monkeypatch.setattr(simplicial, "SPLITTINGS_SEEN_LIMIT", 10)
+def test_the_splitting_memo_is_bounded():
+    # the 16,382 splittings of [0..13] are more than the memo keeps
     for _ in range(2):
-        for I, J in all_splittings(5):
-            assert simplicial._check_splitting(5, I, J) == (I, J)
+        for I, J in all_splittings(13):
+            assert simplicial._check_splitting(13, I, J) == (I, J)
             with pytest.raises(ValueError, match="is not a splitting"):
-                simplicial._check_splitting(4, I, J)
-    assert len(simplicial._splittings_seen) == 10
+                simplicial._check_splitting(12, I, J)
+    info = simplicial._check_tuples.cache_info()
+    assert info.currsize == info.maxsize == 1 << 12
 
 
 def test_every_gluing_check_still_runs(monkeypatch):
@@ -576,7 +584,7 @@ def test_site_search_refuses_past_the_splitting_limit_before_enumerating(monkeyp
     # the (3,3) move of a pentachoron complex has C(6, 3) = 20 splittings
     with pytest.raises(ValueError, match=r"\(3,3\) moves in dimension 4 have 20 splittings, over the limit of 19"):
         find_move_sites(t, (0, 2, 4), (1, 3, 5))
-    assert t._index is None
+    assert t._mates is None
     # its (2,4) move has 15, so that search goes ahead
     with pytest.raises(pytest.fail.Exception, match="enumerated"):
         find_move_sites(t, (0, 1), (2, 3, 4, 5))

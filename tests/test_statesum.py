@@ -450,7 +450,6 @@ def test_all_sites_refuses_a_move_type_outside_the_dimension(monkeypatch, p):
     # one message for every p outside 1..n, before any search, as
     # invariance_run gives
     monkeypatch.setattr(Triangulation, "_move_sites", lambda *args: pytest.fail("searched"))
-    monkeypatch.setattr(statesum, "find_move_sites", lambda *args: pytest.fail("searched"))
     want = rf"^move type \({p},{6 - p}\) needs 1 <= p <= 5$"
     t = simplex_boundary(5)
     with pytest.raises(ValueError, match=want):

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from pachner import tensors
 from pachner.groups import FinAbGroup
-from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, approx_equal, compare
+from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, compare
 from pachner.tensors import (
     DOWN,
     UP,
     BasisDomain,
     GroupTensor,
     LinMap,
-    Report,
     apply_word,
     contract,
     tensor_equal,
@@ -27,6 +26,7 @@ from reference import (
     COMPLEX_VALUES,
     assert_identical_entries,
     compose,
+    least_key_tensor_equal,
     lin_matrix,
     padded,
     permute_window,
@@ -160,30 +160,6 @@ def nested_loop_contract(a, s1, b, s2):
     return {k: weight * v for k, v in expected.items() if v}
 
 
-def hash_join_loop(a, s1, b, s2):
-    """The float-order reference: a hash join over b's bound keys,
-    products summed in a's entry order, then one weight per result entry
-    and zero sums dropped.  A float contract must give these bytes."""
-    free1 = [p for p in range(a.arity) if p not in s1]
-    free2 = [p for p in range(b.arity) if p not in s2]
-    buckets = {}
-    for k2, v2 in b.entries.items():
-        buckets.setdefault(tuple(k2[p] for p in s2), []).append(
-            (tuple(k2[p] for p in free2), v2)
-        )
-    out = {}
-    for k1, v1 in a.entries.items():
-        head = tuple(k1[p] for p in free1)
-        for tail, v2 in buckets.get(tuple(k1[p] for p in s1), ()):
-            key = head + tail
-            prev = out.get(key)
-            out[key] = v1 * v2 if prev is None else prev + v1 * v2
-    if s1:
-        weight = a.ring.radical(-len(s1))
-        out = {k: weight * v for k, v in out.items()}
-    return {k: v for k, v in out.items() if v}
-
-
 @st.composite
 def joinable_pairs(draw):
     """Two sparse exact tensors and 0-3 slot pairs binding them.
@@ -240,7 +216,13 @@ def test_contract_matches_both_reference_loops(pair):
     assert exact.entries == nested_loop_contract(a, s1, b, s2)
     fa, fb = a.to_float(), b.to_float()
     floats = contract(fa, s1, fb, s2)
-    assert floats.entries == hash_join_loop(fa, s1, fb, s2)
+    # the float-order reference: products summed in a's entry order, then
+    # one weight per result entry; a float contract must give these bytes
+    free1 = [p for p in range(a.arity) if p not in s1]
+    free2 = [p for p in range(b.arity) if p not in s2]
+    assert floats.entries == two_pass_complex_join(
+        fa.ring, fa.entries, picker(s1), picker(free1), fb.entries, picker(s2), picker(free2), len(s1)
+    )
     assert floats.variances == exact.variances
 
 
@@ -881,36 +863,6 @@ def test_wire_permutation_compose_checks_backend_and_window(monkeypatch):
     assert len(joins) == 2
 
 
-def per_value_compare(ring, a, b, rel):
-    """One entry pair compared as the rings did per value: compare in the
-    exact ring, approx_equal at rel in floats."""
-    if isinstance(ring, ComplexRing):
-        return Comparison.EQUAL if approx_equal(a, b, rel) else Comparison.UNEQUAL
-    return compare(a, b)
-
-
-def sorted_tensor_equal(t1, t2, rel=1e-9):
-    """tensor_equal as a walk of the sorted key union that stops at the
-    first UNEQUAL key (the reference for the one-pass walk)."""
-    ring = t1.ring
-    keys = sorted(set(t1.entries) | set(t2.entries))
-
-    def report(verdict, key):
-        shown = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
-        return Report("tensor-equal", {"verdict": verdict, "checks": len(keys)}, _fmt_key(t1.domain, key), shown)
-
-    indeterminate_at = None
-    for key in keys:
-        verdict = per_value_compare(ring, t1.entry(key), t2.entry(key), rel)
-        if verdict is Comparison.UNEQUAL:
-            return report("fail", key)
-        if verdict is Comparison.INDETERMINATE and indeterminate_at is None:
-            indeterminate_at = key
-    if indeterminate_at is not None:
-        return report("indeterminate", indeterminate_at)
-    return Report("tensor-equal", {"verdict": "pass", "checks": len(keys)})
-
-
 @st.composite
 def tensor_pairs(draw):
     """Two tensors on one slot layout whose entries mostly agree; on the
@@ -938,8 +890,8 @@ def tensor_pairs(draw):
 @given(pair=tensor_pairs())
 def test_tensor_equal_reports_as_the_sorted_walk(pair):
     t1, t2 = pair
-    assert tensor_equal(t1, t2) == sorted_tensor_equal(t1, t2)
-    assert tensor_equal(t2, t1) == sorted_tensor_equal(t2, t1)
+    assert tensor_equal(t1, t2) == least_key_tensor_equal(t1, t2)
+    assert tensor_equal(t2, t1) == least_key_tensor_equal(t2, t1)
 
 
 def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
@@ -948,7 +900,7 @@ def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
     t1 = GroupTensor(Z4, (UP,), {keys[0]: ring.radical(), keys[1]: ring.one, keys[3]: ring.radical()})
     t2 = GroupTensor(Z4, (UP,), {keys[0]: ring.integer(2), keys[2]: ring.one, keys[3]: ring.integer(2)})
     got = tensor_equal(t1, t2)
-    assert got == sorted_tensor_equal(t1, t2)
+    assert got == least_key_tensor_equal(t1, t2)
     assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(Z4, keys[1]), 4)
     del t1.entries[keys[1]], t2.entries[keys[2]]
     got = tensor_equal(t1, t2)
@@ -1037,36 +989,6 @@ def test_compose_at_a_window_never_permutes(monkeypatch, exact):
     assert permutes == []
 
 
-def per_key_tensor_equal(t1, t2, rel=1e-9):
-    """tensor_equal as one comparison call per key, over t1's keys in
-    order and then the keys only t2 holds, each failing verdict noted
-    against the least key so far (the reference for the ring's
-    whole-tensor comparison)."""
-    ring = t1.ring
-    e1, e2 = t1.entries, t2.entries
-    least = {Comparison.UNEQUAL: None, Comparison.INDETERMINATE: None}
-
-    def note(verdict, key):
-        if verdict is not Comparison.EQUAL:
-            prev = least[verdict]
-            if prev is None or key < prev:
-                least[verdict] = key
-
-    compared = len(e1)
-    for key, v1 in e1.items():
-        note(per_value_compare(ring, v1, e2.get(key, ring.zero), rel), key)
-    for key, v2 in e2.items():
-        if key not in e1:
-            compared += 1
-            note(per_value_compare(ring, ring.zero, v2, rel), key)
-    for verdict, key in least.items():
-        if key is not None:
-            values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
-            fields = {"verdict": verdict.verdict, "checks": compared}
-            return Report("tensor-equal", fields, _fmt_key(t1.domain, key), values)
-    return Report("tensor-equal", {"verdict": "pass", "checks": compared})
-
-
 def _near(x, *steps):
     return [x * (1 + s) for s in steps] + [math.nextafter(x * (1 + 1e-9), math.inf)]
 
@@ -1103,8 +1025,8 @@ def float_edge_pairs(draw):
 @given(pair=st.one_of(float_edge_pairs(), tensor_pairs()), rel=st.sampled_from([1e-9, 1e-3]))
 def test_tensor_equal_reports_as_the_per_key_loop(pair, rel):
     t1, t2 = pair
-    assert tensor_equal(t1, t2, rel) == per_key_tensor_equal(t1, t2, rel)
-    assert tensor_equal(t2, t1, rel) == per_key_tensor_equal(t2, t1, rel)
+    assert tensor_equal(t1, t2, rel) == least_key_tensor_equal(t1, t2, rel)
+    assert tensor_equal(t2, t1, rel) == least_key_tensor_equal(t2, t1, rel)
 
 
 def test_float_comparison_at_the_tolerance_and_past_the_finite_values():
@@ -1126,7 +1048,7 @@ def test_float_comparison_at_the_tolerance_and_past_the_finite_values():
         t1 = GroupTensor(Z3, (UP,), {(0,): complex(v1)}, ring)
         t2 = GroupTensor(Z3, (UP,), {(0,): complex(v2)}, ring)
         got = tensor_equal(t1, t2)
-        assert got == per_key_tensor_equal(t1, t2)
+        assert got == least_key_tensor_equal(t1, t2)
         assert got.verdict == verdict, (v1, v2)
 
 
@@ -1141,7 +1063,7 @@ def test_exact_comparison_takes_the_least_unequal_key_past_repeated_indeterminat
     t2 = GroupTensor(Z4, (UP, UP), {key: two for key in keys})
     t2.entries[keys[9]] = ring.integer(3)
     got = tensor_equal(t1, t2)
-    assert got == per_key_tensor_equal(t1, t2)
+    assert got == least_key_tensor_equal(t1, t2)
     assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(Z4, keys[9]), 16)
     t2.entries[keys[9]] = two
     got = tensor_equal(t1, t2)
@@ -1166,7 +1088,7 @@ def test_exact_comparison_compares_each_value_pair_once(monkeypatch):
         monkeypatch.setattr(scalars, "compare", lambda a, b: calls.append((id(a), id(b))) or original(a, b))
         got = tensor_equal(lhs, rhs)
         monkeypatch.undo()
-        assert got == per_key_tensor_equal(lhs, rhs)
+        assert got == least_key_tensor_equal(lhs, rhs)
         assert len(calls) == len(set(calls)) and set(calls) <= pairs
         assert len(pairs) < got.checks
 
@@ -1295,7 +1217,7 @@ def test_exact_comparison_of_one_sided_keys_calls_no_scalar_eq(monkeypatch):
     v, w = ring.root(1) + ring.one, ring.integer(2)
     t1 = GroupTensor(Z3, (UP, DOWN), {a: v, b: w, c: v})
     t2 = GroupTensor(Z3, (UP, DOWN), {d: w, c: v, a: w})
-    want = per_key_tensor_equal(t1, t2)
+    want = least_key_tensor_equal(t1, t2)
     calls = []
     eq = Scalar.__eq__
     monkeypatch.setattr(Scalar, "__eq__", lambda self, other: calls.append(1) or eq(self, other))
