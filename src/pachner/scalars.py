@@ -379,8 +379,9 @@ class ScalarRing:
         Each operand's entries fall into value classes, one per distinct
         value object (see ``_classes``).  The weight is one exponent shift
         (r**-k is a single term with the unit vector; for N = 1 its
-        exponent is 0), applied to each distinct value of the operand with
-        fewer entries.  Each distinct class pair is multiplied once.
+        exponent is 0), looked up once and applied to each distinct value
+        of the operand with fewer entries.  Each distinct class pair is
+        multiplied once.
 
         A key whose head rest1(k1) is unambiguous (see ``_ambiguous``) is
         met by one pair, so it is written once, with that pair's product.
@@ -395,11 +396,12 @@ class ScalarRing:
         """
         classes1, reps1 = _classes(entries1)
         classes2, reps2 = _classes(entries2)
-        (shift,) = self.radical(-k).terms
+        power = self.radical(-k)
+        (shift,) = power.terms
         if shift and len(entries1) <= len(entries2):
-            reps1 = [v._shift(shift) for v in reps1]
+            reps1 = [v._shift(power) for v in reps1]
         elif shift:
-            reps2 = [v._shift(shift) for v in reps2]
+            reps2 = [v._shift(power) for v in reps2]
         # a class pair (c1, c2) is the slot c1 * n2 + c2
         n2 = len(reps2)
         products = {}
@@ -618,11 +620,11 @@ class Scalar:
                     acc[i] += v
         return self.ring._intern(self.ring._canonical(out))
 
-    def _shift(self, e: int) -> "Scalar":
-        """self * r**e, without ``__mul__``: memoised in the product table
-        as the product by the interned r**e, an exponent shift."""
+    def _shift(self, power: "Scalar") -> "Scalar":
+        """self * power, for a bare radical power r**e as ``radical(e)``
+        returns it, without ``__mul__`` and without interning r**e again:
+        memoised in the product table, computed as an exponent shift."""
         ring = self.ring
-        power = ring._intern({e: ring._unit})
         key = (id(self), id(power))
         hit = ring._products.get(key)
         if hit is not None:

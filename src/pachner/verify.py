@@ -39,10 +39,11 @@ Checkers in here:
   independently of contract, refused before anything is built when
   they would expand more than THEOREM_TERMS_LIMIT terms;
 * dense_p33_oracle: a dense numpy cross-check of verify_p33 that
-  enumerates the full index grid with einsum, contracting each side along
-  a fixed pairwise path (n**11 multiply-adds); DENSE_BYTES_LIMIT bounds
-  its two n**9 grids, the path's n**8 intermediate and the comparison's
-  n**9 temporaries before allocation;
+  enumerates the full index grid with einsum one first-output slab at a
+  time, contracting each side's slab along a fixed pairwise path (n**11
+  multiply-adds per side in all); DENSE_BYTES_LIMIT bounds what one slab
+  holds, its two n**8 slabs, the path's n**7 intermediate and the
+  comparison's n**8 temporaries, before allocation;
 * verify_set_p33: the set-theoretic composite maps compared pointwise
   in exact rational arithmetic.
 
@@ -459,19 +460,25 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
 
 # -- independent dense oracle --------------------------------------------------
 
-# The oracle holds both sides of the relation as dense n**9 complex128 grids
-# (16 bytes per entry each), the n**8 intermediate of the contraction path
-# below, and the n**9 temporaries of its comparison: np.isclose holds the
-# complex difference (16 bytes per entry) and its float magnitude (8 bytes)
-# at once, and later float and boolean temporaries never exceed those 24
-# bytes per entry.  Larger inputs are refused before allocation.
+# The oracle builds and compares both sides one first-output slab at a time.
+# For one first output index it holds the two sides' n**8 complex128 slabs
+# (16 bytes per entry each), the n**7 intermediate of the contraction path
+# below, and the n**8 temporaries of the slab's comparison: np.isclose holds
+# the complex difference (16 bytes per entry) and its float magnitude (8
+# bytes) at once, and later float and boolean temporaries never exceed those
+# 24 bytes per entry.  Each slab is copied into C order as it is built, so
+# the comparison reads both in one layout (slabs in two strided layouts make
+# np.isclose buffer whole operands when a slab is small); a copy and its
+# source beside the other slab hold 48 bytes per entry, under the
+# comparison's 56.  A slab's arrays are freed before the next slab is built.
+# Larger inputs are refused before allocation.
 DENSE_BYTES_LIMIT = 1 << 30
 
-# Each side contracts pairwise: first the factor holding the first output
-# index with the one it shares a single summed index with (the n**8
-# intermediate, n**9 multiply-adds), then the rest (two summed indices,
-# n**11 multiply-adds), where the three-factor einsum without a path costs
-# n**12.
+# Each side's slab contracts pairwise: first the factor holding the first
+# output index with the one it shares a single summed index with (the n**7
+# intermediate, n**8 multiply-adds), then the rest (two summed indices,
+# n**10 multiply-adds), where the three-factor einsum without a path costs
+# n**11 per slab.
 _LHS_PATH = ["einsum_path", (0, 1), (0, 1)]
 _RHS_PATH = ["einsum_path", (0, 2), (0, 1)]
 
@@ -481,11 +488,14 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
 
     The full 9-index boundary grid is enumerated (N^9 comparisons, N^3
     summed states each) via einsum on a dense complex array, sidestepping
-    the sparse machinery entirely.  Each side contracts along a fixed
-    pairwise path (_LHS_PATH, _RHS_PATH), DENSE_BYTES_LIMIT is checked
+    the sparse machinery entirely.  Both sides are built and compared one
+    first-output slab (N^8 entries) at a time, every slab compared, each
+    side's slab contracted along a fixed pairwise path (_LHS_PATH,
+    _RHS_PATH); DENSE_BYTES_LIMIT is checked against what one slab holds
     before allocation, and entries agree within 1e-9 relative and absolute
-    tolerance.  The witness is the least mismatching index in C order.
-    numpy is imported here, on first use, so exact runs never load it.
+    tolerance.  The witness is the least mismatching index in C order: the
+    first failing slab's, followed by the least index inside it.  numpy is
+    imported here, on first use, so exact runs never load it.
     """
     import numpy as np
 
@@ -493,27 +503,33 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
     if q is None or q.arity != 5:
         raise ValueError("dense oracle needs the 5-slot solution tensor")
     n = q.domain.size
-    grids, intermediate, comparison = 32 * n**9, 16 * n**8, 24 * n**9
-    if grids + intermediate + comparison > DENSE_BYTES_LIMIT:
+    slabs, intermediate, comparison = 32 * n**8, 16 * n**7, 24 * n**8
+    if slabs + intermediate + comparison > DENSE_BYTES_LIMIT:
         raise ValueError(
-            f"dense oracle on {q.domain.literal} needs {grids / 1e9:.2f} GB for two "
-            f"{n}^9 grids and {intermediate / 1e9:.2f} GB for an {n}^8 intermediate, "
-            f"plus {comparison / 1e9:.2f} GB for the comparison's {n}^9 temporaries, "
+            f"dense oracle on {q.domain.literal} needs {slabs / 1e9:.2f} GB for two "
+            f"{n}^8 slabs and {intermediate / 1e9:.2f} GB for an {n}^7 intermediate, "
+            f"plus {comparison / 1e9:.2f} GB for the comparison's {n}^8 temporaries, "
             f"over the {DENSE_BYTES_LIMIT / 1e9:.2f} GB limit"
         )
     arr = np.zeros((n,) * 5, dtype=complex)
     for key, val in q.to_float().entries.items():
         arr[key] = val
 
-    lhs = np.einsum("isltm,spjun,tqurk->ilmjnkpqr", arr, arr, arr, optimize=_LHS_PATH)
-    rhs = np.einsum("msntk,lujrt,ipuqs->ilmjnkpqr", arr, arr, arr, optimize=_RHS_PATH)
-    bad = ~np.isclose(lhs, rhs, rtol=1e-9, atol=1e-9)
-    # the least index in C order, found without listing every mismatch
-    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    if not bad[first]:
+    witness = values = None
+    for i in range(n):
+        lhs = np.einsum("sltm,spjun,tqurk->lmjnkpqr", arr[i], arr, arr, optimize=_LHS_PATH)
+        lhs = np.ascontiguousarray(lhs)
+        rhs = np.einsum("msntk,lujrt,puqs->lmjnkpqr", arr, arr, arr[i], optimize=_RHS_PATH)
+        rhs = np.ascontiguousarray(rhs)
+        bad = ~np.isclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+        # the least index in C order, found without listing every mismatch
+        first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        if witness is None and bad[first]:
+            witness = _fmt_key(q.domain, (i, *map(int, first)))
+            values = {"lhs_value": format(lhs[first], ".12g"), "rhs_value": format(rhs[first], ".12g")}
+        del lhs, rhs, bad
+    if witness is None:
         return _report("p33-dense", sol.descriptor, "dense", "pass", n**9)
-    witness = _fmt_key(q.domain, map(int, first))
-    values = {"lhs_value": format(lhs[first], ".12g"), "rhs_value": format(rhs[first], ".12g")}
     return _report("p33-dense", sol.descriptor, "dense", "fail", n**9, witness, values)
 
 

@@ -544,7 +544,7 @@ def test_yb_rejects_set_solution(capsys):
 
 def test_dense_oracle_refuses_oversized_grids(capsys, monkeypatch):
     monkeypatch.setattr("numpy.zeros", lambda *args, **kwargs: pytest.fail("allocated"))
-    code, out, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z8", "--oracle", "dense"])
+    code, out, err = run(capsys, ["verify", "p33", "--solution", "bichar:Z9", "--oracle", "dense"])
     assert_one_error_line(code, err)
     assert "GB limit" in err
     assert out == ""
@@ -762,7 +762,7 @@ FUZZ_WORDS = ["0", "1", "2", "-1", "4", "5", "9", "10**6", "1000000", "+", "-", 
 OVERSIZED_SOLUTIONS = ["bichar:Z60", "bichar:Z40", "triple:groupalg:Z300"]
 FUZZ_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "triple:groupalg:Z2"] * 2 + ["set", "bichar:Z0", "nope",
                                                                          *OVERSIZED_SOLUTIONS]
-# small groups only: the dense oracle on |V| = 6 holds two 6**9 grids
+# small groups only: the dense oracle on |V| = 6 makes 6**11 multiply-adds per side
 FUZZ_VERIFY_SOLUTIONS = ["bichar:Z2", "bichar:Z3", "bichar:Z4", "bichar:Z2xZ2", "triple:groupalg:Z2",
                          "set", "bichar:Z0", "nope", *OVERSIZED_SOLUTIONS]
 FUZZ_PENTAGON_GROUPS = ["Z2", "Z3", "Z4", "Z2xZ2", "S3", "Z0", "Q8", "nope", "Z300"]

@@ -11,13 +11,14 @@ warm tables.
 
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from pachner import scalars, statesum, verify
 from pachner.groups import parse_group
-from pachner.scalars import ScalarRing, get_ring
+from pachner.scalars import Scalar, ScalarRing, get_ring
 from pachner.simplicial import simplex_boundary
 from pachner.solutions import parse_solution, perturb_q
 from pachner.tensors import GroupTensor, tensor_equal
@@ -112,7 +113,7 @@ def test_a_drop_empties_every_table_but_zero_and_one():
     # it: a table it missed would grow past SCALAR_TABLE_LIMIT
     ring = ScalarRing(3, 3)
     a = ring.root(1) + ring.one
-    a * a, a.conj(), a._shift(1), ring.radical(-1)
+    a * a, a.conj(), a._shift(ring.radical(1)), ring.radical(-1)
     tables = {name: table for name, table in vars(ring).items() if isinstance(table, dict)}
     assert len(tables) >= 5 and all(tables.values())
     ring._drop_tables()
@@ -215,3 +216,56 @@ def test_a_warm_relation_round_canonicalises_nothing(monkeypatch):
     monkeypatch.setattr(ScalarRing, "_canonical", lambda self, t: calls.append(t) or canonical(self, t))
     assert [op.check(op.run()) for op in ops] == [None] * 47
     assert calls == []
+
+
+def warm_p33_and_state_sum():
+    """verify_p33 and the state sum of the 4-sphere on bichar:Z3, run once
+    on emptied tables to warm the ring; returns the run and its results."""
+    sol = parse_solution("bichar:Z3")
+
+    def run():
+        value = statesum.partition_value(statesum.build_assignment(simplex_boundary(5), sol))
+        return verify.verify_p33(sol).lines(), list(value.terms.items())
+
+    get_ring(3, 3)._drop_tables()
+    return run, run()
+
+
+def test_a_warm_run_takes_every_product_and_shift_from_the_table(monkeypatch):
+    # a shift that skipped its product-table insertion would compute
+    # again on every warm run, with the same values
+    run, cold = warm_p33_and_state_sum()
+    calls, product = [], Scalar._product
+    monkeypatch.setattr(Scalar, "_product", lambda self, other: calls.append(other) or product(self, other))
+    assert run() == cold
+    assert calls == []
+
+
+def test_a_join_interns_its_weight_once_and_a_shift_never(monkeypatch):
+    # the join looks its weight r**-k up once and hands that one object to
+    # every shift; the lookups outside any join (wire permutations and
+    # their rescaling) are not joins' weights and are not counted
+    run, cold = warm_p33_and_state_sum()
+    inside, calls = [], Counter()
+
+    def spying(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(owner, name, spy)
+
+    spying(ScalarRing, "join")
+    spying(Scalar, "_shift")
+    interns, intern = Counter(), ScalarRing._intern
+    monkeypatch.setattr(ScalarRing, "_intern", lambda self, t: interns.update([tuple(inside)]) or intern(self, t))
+    assert run() == cold
+    assert calls["join"] and calls["_shift"]
+    assert not [where for where in interns if "_shift" in where]
+    assert sum(n for where, n in interns.items() if "join" in where) <= calls["join"]

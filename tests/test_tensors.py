@@ -231,11 +231,12 @@ def per_entry_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, k):
     entry of the smaller operand, one product per matched entry pair, a
     lone product kept as it is, and the products colliding on a key summed
     as raw vectors and canonicalised once per key."""
-    (shift,) = ring.radical(-k).terms
+    power = ring.radical(-k)
+    (shift,) = power.terms
     if shift and len(entries1) <= len(entries2):
-        entries1 = {key: v._shift(shift) for key, v in entries1.items()}
+        entries1 = {key: v._shift(power) for key, v in entries1.items()}
     elif shift:
-        entries2 = {key: v._shift(shift) for key, v in entries2.items()}
+        entries2 = {key: v._shift(power) for key, v in entries2.items()}
     buckets = {}
     for key, v2 in entries2.items():
         buckets.setdefault(bound2(key), []).append((rest2(key), v2))
@@ -406,9 +407,9 @@ def test_shared_entries_survive_scalar_ops():
     assert len(values) == 3 and all(w is values[0] for w in values)
     before = {key: list(w.terms.items()) for key, w in joined.entries.items()}
     w = values[0]
-    results = [w + w, w * w, w * ring.root(2), w.conj(), w._shift(2), w - v]
+    results = [w + w, w * w, w * ring.root(2), w.conj(), w._shift(ring.radical(2)), w - v]
     assert compare(w, results[0]) is Comparison.UNEQUAL
-    assert compare(w, w._shift(2)._shift(-2)) is Comparison.EQUAL
+    assert compare(w, w._shift(ring.radical(2))._shift(ring.radical(-2))) is Comparison.EQUAL
     assert {key: list(w.terms.items()) for key, w in joined.entries.items()} == before
     assert all(r is not w and r.terms is not w.terms for r in results)
 

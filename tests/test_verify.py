@@ -954,12 +954,41 @@ def test_dense_oracle_and_sparse_agree_on_random_tensors():
 
 
 def test_dense_oracle_refuses_large_grids_before_allocating(monkeypatch):
-    # Z6 passes the bound with its comparison temporaries counted, Z7 does not
-    assert 56 * 6**9 + 16 * 6**8 <= verify.DENSE_BYTES_LIMIT < 56 * 7**9
-    sol = parse_solution("bichar:Z8")
+    # one slab's bytes, comparison temporaries counted: Z8 passes the
+    # bound and Z9 does not
+    slab = lambda n: 56 * n**8 + 16 * n**7
+    assert slab(8) <= verify.DENSE_BYTES_LIMIT < slab(9)
     monkeypatch.setattr("numpy.zeros", lambda *args, **kwargs: pytest.fail("allocated"))
-    with pytest.raises(ValueError, match=r"needs 4.29 GB .* plus 3.22 GB for the comparison's 8\^9"):
-        dense_p33_oracle(sol)
+    with pytest.raises(pytest.fail.Exception, match="allocated"):
+        dense_p33_oracle(parse_solution("bichar:Z8"))
+    with pytest.raises(ValueError, match=r"needs 1.38 GB .* plus 1.03 GB for the comparison's 9\^8"):
+        dense_p33_oracle(parse_solution("bichar:Z9"))
+
+
+def test_dense_witness_past_the_first_slab_is_the_least_failing_index():
+    # a seeded random tensor on Z3 with no entry in first slot 0: slab 0
+    # of both sides is zero, so the least failing index lies in a later
+    # slab, and the witness must be the least one over every slab
+    import numpy as np
+
+    group = FinAbGroup([3])
+    ring = group.ring
+    rng = random.Random(5)
+    entries = {}
+    for key in itertools.product(group.elements(), repeat=5):
+        if key[0] and rng.random() < 0.4:
+            entries[key] = ring.root(rng.randrange(6)) * ring.integer(rng.randrange(1, 3))
+    sol = SolutionSpec("random", "random:slab", group, GroupTensor(group, (UP, DOWN, UP, DOWN, UP), entries))
+    elems, (lhs, rhs), _ = naive_dense_grids(sol.q)
+    bad = np.argwhere(~np.isclose(lhs, rhs, rtol=1e-9, atol=1e-9))
+    first = tuple(int(v) for v in bad[0])
+    # failures in two slabs, the least past slab 0
+    assert first[0] == 1 and {int(v) for v in bad[:, 0]} == {1, 2}
+    report = dense_p33_oracle(sol)
+    assert (report.verdict, report.checks) == ("fail", 3**9)
+    assert report.witness == _fmt_key(sol.q.domain, tuple(elems[i] for i in first))
+    assert abs(complex(report.extras["lhs_value"]) - lhs[first]) <= 1e-9 * max(1.0, abs(lhs[first]))
+    assert abs(complex(report.extras["rhs_value"]) - rhs[first]) <= 1e-9 * max(1.0, abs(rhs[first]))
 
 
 # -- set-theoretic route -------------------------------------------------------
@@ -1033,12 +1062,12 @@ def test_dense_path_matches_the_pathless_einsum(group, seed):
 def test_dense_bound_counts_the_intermediate(monkeypatch):
     sol = parse_solution("bichar:Z3")
     monkeypatch.setattr("numpy.zeros", lambda *args, **kwargs: pytest.fail("allocated"))
-    counted = 32 * 3**9 + 16 * 3**8 + 24 * 3**9
+    counted = 32 * 3**8 + 16 * 3**7 + 24 * 3**8
     monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", counted - 1)
     with pytest.raises(
         ValueError,
-        match=r"two 3\^9 grids and 0.00 GB for an 3\^8 intermediate, "
-        r"plus 0.00 GB for the comparison's 3\^9 temporaries",
+        match=r"two 3\^8 slabs and 0.00 GB for an 3\^7 intermediate, "
+        r"plus 0.00 GB for the comparison's 3\^8 temporaries",
     ):
         dense_p33_oracle(sol)
     monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", counted)
@@ -1063,8 +1092,11 @@ def test_dense_traced_peak_stays_within_the_counted_bytes(group, seed, monkeypat
     finally:
         tracemalloc.stop()
     assert report.verdict == ("pass" if seed is None else "fail")
-    # the trace sees the grids: at least one side's full grid at once
-    assert 16 * n**9 <= peak
+    # the trace sees the slabs: at least one side's slab at once, and on
+    # Z4 less than one side's full grid
+    assert 16 * n**8 <= peak
+    if n == 4:
+        assert peak < 16 * n**9
     # the bytes the oracle counts are at least the peak: a limit one byte
     # below the peak refuses the run
     monkeypatch.setattr(verify, "DENSE_BYTES_LIMIT", peak - 1)
