@@ -100,7 +100,7 @@ def relation_bicharacter():
     compared against it, and reported when over it.
     """
     exact = lambda sol: verify_p33(sol, backend="exact")
-    floats = lambda sol: verify_p33(sol, backend="float", rel=1e-9)
+    floats = lambda sol: verify_p33(sol, backend="float")
     runs = [(name, exact) for name in ("Z2", "Z3", "Z4", "Z2xZ2")]
     runs += [(name, floats) for name in ("Z5", "Z6")]
     runs += [(name, dense_p33_oracle) for name in ("Z2", "Z3")]

@@ -22,7 +22,7 @@ from itertools import islice
 from . import acceptance
 from .groups import parse_group
 from .scalars import Scalar, ScalarRing
-from .simplicial import Triangulation, apply_move
+from .simplicial import Triangulation, all_sites, apply_move
 from .solutions import (
     groups_up_to_order,
     named_group_table,
@@ -30,7 +30,7 @@ from .solutions import (
     pentagon_map,
     triple_from_table,
 )
-from .statesum import all_sites, build_assignment, invariance_run, partition, walk
+from .statesum import build_assignment, invariance_run, partition, walk
 from .verify import (
     dense_p33_oracle,
     verify_p33,
@@ -93,13 +93,6 @@ def _solution(text: str):
         raise UsageError(str(exc)) from exc
 
 
-def _group(text: str):
-    try:
-        return parse_group(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # -- verify --------------------------------------------------------------------
 
 
@@ -130,7 +123,7 @@ def _run_verify(args):
             else:
                 report = verify_p33(sol, backend=args.backend)
     elif args.relation == "theorem":
-        group = _group(args.group)
+        group = parse_group(args.group)
         out += _echo("verify theorem", {"group": args.group, "backend": "exact"})
         report = verify_theorem(group)
     elif args.relation == "yb":
@@ -138,10 +131,7 @@ def _run_verify(args):
         out += _echo("verify yb", {"solution": args.solution, "backend": args.backend})
         report = verify_yb_family(sol, backend=args.backend)
     else:  # pentagon
-        try:
-            table = named_group_table(args.group)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        table = named_group_table(args.group)
         out += _echo("verify pentagon", {"group": args.group, "backend": args.backend})
         triple = triple_from_table(table, args.group)
         report = verify_pentagon(pentagon_map(triple), backend=args.backend)

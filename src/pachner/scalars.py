@@ -61,7 +61,8 @@ compose Q onto a side without summing.  Only the keys under a head that
 occurs under several bounds, the usual case in a state sum, accumulate.
 
 ``ComplexRing`` is the float cross-check backend: complex numbers with
-r = sqrt(N) behind the same interface, compared at a relative tolerance.
+r = sqrt(N) behind the same interface, compared at a relative tolerance,
+FLOAT_REL unless a caller names another.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ from operator import add
 # The most entries one of a ring's arithmetic tables holds; an insertion
 # into a full table first drops all of the ring's tables.
 SCALAR_TABLE_LIMIT = 1 << 14
+
+# The float cross-check's one tolerance: every float comparison's default,
+# the dense oracle's rtol and atol, and a float invariance run's threshold.
+FLOAT_REL = 1e-9
 
 
 def _poly_mul(a, b):
@@ -477,7 +482,7 @@ class ScalarRing:
     def render(self, v: "Scalar") -> str:
         return v.render()
 
-    def compare_entries(self, entries1, entries2, rel=1e-9):
+    def compare_entries(self, entries1, entries2, rel=FLOAT_REL):
         """Both entry dicts compared over the union of their keys, a missing
         entry read as zero, with :func:`compare`; rel is unused.
 
@@ -731,7 +736,7 @@ def compare(a: Scalar, b: Scalar) -> Comparison:
     return Comparison.INDETERMINATE
 
 
-def approx_equal(x: complex, y: complex, rel: float = 1e-9) -> bool:
+def approx_equal(x: complex, y: complex, rel: float = FLOAT_REL) -> bool:
     scale = max(abs(x), abs(y), 1.0)
     return abs(x - y) <= rel * scale
 
@@ -815,7 +820,7 @@ class ComplexRing:
         imag = v.imag if abs(v.imag) > tiny else 0.0
         return format(complex(real, imag), ".12g")
 
-    def compare_entries(self, entries1, entries2, rel=1e-9):
+    def compare_entries(self, entries1, entries2, rel=FLOAT_REL):
         """ScalarRing.compare_entries at relative tolerance rel: approx_equal
         on every key at once, so nothing is INDETERMINATE.
 

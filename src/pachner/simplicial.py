@@ -60,8 +60,8 @@ def _pos(j: int, i: int) -> int:
 FACE_NODES_LIMIT = 1 << 18
 
 # A (p, q) move in dimension d has C(d + 2, p) splittings, which bound the
-# entry choices the site enumeration tries per cone entry; find_move_sites
-# and all_sites refuse a move with more than this many before any search.
+# entry choices the site enumeration tries per cone entry; check_move_type
+# refuses a move with more than this many, before any search.
 # The (10,10) move of a single 18-simplex (C(20, 10) = 184,756 splittings;
 # all_sites returns its empty list in under 1 ms with Python 3.11 on a
 # shared 2-core VM) passes; the (11,11) move of a 20-simplex
@@ -95,9 +95,13 @@ def _spread_masks(width: int, i: int) -> list:
     return [(m & low) | ((m & ~low) << 1) for m in _subset_masks(width - 1)]
 
 
-def check_move_size(dim: int, p: int) -> None:
-    """Raise ValueError when the (p, dim + 2 - p) move has more than
-    SPLITTINGS_LIMIT splittings."""
+def check_move_type(dim: int, p: int) -> None:
+    """Raise ValueError unless 1 <= p <= dim + 1 and the (p, dim + 2 - p)
+    move has at most SPLITTINGS_LIMIT splittings: the one move-type rule,
+    which every site search and invariance run applies first."""
+    n = dim + 1
+    if not 1 <= p <= n:
+        raise ValueError(f"move type ({p},{n + 1 - p}) needs 1 <= p <= {n}")
     splittings = math.comb(dim + 2, p)
     if splittings > SPLITTINGS_LIMIT:
         raise ValueError(
@@ -217,17 +221,23 @@ class Triangulation:
         return len(self.gluing) == (self.dim + 1) * len(self.simplexes)
 
     def orientation_witness(self):
-        """A glued pair violating coherence, or None.
+        """The least glued pair (occurrence, partner), occurrence < partner,
+        that violates coherence, or None.
 
         Coherent means the two induced orientations sign*(-1)^facet are
-        opposite across every glued pair.
+        opposite across every glued pair.  This is the one coherence rule:
+        ``statesum.build_assignment`` refuses a complex through it.
         """
-        for (e, i), (e2, i2) in self.gluing.items():
-            s1 = self.simplexes[e][1] * (-1) ** i
-            s2 = self.simplexes[e2][1] * (-1) ** i2
-            if s1 == s2:
-                return ((e, i), (e2, i2))
-        return None
+
+        def induced(occ):
+            return self.simplexes[occ[0]][1] * (-1) ** occ[1]
+
+        incoherent = (
+            (occ, partner)
+            for occ, partner in self.gluing.items()
+            if occ < partner and induced(occ) == induced(partner)
+        )
+        return min(incoherent, default=None)
 
     def face_classes(self) -> MappingProxyType:
         """Faces of all dimensions, identified through the gluing.
@@ -476,11 +486,9 @@ def simplex_boundary(n: int) -> Triangulation:
 
 def _check_splitting(n, I, J):
     """(I, J) as sorted tuples; raises ValueError unless they split [0..n]
-    into two nonempty parts.  A pair of tuples is checked once while it
-    stays in ``_check_tuples``'s cache; lists are checked on every call."""
-    if type(I) is tuple and type(J) is tuple:
-        return _check_tuples(n, I, J)
-    return _check_tuples.__wrapped__(n, I, J)
+    into two nonempty parts.  A splitting is checked once while it stays
+    in ``_check_tuples``'s cache, keyed by (I, J) as tuples."""
+    return _check_tuples(n, tuple(I), tuple(J))
 
 
 # There are 2**(n + 1) - 2 splittings of [0..n]; the cache keeps the 4,096
@@ -520,18 +528,17 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     A site needs: entries realizing the I-indexed facets of an n-simplex
     under an order-preserving vertex assignment phi, signs eps*(-1)^i, and
     mutual gluings along the internal faces.  The first search of a size
-    lists the sites of every splitting of that size at once
-    (``Triangulation._move_sites``), and later searches of that size on
-    ``t`` read them.  For |I| = 1 only I = {n} has sites: the fresh
-    vertex is max(labels)+1, which is order consistent exactly in the
-    last position.  For |I| >= 2 every entry of a site is glued to the
-    others, so phi is one of its cones, an entry plus the vertex opposite
-    it across a glued facet; the entries that can join each cone entry in
-    a site, its mates, are found once per complex and shared by every
-    size.  A splitting given as tuples is validated once while it stays
-    in a cache of the 4,096 last used.  Each call returns a new list.
-    Raises ValueError, before enumerating anything, when the move has
-    more than SPLITTINGS_LIMIT splittings.
+    lists the sites of every splitting of that size at once, and later
+    searches of that size on ``t`` read them, as ``all_sites`` does.  For
+    |I| = 1 only I = {n} has sites: the fresh vertex is max(labels)+1,
+    which is order consistent exactly in the last position.  For |I| >= 2
+    every entry of a site is glued to the others, so phi is one of its
+    cones, an entry plus the vertex opposite it across a glued facet; the
+    entries that can join each cone entry in a site, its mates, are found
+    once per complex and shared by every size.  A splitting is validated
+    once while it stays in a cache of the 4,096 last used.  Each call
+    returns a new list.  Raises ValueError, before enumerating anything,
+    when ``check_move_type`` refuses the move.
 
     No face interior to a site touches an entry outside it, so that move
     condition needs no check of its own.  Such a face is phi minus a set D
@@ -543,8 +550,24 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     """
     n = t.dim + 1
     I, J = _check_splitting(n, I, J)
-    check_move_size(t.dim, len(I))
+    check_move_type(t.dim, len(I))
     return list(t._move_sites(len(I)).get(I, ()))
+
+
+def all_sites(t: Triangulation, p: int) -> list[MoveSite]:
+    """Move sites of type (p, n+1-p) over every splitting, in a fixed order.
+
+    The order is ``find_move_sites`` on each splitting in turn, I in
+    lexicographic order.  One enumeration lists the sites of every
+    splitting of size p, keyed by the splittings that have a site (for
+    p = 1 only I = (n,)), and they are read in that order, so the
+    C(n + 1, p) splittings are not visited one by one.  Raises
+    ValueError, before any site search, when ``check_move_type`` refuses
+    the move.
+    """
+    check_move_type(t.dim, p)
+    by_I = t._move_sites(p)
+    return [site for I in sorted(by_I) for site in by_I[I]]
 
 
 def apply_move(t: Triangulation, site: MoveSite) -> Triangulation:

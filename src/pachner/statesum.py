@@ -20,7 +20,10 @@ to itself (the facets of one simplex differ), so every bound pair joins
 two operands.
 
 A tetrahedron whose two sides present the same variance is outside the
-certified scope; ``build_assignment`` reports the face.
+certified scope; ``build_assignment`` reports the face that
+``Triangulation.orientation_witness`` names.  The move types, their
+sites and the order ``walk`` reads them in are ``simplicial``'s:
+``check_move_type`` and ``all_sites``.
 
 (3,3)-invariance is certified for the bicharacter solutions only.  Wiring
 Q by facet index relies on slot symmetries that only they are shown to
@@ -38,20 +41,16 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .scalars import compare
-from .simplicial import Triangulation, apply_move, check_move_size
+from .scalars import FLOAT_REL, compare
+from .simplicial import Triangulation, all_sites, apply_move, check_move_type
 from .solutions import SolutionSpec
-from .tensors import GroupTensor, UP, DOWN, Report, contract, in_backend
+from .tensors import GroupTensor, Report, contract, in_backend
 
 ARITY_GUARD = 22
 # A step over a domain of size n may hold up to n**arity entries; no step may
 # exceed a Z2 step at the slot guard.  This admits Z3 up to 13 slots and the
 # 6-element basis of triple:groupalg:S3 up to 8.
 ENTRY_GUARD = 2**ARITY_GUARD
-
-
-def _slot_variance(sign: int, facet: int):
-    return UP if sign * (-1) ** facet > 0 else DOWN
 
 
 @dataclass
@@ -69,25 +68,15 @@ def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "exact"
         raise ValueError("state sums need a solution tensor")
     q = in_backend(sol.q, backend)
     qbar = q.conj()
-    tensors = []
-    for vertices, sign in t.simplexes:
-        tensors.append(q if sign > 0 else qbar)
-
-    pairings = []
-    for (e1, f1), (e2, f2) in sorted(t.gluing.items()):
-        if (e1, f1) > (e2, f2):
-            continue
-        s1 = t.simplexes[e1][1]
-        s2 = t.simplexes[e2][1]
-        v1 = _slot_variance(s1, f1)
-        v2 = _slot_variance(s2, f2)
-        if v1 == v2:
-            raise ValueError(
-                f"tetrahedron {t.facet(e1, f1)} is presented with equal variance by "
-                f"entries {e1} and {e2}; outside the certified scope"
-            )
-        pairings.append(((e1, f1), (e2, f2)))
-
+    tensors = [q if sign > 0 else qbar for _, sign in t.simplexes]
+    witness = t.orientation_witness()
+    if witness is not None:
+        (e1, f1), (e2, _) = witness
+        raise ValueError(
+            f"tetrahedron {t.facet(e1, f1)} is presented with equal variance by "
+            f"entries {e1} and {e2}; outside the certified scope"
+        )
+    pairings = sorted((occ, partner) for occ, partner in t.gluing.items() if occ < partner)
     boundary = sorted(
         (t.facet(e, f), e, f)
         for e in range(len(t.simplexes))
@@ -227,28 +216,6 @@ def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "ex
     return ring.radical(-npair) * total
 
 
-def all_sites(t: Triangulation, p: int):
-    """Move sites of type (p, n+1-p) over every splitting, in a fixed order.
-
-    The order is ``find_move_sites`` on each splitting in turn, I in
-    lexicographic order.  One enumeration lists the sites of every
-    splitting of size p (``Triangulation._move_sites``), keyed by the
-    splittings that have a site (for p = 1 only I = (n,)), and they are
-    read in that order, so the C(n + 1, p) splittings are not visited one
-    by one.  Raises ValueError, before any site search, when p is outside
-    1..n or the move has more than simplicial.SPLITTINGS_LIMIT splittings.
-    """
-    _check_move_type(t.dim + 1, p)
-    check_move_size(t.dim, p)
-    by_I = t._move_sites(p)
-    return [site for I in sorted(by_I) for site in by_I[I]]
-
-
-def _check_move_type(n: int, p: int) -> None:
-    if not 1 <= p <= n:
-        raise ValueError(f"move type ({p},{n + 1 - p}) needs 1 <= p <= {n}")
-
-
 def walk(t: Triangulation, types, rng):
     """A seeded walk of Pachner moves: yields (site, moved complex) per step.
 
@@ -282,17 +249,17 @@ def invariance_run(
     (whose facet-index wiring lacks the slot symmetries it relies on), are
     runnable for exploration but carry no invariance promise here.  The
     exact backend compares values as ring elements; the float backend
-    fails a relative error above 1e-9 and reports the largest it saw.  The
-    moves are the first ``count`` steps of ``walk`` seeded with ``seed``;
-    a walk that runs out of sites before then ends the run with a note.
+    fails a relative error above FLOAT_REL and reports the largest it
+    saw.  The moves are the first ``count`` steps of ``walk`` seeded with
+    ``seed``; a walk that runs out of sites before then ends the run with
+    a note.
     """
     if count < 0:
         raise ValueError(f"move count must be >= 0, got {count}")
     if not t.is_closed():
         raise ValueError("invariance runs need a closed complex")
-    n = t.dim + 1
-    _check_move_type(n, p)
-    move_type = f"{p},{n + 1 - p}"
+    check_move_type(t.dim, p)
+    move_type = f"{p},{t.dim + 2 - p}"
     a = build_assignment(t, sol, backend)
     ring = a.tensors[0].ring
     reference = partition_value(a)
@@ -307,7 +274,7 @@ def invariance_run(
         else:
             err = abs(value - reference) / max(abs(reference), 1e-30)
             max_rel = max(max_rel, err)
-            verdict = "fail" if err > 1e-9 else "pass"
+            verdict = "fail" if err > FLOAT_REL else "pass"
             detail = f"relative error {err:.3e}"
         if verdict != "pass":
             witness = f"step {step}: {detail}"

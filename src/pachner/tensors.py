@@ -66,7 +66,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .scalars import Comparison, ComplexRing, _classes, get_ring
+from .scalars import FLOAT_REL, Comparison, ComplexRing, _classes, get_ring
 
 
 class Variance(enum.Enum):
@@ -292,7 +292,7 @@ def _line(key, value) -> str:
     return f"{key}={value:.3e}" if isinstance(value, float) else f"{key}={value}"
 
 
-def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Report:
+def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = FLOAT_REL) -> Report:
     """Entrywise comparison over the union of supports, in the tensors' ring.
 
     Variances are not compared; callers that care about them check the
@@ -308,7 +308,7 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = 1e-9) -> Report:
     return slices_equal([(t1, t2)], rel)
 
 
-def slices_equal(pairs, rel: float = 1e-9) -> Report:
+def slices_equal(pairs, rel: float = FLOAT_REL) -> Report:
     """``tensor_equal`` on two tensors given slice by slice.
 
     ``pairs`` yields (slice of t1, slice of t2) pairs whose key sets are
@@ -360,7 +360,7 @@ class LinMap:
     makes inserting an identity a no-op.
     """
 
-    __slots__ = ("tensor", "n_out", "n_in", "wires")
+    __slots__ = ("tensor", "n_out", "n_in", "wires", "scale")
 
     def __init__(self, tensor: GroupTensor, n_out: int, n_in: int):
         if tensor.arity != n_out + n_in:
@@ -373,9 +373,9 @@ class LinMap:
         self.tensor = tensor
         self.n_out = n_out
         self.n_in = n_in
-        # output j carries input wires[j] when the map is a wire permutation
-        # built by _permutation; None for any other map
-        self.wires = None
+        # output j carries input wires[j], and a fold scales by scale, when
+        # the map is a wire permutation built by _permutation; else None
+        self.wires = self.scale = None
 
     def __repr__(self):
         return f"<LinMap {self.n_in}->{self.n_out} over {self.tensor.domain.literal}>"
@@ -383,7 +383,11 @@ class LinMap:
     @staticmethod
     def _permutation(domain, wires, ring=None) -> "LinMap":
         """The map on k = len(wires) wires whose output j is input wires[j],
-        every entry r**k, so each wire is weight neutral under composition."""
+        every entry w = r**k, so each wire is weight neutral under
+        composition.  ``scale`` is w * r**-k (w meeting k measure weights,
+        in the map's ring) where the domain's exact ring finds r**k * r**-k
+        is not its one, else None: in floats, where r * r**-1 rounds to
+        1 +- 1 ulp for some orders, a wire never rescales."""
         ring = domain.ring if ring is None else ring
         wires = tuple(wires)
         k = len(wires)
@@ -394,6 +398,9 @@ class LinMap:
         }
         m = LinMap(GroupTensor(domain, (UP,) * k + (DOWN,) * k, entries, ring), k, k)
         m.wires = wires
+        exact = domain.ring
+        if exact.radical(k) * exact.radical(-k) != exact.one:
+            m.scale = w * ring.radical(-k)
         return m
 
     @staticmethod
@@ -439,13 +446,10 @@ class LinMap:
         return LinMap(tensor, outs, other.n_in)
 
     def _rescale(self, t: GroupTensor) -> GroupTensor:
-        """t with every entry times w * r**-k (this wire permutation's entry
-        w meeting k measure weights, in t's ring) where the domain's exact
-        ring finds r**k * r**-k is not its one: in floats, where r * r**-1
-        rounds to 1 +- 1 ulp for some orders, a wire never rescales."""
-        k, exact = self.n_in, self.tensor.domain.ring
-        if exact.radical(k) * exact.radical(-k) != exact.one:
-            scale = next(iter(self.tensor.entries.values())) * t.ring.radical(-k)
+        """t with every entry times this wire permutation's ``scale``, if
+        it has one."""
+        scale = self.scale
+        if scale is not None:
             t.entries = {key: v * scale for key, v in t.entries.items()}
         return t
 

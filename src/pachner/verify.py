@@ -51,8 +51,8 @@ Each returns a tensors.Report; the entrywise checkers fold the Reports
 of their tensor_equal (or slices_equal) comparisons into it with _judge.
 
 The backend follows tensors.in_backend: exact by default, so a pass is
-a ring identity; "float" is the opt-in cross-check at 1e-9 relative
-tolerance.
+a ring identity; "float" is the opt-in cross-check at FLOAT_REL
+relative tolerance.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .groups import FinAbGroup
 from .solutions import SolutionSpec, q_from_bicharacter, set_q, symmetry_kernels
 from .tensors import (
     DOWN,
+    FLOAT_REL,
     UP,
     GroupTensor,
     LinMap,
@@ -195,7 +196,7 @@ def p33_sides(q: GroupTensor, first=None) -> tuple[LinMap, LinMap]:
     return next(_p33_slices(qm, [first]))
 
 
-def verify_p33(sol: SolutionSpec, backend: str = "exact", rel: float = 1e-9) -> Report:
+def verify_p33(sol: SolutionSpec, backend: str = "exact", rel: float = FLOAT_REL) -> Report:
     """The (3,3) relation for a solution tensor, as one comparison of its
     two sides.
 
@@ -492,10 +493,11 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
     first-output slab (N^8 entries) at a time, every slab compared, each
     side's slab contracted along a fixed pairwise path (_LHS_PATH,
     _RHS_PATH); DENSE_BYTES_LIMIT is checked against what one slab holds
-    before allocation, and entries agree within 1e-9 relative and absolute
-    tolerance.  The witness is the least mismatching index in C order: the
-    first failing slab's, followed by the least index inside it.  numpy is
-    imported here, on first use, so exact runs never load it.
+    before allocation, and entries agree within FLOAT_REL relative and
+    absolute tolerance.  The witness is the least mismatching index in C
+    order: the first failing slab's, followed by the least index inside
+    it.  numpy is imported here, on first use, so exact runs never load
+    it.
     """
     import numpy as np
 
@@ -521,7 +523,7 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
         lhs = np.ascontiguousarray(lhs)
         rhs = np.einsum("msntk,lujrt,puqs->lmjnkpqr", arr, arr, arr[i], optimize=_RHS_PATH)
         rhs = np.ascontiguousarray(rhs)
-        bad = ~np.isclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+        bad = ~np.isclose(lhs, rhs, rtol=FLOAT_REL, atol=FLOAT_REL)
         # the least index in C order, found without listing every mismatch
         first = np.unravel_index(int(np.argmax(bad)), bad.shape)
         if witness is None and bad[first]:

@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from pachner.scalars import Comparison, ComplexRing, approx_equal, compare
-from pachner.simplicial import MoveSite
+from pachner.simplicial import MoveSite, Triangulation, simplex_boundary
 from pachner.solutions import SolutionSpec
 from pachner.tensors import DOWN, UP, GroupTensor, LinMap, Report, _fmt_key, in_backend, tensor_equal
 from pachner.verify import _judge, p33_sides, q_as_linmap
@@ -358,7 +358,7 @@ def residue_gauss_exponent(orders, a):
 
 def all_splittings(n):
     """Every splitting (I, J) of [0..n] with I and J nonempty, by the size
-    of I, then lexicographically: the order statesum.all_sites keeps."""
+    of I, then lexicographically: the order simplicial.all_sites keeps."""
     for p in range(1, n + 1):
         for I in itertools.combinations(range(n + 1), p):
             J = tuple(k for k in range(n + 1) if k not in I)
@@ -425,6 +425,25 @@ def gluing_error(dim, simplexes, gluing):
         if facets[0] != facets[1]:
             return f"glued occurrences {occ} and {partner} have different vertices"
     return None
+
+
+# The 4-sphere with the pentachora of a flip set given the other
+# orientation, which leaves several glued pairs incoherent: the flip set,
+# the least such pair (occurrence < partner) and the tetrahedron it glues.
+INCOHERENT_SPHERES = [
+    ({0, 3}, ((0, 0), (1, 0)), (2, 3, 4, 5)),
+    ({2, 4, 5}, ((0, 1), (2, 0)), (1, 3, 4, 5)),
+    ({1}, ((0, 0), (1, 0)), (2, 3, 4, 5)),
+]
+
+
+def flipped_sphere(flips, reverse=False):
+    """simplex_boundary(5) with the entries in ``flips`` reoriented and its
+    gluing given explicitly, listed in reverse order when ``reverse``."""
+    t = simplex_boundary(5)
+    simplexes = [(v, -s if e in flips else s) for e, (v, s) in enumerate(t.simplexes)]
+    gluing = list(t.gluing.items())
+    return Triangulation(4, simplexes, dict(reversed(gluing) if reverse else gluing))
 
 
 def check_splitting(n, I, J):

@@ -151,3 +151,44 @@ def test_no_test_module_imports_another_but_the_reference():
             for module in modules:
                 top = module.split(".")[0]
                 assert top not in local - {"reference"}, (path.name, module)
+
+
+def triangulation_private_names() -> set:
+    """The underscore names of a Triangulation: its private methods and
+    the attributes its methods set or read on self."""
+    tree = ast.parse((SRC / "simplicial.py").read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Triangulation"]
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_only_simplicial_reads_a_private_name_of_a_triangulation():
+    # move types, site order and orientation coherence are simplicial's
+    # rules; every other module asks its public functions
+    private = triangulation_private_names()
+    assert {"_move_sites", "_sites", "_validate_gluing"} <= private
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "simplicial":
+            tree = ast.parse(path.read_text())
+            reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not reads & private, (path.stem, reads & private)
+
+
+def test_the_float_tolerance_is_written_once():
+    # every float comparison's default, the dense oracle's tolerances and
+    # the float invariance threshold read scalars.FLOAT_REL
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9:
+                use = parents[node]
+                targets = [t.id for t in use.targets] if isinstance(use, ast.Assign) else []
+                found.append((path.stem, targets))
+    assert found == [("scalars", ["FLOAT_REL"])]

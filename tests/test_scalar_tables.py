@@ -21,7 +21,7 @@ from pachner.groups import parse_group
 from pachner.scalars import Scalar, ScalarRing, get_ring
 from pachner.simplicial import simplex_boundary
 from pachner.solutions import parse_solution, perturb_q
-from pachner.tensors import GroupTensor, tensor_equal
+from pachner.tensors import GroupTensor, LinMap, tensor_equal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -269,3 +269,38 @@ def test_a_join_interns_its_weight_once_and_a_shift_never(monkeypatch):
     assert calls["join"] and calls["_shift"]
     assert not [where for where in interns if "_shift" in where]
     assert sum(n for where, n in interns.items() if "join" in where) <= calls["join"]
+
+
+def test_a_warm_compose_interns_nothing_outside_its_join(monkeypatch):
+    # a wire permutation judges its weight when it is built, so a fold
+    # only applies it: on a warm ring every scalar a compose interns comes
+    # from its join
+    run, cold = warm_p33_and_state_sum()
+    inside, calls, stray = [], Counter(), []
+
+    def spying(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(owner, name, spy)
+
+    spying(LinMap, "compose")
+    spying(ScalarRing, "join")
+    intern = ScalarRing._intern
+
+    def interning(self, terms):
+        if inside[-1:] == ["compose"]:
+            stray.append(tuple(terms.items()))
+        return intern(self, terms)
+
+    monkeypatch.setattr(ScalarRing, "_intern", interning)
+    assert run() == cold
+    assert calls["compose"] and calls["join"]
+    assert stray == []

@@ -16,11 +16,13 @@ from pachner.simplicial import (
     simplex_boundary,
 )
 from reference import (
+    INCOHERENT_SPHERES,
     all_splittings,
     check_splitting,
     euler_characteristic,
     exhaustive_move_sites,
     face_classes,
+    flipped_sphere,
     gluing_error,
 )
 
@@ -148,6 +150,23 @@ def test_orientation_witness_detects_flip():
         dict(t.gluing),
     )
     assert bad.orientation_witness() is not None
+
+
+@pytest.mark.parametrize("flips, pair, tetrahedron", INCOHERENT_SPHERES)
+def test_orientation_witness_is_the_least_incoherent_pair(flips, pair, tetrahedron):
+    # several pairs are incoherent; the witness is the least one with
+    # occurrence < partner, whatever order the gluing is listed in
+    for reverse in (False, True):
+        t = flipped_sphere(flips, reverse)
+        incoherent = [
+            (occ, partner)
+            for occ, partner in t.gluing.items()
+            if occ < partner
+            and t.simplexes[occ[0]][1] * (-1) ** occ[1] == t.simplexes[partner[0]][1] * (-1) ** partner[1]
+        ]
+        assert len(incoherent) > 1
+        assert t.orientation_witness() == pair == min(incoherent)
+        assert t.facet(*pair[0]) == tetrahedron
 
 
 def test_derived_gluing_rejects_triple_facet():
@@ -483,7 +502,6 @@ def test_the_splitting_memo_keeps_every_refusal(I, J):
         want = check_splitting(5, I, J)
     except ValueError as exc:
         want = str(exc)
-    tuples = type(I) is tuple and type(J) is tuple
     for again in range(2):
         cached = simplicial._check_tuples.cache_info()
         try:
@@ -491,12 +509,10 @@ def test_the_splitting_memo_keeps_every_refusal(I, J):
         except ValueError as exc:
             got = str(exc)
         assert got == want
-        # lists never reach the cache and a refusal is never kept in it;
-        # tuples that split [0..n] are found there on the second call
+        # a refusal is never kept in the cache; a splitting of [0..n],
+        # given as tuples or as lists, is found there on the second call
         info = simplicial._check_tuples.cache_info()
-        if not tuples:
-            assert info == cached
-        elif isinstance(want, str):
+        if isinstance(want, str):
             assert info.currsize == cached.currsize and info.hits == cached.hits
         elif again:
             assert info.hits == cached.hits + 1

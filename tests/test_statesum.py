@@ -25,7 +25,7 @@ from pachner.statesum import (
 )
 from pachner.tensors import DOWN, UP, contract, tensor_equal
 from pachner.verify import p33_sides
-from reference import all_splittings
+from reference import INCOHERENT_SPHERES, all_splittings, flipped_sphere
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 PERFBENCH_DATA = DATA.parent / "perfbench" / "data"
@@ -124,6 +124,21 @@ def test_incoherent_gluing_names_the_tetrahedron():
     t = Triangulation(4, [((0, 1, 2, 3, 4), 1), ((0, 1, 2, 3, 5), 1)])
     with pytest.raises(ValueError, match=r"\(0, 1, 2, 3\)"):
         build_assignment(t, sol, "exact")
+
+
+@pytest.mark.parametrize("flips, pair, tetrahedron", INCOHERENT_SPHERES)
+def test_incoherence_is_refused_at_the_least_pair(flips, pair, tetrahedron):
+    # several pairs are incoherent; the refusal names the least one,
+    # whatever order the gluing is listed in
+    (e1, _), (e2, _) = pair
+    want = (
+        f"tetrahedron {tetrahedron} is presented with equal variance by "
+        f"entries {e1} and {e2}; outside the certified scope"
+    )
+    for reverse in (False, True):
+        with pytest.raises(ValueError) as refused:
+            build_assignment(flipped_sphere(flips, reverse), parse_solution("bichar:Z2"))
+        assert str(refused.value) == want
 
 
 def test_build_assignment_guards():

@@ -828,11 +828,12 @@ def test_wire_permutation_compose_equals_the_joined_compose(case):
 
 def test_wire_permutation_compose_takes_its_weight_from_the_ring(monkeypatch):
     # a ring whose measure weight r**-k were r**k would make sigma scale by
-    # r**4; the fold must see it as the join does
+    # r**4; the fold must see it as the join does (sigma judges its weight
+    # when it is built, so it is built in that ring)
     x = seeded_linmap(Z3, 3, 1, seed=2, density=1.0)
-    sig = LinMap.sigma(Z3)
     original = ScalarRing.radical
     monkeypatch.setattr(ScalarRing, "radical", lambda self, e=1: original(self, abs(e)))
+    sig = LinMap.sigma(Z3)
     joined = x.compose(LinMap.identity(Z3, 1), at=0)
     got, want = after_x(sig, x, 1), compose_then_permute(sig, joined, 1)
     assert got.tensor.entries == want.tensor.entries
