@@ -33,7 +33,7 @@ from .statesum import (
     partition_bruteforce,
     partition_value,
 )
-from .tensors import DOWN, UP, GroupTensor, LinMap, contract, tensor_equal
+from .tensors import DOWN, UP, GroupTensor, contract, tensor_equal
 from .verify import (
     dense_p33_oracle,
     p33_sides,
@@ -51,7 +51,6 @@ __all__ = [
     "DOWN",
     "FinAbGroup",
     "GroupTensor",
-    "LinMap",
     "MoveSite",
     "Scalar",
     "ScalarRing",

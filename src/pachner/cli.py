@@ -113,7 +113,7 @@ def _run_verify(args):
             out += _echo("verify p33", {"solution": "set", "samples": args.samples, "seed": args.seed})
             report = verify_set_p33(samples=args.samples, seed=args.seed)
         else:
-            sol = _solution(args.solution)
+            sol = parse_solution(args.solution)
             out += _echo(
                 "verify p33",
                 {"solution": args.solution, "backend": args.backend, "oracle": args.oracle},
@@ -127,7 +127,7 @@ def _run_verify(args):
         out += _echo("verify theorem", {"group": args.group, "backend": "exact"})
         report = verify_theorem(group)
     elif args.relation == "yb":
-        sol = _solution(args.solution)
+        sol = parse_solution(args.solution)
         out += _echo("verify yb", {"solution": args.solution, "backend": args.backend})
         report = verify_yb_family(sol, backend=args.backend)
     else:  # pentagon

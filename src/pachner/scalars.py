@@ -35,9 +35,10 @@ Equal values of one ring are then one object, down to the order of their
 terms, and the ring memoises its arithmetic on object identity: a
 product (a radical shift is the product by the interned r**e), the
 canonical sum and the conjugate each run once per distinct operands for
-the life of the ring's tables, and ``root(k)`` once per k modulo 2L;
-``radical(e)`` is a lookup in the intern table.  Each identity-keyed
-entry holds its operands, so no id is reused while its entry lives.
+the life of the ring's tables.  Each identity-keyed entry holds its
+operands, so no id is reused while its entry lives.  ``radical(e)`` and
+``root(k)`` each intern their one term, which is canonical as it stands,
+so a ring keeps four tables: values, products, sums and conjugates.
 The tables are bounded: an insertion into a table that holds
 ``SCALAR_TABLE_LIMIT`` entries first drops all of them together.
 A value built after a drop may then be a second object equal to a live
@@ -250,12 +251,11 @@ class ScalarRing:
         self._products = {}  # (id a, id b) -> (a, b, a * b)
         self._sums = {}  # ids of the summands -> (summands, their sum)
         self._conjugates = {}  # id v -> (v, its conjugate)
-        self._roots = {}  # k mod 2L -> z**k, at most 2L entries
         self._drop_tables()
 
     def _drop_tables(self):
         """Empty every table at once, keeping zero and one interned."""
-        for table in (self._values, self._products, self._sums, self._conjugates, self._roots):
+        for table in (self._values, self._products, self._sums, self._conjugates):
             table.clear()
         self._values[()] = self.zero
         self._values[((0, self._unit),)] = self.one
@@ -358,12 +358,12 @@ class ScalarRing:
         return self.scalar({0: (value,)})
 
     def root(self, k: int) -> "Scalar":
-        """The exact root of unity z**k with z = exp(pi*i/L)."""
-        k %= self.root_order
-        v = self._roots.get(k)
-        if v is None:
-            v = self._roots[k] = self.scalar({0: self._powers[k]})
-        return v
+        """The exact root of unity z**k with z = exp(pi*i/L).
+
+        Its one term, the reduced power z**k, is canonical as it stands:
+        z**k is a unit, so no N > 1 divides all of its coefficients.
+        """
+        return self._intern({0: self._powers[k % self.root_order]})
 
     def radical(self, exponent: int = 1) -> "Scalar":
         """The formal radical power r**exponent, r**2 = N.
@@ -384,9 +384,9 @@ class ScalarRing:
         Each operand's entries fall into value classes, one per distinct
         value object (see ``_classes``).  The weight is one exponent shift
         (r**-k is a single term with the unit vector; for N = 1 its
-        exponent is 0), looked up once and applied to each distinct value
-        of the operand with fewer entries.  Each distinct class pair is
-        multiplied once.
+        exponent is 0), looked up once and multiplied onto each distinct
+        value of the operand with fewer entries.  Each distinct class pair
+        is multiplied once.
 
         A key whose head rest1(k1) is unambiguous (see ``_ambiguous``) is
         met by one pair, so it is written once, with that pair's product.
@@ -404,9 +404,9 @@ class ScalarRing:
         power = self.radical(-k)
         (shift,) = power.terms
         if shift and len(entries1) <= len(entries2):
-            reps1 = [v._shift(power) for v in reps1]
+            reps1 = [v * power for v in reps1]
         elif shift:
-            reps2 = [v._shift(power) for v in reps2]
+            reps2 = [v * power for v in reps2]
         # a class pair (c1, c2) is the slot c1 * n2 + c2
         n2 = len(reps2)
         products = {}
@@ -624,20 +624,6 @@ class Scalar:
                 for i, v in enumerate(prod):
                     acc[i] += v
         return self.ring._intern(self.ring._canonical(out))
-
-    def _shift(self, power: "Scalar") -> "Scalar":
-        """self * power, for a bare radical power r**e as ``radical(e)``
-        returns it, without ``__mul__`` and without interning r**e again:
-        memoised in the product table, computed as an exponent shift."""
-        ring = self.ring
-        key = (id(self), id(power))
-        hit = ring._products.get(key)
-        if hit is not None:
-            return hit[2]
-        ring._room(ring._products)
-        val = self._product(power)
-        ring._products[key] = (self, power, val)
-        return val
 
     def conj(self) -> "Scalar":
         """Complex conjugation: z to z^(2L-1) componentwise, r fixed."""

@@ -29,8 +29,9 @@ from .tensors import (
     UP,
     BasisDomain,
     GroupTensor,
-    LinMap,
     apply_word,
+    identity,
+    sigma,
     tensor_equal,
 )
 
@@ -40,9 +41,9 @@ class TripleSpec:
     """Structure maps over a finite basis: mu 2->1, lam and rho 1->2."""
 
     domain: BasisDomain
-    mu: LinMap
-    lam: LinMap
-    rho: LinMap
+    mu: GroupTensor
+    lam: GroupTensor
+    rho: GroupTensor
     name: str = ""
 
 
@@ -183,21 +184,13 @@ def triple_from_table(table, name: str = "") -> TripleSpec:
     m = len(table)
     domain = BasisDomain(m)
     one = domain.ring.one
-    mu = LinMap(
-        GroupTensor(
-            domain,
-            (UP, DOWN, DOWN),
-            {(table[g][h], g, h): one for g in range(m) for h in range(m)},
-        ),
-        1,
-        2,
+    mu = GroupTensor(
+        domain,
+        (UP, DOWN, DOWN),
+        {(table[g][h], g, h): one for g in range(m) for h in range(m)},
     )
-    diag = GroupTensor(
-        domain, (UP, UP, DOWN), {(g, g, g): one for g in range(m)}
-    )
-    lam = LinMap(diag, 2, 1)
-    rho = LinMap(diag, 2, 1)
-    return TripleSpec(domain, mu, lam, rho, name=name)
+    diag = GroupTensor(domain, (UP, UP, DOWN), {(g, g, g): one for g in range(m)})
+    return TripleSpec(domain, mu, diag, diag, name=name)
 
 
 def check_compatibility(t: TripleSpec) -> list[str]:
@@ -207,10 +200,10 @@ def check_compatibility(t: TripleSpec) -> list[str]:
     coproduct compatibility is checked in both orientations, which are
     equivalent under the swap; they are still reported separately.  Each
     side is a word (``apply_word``) applied to the identity on its n
-    inputs; A (x) B is the word [(A, 0), (B, A.n_in)].
+    inputs; A (x) B is the word [(A, 0), (B, a)] for A's a inputs.
     """
     dom = t.domain
-    sig = LinMap.sigma(dom)
+    sig = sigma(dom)
     mu, lam, rho = t.mu, t.lam, t.rho
     axioms = {
         "associativity": (3, [(mu, 0), (mu, 0)], [(mu, 0), (mu, 1)]),
@@ -231,8 +224,8 @@ def check_compatibility(t: TripleSpec) -> list[str]:
     }
     failed = []
     for name, (n, lhs, rhs) in axioms.items():
-        start = LinMap.identity(dom, n)
-        if not tensor_equal(apply_word(lhs, start).tensor, apply_word(rhs, start).tensor):
+        start = identity(dom, n)
+        if not tensor_equal(apply_word(lhs, start), apply_word(rhs, start)):
             failed.append(name)
     return failed
 
@@ -243,8 +236,8 @@ def q_from_triple(t: TripleSpec) -> SolutionSpec:
     if failed:
         raise ValueError(f"incompatible triple: {', '.join(failed)} failed")
     dom = t.domain
-    qmap = apply_word([(t.mu, 1), (t.lam, 0), (t.rho, 1)], LinMap.identity(dom, 2))
-    q = qmap.tensor.permute([0, 3, 1, 4, 2])
+    qmap = apply_word([(t.mu, 1), (t.lam, 0), (t.rho, 1)], identity(dom, 2))
+    q = qmap.permute([0, 3, 1, 4, 2])
     return SolutionSpec(
         kind="triple",
         descriptor=f"triple:groupalg:{t.name or dom.literal}",
@@ -253,9 +246,9 @@ def q_from_triple(t: TripleSpec) -> SolutionSpec:
     )
 
 
-def pentagon_map(t: TripleSpec) -> LinMap:
+def pentagon_map(t: TripleSpec) -> GroupTensor:
     """The d=3 map S = (id @ mu)(lam @ id) on V @ V."""
-    return apply_word([(t.mu, 1), (t.lam, 0)], LinMap.identity(t.domain, 2))
+    return apply_word([(t.mu, 1), (t.lam, 0)], identity(t.domain, 2))
 
 
 # -- set-theoretic solution ---------------------------------------------------

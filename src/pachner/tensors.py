@@ -9,18 +9,22 @@ composed with anything is weight neutral (c * r = 1).
 
 ``contract`` is the one join: it binds any number of slot pairs of two
 tensors in a single hash join, and builds each result key in any slot
-order.  The outer product (no pairs), ``LinMap.compose`` (a window of
-wires) and every step of a state sum are calls to it.  ``apply_word`` is
-the one builder of composites: it applies a printed product of (factor,
-wire offset) pairs right to left, each factor composed onto the window of
-wires from its offset on, so a padded factor id^a (x) F (x) id^b never
-builds its identity wires and F (x) G is the word [(F, 0), (G, F.n_in)].
-The identity and sigma are wire permutations with one entry r**k on k
-wires, and record their permutation: each folds into the key order of the
-join just before it, so a composite is written once per join, in its
-final order, and a word must apply a join first.  A wire never joins, and
-scales by r**k * r**-k from the ring only where the domain's exact ring
-finds that is not one.
+order.  The outer product (no pairs), ``GroupTensor.compose`` (a window
+of wires) and every step of a state sum are calls to it.  A map is any
+tensor whose UP slots, its outputs, all precede its DOWN slots, its
+inputs: ``compose`` reads both from the variances and refuses any other
+layout before it joins.  ``apply_word`` is the one builder of
+composites: it applies a printed product of (factor, wire offset) pairs
+right to left, each factor composed onto the window of wires from its
+offset on, so a padded factor id^a (x) F (x) id^b never builds its
+identity wires and F (x) G is the word [(F, 0), (G, n)] for F's n inputs.
+The identity and sigma (``identity``, ``sigma``) are the one subclass,
+``WirePermutation``: maps with one entry r**k on k wires that record
+their permutation.  Each folds into the key order of the join just
+before it, so a composite is written once per join, in its final order,
+and a word must apply a join first.  A wire never joins, and scales by
+r**k * r**-k from the ring only where the domain's exact ring finds that
+is not one.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -138,7 +142,7 @@ class GroupTensor:
 
     def __repr__(self):
         return (
-            f"<GroupTensor {self.domain.literal} arity={self.arity} "
+            f"<{type(self).__name__} {self.domain.literal} arity={self.arity} "
             f"nnz={len(self.entries)} {self.ring.name}>"
         )
 
@@ -175,6 +179,48 @@ class GroupTensor:
             shown = self.ring.render(self.entries[key])
             lines.append(_fmt_key(self.domain, key) + " -> " + shown)
         return "\n".join(lines)
+
+    def _layout(self) -> tuple[int, int]:
+        """(outputs, inputs) of this tensor read as a map: its UP slots,
+        which must all precede its DOWN slots.  Raises ValueError for any
+        other variance pattern."""
+        n_out = self.variances.count(UP)
+        if UP in self.variances[n_out:]:
+            raise ValueError(f"variance pattern {self.variances} does not match map layout")
+        return n_out, self.arity - n_out
+
+    def compose(self, other: "GroupTensor", at: int | None = None, then=(), order=None) -> "GroupTensor":
+        """self after other, both read as maps, on the window of other's
+        outputs from wire ``at``.
+
+        A map's outputs are its UP slots and its inputs its DOWN slots,
+        which follow them.  self's inputs bind to other's outputs at ..
+        at + n_in - 1, as (id^at (x) self (x) id^rest) after other, and its
+        outputs take the window's place.  The identity wires stay
+        implicit: each would contribute r * r**-1 = 1, so the one
+        contraction carries r**-n_in.  The (wire permutation, offset) pairs
+        in ``then`` apply next, each ``_rescale``d, and ``order`` reorders
+        the slots last, as in ``permute``: the contraction builds every key
+        in its final slot order.  Raises ValueError, before the join, when
+        either tensor is not a map, ``at`` is missing, a window does not
+        fit, or a folded permutation's domain or backend is not self's.
+        """
+        (n_out, n_in), (m, m_in) = self._layout(), other._layout()
+        if at is None or not 0 <= at <= m - n_in:
+            raise ValueError(f"cannot compose {n_in} inputs at wire {at} of {m} outputs")
+        outs = n_out + m - n_in
+        slots = [*range(n_out, n_out + at), *range(n_out), *range(n_out + at, outs + m_in)]
+        for p, a in then:
+            _check_same_backend(p, self)
+            if not isinstance(p, WirePermutation) or not 0 <= a <= outs - len(p.wires):
+                raise ValueError(f"cannot fold {p!r} at wire {a} of {outs} outputs")
+            slots[a : a + len(p.wires)] = [slots[a + j] for j in p.wires]
+        if order is not None:
+            slots = [slots[j] for j in order]
+        t = contract(self, range(n_out, n_out + n_in), other, range(at, at + n_in), slots)
+        for p, _ in then:
+            t = p._rescale(t)
+        return t
 
 
 def in_backend(t: GroupTensor, backend: str) -> GroupTensor:
@@ -351,99 +397,30 @@ def _compare_pair(pair, rel):
     return t1.domain, t1.ring, compared, found
 
 
-class LinMap:
-    """A tensor read as a linear map: the first n_out slots are outputs.
+class WirePermutation(GroupTensor):
+    """The map on k = len(wires) wires whose output j is input wires[j],
+    every entry w = r**k, so each wire is weight neutral under
+    composition.  ``scale`` is w * r**-k (w meeting k measure weights, in
+    the map's ring) where the domain's exact ring finds r**k * r**-k is
+    not its one, else None: in floats, where r * r**-1 rounds to 1 +- 1
+    ulp for some orders, a wire never rescales."""
 
-    Outputs carry UP variance, inputs DOWN.  Composition binds input
-    wires of the left factor to output wires of the right factor, one
-    measure weight per wire; with delta-normalized identity wires this
-    makes inserting an identity a no-op.
-    """
+    __slots__ = ("wires", "scale")
 
-    __slots__ = ("tensor", "n_out", "n_in", "wires", "scale")
-
-    def __init__(self, tensor: GroupTensor, n_out: int, n_in: int):
-        if tensor.arity != n_out + n_in:
-            raise ValueError("slot count does not match declared in/out arity")
-        expected = (UP,) * n_out + (DOWN,) * n_in
-        if tensor.variances != expected:
-            raise ValueError(
-                f"variance pattern {tensor.variances} does not match map layout"
-            )
-        self.tensor = tensor
-        self.n_out = n_out
-        self.n_in = n_in
-        # output j carries input wires[j], and a fold scales by scale, when
-        # the map is a wire permutation built by _permutation; else None
-        self.wires = self.scale = None
-
-    def __repr__(self):
-        return f"<LinMap {self.n_in}->{self.n_out} over {self.tensor.domain.literal}>"
-
-    @staticmethod
-    def _permutation(domain, wires, ring=None) -> "LinMap":
-        """The map on k = len(wires) wires whose output j is input wires[j],
-        every entry w = r**k, so each wire is weight neutral under
-        composition.  ``scale`` is w * r**-k (w meeting k measure weights,
-        in the map's ring) where the domain's exact ring finds r**k * r**-k
-        is not its one, else None: in floats, where r * r**-1 rounds to
-        1 +- 1 ulp for some orders, a wire never rescales."""
+    def __init__(self, domain, wires, ring=None):
         ring = domain.ring if ring is None else ring
-        wires = tuple(wires)
+        self.wires = wires = tuple(wires)
         k = len(wires)
         w = ring.radical(k)
         entries = {
             tuple(ins[j] for j in wires) + ins: w
             for ins in itertools.product(domain.elements(), repeat=k)
         }
-        m = LinMap(GroupTensor(domain, (UP,) * k + (DOWN,) * k, entries, ring), k, k)
-        m.wires = wires
+        super().__init__(domain, (UP,) * k + (DOWN,) * k, entries, ring)
         exact = domain.ring
+        self.scale = None
         if exact.radical(k) * exact.radical(-k) != exact.one:
-            m.scale = w * ring.radical(-k)
-        return m
-
-    @staticmethod
-    def identity(domain, k: int, ring=None) -> "LinMap":
-        """id on k wires; for k = 0 one entry () -> 1."""
-        return LinMap._permutation(domain, range(k), ring)
-
-    @staticmethod
-    def sigma(domain, ring=None) -> "LinMap":
-        return LinMap._permutation(domain, (1, 0), ring)
-
-    def compose(self, other: "LinMap", at: int | None = None, then=(), order=None) -> "LinMap":
-        """self after other, on the window of other's outputs from wire ``at``.
-
-        self's inputs bind to other's outputs at .. at + self.n_in - 1, as
-        (id^at (x) self (x) id^rest) after other, and its outputs take the
-        window's place.  The identity wires stay implicit: each would
-        contribute r * r**-1 = 1, so the one contraction carries
-        r**-self.n_in.  The (wire permutation, offset) pairs in ``then``
-        apply next, each ``_rescale``d, and ``order`` reorders the slots
-        last, as in ``permute`` (outputs stay first): the contraction
-        builds every key in its final slot order.  Raises ValueError,
-        before the join, when ``at`` is missing, a window does not fit, or
-        a folded permutation's domain or backend is not self's.
-        """
-        n_out, n_in, m = self.n_out, self.n_in, other.n_out
-        if at is None or not 0 <= at <= m - n_in:
-            raise ValueError(f"cannot compose {n_in} inputs at wire {at} of {m} outputs")
-        outs = n_out + m - n_in
-        slots = [*range(n_out, n_out + at), *range(n_out), *range(n_out + at, outs + other.n_in)]
-        for p, a in then:
-            _check_same_backend(p.tensor, self.tensor)
-            if p.wires is None or not 0 <= a <= outs - p.n_in:
-                raise ValueError(f"cannot fold {p!r} at wire {a} of {outs} outputs")
-            slots[a : a + p.n_in] = [slots[a + j] for j in p.wires]
-        if order is not None:
-            slots = [slots[j] for j in order]
-        tensor = contract(
-            self.tensor, range(n_out, n_out + n_in), other.tensor, range(at, at + n_in), slots
-        )
-        for p, _ in then:
-            tensor = p._rescale(tensor)
-        return LinMap(tensor, outs, other.n_in)
+            self.scale = w * ring.radical(-k)
 
     def _rescale(self, t: GroupTensor) -> GroupTensor:
         """t with every entry times this wire permutation's ``scale``, if
@@ -454,22 +431,32 @@ class LinMap:
         return t
 
 
-def apply_word(word, x: LinMap, order=None) -> LinMap:
+def identity(domain, k: int, ring=None) -> WirePermutation:
+    """id on k wires; for k = 0 one entry () -> 1."""
+    return WirePermutation(domain, range(k), ring)
+
+
+def sigma(domain, ring=None) -> WirePermutation:
+    """The swap of two wires."""
+    return WirePermutation(domain, (1, 0), ring)
+
+
+def apply_word(word, x: GroupTensor, order=None) -> GroupTensor:
     """The printed product of (factor, wire offset) pairs, applied right to
-    left to x: each factor acts on x's outputs from its offset on, and the
-    slots take ``order`` last.  Each factor that is not a wire permutation
-    is one join (``LinMap.compose``), and the wire permutations after it,
-    with ``order`` after the last, fold into that join's key order.
-    Raises ValueError, before any join, when the word is empty or the
-    first factor it applies is a wire permutation, which has no join to
-    fold into."""
+    left to the map x: each factor acts on x's outputs from its offset on,
+    and the slots take ``order`` last.  Each factor that is not a wire
+    permutation is one join (``GroupTensor.compose``), and the wire
+    permutations after it, with ``order`` after the last, fold into that
+    join's key order.  Raises ValueError, before any join, when the word
+    is empty or the first factor it applies is a wire permutation, which
+    has no join to fold into."""
     factors = list(word)
-    if not factors or factors[-1][0].wires is not None:
+    if not factors or isinstance(factors[-1][0], WirePermutation):
         raise ValueError("a word must apply a join first, not a wire permutation")
     while factors:
         factor, at = factors.pop()
         then = []
-        while factors and factors[-1][0].wires is not None:
+        while factors and isinstance(factors[-1][0], WirePermutation):
             then.append(factors.pop())
         x = factor.compose(x, at, then, None if factors else order)
     return x

@@ -69,10 +69,11 @@ from .tensors import (
     FLOAT_REL,
     UP,
     GroupTensor,
-    LinMap,
     Report,
     apply_word,
+    identity,
     in_backend,
+    sigma,
     slices_equal,
     tensor_equal,
     _fmt_key,
@@ -108,13 +109,13 @@ def _judge(name, target, backend, comparisons, extras=None) -> Report:
     return _report(name, target, backend, verdict, checks, witness, {**(extras or {}), **values})
 
 
-def q_as_linmap(q: GroupTensor) -> LinMap:
-    """Read the 5-slot solution tensor as a map V^2 -> V^3."""
+def q_as_linmap(q: GroupTensor) -> GroupTensor:
+    """Reslot the 5-slot solution tensor as a map V^2 -> V^3."""
     if q.arity != 5 or q.variances != (UP, DOWN, UP, DOWN, UP):
         raise ValueError(
             "expected a 5-slot tensor with variance pattern (up,down,up,down,up)"
         )
-    return LinMap(q.permute([0, 2, 4, 1, 3]), 3, 2)
+    return q.permute([0, 2, 4, 1, 3])
 
 
 # A side of the (3,3) relation holds at most this many entries; the bound
@@ -133,18 +134,19 @@ P33_ENTRIES_LIMIT = 1 << 18
 P33_SLICED_ABOVE = 1 << 12
 
 
-def _fan_out(m: LinMap) -> int:
-    """The most entries of m that share one input key."""
-    counts = Counter(key[m.n_out :] for key in m.tensor.entries)
+def _fan_out(m: GroupTensor) -> int:
+    """The most entries of the map m that share one input key."""
+    outs = m.variances.count(UP)
+    counts = Counter(key[outs:] for key in m.entries)
     return max(counts.values(), default=0)
 
 
-def _p33_bound(qm: LinMap) -> int:
+def _p33_bound(qm: GroupTensor) -> int:
     """The most entries a side of the (3,3) relation on Q can hold: each side
     has at most |V|^3 entries (the identity on V^3) times the fan-out of
     each factor, and sigma permutes keys, so both sides are bounded by
     |V|^3 * fan-out(Q)^3.  Raises ValueError above P33_ENTRIES_LIMIT."""
-    dom = qm.tensor.domain
+    dom = qm.domain
     bound = dom.size**3 * _fan_out(qm) ** 3
     if bound > P33_ENTRIES_LIMIT:
         raise ValueError(
@@ -154,25 +156,25 @@ def _p33_bound(qm: LinMap) -> int:
     return bound
 
 
-def _p33_slices(qm: LinMap, firsts):
+def _p33_slices(qm: GroupTensor, firsts):
     """The (lhs, rhs) pairs of p33_sides, one per item of ``firsts``: the
     whole sides for None, else their slices at that first input, each
     pair built when the previous one has been taken."""
-    dom, ring = qm.tensor.domain, qm.tensor.ring
-    sig = LinMap.sigma(dom, ring)
+    dom, ring = qm.domain, qm.ring
+    sig = sigma(dom, ring)
     qsig = apply_word([(qm, 0)], sig)
     lhs = [(qsig, 0), (qm, 1), (sig, 0), (qm, 1)]
     rhs = [(sig, 2), (qsig, 3), (qm, 1), (sig, 2), (qm, 0)]
-    identity = LinMap.identity(dom, 3, ring)
+    id3 = identity(dom, 3, ring)
     for x in firsts:
-        start = identity
+        start = id3
         if x is not None:
-            entries = {key: v for key, v in identity.tensor.entries.items() if key[3] == x}
-            start = LinMap(GroupTensor(dom, identity.tensor.variances, entries, ring), 3, 3)
+            entries = {key: v for key, v in id3.entries.items() if key[3] == x}
+            start = GroupTensor(dom, id3.variances, entries, ring)
         yield apply_word(lhs, start), apply_word(rhs, start)
 
 
-def p33_sides(q: GroupTensor, first=None) -> tuple[LinMap, LinMap]:
+def p33_sides(q: GroupTensor, first=None) -> tuple[GroupTensor, GroupTensor]:
     """Both sides of the (3,3) relation as maps V^3 -> V^6.
 
     lhs = (Q sigma (x) id^3)(id (x) Q (x) id)(sigma (x) id^2)(id (x) Q)
@@ -218,26 +220,29 @@ def verify_p33(sol: SolutionSpec, backend: str = "exact", rel: float = FLOAT_REL
 
     def counted(pair):
         lhs, rhs = pair
-        extras["lhs_nnz"] += len(lhs.tensor.entries)
-        extras["rhs_nnz"] += len(rhs.tensor.entries)
-        return lhs.tensor, rhs.tensor
+        extras["lhs_nnz"] += len(lhs.entries)
+        extras["rhs_nnz"] += len(rhs.entries)
+        return pair
 
     rep = slices_equal(map(counted, _p33_slices(qm, firsts)), rel)
     return _judge("p33", sol.descriptor, q.ring.name, [("", rep)], extras)
 
 
-def verify_pentagon(s: LinMap, backend: str = "exact") -> Report:
+def verify_pentagon(s: GroupTensor, backend: str = "exact") -> Report:
     """S12 S13 S23 = S23 S12 for a square map S on V (x) V."""
-    if (s.n_out, s.n_in) != (2, 2):
+    if s.variances != (UP, UP, DOWN, DOWN):
         raise ValueError("pentagon input must be a square map on two wires")
-    s = LinMap(in_backend(s.tensor, backend), 2, 2)
-    dom, ring = s.tensor.domain, s.tensor.ring
-    sig = LinMap.sigma(dom, ring)
-    start = LinMap.identity(dom, 3, ring)
+    s = in_backend(s, backend)
+    dom, ring = s.domain, s.ring
+    # a plain tensor, so S joins in every word even when it is the
+    # identity or sigma
+    s = GroupTensor(dom, s.variances, s.entries, ring)
+    sig = sigma(dom, ring)
+    start = identity(dom, 3, ring)
     s13 = [(sig, 1), (s, 0), (sig, 1)]
     lhs = apply_word([(s, 0), *s13, (s, 1)], start)
     rhs = apply_word([(s, 1), (s, 0)], start)
-    return _judge("pentagon", dom.literal, ring.name, [("", tensor_equal(lhs.tensor, rhs.tensor))])
+    return _judge("pentagon", dom.literal, ring.name, [("", tensor_equal(lhs, rhs))])
 
 
 # Each side of a yb family identity is a map V^3 -> V^6 of at most |V|**9
@@ -284,10 +289,10 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "exact") -> Report:
     q = in_backend(sol.q, backend)
     dom, ring = q.domain, q.ring
     x = q_as_linmap(q)
-    y = LinMap(q.permute([2, 0, 4, 1, 3]), 3, 2)
-    z = LinMap(q.permute([4, 0, 2, 1, 3]), 3, 2)
-    s = LinMap.sigma(dom, ring)
-    start = LinMap.identity(dom, 3, ring)
+    y = q.permute([2, 0, 4, 1, 3])
+    z = q.permute([4, 0, 2, 1, 3])
+    s = sigma(dom, ring)
+    start = identity(dom, 3, ring)
     # per identity: the lhs word, the slot order that makes its labels read
     # forward, then the rhs word
     forward, reverse = range(9), [2, 1, 0, *range(3, 9)]
@@ -304,7 +309,7 @@ def verify_yb_family(sol: SolutionSpec, backend: str = "exact") -> Report:
     def comparisons():
         for name, (lhs_word, lhs_order, rhs_word) in identities.items():
             lhs = apply_word(lhs_word, start, lhs_order)
-            rep = tensor_equal(lhs.tensor, apply_word(rhs_word, start).tensor)
+            rep = tensor_equal(lhs, apply_word(rhs_word, start))
             counts[f"{name}_triples"] = size**3
             # a key's first three slots are its triple, and no formatted
             # element holds a ",", so the witness splits after the third

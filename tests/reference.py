@@ -23,7 +23,18 @@ import numpy as np
 from pachner.scalars import Comparison, ComplexRing, approx_equal, compare
 from pachner.simplicial import MoveSite, Triangulation, simplex_boundary
 from pachner.solutions import SolutionSpec
-from pachner.tensors import DOWN, UP, GroupTensor, LinMap, Report, _fmt_key, in_backend, tensor_equal
+from pachner.tensors import (
+    DOWN,
+    UP,
+    GroupTensor,
+    Report,
+    WirePermutation,
+    _fmt_key,
+    identity,
+    in_backend,
+    sigma,
+    tensor_equal,
+)
 from pachner.verify import _judge, p33_sides, q_as_linmap
 
 
@@ -96,11 +107,16 @@ def dense(t):
     return arr
 
 
+def outs_ins(f):
+    """The numbers of outputs (UP slots) and inputs (DOWN slots) of a map."""
+    return f.variances.count(UP), f.variances.count(DOWN)
+
+
 def lin_matrix(f):
-    """LinMap as a dense matrix, inputs flattened to columns."""
-    n = f.tensor.domain.size
-    arr = dense(f.tensor)
-    return arr.reshape(n**f.n_out, n**f.n_in)
+    """A map as a dense matrix, inputs flattened to columns."""
+    n_out, n_in = outs_ins(f)
+    n = f.domain.size
+    return dense(f).reshape(n**n_out, n**n_in)
 
 
 # -- composites from their definitions -----------------------------------------
@@ -114,14 +130,14 @@ def outer(t1, t2):
 
 def tens(f, g):
     """f (x) g side by side, in the (outs, ins) layout."""
-    a_out, a_in, b_out, b_in = f.n_out, f.n_in, g.n_out, g.n_in
+    (a_out, a_in), (b_out, b_in) = outs_ins(f), outs_ins(g)
     perm = (
         list(range(a_out))
         + [a_out + a_in + i for i in range(b_out)]
         + [a_out + i for i in range(a_in)]
         + [a_out + a_in + b_out + i for i in range(b_in)]
     )
-    return LinMap(outer(f.tensor, g.tensor).permute(perm), a_out + b_out, a_in + b_in)
+    return outer(f, g).permute(perm)
 
 
 def compose(*maps):
@@ -129,7 +145,7 @@ def compose(*maps):
     inputs to all of the next map's outputs."""
 
     def after(f, g):
-        assert f.n_in == g.n_out, (f, g)
+        assert outs_ins(f)[1] == outs_ins(g)[0], (f, g)
         return f.compose(g, at=0)
 
     return functools.reduce(after, maps)
@@ -137,14 +153,14 @@ def compose(*maps):
 
 def padded(f, a, b):
     """id^a (x) f (x) id^b with every identity wire built as a tensor."""
-    dom, ring = f.tensor.domain, f.tensor.ring
-    return tens(tens(LinMap.identity(dom, a, ring), f), LinMap.identity(dom, b, ring))
+    dom, ring = f.domain, f.ring
+    return tens(tens(identity(dom, a, ring), f), identity(dom, b, ring))
 
 
 def permute_window(p, t, at):
     """The wire permutation p composed onto t's outputs at .. at + k - 1
     without a join: the window's slots permuted, then ``_rescale``d."""
-    k = p.n_in
+    k = len(p.wires)
     return p._rescale(t.permute([*range(at), *(at + j for j in p.wires), *range(at + k, t.arity)]))
 
 
@@ -152,11 +168,11 @@ def factor_by_factor(word, x, order):
     """The word applied one factor at a time: one join per map, each wire
     permutation through permute_window, and the order through permute."""
     for factor, at in reversed(word):
-        if factor.wires is None:
-            x = factor.compose(x, at=at)
+        if isinstance(factor, WirePermutation):
+            x = permute_window(factor, x, at)
         else:
-            x = LinMap(permute_window(factor, x.tensor, at), x.n_out, x.n_in)
-    return x.tensor if order is None else x.tensor.permute(order)
+            x = factor.compose(x, at=at)
+    return x if order is None else x.permute(order)
 
 
 # -- the relation sides as first transcribed ----------------------------------
@@ -167,10 +183,10 @@ def padded_p33_sides(q):
     printed factors folded left to right, as first transcribed."""
     dom, ring = q.domain, q.ring
     qm = q_as_linmap(q)
-    id1 = LinMap.identity(dom, 1, ring)
+    id1 = identity(dom, 1, ring)
     id2 = tens(id1, id1)
     id3 = tens(id2, id1)
-    sig = LinMap.sigma(dom, ring)
+    sig = sigma(dom, ring)
     qsig = compose(qm, sig)
     lhs = compose(tens(qsig, id3), tens(tens(id1, qm), id1), tens(sig, id2), tens(id1, qm))
     rhs = compose(
@@ -188,16 +204,16 @@ def whole_side_p33(sol, backend="exact", rel=1e-9):
     one tensor_equal, at any size."""
     q = in_backend(sol.q, backend)
     lhs, rhs = p33_sides(q)
-    extras = {"lhs_nnz": len(lhs.tensor.entries), "rhs_nnz": len(rhs.tensor.entries)}
-    report = tensor_equal(lhs.tensor, rhs.tensor, rel)
+    extras = {"lhs_nnz": len(lhs.entries), "rhs_nnz": len(rhs.entries)}
+    report = tensor_equal(lhs, rhs, rel)
     return _judge("p33", sol.descriptor, q.ring.name, [("", report)], extras)
 
 
 def padded_pentagon_sides(s):
     """S12 S13 S23 and S23 S12 with padded identity wires."""
-    dom, ring = s.tensor.domain, s.tensor.ring
-    id1 = LinMap.identity(dom, 1, ring)
-    idsig = tens(id1, LinMap.sigma(dom, ring))
+    dom, ring = s.domain, s.ring
+    id1 = identity(dom, 1, ring)
+    idsig = tens(id1, sigma(dom, ring))
     s12, s23 = tens(s, id1), tens(id1, s)
     s13 = compose(idsig, s12, idsig)
     return compose(s12, s13, s23), compose(s23, s12)
@@ -225,23 +241,23 @@ def build_families(sol) -> dict:
     fams = {}
     for name, slot, perm in [("X", 0, [1, 3, 0, 2]), ("Y", 2, [0, 3, 1, 2]), ("Z", 4, [0, 2, 1, 3])]:
         fams[name] = {
-            a: LinMap(pin(q, slot, a).permute(perm), 2, 2) for a in q.domain.elements()
+            a: pin(q, slot, a).permute(perm) for a in q.domain.elements()
         }
     return fams
 
 
-def linmap_sum(domain, ring, terms, weight) -> LinMap:
+def linmap_sum(domain, ring, terms, weight) -> GroupTensor:
     """Weighted sum of maps on V^3, scaled by weight."""
     acc = {}
     for coeff, lm in terms:
         if not coeff:
             continue
-        for key, val in lm.tensor.entries.items():
+        for key, val in lm.entries.items():
             prod = coeff * val
             prev = acc.get(key)
             acc[key] = prod if prev is None else prev + prod
     entries = {k: weight * v for k, v in acc.items()}
-    return LinMap(GroupTensor(domain, (UP,) * 3 + (DOWN,) * 3, entries, ring), 3, 3)
+    return GroupTensor(domain, (UP,) * 3 + (DOWN,) * 3, entries, ring)
 
 
 def padded_yb_identities(sol, backend="exact", rel=1e-9):
@@ -253,8 +269,8 @@ def padded_yb_identities(sol, backend="exact", rel=1e-9):
     q = in_backend(sol.q, backend)
     dom, ring = q.domain, q.ring
     fams = build_families(q)
-    id1 = LinMap.identity(dom, 1, ring)
-    idsig = tens(id1, LinMap.sigma(dom, ring))
+    id1 = identity(dom, 1, ring)
+    idsig = tens(id1, sigma(dom, ring))
 
     def e12(m):
         return tens(m, id1)
@@ -297,7 +313,7 @@ def padded_yb_identities(sol, backend="exact", rel=1e-9):
         comparisons = []
         for triple in itertools.product(elems, repeat=3):
             lhs, rhs = sides(rel_name, *triple)
-            comparisons.append((triple, tensor_equal(lhs.tensor, rhs.tensor, rel)))
+            comparisons.append((triple, tensor_equal(lhs, rhs, rel)))
         yield rel_name, comparisons
 
 

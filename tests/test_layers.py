@@ -192,3 +192,21 @@ def test_the_float_tolerance_is_written_once():
                 targets = [t.id for t in use.targets] if isinstance(use, ast.Assign) else []
                 found.append((path.stem, targets))
     assert found == [("scalars", ["FLOAT_REL"])]
+
+
+def test_a_map_is_a_group_tensor_and_no_module_reads_a_wrapped_tensor():
+    # a map is a GroupTensor whose UP slots come first, so nothing wraps a
+    # tensor to read it as one; the identity and sigma are the one subclass
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "tensor"]
+        assert not reads, (path.stem, reads)
+    tree = ast.parse((SRC / "tensors.py").read_text())
+    classes = {n.name: [ast.unparse(b) for b in n.bases] for n in tree.body if isinstance(n, ast.ClassDef)}
+    assert classes == {
+        "Variance": ["enum.Enum"],
+        "BasisDomain": [],
+        "GroupTensor": [],
+        "Report": [],
+        "WirePermutation": ["GroupTensor"],
+    }

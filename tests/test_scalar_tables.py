@@ -1,8 +1,8 @@
 """The exact rings' hash-consing and memo tables change no result.
 
-Each ring interns its scalars and memoises products (radical shifts
-among them), sums, conjugates and roots of unity on object identity (see
-the scalars module docstring).
+Each ring interns its scalars, roots of unity and radical powers among
+them, and memoises products (radical shifts among them), sums and
+conjugates on object identity (see the scalars module docstring).
 These tests pin the rules that make that safe: a drop at the table limit
 in the middle of a run, a cold ring against a warm one, and freed
 operands after a drop.  test_cli runs the selftest's mutation hooks over
@@ -21,7 +21,7 @@ from pachner.groups import parse_group
 from pachner.scalars import Scalar, ScalarRing, get_ring
 from pachner.simplicial import simplex_boundary
 from pachner.solutions import parse_solution, perturb_q
-from pachner.tensors import GroupTensor, LinMap, tensor_equal
+from pachner.tensors import GroupTensor, tensor_equal
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -85,7 +85,7 @@ def conjugates():
     """The (3,3) lhs of perturbed bichar:Z3 tensors conjugated twice, which
     gives it back: dozens of distinct values each."""
     sol = parse_solution("bichar:Z3")
-    sides = [verify.p33_sides(perturb_q(sol, seed).q)[0].tensor for seed in range(4)]
+    sides = [verify.p33_sides(perturb_q(sol, seed).q)[0] for seed in range(4)]
     return [tensor_equal(t.conj().conj(), t) for t in sides]
 
 
@@ -113,9 +113,9 @@ def test_a_drop_empties_every_table_but_zero_and_one():
     # it: a table it missed would grow past SCALAR_TABLE_LIMIT
     ring = ScalarRing(3, 3)
     a = ring.root(1) + ring.one
-    a * a, a.conj(), a._shift(ring.radical(1)), ring.radical(-1)
+    a * a, a.conj(), a * ring.radical(1), ring.radical(-1)
     tables = {name: table for name, table in vars(ring).items() if isinstance(table, dict)}
-    assert len(tables) >= 5 and all(tables.values())
+    assert len(tables) == 4 and all(tables.values())
     ring._drop_tables()
     kept = {name: list(table.items()) for name, table in tables.items()}
     assert kept.pop("_values") == [((), ring.zero), (((0, ring._unit),), ring.one)]
@@ -187,16 +187,26 @@ def test_a_root_is_built_once_per_exponent_and_dropped_with_the_tables(monkeypat
     built = []
     scalar = ScalarRing.scalar
     monkeypatch.setattr(ScalarRing, "scalar", lambda self, t: built.append(t) or scalar(self, t))
-    # z**k depends on k modulo the root order 2L = 6
+    # z**k depends on k modulo the root order 2L = 6, and is interned as
+    # it stands, without a canonical form
     roots = [ring.root(k) for k in range(-6, 12)]
-    assert len(built) == 6
+    assert built == []
     assert all(v is roots[k % 6] for k, v in zip(range(-6, 12), roots))
-    assert len(ring._roots) == 6
     monkeypatch.setattr(scalars, "SCALAR_TABLE_LIMIT", len(ring._values))
     ring.integer(5)  # a new value: its interning drops every table
-    assert not ring._roots
     again = ring.root(1)
-    assert len(built) == 8 and list(again.terms.items()) == list(roots[1].terms.items())
+    assert again is not roots[1]
+    assert len(built) == 1 and list(again.terms.items()) == list(roots[1].terms.items())
+
+
+@pytest.mark.parametrize("params", [(1, 1), (2, 2), (3, 3), (2, 4), (4, 8), (6, 6), (6, 36)])
+def test_a_root_is_the_canonical_form_of_its_power(params):
+    # z**k is a unit, so N > 1 divides no coefficient vector of it; its
+    # one term is the normal form that scalar() would give
+    ring = ScalarRing(*params)
+    for k in range(ring.root_order):
+        want = ScalarRing(*params).scalar({0: ring._powers[k]})
+        assert list(ring.root(k).terms.items()) == list(want.terms.items()), k
 
 
 def test_a_warm_relation_round_canonicalises_nothing(monkeypatch):
@@ -262,12 +272,12 @@ def test_a_join_interns_its_weight_once_and_a_shift_never(monkeypatch):
         monkeypatch.setattr(owner, name, spy)
 
     spying(ScalarRing, "join")
-    spying(Scalar, "_shift")
+    spying(Scalar, "__mul__")
     interns, intern = Counter(), ScalarRing._intern
     monkeypatch.setattr(ScalarRing, "_intern", lambda self, t: interns.update([tuple(inside)]) or intern(self, t))
     assert run() == cold
-    assert calls["join"] and calls["_shift"]
-    assert not [where for where in interns if "_shift" in where]
+    assert calls["join"] and calls["__mul__"]
+    assert not [where for where in interns if "__mul__" in where]
     assert sum(n for where, n in interns.items() if "join" in where) <= calls["join"]
 
 
@@ -291,7 +301,7 @@ def test_a_warm_compose_interns_nothing_outside_its_join(monkeypatch):
 
         monkeypatch.setattr(owner, name, spy)
 
-    spying(LinMap, "compose")
+    spying(GroupTensor, "compose")
     spying(ScalarRing, "join")
     intern = ScalarRing._intern
 

@@ -8,11 +8,11 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_script(name):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name)],
+        [sys.executable, str(REPO / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -45,3 +45,13 @@ def test_relation_survey_script_agrees_everywhere():
     for desc, pair in verdicts.items():
         ok = "perturbed" not in desc or desc.startswith("triple:groupalg:Z1")
         assert pair == (["pass", "pass"] if ok else ["fail", "fail"]), desc
+
+
+def test_make_complexes_writes_the_shipped_complexes_byte_for_byte(tmp_path):
+    proc = run_script("make_complexes.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    shipped = sorted(path.name for path in (REPO / "data").glob("*.tri"))
+    assert shipped == ["ball_after.tri", "ball_before.tri", "boundary_delta5.tri", "double_pentachoron.tri"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (REPO / "data" / name).read_bytes(), name

@@ -25,8 +25,8 @@ from pachner.solutions import (
     triple_from_table,
     validate_bicharacter,
 )
-from pachner.tensors import DOWN, UP, GroupTensor, LinMap, contract, tensor_equal
-from reference import lin_matrix
+from pachner.tensors import DOWN, UP, GroupTensor, contract, identity, tensor_equal
+from reference import lin_matrix, outs_ins
 
 AXIOM_NAMES = [
     "associativity",
@@ -221,11 +221,11 @@ def broken_product():
     """The Z2 group algebra triple with one more product entry: 1 * 0 -> 0."""
     triple = triple_from_table(cyclic_table(2))
     one = triple.domain.ring.one
-    entries = dict(triple.mu.tensor.entries)
+    entries = dict(triple.mu.entries)
     entries[(1, 0, 0)] = one
     return triple.__class__(
         triple.domain,
-        LinMap(GroupTensor(triple.domain, (UP, DOWN, DOWN), entries), 1, 2),
+        GroupTensor(triple.domain, (UP, DOWN, DOWN), entries),
         triple.lam,
         triple.rho,
     )
@@ -239,12 +239,6 @@ def test_broken_product_fails_a_morphism_axiom():
     assert failed == [name for name in AXIOM_NAMES if name in failed]
     with pytest.raises(ValueError, match=f"incompatible triple: {', '.join(failed)} failed"):
         q_from_triple(broken)
-
-
-def matrix(t):
-    """A tensor with its UP slots first as a dense matrix, outputs by rows."""
-    n_out = t.variances.count(UP)
-    return lin_matrix(LinMap(t, n_out, t.arity - n_out))
 
 
 def printed_products(t):
@@ -285,8 +279,8 @@ def test_axiom_sides_q_and_s_are_their_printed_products(name, monkeypatch):
     monkeypatch.undo()
     assert len(sides) == len(axioms) == len(AXIOM_NAMES)
     for (axiom, (lhs, rhs)), (got_lhs, got_rhs) in zip(axioms.items(), sides):
-        assert np.array_equal(matrix(got_lhs), lhs), axiom
-        assert np.array_equal(matrix(got_rhs), rhs), axiom
+        assert np.array_equal(lin_matrix(got_lhs), lhs), axiom
+        assert np.array_equal(lin_matrix(got_rhs), rhs), axiom
     assert failed == [axiom for axiom, (lhs, rhs) in axioms.items() if not np.array_equal(lhs, rhs)]
     if name == "broken":
         assert failed == ["associativity", "mu_morphism_of_lam", "mu_morphism_of_rho"]
@@ -294,8 +288,8 @@ def test_axiom_sides_q_and_s_are_their_printed_products(name, monkeypatch):
     assert failed == []
     # Q in the map layout (x, y, z) <- (u, v)
     got_q = q_from_triple(t).q.permute([0, 2, 4, 1, 3])
-    assert np.array_equal(matrix(got_q), q)
-    assert np.array_equal(matrix(pentagon_map(t).tensor), s)
+    assert np.array_equal(lin_matrix(got_q), q)
+    assert np.array_equal(lin_matrix(pentagon_map(t)), s)
 
 
 def test_failing_axioms_are_named_in_axiom_order():
@@ -305,7 +299,7 @@ def test_failing_axioms_are_named_in_axiom_order():
     one = triple.domain.ring.one
 
     def coproduct(entries):
-        return LinMap(GroupTensor(triple.domain, (UP, UP, DOWN), entries), 2, 1)
+        return GroupTensor(triple.domain, (UP, UP, DOWN), entries)
 
     lam = coproduct({(g, 1, g): one for g in range(2)})
     rho = coproduct({(0, 0, g): one for g in range(2)})
@@ -338,12 +332,12 @@ def test_pentagon_map_sends_pair_to_partial_product():
     table = s3_table()
     triple = triple_from_table(table, name="S3")
     s = pentagon_map(triple)
-    assert (s.n_out, s.n_in) == (2, 2)
+    assert outs_ins(s) == (2, 2)
     one = triple.domain.ring.one
-    assert len(s.tensor.entries) == 36
+    assert len(s.entries) == 36
     for g in range(6):
         for h in range(6):
-            assert s.tensor.entry((g, table[g][h], g, h)) == one
+            assert s.entry((g, table[g][h], g, h)) == one
 
 
 # -- set-theoretic family -----------------------------------------------------
@@ -436,7 +430,7 @@ def test_kernel_inverses_are_conjugates_and_unitary():
     for literal in ["Z2", "Z3", "Z4", "Z2xZ2"]:
         group = parse_group(literal)
         kernels = symmetry_kernels(group)
-        wire = LinMap.identity(group, 1).tensor
+        wire = identity(group, 1)
         for name in ["T", "S"]:
             fwd, inv = kernels[name], kernels[name + "inv"]
             assert tensor_equal(inv, fwd.conj()), (literal, name)

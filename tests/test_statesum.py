@@ -185,8 +185,8 @@ def test_ball_values_match_relation_side_values_as_multisets():
     pb = partition(build_assignment(before, sol, "exact"))
     pa = partition(build_assignment(after, sol, "exact"))
     ball_vals = sorted(v.render() for v in pb.entries.values())
-    assert ball_vals == sorted(v.render() for v in lhs.tensor.entries.values())
-    assert ball_vals == sorted(v.render() for v in rhs.tensor.entries.values())
+    assert ball_vals == sorted(v.render() for v in lhs.entries.values())
+    assert ball_vals == sorted(v.render() for v in rhs.entries.values())
     assert ball_vals == sorted(v.render() for v in pa.entries.values())
 
 

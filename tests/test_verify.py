@@ -26,8 +26,9 @@ from pachner.tensors import (
     UP,
     BasisDomain,
     GroupTensor,
-    LinMap,
     Report,
+    WirePermutation,
+    identity,
     in_backend,
     tensor_equal,
     _fmt_key,
@@ -56,6 +57,7 @@ from reference import (
     build_families,
     factor_by_factor,
     fold_padded_identities,
+    outs_ins,
     padded_p33_sides,
     padded_pentagon_sides,
     padded_yb_family,
@@ -103,8 +105,8 @@ def test_p33_sides_match_direct_coordinate_sums():
                           {k: weight * v for k, v in rhs_coord.items()})
     lhs_op, rhs_op = p33_sides(q)
     # free slot order is (i,l,m,j,n,k) out and (p,q,r) in on both routes
-    assert tensor_equal(lhs_op.tensor, lhs_ref)
-    assert tensor_equal(rhs_op.tensor, rhs_ref)
+    assert tensor_equal(lhs_op, lhs_ref)
+    assert tensor_equal(rhs_op, rhs_ref)
     # and the relation itself holds
     assert tensor_equal(lhs_ref, rhs_ref)
 
@@ -118,8 +120,8 @@ def test_p33_sides_match_coordinates_on_group_algebra():
     # basis domains have trivial weights, so the raw sums match directly
     lhs_ref = GroupTensor(sol.domain, (UP,) * 6 + (DOWN,) * 3, lhs_coord)
     rhs_ref = GroupTensor(sol.domain, (UP,) * 6 + (DOWN,) * 3, rhs_coord)
-    assert tensor_equal(lhs_op.tensor, lhs_ref)
-    assert tensor_equal(rhs_op.tensor, rhs_ref)
+    assert tensor_equal(lhs_op, lhs_ref)
+    assert tensor_equal(rhs_op, rhs_ref)
 
 
 P33_REFERENCE_CASES = [f"bichar:{g}" for g in ("Z2", "Z3", "Z4", "Z2xZ2")] + [
@@ -131,8 +133,8 @@ P33_REFERENCE_CASES = [f"bichar:{g}" for g in ("Z2", "Z3", "Z4", "Z2xZ2")] + [
 def test_p33_sides_equal_the_padded_transcription(descriptor):
     q = parse_solution(descriptor).q
     for got, want in zip(p33_sides(q), padded_p33_sides(q)):
-        assert (got.n_out, got.n_in) == (want.n_out, want.n_in) == (6, 3)
-        assert got.tensor.entries == want.tensor.entries
+        assert outs_ins(got) == outs_ins(want) == (6, 3)
+        assert got.entries == want.entries
 
 
 # the catalogue solutions whose (3,3) sides verify_p33 builds one first
@@ -171,11 +173,11 @@ def test_p33_slices_partition_the_whole_sides(descriptor, seed, backend):
     union = ({}, {})
     for x in q.domain.elements():
         for part, acc in zip(p33_sides(q, x), union):
-            assert (part.n_out, part.n_in) == (6, 3)
-            assert all(key[6] == x for key in part.tensor.entries)
-            acc.update(part.tensor.entries)
+            assert outs_ins(part) == (6, 3)
+            assert all(key[6] == x for key in part.entries)
+            acc.update(part.entries)
     for side, acc in zip(whole, union):
-        assert acc == side.tensor.entries
+        assert acc == side.entries
     with pytest.raises(ValueError, match="-1 is not an element of"):
         p33_sides(q, -1)
 
@@ -220,8 +222,8 @@ def test_pentagon_sides_equal_the_padded_transcription(name, monkeypatch):
     assert verify_pentagon(s)
     ((lhs, rhs),) = compared
     want_lhs, want_rhs = padded_pentagon_sides(s)
-    assert lhs.entries == want_lhs.tensor.entries
-    assert rhs.entries == want_rhs.tensor.entries
+    assert lhs.entries == want_lhs.entries
+    assert rhs.entries == want_rhs.entries
 
 
 def test_p33_refuses_large_sides_before_contracting(monkeypatch):
@@ -260,7 +262,7 @@ def test_every_python_default_backend_is_exact_on_bichar_z5():
     reports = [
         verify_p33(sol),
         verify_yb_family(sol),
-        verify_pentagon(LinMap.identity(sol.domain, 2)),
+        verify_pentagon(identity(sol.domain, 2)),
         invariance_run(sphere, sol, count=1, seed=0),
     ]
     assert [(r.fields["backend"], r.verdict) for r in reports] == [("exact", "pass")] * 4
@@ -346,7 +348,7 @@ def test_pentagon_float_backend_passes_on_group_tables(name):
 
 def test_pentagon_identity_map_passes():
     dom = BasisDomain(3)
-    assert verify_pentagon(LinMap.identity(dom, 2))
+    assert verify_pentagon(identity(dom, 2))
 
 
 def test_pentagon_random_map_fails_with_witness():
@@ -355,17 +357,17 @@ def test_pentagon_random_map_fails_with_witness():
     entries = {}
     for key in itertools.product(range(3), repeat=4):
         entries[key] = dom.ring.integer(rng.randrange(-3, 4))
-    report = verify_pentagon(LinMap(GroupTensor(dom, (UP, UP, DOWN, DOWN), entries), 2, 2))
+    report = verify_pentagon(GroupTensor(dom, (UP, UP, DOWN, DOWN), entries))
     assert report.verdict == "fail"
     assert report.witness
 
 
 def test_pentagon_failure_reports_both_values():
-    s = pentagon_map(triple_from_table(named_group_table("S3"), "S3")).tensor
+    s = pentagon_map(triple_from_table(named_group_table("S3"), "S3"))
     entries = dict(s.entries)
     key = min(entries)
     entries[key] = entries[key] + entries[key]
-    report = verify_pentagon(LinMap(GroupTensor(s.domain, s.variances, entries, s.ring), 2, 2))
+    report = verify_pentagon(GroupTensor(s.domain, s.variances, entries, s.ring))
     assert report.verdict == "fail"
     lhs, rhs = report.extras["lhs_value"], report.extras["rhs_value"]
     assert lhs != rhs
@@ -415,7 +417,7 @@ def test_the_fold_witnesses_the_first_indeterminate_comparison():
 def test_pentagon_rejects_wrong_shape():
     dom = BasisDomain(2)
     with pytest.raises(ValueError, match="square map on two wires"):
-        verify_pentagon(LinMap(GroupTensor(dom, (UP, DOWN), {}), 1, 1))
+        verify_pentagon(GroupTensor(dom, (UP, DOWN), {}))
 
 
 # -- families ------------------------------------------------------------------
@@ -429,17 +431,17 @@ def test_family_members_pin_slots_of_q():
     # Z^k[(x,y),(u,v)] = chi(x,k) r^2 [u=x+y][v=y+k]
     for k in group.elements():
         zk = fams["Z"][k]
-        assert (zk.n_out, zk.n_in) == (2, 2)
+        assert outs_ins(zk) == (2, 2)
         for x in group.elements():
             for y in group.elements():
                 u = group.add(x, y)
                 v = group.add(y, k)
-                assert zk.tensor.entry((x, y, u, v)) == group.chi(x, k) * ring.integer(2)
-        assert len(zk.tensor.entries) == 4
+                assert zk.entry((x, y, u, v)) == group.chi(x, k) * ring.integer(2)
+        assert len(zk.entries) == 4
     # X^i[(y,z),(u,v)] = Q(i,u,y,v,z)
     for i in group.elements():
         xi = fams["X"][i]
-        for key, val in xi.tensor.entries.items():
+        for key, val in xi.entries.items():
             y, z, u, v = key
             assert sol.q.entry((i, u, y, v, z)) == val
 
@@ -448,7 +450,7 @@ def test_families_of_zero_tensor_are_zero():
     group = FinAbGroup([2])
     zero = GroupTensor(group, (UP, DOWN, UP, DOWN, UP), {})
     fams = build_families(zero)
-    assert all(not m.tensor.entries for fam in fams.values() for m in fam.values())
+    assert all(not m.entries for fam in fams.values() for m in fam.values())
 
 
 def test_pinning_sums_back_to_partial_trace():
@@ -585,7 +587,7 @@ def test_yb_compares_each_identity_once_whole(monkeypatch):
 
 def counted_composes_and_joins(sol, monkeypatch):
     calls = Counter()
-    compose, contract = LinMap.compose, tensors.contract
+    compose, contract = GroupTensor.compose, tensors.contract
 
     def counted_compose(self, other, at=None, then=(), order=None):
         calls["compose"] += 1
@@ -596,7 +598,7 @@ def counted_composes_and_joins(sol, monkeypatch):
         return contract(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(LinMap, "compose", counted_compose)
+        patch.setattr(GroupTensor, "compose", counted_compose)
         patch.setattr(tensors, "contract", counted_contract)
         report = verify_yb_family(sol)
     return report, calls
@@ -663,8 +665,8 @@ def test_folded_words_equal_factor_by_factor_words(backend, monkeypatch):
         calls = recorded_words(checks, monkeypatch)
         assert len(calls) == n_words, label
         for word, x, order, got in calls:
-            assert got.tensor.ring.name == backend, label
-            assert_identical_entries(got.tensor, factor_by_factor(word, x, order))
+            assert got.ring.name == backend, label
+            assert_identical_entries(got, factor_by_factor(word, x, order))
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -674,7 +676,7 @@ def test_p33_sides_permute_nothing_larger_than_q(backend, monkeypatch):
     permute = GroupTensor.permute
     monkeypatch.setattr(GroupTensor, "permute", lambda t, perm: sizes.append(len(t.entries)) or permute(t, perm))
     lhs, rhs = p33_sides(q)
-    assert len(lhs.tensor.entries) == len(rhs.tensor.entries) == 6**6
+    assert len(lhs.entries) == len(rhs.entries) == 6**6
     assert sizes and max(sizes) <= len(q.entries)
 
 
@@ -687,10 +689,10 @@ def test_folded_words_keep_the_wire_weight_judgement(monkeypatch):
     calls = recorded_words([(verify_p33, sol, "exact"), (verify_yb_family, sol, "exact")], monkeypatch)
     assert len(calls) == 5  # Q sigma, both p33 sides; the fold stops at a failing pe1
     for word, x, order, got in calls:
-        assert_identical_entries(got.tensor, factor_by_factor(word, x, order))
+        assert_identical_entries(got, factor_by_factor(word, x, order))
     assert verify_p33(sol).verdict == "fail"
     # the judgement is what fails it: without the rescale the sides agree
-    monkeypatch.setattr(LinMap, "_rescale", lambda self, t: t)
+    monkeypatch.setattr(WirePermutation, "_rescale", lambda self, t: t)
     assert verify_p33(sol)
 
 
