@@ -15,6 +15,7 @@ computes the right thing too slowly fails its test all the same.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -187,7 +188,9 @@ def yang_baxter_family():
 
 def simplicial_engine():
     """Face-map and boundary identities, shared outer boundaries for
-    every splitting, and Euler characteristic across seeded moves."""
+    every splitting, the known face counts of each starting sphere and
+    Euler characteristic of a pentachoron, and Euler characteristic
+    across seeded moves."""
     for n in range(1, 7):
         for j in range(n):
             for i in range(j + 1):
@@ -216,9 +219,17 @@ def simplicial_engine():
     for dim, quota in ((2, 34), (3, 33), (4, 33)):
         t = simplex_boundary(dim + 1)
         chi = t.euler_characteristic()
+        # the boundary of the (d+1)-simplex has every proper vertex subset
+        # as a face, so f_k = C(d + 2, k + 1) and chi = 1 + (-1)**d
+        f = tuple(math.comb(dim + 2, k + 1) for k in range(dim + 1))
+        if t.face_classes() != f or chi != 1 + (-1) ** dim:
+            return False, f"dim {dim} sphere has faces {t.face_classes()} and chi {chi}"
         for site, t in itertools.islice(walk(t, range(1, dim + 2), rng), quota):
             if t.euler_characteristic() != chi:
                 return False, f"chi changed in dim {dim} after move {site.I}->{site.J}"
+    pentachoron = pachner_sides(5, (0,), (1, 2, 3, 4, 5))[0]
+    if pentachoron.euler_characteristic() != 1:
+        return False, f"a pentachoron has chi {pentachoron.euler_characteristic()}"
     return True, f"identities, {splittings} splittings, 100 chi-preserving moves"
 
 

@@ -75,24 +75,12 @@ def _new_forest(size: int) -> list:
     return list(range(size))
 
 
-# called only past the FACE_NODES_LIMIT check, so for 18 positions at most
-@functools.cache
-def _subset_masks(size: int) -> tuple:
-    """The nonempty position subsets of ``size`` positions as bit masks, in
-    ``itertools.combinations`` order: by size, then lexicographically."""
-    return tuple(
-        sum(1 << p for p in positions)
-        for k in range(1, size + 1)
-        for positions in itertools.combinations(range(size), k)
-    )
-
-
 def _spread_masks(width: int, i: int) -> list:
     """The nonempty subsets of the facet missing position i of a simplex
-    with ``width`` vertices, as masks over the simplex's positions, in the
-    order of ``_subset_masks(width - 1)``."""
+    with ``width`` vertices, as masks over the simplex's positions: item
+    m - 1 is the subset whose mask over the facet's own positions is m."""
     low = (1 << i) - 1
-    return [(m & low) | ((m & ~low) << 1) for m in _subset_masks(width - 1)]
+    return [(m & low) | ((m & ~low) << 1) for m in range(1, 1 << (width - 1))]
 
 
 def check_move_type(dim: int, p: int) -> None:
@@ -131,9 +119,10 @@ class Triangulation:
     addressed by entry index, never by vertex set.
 
     A triangulation is immutable once built (``gluing`` is a read-only
-    mapping), so its labels, face classes, cone mates (shared by every
-    move size from 2 on) and the move sites of each size |I|, 1 included,
-    are each built at most once, on first use, and kept on the instance.
+    mapping), so its face counts (``face_classes``, the f-vector), cone
+    mates (shared by every move size from 2 on) and the move sites of
+    each size |I|, 1 included, are each built at most once, on first use,
+    and kept on the instance.
     """
 
     def __init__(self, dim: int, simplexes, gluing=None):
@@ -154,7 +143,7 @@ class Triangulation:
         else:
             self.gluing = MappingProxyType(dict(gluing))
             self._validate_gluing()
-        self._labels = self._classes = self._mates = None
+        self._f_vector = self._mates = None
         self._sites = {}
 
     # -- construction helpers ------------------------------------------
@@ -202,12 +191,6 @@ class Triangulation:
     def facet(self, e: int, i: int) -> tuple:
         return boundary_face(self.simplexes[e][0], i)
 
-    def labels(self) -> tuple:
-        """The vertex labels in increasing order."""
-        if self._labels is None:
-            self._labels = tuple(sorted({v for vertices, _ in self.simplexes for v in vertices}))
-        return self._labels
-
     def boundary_facets(self):
         """Unglued facet occurrences as vertex tuples, with multiplicity."""
         out = []
@@ -239,22 +222,21 @@ class Triangulation:
         )
         return min(incoherent, default=None)
 
-    def face_classes(self) -> MappingProxyType:
-        """Faces of all dimensions, identified through the gluing.
+    def face_classes(self) -> tuple:
+        """The f-vector: entry k counts the faces with k + 1 vertices, a
+        face of several entries counted once, one tuple of dim + 1 ints.
 
-        Returns a read-only map from class representative to the frozenset
-        of member occurrences (entry, vertex subset).  Subsets of a glued
-        facet pair are identified pointwise; labels match across a gluing,
-        so pointwise is just equality of subsets.
+        Subsets of a glued facet pair are identified pointwise; labels
+        match across a gluing, so pointwise is just equality of subsets.
 
         Raises ValueError, before building anything, when the complex needs
         more than FACE_NODES_LIMIT union-find nodes.
         """
-        if self._classes is None:
-            self._classes = MappingProxyType(self._build_face_classes())
-        return self._classes
+        if self._f_vector is None:
+            self._f_vector = self._build_face_classes()
+        return self._f_vector
 
-    def _build_face_classes(self) -> dict:
+    def _build_face_classes(self) -> tuple:
         width = self.dim + 1
         nodes = len(self.simplexes) * ((1 << width) - 1)
         if nodes > FACE_NODES_LIMIT:
@@ -263,15 +245,16 @@ class Triangulation:
                 f"need {nodes} nodes, over the limit of {FACE_NODES_LIMIT}"
             )
         # node e * 2**width + mask stands for (e, the vertices of entry e at
-        # the mask's positions); mask 0 is never used.  Both walks up the
-        # forest halve the path they take.
+        # the mask's positions); mask 0 is never used.  Every node starts as
+        # a class of its own, and each union of two classes takes one from
+        # the count of their size, the popcount of either mask.  Both walks
+        # up the forest halve the path they take.
+        counts = [len(self.simplexes) * math.comb(width, k) for k in range(1, width + 1)]
         parent = _new_forest(len(self.simplexes) << width)
         spread = [_spread_masks(width, j) for j in range(width)]
-        done = set()
         for (e, i), (e2, i2) in self.gluing.items():
-            if (e2, i2) in done:
+            if (e2, i2) < (e, i):
                 continue
-            done.add((e, i))
             base, base2 = e << width, e2 << width
             # the same vertex subset of the glued facet, seen from either side
             for m, m2 in zip(spread[i], spread[i2]):
@@ -282,27 +265,8 @@ class Triangulation:
                     parent[y] = y = parent[parent[y]]
                 if x != y:
                     parent[y] = x
-        classes: dict = {}
-        names = {}
-        masks = _subset_masks(width)
-        sizes = range(1, width + 1)
-        for e, (vertices, _) in enumerate(self.simplexes):
-            base = e << width
-            subsets = itertools.chain.from_iterable(
-                map(itertools.combinations, itertools.repeat(vertices), sizes)
-            )
-            for mask, sub in zip(masks, subsets):
-                node = x = base + mask
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                if x == node:
-                    names[x] = (e, sub)
-                members = classes.get(x)
-                if members is None:
-                    classes[x] = [(e, sub)]
-                else:
-                    members.append((e, sub))
-        return {names[root]: frozenset(members) for root, members in classes.items()}
+                    counts[m.bit_count() - 1] -= 1
+        return tuple(counts)
 
     def _move_sites(self, p: int) -> dict:
         """The sites of every (p, n + 1 - p) move, keyed by I, each tuple in
@@ -354,14 +318,16 @@ class Triangulation:
         """The sites of size p.
 
         For p = 1 only I = (n,) has sites, one per entry, coned to a fresh
-        vertex max(labels) + 1, which is order consistent exactly in the
-        last position.  For p >= 2 they come from the cone mates (found
-        once per complex): p - 1 mates of a cone entry form a site when
-        each two of them are glued along the facet missing the other's
-        position."""
+        vertex max(labels) + 1 (the largest last vertex of an entry, as
+        every vertex tuple is increasing), which is order consistent
+        exactly in the last position.  For p >= 2 they come from the cone
+        mates (found once per complex): p - 1 mates of a cone entry form a
+        site when each two of them are glued along the facet missing the
+        other's position."""
         n = self.dim + 1
         if p == 1:
-            I, J, fresh = (n,), tuple(range(n)), max(self.labels(), default=-1) + 1
+            fresh = max((vertices[-1] for vertices, _ in self.simplexes), default=-1) + 1
+            I, J = (n,), tuple(range(n))
             sites = (
                 MoveSite(n, I, J, vertices + (fresh,), (e,), sign * (-1) ** n)
                 for e, (vertices, sign) in enumerate(self.simplexes)
@@ -384,10 +350,8 @@ class Triangulation:
         return {I: tuple(sites) for I, sites in by_I.items()}
 
     def euler_characteristic(self) -> int:
-        """The face classes counted by dimension with alternating signs; a
-        class's dimension is read from its representative, whose vertex
-        subset has the size of every member's."""
-        return sum(1 if len(sub) % 2 else -1 for _, sub in self.face_classes())
+        """The alternating sum f_0 - f_1 + f_2 - ... of the f-vector."""
+        return sum((-1) ** k * f for k, f in enumerate(self.face_classes()))
 
     def __repr__(self):
         return (

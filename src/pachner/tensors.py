@@ -20,11 +20,12 @@ offset on, so a padded factor id^a (x) F (x) id^b never builds its
 identity wires and F (x) G is the word [(F, 0), (G, n)] for F's n inputs.
 The identity and sigma (``identity``, ``sigma``) are the one subclass,
 ``WirePermutation``: maps with one entry r**k on k wires that record
-their permutation.  Each folds into the key order of the join just
-before it, so a composite is written once per join, in its final order,
-and a word must apply a join first.  A wire never joins, and scales by
-r**k * r**-k from the ring only where the domain's exact ring finds that
-is not one.
+their permutation.  A word must apply a join first: the first factor
+it applies joins, whatever its type, and every later wire permutation
+folds into the key order of the join just before it, so a composite is
+written once per join, in its final order.  A folded wire never joins,
+and scales by r**k * r**-k from the ring only where the domain's exact
+ring finds that is not one.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
@@ -444,15 +445,14 @@ def sigma(domain, ring=None) -> WirePermutation:
 def apply_word(word, x: GroupTensor, order=None) -> GroupTensor:
     """The printed product of (factor, wire offset) pairs, applied right to
     left to the map x: each factor acts on x's outputs from its offset on,
-    and the slots take ``order`` last.  Each factor that is not a wire
-    permutation is one join (``GroupTensor.compose``), and the wire
-    permutations after it, with ``order`` after the last, fold into that
-    join's key order.  Raises ValueError, before any join, when the word
-    is empty or the first factor it applies is a wire permutation, which
-    has no join to fold into."""
+    and the slots take ``order`` last.  The first factor applied, whatever
+    its type, is one join (``GroupTensor.compose``), as is each later
+    factor that is not a wire permutation; the wire permutations after a
+    join, with ``order`` after the last, fold into its key order.  Raises
+    ValueError, before any join, when the word is empty."""
     factors = list(word)
-    if not factors or isinstance(factors[-1][0], WirePermutation):
-        raise ValueError("a word must apply a join first, not a wire permutation")
+    if not factors:
+        raise ValueError("a word must apply a join first, and the empty word has none")
     while factors:
         factor, at = factors.pop()
         then = []

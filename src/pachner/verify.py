@@ -234,9 +234,6 @@ def verify_pentagon(s: GroupTensor, backend: str = "exact") -> Report:
         raise ValueError("pentagon input must be a square map on two wires")
     s = in_backend(s, backend)
     dom, ring = s.domain, s.ring
-    # a plain tensor, so S joins in every word even when it is the
-    # identity or sigma
-    s = GroupTensor(dom, s.variances, s.entries, ring)
     sig = sigma(dom, ring)
     start = identity(dom, 3, ring)
     s13 = [(sig, 1), (s, 0), (sig, 1)]

@@ -7,6 +7,7 @@ verdict and finish inside its wall-clock budget.
 import pytest
 
 from pachner import acceptance
+from pachner.simplicial import Triangulation
 
 
 @pytest.mark.parametrize(
@@ -37,3 +38,18 @@ def test_run_all_honors_selection():
     assert len(results) == 1
     assert results[0].name == "interval-solution"
     assert results[0].ok
+
+
+@pytest.mark.parametrize(
+    "attribute, mutant, detail",
+    [
+        # a constant chi agrees with the walk's own start
+        ("euler_characteristic", lambda t: 2, "dim 3 sphere has faces (5, 10, 10, 5) and chi 2"),
+        # the boundary of the 5-simplex's row, read for every complex
+        ("face_classes", lambda t: (6, 15, 20, 15, 6), "dim 2 sphere has faces (6, 15, 20, 15, 6) and chi 2"),
+    ],
+    ids=["constant-chi", "constant-f-vector"],
+)
+def test_simplicial_engine_checks_known_face_counts(monkeypatch, attribute, mutant, detail):
+    monkeypatch.setattr(Triangulation, attribute, mutant)
+    assert acceptance.simplicial_engine() == (False, detail)
