@@ -49,8 +49,9 @@ down to the order of its terms.
 multiplies once per distinct pair of classes, and adds the products
 colliding on a key once per distinct multiset of such pairs; the
 arithmetic behind those calls comes from the ring's tables after its
-first run.  ``ScalarRing.compare_entries`` likewise compares two
-tensors' entries once per distinct pair of value objects.
+first run.  ``ScalarRing.compare_entries`` skips a key whose two values
+are one object, which hash-consing makes equal, and compares the other
+keys' values once per distinct pair of value objects.
 
 Both rings' joins write a result entry once, already weighted, when one
 pair of entries meets its key.  A key of the first operand splits into
@@ -72,8 +73,8 @@ import cmath
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add
+from itertools import compress, repeat
+from operator import add, is_not
 
 # The most entries one of a ring's arithmetic tables holds; an insertion
 # into a full table first drops all of the ring's tables.
@@ -487,16 +488,19 @@ class ScalarRing:
         entry read as zero, with :func:`compare`; rel is unused.
 
         Returns (keys compared, least UNEQUAL key, least INDETERMINATE key),
-        None where no key has that verdict.  ``compare`` runs once per
-        distinct pair of value objects: the entry dicts keep their values
-        alive, so an id names one value for the whole walk, and join
-        results share one Scalar per value class.
+        None where no key has that verdict.  A key whose two values are
+        one object is EQUAL, ``compare``'s own first branch, and join
+        results and hash-consed values make that the usual case, so only
+        the keys holding two distinct objects reach ``compare``, once per
+        distinct pair of them: the entry dicts keep their values alive, so
+        an id names one value for the whole walk.
         """
         keys, values1, values2 = _aligned(entries1, entries2, self.zero)
         verdicts = {}
         failing = {Comparison.UNEQUAL: [], Comparison.INDETERMINATE: []}
         equal = Comparison.EQUAL
-        for key, v1, v2 in zip(keys, values1, values2):
+        distinct = map(is_not, values1, values2)
+        for key, v1, v2 in compress(zip(keys, values1, values2), distinct):
             pair = (id(v1), id(v2))
             verdict = verdicts.get(pair)
             if verdict is None:

@@ -59,16 +59,23 @@ def validate_bicharacter(group: FinAbGroup, chi) -> dict:
     """Exhaustively check multiplicativity of chi in each argument.
 
     chi is evaluated once per pair of elements; returns the table
-    (x, y) -> chi(x, y).  A failure names its triple by residues.
+    (x, y) -> chi(x, y).  A failure names its triple by residues.  A
+    value and a product that are one object are equal, so ``!=`` runs
+    only on two distinct objects: the ring hash-conses its values, so a
+    valid chi of ring values never reaches it.
     """
     elems = group.elements()
     table = {(x, y): chi(x, y) for x in elems for y in elems}
+
+    def differ(a, b):
+        return a is not b and a != b
+
     for x, xp in itertools.product(elems, repeat=2):
         s = group.add(x, xp)
         for y in elems:
-            if table[s, y] != table[x, y] * table[xp, y]:
+            if differ(table[s, y], table[x, y] * table[xp, y]):
                 where, side = (x, xp, y), "first"
-            elif table[y, s] != table[y, x] * table[y, xp]:
+            elif differ(table[y, s], table[y, x] * table[y, xp]):
                 where, side = (y, x, xp), "second"
             else:
                 continue

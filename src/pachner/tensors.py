@@ -40,7 +40,8 @@ fix its inputs, such as Q, meets every key so).  Likewise
 the ring's ``compare_entries`` (``slices_equal`` does so per pair of
 matching slices, for tensors too large to hold whole twice, and folds
 the pairs into the report the whole tensors give): the exact ring
-compares each distinct pair of values once, and the float ring compares
+passes a key whose two values are one object and compares each other
+distinct pair of values once, and the float ring compares
 all keys at once in numpy, which it imports on first use, so an exact
 run never loads numpy.
 ``conj`` and ``to_float`` map each distinct value object once, classed

@@ -57,10 +57,10 @@ relative tolerance.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 from .groups import FinAbGroup
 from .solutions import SolutionSpec, q_from_bicharacter, set_q, symmetry_kernels
@@ -339,27 +339,33 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
     Three argument positions are integrated against kernel rows, with one
     measure weight per integration; this is written directly on the entry
     dicts, independent of contract and ring.join, so the theorem check
-    exercises a second code path.  The plan records each
-    position's free slot, so the result already carries its slots in
-    free-argument order.
+    exercises a second code path.  The plan has two free and three kernel
+    positions and records each position's free slot, so the result
+    already carries its slots in free-argument order.
 
     Kernel rows and solution entries hold few distinct values, so the
     expansion runs on value classes: integer ids, one per distinct value,
     keyed on its terms in item order, so the values of one class are equal
     down to that order.  Every entry and kernel value is classed once, when
-    the rows are built; the loop over expanded terms then only looks up the
-    class of each product, memoised per class pair, so each distinct pair
-    is multiplied once, and lists each term's class under its key.  A key
-    met by one term keeps that product.  The terms of any other key are
-    added by ``ScalarRing.sum`` once per distinct multiset of classes, and
-    the weight r**-3 is applied once per distinct sum.  The normal form is
-    unique and ``_canonical`` orders its output by parity, so every entry,
-    down to the order of its terms, equals the term-by-term sum.  Products
-    and sums made here are classed by their terms, never by ``id``: once
-    the ring drops its tables (see ``scalars.SCALAR_TABLE_LIMIT``) a
-    product may be a duplicate object that is freed, and a later object
-    may reuse its id.  The ring's own identity-keyed tables hold their
-    operands for that reason.
+    the rows are built; products are memoised per class pair, so each
+    distinct pair is multiplied once.  The three kernel positions are
+    nested loops in position order, the last one innermost, so every
+    (entry, kernel-row) term is enumerated and multiplied in the order of
+    a term-by-term expansion, and the terms share their partial products:
+    each kernel class is multiplied onto the running class once per
+    prefix, and the innermost row's products are memoised per (column,
+    class).  Terms are listed under the raw key (the two free arguments,
+    then the three rows), and each key is put into slot order once.  A
+    key met by one term keeps that product.  The terms of any other key
+    are added by ``ScalarRing.sum`` once per distinct multiset of classes,
+    and the weight r**-3 is applied once per distinct sum.  The normal
+    form is unique and ``_canonical`` orders its output by parity, so
+    every entry, down to the order of its terms, equals the term-by-term
+    sum.  Products and sums made here are classed by their terms, never by
+    ``id``: once the ring drops its tables (see
+    ``scalars.SCALAR_TABLE_LIMIT``) a product may be a duplicate object
+    that is freed, and a later object may reuse its id.  The ring's own
+    identity-keyed tables hold their operands for that reason.
     """
     by_terms, reps = {}, []
 
@@ -385,30 +391,36 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
         for (row, col), val in kernel.entries.items():
             by_col.setdefault(col, []).append((row, value_class(val)))
         rows[kname] = by_col
-    acc = {}
+    free = [pos for pos, item in enumerate(plan) if item[0] == "free"]
+    ker = [pos for pos, item in enumerate(plan) if item[0] == "ker"]
+    (fa, fb), (ka, kb, kc) = free, ker
+    rows_a, rows_b, rows_c = (rows[plan[pos][2]] for pos in ker)
+    # the raw key's index of each output slot
+    raw_index = [None] * 5
+    for i, pos in enumerate(free + ker):
+        raw_index[plan[pos][1]] = i
+    in_slot_order = itemgetter(*raw_index)
+    inner, acc = {}, {}
     for key, val in dt.entries.items():
-        options = []
-        for pos, item in enumerate(plan):
-            if item[0] == "free":
-                options.append([(item[1], key[pos], None)])
-            else:
-                _, free_slot, kname = item
-                options.append(
-                    [(free_slot, row, kc) for row, kc in rows[kname].get(key[pos], [])]
-                )
-        entry = value_class(val)
-        for combo in itertools.product(*options):
-            out_key = [None] * 5
-            term = entry
-            for free_slot, elem, kc in combo:
-                out_key[free_slot] = elem
-                if kc is not None:
-                    term = times(kc, term)
-            acc.setdefault(tuple(out_key), []).append(term)
+        entry, x, y, col = value_class(val), key[fa], key[fb], key[kc]
+        for ra, ca in rows_a.get(key[ka], ()):
+            ta = times(ca, entry)
+            for rb, cb in rows_b.get(key[kb], ()):
+                tb = times(cb, ta)
+                row = inner.get((col, tb))
+                if row is None:
+                    row = inner[col, tb] = [(rc, times(cc, tb)) for rc, cc in rows_c.get(col, ())]
+                for rc, term in row:
+                    raw = (x, y, ra, rb, rc)
+                    terms = acc.get(raw)
+                    if terms is None:
+                        acc[raw] = [term]
+                    else:
+                        terms.append(term)
     ring = dt.ring
     weight = value_class(ring.radical(-3))
     sums, entries = {}, {}
-    for key, classes in acc.items():
+    for raw, classes in acc.items():
         if len(classes) == 1:
             (c,) = classes
         else:
@@ -416,7 +428,7 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
             c = sums.get(multiset)
             if c is None:
                 c = sums[multiset] = value_class(ring.sum(reps[part] for part in multiset))
-        entries[key] = reps[times(weight, c)]
+        entries[in_slot_order(raw)] = reps[times(weight, c)]
     return GroupTensor(dt.domain, dt.variances, entries, ring)
 
 

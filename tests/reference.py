@@ -6,10 +6,11 @@ as ``GroupTensor.permute`` then ``_rescale``, the relation sides with
 every identity wire built as a tensor and the printed factors folded
 left to right, the (3,3) check on its two whole sides at any size,
 joins as first written, tensor equality as the least failing key of
-the key union, group arithmetic and the pairing on residue tuples, face
-classes as a union-find over
-(entry, vertex subset) tuples, move sites by trying every vertex label,
-and the splittings of a move in the order the site lists keep.  Test
+the key union, scalar comparison by subtraction alone, the proof-case
+integrals summed term by term, group arithmetic and the pairing on
+residue tuples, face classes as a union-find over (entry, vertex
+subset) tuples, move sites by trying every vertex label, and the
+splittings of a move in the order the site lists keep.  Test
 modules import from here and from no other test module.
 """
 
@@ -20,7 +21,7 @@ import struct
 
 import numpy as np
 
-from pachner.scalars import Comparison, ComplexRing, approx_equal, compare
+from pachner.scalars import Comparison, ComplexRing, Scalar, approx_equal, compare
 from pachner.simplicial import MoveSite, Triangulation, simplex_boundary
 from pachner.solutions import SolutionSpec
 from pachner.tensors import (
@@ -84,6 +85,18 @@ def least_key_tensor_equal(t1, t2, rel=1e-9):
             fields = {"verdict": failing.verdict, "checks": len(keys)}
             return Report("tensor-equal", fields, _fmt_key(t1.domain, key), values)
     return Report("tensor-equal", {"verdict": "pass", "checks": len(keys)})
+
+
+def subtracting_compare(a, b):
+    """compare as the subtraction alone decides it, with no terms shortcut."""
+    diff = a - b
+    if not diff.terms:
+        return Comparison.EQUAL
+    if len({e % 2 for e in diff.terms}) == 1:
+        return Comparison.UNEQUAL
+    even = Scalar(diff.ring, {e: v for e, v in diff.terms.items() if e % 2 == 0})
+    odd = diff - even
+    return Comparison.UNEQUAL if even * even != odd * odd else Comparison.INDETERMINATE
 
 
 def assert_identical_entries(got, want):
@@ -334,6 +347,44 @@ def fold_padded_identities(sol, backend, identities):
 
 def padded_yb_family(sol, backend="exact", rel=1e-9):
     return fold_padded_identities(sol, backend, padded_yb_identities(sol, backend, rel))
+
+
+def expanded_proof_integral(dt, plan, kernels):
+    """The proof-case integral summed term by term with Scalar.__add__.
+
+    The reference for _proof_integral's class-id accumulation: every
+    expanded term is multiplied out and added into its key in expansion
+    order, with one canonical form per addition.
+    """
+    rows = {}
+    for kname, kernel in kernels.items():
+        by_col = {}
+        for (row, col), val in kernel.entries.items():
+            by_col.setdefault(col, []).append((row, val))
+        rows[kname] = by_col
+    acc = {}
+    for key, val in dt.entries.items():
+        options = []
+        for pos, item in enumerate(plan):
+            if item[0] == "free":
+                options.append([(item[1], key[pos], None)])
+            else:
+                _, free_slot, kname = item
+                options.append(
+                    [(free_slot, row, kval) for row, kval in rows[kname].get(key[pos], [])]
+                )
+        for combo in itertools.product(*options):
+            out_key = [None] * 5
+            term = val
+            for free_slot, elem, kval in combo:
+                out_key[free_slot] = elem
+                if kval is not None:
+                    term = kval * term
+            out_key = tuple(out_key)
+            prev = acc.get(out_key)
+            acc[out_key] = term if prev is None else prev + term
+    weight = dt.ring.radical(-3)
+    return GroupTensor(dt.domain, dt.variances, {k: weight * v for k, v in acc.items()}, dt.ring)
 
 
 # -- group arithmetic on residue tuples ------------------------------------------

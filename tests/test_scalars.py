@@ -15,7 +15,7 @@ from pachner.scalars import (
     cyclotomic_polynomial,
     get_ring,
 )
-from reference import COMPLEX_VALUES, two_pass_complex_join
+from reference import COMPLEX_VALUES, subtracting_compare, two_pass_complex_join
 
 
 def poly_eval(coeffs, x):
@@ -317,18 +317,6 @@ def test_radical_power_multiplies_by_exponent_shift(params, raw, k):
     for got in (r_plus_one * v, v * r_plus_one):
         assert got == ring.scalar({e + 1: vec for e, vec in v.terms.items()}) + v
         assert approx_equal(got.to_complex(), v.to_complex() * (rt + 1), 1e-9)
-
-
-def subtracting_compare(a, b):
-    """compare as the subtraction alone decides it, with no terms shortcut."""
-    diff = a - b
-    if not diff.terms:
-        return Comparison.EQUAL
-    if len({e % 2 for e in diff.terms}) == 1:
-        return Comparison.UNEQUAL
-    even = Scalar(diff.ring, {e: v for e, v in diff.terms.items() if e % 2 == 0})
-    odd = diff - even
-    return Comparison.UNEQUAL if even * even != odd * odd else Comparison.INDETERMINATE
 
 
 @settings(max_examples=300, deadline=None)

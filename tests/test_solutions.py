@@ -132,6 +132,22 @@ def test_validate_bicharacter_accepts_asymmetric_pairing():
     assert skew(2, 1) != skew(1, 2)
 
 
+def test_valid_bicharacter_validates_without_scalar_equality(monkeypatch):
+    # hash-consing makes each chi value and each product of them one
+    # object, so a valid bicharacter never reaches Scalar.__eq__
+    group = parse_group("Z4")
+    calls = []
+    eq = Scalar.__eq__
+    monkeypatch.setattr(Scalar, "__eq__", lambda a, b: calls.append((a, b)) or eq(a, b))
+    table = validate_bicharacter(group, group.chi)
+    assert calls == []
+    assert all(table[x, y] is group.chi(x, y) for x, y in itertools.product(group.elements(), repeat=2))
+    # a broken chi still compares its distinct values
+    with pytest.raises(ValueError, match="multiplicative"):
+        validate_bicharacter(group, lambda x, y: -group.chi(x, y))
+    assert calls
+
+
 # -- group tables -------------------------------------------------------------
 
 

@@ -1122,6 +1122,33 @@ def test_exact_comparison_compares_each_value_pair_once(monkeypatch):
         assert len(pairs) < got.checks
 
 
+def test_exact_comparison_skips_values_that_are_one_object(monkeypatch):
+    from pachner import scalars
+    from pachner.solutions import parse_solution
+
+    q = parse_solution("bichar:Z4").q
+    calls = []
+    original = scalars.compare
+    monkeypatch.setattr(scalars, "compare", lambda a, b: calls.append((a, b)) or original(a, b))
+    shared = GroupTensor(q.domain, q.variances, dict(q.entries), q.ring)
+    got = tensor_equal(q, shared)
+    assert got and got.checks == len(q.entries) and calls == []
+    # every fifth key holds an equal value in a second object, one key a
+    # different value, and one key is missing from the copy
+    keys = sorted(q.entries)
+    entries = dict(q.entries)
+    for key in keys[::5]:
+        entries[key] = Scalar(q.ring, dict(q.entries[key].terms))
+    entries[keys[1]] = q.entries[keys[1]] + q.ring.one
+    del entries[keys[2]]
+    mixed = GroupTensor(q.domain, q.variances, entries, q.ring)
+    distinct = {(id(q.entries[k]), id(mixed.entry(k))) for k in keys if q.entries[k] is not mixed.entry(k)}
+    got = tensor_equal(q, mixed)
+    assert got == least_key_tensor_equal(q, mixed)
+    assert not got and got.witness == _fmt_key(q.domain, keys[1])
+    assert len(calls) == len(distinct) and {(id(a), id(b)) for a, b in calls} == distinct
+
+
 # -- single-term joins ---------------------------------------------------------
 
 HEAD_KINDS = ["functional", "one ambiguous head", "ambiguous"]

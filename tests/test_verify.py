@@ -55,6 +55,7 @@ import reference
 from reference import (
     assert_identical_entries,
     build_families,
+    expanded_proof_integral,
     factor_by_factor,
     fold_padded_identities,
     outs_ins,
@@ -736,44 +737,6 @@ def test_proof_integral_multiplies_each_value_pair_once(literal, monkeypatch):
         assert tensor_equal(got, sol.q.conj())
 
 
-def expanded_proof_integral(dt, plan, kernels):
-    """The proof-case integral summed term by term with Scalar.__add__.
-
-    The reference for _proof_integral's class-id accumulation: every
-    expanded term is multiplied out and added into its key in expansion
-    order, with one canonical form per addition.
-    """
-    rows = {}
-    for kname, kernel in kernels.items():
-        by_col = {}
-        for (row, col), val in kernel.entries.items():
-            by_col.setdefault(col, []).append((row, val))
-        rows[kname] = by_col
-    acc = {}
-    for key, val in dt.entries.items():
-        options = []
-        for pos, item in enumerate(plan):
-            if item[0] == "free":
-                options.append([(item[1], key[pos], None)])
-            else:
-                _, free_slot, kname = item
-                options.append(
-                    [(free_slot, row, kval) for row, kval in rows[kname].get(key[pos], [])]
-                )
-        for combo in itertools.product(*options):
-            out_key = [None] * 5
-            term = val
-            for free_slot, elem, kval in combo:
-                out_key[free_slot] = elem
-                if kval is not None:
-                    term = kval * term
-            out_key = tuple(out_key)
-            prev = acc.get(out_key)
-            acc[out_key] = term if prev is None else prev + term
-    weight = dt.ring.radical(-3)
-    return GroupTensor(dt.domain, dt.variances, {k: weight * v for k, v in acc.items()}, dt.ring)
-
-
 def _theorem_data():
     """(id, solution, kernels): every theorem input the class-id sums must
     reproduce, passing and failing."""
@@ -803,6 +766,25 @@ def test_proof_integral_equals_the_term_by_term_sum(dt, kernels):
         assert [(k, tuple(v.terms.items())) for k, v in got.entries.items()] == [
             (k, tuple(v.terms.items())) for k, v in ref.entries.items()
         ]
+
+
+@pytest.mark.parametrize("literal", ["Z2", "Z3"])
+def test_proof_integral_equals_the_term_by_term_sum_for_every_plan_shape(literal):
+    # three kernels at every three of the five positions, every choice of
+    # kernel at each, and the output slots assigned to the positions in
+    # each of the 120 orders in turn
+    group = parse_group(literal)
+    q, kernels = q_from_bicharacter(group).q, symmetry_kernels(group)
+    slot_orders = list(itertools.permutations(range(5)))
+    shapes = itertools.product(itertools.combinations(range(5), 3), itertools.product(kernels, repeat=3))
+    for i, (positions, names) in enumerate(shapes):
+        slots, named = slot_orders[i % len(slot_orders)], dict(zip(positions, names))
+        plan = [("ker", slots[pos], named[pos]) if pos in named else ("free", slots[pos]) for pos in range(5)]
+        got = _proof_integral(q, plan, kernels)
+        ref = expanded_proof_integral(q, plan, kernels)
+        assert [(k, tuple(v.terms.items())) for k, v in got.entries.items()] == [
+            (k, tuple(v.terms.items())) for k, v in ref.entries.items()
+        ], plan
 
 
 def test_proof_integral_adds_no_scalars_and_joins_nothing(monkeypatch):
