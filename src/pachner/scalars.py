@@ -64,17 +64,23 @@ occurs under several bounds, the usual case in a state sum, accumulate.
 
 ``ComplexRing`` is the float cross-check backend: complex numbers with
 r = sqrt(N) behind the same interface, compared at a relative tolerance,
-FLOAT_REL unless a caller names another.
+FLOAT_REL unless a caller names another.  Its tensors hold their entries
+as ``_FloatEntries``: int64 key codes, a key's elements read as base-|V|
+digits, beside complex128 values, in numpy arrays.  Its join merges the
+codes of whole operands and gives the dict join's keys, key order and
+float bits; its comparison aligns the codes of both sides.  numpy is
+imported on first float use, so exact runs never load it.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import add, is_not
+from operator import add, is_not, itemgetter
 
 # The most entries one of a ring's arithmetic tables holds; an insertion
 # into a full table first drops all of the ring's tables.
@@ -92,6 +98,19 @@ def _poly_mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return tuple(out)
+
+
+def _picker(slots):
+    """Tuple -> the tuple of its items at slots, for any slot count.
+
+    A run of consecutive slots (empty and single slots included) is read
+    as a slice, which itemgetter(*slots) cannot express for fewer than two.
+    """
+    slots = tuple(slots)
+    lo = slots[0] if slots else 0
+    if slots == tuple(range(lo, lo + len(slots))):
+        return itemgetter(slice(lo, lo + len(slots)))
+    return itemgetter(*slots)
 
 
 def _buckets(entries, bound, rest):
@@ -377,10 +396,12 @@ class ScalarRing:
     def conj(self, v: "Scalar") -> "Scalar":
         return v.conj()
 
-    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, pick=None):
+    def join(self, entries1, s1, free1, entries2, s2, free2, k, order=None):
         """Sum v1 * v2 * r**-k per key rest1(k1) + rest2(k2), put in slot
-        order by ``pick`` when one is given, over all entry pairs with
-        bound1(k1) == bound2(k2); zero sums are dropped.
+        order by ``pick`` when an ``order`` is given, over all entry pairs
+        with bound1(k1) == bound2(k2); zero sums are dropped.  bound1,
+        rest1, bound2, rest2 and pick are the ``_picker``s of the slot
+        tuples s1, free1, s2, free2 and order.
 
         Each operand's entries fall into value classes, one per distinct
         value object (see ``_classes``).  The weight is one exponent shift
@@ -400,6 +421,8 @@ class ScalarRing:
         parity, so every value, down to the order of its terms, equals the
         entry-by-entry sum.  Equal entries may share one Scalar.
         """
+        bound1, rest1, bound2, rest2 = map(_picker, (s1, free1, s2, free2))
+        pick = None if order is None else _picker(order)
         classes1, reps1 = _classes(entries1)
         classes2, reps2 = _classes(entries2)
         power = self.radical(-k)
@@ -731,14 +754,158 @@ def approx_equal(x: complex, y: complex, rel: float = FLOAT_REL) -> bool:
     return abs(x - y) <= rel * scale
 
 
+def _check_codes(radix: int, arity: int):
+    """Refuse float keys of ``arity`` slots over ``radix`` elements when
+    their codes, 0 .. radix**arity - 1, do not all fit an int64.
+
+    No command reaches this: a state-sum step has at most ENTRY_GUARD
+    (2**22) possible keys, and every solution tensor lies over at most 16
+    elements, so a (3,3) or Yang-Baxter side, of 9 slots, has at most
+    16**9.
+    """
+    if radix**arity >= 1 << 63:
+        raise ValueError(
+            f"float keys of {arity} slots over {radix} elements take {radix**arity} "
+            f"codes, over the {1 << 63} an int64 holds"
+        )
+
+
+class _FloatEntries(Mapping):
+    """A float tensor's entries, key -> complex, read-only, held as two
+    numpy arrays: ``codes`` (int64) and ``vals`` (complex128).
+
+    A key's code reads its elements as the digits of a base-``radix``
+    number, the first slot most significant.  Every element is below the
+    radix, so the order of codes is the keys' lexicographic order.  The
+    entries stay in the order they were made in.  Tuple keys are built
+    only when the mapping is iterated; ``get`` and ``[]`` find one key by
+    its code without building the others.
+    """
+
+    __slots__ = ("codes", "vals", "radix", "arity")
+
+    def __init__(self, codes, vals, radix: int, arity: int):
+        self.codes, self.vals, self.radix, self.arity = codes, vals, radix, arity
+
+    @classmethod
+    def from_dict(cls, entries: dict, radix: int, arity: int) -> "_FloatEntries":
+        """The coded form of a dict of keys of ``arity`` elements, each in
+        range(radix), in the dict's order.  Raises ValueError for an
+        element outside that range, or when the codes do not fit an int64
+        (see ``_check_codes``), before any array is built."""
+        import numpy as np
+
+        _check_codes(radix, arity)
+        n = len(entries)
+        digits = np.array(list(entries), dtype=np.int64).reshape(n, arity)
+        if digits.size and not (digits.min() >= 0 and digits.max() < radix):
+            raise ValueError(f"a key element lies outside 0..{radix - 1}")
+        codes = digits @ cls._weights(radix, arity)
+        return cls(codes, np.fromiter(entries.values(), complex, n), radix, arity)
+
+    @staticmethod
+    def _weights(radix: int, arity: int):
+        """Each slot's weight in a code: radix**(arity - 1), ..., radix, 1."""
+        import numpy as np
+
+        return radix ** np.arange(arity - 1, -1, -1, dtype=np.int64)
+
+    def split(self, bound, free, free_weights):
+        """Every entry's bound code, its elements at slots ``bound`` read as
+        a code of their own, and its part of a join's result code, its
+        elements at slots ``free`` weighted by ``free_weights``."""
+        k = len(bound)
+        bound_weights = [self.radix ** (k - 1 - m) for m in range(k)]
+        return self._part(zip(bound, bound_weights)), self._part(zip(free, free_weights))
+
+    def _part(self, slot_weights):
+        """The sum over (slot, weight) pairs of every entry's element at the
+        slot times the weight, a power of the radix.
+
+        A run of consecutive slots whose weights fall by the radix is one
+        block of digits of the code, read off at once: the code divided
+        down to the run's last slot, reduced below the run's first, and
+        scaled by the last slot's weight.
+        """
+        import numpy as np
+
+        radix, arity = self.radix, self.arity
+        runs = []  # [first slot, last slot, weight of the last]
+        for p, w in slot_weights:
+            if runs and p == runs[-1][1] + 1 and w * radix == runs[-1][2]:
+                runs[-1][1:] = p, w
+            else:
+                runs.append([p, p, w])
+        total = np.zeros(len(self.codes), np.int64)
+        for first, last, w in runs:
+            block = self.codes
+            if last < arity - 1:
+                block = block // radix ** (arity - 1 - last)
+            if first > 0:
+                block = block % radix ** (last - first + 1)
+            total += block * w
+        return total
+
+    def key(self, code) -> tuple:
+        """The key a code names."""
+        code, digits = int(code), []
+        for _ in range(self.arity):
+            code, x = divmod(code, self.radix)
+            digits.append(x)
+        return tuple(reversed(digits))
+
+    def _find(self, key):
+        """The position of key's entry, None when it has none."""
+        import numpy as np
+
+        if not isinstance(key, tuple) or len(key) != self.arity:
+            return None
+        code = 0
+        for x in key:
+            if not 0 <= x < self.radix:
+                return None
+            code = code * self.radix + x
+        hit = np.flatnonzero(self.codes == code)
+        return int(hit[0]) if len(hit) else None
+
+    def get(self, key, default=None):
+        i = self._find(key)
+        return default if i is None else self.vals[i].item()
+
+    def __getitem__(self, key):
+        i = self._find(key)
+        if i is None:
+            raise KeyError(key)
+        return self.vals[i].item()
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        digits = self.codes[:, None] // self._weights(self.radix, self.arity) % self.radix
+        return map(tuple, digits.tolist())
+
+    def items(self):
+        return zip(self, self.vals.tolist())
+
+    def values(self):
+        return iter(self.vals.tolist())
+
+    def conj(self) -> "_FloatEntries":
+        """Every value conjugated, at the same codes."""
+        return _FloatEntries(self.codes, self.vals.conj(), self.radix, self.arity)
+
+
 @dataclass(frozen=True)
 class ComplexRing:
     """Complex floats with r = sqrt(N): the float backend's ring.
 
     It has ScalarRing's interface, so tensors and checkers run one code
-    path on either backend.  Comparison is approx_equal at relative
-    tolerance rel, so it is never INDETERMINATE; compare_entries runs it
-    in numpy, which it imports on first use, so exact runs never load it.
+    path on either backend.  Its tensors hold their entries as
+    ``_FloatEntries``, key codes and values in numpy arrays, and ``join``
+    and ``compare_entries`` work on those arrays whole.  numpy is imported
+    on first float use, so exact runs never load it.  Comparison is
+    approx_equal at relative tolerance rel, so it is never INDETERMINATE.
     """
 
     group_order: int
@@ -752,52 +919,89 @@ class ComplexRing:
     def conj(self, v: complex) -> complex:
         return v.conjugate()
 
-    def join(self, entries1, bound1, rest1, entries2, bound2, rest2, k, pick=None):
-        """ScalarRing.join in floats, with the bits of the two-pass join:
-        products summed in entry order, then one weight r**-k per result
-        entry (none when k is 0), and entries whose weighted sum is zero
-        dropped.
+    def join(self, entries1, s1, free1, entries2, s2, free2, k, order=None):
+        """ScalarRing.join on coded entries, with the bits of the dict
+        join: products summed in entry order, then one weight r**-k per
+        result entry (none when k is 0), and entries whose weighted sum is
+        zero dropped.
 
-        A key under an unambiguous head (see ``_ambiguous``) is met by one
-        pair, so its entry is written once as weight * (v1 * v2), or
-        v1 * v2 when k is 0: the very float operations the two-pass join
-        does on a one-term sum, hence its bits.  The keys under an
-        ambiguous head accumulate their products in the first operand's
-        entry order and are weighted in place, so every key keeps the
-        position of its first pair.
+        A sort-merge join on the codes: the second operand's entries are
+        sorted stably by bound code, and each entry of the first meets the
+        range of them that ``searchsorted`` finds, so the pairs come in the
+        first operand's entry order, each bucket in the second's.  A result
+        code is the first entry's head part plus the second's tail part,
+        each already weighted for its slots' places in ``order``.
+        Products are taken on the real and imaginary parts apart
+        (``_products``), as Python's complex multiply rounds them.  Keys
+        can repeat only under a head code that occurs under several bounds
+        (``_ambiguous``, as in ScalarRing.join); only then are the products
+        summed per key (``_summed``), so every key keeps the position of
+        its first pair.  Raises ValueError, before any array is built,
+        when the result's codes would not fit an int64.
         """
-        buckets = _buckets(entries2, bound2, rest2)
-        heads = list(map(rest1, entries1))
-        ambiguous = _ambiguous(heads)
-        weight = self.radical(-k)
-        out, pending = {}, []
-        accumulated = out.get
-        for (k1, v1), head in zip(entries1.items(), heads):
-            bucket = buckets.get(bound1(k1), ())
-            if head in ambiguous:
-                for tail, v2 in bucket:
-                    key = pick(head + tail) if pick else head + tail
-                    prev = accumulated(key)
-                    if prev is None:
-                        out[key] = v1 * v2
-                        pending.append(key)
-                    else:
-                        out[key] = prev + v1 * v2
-            elif k:
-                for tail, v2 in bucket:
-                    if w := weight * (v1 * v2):
-                        out[pick(head + tail) if pick else head + tail] = w
-            else:
-                for tail, v2 in bucket:
-                    if w := v1 * v2:
-                        out[pick(head + tail) if pick else head + tail] = w
-        for key in pending:
-            w = weight * out[key] if k else out[key]
-            if w:
-                out[key] = w
-            else:
-                del out[key]
+        import numpy as np
+
+        radix, arity = entries1.radix, len(free1) + len(free2)
+        _check_codes(radix, arity)
+        places = range(arity) if order is None else [order.index(j) for j in range(arity)]
+        weights = [radix ** (arity - 1 - p) for p in places]
+        n1 = len(free1)
+        bounds1, heads = entries1.split(s1, free1, weights[:n1])
+        bounds2, tails = entries2.split(s2, free2, weights[n1:])
+        by_bound = bounds2.argsort(kind="stable")
+        sorted_bounds = bounds2[by_bound]
+        lo = sorted_bounds.searchsorted(bounds1, "left")
+        counts = sorted_bounds.searchsorted(bounds1, "right") - lo
+        left = np.arange(len(counts)).repeat(counts)
+        # the pair p of an entry i meets sorted position lo[i] + p - (i's first pair)
+        right = by_bound[np.arange(len(left)) + (lo + counts - counts.cumsum()).repeat(counts)]
+        codes = heads[left] + tails[right]
+        vals = self._products(entries1.vals[left], entries2.vals[right])
+        if _ambiguous(heads.tolist()):
+            codes, vals = self._summed(codes, vals)
+        if k:
+            vals = self._products(self.radical(-k), vals)
+        kept = vals != 0
+        if not kept.all():
+            codes, vals = codes[kept], vals[kept]
+        return _FloatEntries(codes, vals, radix, arity)
+
+    @staticmethod
+    def _products(x, y):
+        """The complex products x * y of the array y and x, an array of its
+        length or one complex, elementwise, rounded as Python's complex
+        multiply rounds them.
+
+        Python takes (a + bi)(c + di) as (ac - bd) + (ad + bc)i, each
+        product and sum rounded on its own, and so does this, on the real
+        and imaginary parts apart; numpy's complex multiply may fuse them.
+        """
+        import numpy as np
+
+        out = np.empty(len(y), complex)
+        np.subtract(x.real * y.real, x.imag * y.imag, out=out.real)
+        np.add(x.real * y.imag, x.imag * y.real, out=out.imag)
         return out
+
+    @staticmethod
+    def _summed(codes, vals):
+        """The products of a join summed per code: each code's products
+        added in pair order onto its first, and the codes kept in the order
+        of their first pairs; codes and vals as they are when no code
+        repeats."""
+        import numpy as np
+
+        by_code = codes.argsort(kind="stable")
+        ordered = codes[by_code]
+        lead = np.ones(len(ordered), bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=lead[1:])
+        if lead.all():
+            return codes, vals
+        firsts = by_code[lead]
+        sums = vals[firsts]
+        np.add.at(sums, lead.cumsum()[~lead] - 1, vals[by_code[~lead]])
+        in_pair_order = firsts.argsort()
+        return codes[firsts][in_pair_order], sums[in_pair_order]
 
     def render(self, v: complex) -> str:
         """format(v, ".12g"), with a part of at most 1e-12 |v| shown as 0.
@@ -814,20 +1018,29 @@ class ComplexRing:
         """ScalarRing.compare_entries at relative tolerance rel: approx_equal
         on every key at once, so nothing is INDETERMINATE.
 
-        Each side's values over the key union are read into one array.
-        The test is approx_equal's, elementwise in the same float
-        operations, and its max keeps the first of equal or unordered
-        operands as Python's max does, so a nan or infinite value gets
-        the verdict approx_equal gives it.
+        Both sides' values are read into one array each over the sorted
+        union of their codes, zero where a side has no entry, so the first
+        unequal position holds the least unequal key.  The test is
+        approx_equal's, elementwise in the same float operations, and its
+        max keeps the first of equal or unordered operands as Python's max
+        does, so a nan or infinite value gets the verdict approx_equal
+        gives it.
         """
         import numpy as np
 
-        keys, values1, values2 = _aligned(entries1, entries2, self.zero)
-        n = len(keys)
-        a, b = np.fromiter(values1, complex, n), np.fromiter(values2, complex, n)
+        codes = np.concatenate((entries1.codes, entries2.codes))
+        codes.sort()
+        distinct = np.ones(len(codes), bool)
+        np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
+        codes = codes[distinct]
+        n = len(codes)
+        a, b = np.zeros(n, complex), np.zeros(n, complex)
+        a[np.searchsorted(codes, entries1.codes)] = entries1.vals
+        b[np.searchsorted(codes, entries2.codes)] = entries2.vals
         with np.errstate(all="ignore"):  # inf - inf is nan, as in Python
             abs_a, abs_b = np.abs(a), np.abs(b)
             scale = np.where(abs_b > abs_a, abs_b, abs_a)
             scale = np.where(1.0 > scale, 1.0, scale)
             unequal = np.flatnonzero(~(np.abs(a - b) <= rel * scale))
-        return n, min((keys[i] for i in unequal), default=None), None
+        return n, entries1.key(codes[unequal[0]]) if len(unequal) else None, None
+

@@ -29,25 +29,31 @@ ring finds that is not one.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, so both backends
-share every code path.  ``contract`` checks slots and variances and picks
-the key parts; the ring's ``join`` runs the hash join itself, so the
-exact ring can fold the weight into the distinct values of one operand
-and compute each product once per distinct pair of values, while the
-float ring keeps its summation order; both write a key that one pair of
-entries meets once, already weighted (composing a map whose outputs
-fix its inputs, such as Q, meets every key so).  Likewise
-``tensor_equal`` checks arity and backend and hands both entry dicts to
-the ring's ``compare_entries`` (``slices_equal`` does so per pair of
-matching slices, for tensors too large to hold whole twice, and folds
-the pairs into the report the whole tensors give): the exact ring
-passes a key whose two values are one object and compares each other
-distinct pair of values once, and the float ring compares
-all keys at once in numpy, which it imports on first use, so an exact
-run never loads numpy.
-``conj`` and ``to_float`` map each distinct value object once, classed
-by ``scalars._classes``.  Results of ``contract``, ``permute`` and
-``conj`` are built without the constructor's per-entry checks, which
-they pass by construction.
+share every code path.  An exact tensor holds a dict of tuple keys; a
+float one holds ``scalars._FloatEntries``, a read-only mapping of int64
+key codes and complex128 values, which the constructor, ``to_float``
+and ``permute`` code from a dict (``_held``) and which builds tuple keys
+only when it is iterated.  ``contract`` checks slots and variances and
+hands the slot tuples to the ring's ``join``, which runs the join
+itself: the exact ring a hash join that folds the weight into the
+distinct values of one operand and computes each product once per
+distinct pair of values, the float ring a sort-merge join on whole
+arrays of codes that keeps the dict join's summation order and bits;
+both write a key that one pair of entries meets once, already weighted
+(composing a map whose outputs fix its inputs, such as Q, meets every
+key so).  Likewise ``tensor_equal`` checks arity and backend and hands
+both tensors' entries to the ring's ``compare_entries``
+(``slices_equal`` does so per pair of matching slices, for tensors too
+large to hold whole twice, and folds the pairs into the report the
+whole tensors give): the exact ring passes a key whose two values are
+one object and compares each other distinct pair of values once, and
+the float ring aligns the two sides' codes and compares all keys at
+once.  The float ring imports numpy on first use, so an exact run never
+loads it.  An exact ``conj`` and ``to_float`` map each distinct value
+object once, classed by ``scalars._classes``; a float ``conj``
+conjugates the value array at the same codes.  Results of ``contract``,
+``permute`` and ``conj`` are built without the constructor's per-entry
+checks, which they pass by construction.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
 used by the bialgebra-style constructions).  Either way an element is an
@@ -70,9 +76,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 
-from .scalars import FLOAT_REL, Comparison, ComplexRing, _classes, get_ring
+from .scalars import FLOAT_REL, Comparison, ComplexRing, _classes, _FloatEntries, _picker, get_ring
 
 
 class Variance(enum.Enum):
@@ -136,7 +141,7 @@ class GroupTensor:
                 )
             if val:
                 clean[key] = val
-        self.entries = clean
+        self.entries = _held(domain, len(self.variances), clean, self.ring)
 
     @property
     def arity(self) -> int:
@@ -157,14 +162,18 @@ class GroupTensor:
             raise ValueError(f"{perm} is not a permutation of {self.arity} slots")
         pick = _picker(perm)
         entries = {pick(key): val for key, val in self.entries.items()}
+        entries = _held(self.domain, self.arity, entries, self.ring)
         return _built(self.domain, pick(self.variances), entries, self.ring)
 
     def conj(self) -> "GroupTensor":
         """Entrywise conjugate with all slot variances flipped."""
+        variances = tuple(v.flip() for v in self.variances)
+        if isinstance(self.ring, ComplexRing):
+            return _built(self.domain, variances, self.entries.conj(), self.ring)
         classes, reps = _classes(self.entries)
         images = list(map(self.ring.conj, reps))
         entries = {key: images[c] for key, c in classes.items()}
-        return _built(self.domain, tuple(v.flip() for v in self.variances), entries, self.ring)
+        return _built(self.domain, variances, entries, self.ring)
 
     def to_float(self) -> "GroupTensor":
         if isinstance(self.ring, ComplexRing):
@@ -177,9 +186,9 @@ class GroupTensor:
     def dump(self) -> str:
         """One line per entry: "x,u,y,v,z -> scalar", sorted by index."""
         lines = []
-        for key in sorted(self.entries):
-            shown = self.ring.render(self.entries[key])
-            lines.append(_fmt_key(self.domain, key) + " -> " + shown)
+        # keys are distinct, so sorting the items never compares values
+        for key, val in sorted(self.entries.items()):
+            lines.append(_fmt_key(self.domain, key) + " -> " + self.ring.render(val))
         return "\n".join(lines)
 
     def _layout(self) -> tuple[int, int]:
@@ -243,6 +252,15 @@ def _built(domain, variances, entries, ring) -> GroupTensor:
     return t
 
 
+def _held(domain, arity, entries, ring):
+    """A dict of entries that fit, as a tensor of the ring holds them: the
+    dict itself in an exact ring, coded (``scalars._FloatEntries``) in
+    floats."""
+    if isinstance(ring, ComplexRing):
+        return _FloatEntries.from_dict(entries, domain.size, arity)
+    return entries
+
+
 def _check_same_backend(t1: GroupTensor, t2: GroupTensor):
     if t1.domain is not t2.domain and t1.domain != t2.domain:
         raise ValueError(f"domain mismatch: {t1.domain!r} vs {t2.domain!r}")
@@ -250,31 +268,19 @@ def _check_same_backend(t1: GroupTensor, t2: GroupTensor):
         raise ValueError("cannot mix exact and float tensors")
 
 
-def _picker(slots):
-    """Tuple -> the tuple of its items at slots, for any slot count.
-
-    A run of consecutive slots (empty and single slots included) is read
-    as a slice, which itemgetter(*slots) cannot express for fewer than two.
-    """
-    slots = tuple(slots)
-    lo = slots[0] if slots else 0
-    if slots == tuple(range(lo, lo + len(slots))):
-        return itemgetter(slice(lo, lo + len(slots)))
-    return itemgetter(*slots)
-
-
 def contract(t1: GroupTensor, s1, t2: GroupTensor, s2, order=None) -> GroupTensor:
-    """Bind slots s1 of t1 to slots s2 of t2 pairwise, in one hash join.
+    """Bind slots s1 of t1 to slots s2 of t2 pairwise, in one join.
 
     s1 and s2 are equally long slot sequences; a bare int is one slot.
     Each bound pair needs opposite variances and contributes one measure
     weight, so k pairs carry r**-k and no pairs give the outer product.
     Result slots: t1's free slots, then t2's, all in order; ``order``
     lists them in any other order (order[i] names the slot placed at i,
-    as in ``permute``).  The join runs in the tensors' ring
-    (``ScalarRing.join`` or ``ComplexRing.join``), builds each key in the
-    result's order, so the result is never permuted, and drops entries
-    that sum to zero.
+    as in ``permute``).  The join runs in the tensors' ring, given the
+    bound and free slot tuples of both and the order (None for their own
+    order): ``ScalarRing.join`` hashes tuple keys, ``ComplexRing.join``
+    merges key codes.  Either builds each key in the result's order, so
+    the result is never permuted, and drops entries that sum to zero.
     """
     _check_same_backend(t1, t2)
     s1 = (s1,) if isinstance(s1, int) else tuple(s1)
@@ -289,17 +295,17 @@ def contract(t1: GroupTensor, s1, t2: GroupTensor, s2, order=None) -> GroupTenso
             )
     free1 = tuple(p for p in range(t1.arity) if p not in s1)
     free2 = tuple(p for p in range(t2.arity) if p not in s2)
-    n, pick = len(free1) + len(free2), None
-    if order is not None and tuple(order) != tuple(range(n)):
-        if sorted(order) != list(range(n)):
-            raise ValueError(f"{list(order)} is not an order of {n} result slots")
-        pick = _picker(order)
-    rest1, rest2 = _picker(free1), _picker(free2)
-    entries = t1.ring.join(
-        t1.entries, _picker(s1), rest1, t2.entries, _picker(s2), rest2, len(s1), pick
-    )
-    variances = rest1(t1.variances) + rest2(t2.variances)
-    return _built(t1.domain, pick(variances) if pick else variances, entries, t1.ring)
+    n = len(free1) + len(free2)
+    order = None if order is None else tuple(order)
+    if order == tuple(range(n)):
+        order = None
+    elif order is not None and sorted(order) != list(range(n)):
+        raise ValueError(f"{list(order)} is not an order of {n} result slots")
+    entries = t1.ring.join(t1.entries, s1, free1, t2.entries, s2, free2, len(s1), order)
+    variances = _picker(free1)(t1.variances) + _picker(free2)(t2.variances)
+    if order is not None:
+        variances = _picker(order)(variances)
+    return _built(t1.domain, variances, entries, t1.ring)
 
 
 @dataclass
@@ -429,7 +435,8 @@ class WirePermutation(GroupTensor):
         it has one."""
         scale = self.scale
         if scale is not None:
-            t.entries = {key: v * scale for key, v in t.entries.items()}
+            entries = {key: v * scale for key, v in t.entries.items()}
+            t.entries = _held(t.domain, t.arity, entries, t.ring)
         return t
 
 

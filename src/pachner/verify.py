@@ -126,11 +126,13 @@ def q_as_linmap(q: GroupTensor) -> GroupTensor:
 P33_ENTRIES_LIMIT = 1 << 18
 
 # verify_p33 slices the sides by first input when their bound exceeds
-# this.  Slicing runs six joins per element where whole sides run six in
-# all, and at or below 4**6 (bichar:Z4 and Z2xZ2; the perturbed bichar:Z3
-# controls take 3**6) the extra joins cost more time than the smaller
-# sides save: slicing every check moved the relation-float benchmark's
-# median op, a float control, from 3.3-3.4 ms to 4.1 ms.
+# this, which bounds the memory a check holds.  Slicing runs six joins per
+# element where whole sides run six in all, and at or below 4**6
+# (bichar:Z4 and Z2xZ2; the perturbed bichar:Z3 controls take 3**6) the
+# extra joins cost more time than the smaller sides save: with the float
+# join on key codes, slicing every check moved the relation-float
+# benchmark's median op, a float control, from 2.06 ms to 3.96-4.01 ms
+# (op_p50_ms_ref, three alternating 15 s pairs at seed 1, 2-core host).
 P33_SLICED_ABOVE = 1 << 12
 
 
@@ -333,7 +335,49 @@ _PROOF_CASES = {
 }
 
 
-def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
+class _ValueClasses:
+    """Integer ids for the values of one theorem check, one per distinct
+    value, keyed on its terms in item order, so the values of one class are
+    equal down to that order.
+
+    The solution's entries and every kernel's values are classed once, when
+    the classes are made, and the product of two classes is memoised, so
+    the four proof-case integrals of a check share both.  Products and sums
+    are classed by their terms, never by ``id``: once the ring drops its
+    tables (see ``scalars.SCALAR_TABLE_LIMIT``) a product may be a
+    duplicate object that is freed, and a later object may reuse its id.
+    The ring's own identity-keyed tables hold their operands for that
+    reason.
+    """
+
+    def __init__(self, dt: GroupTensor, kernels: dict):
+        self.by_terms, self.reps, self.products = {}, [], {}
+        self.rows = {}  # kernel name -> column -> [(row, class)]
+        for kname, kernel in kernels.items():
+            by_col = {}
+            for (row, col), val in kernel.entries.items():
+                by_col.setdefault(col, []).append((row, self.of(val)))
+            self.rows[kname] = by_col
+        self.entries = [(key, self.of(val)) for key, val in dt.entries.items()]
+
+    def of(self, v) -> int:
+        """The class of the value v."""
+        terms = tuple(v.terms.items())
+        c = self.by_terms.get(terms)
+        if c is None:
+            c = self.by_terms[terms] = len(self.reps)
+            self.reps.append(v)
+        return c
+
+    def times(self, a: int, b: int) -> int:
+        """The class of the product of a representative of a and one of b."""
+        c = self.products.get((a, b))
+        if c is None:
+            c = self.products[a, b] = self.of(self.reps[a] * self.reps[b])
+        return c
+
+
+def _proof_integral(dt: GroupTensor, plan, kernels: dict, classes=None) -> GroupTensor:
     """Expand one proof-case integral as an explicit weighted sum.
 
     Three argument positions are integrated against kernel rows, with one
@@ -344,11 +388,10 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
     already carries its slots in free-argument order.
 
     Kernel rows and solution entries hold few distinct values, so the
-    expansion runs on value classes: integer ids, one per distinct value,
-    keyed on its terms in item order, so the values of one class are equal
-    down to that order.  Every entry and kernel value is classed once, when
-    the rows are built; products are memoised per class pair, so each
-    distinct pair is multiplied once.  The three kernel positions are
+    expansion runs on value classes (``_ValueClasses``): ``classes``, made
+    from dt and kernels and shared by the integrals of one check, or made
+    here when none is given.  Products are memoised per class pair, so
+    each distinct pair is multiplied once.  The three kernel positions are
     nested loops in position order, the last one innermost, so every
     (entry, kernel-row) term is enumerated and multiplied in the order of
     a term-by-term expansion, and the terms share their partial products:
@@ -361,48 +404,23 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
     and the weight r**-3 is applied once per distinct sum.  The normal
     form is unique and ``_canonical`` orders its output by parity, so
     every entry, down to the order of its terms, equals the term-by-term
-    sum.  Products and sums made here are classed by their terms, never by
-    ``id``: once the ring drops its tables (see
-    ``scalars.SCALAR_TABLE_LIMIT``) a product may be a duplicate object
-    that is freed, and a later object may reuse its id.  The ring's own
-    identity-keyed tables hold their operands for that reason.
+    sum.
     """
-    by_terms, reps = {}, []
-
-    def value_class(v):
-        terms = tuple(v.terms.items())
-        c = by_terms.get(terms)
-        if c is None:
-            c = by_terms[terms] = len(reps)
-            reps.append(v)
-        return c
-
-    products = {}
-
-    def times(a, b):
-        c = products.get((a, b))
-        if c is None:
-            c = products[a, b] = value_class(reps[a] * reps[b])
-        return c
-
-    rows = {}
-    for kname, kernel in kernels.items():
-        by_col = {}
-        for (row, col), val in kernel.entries.items():
-            by_col.setdefault(col, []).append((row, value_class(val)))
-        rows[kname] = by_col
+    if classes is None:
+        classes = _ValueClasses(dt, kernels)
+    reps, times = classes.reps, classes.times
     free = [pos for pos, item in enumerate(plan) if item[0] == "free"]
     ker = [pos for pos, item in enumerate(plan) if item[0] == "ker"]
     (fa, fb), (ka, kb, kc) = free, ker
-    rows_a, rows_b, rows_c = (rows[plan[pos][2]] for pos in ker)
+    rows_a, rows_b, rows_c = (classes.rows[plan[pos][2]] for pos in ker)
     # the raw key's index of each output slot
     raw_index = [None] * 5
     for i, pos in enumerate(free + ker):
         raw_index[plan[pos][1]] = i
     in_slot_order = itemgetter(*raw_index)
     inner, acc = {}, {}
-    for key, val in dt.entries.items():
-        entry, x, y, col = value_class(val), key[fa], key[fb], key[kc]
+    for key, entry in classes.entries:
+        x, y, col = key[fa], key[fb], key[kc]
         for ra, ca in rows_a.get(key[ka], ()):
             ta = times(ca, entry)
             for rb, cb in rows_b.get(key[kb], ()):
@@ -418,16 +436,16 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict) -> GroupTensor:
                     else:
                         terms.append(term)
     ring = dt.ring
-    weight = value_class(ring.radical(-3))
+    weight = classes.of(ring.radical(-3))
     sums, entries = {}, {}
-    for raw, classes in acc.items():
-        if len(classes) == 1:
-            (c,) = classes
+    for raw, parts in acc.items():
+        if len(parts) == 1:
+            (c,) = parts
         else:
-            multiset = tuple(sorted(classes))
+            multiset = tuple(sorted(parts))
             c = sums.get(multiset)
             if c is None:
-                c = sums[multiset] = value_class(ring.sum(reps[part] for part in multiset))
+                c = sums[multiset] = classes.of(ring.sum(reps[part] for part in multiset))
         entries[in_slot_order(raw)] = reps[times(weight, c)]
     return GroupTensor(dt.domain, dt.variances, entries, ring)
 
@@ -461,10 +479,11 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
     kernels = symmetry_kernels(group, gauss=gauss)
     dt = sol.q
     target = dt.conj()
+    classes = _ValueClasses(dt, kernels)
     # Every case is computed, so a failing control shows which of the four
     # the data breaks, and its checks count all of them.
     comparisons = [
-        (case, tensor_equal(_proof_integral(dt, plan, kernels), target))
+        (case, tensor_equal(_proof_integral(dt, plan, kernels, classes), target))
         for case, plan in _PROOF_CASES.items()
     ]
     cases = {case: rep.verdict for case, rep in comparisons}

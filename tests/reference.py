@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from pachner.scalars import Comparison, ComplexRing, Scalar, approx_equal, compare
+from pachner.scalars import Comparison, ComplexRing, Scalar, _ambiguous, _buckets, approx_equal, compare
 from pachner.simplicial import MoveSite, Triangulation, simplex_boundary
 from pachner.solutions import SolutionSpec
 from pachner.tensors import (
@@ -39,9 +39,13 @@ from pachner.tensors import (
 from pachner.verify import _judge, p33_sides, q_as_linmap
 
 
-# values whose sums cancel exactly, and the least subnormal, which a weight
-# below one rounds to zero: the entry then drops only after weighting
-COMPLEX_VALUES = [1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0.25j, 5e-324 + 0j, -5e-324 + 0j, 3e-300j]
+# values whose sums cancel exactly, the least subnormal, which a weight
+# below one rounds to zero: the entry then drops only after weighting, and
+# values whose products round differently when a multiply-add is fused
+COMPLEX_VALUES = [
+    1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0.25j, 5e-324 + 0j, -5e-324 + 0j, 3e-300j,
+    0.1 + 0.7j, 1 / 3 - 2j / 7,
+]
 
 
 def two_pass_complex_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, k):
@@ -60,6 +64,45 @@ def two_pass_complex_join(ring, entries1, bound1, rest1, entries2, bound2, rest2
         weight = ring.radical(-k)
         out = {key: weight * v for key, v in out.items()}
     return {key: v for key, v in out.items() if v}
+
+
+def dict_complex_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, k, pick=None):
+    """ComplexRing.join as a dict join on tuple keys, before the float
+    backend coded its keys: products summed in entry order, one weight
+    r**-k per result entry, zero entries dropped.  bound1, rest1, bound2,
+    rest2 and pick are getters on tuple keys."""
+    buckets = _buckets(entries2, bound2, rest2)
+    heads = list(map(rest1, entries1))
+    ambiguous = _ambiguous(heads)
+    weight = ring.radical(-k)
+    out, pending = {}, []
+    accumulated = out.get
+    for (k1, v1), head in zip(entries1.items(), heads):
+        bucket = buckets.get(bound1(k1), ())
+        if head in ambiguous:
+            for tail, v2 in bucket:
+                key = pick(head + tail) if pick else head + tail
+                prev = accumulated(key)
+                if prev is None:
+                    out[key] = v1 * v2
+                    pending.append(key)
+                else:
+                    out[key] = prev + v1 * v2
+        elif k:
+            for tail, v2 in bucket:
+                if w := weight * (v1 * v2):
+                    out[pick(head + tail) if pick else head + tail] = w
+        else:
+            for tail, v2 in bucket:
+                if w := v1 * v2:
+                    out[pick(head + tail) if pick else head + tail] = w
+    for key in pending:
+        w = weight * out[key] if k else out[key]
+        if w:
+            out[key] = w
+        else:
+            del out[key]
+    return out
 
 
 def least_key_tensor_equal(t1, t2, rel=1e-9):

@@ -300,13 +300,16 @@ for argv in json.loads(sys.argv[1]):
         (
             [
                 ["verify", "p33", "--solution", "bichar:Z2"],
+                ["verify", "yb", "--solution", "bichar:Z2"],
+                ["verify", "theorem", "--group", "Z3"],
                 ["statesum", "--tri", DELTA5, "--solution", "bichar:Z3"],
                 ["moves", "walk", "--tri", DELTA5, "--type", "3,3", "--count", "20"],
                 ["verify", "p33", "--solution", "bichar:Z2", "--backend", "float"],
             ],
-            [False, False, False, False, True],
+            [False, False, False, False, False, False, True],
         ),
         ([["verify", "p33", "--solution", "bichar:Z2", "--oracle", "dense"]], [False, True]),
+        ([["statesum", "--tri", DELTA5, "--solution", "bichar:Z2", "--backend", "float"]], [False, True]),
     ],
 )
 def test_numpy_loads_only_on_the_float_and_dense_paths(argvs, loaded):

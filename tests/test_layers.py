@@ -5,9 +5,10 @@ Each module may import only the siblings listed in LAYERS.  The checkers
 the one Report type and the backend policy, so neither needs the other.
 The same reading pins the package's surface to its environment: one
 environment variable (the selftest's PACHNER_MUTATE) and no threads or
-processes of its own, numpy imported only inside the two functions that
-use it, and keeps the test modules apart: each imports
-shared references from tests/reference.py and from no other test module.
+processes of its own, numpy imported only inside the float backend's
+classes and the dense oracle, never at module level, and keeps the test
+modules apart: each imports shared references from tests/reference.py
+and from no other test module.
 """
 
 import ast
@@ -128,14 +129,29 @@ def numpy_imports(tree, scope=()) -> set:
     return found
 
 
-def test_numpy_is_imported_only_inside_the_float_comparison_and_the_dense_oracle():
-    # so importing the package and every exact run leave numpy unloaded
-    found = {
+def numpy_import_sites() -> set:
+    """(module, dotted scope) of every import of numpy in the package."""
+    return {
         (path.stem, where)
         for path in sorted(SRC.glob("*.py"))
         for where in numpy_imports(ast.parse(path.read_text()))
     }
-    assert found == {("scalars", "ComplexRing.compare_entries"), ("verify", "dense_p33_oracle")}
+
+
+def test_no_module_imports_numpy_at_module_level():
+    # so importing the package and every exact run leave numpy unloaded
+    sites = numpy_import_sites()
+    assert sites and not {module for module, where in sites if not where}
+
+
+def test_numpy_is_imported_only_inside_the_float_backend_and_the_dense_oracle():
+    # the float ring and its coded entries, and the dense oracle
+    owners = {(module, where.split(".")[0]) for module, where in numpy_import_sites()}
+    assert owners == {
+        ("scalars", "ComplexRing"),
+        ("scalars", "_FloatEntries"),
+        ("verify", "dense_p33_oracle"),
+    }
 
 
 def test_no_test_module_imports_another_but_the_reference():

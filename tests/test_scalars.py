@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,13 @@ from pachner.scalars import (
     Comparison,
     ComplexRing,
     Scalar,
+    _FloatEntries,
     approx_equal,
     compare,
     cyclotomic_polynomial,
     get_ring,
 )
-from reference import COMPLEX_VALUES, subtracting_compare, two_pass_complex_join
+from reference import COMPLEX_VALUES, dict_complex_join, subtracting_compare, two_pass_complex_join
 
 
 def poly_eval(coeffs, x):
@@ -351,30 +353,46 @@ def test_compare_of_equal_terms_does_not_subtract(monkeypatch):
 
 @st.composite
 def complex_join_args(draw):
-    arity1, arity2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    """Float join arguments as ComplexRing.join takes them, but with entry
+    dicts: operands of 0-3 slots over {0, 1}, either of them possibly
+    empty, k = 0 (an outer product) up to the smaller arity, heads under
+    one bound or several, and the result slots in their own order or in
+    a drawn one."""
+    arity1, arity2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     k = draw(st.integers(0, min(arity1, arity2)))
-    s1 = draw(st.permutations(range(arity1)))[:k]
-    s2 = draw(st.permutations(range(arity2)))[:k]
+    s1 = tuple(draw(st.permutations(range(arity1)))[:k])
+    s2 = tuple(draw(st.permutations(range(arity2)))[:k])
 
     def entries(arity):
         keys = draw(st.lists(st.tuples(*[st.integers(0, 1)] * arity), max_size=8, unique=True))
         return {key: draw(st.sampled_from(COMPLEX_VALUES)) for key in keys}
 
-    def pick(slots):
-        return lambda key: tuple(key[p] for p in slots)
+    free1 = tuple(p for p in range(arity1) if p not in s1)
+    free2 = tuple(p for p in range(arity2) if p not in s2)
+    order = draw(st.none() | st.permutations(range(len(free1) + len(free2))).map(tuple))
+    return entries(arity1), s1, free1, entries(arity2), s2, free2, k, order
 
-    rest1 = [p for p in range(arity1) if p not in s1]
-    rest2 = [p for p in range(arity2) if p not in s2]
-    return entries(arity1), pick(s1), pick(rest1), entries(arity2), pick(s2), pick(rest2), k
+
+def pick(slots):
+    return lambda key: tuple(key[p] for p in slots)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([1, 2, 3, 4, 6]), complex_join_args())
-def test_complex_join_matches_the_two_pass_join(order, args):
-    ring = ComplexRing(order)
-    got, want = ring.join(*args), two_pass_complex_join(ring, *args)
-    assert list(got) == list(want)
-    assert all(got[key] == want[key] for key in want)
+def test_complex_join_matches_the_two_pass_join(group_order, args):
+    # the same keys in the same order with the same bits as both dict joins
+    ring = ComplexRing(group_order)
+    entries1, s1, free1, entries2, s2, free2, k, order = args
+    got = ring.join(
+        _FloatEntries.from_dict(entries1, 2, len(s1 + free1)), s1, free1,
+        _FloatEntries.from_dict(entries2, 2, len(s2 + free2)), s2, free2, k, order,
+    )
+    getters = (entries1, pick(s1), pick(free1), entries2, pick(s2), pick(free2), k)
+    in_order = pick(range(len(free1 + free2)) if order is None else order)
+    two_pass = {in_order(key): v for key, v in two_pass_complex_join(ring, *getters).items()}
+    by_dict = dict_complex_join(ring, *getters, None if order is None else pick(order))
+    bits = lambda entries: [(key, struct.pack("<dd", v.real, v.imag)) for key, v in entries.items()]
+    assert bits(got) == bits(two_pass) == bits(by_dict)
 
 
 def pairwise_add(a, b):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 from operator import add
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from pachner import tensors
 from pachner.groups import FinAbGroup
-from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, compare
+from pachner.scalars import Comparison, ComplexRing, Scalar, ScalarRing, _FloatEntries, compare
 from pachner.tensors import (
     DOWN,
     UP,
@@ -28,6 +29,7 @@ from reference import (
     COMPLEX_VALUES,
     assert_identical_entries,
     compose,
+    dict_complex_join,
     least_key_tensor_equal,
     lin_matrix,
     outs_ins,
@@ -266,9 +268,25 @@ def picker(slots):
     return lambda key: tuple(key[p] for p in slots)
 
 
+def with_getters(args):
+    """Join arguments as ring.join takes them, (entries, slot tuples, k),
+    with each slot tuple read as a getter, as the reference joins take
+    them."""
+    entries1, s1, free1, entries2, s2, free2, k = args
+    return entries1, picker(s1), picker(free1), entries2, picker(s2), picker(free2), k
+
+
+def coded(args, radix):
+    """Join arguments with both float entry dicts coded over radix
+    elements, as ComplexRing.join takes them."""
+    entries1, s1, free1, entries2, s2, free2, k = args
+    code = lambda entries, slots: _FloatEntries.from_dict(entries, radix, len(slots))
+    return code(entries1, s1 + free1), s1, free1, code(entries2, s2 + free2), s2, free2, k
+
+
 @st.composite
 def repeating_operands(draw):
-    """Two exact entry dicts, bound and rest pickers and k = 0-3 pairs.
+    """Two exact entry dicts, bound and rest slot tuples and k = 0-3 pairs.
 
     Entries are +-1 times one of two base values: a bare radical power
     (whose products are exponent shifts that keep the other factor's term
@@ -317,8 +335,8 @@ def repeating_operands(draw):
     free1 = [p for p in range(arity1) if p not in s1]
     free2 = [p for p in range(arity2) if p not in s2]
     return ring, (
-        entries(arity1), picker(s1), picker(free1),
-        entries(arity2), picker(s2), picker(free2), k,
+        entries(arity1), tuple(s1), tuple(free1),
+        entries(arity2), tuple(s2), tuple(free2), k,
     )
 
 
@@ -327,7 +345,7 @@ def repeating_operands(draw):
 def test_exact_join_equals_the_per_entry_join(case):
     ring, args = case
     got = ring.join(*args)
-    want = per_entry_join(ring, *args)
+    want = per_entry_join(ring, *with_getters(args))
     assert list(got) == list(want)
     assert [list(v.terms.items()) for v in got.values()] == [
         list(v.terms.items()) for v in want.values()
@@ -340,11 +358,10 @@ def test_exact_join_keeps_each_entrys_term_order():
     ring = Z2.ring
     v = ring.one + ring.radical(1)
     flipped = Scalar(ring, dict(reversed(v.terms.items())))
-    args = ({(0,): v, (1,): flipped}, picker(()), picker((0,)),
-            {(0,): ring.radical(1)}, picker(()), picker((0,)), 0)
+    args = ({(0,): v, (1,): flipped}, (), (0,), {(0,): ring.radical(1)}, (), (0,), 0)
     got = [list(w.terms.items()) for w in ring.join(*args).values()]
     assert got == [[(1, v.terms[0]), (2, v.terms[1])], [(2, v.terms[1]), (1, v.terms[0])]]
-    assert got == [list(w.terms.items()) for w in per_entry_join(ring, *args).values()]
+    assert got == [list(w.terms.items()) for w in per_entry_join(ring, *with_getters(args)).values()]
 
 
 def test_exact_join_multiplies_each_value_pair_once(monkeypatch):
@@ -394,7 +411,7 @@ def test_exact_join_multiplies_each_value_pair_once(monkeypatch):
     ring.radical(-1)
     weight_calls = calls["canonical"]
     calls["canonical"] = 0
-    joined = ring.join(entries1, bound1, rest1, entries2, bound2, rest2, 1)
+    joined = ring.join(entries1, (1,), (0,), entries2, (0,), (1,), 1)
     assert calls["mul"] <= d1 * d2
     assert calls["shift"] == d1
     assert calls["canonical"] - weight_calls <= len(multisets)
@@ -752,6 +769,30 @@ def test_refusals_come_before_any_join(monkeypatch):
             f.compose(x, at)
 
 
+def test_float_keys_beyond_int64_codes_are_refused_before_allocating(monkeypatch):
+    # a float key is one int64 code, so |V|**arity must stay below 2**63:
+    # 62 slots over B2 fit, 63 and 64 do not
+    b2, ring = BasisDomain(2), ComplexRing(1)
+    refusal = lambda slots: re.escape(
+        f"float keys of {slots} slots over 2 elements take {2**slots} codes, "
+        f"over the {2**63} an int64 holds"
+    )
+    fits = GroupTensor(b2, (UP,) * 62, {(1,) * 62: 1j}, ring)
+    assert fits.entry((1,) * 62) == 1j and list(fits.entries) == [(1,) * 62]
+    for slots in (63, 64):
+        with pytest.raises(ValueError, match=refusal(slots)):
+            GroupTensor(b2, (UP,) * slots, {(0,) * slots: 1 + 0j}, ring)
+    exact = GroupTensor(b2, (UP,) * 64, {(0,) * 64: b2.ring.one})
+    with pytest.raises(ValueError, match=refusal(64)):
+        exact.to_float()
+    # the outer product of two 32-slot tensors is refused before the join
+    # reads an operand into an array
+    half = GroupTensor(b2, (UP,) * 32, {(1,) * 32: 2 + 0j}, ring)
+    monkeypatch.setattr(_FloatEntries, "split", lambda *args: pytest.fail("allocated"))
+    with pytest.raises(ValueError, match=refusal(64)):
+        contract(half, (), half, ())
+
+
 def test_compose_refuses_a_tensor_whose_up_slots_do_not_all_come_first(monkeypatch):
     # a map's outputs are its UP slots, ahead of its DOWN slots; Q in its
     # slot order (x, u, y, v, z) is no map, as factor, operand or start
@@ -908,9 +949,12 @@ def tensor_pairs(draw):
     if draw(st.booleans()):
         t1, t2 = t1.to_float(), t2.to_float()
         if draw(st.booleans()):
-            key = draw(st.sampled_from(sorted(t2.entries) or [None]))
+            # float entries are read-only: the nudged copy is a new tensor
+            entries = dict(t2.entries.items())
+            key = draw(st.sampled_from(sorted(entries) or [None]))
             if key is not None:
-                t2.entries[key] *= 1 + draw(st.sampled_from([1e-10, 1e-8]))
+                entries[key] *= 1 + draw(st.sampled_from([1e-10, 1e-8]))
+                t2 = GroupTensor(domain, variances, entries, t2.ring)
     return t1, t2
 
 
@@ -1185,7 +1229,7 @@ def headed_join_args(draw, kind, values):
     ))
     entries1 = {key: draw(values) for key in draw(st.permutations(keys1))}
     entries2 = {key: draw(values) for key in keys2}
-    return entries1, picker(s1), picker(free1), entries2, picker(s2), picker(free2), k
+    return entries1, tuple(s1), tuple(free1), entries2, tuple(s2), tuple(free2), k
 
 
 def assert_head_kind(kind, entries1, rest1):
@@ -1221,8 +1265,8 @@ def test_exact_join_paths_equal_the_per_entry_join(kind, data):
     shared = data.draw(st.lists(exact_values(ring), min_size=1, max_size=3))
     values = st.one_of(st.sampled_from(shared), exact_values(ring))
     args = data.draw(headed_join_args(kind, values))
-    assert_head_kind(kind, args[0], args[2])
-    got, want = ring.join(*args), per_entry_join(ring, *args)
+    assert_head_kind(kind, args[0], picker(args[2]))
+    got, want = ring.join(*args), per_entry_join(ring, *with_getters(args))
     assert list(got) == list(want)
     assert [list(v.terms.items()) for v in got.values()] == [
         list(v.terms.items()) for v in want.values()
@@ -1235,11 +1279,12 @@ def test_exact_join_paths_equal_the_per_entry_join(kind, data):
 def test_complex_join_paths_give_the_two_pass_bits(kind, data, order):
     ring = ComplexRing(order)
     args = data.draw(headed_join_args(kind, st.sampled_from(COMPLEX_VALUES)))
-    assert_head_kind(kind, args[0], args[2])
-    got, want = ring.join(*args), two_pass_complex_join(ring, *args)
-    assert list(got) == list(want)
+    assert_head_kind(kind, args[0], picker(args[2]))
+    got = ring.join(*coded(args, 3))
     bits = lambda v: struct.pack("<dd", v.real, v.imag)
-    assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
+    for want in (two_pass_complex_join(ring, *with_getters(args)), dict_complex_join(ring, *with_getters(args))):
+        assert list(got) == list(want)
+        assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pachner.groups import FinAbGroup, parse_group
-from pachner.scalars import Scalar, ScalarRing
+from pachner.scalars import ComplexRing, Scalar, ScalarRing, _FloatEntries
 from pachner.solutions import (
     SolutionSpec,
     groups_up_to_order,
@@ -329,6 +329,42 @@ def test_exact_and_float_backends_agree():
         assert verify_p33(sol, backend="exact").verdict == verify_p33(sol, backend="float").verdict
     bad = perturb_q(parse_solution("bichar:Z3"), 5)
     assert verify_p33(bad, backend="exact").verdict == verify_p33(bad, backend="float").verdict == "fail"
+
+
+def coded_dict_join(ring, entries1, s1, free1, entries2, s2, free2, k, order=None):
+    """ComplexRing.join through the dict join on tuple keys (the
+    reference), its result coded back."""
+    getter = lambda slots: (lambda key: tuple(key[p] for p in slots))
+    joined = reference.dict_complex_join(
+        ring, dict(entries1.items()), getter(s1), getter(free1),
+        dict(entries2.items()), getter(s2), getter(free2), k, None if order is None else getter(order),
+    )
+    return _FloatEntries.from_dict(joined, entries1.radix, len(free1) + len(free2))
+
+
+def test_float_sides_have_the_dict_joins_bits(monkeypatch):
+    # the whole (3,3) sides and the sides of every Yang-Baxter family
+    # identity compared, key for key and bit for bit, with the sides the
+    # dict join builds, on the clean solutions and the 20 Z3 controls
+    base = parse_solution("bichar:Z3")
+    sols = [parse_solution(f"bichar:{g}") for g in ("Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2")]
+    sols += [parse_solution("triple:groupalg:S3")] + [perturb_q(base, seed) for seed in range(20)]
+
+    def sides(sol):
+        found = list(p33_sides(in_backend(sol.q, "float")))
+        monkeypatch.setattr(verify, "tensor_equal", lambda a, b: found.extend((a, b)) or tensor_equal(a, b))
+        verify_yb_family(sol, backend="float")
+        monkeypatch.setattr(verify, "tensor_equal", tensor_equal)
+        return found
+
+    for sol in sols:
+        got = sides(sol)
+        with monkeypatch.context() as patched:
+            patched.setattr(ComplexRing, "join", coded_dict_join)
+            want = sides(sol)
+        assert len(got) == len(want) >= 4
+        for a, b in zip(got, want):
+            assert_identical_entries(a, b)
 
 
 # -- pentagon ------------------------------------------------------------------
