@@ -68,7 +68,8 @@ FLOAT_REL unless a caller names another.  Its tensors hold their entries
 as ``_FloatEntries``: int64 key codes, a key's elements read as base-|V|
 digits, beside complex128 values, in numpy arrays.  Its join merges the
 codes of whole operands and gives the dict join's keys, key order and
-float bits; its comparison aligns the codes of both sides.  numpy is
+float bits; its comparison argsorts each side's codes once and lines
+the sides up on the sorted union of their codes.  numpy is
 imported on first float use, so exact runs never load it.
 """
 
@@ -1018,29 +1019,37 @@ class ComplexRing:
         """ScalarRing.compare_entries at relative tolerance rel: approx_equal
         on every key at once, so nothing is INDETERMINATE.
 
-        Both sides' values are read into one array each over the sorted
-        union of their codes, zero where a side has no entry, so the first
-        unequal position holds the least unequal key.  The test is
-        approx_equal's, elementwise in the same float operations, and its
-        max keeps the first of equal or unordered operands as Python's max
-        does, so a nan or infinite value gets the verdict approx_equal
-        gives it.
+        Each side's codes are argsorted once, and both sides' values are
+        read in that order into one array each over the sorted union of
+        their codes, zero where a side has no entry, so the first unequal
+        position holds the least unequal key.  When the two sorted runs are
+        equal, as on the two sides of a passing check, they are the union
+        and the sorted values are read straight across; otherwise the union
+        is merged from the two runs and each side's values are placed by
+        sorted queries.  The test is approx_equal's, elementwise in the
+        same float operations, and its max keeps the first of equal or
+        unordered operands as Python's max does, so a nan or infinite value
+        gets the verdict approx_equal gives it.
         """
         import numpy as np
 
-        codes = np.concatenate((entries1.codes, entries2.codes))
-        codes.sort()
-        distinct = np.ones(len(codes), bool)
-        np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
-        codes = codes[distinct]
-        n = len(codes)
-        a, b = np.zeros(n, complex), np.zeros(n, complex)
-        a[np.searchsorted(codes, entries1.codes)] = entries1.vals
-        b[np.searchsorted(codes, entries2.codes)] = entries2.vals
+        by_code1, by_code2 = entries1.codes.argsort(), entries2.codes.argsort()
+        codes1, codes2 = entries1.codes[by_code1], entries2.codes[by_code2]
+        a, b = entries1.vals[by_code1], entries2.vals[by_code2]
+        codes = codes1
+        if not np.array_equal(codes1, codes2):
+            codes = np.concatenate((codes1, codes2))
+            codes.sort(kind="stable")  # a merge of the two sorted runs
+            distinct = np.ones(len(codes), bool)
+            np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
+            codes = codes[distinct]
+            a_all, b_all = np.zeros(len(codes), complex), np.zeros(len(codes), complex)
+            a_all[codes.searchsorted(codes1)] = a
+            b_all[codes.searchsorted(codes2)] = b
+            a, b = a_all, b_all
         with np.errstate(all="ignore"):  # inf - inf is nan, as in Python
             abs_a, abs_b = np.abs(a), np.abs(b)
             scale = np.where(abs_b > abs_a, abs_b, abs_a)
             scale = np.where(1.0 > scale, 1.0, scale)
             unequal = np.flatnonzero(~(np.abs(a - b) <= rel * scale))
-        return n, entries1.key(codes[unequal[0]]) if len(unequal) else None, None
-
+        return len(codes), entries1.key(codes[unequal[0]]) if len(unequal) else None, None

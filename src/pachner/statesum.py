@@ -202,11 +202,16 @@ def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "ex
         state_slot[s1] = idx
         state_slot[s2] = idx
     npair = len(a.pairings)
+    # each distinct tensor (Q and conj(Q)) read into a dict once: a float
+    # tensor's entries find one key by a scan of its codes
+    distinct = {id(tensor): tensor for tensor in a.tensors}
+    tables = {key: dict(tensor.entries.items()) for key, tensor in distinct.items()}
+    entries = [tables[id(tensor)] for tensor in a.tensors]
     total = ring.zero
     for state in itertools.product(domain.elements(), repeat=npair):
         prod = None
-        for e, tensor in enumerate(a.tensors):
-            val = tensor.entries.get(tuple(state[state_slot[(e, f)]] for f in range(5)))
+        for e, table in enumerate(entries):
+            val = table.get(tuple(state[state_slot[(e, f)]] for f in range(5)))
             if val is None:
                 prod = None
                 break

@@ -47,13 +47,14 @@ both tensors' entries to the ring's ``compare_entries``
 large to hold whole twice, and folds the pairs into the report the
 whole tensors give): the exact ring passes a key whose two values are
 one object and compares each other distinct pair of values once, and
-the float ring aligns the two sides' codes and compares all keys at
-once.  The float ring imports numpy on first use, so an exact run never
-loads it.  An exact ``conj`` and ``to_float`` map each distinct value
-object once, classed by ``scalars._classes``; a float ``conj``
-conjugates the value array at the same codes.  Results of ``contract``,
-``permute`` and ``conj`` are built without the constructor's per-entry
-checks, which they pass by construction.
+the float ring argsorts each side's codes once, lines the two sides up
+on the sorted union of their codes and compares all keys at once.  The
+float ring imports numpy on first use, so an exact run never loads it.
+An exact ``conj`` and ``to_float`` map each distinct value object once,
+classed by ``scalars._classes``; a float ``conj`` conjugates the value
+array at the same codes.  Results of ``contract``, ``permute`` and
+``conj`` are built without the constructor's per-entry checks, which
+they pass by construction.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
 used by the bialgebra-style constructions).  Either way an element is an

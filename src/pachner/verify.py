@@ -130,9 +130,10 @@ P33_ENTRIES_LIMIT = 1 << 18
 # element where whole sides run six in all, and at or below 4**6
 # (bichar:Z4 and Z2xZ2; the perturbed bichar:Z3 controls take 3**6) the
 # extra joins cost more time than the smaller sides save: with the float
-# join on key codes, slicing every check moved the relation-float
-# benchmark's median op, a float control, from 2.06 ms to 3.96-4.01 ms
-# (op_p50_ms_ref, three alternating 15 s pairs at seed 1, 2-core host).
+# join and comparison on key codes, slicing every check moved the
+# relation-float benchmark's median op, a float control, from 1.96-1.97 ms
+# to 3.76-3.80 ms (op_p50_ms_ref, three alternating 15 s pairs at seed 1,
+# 2-core host).
 P33_SLICED_ABOVE = 1 << 12
 
 
@@ -494,18 +495,23 @@ def verify_theorem(group: FinAbGroup, chi=None, gauss=None) -> Report:
 
 # -- independent dense oracle --------------------------------------------------
 
-# The oracle builds and compares both sides one first-output slab at a time.
-# For one first output index it holds the two sides' n**8 complex128 slabs
-# (16 bytes per entry each), the n**7 intermediate of the contraction path
-# below, and the n**8 temporaries of the slab's comparison: np.isclose holds
-# the complex difference (16 bytes per entry) and its float magnitude (8
-# bytes) at once, and later float and boolean temporaries never exceed those
-# 24 bytes per entry.  Each slab is copied into C order as it is built, so
-# the comparison reads both in one layout (slabs in two strided layouts make
-# np.isclose buffer whole operands when a slab is small); a copy and its
-# source beside the other slab hold 48 bytes per entry, under the
-# comparison's 56.  A slab's arrays are freed before the next slab is built.
-# Larger inputs are refused before allocation.
+# The oracle builds and compares both sides one first-output slab at a time,
+# each side into its own n**8 complex128 buffer in C order (16 bytes per
+# entry each), allocated once and reused by every slab.  Both buffers in one
+# layout let the comparison read them without buffering whole operands, as
+# np.isclose does on slabs in two strided layouts when a slab is small.
+# - Building a slab (np.einsum with out=) holds, beside the two buffers, the
+#   path's last product before it is copied into its buffer (16 bytes per
+#   entry), and the path's n**7 intermediate with a reordered copy of it (32
+#   bytes per n**7 entries): 48 bytes per entry plus 32 per n**7.
+# - Comparing a slab holds, beside the two buffers, np.isclose's complex
+#   difference (16 bytes per entry) and its float magnitude (8) at once;
+#   later float and boolean temporaries never exceed those 24 bytes: 56
+#   bytes per entry.
+# The count checked below, 32 bytes per entry for the buffers, 16 per n**7
+# for the intermediate and 24 per entry for the comparison, bounds both,
+# since 8 * n**8 >= 16 * n**7 for n >= 2.  Larger inputs are refused before
+# allocation.
 DENSE_BYTES_LIMIT = 1 << 30
 
 # Each side's slab contracts pairwise: first the factor holding the first
@@ -525,9 +531,10 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
     the sparse machinery entirely.  Both sides are built and compared one
     first-output slab (N^8 entries) at a time, every slab compared, each
     side's slab contracted along a fixed pairwise path (_LHS_PATH,
-    _RHS_PATH); DENSE_BYTES_LIMIT is checked against what one slab holds
-    before allocation, and entries agree within FLOAT_REL relative and
-    absolute tolerance.  The witness is the least mismatching index in C
+    _RHS_PATH) into that side's C-order buffer, which every slab reuses;
+    DENSE_BYTES_LIMIT is checked against what one slab holds before
+    allocation, and entries agree within FLOAT_REL relative and absolute
+    tolerance.  The witness is the least mismatching index in C
     order: the first failing slab's, followed by the least index inside
     it.  numpy is imported here, on first use, so exact runs never load
     it.
@@ -551,18 +558,17 @@ def dense_p33_oracle(sol: SolutionSpec) -> Report:
         arr[key] = val
 
     witness = values = None
+    lhs, rhs = np.empty((n,) * 8, complex), np.empty((n,) * 8, complex)
     for i in range(n):
-        lhs = np.einsum("sltm,spjun,tqurk->lmjnkpqr", arr[i], arr, arr, optimize=_LHS_PATH)
-        lhs = np.ascontiguousarray(lhs)
-        rhs = np.einsum("msntk,lujrt,puqs->lmjnkpqr", arr, arr, arr[i], optimize=_RHS_PATH)
-        rhs = np.ascontiguousarray(rhs)
+        np.einsum("sltm,spjun,tqurk->lmjnkpqr", arr[i], arr, arr, out=lhs, optimize=_LHS_PATH)
+        np.einsum("msntk,lujrt,puqs->lmjnkpqr", arr, arr, arr[i], out=rhs, optimize=_RHS_PATH)
         bad = ~np.isclose(lhs, rhs, rtol=FLOAT_REL, atol=FLOAT_REL)
         # the least index in C order, found without listing every mismatch
         first = np.unravel_index(int(np.argmax(bad)), bad.shape)
         if witness is None and bad[first]:
             witness = _fmt_key(q.domain, (i, *map(int, first)))
             values = {"lhs_value": format(lhs[first], ".12g"), "rhs_value": format(rhs[first], ".12g")}
-        del lhs, rhs, bad
+        del bad
     if witness is None:
         return _report("p33-dense", sol.descriptor, "dense", "pass", n**9)
     return _report("p33-dense", sol.descriptor, "dense", "fail", n**9, witness, values)

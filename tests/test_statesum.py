@@ -228,6 +228,18 @@ def test_float_backend_matches_exact_on_a_basis_domain():
         assert abs(value - 8) < 1e-9
 
 
+def test_float_bruteforce_finds_no_entry_by_key(monkeypatch):
+    # a float tensor's get and [] scan every code; the enumeration reads
+    # each distinct tensor once instead
+    from pachner.scalars import _FloatEntries
+
+    sphere = Triangulation.load(DATA / "boundary_delta5.tri")
+    sol = parse_solution("triple:groupalg:Z2")
+    for name in ("get", "__getitem__"):
+        monkeypatch.setattr(_FloatEntries, name, lambda *args, name=name: pytest.fail(name))
+    assert abs(partition_bruteforce(sphere, sol, "float") - 8) < 1e-9
+
+
 def test_sphere_value_matches_state_enumeration():
     sphere = simplex_boundary(5)
     sol = parse_solution("bichar:Z2")

@@ -1080,16 +1080,20 @@ FLOAT_EDGE_VALUES = [
 
 @st.composite
 def float_edge_pairs(draw):
-    """Two float tensors over Z3 with keys on one side only and values
-    drawn from FLOAT_EDGE_VALUES, often equal on a shared key."""
-    arity = draw(st.integers(0, 2))
+    """Two float tensors over Z3 of arity 0-3 with keys on one side only
+    and values drawn from FLOAT_EDGE_VALUES, often equal on a shared key.
+    Each side's entries are inserted in a drawn order, so its codes come
+    unsorted; some pairs hold one key set, in one order or in two."""
+    arity = draw(st.integers(0, 3))
     keys = list(itertools.product(Z3.elements(), repeat=arity))
     values = st.sampled_from(FLOAT_EDGE_VALUES).map(complex)
-    e1 = {key: draw(values) for key in keys if draw(st.integers(0, 3))}
-    e2 = {}
-    for key in keys:
-        if draw(st.integers(0, 3)):
-            e2[key] = e1[key] if key in e1 and draw(st.booleans()) else draw(values)
+    order1 = draw(st.permutations([key for key in keys if draw(st.integers(0, 3))]))
+    if draw(st.booleans()):
+        order2 = order1 if draw(st.booleans()) else draw(st.permutations(order1))
+    else:
+        order2 = draw(st.permutations([key for key in keys if draw(st.integers(0, 3))]))
+    e1 = {key: draw(values) for key in order1}
+    e2 = {key: e1[key] if key in e1 and draw(st.booleans()) else draw(values) for key in order2}
     ring = ComplexRing(3)
     return GroupTensor(Z3, (UP,) * arity, e1, ring), GroupTensor(Z3, (UP,) * arity, e2, ring)
 
