@@ -8,10 +8,10 @@ seed and reports whether the state sum stayed fixed, alongside one
 deliberately corrupted tensor that is expected to drift.
 
 Only the bicharacter walks are certified: the state sum wires Q by facet
-index, which relies on slot symmetries that only the bicharacter
-solutions are shown to have.  The group-algebra triples are walked too
-and printed as outside that scope; some of their walks change value, and
-their verdicts do not set the exit code.
+index, and their invariance rests on these walks and the duality
+theorem's kernels, not on a slot symmetry of Q.  The group-algebra
+triples are walked too and printed as outside that scope; some of their
+walks change value, and their verdicts do not set the exit code.
 """
 
 import argparse

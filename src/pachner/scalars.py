@@ -51,7 +51,9 @@ colliding on a key once per distinct multiset of such pairs; the
 arithmetic behind those calls comes from the ring's tables after its
 first run.  ``ScalarRing.compare_entries`` skips a key whose two values
 are one object, which hash-consing makes equal, and compares the other
-keys' values once per distinct pair of value objects.
+keys' values once per distinct pair of value objects.  Each ring's
+``compare_entries`` returns, for each failing verdict, its least key
+with both values there, so a caller reports without looking keys up.
 
 Both rings' joins write a result entry once, already weighted, when one
 pair of entries meets its key.  A key of the first operand splits into
@@ -64,12 +66,13 @@ occurs under several bounds, the usual case in a state sum, accumulate.
 
 ``ComplexRing`` is the float cross-check backend: complex numbers with
 r = sqrt(N) behind the same interface, compared at a relative tolerance,
-FLOAT_REL unless a caller names another.  Its tensors hold their entries
-as ``_FloatEntries``: int64 key codes, a key's elements read as base-|V|
-digits, beside complex128 values, in numpy arrays.  Its join merges the
-codes of whole operands and gives the dict join's keys, key order and
-float bits; its comparison argsorts each side's codes once and lines
-the sides up on the sorted union of their codes.  numpy is
+FLOAT_REL unless a caller names another.  A ring holds its tensors'
+entries in its own format (``hold``): the exact ring the dict itself,
+the float ring ``_FloatEntries``, int64 key codes, a key's elements read
+as base-|V| digits, beside complex128 values, in numpy arrays.  Its join
+merges the codes of whole operands and gives the dict join's keys, key
+order and float bits; its comparison argsorts each side's codes once and
+lines the sides up on the sorted union of their codes.  numpy is
 imported on first float use, so exact runs never load it.
 """
 
@@ -397,6 +400,11 @@ class ScalarRing:
     def conj(self, v: "Scalar") -> "Scalar":
         return v.conj()
 
+    def hold(self, entries: dict, radix: int, arity: int) -> dict:
+        """A dict of entries that fit, as this ring's tensors hold them:
+        the dict itself."""
+        return entries
+
     def join(self, entries1, s1, free1, entries2, s2, free2, k, order=None):
         """Sum v1 * v2 * r**-k per key rest1(k1) + rest2(k2), put in slot
         order by ``pick`` when an ``order`` is given, over all entry pairs
@@ -511,17 +519,17 @@ class ScalarRing:
         """Both entry dicts compared over the union of their keys, a missing
         entry read as zero, with :func:`compare`; rel is unused.
 
-        Returns (keys compared, least UNEQUAL key, least INDETERMINATE key),
-        None where no key has that verdict.  A key whose two values are
-        one object is EQUAL, ``compare``'s own first branch, and join
+        Returns the keys compared and {verdict: (least key, its value in
+        entries1, its value in entries2)} for UNEQUAL and INDETERMINATE,
+        each present only when some key has it.  A key whose two values
+        are one object is EQUAL, ``compare``'s own first branch, and join
         results and hash-consed values make that the usual case, so only
         the keys holding two distinct objects reach ``compare``, once per
         distinct pair of them: the entry dicts keep their values alive, so
         an id names one value for the whole walk.
         """
         keys, values1, values2 = _aligned(entries1, entries2, self.zero)
-        verdicts = {}
-        failing = {Comparison.UNEQUAL: [], Comparison.INDETERMINATE: []}
+        verdicts, least = {}, {}
         equal = Comparison.EQUAL
         distinct = map(is_not, values1, values2)
         for key, v1, v2 in compress(zip(keys, values1, values2), distinct):
@@ -529,13 +537,9 @@ class ScalarRing:
             verdict = verdicts.get(pair)
             if verdict is None:
                 verdict = verdicts[pair] = compare(v1, v2)
-            if verdict is not equal:
-                failing[verdict].append(key)
-        return (
-            len(keys),
-            min(failing[Comparison.UNEQUAL], default=None),
-            min(failing[Comparison.INDETERMINATE], default=None),
-        )
+            if verdict is not equal and (verdict not in least or key < least[verdict][0]):
+                least[verdict] = (key, v1, v2)
+        return len(keys), least
 
     def parse(self, text: str) -> "Scalar":
         """Parse the rendering grammar "a0 + a1·z^1 + ... [· r^k]".
@@ -750,11 +754,6 @@ def compare(a: Scalar, b: Scalar) -> Comparison:
     return Comparison.INDETERMINATE
 
 
-def approx_equal(x: complex, y: complex, rel: float = FLOAT_REL) -> bool:
-    scale = max(abs(x), abs(y), 1.0)
-    return abs(x - y) <= rel * scale
-
-
 def _check_codes(radix: int, arity: int):
     """Refuse float keys of ``arity`` slots over ``radix`` elements when
     their codes, 0 .. radix**arity - 1, do not all fit an int64.
@@ -847,14 +846,6 @@ class _FloatEntries(Mapping):
             total += block * w
         return total
 
-    def key(self, code) -> tuple:
-        """The key a code names."""
-        code, digits = int(code), []
-        for _ in range(self.arity):
-            code, x = divmod(code, self.radix)
-            digits.append(x)
-        return tuple(reversed(digits))
-
     def _find(self, key):
         """The position of key's entry, None when it has none."""
         import numpy as np
@@ -883,18 +874,18 @@ class _FloatEntries(Mapping):
         return len(self.codes)
 
     def __iter__(self):
-        digits = self.codes[:, None] // self._weights(self.radix, self.arity) % self.radix
-        return map(tuple, digits.tolist())
+        return map(tuple, self.digits(self.codes))
+
+    def digits(self, codes) -> list:
+        """The keys that an array of codes names, each as a list of its
+        elements."""
+        return (codes[:, None] // self._weights(self.radix, self.arity) % self.radix).tolist()
 
     def items(self):
         return zip(self, self.vals.tolist())
 
     def values(self):
         return iter(self.vals.tolist())
-
-    def conj(self) -> "_FloatEntries":
-        """Every value conjugated, at the same codes."""
-        return _FloatEntries(self.codes, self.vals.conj(), self.radix, self.arity)
 
 
 @dataclass(frozen=True)
@@ -903,10 +894,10 @@ class ComplexRing:
 
     It has ScalarRing's interface, so tensors and checkers run one code
     path on either backend.  Its tensors hold their entries as
-    ``_FloatEntries``, key codes and values in numpy arrays, and ``join``
-    and ``compare_entries`` work on those arrays whole.  numpy is imported
-    on first float use, so exact runs never load it.  Comparison is
-    approx_equal at relative tolerance rel, so it is never INDETERMINATE.
+    ``_FloatEntries`` (``hold``), key codes and values in numpy arrays, and
+    ``join`` and ``compare_entries`` work on those arrays whole.  numpy is
+    imported on first float use, so exact runs never load it.  Comparison
+    is at relative tolerance rel, so it is never INDETERMINATE.
     """
 
     group_order: int
@@ -919,6 +910,11 @@ class ComplexRing:
 
     def conj(self, v: complex) -> complex:
         return v.conjugate()
+
+    def hold(self, entries: dict, radix: int, arity: int) -> "_FloatEntries":
+        """A dict of entries that fit, as this ring's tensors hold them:
+        coded, in the dict's order (``_FloatEntries.from_dict``)."""
+        return _FloatEntries.from_dict(entries, radix, arity)
 
     def join(self, entries1, s1, free1, entries2, s2, free2, k, order=None):
         """ScalarRing.join on coded entries, with the bits of the dict
@@ -1016,40 +1012,41 @@ class ComplexRing:
         return format(complex(real, imag), ".12g")
 
     def compare_entries(self, entries1, entries2, rel=FLOAT_REL):
-        """ScalarRing.compare_entries at relative tolerance rel: approx_equal
-        on every key at once, so nothing is INDETERMINATE.
+        """ScalarRing.compare_entries at relative tolerance rel, on every key
+        at once, so nothing is INDETERMINATE.
 
-        Each side's codes are argsorted once, and both sides' values are
-        read in that order into one array each over the sorted union of
-        their codes, zero where a side has no entry, so the first unequal
-        position holds the least unequal key.  When the two sorted runs are
+        Both sides' values are read into one array each over the sorted
+        union of their codes, zero where a side has no entry, so the first
+        unequal position holds the least unequal key, decoded as
+        ``_FloatEntries.__iter__`` decodes keys, and both values there.
+        Each side's codes are argsorted once; when the two sorted runs are
         equal, as on the two sides of a passing check, they are the union
-        and the sorted values are read straight across; otherwise the union
-        is merged from the two runs and each side's values are placed by
-        sorted queries.  The test is approx_equal's, elementwise in the
-        same float operations, and its max keeps the first of equal or
-        unordered operands as Python's max does, so a nan or infinite value
-        gets the verdict approx_equal gives it.
+        and the values are read across in that order, otherwise one
+        ``np.unique`` of both sorted runs gives the union and each entry's
+        place in it.  The test is the reference ``approx_equal``'s
+        (``tests/reference.py``), max(|a|, |b|, 1) scaling rel,
+        elementwise in the same float operations, and its max keeps the
+        first of equal or unordered operands as Python's max does, so a
+        nan or infinite value gets the verdict the reference gives it.
         """
         import numpy as np
 
         by_code1, by_code2 = entries1.codes.argsort(), entries2.codes.argsort()
-        codes1, codes2 = entries1.codes[by_code1], entries2.codes[by_code2]
+        codes, codes2 = entries1.codes[by_code1], entries2.codes[by_code2]
         a, b = entries1.vals[by_code1], entries2.vals[by_code2]
-        codes = codes1
-        if not np.array_equal(codes1, codes2):
-            codes = np.concatenate((codes1, codes2))
-            codes.sort(kind="stable")  # a merge of the two sorted runs
-            distinct = np.ones(len(codes), bool)
-            np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
-            codes = codes[distinct]
+        if not np.array_equal(codes, codes2):
+            # return_index makes np.unique argsort stably: a merge of two sorted runs
+            codes, _, at = np.unique(np.concatenate((codes, codes2)), return_index=True, return_inverse=True)
             a_all, b_all = np.zeros(len(codes), complex), np.zeros(len(codes), complex)
-            a_all[codes.searchsorted(codes1)] = a
-            b_all[codes.searchsorted(codes2)] = b
+            a_all[at[: len(a)]], b_all[at[len(a) :]] = a, b
             a, b = a_all, b_all
         with np.errstate(all="ignore"):  # inf - inf is nan, as in Python
             abs_a, abs_b = np.abs(a), np.abs(b)
             scale = np.where(abs_b > abs_a, abs_b, abs_a)
             scale = np.where(1.0 > scale, 1.0, scale)
             unequal = np.flatnonzero(~(np.abs(a - b) <= rel * scale))
-        return len(codes), entries1.key(codes[unequal[0]]) if len(unequal) else None, None
+        if not len(unequal):
+            return len(codes), {}
+        i = unequal[0]
+        (key,) = entries1.digits(codes[i : i + 1])
+        return len(codes), {Comparison.UNEQUAL: (tuple(key), a[i].item(), b[i].item())}

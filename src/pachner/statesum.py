@@ -25,11 +25,13 @@ certified scope; ``build_assignment`` reports the face that
 sites and the order ``walk`` reads them in are ``simplicial``'s:
 ``check_move_type`` and ``all_sites``.
 
-(3,3)-invariance is certified for the bicharacter solutions only.  Wiring
-Q by facet index relies on slot symmetries that only they are shown to
-have; a group-algebra triple's state sum changes under some (3,3) moves
-(on the 4-sphere, triple:groupalg:Z2 goes from 8 to 16 at the first move
-of the seed-5 walk).
+(3,3)-invariance is certified for the bicharacter solutions only.  Q is
+wired by facet index, and no slot permutation but the identity and the
+reversal maps Q to a multiple of itself, so that scope rests on the
+seeded move walks and the duality theorem's kernels, not on a slot
+symmetry; a group-algebra triple's state sum changes under some (3,3)
+moves (on the 4-sphere, triple:groupalg:Z2 goes from 8 to 16 at the
+first move of the seed-5 walk).
 """
 
 from __future__ import annotations
@@ -251,8 +253,8 @@ def invariance_run(
 
     The certified statement covers p = 3, the (3,3) move, for the
     bicharacter solutions; other types, and the group-algebra triples
-    (whose facet-index wiring lacks the slot symmetries it relies on), are
-    runnable for exploration but carry no invariance promise here.  The
+    (whose state sums change under some (3,3) moves), are runnable for
+    exploration but carry no invariance promise here.  The
     exact backend compares values as ring elements; the float backend
     fails a relative error above FLOAT_REL and reports the largest it
     saw.  The moves are the first ``count`` steps of ``walk`` seeded with

@@ -28,32 +28,34 @@ and scales by r**k * r**-k from the ring only where the domain's exact
 ring finds that is not one.
 
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
-or a ComplexRing for the float cross-check backend, so both backends
-share every code path.  An exact tensor holds a dict of tuple keys; a
-float one holds ``scalars._FloatEntries``, a read-only mapping of int64
-key codes and complex128 values, which the constructor, ``to_float``
-and ``permute`` code from a dict (``_held``) and which builds tuple keys
-only when it is iterated.  ``contract`` checks slots and variances and
-hands the slot tuples to the ring's ``join``, which runs the join
-itself: the exact ring a hash join that folds the weight into the
-distinct values of one operand and computes each product once per
+or a ComplexRing for the float cross-check backend, in the format that
+ring's ``hold`` gives a dict of entries, so both backends share every
+code path.  An exact tensor holds the dict of tuple keys itself; a float
+one holds ``scalars._FloatEntries``, a read-only mapping of int64 key
+codes and complex128 values, which builds tuple keys only when it is
+iterated.  The constructor, ``permute``, ``conj`` and a wire's rescale
+build a dict and hand it to ``hold``.  ``contract`` checks slots and
+variances and hands the slot tuples to the ring's ``join``, which runs
+the join itself: the exact ring a hash join that folds the weight into
+the distinct values of one operand and computes each product once per
 distinct pair of values, the float ring a sort-merge join on whole
 arrays of codes that keeps the dict join's summation order and bits;
 both write a key that one pair of entries meets once, already weighted
 (composing a map whose outputs fix its inputs, such as Q, meets every
 key so).  Likewise ``tensor_equal`` checks arity and backend and hands
-both tensors' entries to the ring's ``compare_entries``
-(``slices_equal`` does so per pair of matching slices, for tensors too
-large to hold whole twice, and folds the pairs into the report the
-whole tensors give): the exact ring passes a key whose two values are
-one object and compares each other distinct pair of values once, and
-the float ring argsorts each side's codes once, lines the two sides up
-on the sorted union of their codes and compares all keys at once.  The
-float ring imports numpy on first use, so an exact run never loads it.
-An exact ``conj`` and ``to_float`` map each distinct value object once,
-classed by ``scalars._classes``; a float ``conj`` conjugates the value
-array at the same codes.  Results of ``contract``, ``permute`` and
-``conj`` are built without the constructor's per-entry checks, which
+both tensors' entries to the ring's ``compare_entries``, which returns
+the keys compared and, for each failing verdict, its least key with both
+values there (``slices_equal`` does so per pair of matching slices, for
+tensors too large to hold whole twice, and folds the pairs into the
+report the whole tensors give, with no lookup by key): the exact ring
+passes a key whose two values are one object and compares each other
+distinct pair of values once, and the float ring argsorts each side's
+codes once, lines the two sides up on the sorted union of their codes
+and compares all keys at once.  The float ring imports numpy on first
+use, so an exact run never loads it.  ``conj`` and ``to_float`` map each
+distinct value object once, classed by ``scalars._classes`` (every float
+entry is an object of its own).  Results of ``contract``, ``permute``
+and ``conj`` are built without the constructor's per-entry checks, which
 they pass by construction.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
@@ -78,7 +80,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from .scalars import FLOAT_REL, Comparison, ComplexRing, _classes, _FloatEntries, _picker, get_ring
+from .scalars import FLOAT_REL, Comparison, ComplexRing, _classes, _picker, get_ring
 
 
 class Variance(enum.Enum):
@@ -142,7 +144,7 @@ class GroupTensor:
                 )
             if val:
                 clean[key] = val
-        self.entries = _held(domain, len(self.variances), clean, self.ring)
+        self.entries = self.ring.hold(clean, domain.size, len(self.variances))
 
     @property
     def arity(self) -> int:
@@ -163,17 +165,16 @@ class GroupTensor:
             raise ValueError(f"{perm} is not a permutation of {self.arity} slots")
         pick = _picker(perm)
         entries = {pick(key): val for key, val in self.entries.items()}
-        entries = _held(self.domain, self.arity, entries, self.ring)
+        entries = self.ring.hold(entries, self.domain.size, self.arity)
         return _built(self.domain, pick(self.variances), entries, self.ring)
 
     def conj(self) -> "GroupTensor":
         """Entrywise conjugate with all slot variances flipped."""
         variances = tuple(v.flip() for v in self.variances)
-        if isinstance(self.ring, ComplexRing):
-            return _built(self.domain, variances, self.entries.conj(), self.ring)
         classes, reps = _classes(self.entries)
         images = list(map(self.ring.conj, reps))
         entries = {key: images[c] for key, c in classes.items()}
+        entries = self.ring.hold(entries, self.domain.size, self.arity)
         return _built(self.domain, variances, entries, self.ring)
 
     def to_float(self) -> "GroupTensor":
@@ -251,15 +252,6 @@ def _built(domain, variances, entries, ring) -> GroupTensor:
     t = GroupTensor.__new__(GroupTensor)
     t.domain, t.variances, t.entries, t.ring = domain, variances, entries, ring
     return t
-
-
-def _held(domain, arity, entries, ring):
-    """A dict of entries that fit, as a tensor of the ring holds them: the
-    dict itself in an exact ring, coded (``scalars._FloatEntries``) in
-    floats."""
-    if isinstance(ring, ComplexRing):
-        return _FloatEntries.from_dict(entries, domain.size, arity)
-    return entries
 
 
 def _check_same_backend(t1: GroupTensor, t2: GroupTensor):
@@ -376,7 +368,13 @@ def slices_equal(pairs, rel: float = FLOAT_REL) -> Report:
     generator of pairs keeps one pair alive at once.
     """
     checks, least = 0, {}
-    for domain, ring, compared, found in map(_compare_pair, pairs, itertools.repeat(rel)):
+    for t1, t2 in pairs:
+        if t1.arity != t2.arity:
+            raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
+        _check_same_backend(t1, t2)
+        compared, found = t1.ring.compare_entries(t1.entries, t2.entries, rel)
+        domain, ring = t1.domain, t1.ring
+        del t1, t2  # before the next pair is made
         checks += compared
         for verdict, hit in found.items():
             if verdict not in least or hit[0] < least[verdict][0]:
@@ -388,22 +386,6 @@ def slices_equal(pairs, rel: float = FLOAT_REL) -> Report:
             values = {"lhs_value": ring.render(v1), "rhs_value": ring.render(v2)}
             return Report("tensor-equal", fields, _fmt_key(domain, key), values)
     return Report("tensor-equal", {"verdict": "pass", "checks": checks})
-
-
-def _compare_pair(pair, rel):
-    """One pair's domain, ring, keys compared and {verdict: (least key,
-    both values there)} for the failing verdicts it holds."""
-    t1, t2 = pair
-    if t1.arity != t2.arity:
-        raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
-    _check_same_backend(t1, t2)
-    compared, unequal, indeterminate = t1.ring.compare_entries(t1.entries, t2.entries, rel)
-    found = {
-        verdict: (key, t1.entry(key), t2.entry(key))
-        for verdict, key in ((Comparison.UNEQUAL, unequal), (Comparison.INDETERMINATE, indeterminate))
-        if key is not None
-    }
-    return t1.domain, t1.ring, compared, found
 
 
 class WirePermutation(GroupTensor):
@@ -437,7 +419,7 @@ class WirePermutation(GroupTensor):
         scale = self.scale
         if scale is not None:
             entries = {key: v * scale for key, v in t.entries.items()}
-            t.entries = _held(t.domain, t.arity, entries, t.ring)
+            t.entries = t.ring.hold(entries, t.domain.size, t.arity)
         return t
 
 

@@ -6,7 +6,8 @@ as ``GroupTensor.permute`` then ``_rescale``, the relation sides with
 every identity wire built as a tensor and the printed factors folded
 left to right, the (3,3) check on its two whole sides at any size,
 joins as first written, tensor equality as the least failing key of
-the key union, scalar comparison by subtraction alone, the proof-case
+the key union, the float tolerance test on one pair of values
+(``approx_equal``), scalar comparison by subtraction alone, the proof-case
 integrals summed term by term, group arithmetic and the pairing on
 residue tuples, face classes as a union-find over (entry, vertex
 subset) tuples, move sites by trying every vertex label, and the
@@ -21,7 +22,7 @@ import struct
 
 import numpy as np
 
-from pachner.scalars import Comparison, ComplexRing, Scalar, _ambiguous, _buckets, approx_equal, compare
+from pachner.scalars import FLOAT_REL, Comparison, ComplexRing, Scalar, _ambiguous, _buckets, compare
 from pachner.simplicial import MoveSite, Triangulation, simplex_boundary
 from pachner.solutions import SolutionSpec
 from pachner.tensors import (
@@ -36,7 +37,7 @@ from pachner.tensors import (
     sigma,
     tensor_equal,
 )
-from pachner.verify import _judge, p33_sides, q_as_linmap
+from pachner.verify import _judge, p33_sides, q_as_map
 
 
 # values whose sums cancel exactly, the least subnormal, which a weight
@@ -103,6 +104,14 @@ def dict_complex_join(ring, entries1, bound1, rest1, entries2, bound2, rest2, k,
         else:
             del out[key]
     return out
+
+
+def approx_equal(x: complex, y: complex, rel: float = FLOAT_REL) -> bool:
+    """The float verdict on one pair of values: |x - y| at most rel times
+    max(|x|, |y|, 1).  ``ComplexRing.compare_entries`` runs this test on
+    whole arrays and must agree with it on every pair."""
+    scale = max(abs(x), abs(y), 1.0)
+    return abs(x - y) <= rel * scale
 
 
 def least_key_tensor_equal(t1, t2, rel=1e-9):
@@ -238,7 +247,7 @@ def padded_p33_sides(q):
     """The (3,3) sides with every identity wire built as a tensor and the
     printed factors folded left to right, as first transcribed."""
     dom, ring = q.domain, q.ring
-    qm = q_as_linmap(q)
+    qm = q_as_map(q)
     id1 = identity(dom, 1, ring)
     id2 = tens(id1, id1)
     id3 = tens(id2, id1)

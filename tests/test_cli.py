@@ -431,8 +431,7 @@ def test_moves_walk_without_solution_tracks_euler(capsys, tmp_path):
 
 
 def test_triple_walk_changes_value_outside_the_certified_scope(capsys):
-    # the state sum wires Q by facet index, which relies on slot symmetries
-    # only the bichar solutions are shown to have: a group-algebra triple's
+    # only the bichar solutions are certified: a group-algebra triple's
     # value changes at the first (3,3) move of this walk
     argv = ["moves", "walk", "--tri", str(REPO / "data" / "boundary_delta5.tri"), "--type", "3,3",
             "--count", "12", "--seed", "5", "--solution", "triple:groupalg:Z2"]

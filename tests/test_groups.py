@@ -6,8 +6,8 @@ import pytest
 
 from pachner import groups
 from pachner.groups import FinAbGroup, parse_group
-from pachner.scalars import approx_equal
 from reference import (
+    approx_equal,
     residue_add,
     residue_chi_exponent,
     residue_gauss_exponent,

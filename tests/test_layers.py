@@ -8,7 +8,8 @@ environment variable (the selftest's PACHNER_MUTATE) and no threads or
 processes of its own, numpy imported only inside the float backend's
 classes and the dense oracle, never at module level, and keeps the test
 modules apart: each imports shared references from tests/reference.py
-and from no other test module.
+and from no other test module.  The float entry format stays behind the
+ring: tensors imports no coded-entry class and branches on no backend.
 """
 
 import ast
@@ -226,3 +227,18 @@ def test_a_map_is_a_group_tensor_and_no_module_reads_a_wrapped_tensor():
         "Report": [],
         "WirePermutation": ["GroupTensor"],
     }
+
+
+def test_tensors_leaves_the_float_entry_format_to_the_ring():
+    # a ring holds its own entries (hold), so tensors runs one path on both
+    # backends: it imports no coded-entry class, names ComplexRing only to
+    # move a tensor into one, and conj has no backend branch
+    tree = ast.parse((SRC / "tensors.py").read_text())
+    assert "_FloatEntries" not in sibling_imports()["tensors"]["scalars"]
+    defs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_held" not in defs
+    named = lambda root: [n for n in ast.walk(root) if isinstance(n, ast.Name) and n.id == "ComplexRing"]
+    assert named(tree) == named(defs["to_float"]) != []
+    conj = list(ast.walk(defs["conj"]))
+    assert not [n for n in conj if isinstance(n, (ast.If, ast.IfExp))]
+    assert len([n for n in conj if isinstance(n, ast.Return)]) == 1

@@ -12,12 +12,11 @@ from pachner.scalars import (
     ComplexRing,
     Scalar,
     _FloatEntries,
-    approx_equal,
     compare,
     cyclotomic_polynomial,
     get_ring,
 )
-from reference import COMPLEX_VALUES, dict_complex_join, subtracting_compare, two_pass_complex_join
+from reference import COMPLEX_VALUES, approx_equal, dict_complex_join, subtracting_compare, two_pass_complex_join
 
 
 def poly_eval(coeffs, x):

@@ -9,7 +9,7 @@ import pytest
 
 from pachner.scalars import Comparison, compare
 from pachner.simplicial import Triangulation, apply_move, simplex_boundary, pachner_sides
-from pachner.solutions import parse_solution, perturb_q
+from pachner.solutions import SolutionSpec, parse_solution, perturb_q
 from pachner import simplicial, statesum
 from pachner.statesum import (
     all_sites,
@@ -23,7 +23,7 @@ from pachner.statesum import (
     slot_labels,
     walk,
 )
-from pachner.tensors import DOWN, UP, contract, tensor_equal
+from pachner.tensors import DOWN, UP, BasisDomain, GroupTensor, contract, tensor_equal
 from pachner.verify import p33_sides
 from reference import INCOHERENT_SPHERES, all_splittings, flipped_sphere
 
@@ -188,6 +188,46 @@ def test_ball_values_match_relation_side_values_as_multisets():
     assert ball_vals == sorted(v.render() for v in lhs.entries.values())
     assert ball_vals == sorted(v.render() for v in rhs.entries.values())
     assert ball_vals == sorted(v.render() for v in pa.entries.values())
+
+
+def generic_solution(seed):
+    """A Q over BasisDomain(2) with seeded integer entries, zeros included,
+    that satisfies no relation."""
+    domain, rng = BasisDomain(2), random.Random(seed)
+    entries = {
+        key: domain.ring.integer(rng.randrange(-3, 4))
+        for key in itertools.product(domain.elements(), repeat=5)
+    }
+    q = GroupTensor(domain, (UP, DOWN, UP, DOWN, UP), entries)
+    return SolutionSpec("generic", f"generic:{seed}", domain, q)
+
+
+DISTINGUISHED_BALL_CASES = (
+    [("generic", 7)]
+    + [(f"bichar:{g}", None) for g in ("Z2", "Z3", "Z4", "Z5", "Z2xZ2")]
+    + [(f"triple:groupalg:{g}", None) for g in ("Z2", "Z3")]
+    + [(d, seed) for d in ("bichar:Z3", "triple:groupalg:Z3") for seed in range(4)]
+)
+
+
+@pytest.mark.parametrize("descriptor, seed", DISTINGUISHED_BALL_CASES)
+def test_p33_sides_are_the_distinguished_ball_pair(descriptor, seed):
+    """verify p33 checks the state-sum tensors of the (3,3) move's balls
+    on I = {0,2,4}, J = {1,3,5}, in one slot order, for any Q: the
+    relation's nine slots (i,l,m,j,n,k; p,q,r) are the balls' boundary
+    tetrahedra permuted by (8,7,6,3,2,0,5,4,1).  A seed perturbs a
+    catalogue solution, a control that satisfies no relation."""
+    if descriptor == "generic":
+        sol = generic_solution(seed)
+    else:
+        sol = parse_solution(descriptor)
+        sol = sol if seed is None else perturb_q(sol, seed=seed)
+    balls = pachner_sides(5, (0, 2, 4), (1, 3, 5))
+    for ball, side in zip(balls, p33_sides(sol.q)):
+        got = partition(build_assignment(ball, sol)).permute((8, 7, 6, 3, 2, 0, 5, 4, 1))
+        assert got.variances == side.variances
+        rep = tensor_equal(got, side)
+        assert rep, rep.lines()
 
 
 def test_contraction_order_does_not_change_results():

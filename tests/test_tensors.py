@@ -1129,6 +1129,27 @@ def test_float_comparison_at_the_tolerance_and_past_the_finite_values():
         assert got.verdict == verdict, (v1, v2)
 
 
+def test_float_comparison_returns_its_witness_values_without_a_lookup(monkeypatch):
+    # the float ring's compare_entries returns the least unequal key with
+    # both values there, so no report finds an entry by its key; perturbed
+    # controls 0 and 1 fail on keys only one side holds, control 2 on a key
+    # both hold
+    from pachner.solutions import parse_solution, perturb_q
+    from pachner.verify import p33_sides
+
+    clean = parse_solution("bichar:Z3")
+    cases = []
+    for seed in (0, 1, 2):
+        lhs, rhs = (side.to_float() for side in p33_sides(perturb_q(clean, seed=seed).q))
+        cases.append((lhs, rhs, least_key_tensor_equal(lhs, rhs)))
+    assert [set(lhs.entries) == set(rhs.entries) for lhs, rhs, _ in cases] == [False, False, True]
+    for name in ("get", "__getitem__"):
+        monkeypatch.setattr(_FloatEntries, name, lambda *args, name=name: pytest.fail(name))
+    for lhs, rhs, want in cases:
+        got = tensor_equal(lhs, rhs)
+        assert got == want and not got
+
+
 def test_exact_comparison_takes_the_least_unequal_key_past_repeated_indeterminate_pairs():
     # r against 2 straddles both radical parities (indeterminate); one
     # shared pair of objects fills every key below and beside the two

@@ -43,7 +43,7 @@ from pachner.verify import (
     _judge,
     dense_p33_oracle,
     p33_sides,
-    q_as_linmap,
+    q_as_map,
     set_p33_sides,
     verify_p33,
     verify_pentagon,
@@ -244,8 +244,8 @@ def test_p33_refuses_large_sides_before_contracting(monkeypatch):
 def test_p33_entry_bound_admits_every_shipped_check():
     assert 6**6 <= verify.P33_ENTRIES_LIMIT < 9**6
     # a triple's Q has fan-out 1: |V|**3 entries per side
-    assert verify._fan_out(q_as_linmap(parse_solution("triple:groupalg:S3").q)) == 1
-    assert verify._fan_out(q_as_linmap(parse_solution("bichar:Z6").q)) == 6
+    assert verify._fan_out(q_as_map(parse_solution("triple:groupalg:S3").q)) == 1
+    assert verify._fan_out(q_as_map(parse_solution("bichar:Z6").q)) == 6
 
 
 def test_verify_p33_passes_for_shipped_solutions():
@@ -318,7 +318,7 @@ def test_verify_p33_rejects_bad_shape():
     group = FinAbGroup([2])
     flat = GroupTensor(group, (UP, UP, UP, DOWN, DOWN), {})
     with pytest.raises(ValueError, match="variance pattern"):
-        q_as_linmap(flat)
+        q_as_map(flat)
     with pytest.raises(ValueError, match="backend"):
         verify_p33(parse_solution("bichar:Z2"), backend="quantum")
 
@@ -1098,6 +1098,9 @@ def test_dense_bound_counts_the_intermediate(monkeypatch):
 @pytest.mark.parametrize("group", ["Z3", "Z4"])
 @pytest.mark.parametrize("seed", [None, 2])
 def test_dense_traced_peak_stays_within_the_counted_bytes(group, seed, monkeypatch):
+    """The counted bytes bound the traced peak from n = 3 on: at n = 2 a
+    slab's build equals the count, and the solution array, einsum's
+    operand copies and numpy's per-array cost come on top of it."""
     import tracemalloc
 
     sol = parse_solution(f"bichar:{group}")
@@ -1127,7 +1130,7 @@ def test_dense_traced_peak_stays_within_the_counted_bytes(group, seed, monkeypat
 def test_yb_refuses_large_checks_before_building_families(monkeypatch):
     sol = parse_solution("bichar:Z3")
     monkeypatch.setattr("pachner.tensors.contract", lambda *args: pytest.fail("contracted"))
-    monkeypatch.setattr(verify, "q_as_linmap", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(verify, "q_as_map", lambda *args: pytest.fail("built"))
     monkeypatch.setattr(verify, "YB_ENTRIES_LIMIT", 3 * 3**9 - 1)
     with pytest.raises(ValueError, match="over Z3 may compare 59049 entries, over the limit of 59048"):
         verify_yb_family(sol)
