@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from .groups import parse_group
 from .scalars import Comparison, compare
 from .simplicial import (
+    Triangulation,
+    all_sites,
     boundary_face,
     compose_maps,
     face_map,
@@ -189,8 +191,9 @@ def yang_baxter_family():
 def simplicial_engine():
     """Face-map and boundary identities, shared outer boundaries for
     every splitting, the known face counts of each starting sphere and
-    Euler characteristic of a pentachoron, and Euler characteristic
-    across seeded moves."""
+    Euler characteristic of a pentachoron, Euler characteristic across
+    seeded moves, and the sites of each sphere with one entry's sign
+    reversed."""
     for n in range(1, 7):
         for j in range(n):
             for i in range(j + 1):
@@ -230,6 +233,19 @@ def simplicial_engine():
     pentachoron = pachner_sides(5, (0,), (1, 2, 3, 4, 5))[0]
     if pentachoron.euler_characteristic() != 1:
         return False, f"a pentachoron has chi {pentachoron.euler_characteristic()}"
+    for dim in (2, 3, 4):
+        # reversing entry 0 of the boundary of the (d+1)-simplex leaves
+        # only the sites of the other d + 1 entries, C(d + 1, p) of size p
+        sphere = simplex_boundary(dim + 1)
+        vertices, sign = sphere.simplexes[0]
+        t = Triangulation(dim, ((vertices, -sign),) + sphere.simplexes[1:])
+        for p in range(2, dim + 2):
+            found = len(all_sites(t, p))
+            if found != math.comb(dim + 1, p):
+                return False, (
+                    f"dim {dim} sphere with entry 0 reversed has {found} ({p},{dim + 2 - p}) sites, "
+                    f"not {math.comb(dim + 1, p)}"
+                )
     return True, f"identities, {splittings} splittings, 100 chi-preserving moves"
 
 

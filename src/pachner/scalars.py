@@ -397,8 +397,12 @@ class ScalarRing:
         """
         return self._intern({exponent if self.group_order > 1 else 0: self._unit})
 
-    def conj(self, v: "Scalar") -> "Scalar":
-        return v.conj()
+    def conj_entries(self, entries: dict) -> dict:
+        """The conjugates of held entries, held, in their key order: each
+        distinct value object is conjugated once (``_classes``)."""
+        classes, reps = _classes(entries)
+        images = [v.conj() for v in reps]
+        return {key: images[c] for key, c in classes.items()}
 
     def hold(self, entries: dict, radix: int, arity: int) -> dict:
         """A dict of entries that fit, as this ring's tensors hold them:
@@ -895,7 +899,8 @@ class ComplexRing:
     It has ScalarRing's interface, so tensors and checkers run one code
     path on either backend.  Its tensors hold their entries as
     ``_FloatEntries`` (``hold``), key codes and values in numpy arrays, and
-    ``join`` and ``compare_entries`` work on those arrays whole.  numpy is
+    ``join``, ``compare_entries`` and ``conj_entries`` work on those arrays
+    whole.  numpy is
     imported on first float use, so exact runs never load it.  Comparison
     is at relative tolerance rel, so it is never INDETERMINATE.
     """
@@ -908,8 +913,14 @@ class ComplexRing:
     def radical(self, exponent: int = 1) -> complex:
         return complex(self.group_order ** (0.5 * exponent))
 
-    def conj(self, v: complex) -> complex:
-        return v.conjugate()
+    def conj_entries(self, entries: "_FloatEntries") -> "_FloatEntries":
+        """The conjugates of held entries, held, in their key order: the
+        value array conjugated at the same codes.  ``np.conj`` gives the
+        bits of ``complex.conjugate``, signed zeros, infinities and nans
+        included."""
+        import numpy as np
+
+        return _FloatEntries(entries.codes, np.conj(entries.vals), entries.radix, entries.arity)
 
     def hold(self, entries: dict, radix: int, arity: int) -> "_FloatEntries":
         """A dict of entries that fit, as this ring's tensors hold them:

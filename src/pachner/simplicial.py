@@ -19,9 +19,11 @@ the produced site).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -83,6 +85,28 @@ def _spread_masks(width: int, i: int) -> list:
     return [(m & low) | ((m & ~low) << 1) for m in range(1, 1 << (width - 1))]
 
 
+# The tables face classes read for simplexes of one width: the spread masks
+# of every facet, and for each facet mask m (item m - 1) its popcount less
+# one, which is also the popcount of its spread less one; width + 1 lists
+# of 2**(width - 1) - 1 ints.  Widths up to 12 keep theirs once made,
+# 49,062 ints over all of them.  Wider ones, which no shipped file, test
+# walk or benchmark reaches, are made per call and dropped with it.
+_FACE_TABLES: dict[int, tuple] = {}
+
+
+def _face_tables(width: int) -> tuple:
+    """(spread, sizes) for simplexes with ``width`` vertices: spread[i] is
+    ``_spread_masks(width, i)`` and sizes[m - 1] is m's popcount less one."""
+    tables = _FACE_TABLES.get(width)
+    if tables is None:
+        spread = [_spread_masks(width, i) for i in range(width)]
+        sizes = [m.bit_count() - 1 for m in range(1, 1 << (width - 1))]
+        tables = spread, sizes
+        if width <= 12:
+            _FACE_TABLES[width] = tables
+    return tables
+
+
 def check_move_type(dim: int, p: int) -> None:
     """Raise ValueError unless 1 <= p <= dim + 1 and the (p, dim + 2 - p)
     move has at most SPLITTINGS_LIMIT splittings: the one move-type rule,
@@ -110,6 +134,15 @@ class MoveSite:
     epsilon: int
 
 
+def _move_site(n, I, J, phi, entries, epsilon, new=object.__new__) -> MoveSite:
+    """MoveSite(n, I, J, phi, entries, epsilon) for the site enumeration,
+    which makes one per site found: the fields go into the instance dict
+    at once, where the frozen dataclass's __init__ sets them one by one."""
+    site = new(MoveSite)
+    site.__dict__.update(n=n, I=I, J=J, phi=phi, entries=entries, epsilon=epsilon)
+    return site
+
+
 class Triangulation:
     """Oriented top simplexes of one dimension plus explicit facet gluing.
 
@@ -132,7 +165,7 @@ class Triangulation:
             vertices = tuple(vertices)
             if len(vertices) != dim + 1:
                 raise ValueError(f"{vertices} is not a {dim}-simplex")
-            if any(a >= b for a, b in zip(vertices, vertices[1:])):
+            if any(map(operator.ge, vertices, vertices[1:])):
                 raise ValueError(f"vertices {vertices} not strictly increasing")
             if sign not in (1, -1):
                 raise ValueError(f"orientation sign must be +-1, got {sign}")
@@ -247,17 +280,18 @@ class Triangulation:
         # node e * 2**width + mask stands for (e, the vertices of entry e at
         # the mask's positions); mask 0 is never used.  Every node starts as
         # a class of its own, and each union of two classes takes one from
-        # the count of their size, the popcount of either mask.  Both walks
-        # up the forest halve the path they take.
+        # the count of their size, the popcount of either mask, read with
+        # the spread masks from the width's tables.  Both walks up the
+        # forest halve the path they take.
         counts = [len(self.simplexes) * math.comb(width, k) for k in range(1, width + 1)]
         parent = _new_forest(len(self.simplexes) << width)
-        spread = [_spread_masks(width, j) for j in range(width)]
+        spread, sizes = _face_tables(width)
         for (e, i), (e2, i2) in self.gluing.items():
             if (e2, i2) < (e, i):
                 continue
             base, base2 = e << width, e2 << width
             # the same vertex subset of the glued facet, seen from either side
-            for m, m2 in zip(spread[i], spread[i2]):
+            for m, m2, k in zip(spread[i], spread[i2], sizes):
                 x, y = base + m, base2 + m2
                 while parent[x] != x:
                     parent[x] = x = parent[parent[x]]
@@ -265,7 +299,7 @@ class Triangulation:
                     parent[y] = y = parent[parent[y]]
                 if x != y:
                     parent[y] = x
-                    counts[m.bit_count() - 1] -= 1
+                    counts[k] -= 1
         return tuple(counts)
 
     def _move_sites(self, p: int) -> dict:
@@ -288,28 +322,32 @@ class Triangulation:
         ``mates`` lists, by position i > i0, that partner when the cone's
         row at i holds it with the same eps (glued facets share their
         vertices, so a partner in the row is glued along its facet missing
-        e0's position).
+        e0's position, which is facet i - 1 of e0).  The position of v is
+        found by bisection, as every vertex tuple is increasing, and each
+        row reads the rows after it once for all of its entries.
         """
-        gluing = self.gluing
+        gluing, simplexes = self.gluing, self.simplexes
         index: dict[tuple, dict[int, dict[int, int]]] = {}
         for (e, _), (e2, f2) in gluing.items():
-            vertices, sign = self.simplexes[e]
-            v = self.simplexes[e2][0][f2]
-            if v not in vertices:
-                phi = tuple(sorted(vertices + (v,)))
-                k = phi.index(v)
-                index.setdefault(phi, {}).setdefault(k, {})[e] = sign * (-1) ** k
+            vertices, sign = simplexes[e]
+            v = simplexes[e2][0][f2]
+            k = bisect.bisect_left(vertices, v)
+            if k == len(vertices) or vertices[k] != v:
+                phi = vertices[:k] + (v,) + vertices[k:]
+                index.setdefault(phi, {}).setdefault(k, {})[e] = -sign if k & 1 else sign
         cones = []
         for phi in sorted(index):
-            rows = {k: dict(sorted(row.items())) for k, row in sorted(index[phi].items())}
-            for i0, row in rows.items():
-                for e0, eps in row.items():
+            rows = sorted(index[phi].items())
+            # the last row has no later row to find mates in
+            for r, (i0, row) in enumerate(rows[:-1]):
+                later = rows[r + 1 :]
+                for e0 in sorted(row):
+                    eps = row[e0]
                     mates = []
-                    for i in rows:
-                        if i > i0:
-                            partner = gluing.get((e0, _pos(i, i0)))
-                            if partner and rows[i].get(partner[0]) == eps:
-                                mates.append((i, partner[0]))
+                    for i, row_i in later:
+                        partner = gluing.get((e0, i - 1))
+                        if partner and row_i.get(partner[0]) == eps:
+                            mates.append((i, partner[0]))
                     if mates:
                         cones.append((phi, i0, e0, eps, tuple(mates)))
         return tuple(cones)
@@ -323,30 +361,46 @@ class Triangulation:
         exactly in the last position.  For p >= 2 they come from the cone
         mates (found once per complex): p - 1 mates of a cone entry form a
         site when each two of them are glued along the facet missing the
-        other's position."""
+        other's position, which for p = 2 holds with nothing to check.
+        Each I's complement J is made once per call, when I gets its
+        first site."""
         n = self.dim + 1
         if p == 1:
             fresh = max((vertices[-1] for vertices, _ in self.simplexes), default=-1) + 1
             I, J = (n,), tuple(range(n))
-            sites = (
-                MoveSite(n, I, J, vertices + (fresh,), (e,), sign * (-1) ** n)
+            parity = -1 if n & 1 else 1
+            sites = [
+                _move_site(n, I, J, vertices + (fresh,), (e,), sign * parity)
                 for e, (vertices, sign) in enumerate(self.simplexes)
-            )
+            ]
             return {I: tuple(sites)}
         if self._mates is None:
             self._mates = self._find_cone_mates()
         gluing = self.gluing
-        by_I: dict[tuple, list] = {}
+        found = []
         for phi, i0, e0, eps, mates in self._mates:
+            if p == 2:
+                for i, e in mates:
+                    found.append(((i0, i), phi, (e0, e), eps))
+                continue
             for chosen in itertools.combinations(mates, p - 1):
-                if all(
-                    gluing.get((e, _pos(i2, i))) == (e2, _pos(i, i2))
-                    for (i, e), (i2, e2) in itertools.combinations(chosen, 2)
-                ):
-                    I = (i0, *(i for i, _ in chosen))
-                    J = tuple(k for k in range(n + 1) if k not in I)
-                    entries = (e0, *(e for _, e in chosen))
-                    by_I.setdefault(I, []).append(MoveSite(n, I, J, phi, entries, eps))
+                # positions increase along mates, so facet i2 - 1 of the
+                # entry at i misses position i2, and facet i of the entry
+                # at i2 misses position i
+                for (i, e), (i2, e2) in itertools.combinations(chosen, 2):
+                    if gluing.get((e, i2 - 1)) != (e2, i):
+                        break
+                else:
+                    positions, others = zip(*chosen)
+                    found.append(((i0, *positions), phi, (e0, *others), eps))
+        complements: dict[tuple, tuple] = {}
+        by_I: dict[tuple, list] = {}
+        for I, phi, entries, eps in found:
+            J = complements.get(I)
+            if J is None:
+                J = complements[I] = tuple(k for k in range(n + 1) if k not in I)
+                by_I[I] = []
+            by_I[I].append(_move_site(n, I, J, phi, entries, eps))
         return {I: tuple(sites) for I, sites in by_I.items()}
 
     def euler_characteristic(self) -> int:
@@ -512,10 +566,13 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     above.  A facet is glued at most once, so no identification of the
     face leaves those entries.
     """
-    n = t.dim + 1
-    I, J = _check_splitting(n, I, J)
-    check_move_type(t.dim, len(I))
-    return list(t._move_sites(len(I)).get(I, ()))
+    I, J = _check_splitting(t.dim + 1, I, J)
+    p = len(I)
+    check_move_type(t.dim, p)
+    by_I = t._sites.get(p)
+    if by_I is None:
+        by_I = t._move_sites(p)
+    return list(by_I.get(I, ()))
 
 
 def all_sites(t: Triangulation, p: int) -> list[MoveSite]:

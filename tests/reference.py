@@ -594,10 +594,21 @@ def _site_interior_ok(I, phi, entries, rep, class_entries):
 
 
 def exhaustive_move_sites(t, I, J, classes):
-    """find_move_sites for |I| >= 2 as it was written first: every pair of
-    an entry e0 and a vertex label v is tried as phi = sorted(e0 + v), and
-    every match must pass the interior check on t's ``face_classes``."""
+    """find_move_sites as it was written first.  For |I| = 1 only I = (n,)
+    has sites, one per entry in entry order: phi is the entry plus a label
+    one above every label of t, and eps is sign * (-1)**n.  For |I| >= 2
+    every pair of an entry e0 and a vertex label v is tried as
+    phi = sorted(e0 + v), and every match must pass the interior check on
+    t's ``face_classes``."""
     n = t.dim + 1
+    if len(I) == 1:
+        if I != (n,):
+            return []
+        fresh = max(v for vertices, _ in t.simplexes for v in vertices) + 1
+        return [
+            MoveSite(n, I, J, vertices + (fresh,), (e,), sign * (-1) ** n)
+            for e, (vertices, sign) in enumerate(t.simplexes)
+        ]
     rep = {occ: members for members in classes for occ in members}
     class_entries = {members: frozenset(e for e, _ in members) for members in classes}
     by_tuple = {}

@@ -4,10 +4,14 @@ These are the binding checks: a criterion must both produce the right
 verdict and finish inside its wall-clock budget.
 """
 
+import inspect
+import math
+import textwrap
+
 import pytest
 
-from pachner import acceptance
-from pachner.simplicial import Triangulation
+from pachner import acceptance, simplicial
+from pachner.simplicial import Triangulation, all_sites, simplex_boundary
 
 
 @pytest.mark.parametrize(
@@ -53,3 +57,32 @@ def test_run_all_honors_selection():
 def test_simplicial_engine_checks_known_face_counts(monkeypatch, attribute, mutant, detail):
     monkeypatch.setattr(Triangulation, attribute, mutant)
     assert acceptance.simplicial_engine() == (False, detail)
+
+
+def sign_blind_cone_mates():
+    """Triangulation._find_cone_mates with its test that a mate carries the
+    cone entry's eps dropped: a site search that ignores signs."""
+    source = textwrap.dedent(inspect.getsource(Triangulation._find_cone_mates))
+    test = "row_i.get(partner[0]) == eps"
+    assert source.count(test) == 1
+    namespace = {}
+    exec(source.replace(test, "partner[0] in row_i"), vars(simplicial), namespace)
+    return namespace["_find_cone_mates"]
+
+
+def test_simplicial_engine_checks_signs_in_the_site_search(monkeypatch):
+    # the boundary of the 5-simplex with entry 0 reversed keeps the sites
+    # of its other five entries; a sign-blind search lists the sphere's
+    def site_counts():
+        sphere = simplex_boundary(5)
+        vertices, sign = sphere.simplexes[0]
+        t = Triangulation(4, ((vertices, -sign),) + sphere.simplexes[1:])
+        return [len(all_sites(t, p)) for p in range(2, 6)]
+
+    assert site_counts() == [math.comb(5, p) for p in range(2, 6)] == [10, 10, 5, 1]
+    monkeypatch.setattr(Triangulation, "_find_cone_mates", sign_blind_cone_mates())
+    assert site_counts() == [math.comb(6, p) for p in range(2, 6)] == [15, 20, 15, 6]
+    assert acceptance.simplicial_engine() == (
+        False,
+        "dim 2 sphere with entry 0 reversed has 6 (2,2) sites, not 3",
+    )

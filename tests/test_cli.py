@@ -531,6 +531,15 @@ def test_tri_parse_error_carries_line_number(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_tri_with_a_repeated_vertex_is_one_error_line(capsys, tmp_path):
+    # the parser reads the vertices; the triangulation refuses them
+    path = tmp_path / "repeated.tri"
+    path.write_text("dim 1\nsimp 0 0 +\n")
+    code, out, err = run(capsys, ["moves", "apply", "--tri", str(path)])
+    assert_one_error_line(code, err)
+    assert (out, err) == ("", f"error: {path}: vertices (0, 0) not strictly increasing\n")
+
+
 def test_set_sampler_rejects_nonpositive_samples(capsys):
     code, out, err = run(capsys, ["verify", "p33", "--solution", "set", "--samples", "-3"])
     assert_one_error_line(code, err)

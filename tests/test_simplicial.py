@@ -177,6 +177,23 @@ def test_derived_gluing_rejects_triple_facet():
         )
 
 
+@pytest.mark.parametrize(
+    "simplexes, message",
+    [
+        ([((0, 1, 2), 1)], "(0, 1, 2) is not a 1-simplex"),
+        ([((0,), 1)], "(0,) is not a 1-simplex"),
+        ([((0, 0), 1)], "vertices (0, 0) not strictly increasing"),
+        ([((0, 1), 1), ((2, 1), -1)], "vertices (2, 1) not strictly increasing"),
+        ([((0, 1), 1), ((1, 2), 0)], "orientation sign must be +-1, got 0"),
+        ([((0, 1), 2)], "orientation sign must be +-1, got 2"),
+    ],
+)
+def test_construction_refuses_a_bad_simplex(simplexes, message):
+    with pytest.raises(ValueError) as refused:
+        Triangulation(1, simplexes)
+    assert str(refused.value) == message
+
+
 def test_explicit_gluing_validation():
     simp = [((0, 1, 2), 1), ((0, 1, 2), -1)]
     ok = {
@@ -373,11 +390,10 @@ def test_site_search_matches_the_exhaustive_search():
     for t in complexes:
         classes = face_classes(t).values()
         for I, J in all_splittings(t.dim + 1):
-            if len(I) >= 2:
-                sites = find_move_sites(t, I, J)
-                assert sites == exhaustive_move_sites(t, I, J, classes)
-                searched += 1
-                matched += bool(sites)
+            sites = find_move_sites(t, I, J)
+            assert sites == exhaustive_move_sites(t, I, J, classes)
+            searched += 1
+            matched += bool(sites)
     assert matched > searched // 10
 
 

@@ -1374,6 +1374,33 @@ def test_conj_conjugates_each_value_object_once(monkeypatch):
     ]
 
 
+def test_float_conj_keeps_key_order_and_conjugate_bits():
+    from pachner.solutions import parse_solution
+
+    bits = lambda v: struct.pack("<dd", v.real, v.imag)
+    inf, nan = float("inf"), float("nan")
+    # keys out of order, and values with signed zeros, infinities and nans
+    odd = {
+        (2, 0): complex(-0.0, 1.0),
+        (0, 1): complex(1.0, -0.0),
+        (1, 2): complex(inf, -inf),
+        (0, 0): complex(nan, 0.0),
+        (2, 2): complex(0.0, nan),
+        (1, 0): complex(-2.5, 0.0),
+    }
+    tensors_ = [
+        GroupTensor(Z3, (UP, DOWN), odd, ComplexRing(3)),
+        parse_solution("bichar:Z3").q.to_float(),
+    ]
+    for t in tensors_:
+        want = {key: v.conjugate() for key, v in t.entries.items()}
+        got = t.conj()
+        assert got.ring == t.ring
+        assert got.variances == tuple(v.flip() for v in t.variances)
+        assert list(got.entries) == list(want)
+        assert [bits(v) for v in got.entries.values()] == [bits(v) for v in want.values()]
+
+
 def test_to_float_converts_each_value_object_once(monkeypatch):
     from pachner.solutions import parse_solution, perturb_q
 
