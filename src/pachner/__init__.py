@@ -1,4 +1,5 @@
-"""Pachner moves, the (3,3) tensor relation, and state sums on 4-manifolds."""
+"""Pachner moves, the (3,3) tensor relation, and state sums on triangulated
+manifolds of any dimension."""
 
 from .groups import FinAbGroup, parse_group
 from .scalars import Comparison, Scalar, ScalarRing, compare, get_ring

@@ -525,7 +525,12 @@ def pachner_sides(n: int, I, J):
     Before: facets indexed by I with signs (-1)^i; after: facets indexed
     by J with signs -(-1)^j.  The two balls share their outer boundary
     with equal induced orientations, so the after ball can replace the
-    before ball inside any complex.
+    before ball inside any complex.  I = {0,2,4} is the splitting whose
+    two balls hold only positively signed simplexes, for the (3,2) move
+    in dimension 3 and the (3,3) move in dimension 4.  It is a reading of
+    the paper's distinguished move: the state sums of its balls are, in
+    one slot order, the two sides ``verify pentagon`` and ``verify p33``
+    compare.
     """
     I, J = _check_splitting(n, I, J)
     labels = tuple(range(n + 1))

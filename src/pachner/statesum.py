@@ -1,25 +1,27 @@
-"""State sums over oriented triangulated 4-manifolds.
+"""State sums over oriented triangulated d-manifolds.
 
-Each pentachoron carries a copy of the solution tensor: Q when its sign
-is +1, the conjugate (with all slot variances flipped) when -1.  The
-tetrahedron ``boundary_face(entry, i)`` sits in slot i of that copy, so
-a positively oriented pentachoron exposes its even facets as outputs and
-its odd facets as inputs.  Gluing a tetrahedron between facet f1 of one
-pentachoron and facet f2 of another contracts slot f1 against slot f2
-with one measure weight; orientation coherence, sign*(-1)**facet opposite
-on the two sides, is exactly the condition that the variances oppose.
+Each top simplex carries a copy of the solution tensor, which needs d + 1
+slots: Q when its sign is +1, the conjugate (with all slot variances
+flipped) when -1.  The facet ``boundary_face(entry, i)`` sits in slot i
+of that copy, so a positively oriented simplex exposes its even facets as
+outputs and its odd facets as inputs.  Gluing a facet between slot f1 of
+one simplex and slot f2 of another contracts the two slots with one
+measure weight; orientation coherence, sign*(-1)**facet opposite on the
+two sides, is exactly the condition that the variances oppose.  The
+shipped descriptors all have 5 slots, so they contract 4-dimensional
+complexes (pentachora glued along tetrahedra) and refuse the others.
 
 Closed complexes contract to a single scalar; complexes with boundary
-leave one slot per boundary tetrahedron, ordered by vertex tuple.
+leave one slot per boundary facet, ordered by vertex tuple.
 
 ``plan`` computes the merge steps from slot labels alone; ``partition``
 checks every step against ``ARITY_GUARD`` (slots) and ``ENTRY_GUARD``
 (|V| ** slots, the most entries the step can hold) before any tensor
-work, then makes one ``contract`` call per step.  No pentachoron is glued
-to itself (the facets of one simplex differ), so every bound pair joins
-two operands.
+work, then makes one ``contract`` call per step.  No simplex is glued to
+itself (the facets of one simplex differ), so every bound pair joins two
+operands.
 
-A tetrahedron whose two sides present the same variance is outside the
+A facet whose two sides present the same variance is outside the
 certified scope; ``build_assignment`` reports the face that
 ``Triangulation.orientation_witness`` names.  The move types, their
 sites and the order ``walk`` reads them in are ``simplicial``'s:
@@ -57,17 +59,23 @@ ENTRY_GUARD = 2**ARITY_GUARD
 
 @dataclass
 class StateSumAssignment:
-    tensors: list  # one GroupTensor per pentachoron, Q or conj(Q)
-    pairings: list  # ((entry, facet), (entry, facet)) per interior tetrahedron
-    boundary: list  # (vertex tuple, entry, facet) per boundary tetrahedron, sorted
+    tensors: list  # one GroupTensor per top simplex, Q or conj(Q)
+    pairings: list  # ((entry, facet), (entry, facet)) per interior facet
+    boundary: list  # (vertex tuple, entry, facet) per boundary facet, sorted
 
 
 def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "exact") -> StateSumAssignment:
-    """Attach tensors to pentachora and pair slots along interior tetrahedra."""
-    if t.dim != 4:
-        raise ValueError(f"state sums need a 4-dimensional complex, got dim {t.dim}")
+    """Attach tensors to top simplexes and pair slots along interior facets.
+
+    A d-dimensional complex needs a tensor of d + 1 slots, one per facet.
+    """
     if sol.q is None:
         raise ValueError("state sums need a solution tensor")
+    if sol.q.arity != t.dim + 1:
+        raise ValueError(
+            f"a {t.dim}-dimensional complex needs a tensor of {t.dim + 1} slots; "
+            f"{sol.descriptor} has {sol.q.arity}"
+        )
     q = in_backend(sol.q, backend)
     qbar = q.conj()
     tensors = [q if sign > 0 else qbar for _, sign in t.simplexes]
@@ -82,7 +90,7 @@ def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "exact"
     boundary = sorted(
         (t.facet(e, f), e, f)
         for e in range(len(t.simplexes))
-        for f in range(5)
+        for f in range(t.dim + 1)
         if (e, f) not in t.gluing
     )
     return StateSumAssignment(tensors, pairings, boundary)
@@ -92,10 +100,10 @@ Step = collections.namedtuple("Step", "left right s1 s2 arity")
 
 
 def slot_labels(a: StateSumAssignment) -> list:
-    """One label per slot of each pentachoron; glued slots share theirs."""
+    """One label per slot of each top simplex; glued slots share theirs."""
     label = {occ: ("pair", idx) for idx, pair in enumerate(a.pairings) for occ in pair}
     label.update({(e, f): ("out", pos) for pos, (_, e, f) in enumerate(a.boundary)})
-    return [tuple(label[(e, f)] for f in range(5)) for e in range(len(a.tensors))]
+    return [tuple(label[(e, f)] for f in range(q.arity)) for e, q in enumerate(a.tensors)]
 
 
 def plan(labels, order: str = "greedy"):
@@ -189,16 +197,16 @@ def partition_value(a: StateSumAssignment, order: str = "greedy"):
 
 
 def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "exact"):
-    """Sum over all joint tetrahedron states of a closed complex.
+    """Sum over all joint facet states of a closed complex.
 
-    Pure enumeration: one state per interior tetrahedron, the product of
-    one tensor entry per pentachoron, and one measure weight per
-    tetrahedron.  Exponential; a cross-check for desk-size complexes.
+    Pure enumeration: one state per interior facet, the product of one
+    tensor entry per top simplex, and one measure weight per facet.
+    Exponential; a cross-check for desk-size complexes.
     """
     a = build_assignment(t, sol, backend)
     if a.boundary:
         raise ValueError("brute force handles closed complexes only")
-    domain, ring = a.tensors[0].domain, a.tensors[0].ring
+    domain, ring, width = a.tensors[0].domain, a.tensors[0].ring, a.tensors[0].arity
     state_slot = {}
     for idx, (s1, s2) in enumerate(a.pairings):
         state_slot[s1] = idx
@@ -213,7 +221,7 @@ def partition_bruteforce(t: Triangulation, sol: SolutionSpec, backend: str = "ex
     for state in itertools.product(domain.elements(), repeat=npair):
         prod = None
         for e, table in enumerate(entries):
-            val = table.get(tuple(state[state_slot[(e, f)]] for f in range(5)))
+            val = table.get(tuple(state[state_slot[(e, f)]] for f in range(width)))
             if val is None:
                 prod = None
                 break

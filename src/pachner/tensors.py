@@ -30,35 +30,16 @@ ring finds that is not one.
 Entries live in the ring a tensor carries, its domain's exact ScalarRing
 or a ComplexRing for the float cross-check backend, in the format that
 ring's ``hold`` gives a dict of entries, so both backends share every
-code path.  An exact tensor holds the dict of tuple keys itself; a float
-one holds ``scalars._FloatEntries``, a read-only mapping of int64 key
-codes and complex128 values, which builds tuple keys only when it is
-iterated.  The constructor, ``permute`` and a wire's rescale build a
-dict and hand it to ``hold``; ``conj`` hands the held entries to the
-ring's ``conj_entries``, which conjugates each distinct value object
-once on the exact ring and the value array at the same codes on the
-float ring.  ``contract`` checks slots and variances and hands the slot
-tuples to the ring's ``join``, which runs the join itself: the exact
-ring a hash join that folds the weight into the distinct values of one
-operand and computes each product once per distinct pair of values, the
-float ring a sort-merge join on whole arrays of codes that keeps the
-dict join's summation order and bits; both write a key that one pair
-of entries meets once, already weighted (composing a map whose outputs
-fix its inputs, such as Q, meets every key so).  Likewise
+code path.  ``contract`` checks slots and variances and hands the slot
+tuples and both operands' entries to the ring's ``join``;
 ``tensor_equal`` checks arity and backend and hands both tensors'
-entries to the ring's ``compare_entries``, which returns the keys
-compared and, for each failing verdict, its least key with both values
-there (``slices_equal`` does so per pair of matching slices, for
-tensors too large to hold whole twice, and folds the pairs into the
-report the whole tensors give, with no lookup by key): the exact ring
-passes a key whose two values are one object and compares each other
-distinct pair of values once, and the float ring argsorts each side's
-codes once, lines the two sides up on the sorted union of their codes
-and compares all keys at once.  The float ring imports numpy on first
-use, so an exact run never loads it.  ``to_float`` maps each distinct
-value object once, classed by ``scalars._classes``.  Results of
-``contract``, ``permute`` and ``conj`` are built without the
-constructor's per-entry checks, which they pass by construction.
+entries to the ring's ``compare_entries`` (``slices_equal`` does so per
+pair of matching slices, for tensors too large to hold whole twice), and
+``conj`` hands its entries to ``conj_entries``.  How each ring holds,
+joins, compares and conjugates entries is documented in ``scalars``.
+Results of ``contract``, ``permute`` and ``conj`` are built by
+``_built``, without the constructor's per-entry checks, which they pass
+by construction.
 
 Domains are either a FinAbGroup or a BasisDomain (a bare finite basis,
 used by the bialgebra-style constructions).  Either way an element is an

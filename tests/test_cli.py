@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,33 @@ def test_statesum_rejects_incoherent_orientations(capsys, tmp_path):
     code, _, err = run(capsys, ["statesum", "--tri", str(path), "--solution", "bichar:Z2"])
     assert code == 64
     assert "(0, 1, 2, 3)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["statesum", "--solution", "bichar:Z2"],
+        ["moves", "walk", "--type", "2,3", "--count", "2", "--solution", "bichar:Z2"],
+    ],
+)
+def test_a_3d_complex_with_a_5_slot_solution_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "sphere3.tri"
+    simplex_boundary(4).save(path)
+    code, out, err = run(capsys, argv + ["--tri", str(path)])
+    assert_one_error_line(code, err)
+    assert "a 3-dimensional complex needs a tensor of 4 slots; bichar:Z2 has 5" in err
+    assert out == ""
+
+
+def test_a_huge_declared_dimension_is_refused_at_once(capsys, tmp_path):
+    path = tmp_path / "huge.tri"
+    path.write_text("dim 100000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["statesum", "--tri", str(path), "--solution", "bichar:Z2"])
+    assert time.perf_counter() - start < 1.0
+    assert_one_error_line(code, err)
+    assert "needs a tensor of 100000001 slots" in err
+    assert out == ""
 
 
 def test_statesum_over_the_guard_exits_64_before_contracting(capsys, tmp_path, monkeypatch):

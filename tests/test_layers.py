@@ -242,3 +242,24 @@ def test_tensors_leaves_the_float_entry_format_to_the_ring():
     conj = list(ast.walk(defs["conj"]))
     assert not [n for n in conj if isinstance(n, (ast.If, ast.IfExp))]
     assert len([n for n in conj if isinstance(n, ast.Return)]) == 1
+
+
+def test_statesum_reads_the_simplex_width_from_the_complex():
+    # one rule in every dimension: no literal simplex width in a range call
+    # and no comparison of a .dim with a literal dimension
+    tree = ast.parse((SRC / "statesum.py").read_text())
+    is_int = lambda n: isinstance(n, ast.Constant) and type(n.value) is int
+    lone = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "range" and len(n.args) == 1 and is_int(n.args[0])
+    ]
+    assert not lone
+    dims = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Compare)
+        and any(isinstance(x, ast.Attribute) and x.attr == "dim" for x in [n.left, *n.comparators])
+        and any(is_int(x) for x in [n.left, *n.comparators])
+    ]
+    assert not dims

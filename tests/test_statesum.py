@@ -1,4 +1,5 @@
-"""State-sum evaluation and move invariance on 4-dimensional complexes."""
+"""State-sum evaluation in any dimension, and move invariance on
+4-dimensional complexes."""
 
 import itertools
 import math
@@ -9,8 +10,15 @@ import pytest
 
 from pachner.scalars import Comparison, compare
 from pachner.simplicial import Triangulation, apply_move, simplex_boundary, pachner_sides
-from pachner.solutions import SolutionSpec, parse_solution, perturb_q
-from pachner import simplicial, statesum
+from pachner.solutions import (
+    SolutionSpec,
+    named_group_table,
+    parse_solution,
+    pentagon_map,
+    perturb_q,
+    triple_from_table,
+)
+from pachner import simplicial, statesum, verify
 from pachner.statesum import (
     all_sites,
     build_assignment,
@@ -24,7 +32,7 @@ from pachner.statesum import (
     walk,
 )
 from pachner.tensors import DOWN, UP, BasisDomain, GroupTensor, contract, tensor_equal
-from pachner.verify import p33_sides
+from pachner.verify import p33_sides, verify_pentagon
 from reference import INCOHERENT_SPHERES, all_splittings, flipped_sphere
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -34,7 +42,7 @@ PERFBENCH_DATA = DATA.parent / "perfbench" / "data"
 def direct_boundary_sum(a):
     """Entry-product oracle: no contraction machinery involved.
 
-    Iterates over one nonzero entry per pentachoron, keeps the products
+    Iterates over one nonzero entry per top simplex, keeps the products
     whose glued slots agree, and accumulates them under the boundary key
     in the assignment's canonical order, weighted c per pairing.
     """
@@ -54,16 +62,16 @@ def direct_boundary_sum(a):
         for entry_key, val in a.tensors[e].entries.items():
             updates = []
             ok = True
-            for f in range(5):
+            for f, state in enumerate(entry_key):
                 slot = (e, f)
                 tag = ("pair", pair_slot[slot]) if slot in pair_slot else ("out", slot)
                 if tag in states:
-                    if states[tag] != entry_key[f]:
+                    if states[tag] != state:
                         ok = False
                         break
                 else:
                     updates.append(tag)
-                    states[tag] = entry_key[f]
+                    states[tag] = state
             if ok:
                 rec(e + 1, states, prod * val if prod is not None else val)
             for tag in updates:
@@ -143,7 +151,7 @@ def test_incoherence_is_refused_at_the_least_pair(flips, pair, tetrahedron):
 
 def test_build_assignment_guards():
     sol = parse_solution("bichar:Z2")
-    with pytest.raises(ValueError, match="4-dimensional"):
+    with pytest.raises(ValueError, match="3-dimensional complex needs a tensor of 4 slots; bichar:Z2 has 5"):
         build_assignment(simplex_boundary(4), sol)
     with pytest.raises(ValueError, match="solution tensor"):
         build_assignment(simplex_boundary(5), parse_solution("set"))
@@ -190,23 +198,34 @@ def test_ball_values_match_relation_side_values_as_multisets():
     assert ball_vals == sorted(v.render() for v in pa.entries.values())
 
 
-def generic_solution(seed):
-    """A Q over BasisDomain(2) with seeded integer entries, zeros included,
-    that satisfies no relation."""
-    domain, rng = BasisDomain(2), random.Random(seed)
+def generic_tensor(size, variances, seed):
+    """A tensor over BasisDomain(size) with seeded integer entries, zeros
+    included, that satisfies no relation."""
+    domain, rng = BasisDomain(size), random.Random(seed)
     entries = {
         key: domain.ring.integer(rng.randrange(-3, 4))
-        for key in itertools.product(domain.elements(), repeat=5)
+        for key in itertools.product(domain.elements(), repeat=len(variances))
     }
-    q = GroupTensor(domain, (UP, DOWN, UP, DOWN, UP), entries)
-    return SolutionSpec("generic", f"generic:{seed}", domain, q)
+    return GroupTensor(domain, variances, entries)
 
 
+def generic_solution(seed):
+    q = generic_tensor(2, (UP, DOWN, UP, DOWN, UP), seed)
+    return SolutionSpec("generic", f"generic:{seed}", q.domain, q)
+
+
+# every catalogue solution whose balls ENTRY_GUARD admits, and 20
+# perturbed controls
 DISTINGUISHED_BALL_CASES = (
     [("generic", 7)]
     + [(f"bichar:{g}", None) for g in ("Z2", "Z3", "Z4", "Z5", "Z2xZ2")]
-    + [(f"triple:groupalg:{g}", None) for g in ("Z2", "Z3")]
-    + [(d, seed) for d in ("bichar:Z3", "triple:groupalg:Z3") for seed in range(4)]
+    + [(f"triple:groupalg:{g}", None) for g in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5")]
+    + [
+        (f"{kind}:{g}", seed)
+        for kind in ("bichar", "triple:groupalg")
+        for g in ("Z2", "Z3")
+        for seed in range(5)
+    ]
 )
 
 
@@ -228,6 +247,66 @@ def test_p33_sides_are_the_distinguished_ball_pair(descriptor, seed):
         assert got.variances == side.variances
         rep = tensor_equal(got, side)
         assert rep, rep.lines()
+
+
+def group_pentagon_map(name):
+    return pentagon_map(triple_from_table(named_group_table(name), name))
+
+
+def placed_on_a_tetrahedron(s):
+    """S on a tetrahedron's facets (0, 2, 1, 3): outputs on the even facets."""
+    return SolutionSpec("pentagon", "pentagon", s.domain, s.permute((0, 2, 1, 3)))
+
+
+PENTAGON_BALLS = pachner_sides(4, (0, 2, 4), (1, 3))
+
+
+@pytest.mark.parametrize(
+    "size, seed, group",
+    [(size, seed, None) for size in (2, 3) for seed in range(3)]
+    + [(None, None, g) for g in ("Z2", "Z3", "Z4", "Z2xZ2", "S3")],
+)
+def test_pentagon_sides_are_the_distinguished_3d_ball_pair(size, seed, group, monkeypatch):
+    """verify pentagon checks the state-sum tensors of the (3,2) move's
+    balls on I = {0,2,4}, J = {1,3}, with S placed by (0,2,1,3), for any
+    S: the sides' six slots are the balls' boundary triangles permuted by
+    (5,4,1,3,2,0).  A generic S satisfies no pentagon equation."""
+    s = group_pentagon_map(group) if group else generic_tensor(size, (UP, UP, DOWN, DOWN), seed)
+    compared, equal = [], verify.tensor_equal
+
+    def recording_equal(a, b, rel=1e-9):
+        compared.append((a, b))
+        return equal(a, b, rel)
+
+    monkeypatch.setattr(verify, "tensor_equal", recording_equal)
+    verify_pentagon(s)
+    ((lhs, rhs),) = compared
+    sol = placed_on_a_tetrahedron(s)
+    for ball, side in zip(PENTAGON_BALLS, (lhs, rhs)):
+        got = partition(build_assignment(ball, sol)).permute((5, 4, 1, 3, 2, 0))
+        assert got.variances == side.variances
+        rep = tensor_equal(got, side)
+        assert rep, rep.lines()
+
+
+@pytest.mark.parametrize("group", ["Z2", "S3"])
+def test_3d_balls_match_entry_product_oracle(group):
+    sol = placed_on_a_tetrahedron(group_pentagon_map(group))
+    for ball in PENTAGON_BALLS:
+        a = build_assignment(ball, sol)
+        got = partition(a)
+        expected = direct_boundary_sum(a)
+        assert set(got.entries) == set(expected)
+        for key, val in expected.items():
+            assert compare(got.entry(key), val) is Comparison.EQUAL
+
+
+@pytest.mark.parametrize("group, value", [("Z2", "8"), ("Z3", "27")])
+def test_3_sphere_bruteforce_matches_contraction(group, value):
+    sphere, sol = simplex_boundary(4), placed_on_a_tetrahedron(group_pentagon_map(group))
+    got = partition_value(build_assignment(sphere, sol))
+    assert got.render() == value
+    assert compare(partition_bruteforce(sphere, sol), got) is Comparison.EQUAL
 
 
 def test_contraction_order_does_not_change_results():
