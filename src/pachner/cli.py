@@ -5,7 +5,7 @@ apply), solutions, selftest.  Every run echoes its resolved options as
 opt_* lines followed by the relation report, all as flat key=value
 lines, so identical argv and seed produce byte-identical output.
 
-Exit codes: 0 pass, 1 fail, 2 indeterminate, 64 usage or input error
+Exit codes: 0 pass, 1 fail, 64 usage or input error
 (unknown flags, missing files, descriptors that do not parse, complexes
 outside the supported scope), 70 internal error (an unexpected exception,
 reported as one error line, so it never reads as a genuine fail).
@@ -42,11 +42,10 @@ from .verify import (
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
-EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
 
-_VERDICT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "indeterminate": EXIT_INDETERMINATE}
+_VERDICT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL}
 
 
 class UsageError(Exception):

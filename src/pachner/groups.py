@@ -1,4 +1,4 @@
-"""Finite abelian groups with self-duality data: chi, g, delta, measure.
+"""Finite abelian groups with self-duality data: chi, g, measure.
 
 A group is a product of cyclic factors Z/N1 x ... x Z/Nk.  An element is its
 index 0 .. |A|-1 in lexicographic residue order (on Z/N, its residue), whose
@@ -16,8 +16,8 @@ odd Ni the pairing reduces to the usual omega**(x*y).  Both land in the
 ring of 2L-th roots of unity with L = lcm(Ni), so every value is exact.
 
 The Haar measure is normalized self-dually: summation carries the weight
-c = r**-1 with r**2 = |A|, and delta(0) = r, so that integrating delta
-gives 1 and integrating a character gives delta.
+c = r**-1 with r**2 = |A|, and the point mass delta is r at 0, so that
+integrating delta gives 1 and integrating a character gives delta.
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ class FinAbGroup:
         for xi, n in zip(self._residues(x), self.orders):
             e -= (self.lcm_order // n) * (n + 1) * xi * xi
         return self.ring.root(e % two_l)
-
-    def delta(self, x: GroupElement) -> Scalar:
-        """Normalized point mass: r at the identity, zero elsewhere."""
-        self.check_element(x)
-        return self.ring.radical() if x == self.zero else self.ring.zero
 
 
 # A group builds its scalar ring at once, and the ring's root table holds

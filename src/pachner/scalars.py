@@ -8,11 +8,11 @@ where L is the lcm of the cyclic orders of the ambient group and N is the
 group order.  Reduction modulo the cyclotomic polynomial makes equality of
 cyclotomic parts decidable without numerics.  The radical stays formal,
 graded by an integer exponent; the relation r**2 = N only merges exponents
-of equal parity, which the canonical form applies eagerly.  A difference
-across the two parity classes is unequal when its squared parts differ
-and is otherwise reported as indeterminate rather than resolved
-numerically, since sqrt(N) may or may not lie in the cyclotomic ring
-(Gauss sums), and no check in this package needs that resolution.
+of equal parity, which the canonical form applies eagerly.  A value of
+both parities, P + Q·r, is zero at r = +sqrt(N) only when sqrt(N) lies
+in the cyclotomic ring, as a Gauss sum (``sqrt_group_order``); the
+canonical form then makes it ``{}``.  So zero has one form, and equality,
+``compare``, is decided: a - b is zero or not.
 
 Multiplying by a bare radical power r**e (one term, unit coefficient
 vector) is an exponent shift: every term of the other factor moves from
@@ -31,7 +31,7 @@ A tensor of the finite abelian model holds many entries but few distinct
 values (character values times powers of r), so each ring hash-conses its
 scalars: every value the package builds is looked up by its terms in item
 order, and a value the ring already holds is returned as that object.
-Equal values of one ring are then one object, down to the order of their
+Equal forms of one ring are then one object, down to the order of their
 terms, and the ring memoises its arithmetic on object identity: a
 product (a radical shift is the product by the interned r**e), the
 canonical sum and the conjugate each run once per distinct operands for
@@ -52,8 +52,8 @@ arithmetic behind those calls comes from the ring's tables after its
 first run.  ``ScalarRing.compare_entries`` skips a key whose two values
 are one object, which hash-consing makes equal, and compares the other
 keys' values once per distinct pair of value objects.  Each ring's
-``compare_entries`` returns, for each failing verdict, its least key
-with both values there, so a caller reports without looking keys up.
+``compare_entries`` returns the least unequal key with both values
+there, so a caller reports without looking keys up.
 
 Both rings' joins write a result entry once, already weighted, when one
 pair of entries meets its key.  A key of the first operand splits into
@@ -82,7 +82,7 @@ import cmath
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import add, is_not, itemgetter
 
@@ -231,14 +231,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class Comparison(enum.Enum):
     EQUAL = "equal"
     UNEQUAL = "unequal"
-    INDETERMINATE = "indeterminate"
 
     @property
     def verdict(self) -> str:
-        """The report verdict: "pass", "fail" or "indeterminate"."""
-        if self is Comparison.EQUAL:
-            return "pass"
-        return "fail" if self is Comparison.UNEQUAL else "indeterminate"
+        """The report verdict: "pass" or "fail"."""
+        return "pass" if self is Comparison.EQUAL else "fail"
 
 
 class ScalarRing:
@@ -337,6 +334,33 @@ class ScalarRing:
         _, rem = _poly_divmod(tuple(poly), self.modulus)
         return tuple(rem) + (0,) * (self.degree - len(rem))
 
+    @cached_property
+    def sqrt_group_order(self):
+        """+sqrt(N) as a coefficient vector, None when it is not in Q(z).
+
+        With N = m**2 * s, s squarefree, Q(sqrt s) has conductor c = s for
+        s = 1 mod 4, else 4s, so it lies in Q(z) = Q(zeta_2L) exactly when
+        c divides 2L.  Gauss's sum G of zeta_c**(a*a) over a < c is then
+        sqrt(s) for c = s and (1 + i) sqrt(4s) for c = 4s, which makes
+        sqrt(N) m G, or m G (1 - i) / 4.
+        """
+        m, s, p = 1, self.group_order, 2
+        while p * p <= s:
+            if s % (p * p):
+                p += 1
+            else:
+                m, s = m * p, s // (p * p)
+        c = s if s % 4 == 1 else 4 * s
+        if self.root_order % c:
+            return None
+        step, gauss = self.root_order // c, (0,) * self.degree
+        for a in range(c):
+            gauss = tuple(map(add, gauss, self._powers[step * a * a % self.root_order]))
+        if c > s:
+            turned = self._reduce(_poly_mul(gauss, self._powers[self.root_order // 4]))
+            gauss = [(g - t) // 4 for g, t in zip(gauss, turned)]
+        return tuple(m * g for g in gauss)
+
     def _canonical(self, terms):
         """Merge radical exponents of equal parity and raise maximally.
 
@@ -344,7 +368,11 @@ class ScalarRing:
         so all terms are first expressed at the least exponent present and
         then the exponent is raised while every coefficient divides by N.
         The result is one term per parity with coefficients not all
-        divisible by N, which is a unique normal form.
+        divisible by N, a unique normal form of a value of one parity.  A
+        value P·r**a + Q·r**b of both parities (a even, b odd) is zero at
+        r = +sqrt(N) exactly when P·N**(a/2) = -Q·sqrt(N)·N**((b-1)/2),
+        one product in Z[z] once both sides are scaled to the larger power
+        of N, and is then ``{}``, so zero has no other form.
         """
         n = self.group_order
         if n == 1:
@@ -371,6 +399,12 @@ class ScalarRing:
                 acc = [c // n for c in acc]
                 base += 2
             out[base] = tuple(acc)
+        if len(out) == 2 and self.sqrt_group_order is not None:
+            (a, p), (b, q) = out.items()
+            d = (a - b + 1) // 2
+            q = self._reduce(_poly_mul(q, self.sqrt_group_order))
+            if [c * n ** max(d, 0) for c in p] == [-c * n ** max(-d, 0) for c in q]:
+                return {}
         return out
 
     def scalar(self, terms) -> "Scalar":
@@ -429,10 +463,10 @@ class ScalarRing:
         list; a key met by one pair keeps that product, and the products
         colliding on a key are added by ``sum`` once per distinct multiset
         of pairs.  These keys are resolved in place, so every key keeps the
-        position of its first pair, as in the entry-by-entry join.  The
-        normal form is unique and ``_canonical`` orders its output by
-        parity, so every value, down to the order of its terms, equals the
-        entry-by-entry sum.  Equal entries may share one Scalar.
+        position of its first pair, as in the entry-by-entry join.  Sums
+        are order-free (see ``sum``) and ``_canonical`` orders its output
+        by parity, so every value, down to the order of its terms, equals
+        the entry-by-entry sum.  Equal entries may share one Scalar.
         """
         bound1, rest1, bound2, rest2 = map(_picker, (s1, free1, s2, free2))
         pick = None if order is None else _picker(order)
@@ -499,7 +533,8 @@ class ScalarRing:
 
         Integer sums are order-free and the normal form is unique, so the
         result, down to the order of its terms, equals any sequence of
-        pairwise additions.
+        pairwise additions, unless a partial sum is a zero of both
+        parities: dropping it keeps the value but may change the form.
         """
         values = tuple(values)
         key = tuple(map(id, values))
@@ -523,26 +558,24 @@ class ScalarRing:
         """Both entry dicts compared over the union of their keys, a missing
         entry read as zero, with :func:`compare`; rel is unused.
 
-        Returns the keys compared and {verdict: (least key, its value in
-        entries1, its value in entries2)} for UNEQUAL and INDETERMINATE,
-        each present only when some key has it.  A key whose two values
-        are one object is EQUAL, ``compare``'s own first branch, and join
-        results and hash-consed values make that the usual case, so only
-        the keys holding two distinct objects reach ``compare``, once per
-        distinct pair of them: the entry dicts keep their values alive, so
-        an id names one value for the whole walk.
+        Returns the keys compared and None, or the least UNEQUAL key, its
+        value in entries1 and its value in entries2.  A key whose two
+        values are one object is EQUAL, ``compare``'s own first branch,
+        and join results and hash-consed values make that the usual case,
+        so only the keys holding two distinct objects reach ``compare``,
+        once per distinct pair of them: the entry dicts keep their values
+        alive, so an id names one value for the whole walk.
         """
         keys, values1, values2 = _aligned(entries1, entries2, self.zero)
-        verdicts, least = {}, {}
-        equal = Comparison.EQUAL
+        verdicts, least = {}, None
         distinct = map(is_not, values1, values2)
         for key, v1, v2 in compress(zip(keys, values1, values2), distinct):
             pair = (id(v1), id(v2))
             verdict = verdicts.get(pair)
             if verdict is None:
                 verdict = verdicts[pair] = compare(v1, v2)
-            if verdict is not equal and (verdict not in least or key < least[verdict][0]):
-                least[verdict] = (key, v1, v2)
+            if verdict is Comparison.UNEQUAL and (least is None or key < least[0]):
+                least = (key, v1, v2)
         return len(keys), least
 
     def parse(self, text: str) -> "Scalar":
@@ -578,9 +611,10 @@ def get_ring(lcm_order: int, group_order: int) -> ScalarRing:
 class Scalar:
     """Immutable element of a ScalarRing in canonical form.
 
-    ``==`` compares canonical forms, which decides equality whenever both
-    operands live in a single radical parity class; use :func:`compare`
-    for the three-valued semantic comparison.
+    ``==`` compares canonical forms, as hash-consing needs: it is value
+    equality for operands of one radical parity, or when sqrt(N) is not
+    in the ring, but r and 2 in the order-4 ring are equal values of
+    unequal forms.  :func:`compare` is value equality.
     """
 
     __slots__ = ("ring", "terms")
@@ -733,29 +767,13 @@ class Scalar:
 
 
 def compare(a: Scalar, b: Scalar) -> Comparison:
-    """Three-valued comparison.
-
-    A difference confined to one radical parity class embeds injectively
-    into the complex numbers, so a nonzero such difference is a genuine
-    inequality.  A difference P + Q·r straddling both parities (P even, Q
-    odd) can vanish only if P^2 = N·Q^2, an identity between two even
-    parts that ``==`` decides; when it fails the difference is unequal,
-    and when it holds the comparison is indeterminate, never inequality.
-    Canonical forms are unique, so operands of one ring with equal terms
-    are EQUAL without the subtraction.
+    """Value equality at r = +sqrt(N): EQUAL when the terms are equal,
+    without the subtraction, or when a - b is zero, whose one form is
+    ``{}`` (see ``ScalarRing._canonical``); UNEQUAL otherwise.
     """
     if (a.ring is b.ring or a.ring == b.ring) and a.terms == b.terms:
         return Comparison.EQUAL
-    diff = a - b
-    if not diff.terms:
-        return Comparison.EQUAL
-    if len({e % 2 for e in diff.terms}) == 1:
-        return Comparison.UNEQUAL
-    even = diff.ring._intern({e: v for e, v in diff.terms.items() if e % 2 == 0})
-    odd = diff - even
-    if even * even != odd * odd:
-        return Comparison.UNEQUAL
-    return Comparison.INDETERMINATE
+    return Comparison.UNEQUAL if (a - b).terms else Comparison.EQUAL
 
 
 def _check_codes(radix: int, arity: int):
@@ -902,7 +920,7 @@ class ComplexRing:
     ``join``, ``compare_entries`` and ``conj_entries`` work on those arrays
     whole.  numpy is
     imported on first float use, so exact runs never load it.  Comparison
-    is at relative tolerance rel, so it is never INDETERMINATE.
+    is at relative tolerance rel.
     """
 
     group_order: int
@@ -1024,7 +1042,7 @@ class ComplexRing:
 
     def compare_entries(self, entries1, entries2, rel=FLOAT_REL):
         """ScalarRing.compare_entries at relative tolerance rel, on every key
-        at once, so nothing is INDETERMINATE.
+        at once.
 
         Both sides' values are read into one array each over the sorted
         union of their codes, zero where a side has no entry, so the first
@@ -1057,7 +1075,7 @@ class ComplexRing:
             scale = np.where(1.0 > scale, 1.0, scale)
             unequal = np.flatnonzero(~(np.abs(a - b) <= rel * scale))
         if not len(unequal):
-            return len(codes), {}
+            return len(codes), None
         i = unequal[0]
         (key,) = entries1.digits(codes[i : i + 1])
-        return len(codes), {Comparison.UNEQUAL: (tuple(key), a[i].item(), b[i].item())}
+        return len(codes), (tuple(key), a[i].item(), b[i].item())

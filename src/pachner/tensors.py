@@ -63,7 +63,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from .scalars import FLOAT_REL, Comparison, ComplexRing, _classes, _picker, get_ring
+from .scalars import FLOAT_REL, ComplexRing, _classes, _picker, get_ring
 
 
 class Variance(enum.Enum):
@@ -285,8 +285,8 @@ class Report:
     """Outcome of one check, printed as flat key=value lines.
 
     ``fields`` print in order after ``relation=`` and hold the verdict
-    ("pass" | "fail" | "indeterminate"); the witness follows when there
-    is one, then the extras sorted by key.
+    ("pass" | "fail"); the witness follows when there is one, then the
+    extras sorted by key.
     """
 
     name: str
@@ -325,11 +325,10 @@ def tensor_equal(t1: GroupTensor, t2: GroupTensor, rel: float = FLOAT_REL) -> Re
     patterns directly.  The ring compares the two entry dicts whole
     (``ScalarRing.compare_entries`` or ``ComplexRing.compare_entries``).
     The report counts the keys compared as checks; its witness is the
-    lexicographically least UNEQUAL index tuple, or failing that the
-    least INDETERMINATE one, formatted, with both rendered values as
-    lhs_value and rhs_value.  With the exact backend, a difference that
-    straddles both radical parities may yield INDETERMINATE; the float
-    backend compares at relative tolerance rel.
+    lexicographically least UNEQUAL index tuple, formatted, with both
+    rendered values as lhs_value and rhs_value.  The exact backend
+    decides every equality; the float backend compares at relative
+    tolerance rel.
     """
     return slices_equal([(t1, t2)], rel)
 
@@ -341,12 +340,12 @@ def slices_equal(pairs, rel: float = FLOAT_REL) -> Report:
     disjoint across pairs and whose union is each whole tensor; a whole
     pair is one slice.  Each pair is compared as ``tensor_equal`` compares
     whole tensors and the report is the one the whole tensors give: the
-    checks summed, the witness the least UNEQUAL key over all pairs, else
-    the least INDETERMINATE one, with both values there.  The pairs are
-    taken one at a time and none is held after its comparison, so a
-    generator of pairs keeps one pair alive at once.
+    checks summed, the witness the least UNEQUAL key over all pairs,
+    with both values there.  The pairs are taken one at a time and none
+    is held after its comparison, so a generator of pairs keeps one pair
+    alive at once.
     """
-    checks, least = 0, {}
+    checks, least = 0, None
     for t1, t2 in pairs:
         if t1.arity != t2.arity:
             raise ValueError(f"arity mismatch: {t1.arity} vs {t2.arity}")
@@ -355,16 +354,13 @@ def slices_equal(pairs, rel: float = FLOAT_REL) -> Report:
         domain, ring = t1.domain, t1.ring
         del t1, t2  # before the next pair is made
         checks += compared
-        for verdict, hit in found.items():
-            if verdict not in least or hit[0] < least[verdict][0]:
-                least[verdict] = hit
-    for verdict in (Comparison.UNEQUAL, Comparison.INDETERMINATE):
-        if verdict in least:
-            key, v1, v2 = least[verdict]
-            fields = {"verdict": verdict.verdict, "checks": checks}
-            values = {"lhs_value": ring.render(v1), "rhs_value": ring.render(v2)}
-            return Report("tensor-equal", fields, _fmt_key(domain, key), values)
-    return Report("tensor-equal", {"verdict": "pass", "checks": checks})
+        if found is not None and (least is None or found[0] < least[0]):
+            least = found
+    if least is None:
+        return Report("tensor-equal", {"verdict": "pass", "checks": checks})
+    key, v1, v2 = least
+    values = {"lhs_value": ring.render(v1), "rhs_value": ring.render(v2)}
+    return Report("tensor-equal", {"verdict": "fail", "checks": checks}, _fmt_key(domain, key), values)
 
 
 class WirePermutation(GroupTensor):

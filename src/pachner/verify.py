@@ -90,21 +90,17 @@ def _judge(name, target, backend, comparisons, extras=None) -> Report:
     """Fold labelled (where, Report) comparisons into one report.
 
     The comparisons are consumed lazily: the first failing one stops the
-    fold; otherwise the first indeterminate one is the witness.  The
-    witness reads "where at key" (just the key when where is empty) and
-    brings the comparison's extras, both rendered values.  ``extras`` is
-    read after the fold, so a generator of comparisons may fill it.
+    fold and is the witness, which reads "where at key" (just the key
+    when where is empty) and brings the comparison's extras, both
+    rendered values.  ``extras`` is read after the fold, so a generator
+    of comparisons may fill it.
     """
     checks, verdict, witness, values = 0, "pass", "", {}
     for where, rep in comparisons:
         checks += rep.checks
-        # skip a pass, and an indeterminate one after the first
-        if rep or rep.verdict == verdict:
-            continue
-        verdict = rep.verdict
-        witness = f"{where} at {rep.witness}" if where else rep.witness
-        values = rep.extras
-        if verdict == "fail":
+        if not rep:
+            verdict, values = rep.verdict, rep.extras
+            witness = f"{where} at {rep.witness}" if where else rep.witness
             break
     return _report(name, target, backend, verdict, checks, witness, {**(extras or {}), **values})
 
@@ -402,10 +398,10 @@ def _proof_integral(dt: GroupTensor, plan, kernels: dict, classes=None) -> Group
     then the three rows), and each key is put into slot order once.  A
     key met by one term keeps that product.  The terms of any other key
     are added by ``ScalarRing.sum`` once per distinct multiset of classes,
-    and the weight r**-3 is applied once per distinct sum.  The normal
-    form is unique and ``_canonical`` orders its output by parity, so
-    every entry, down to the order of its terms, equals the term-by-term
-    sum.
+    and the weight r**-3 is applied once per distinct sum.  Sums are
+    order-free (``ScalarRing.sum``) and ``_canonical`` orders its output
+    by parity, so every entry, down to the order of its terms, equals the
+    term-by-term sum.
     """
     if classes is None:
         classes = _ValueClasses(dt, kernels)

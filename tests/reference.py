@@ -7,7 +7,7 @@ every identity wire built as a tensor and the printed factors folded
 left to right, the (3,3) check on its two whole sides at any size,
 joins as first written, tensor equality as the least failing key of
 the key union, the float tolerance test on one pair of values
-(``approx_equal``), scalar comparison by subtraction alone, the proof-case
+(``approx_equal``), scalar comparison by its two parity parts, the proof-case
 integrals summed term by term, group arithmetic and the pairing on
 residue tuples, face classes as a union-find over (entry, vertex
 subset) tuples, move sites by trying every vertex label, and the
@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from pachner.scalars import FLOAT_REL, Comparison, ComplexRing, Scalar, _ambiguous, _buckets, compare
+from pachner.scalars import FLOAT_REL, Comparison, ComplexRing, _ambiguous, _buckets, compare
 from pachner.simplicial import MoveSite, Triangulation, simplex_boundary
 from pachner.solutions import SolutionSpec
 from pachner.tensors import (
@@ -118,8 +118,8 @@ def least_key_tensor_equal(t1, t2, rel=1e-9):
     """tensor_equal from its definition: every key of either tensor is
     compared, a missing entry read as zero (``compare`` in the exact ring,
     approx_equal at rel in floats), and the report names the least
-    UNEQUAL key, else the least INDETERMINATE key, with both values there;
-    its checks are the size of the key union."""
+    UNEQUAL key with both values there; its checks are the size of the
+    key union."""
     ring = t1.ring
     keys = set(t1.entries) | set(t2.entries)
 
@@ -129,26 +129,38 @@ def least_key_tensor_equal(t1, t2, rel=1e-9):
             return Comparison.EQUAL if approx_equal(a, b, rel) else Comparison.UNEQUAL
         return compare(a, b)
 
-    verdicts = {key: verdict(key) for key in keys}
-    for failing in (Comparison.UNEQUAL, Comparison.INDETERMINATE):
-        key = min((k for k, v in verdicts.items() if v is failing), default=None)
-        if key is not None:
-            values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
-            fields = {"verdict": failing.verdict, "checks": len(keys)}
-            return Report("tensor-equal", fields, _fmt_key(t1.domain, key), values)
-    return Report("tensor-equal", {"verdict": "pass", "checks": len(keys)})
+    key = min((k for k in keys if verdict(k) is Comparison.UNEQUAL), default=None)
+    if key is None:
+        return Report("tensor-equal", {"verdict": "pass", "checks": len(keys)})
+    values = {"lhs_value": ring.render(t1.entry(key)), "rhs_value": ring.render(t2.entry(key))}
+    fields = {"verdict": "fail", "checks": len(keys)}
+    return Report("tensor-equal", fields, _fmt_key(t1.domain, key), values)
 
 
 def subtracting_compare(a, b):
-    """compare as the subtraction alone decides it, with no terms shortcut."""
-    diff = a - b
-    if not diff.terms:
-        return Comparison.EQUAL
-    if len({e % 2 for e in diff.terms}) == 1:
+    """compare from its definition, value equality at r = +sqrt(N), with
+    no terms shortcut and without the ring's Gauss-sum root of N.
+
+    a - b is taken one radical parity at a time, so that no difference
+    of both parities is put in canonical form: an even part P and an odd
+    part Q·r.  A difference of one parity embeds injectively into the
+    complex numbers.  P + Q·r of both parities can vanish only if
+    P**2 = N·Q**2, an identity of two even values; when it holds P is
+    exactly +-sqrt(N)·Q, so the float values of P + Q·r and P - Q·r,
+    one of them exactly zero, tell the sign.
+    """
+    ring = a.ring
+    even, odd = (
+        ring.scalar({e: v for e, v in a.terms.items() if e % 2 == parity})
+        - ring.scalar({e: v for e, v in b.terms.items() if e % 2 == parity})
+        for parity in (0, 1)
+    )
+    if not even or not odd:
+        return Comparison.UNEQUAL if even or odd else Comparison.EQUAL
+    if even * even != odd * odd:
         return Comparison.UNEQUAL
-    even = Scalar(diff.ring, {e: v for e, v in diff.terms.items() if e % 2 == 0})
-    odd = diff - even
-    return Comparison.UNEQUAL if even * even != odd * odd else Comparison.INDETERMINATE
+    p, q = even.to_complex(), odd.to_complex()
+    return Comparison.EQUAL if abs(p + q) < abs(p - q) else Comparison.UNEQUAL
 
 
 def assert_identical_entries(got, want):

@@ -10,10 +10,14 @@ classes and the dense oracle, never at module level, and keeps the test
 modules apart: each imports shared references from tests/reference.py
 and from no other test module.  The float entry format stays behind the
 ring: tensors imports no coded-entry class and branches on no backend.
+Every comparison is decided: no module names a third verdict, and the
+command line maps exactly pass and fail to exit codes.
 """
 
 import ast
 from pathlib import Path
+
+from pachner.cli import _VERDICT_CODES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pachner"
 TESTS = Path(__file__).resolve().parent
@@ -88,6 +92,12 @@ def environment_reads(tree) -> set:
             key = use.slice
         names.add(key.value if isinstance(key, ast.Constant) else None)
     return names
+
+
+def test_no_module_names_a_verdict_beside_pass_and_fail():
+    for path in sorted(SRC.glob("*.py")):
+        assert "indeterminate" not in path.read_text().lower(), path.name
+    assert set(_VERDICT_CODES) == {"pass", "fail"}
 
 
 def test_the_only_environment_variable_read_is_the_mutation_hook():

@@ -1,5 +1,5 @@
 import cmath
-import functools
+import itertools
 import math
 import struct
 
@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pachner.groups import parse_group
 from pachner.scalars import (
     Comparison,
     ComplexRing,
     Scalar,
+    ScalarRing,
     _FloatEntries,
     compare,
     cyclotomic_polynomial,
@@ -137,22 +139,93 @@ def test_compare_same_parity_unequal():
     assert compare(ring.one, ring.integer(3)) is Comparison.UNEQUAL
 
 
-def test_compare_cross_parity_indeterminate():
-    # r = 2 holds numerically in the order-4 ring but the formal grading
-    # cannot see it; the comparison must refuse to decide
-    ring = get_ring(4, 4)
-    assert compare(ring.radical(), ring.integer(2)) is Comparison.INDETERMINATE
-    # likewise z - z^3 = sqrt(2) with z = exp(pi i/4)
+def test_compare_cross_parity_decides_gauss_sums():
+    # r = 2 in the order-4 rings of Z4 and Z2xZ2, though the two forms
+    # lie in different radical parities
+    for ring in (get_ring(4, 4), get_ring(2, 4)):
+        assert compare(ring.radical(), ring.integer(2)) is Comparison.EQUAL
+        assert compare(ring.integer(2), ring.radical()) is Comparison.EQUAL
+        # the difference is zero, which has one form
+        assert ring.radical() - ring.integer(2) is ring.zero
+        assert not ring.radical() + ring.integer(-2)
+    # z - z^3 = sqrt(2) with z = exp(pi i/4)
     ring = get_ring(4, 2)
-    assert compare(ring.root(1) - ring.root(3), ring.radical()) is Comparison.INDETERMINATE
+    assert compare(ring.root(1) - ring.root(3), ring.radical()) is Comparison.EQUAL
+    # on Z5 the Gauss sum of x -> zeta_5**(x*x) is sqrt(5), and r is not 2
+    ring = get_ring(5, 5)
+    gauss = ring.sum(ring.root(2 * x * x) for x in range(5))
+    assert compare(gauss, ring.radical()) is Comparison.EQUAL
+    assert gauss - ring.radical() is ring.zero
+    assert compare(ring.radical(), ring.integer(2)) is Comparison.UNEQUAL
+    # on Z8, 2 (zeta_16**2 + zeta_16**-2) = 4 cos(pi/4) = sqrt(8)
+    ring = get_ring(8, 8)
+    assert compare(2 * (ring.root(2) + ring.root(-2)), ring.radical()) is Comparison.EQUAL
+    assert compare(2 * (ring.root(2) - ring.root(-2)), ring.radical()) is Comparison.UNEQUAL
 
 
 def test_comparison_verdicts_name_the_report_outcomes():
     assert {c: c.verdict for c in Comparison} == {
         Comparison.EQUAL: "pass",
         Comparison.UNEQUAL: "fail",
-        Comparison.INDETERMINATE: "indeterminate",
     }
+
+
+# every finite abelian group of order <= 12, and those whose sqrt(N) is
+# not in the cyclotomic field Q(zeta_2L)
+ABELIAN_UP_TO_12 = [f"Z{n}" for n in range(2, 13)] + [
+    "Z2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ6", "Z2xZ2xZ2", "Z2xZ2xZ3",
+]
+ROOTLESS = {"Z2", "Z3", "Z6", "Z7", "Z10", "Z11", "Z2xZ2xZ2"}
+
+
+def test_sqrt_group_order_is_a_root_of_n_exactly_where_the_field_holds_one():
+    for name in ABELIAN_UP_TO_12:
+        ring = parse_group(name).ring
+        root = ring.sqrt_group_order
+        assert (root is None) == (name in ROOTLESS), name
+        if root is not None:
+            value = ring.scalar({0: root})
+            assert value * value == ring.integer(ring.group_order)
+            assert abs(value.to_complex() - ring.group_order**0.5) < 1e-9
+
+
+def test_the_root_is_found_on_the_first_value_of_both_parities():
+    ring = ScalarRing(5, 5)
+    ring.radical(3) * ring.root(2) + ring.radical(-1)
+    ring.integer(7) * ring.root(1) - ring.radical(2)
+    assert "sqrt_group_order" not in vars(ring)
+    ring.radical() + ring.one
+    assert "sqrt_group_order" in vars(ring)
+
+
+@st.composite
+def cross_parity_pairs(draw):
+    """Two scalars of one ring of a group of order <= 12, each of up to
+    two radical parts, and a partner of the first that adds Q·r**(2k+1)
+    and subtracts (or adds) Q·sqrt(N)·r**(2k), the same value in the other
+    parity, where the ring holds sqrt(N)."""
+    ring = parse_group(draw(st.sampled_from(ABELIAN_UP_TO_12))).ring
+    coefficients = st.lists(st.integers(-3, 3), min_size=1, max_size=ring.degree)
+    raw = st.dictionaries(st.integers(-3, 3), coefficients, max_size=2)
+    a, b, q = (ring.scalar({e: tuple(v) for e, v in draw(raw).items()}) for _ in range(3))
+    root, k = ring.sqrt_group_order, draw(st.integers(-1, 1))
+    if root is not None:
+        odd = q * ring.radical(2 * k + 1)
+        even = q * ring.scalar({0: root}) * ring.radical(2 * k)
+        assert odd - even is ring.zero
+        b = a + odd + even if draw(st.booleans()) else a + odd - even
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(cross_parity_pairs())
+def test_compare_is_value_equality_on_every_group_up_to_order_12(pair):
+    a, b = pair
+    for x, y in (pair, pair[::-1]):
+        got = compare(x, y)
+        assert got is subtracting_compare(x, y)
+        assert (got is Comparison.EQUAL) == approx_equal(x.to_complex(), y.to_complex(), 1e-9)
+        assert bool(x - y) == (got is Comparison.UNEQUAL)
 
 
 def test_compare_cross_parity_unequal_when_squares_differ():
@@ -394,16 +467,29 @@ def test_complex_join_matches_the_two_pass_join(group_order, args):
     assert bits(got) == bits(two_pass) == bits(by_dict)
 
 
-def pairwise_add(a, b):
-    """Scalar.__add__ as it merged its two operands before ScalarRing.sum:
-    the reference for the one exact sum."""
+def merged_terms(a, b):
+    """The terms of a and b added per radical exponent."""
     merged = {}
     for src in (a.terms, b.terms):
         for e, vec in src.items():
             acc = merged.setdefault(e, [0] * a.ring.degree)
             for i, v in enumerate(vec):
                 acc[i] += v
-    return Scalar(a.ring, a.ring._canonical(merged))
+    return merged
+
+
+def pairwise_add(a, b):
+    """Scalar.__add__ as it merged its two operands before ScalarRing.sum:
+    the reference for the one exact sum."""
+    return Scalar(a.ring, a.ring._canonical(merged_terms(a, b)))
+
+
+def drops_a_zero_of_both_parities(a, b):
+    """Whether a + b is zero but neither of its parity parts is, which
+    the canonical form drops whole."""
+    merged, canonical = merged_terms(a, b), a.ring._canonical
+    parts = [{e: v for e, v in merged.items() if e % 2 == parity} for parity in (0, 1)]
+    return all(map(canonical, parts)) and not canonical(merged)
 
 
 # Z2-Z6 and Z2xZ2 parameters (L, N)
@@ -426,7 +512,23 @@ def summands(draw):
 @given(summands())
 def test_ring_sum_equals_the_pairwise_additions(case):
     ring, values = case
-    want = list(functools.reduce(pairwise_add, values, ring.zero).terms.items())
-    assert list(ring.sum(values).terms.items()) == want
-    assert list(ring.sum(iter(values)).terms.items()) == want
+    partials = list(itertools.accumulate(values, pairwise_add, initial=ring.zero))
+    want = list(partials[-1].terms.items())
     assert list(sum(values, ring.zero).terms.items()) == want
+    # a partial sum that is a zero of both parities is dropped, which
+    # keeps the value of the whole sum but may change its form
+    dropped = any(map(drops_a_zero_of_both_parities, partials[:-2], values[:-1]))
+    for got in (ring.sum(values), ring.sum(iter(values))):
+        if dropped:
+            assert compare(got, partials[-1]) is Comparison.EQUAL
+        else:
+            assert list(got.terms.items()) == want
+
+
+def test_a_dropped_partial_zero_changes_the_form_of_a_sum_not_its_value():
+    ring = get_ring(4, 4)
+    values = [ring.integer(2), -ring.radical(), ring.radical()]
+    assert drops_a_zero_of_both_parities(*values[:2])
+    assert sum(values, ring.zero) is ring.radical()
+    assert ring.sum(values) is ring.integer(2)
+    assert compare(ring.sum(values), ring.radical()) is Comparison.EQUAL

@@ -512,13 +512,17 @@ def test_tensor_equal_report_formats_the_least_failing_key_and_renders_both_valu
     assert not rep and rep.checks == 3
 
 
-def test_tensor_equal_indeterminate_on_grading_mismatch():
+def test_tensor_equal_decides_a_grading_mismatch():
+    # r and 2 lie in different radical parities and are equal on Z4
     z4 = FinAbGroup([4])
     ring = z4.ring
     a = GroupTensor(z4, (UP,), {(0,): ring.radical()})
     b = GroupTensor(z4, (UP,), {(0,): ring.integer(2)})
     rep = tensor_equal(a, b)
-    assert rep.verdict == "indeterminate"
+    assert (rep.verdict, rep.witness, rep.checks) == ("pass", "", 1)
+    b.entries[(0,)] = ring.integer(3)
+    rep = tensor_equal(a, b)
+    assert rep.verdict == "fail"
     assert rep.witness == _fmt_key(z4, (0,))
 
 
@@ -967,6 +971,7 @@ def test_tensor_equal_reports_as_the_sorted_walk(pair):
 
 
 def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
+    # r against 2 straddles both radical parities and is EQUAL on Z4
     ring = Z4.ring
     keys = [(i,) for i in range(4)]
     t1 = GroupTensor(Z4, (UP,), {keys[0]: ring.radical(), keys[1]: ring.one, keys[3]: ring.radical()})
@@ -976,7 +981,8 @@ def test_tensor_equal_prefers_the_least_unequal_key_over_indeterminate_ones():
     assert (got.verdict, got.witness, got.checks) == ("fail", _fmt_key(Z4, keys[1]), 4)
     del t1.entries[keys[1]], t2.entries[keys[2]]
     got = tensor_equal(t1, t2)
-    assert (got.verdict, got.witness, got.checks) == ("indeterminate", _fmt_key(Z4, keys[0]), 2)
+    assert got == least_key_tensor_equal(t1, t2)
+    assert (got.verdict, got.witness, got.checks) == ("pass", "", 2)
 
 
 def test_wire_permutations_compose_without_a_join(monkeypatch):
@@ -1151,7 +1157,7 @@ def test_float_comparison_returns_its_witness_values_without_a_lookup(monkeypatc
 
 
 def test_exact_comparison_takes_the_least_unequal_key_past_repeated_indeterminate_pairs():
-    # r against 2 straddles both radical parities (indeterminate); one
+    # r against 2 straddles both radical parities and is EQUAL on Z4; one
     # shared pair of objects fills every key below and beside the two
     # unequal keys, the later of which only t2 holds
     ring = Z4.ring
@@ -1168,7 +1174,8 @@ def test_exact_comparison_takes_the_least_unequal_key_past_repeated_indeterminat
     assert (got.verdict, got.witness) == ("fail", _fmt_key(Z4, keys[-1]))
     del t2.entries[keys[-1]]
     got = tensor_equal(t1, t2)
-    assert (got.verdict, got.witness, got.checks) == ("indeterminate", _fmt_key(Z4, keys[0]), 15)
+    assert got == least_key_tensor_equal(t1, t2)
+    assert (got.verdict, got.witness, got.checks) == ("pass", "", 15)
 
 
 def test_exact_comparison_compares_each_value_pair_once(monkeypatch):

@@ -420,7 +420,7 @@ def _compared(verdict, key=None):
 def test_the_fold_stops_at_the_first_unequal_comparison():
     def comparisons():
         yield "a", _compared("pass")
-        yield "b", _compared("indeterminate", (1,))
+        yield "b", _compared("pass")
         yield "c", _compared("fail", (2,))
         pytest.fail("the fold read past the first unequal comparison")
 
@@ -438,14 +438,14 @@ def test_the_fold_stops_at_the_first_unequal_comparison():
     ]
 
 
-def test_the_fold_witnesses_the_first_indeterminate_comparison():
+def test_the_fold_witnesses_an_unlabelled_failure_by_its_key():
     comparisons = [
         ("", _compared("pass")),
-        ("", _compared("indeterminate", (1,))),
-        ("", _compared("indeterminate", (2,))),
+        ("", _compared("fail", (1,))),
+        ("", _compared("fail", (2,))),
     ]
     report = _judge("demo", "T", "exact", comparisons)
-    assert (report.verdict, report.witness, report.fields["checks"]) == ("indeterminate", "1", 6)
+    assert (report.verdict, report.witness, report.fields["checks"]) == ("fail", "1", 4)
     assert (report.extras["lhs_value"], report.extras["rhs_value"]) == ("l1", "r1")
     assert not report
     assert _judge("demo", "T", "exact", comparisons[:1]).lines()[3:] == ["verdict=pass", "checks=2"]
