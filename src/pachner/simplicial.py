@@ -107,14 +107,21 @@ def _face_tables(width: int) -> tuple:
     return tables
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _splitting_count(dim: int, p: int) -> int:
+    """C(dim + 2, p), the splittings of a (p, dim + 2 - p) move."""
+    return math.comb(dim + 2, p)
+
+
 def check_move_type(dim: int, p: int) -> None:
     """Raise ValueError unless 1 <= p <= dim + 1 and the (p, dim + 2 - p)
     move has at most SPLITTINGS_LIMIT splittings: the one move-type rule,
-    which every site search and invariance run applies first."""
+    which every site search and invariance run applies first.  The count
+    is kept per (dim, p); the limit is read on every call."""
     n = dim + 1
     if not 1 <= p <= n:
         raise ValueError(f"move type ({p},{n + 1 - p}) needs 1 <= p <= {n}")
-    splittings = math.comb(dim + 2, p)
+    splittings = _splitting_count(dim, p)
     if splittings > SPLITTINGS_LIMIT:
         raise ValueError(
             f"({p},{dim + 2 - p}) moves in dimension {dim} have {splittings} splittings, "
@@ -156,6 +163,11 @@ class Triangulation:
     mates (shared by every move size from 2 on) and the move sites of
     each size |I|, 1 included, are each built at most once, on first use,
     and kept on the instance.
+
+    The constructor checks every entry and, when it is given, every glued
+    pair.  ``apply_move`` builds its result through ``_reglued``, which
+    checks only the seam: every other pair it holds is a pair of the
+    parent, already checked there.
     """
 
     def __init__(self, dim: int, simplexes, gluing=None):
@@ -179,6 +191,19 @@ class Triangulation:
         self._f_vector = self._mates = None
         self._sites = {}
 
+    @classmethod
+    def _reglued(cls, dim, simplexes, gluing, seam) -> "Triangulation":
+        """``apply_move``'s builder: ``simplexes`` glued by ``gluing``, of
+        which only the pairs in ``seam``, given in both directions, are
+        checked; every other pair is the parent's, checked when it was
+        built."""
+        t = cls.__new__(cls)
+        t.dim, t.simplexes, t.gluing = dim, tuple(simplexes), MappingProxyType(gluing)
+        t._f_vector = t._mates = None
+        t._sites = {}
+        t._validate_gluing(seam.items())
+        return t
+
     # -- construction helpers ------------------------------------------
 
     def _derive_gluing(self):
@@ -199,16 +224,20 @@ class Triangulation:
                 )
         return gluing
 
-    def _validate_gluing(self):
+    def _validate_gluing(self, pairs=None):
+        """Check the gluing at the (occurrence, partner) items ``pairs``,
+        every item by default."""
         gluing = self.gluing
-        for e, i in gluing:
+        if pairs is None:
+            pairs = gluing.items()
+        for (e, i), _ in pairs:
             if not (0 <= e < len(self.simplexes) and 0 <= i <= self.dim):
                 raise ValueError(f"gluing references unknown occurrence {(e, i)}")
         # the involution is checked at every occurrence; a pair's facets are
         # compared at the first of its two occurrences, whose check the
         # second one would repeat
         compared = set()
-        for occ, partner in gluing.items():
+        for occ, partner in pairs:
             if gluing.get(partner) != occ or partner == occ:
                 raise ValueError(f"gluing is not a fixed-point-free involution at {occ}")
             if partner in compared:
@@ -362,8 +391,8 @@ class Triangulation:
         mates (found once per complex): p - 1 mates of a cone entry form a
         site when each two of them are glued along the facet missing the
         other's position, which for p = 2 holds with nothing to check.
-        Each I's complement J is made once per call, when I gets its
-        first site."""
+        Sites are grouped by I as they are found, and each I's complement
+        J is read from a memo kept per splitting."""
         n = self.dim + 1
         if p == 1:
             fresh = max((vertices[-1] for vertices, _ in self.simplexes), default=-1) + 1
@@ -377,11 +406,18 @@ class Triangulation:
         if self._mates is None:
             self._mates = self._find_cone_mates()
         gluing = self.gluing
-        found = []
+        by_I: dict[tuple, tuple] = {}  # I -> (J, its sites so far)
+
+        def add(I, phi, entries, eps):
+            found = by_I.get(I)
+            if found is None:
+                found = by_I[I] = (_complement(n, I), [])
+            found[1].append(_move_site(n, I, found[0], phi, entries, eps))
+
         for phi, i0, e0, eps, mates in self._mates:
             if p == 2:
                 for i, e in mates:
-                    found.append(((i0, i), phi, (e0, e), eps))
+                    add((i0, i), phi, (e0, e), eps)
                 continue
             for chosen in itertools.combinations(mates, p - 1):
                 # positions increase along mates, so facet i2 - 1 of the
@@ -392,16 +428,8 @@ class Triangulation:
                         break
                 else:
                     positions, others = zip(*chosen)
-                    found.append(((i0, *positions), phi, (e0, *others), eps))
-        complements: dict[tuple, tuple] = {}
-        by_I: dict[tuple, list] = {}
-        for I, phi, entries, eps in found:
-            J = complements.get(I)
-            if J is None:
-                J = complements[I] = tuple(k for k in range(n + 1) if k not in I)
-                by_I[I] = []
-            by_I[I].append(_move_site(n, I, J, phi, entries, eps))
-        return {I: tuple(sites) for I, sites in by_I.items()}
+                    add((i0, *positions), phi, (e0, *others), eps)
+        return {I: tuple(sites) for I, (_, sites) in by_I.items()}
 
     def euler_characteristic(self) -> int:
         """The alternating sum f_0 - f_1 + f_2 - ... of the f-vector."""
@@ -506,17 +534,24 @@ def _check_splitting(n, I, J):
     """(I, J) as sorted tuples; raises ValueError unless they split [0..n]
     into two nonempty parts.  A splitting is checked once while it stays
     in ``_check_tuples``'s cache, keyed by (I, J) as tuples."""
-    return _check_tuples(n, tuple(I), tuple(J))
+    return _check_tuples(n, tuple(I), tuple(J))[:2]
 
 
 # There are 2**(n + 1) - 2 splittings of [0..n]; the cache keeps the 4,096
 # last used, and caches no refusal.
 @functools.lru_cache(maxsize=1 << 12)
 def _check_tuples(n, I, J):
+    """(I, J) sorted and their move's splitting count C(n + 1, |I|)."""
     sI, sJ = tuple(sorted(I)), tuple(sorted(J))
     if not sI or not sJ or sorted(sI + sJ) != list(range(n + 1)):
         raise ValueError(f"({sI}, {sJ}) is not a splitting of [0..{n}]")
-    return sI, sJ
+    return sI, sJ, _splitting_count(n - 1, len(sI))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _complement(n, I):
+    """The positions of [0..n] outside the increasing tuple I."""
+    return tuple(k for k in range(n + 1) if k not in I)
 
 
 def pachner_sides(n: int, I, J):
@@ -558,10 +593,11 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     every entry of a site is glued to the others, so phi is one of its
     cones, an entry plus the vertex opposite it across a glued facet; the
     entries that can join each cone entry in a site, its mates, are found
-    once per complex and shared by every size.  A splitting is validated
-    once while it stays in a cache of the 4,096 last used.  Each call
-    returns a new list.  Raises ValueError, before enumerating anything,
-    when ``check_move_type`` refuses the move.
+    once per complex and shared by every size.  A splitting is validated,
+    and its move's splitting count read, in one lookup of a cache of the
+    4,096 last used; the count is compared with SPLITTINGS_LIMIT on every
+    call.  Each call returns a new list.  Raises ValueError, before
+    enumerating anything, when ``check_move_type`` refuses the move.
 
     No face interior to a site touches an entry outside it, so that move
     condition needs no check of its own.  Such a face is phi minus a set D
@@ -571,9 +607,10 @@ def find_move_sites(t: Triangulation, I, J) -> list[MoveSite]:
     above.  A facet is glued at most once, so no identification of the
     face leaves those entries.
     """
-    I, J = _check_splitting(t.dim + 1, I, J)
+    I, J, splittings = _check_tuples(t.dim + 1, tuple(I), tuple(J))
     p = len(I)
-    check_move_type(t.dim, p)
+    if splittings > SPLITTINGS_LIMIT:
+        check_move_type(t.dim, p)
     by_I = t._sites.get(p)
     if by_I is None:
         by_I = t._move_sites(p)
@@ -601,43 +638,54 @@ def apply_move(t: Triangulation, site: MoveSite) -> Triangulation:
 
     Raises ValueError for a stale site, one that ``find_move_sites`` does
     not return on t; once t's sites of that size are listed, that check is
-    a lookup.  The moved complex validates its gluing as it is built.
+    a lookup.
+
+    Only the seam is checked as the moved complex is built: the pairs that
+    glue a new entry, to a kept entry or to another new one, each with the
+    constructor's checks and messages.  Every other pair is one of t's,
+    renumbered: it joins the same two vertex tuples, already checked in t,
+    and it comes with its reverse, as both of its entries are kept.  A
+    kept occurrence is glued in t to a kept entry or to a removed one, so
+    no seam pair overwrites a copied one.  The kept entries are t's and the
+    new ones are phi less one vertex, so no entry needs a check either.
     """
     current = find_move_sites(t, site.I, site.J)
     if site not in current:
         raise ValueError("stale site: it does not match the triangulation")
-    n, I, J, phi, eps = site.n, site.I, site.J, site.phi, site.epsilon
-    removed = set(site.entries)
-    role = {e: i for e, i in zip(site.entries, I)}
+    I, J, phi, eps = site.I, site.J, site.phi, site.epsilon
+    role = dict(zip(site.entries, I))  # removed entry -> its position
 
-    keep = [e for e in range(len(t.simplexes)) if e not in removed]
-    renumber = {e: k for k, e in enumerate(keep)}
-    new_simplexes = [t.simplexes[e] for e in keep]
+    renumber = [None] * len(t.simplexes)  # None for a removed entry
+    new_simplexes = []
+    for e, simplex in enumerate(t.simplexes):
+        if e not in role:
+            renumber[e] = len(new_simplexes)
+            new_simplexes.append(simplex)
     new_index = {}
     for j in J:
         new_index[j] = len(new_simplexes)
-        new_simplexes.append(
-            (phi[:j] + phi[j + 1 :], -eps * (-1) ** j)
-        )
+        new_simplexes.append((phi[:j] + phi[j + 1 :], -eps * (-1) ** j))
 
-    gluing = {}
+    gluing, seam = {}, {}
     for (e, f), (e2, f2) in t.gluing.items():
-        if e in removed and e2 in removed:
-            continue  # internal to the site, disappears
-        if e in removed:
-            continue  # handled from the partner side below
-        if e2 in removed:
-            i = role[e2]
-            x = f2 if f2 < i else f2 + 1  # splitting position of the removed vertex
-            if x not in J:
-                raise AssertionError("facet between site entries escaped skip")
-            gluing[(renumber[e], f)] = (new_index[x], _pos(i, x))
-            gluing[(new_index[x], _pos(i, x))] = (renumber[e], f)
-        else:
-            gluing[(renumber[e], f)] = (renumber[e2], f2)
+        k = renumber[e]
+        if k is None:
+            continue  # internal to the site, or reglued from the kept side
+        k2 = renumber[e2]
+        if k2 is not None:
+            gluing[(k, f)] = (k2, f2)
+            continue
+        i = role[e2]
+        x = f2 if f2 < i else f2 + 1  # splitting position of the removed vertex
+        if x not in J:
+            raise AssertionError("facet between site entries escaped skip")
+        a, b = (k, f), (new_index[x], _pos(i, x))
+        seam[a] = b
+        seam[b] = a
     for j, j2 in itertools.combinations(J, 2):
         a = (new_index[j], _pos(j2, j))
         b = (new_index[j2], _pos(j, j2))
-        gluing[a] = b
-        gluing[b] = a
-    return Triangulation(t.dim, new_simplexes, gluing)
+        seam[a] = b
+        seam[b] = a
+    gluing.update(seam)
+    return Triangulation._reglued(t.dim, new_simplexes, gluing, seam)

@@ -64,6 +64,10 @@ class StateSumAssignment:
     boundary: list  # (vertex tuple, entry, facet) per boundary facet, sorted
 
 
+# the facet of a top simplex, named by the complex's dimension
+_FACET_NAMES = {1: "vertex", 2: "edge", 3: "triangle", 4: "tetrahedron"}
+
+
 def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "exact") -> StateSumAssignment:
     """Attach tensors to top simplexes and pair slots along interior facets.
 
@@ -82,8 +86,9 @@ def build_assignment(t: Triangulation, sol: SolutionSpec, backend: str = "exact"
     witness = t.orientation_witness()
     if witness is not None:
         (e1, f1), (e2, _) = witness
+        facet = _FACET_NAMES.get(t.dim, f"{t.dim - 1}-simplex")
         raise ValueError(
-            f"tetrahedron {t.facet(e1, f1)} is presented with equal variance by "
+            f"{facet} {t.facet(e1, f1)} is presented with equal variance by "
             f"entries {e1} and {e2}; outside the certified scope"
         )
     pairings = sorted((occ, partner) for occ, partner in t.gluing.items() if occ < partner)

@@ -601,6 +601,69 @@ def test_every_gluing_check_still_runs(monkeypatch):
     assert refused == {None, "unknown", "involution", "different"}
 
 
+def test_a_move_checks_its_seam_and_equals_a_fully_checked_rebuild():
+    # seeded walks over every move type in dimensions 2-4, from the simplex
+    # boundaries and from the move balls, which have boundary: each moved
+    # complex passes the whole gluing check, and the constructor, which
+    # checks every pair, accepts its gluing as it is
+    rng = random.Random(12)
+    moved_types = set()
+    for dim in (2, 3, 4):
+        n = dim + 1
+        starts = [simplex_boundary(n)]
+        starts += [side for I, J in all_splittings(n) for side in pachner_sides(n, I, J)]
+        for start in starts:
+            t = start
+            for _ in range(6 if start.is_closed() else 2):
+                by_type = {}
+                for I, J in all_splittings(n):
+                    by_type.setdefault(len(I), []).extend(find_move_sites(t, I, J))
+                types = sorted(p for p, sites in by_type.items() if sites)
+                if not types:
+                    break
+                # the largest type not yet moved in this dimension, if any
+                fresh = [p for p in types if (dim, p) not in moved_types]
+                p = fresh[-1] if fresh else rng.choice(types)
+                moved = apply_move(t, rng.choice(by_type[p]))
+                moved._validate_gluing()
+                rebuilt = Triangulation(dim, moved.simplexes, dict(moved.gluing))
+                assert rebuilt.simplexes == moved.simplexes
+                assert rebuilt.gluing == moved.gluing
+                moved_types.add((dim, p))
+                t = moved
+    assert moved_types == {(d, p) for d in (2, 3, 4) for p in range(1, d + 2)}
+
+
+def test_a_corrupted_seam_is_refused(monkeypatch):
+    # a move that glues each new facet to the next facet of its entry
+    # keeps an involution but joins different vertices
+    t = simplex_boundary(5)
+    site = find_move_sites(t, (0, 2, 4), (1, 3, 5))[0]
+    pos = simplicial._pos
+    with monkeypatch.context() as patched:
+        patched.setattr(simplicial, "_pos", lambda j, i: (pos(j, i) + 1) % 5)
+        with pytest.raises(ValueError, match="have different vertices"):
+            apply_move(t, site)
+    apply_move(t, site)
+
+
+def test_a_cached_search_reads_the_live_splitting_limit(monkeypatch):
+    t = simplex_boundary(5)
+    sites = find_move_sites(t, (0, 2, 4), (1, 3, 5))
+    cached = simplicial._check_tuples.cache_info()
+    with monkeypatch.context() as patched:
+        patched.setattr(simplicial, "SPLITTINGS_LIMIT", 19)
+        with pytest.raises(ValueError) as want:
+            simplicial.check_move_type(4, 3)
+        with pytest.raises(ValueError) as refused:
+            find_move_sites(t, (0, 2, 4), (1, 3, 5))
+    assert str(refused.value) == str(want.value)
+    assert "have 20 splittings, over the limit of 19" in str(want.value)
+    # the refusal read the memo, and the restored limit passes again
+    assert simplicial._check_tuples.cache_info().hits == cached.hits + 1
+    assert find_move_sites(t, (0, 2, 4), (1, 3, 5)) == sites
+
+
 def test_returned_site_lists_belong_to_the_caller():
     t = simplex_boundary(5)
     sites = find_move_sites(t, (0, 2, 4), (1, 3, 5))

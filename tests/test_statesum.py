@@ -134,6 +134,17 @@ def test_incoherent_gluing_names_the_tetrahedron():
         build_assignment(t, sol, "exact")
 
 
+def test_incoherent_gluing_in_3d_names_the_triangle():
+    sol = placed_on_a_tetrahedron(group_pentagon_map("Z2"))
+    t = Triangulation(3, [((0, 1, 2, 3), 1), ((0, 1, 2, 4), 1)])
+    with pytest.raises(ValueError) as refused:
+        build_assignment(t, sol, "exact")
+    assert str(refused.value) == (
+        "triangle (0, 1, 2) is presented with equal variance by "
+        "entries 0 and 1; outside the certified scope"
+    )
+
+
 @pytest.mark.parametrize("flips, pair, tetrahedron", INCOHERENT_SPHERES)
 def test_incoherence_is_refused_at_the_least_pair(flips, pair, tetrahedron):
     # several pairs are incoherent; the refusal names the least one,
